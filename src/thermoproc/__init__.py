@@ -4,14 +4,13 @@ from ._kernels import backend_name
 
 __version__ = "0.1.0"
 
-from .core import (Hamiltonian, PopulationVector, ThermalContext,
-                   TransitionMatrix, apply, beta_swap, compose, elementary_tp,
-                   full_thermalization, gibbs_state, is_gibbs_stochastic,
-                   partial_thermalization, thermalize_memory)
+from .core import (Hamiltonian, PopulationVector, TransitionMatrix, apply,
+                   beta_swap, compose, elementary_tp, full_thermalization,
+                   gibbs_state, is_gibbs_stochastic, partial_thermalization)
 
 __all__ = [
-    "Hamiltonian", "PopulationVector", "ThermalContext", "TransitionMatrix",
-    "apply", "backend_name", "beta_swap", "compose", "elementary_tp",
+    "Hamiltonian", "PopulationVector", "TransitionMatrix", "apply",
+    "backend_name", "beta_swap", "compose", "elementary_tp",
     "full_thermalization", "gibbs_state", "is_gibbs_stochastic",
-    "partial_thermalization", "thermalize_memory", "__version__",
+    "partial_thermalization", "__version__",
 ]

@@ -21,21 +21,6 @@ import os
 import numpy as np
 
 
-def _pair_sweep_py(vec, idx_a, idx_b, weight_a):
-    """Apply full thermalizations over pairs (idx_a[s], idx_b[s]) in order.
-
-    Each step pools the two populations and splits them weight_a[s] to the
-    first index, 1 - weight_a[s] to the second.  Operates in place.
-    """
-    for s in range(len(idx_a)):
-        a = idx_a[s]
-        b = idx_b[s]
-        total = vec[a] + vec[b]
-        w = weight_a[s]
-        vec[a] = w * total
-        vec[b] = (1.0 - w) * total
-
-
 def _memory_sweep_py(vec, d, weight_a, base_a, base_b):
     """d*d full thermalizations between slot blocks of a flat vector.
 
@@ -70,17 +55,14 @@ if not _FORCE_FALLBACK:
     try:
         from numba import njit
 
-        pair_sweep = njit(cache=True)(_pair_sweep_py)
         memory_sweep = njit(cache=True)(_memory_sweep_py)
         memory_sweep_ordered = njit(cache=True)(_memory_sweep_ordered_py)
         _BACKEND = "numba"
     except ImportError:
-        pair_sweep = _pair_sweep_py
         memory_sweep = _memory_sweep_py
         memory_sweep_ordered = _memory_sweep_ordered_py
         _BACKEND = "python"
 else:
-    pair_sweep = _pair_sweep_py
     memory_sweep = _memory_sweep_py
     memory_sweep_ordered = _memory_sweep_ordered_py
     _BACKEND = "python"

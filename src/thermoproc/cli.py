@@ -4,17 +4,16 @@ Subcommands:
 
   thermoproc run <config.json>      run one experiment from a config file
   thermoproc validate [...]         run the validation checks, write a report
-  thermoproc fig <fig2|fig3|cooling> [...]  shorthand with flags mirroring
-                                    the config fields
+  thermoproc fig <fig2|fig3|cooling> [...]  shorthand for one experiment, with
+                                    a flag per config field
 
 Configs are JSON with a versioned schema; all physical inputs are
-dimensionless products (beta*E, beta*W, ...).  Runs are fully deterministic:
+dimensionless products (beta*E, beta*W, ...).  ``PARAMS`` declares every
+experiment's fields once; config validation and the CLI flags both read it,
+and a flag left out takes the config default.  Runs are fully deterministic:
 identical configs produce byte-identical data files (the manifest echoes
 per-file SHA-256 digests; only its wall-clock field varies between runs).
 CSV floats carry 17 significant digits so they round-trip exactly.
-
-``THERMOPROC_THREADS`` (positive integer) caps the worker pool used for
-independent grid points; results are assembled in grid order either way.
 
 Exit codes: 0 success, 2 config error, 3 validation failure, 4 I/O error.
 """
@@ -25,12 +24,11 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,9 +37,7 @@ from .memory import closed_form_p_d, simulate_memory_beta_swap
 from .combinatorics import catalan_tail_bound, delta_d
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = ("fig2", "fig3", "cooling-coherent", "cooling-incoherent",
-               "beta-swap-sweep", "validate")
+DEFAULT_OUTPUT_DIR = "thermoproc-out"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,72 +53,102 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def _need(params, path, key, kind, default=None, check=None, describe=""):
-    value = params.get(key, default)
-    if value is None:
-        raise ConfigError(f"{path}.{key}", "required field missing")
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}", f"expected {kind.__name__}")
-    if check is not None and not check(value):
-        raise ConfigError(f"{path}.{key}", describe or "out of range")
-    return value
+@dataclass(frozen=True)
+class Param:
+    """One config field: type, default, accepted range and the message shown
+    when a value falls outside it.
+
+    ``kind`` is float (ints are accepted and converted), int, str, or list
+    for a list of integers, spelled ``1,2,5`` on the command line.  A field
+    whose default is None may be left unset.  ``flag`` overrides the CLI
+    spelling ``--name`` with dashes for underscores.
+    """
+
+    name: str
+    kind: type
+    default: object
+    check: Callable
+    message: str
+    flag: str | None = None
+    help: str | None = None
+
+    @property
+    def option(self) -> str:
+        return self.flag or "--" + self.name.replace("_", "-")
+
+    def parse(self, params: dict):
+        """The validated value of this field in ``params``, or its default."""
+        value = params.get(self.name, self.default)
+        if value is None and self.default is None:
+            return None
+        path = f"params.{self.name}"
+        if self.kind is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if isinstance(value, bool) or not isinstance(value, self.kind):
+            raise ConfigError(path, f"expected {self.kind.__name__}")
+        if not self.check(value):
+            raise ConfigError(path, self.message)
+        return list(value) if self.kind is list else value
 
 
-def _need_int_list(params, path, key, default):
-    value = params.get(key, default)
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                       for v in value)):
-        raise ConfigError(f"{path}.{key}", "expected a non-empty list of integers >= 1")
-    return list(value)
+def _int_list(text: str) -> list:
+    """CLI spelling of an integer-list field: ``1,2,5`` -> [1, 2, 5]."""
+    return [int(v) for v in text.split(",")]
 
 
-_DEFAULTS = {
-    "fig2": lambda p: {
-        "beta_E": _need(p, "params", "beta_E", float, math.log(2.0),
-                        lambda v: v > 0, "must be > 0"),
-        "w_min": _need(p, "params", "w_min", float, 0.05, lambda v: v > 0, "must be > 0"),
-        "w_max": _need(p, "params", "w_max", float, 3.0, lambda v: v > 0, "must be > 0"),
-        "w_points": _need(p, "params", "w_points", int, 200,
-                          lambda v: v >= 2, "need at least 2 grid points"),
-        "d_list": _need_int_list(p, "params", "d_list", [1, 2, 5, 20]),
-    },
-    "fig3": lambda p: {
-        "gamma": _need(p, "params", "gamma", float, 0.75,
-                       lambda v: 0.5 < v < 1.0, "must lie in (1/2, 1)"),
-        "depth": _need(p, "params", "depth", int, 8, lambda v: v >= 1, "must be >= 1"),
-    },
-    "cooling-coherent": lambda p: {
-        "gamma": _need(p, "params", "gamma", float, 0.75,
-                       lambda v: 0.5 < v < 1.0, "must lie in (1/2, 1)"),
-        "rounds": _need(p, "params", "rounds", int, 20, lambda v: v >= 1, "must be >= 1"),
-        "d_list": _need_int_list(p, "params", "d_list", [1, 2, 4, 8]),
-    },
-    "cooling-incoherent": lambda p: {
-        "beta": _need(p, "params", "beta", float, 1.0, lambda v: v > 0, "must be > 0"),
-        "E": _need(p, "params", "E", float, 1.0, lambda v: v > 0, "must be > 0"),
-        "script_E": _need(p, "params", "script_E", float, 2.0,
-                          lambda v: v > 0, "must be > 0"),
-        "beta_hot": _need(p, "params", "beta_hot", float, 0.2,
-                          lambda v: v >= 0, "must be >= 0"),
-        "rounds": _need(p, "params", "rounds", int, 50, lambda v: v >= 1, "must be >= 1"),
-        "d_list": _need_int_list(p, "params", "d_list", [1, 2, 4, 8]),
-    },
-    "beta-swap-sweep": lambda p: {
-        "gamma": _need(p, "params", "gamma", float, 0.75,
-                       lambda v: 0.5 < v < 1.0, "must lie in (1/2, 1)"),
-        "p0": _need(p, "params", "p0", float, 0.0,
-                    lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-        "d_max": _need(p, "params", "d_max", int, 30, lambda v: v >= 1, "must be >= 1"),
-    },
-    "validate": lambda p: {
-        "only": p.get("only"),
-        "tolerance_scale": _need(p, "params", "tolerance_scale", float, 1.0,
-                                 lambda v: v >= 0, "must be >= 0"),
-    },
+def _positive(name, default, **kw):
+    return Param(name, float, default, lambda v: v > 0, "must be > 0", **kw)
+
+
+def _at_least_one(name, default):
+    return Param(name, int, default, lambda v: v >= 1, "must be >= 1")
+
+
+def _d_list(default):
+    return Param("d_list", list, default,
+                 lambda v: bool(v) and all(isinstance(x, int) and not isinstance(x, bool)
+                                           and x >= 1 for x in v),
+                 "expected a non-empty list of integers >= 1")
+
+
+_GAMMA = Param("gamma", float, 0.75, lambda v: 0.5 < v < 1.0, "must lie in (1/2, 1)")
+_COOLING_D_LIST = _d_list([1, 2, 4, 8])
+
+PARAMS = {
+    "fig2": (
+        _positive("beta_E", math.log(2.0), flag="--beta-e"),
+        _positive("w_min", 0.05),
+        _positive("w_max", 3.0),
+        Param("w_points", int, 200, lambda v: v >= 2, "need at least 2 grid points"),
+        _d_list([1, 2, 5, 20]),
+    ),
+    "fig3": (_GAMMA, _at_least_one("depth", 8)),
+    "cooling-coherent": (_GAMMA, _at_least_one("rounds", 20), _COOLING_D_LIST),
+    "cooling-incoherent": (
+        _positive("beta", 1.0),
+        _positive("E", 1.0),
+        _positive("script_E", 2.0),
+        Param("beta_hot", float, 0.2, lambda v: v >= 0, "must be >= 0"),
+        _at_least_one("rounds", 50),
+        _COOLING_D_LIST,
+    ),
+    "beta-swap-sweep": (
+        _GAMMA,
+        Param("p0", float, 0.0, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+        _at_least_one("d_max", 30),
+    ),
+    "validate": (
+        Param("only", str, None, lambda v: v in validation.MODULES,
+              f"must be one of {validation.MODULES}",
+              help="restrict to one module's checks: " + ", ".join(validation.MODULES)),
+        Param("tolerance_scale", float, 1.0, lambda v: v >= 0, "must be >= 0",
+              help="multiply every tolerance; at 0 a check passes only with a "
+                   "deviation <= 0 (no rounding error, an exact or boolean check "
+                   "that holds, a nonnegative margin)"),
+    ),
 }
+
+EXPERIMENTS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -146,17 +172,13 @@ class ExperimentConfig:
         params_in = raw.get("params", {})
         if not isinstance(params_in, dict):
             raise ConfigError("params", "expected a JSON object")
-        params = _DEFAULTS[experiment](params_in)
+        params = {p.name: p.parse(params_in) for p in PARAMS[experiment]}
         if experiment == "cooling-incoherent":
             if not params["script_E"] > params["E"]:
                 raise ConfigError("params.script_E", "must exceed E")
             if not params["beta_hot"] < params["beta"]:
                 raise ConfigError("params.beta_hot", "must be below beta")
-        if experiment == "validate" and params["only"] is not None \
-                and params["only"] not in validation.MODULES:
-            raise ConfigError("params.only",
-                              f"must be one of {validation.MODULES}")
-        outdir = raw.get("output_dir", "thermoproc-out")
+        outdir = raw.get("output_dir", DEFAULT_OUTPUT_DIR)
         if not isinstance(outdir, str) or not outdir:
             raise ConfigError("output_dir", "expected a non-empty string")
         return cls(experiment=experiment, params=params, output_dir=Path(outdir))
@@ -208,41 +230,15 @@ def _write_csv(path: Path, header_meta: dict, columns, rows):
     return path
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("THERMOPROC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError("THERMOPROC_THREADS", f"not an integer: {raw!r}")
-    if n < 1:
-        raise ConfigError("THERMOPROC_THREADS", "must be >= 1")
-    return n
-
-
-def _grid_map(fn, items):
-    """Map a pure function over grid points, preserving order."""
-    threads = _thread_count()
-    items = list(items)
-    if threads == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit_fig2(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
-    grid = np.linspace(p["w_min"], p["w_max"], p["w_points"])
-    d_list = p["d_list"]
-
-    def row(bw):
+    rows = []
+    for bw in np.linspace(p["w_min"], p["w_max"], p["w_points"]):
         st = workx.ExtractionSetup(p["beta_E"], float(bw), 1.0)
-        vals = [bw, workx.epsilon_tp(st), workx.epsilon_etp(st), workx.epsilon_mtp(st)]
-        vals += [workx.epsilon_d_closed(st, d) for d in d_list]
-        return vals
-
-    columns = ["W", "eps_tp", "eps_etp", "eps_mtp"] + [f"eps_d{d}" for d in d_list]
-    path = _write_csv(outdir / "fig2.csv", cfg.echo()["params"], columns,
-                      _grid_map(row, grid))
+        row = [bw, workx.epsilon_tp(st), workx.epsilon_etp(st), workx.epsilon_mtp(st)]
+        rows.append(row + [workx.epsilon_d_closed(st, d) for d in p["d_list"]])
+    columns = ["W", "eps_tp", "eps_etp", "eps_mtp"] + [f"eps_d{d}" for d in p["d_list"]]
+    path = _write_csv(outdir / "fig2.csv", cfg.echo()["params"], columns, rows)
     return [path]
 
 
@@ -260,53 +256,30 @@ def _emit_fig3(cfg: ExperimentConfig, outdir: Path):
     return [Path(path)]
 
 
-def _emit_cooling_coherent(cfg: ExperimentConfig, outdir: Path):
+def _emit_cooling(cfg: ExperimentConfig, outdir: Path):
+    """Both cooling paradigms: per round, each class's simulated ground
+    population next to its closed form."""
     p = cfg.params
-    gamma, rounds, d_list = p["gamma"], p["rounds"], p["d_list"]
-    columns = ["round", "p_tp", "p_tp_closed", "p_mtp", "p_mtp_closed"]
-    series = [cooling.cool_coherent("TP", rounds, gamma).populations,
-              cooling.cool_coherent("MTP", rounds, gamma).populations]
-    closed = [[cooling.coherent_closed_form("TP", n, gamma) for n in range(1, rounds + 1)],
-              [cooling.coherent_closed_form("MTP", n, gamma) for n in range(1, rounds + 1)]]
-    for d in d_list:
-        columns += [f"p_mmtp_d{d}", f"p_mmtp_d{d}_closed"]
-        series.append(cooling.cool_coherent("MMTP", rounds, gamma, d).populations)
-        closed.append([cooling.coherent_closed_form("MMTP", n, gamma, d)
-                       for n in range(1, rounds + 1)])
-    rows = []
-    for n in range(rounds):
-        row = [n + 1]
-        for sim, cl in zip(series, closed):
-            row += [sim[n], cl[n]]
-        rows.append(row)
-    path = _write_csv(outdir / "cooling_coherent.csv", cfg.echo()["params"],
+    meta = cfg.echo()["params"]
+    if cfg.experiment == "cooling-coherent":
+        simulate, closed_form = cooling.cool_coherent, cooling.coherent_closed_form
+        kw = {"gamma": p["gamma"]}
+    else:
+        simulate, closed_form = cooling.cool_incoherent, cooling.incoherent_closed_form
+        kw = {k: p[k] for k in ("E", "script_E", "beta", "beta_hot")}
+        meta["p_star"] = cooling.p_star_incoherent(**kw)
+    rounds = range(1, p["rounds"] + 1)
+    columns = ["round"]
+    rows = [[n] for n in rounds]
+    classes = [("tp", "TP", None), ("mtp", "MTP", None)]
+    classes += [(f"mmtp_d{d}", "MMTP", d) for d in p["d_list"]]
+    for label, process, d in classes:
+        columns += [f"p_{label}", f"p_{label}_closed"]
+        sim = simulate(process, p["rounds"], d=d, **kw).populations
+        for n, row in zip(rounds, rows):
+            row += [sim[n - 1], closed_form(process, n, d=d, **kw)]
+    path = _write_csv(outdir / f"{cfg.experiment.replace('-', '_')}.csv", meta,
                       columns, rows)
-    return [path]
-
-
-def _emit_cooling_incoherent(cfg: ExperimentConfig, outdir: Path):
-    p = cfg.params
-    rounds, d_list = p["rounds"], p["d_list"]
-    kw = dict(E=p["E"], script_E=p["script_E"], beta=p["beta"], beta_hot=p["beta_hot"])
-    columns = ["round", "p_tp", "p_tp_closed", "p_mtp", "p_mtp_closed"]
-    series = [cooling.cool_incoherent("TP", rounds, **kw).populations,
-              cooling.cool_incoherent("MTP", rounds, **kw).populations]
-    closed = [[cooling.incoherent_closed_form("TP", n, **kw) for n in range(1, rounds + 1)],
-              [cooling.incoherent_closed_form("MTP", n, **kw) for n in range(1, rounds + 1)]]
-    for d in d_list:
-        columns += [f"p_mmtp_d{d}", f"p_mmtp_d{d}_closed"]
-        series.append(cooling.cool_incoherent("MMTP", rounds, d=d, **kw).populations)
-        closed.append([cooling.incoherent_closed_form("MMTP", n, d=d, **kw)
-                       for n in range(1, rounds + 1)])
-    rows = []
-    for n in range(rounds):
-        row = [n + 1]
-        for sim, cl in zip(series, closed):
-            row += [sim[n], cl[n]]
-        rows.append(row)
-    meta = dict(cfg.echo()["params"],
-                p_star=cooling.p_star_incoherent(**kw))
-    path = _write_csv(outdir / "cooling_incoherent.csv", meta, columns, rows)
     return [path]
 
 
@@ -325,21 +298,29 @@ def _emit_beta_swap_sweep(cfg: ExperimentConfig, outdir: Path):
     return [path]
 
 
+def _validate(params: dict, report_path):
+    """Run the checks ``params`` select; write their JSON summary to
+    ``report_path`` unless it is None."""
+    results = validation.run_checks(only=params["only"],
+                                    tolerance_scale=params["tolerance_scale"])
+    if report_path is not None:
+        Path(report_path).write_text(
+            json.dumps(validation.summarize(results), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+    return results
+
+
 def _emit_validate(cfg: ExperimentConfig, outdir: Path):
-    results = validation.run_checks(only=cfg.params["only"],
-                                    tolerance_scale=cfg.params["tolerance_scale"])
-    summary = validation.summarize(results)
     path = outdir / "validation_report.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return [path], summary["passed"]
+    results = _validate(cfg.params, path)
+    return [path], all(r.passed for r in results)
 
 
 _EMITTERS = {
     "fig2": _emit_fig2,
     "fig3": _emit_fig3,
-    "cooling-coherent": _emit_cooling_coherent,
-    "cooling-incoherent": _emit_cooling_incoherent,
+    "cooling-coherent": _emit_cooling,
+    "cooling-incoherent": _emit_cooling,
     "beta-swap-sweep": _emit_beta_swap_sweep,
 }
 
@@ -395,6 +376,17 @@ def _print_validation(results) -> bool:
     return passed
 
 
+def _print_written(manifest: RunManifest, outdir) -> None:
+    for entry in manifest.files:
+        print(f"wrote {Path(outdir) / entry['name']} ({entry['bytes']} bytes)")
+
+
+def _flag_params(args, experiment: str) -> dict:
+    """The fields of ``experiment`` given as flags; the rest take their defaults."""
+    return {p.name: getattr(args, p.name) for p in PARAMS[experiment]
+            if hasattr(args, p.name)}
+
+
 def _cmd_run(args) -> int:
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -406,47 +398,46 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
     cfg = ExperimentConfig.from_dict(raw)
     manifest = run_experiment(cfg)
-    for entry in manifest.files:
-        print(f"wrote {cfg.output_dir / entry['name']} ({entry['bytes']} bytes)")
+    _print_written(manifest, cfg.output_dir)
     if manifest.validation_passed is False:
         return EXIT_VALIDATION
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    results = validation.run_checks(only=args.only,
-                                    tolerance_scale=args.tolerance_scale)
-    passed = _print_validation(results)
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(validation.summarize(results), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+    cfg = ExperimentConfig.from_dict(
+        {"experiment": "validate", "params": _flag_params(args, "validate")})
+    passed = _print_validation(_validate(cfg.params, args.json))
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
 def _cmd_fig(args) -> int:
-    if args.kind == "fig2":
-        params = {"beta_E": args.beta_e, "w_min": args.w_min, "w_max": args.w_max,
-                  "w_points": args.w_points,
-                  "d_list": [int(v) for v in args.d_list.split(",")]}
-        experiment = "fig2"
-    elif args.kind == "fig3":
-        params = {"gamma": args.gamma, "depth": args.depth}
-        experiment = "fig3"
-    else:
-        if args.paradigm == "coherent":
-            params = {"gamma": args.gamma, "rounds": args.rounds,
-                      "d_list": [int(v) for v in args.d_list.split(",")]}
-            experiment = "cooling-coherent"
-        else:
-            params = {"beta": args.beta, "E": args.E, "script_E": args.script_E,
-                      "beta_hot": args.beta_hot, "rounds": args.rounds,
-                      "d_list": [int(v) for v in args.d_list.split(",")]}
-            experiment = "cooling-incoherent"
-    manifest = emit_figure_data(experiment, params, args.out)
-    for entry in manifest.files:
-        print(f"wrote {Path(args.out) / entry['name']} ({entry['bytes']} bytes)")
+    experiment = f"cooling-{args.paradigm}" if args.kind == "cooling" else args.kind
+    manifest = emit_figure_data(experiment, _flag_params(args, experiment), args.out)
+    _print_written(manifest, args.out)
     return EXIT_OK
+
+
+# fig shorthand -> (help, the experiments its flags cover)
+FIGURES = {
+    "fig2": ("work-extraction error curves", ("fig2",)),
+    "fig3": ("qutrit reachable regions", ("fig3",)),
+    "cooling": ("cooling round curves", ("cooling-coherent", "cooling-incoherent")),
+}
+
+_FLAG_TYPES = {float: float, int: int, str: str, list: _int_list}
+
+
+def _add_param_flags(parser, experiments) -> None:
+    """One flag per config field of ``experiments``; an omitted flag leaves
+    the field unset, so the config default applies."""
+    seen = set()
+    for experiment in experiments:
+        for p in PARAMS[experiment]:
+            if p.name not in seen:
+                seen.add(p.name)
+                parser.add_argument(p.option, dest=p.name, type=_FLAG_TYPES[p.kind],
+                                    default=argparse.SUPPRESS, help=p.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -460,41 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the config file")
 
     p_val = sub.add_parser("validate", help="run the validation checks")
-    p_val.add_argument("--only", choices=validation.MODULES, default=None,
-                       help="restrict to one module's checks")
+    _add_param_flags(p_val, ("validate",))
     p_val.add_argument("--json", default=None, help="also write a JSON report")
-    p_val.add_argument("--tolerance-scale", type=float, default=1.0,
-                       dest="tolerance_scale",
-                       help="multiply all tolerances (0 forces failures)")
 
     p_fig = sub.add_parser("fig", help="emit figure data")
     fig_sub = p_fig.add_subparsers(dest="kind", required=True)
-
-    f2 = fig_sub.add_parser("fig2", help="work-extraction error curves")
-    f2.add_argument("--beta-e", dest="beta_e", type=float, default=math.log(2.0))
-    f2.add_argument("--w-min", dest="w_min", type=float, default=0.05)
-    f2.add_argument("--w-max", dest="w_max", type=float, default=3.0)
-    f2.add_argument("--w-points", dest="w_points", type=int, default=200)
-    f2.add_argument("--d-list", dest="d_list", default="1,2,5,20")
-    f2.add_argument("--out", default="thermoproc-out")
-
-    f3 = fig_sub.add_parser("fig3", help="qutrit reachable regions")
-    f3.add_argument("--gamma", type=float, default=0.75)
-    f3.add_argument("--depth", type=int, default=8)
-    f3.add_argument("--out", default="thermoproc-out")
-
-    fc = fig_sub.add_parser("cooling", help="cooling round curves")
-    fc.add_argument("--paradigm", choices=("coherent", "incoherent"),
-                    default="coherent")
-    fc.add_argument("--gamma", type=float, default=0.75)
-    fc.add_argument("--rounds", type=int, default=20)
-    fc.add_argument("--d-list", dest="d_list", default="1,2,4,8")
-    fc.add_argument("--beta", type=float, default=1.0)
-    fc.add_argument("--E", type=float, default=1.0)
-    fc.add_argument("--script-E", dest="script_E", type=float, default=2.0)
-    fc.add_argument("--beta-hot", dest="beta_hot", type=float, default=0.2)
-    fc.add_argument("--out", default="thermoproc-out")
-
+    for kind, (help_text, experiments) in FIGURES.items():
+        p_kind = fig_sub.add_parser(kind, help=help_text)
+        if kind == "cooling":
+            p_kind.add_argument("--paradigm", choices=("coherent", "incoherent"),
+                                default="coherent")
+        _add_param_flags(p_kind, experiments)
+        p_kind.add_argument("--out", default=DEFAULT_OUTPUT_DIR)
     return parser
 
 

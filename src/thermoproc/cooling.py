@@ -36,6 +36,7 @@ import numpy as np
 
 from ._kernels import memory_sweep
 from .combinatorics import delta_d
+from .core import clip_noise
 from .majorization import beta_order
 from .memory import simulate_memory_beta_swap
 
@@ -97,7 +98,8 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
         elif process == "MTP":
             p = gamma
         else:
-            p, _ = simulate_memory_beta_swap(d, inverted, gamma)
+            # the d^2-step sweep can round the population just past 1
+            p = clip_noise(simulate_memory_beta_swap(d, inverted, gamma)[0])
         pops[r] = p
     return CoolingRun("coherent", process, {"gamma": gamma, "d": d}, pops)
 

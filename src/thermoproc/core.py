@@ -47,21 +47,6 @@ class Hamiltonian:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class ThermalContext:
-    """Inverse temperature of the cold reservoir, optionally of a hot bath."""
-
-    beta: float
-    beta_hot: float | None = None
-
-    def __post_init__(self):
-        if not (self.beta > 0.0 and np.isfinite(self.beta)):
-            raise ValueError("beta must be positive and finite")
-        if self.beta_hot is not None:
-            if not (0.0 <= self.beta_hot < self.beta):
-                raise ValueError("beta_hot must satisfy 0 <= beta_hot < beta")
-
-
 class PopulationVector:
     """Probability distribution over energy eigenstates.
 
@@ -253,30 +238,12 @@ def is_gibbs_stochastic(m: TransitionMatrix, gibbs: PopulationVector,
     return cols_ok and fixed_ok
 
 
-def thermalize_memory(p: PopulationVector, sys_dim: int, mem_dim: int) -> PopulationVector:
-    """Replace the memory marginal by the uniform distribution.
+def clip_noise(p: float) -> float:
+    """Clip a probability that left [0, 1] by rounding noise back into it.
 
-    The input lives on the composite basis with the memory index fastest.
-    The system marginal is taken by summing memory slots in ascending index
-    order (numpy row reduction) and is redistributed equally, so it is
-    preserved up to at most a few ulp of rounding in the d-fold resum.
+    Noise is the same band PopulationVector clamps: at most 1e-9 outside.
+    Anything further out indicates a logic error upstream and raises.
     """
-    if sys_dim <= 0 or mem_dim <= 0:
-        raise ValueError("dimensions must be positive")
-    if p.dim != sys_dim * mem_dim:
-        raise ValueError(f"vector of dim {p.dim} is not {sys_dim} x {mem_dim}")
-    marginal = p.probs.reshape(sys_dim, mem_dim).sum(axis=1)
-    out = np.repeat(marginal / mem_dim, mem_dim)
-    return PopulationVector(out)
-
-
-def system_marginal(p: PopulationVector, sys_dim: int, mem_dim: int) -> np.ndarray:
-    """System marginal of a composite vector (memory index fastest)."""
-    if p.dim != sys_dim * mem_dim:
-        raise ValueError(f"vector of dim {p.dim} is not {sys_dim} x {mem_dim}")
-    return p.probs.reshape(sys_dim, mem_dim).sum(axis=1)
-
-
-def qubit_gibbs_weight(beta: float, gap: float) -> float:
-    """Equilibrium ground weight 1 / (1 + e^{-beta*gap}) of a two-level pair."""
-    return 1.0 / (1.0 + np.exp(-beta * gap))
+    if not (CLAMP_NOISE <= p <= 1.0 - CLAMP_NOISE):
+        raise ValueError(f"probability {p} outside [0, 1] beyond the noise floor")
+    return min(max(p, 0.0), 1.0)

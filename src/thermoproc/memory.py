@@ -27,8 +27,7 @@ import numpy as np
 
 from ._kernels import memory_sweep
 from .combinatorics import catalan_tail_bound, delta_d, f_coeff
-
-SUM_TOL = 1.0e-12
+from .core import SUM_TOL
 
 
 @dataclass

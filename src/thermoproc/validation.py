@@ -6,12 +6,16 @@ other) and reports the worst measured deviation next to its tolerance.  The
 CLI ``validate`` command runs these and exits nonzero when any fail; the
 acceptance test suite runs the same checks one criterion at a time.
 
-``tolerance_scale`` multiplies every tolerance (0 forces all checks to fail,
-which exercises the failure reporting path).
+``tolerance_scale`` multiplies every tolerance and every margin a check asks
+for.  At 0 a check passes only when its deviation is 0 or negative: when a
+numeric comparison shows no rounding error at all, when an exact or boolean
+check holds, or when a margin check (the qutrit separations) finds its
+margin nonnegative.  Scale 0 therefore does not force failures.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -46,13 +50,29 @@ class CheckResult:
         return asdict(self)
 
 
-def _result(name, module, deviation, tolerance, detail=""):
-    return CheckResult(name=name, module=module,
-                       passed=bool(deviation <= tolerance),
-                       deviation=float(deviation), tolerance=float(tolerance),
-                       detail=detail)
+# check function name -> the module it validates; keyed by name so that a
+# check wrapped by a caller (a tracer, a counting test) still selects
+_MODULE_OF = {}
 
 
+def _check(name, module):
+    """Declare a check of ``module``.  The decorated body takes the tolerance
+    scale and returns (deviation, tolerance, detail); the check returns the
+    CheckResult, which passes iff deviation <= tolerance."""
+    def declare(body):
+        @functools.wraps(body)
+        def check(scale=1.0):
+            deviation, tolerance, detail = body(scale)
+            return CheckResult(name=name, module=module,
+                               passed=bool(deviation <= tolerance),
+                               deviation=float(deviation),
+                               tolerance=float(tolerance), detail=detail)
+        _MODULE_OF[check.__name__] = module
+        return check
+    return declare
+
+
+@_check("elementary-matrix-invariants", "core")
 def check_core_elementary(scale=1.0):
     """Elementary matrices are Gibbs-stochastic and satisfy the swap identity."""
     tol = 1.0e-12 * scale
@@ -73,19 +93,19 @@ def check_core_elementary(scale=1.0):
         lhs = b.entries @ b.entries
         rhs = (1.0 - q) * b.entries + q * np.eye(2)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return _result("elementary-matrix-invariants", "core", worst, tol,
-                   "Gibbs fixed point and swap composition identity")
+    return worst, tol, "Gibbs fixed point and swap composition identity"
 
 
+@_check("qubit-memory-boost", "memory")
 def check_memory_boost(scale=1.0):
     """d = 2 protocol from the ground state hits the known closed value."""
     tol = 1.0e-12 * scale
     p2, _ = memory.simulate_memory_beta_swap(2, 0.0, 0.75)
     dev = abs(p2 - 0.890625)
-    return _result("qubit-memory-boost", "memory", dev, tol,
-                   f"simulated {p2!r} vs closed 0.890625")
+    return dev, tol, f"simulated {p2!r} vs closed 0.890625"
 
 
+@_check("swap-simulation-closed-form", "memory")
 def check_memory_closed_form(scale=1.0):
     """Simulation equals the closed form over the (d, gamma, p0) grid."""
     tol = 1.0e-10 * scale
@@ -95,10 +115,10 @@ def check_memory_closed_form(scale=1.0):
             for p0 in (0.0, 0.25, 0.5, g, 0.9):
                 sim, _ = memory.simulate_memory_beta_swap(d, p0, g)
                 worst = max(worst, abs(sim - memory.closed_form_p_d(d, p0, g)))
-    return _result("swap-simulation-closed-form", "memory", worst, tol,
-                   "d <= 12 across gamma and p0 grids")
+    return worst, tol, "d <= 12 across gamma and p0 grids"
 
 
+@_check("swap-simulation-tail-bound", "memory")
 def check_memory_tail_bound(scale=1.0):
     """Distance to the exact swap output obeys the Catalan tail bound, d >= 10."""
     worst_excess = 0.0
@@ -112,10 +132,10 @@ def check_memory_tail_bound(scale=1.0):
             worst_excess = max(worst_excess,
                                float(comb.delta_d(d, g))
                                - comb.catalan_tail_bound(d, g))
-    return _result("swap-simulation-tail-bound", "memory", worst_excess,
-                   slack * scale, "swap deviation minus bound, d in {10,11,12}")
+    return worst_excess, slack * scale, "swap deviation minus bound, d in {10,11,12}"
 
 
+@_check("coherent-cooling-closed-forms", "cooling")
 def check_coherent_cooling(scale=1.0):
     """Round-by-round simulation equals the closed forms, every class."""
     tol = 1.0e-10 * scale
@@ -128,10 +148,10 @@ def check_coherent_cooling(scale=1.0):
                 for n in range(1, 51):
                     worst = max(worst, abs(run.populations[n - 1]
                                            - cooling.coherent_closed_form(process, n, g, d)))
-    return _result("coherent-cooling-closed-forms", "cooling", worst, tol,
-                   "TP/MTP/MMTP, n <= 50, gamma in {0.6, 0.75, 0.9}, d <= 8")
+    return worst, tol, "TP/MTP/MMTP, n <= 50, gamma in {0.6, 0.75, 0.9}, d <= 8"
 
 
+@_check("coherent-asymptote-monotone", "cooling")
 def check_coherent_asymptote(scale=1.0):
     """Memory asymptote: equals gamma at d = 1, strictly increasing to d = 30."""
     tol = 1.0e-12 * scale
@@ -141,10 +161,10 @@ def check_coherent_asymptote(scale=1.0):
         values = [cooling.coherent_p_max(d, g) for d in range(1, 31)]
         ok_monotone &= all(b > a for a, b in zip(values, values[1:]))
     deviation = dev if ok_monotone else math.inf
-    return _result("coherent-asymptote-monotone", "cooling", deviation, tol,
-                   "p_max(1) = gamma; exact-rational strict increase d = 1..30")
+    return deviation, tol, "p_max(1) = gamma; exact-rational strict increase d = 1..30"
 
 
+@_check("incoherent-cooling-convergence", "cooling")
 def check_incoherent_convergence(scale=1.0):
     """All classes converge to the shared asymptote at the reference point."""
     tol = 1.0e-6 * scale
@@ -154,9 +174,10 @@ def check_incoherent_convergence(scale=1.0):
     for process, d in (("TP", None), ("MTP", None), ("MMTP", 4)):
         run = cooling.cool_incoherent(process, 50, d=d, **INC_REF)
         worst = max(worst, abs(run.populations[-1] - p_star))
-    return _result("incoherent-cooling-convergence", "cooling", worst, tol, detail)
+    return worst, tol, detail
 
 
+@_check("incoherent-rates", "cooling")
 def check_incoherent_rates(scale=1.0):
     """Measured contraction matches the closed rates; d = 1 equals the MTP rate."""
     tol = 1.0e-10 * scale
@@ -172,9 +193,10 @@ def check_incoherent_rates(scale=1.0):
     rep = cooling.rate_discrepancy_report(d=1, **INC_REF)
     detail = (f"alternative published rate form deviates by "
               f"{rep['variant_d1_mismatch']:.3e} at d = 1 (reported, not used)")
-    return _result("incoherent-rates", "cooling", worst, tol, detail)
+    return worst, tol, detail
 
 
+@_check("extraction-point-values", "workx")
 def check_extraction_point_values(scale=1.0):
     """Reference errors at beta_E = ln2, beta_W = ln4, each matched by protocol."""
     tol = 1.0e-12 * scale
@@ -189,10 +211,11 @@ def check_extraction_point_values(scale=1.0):
             worst = max(worst, abs(eps - target))
     eps1, _ = workx.run_memory_extraction(st, 1)
     worst = max(worst, abs(eps1 - workx.epsilon_mtp(st)))
-    return _result("extraction-point-values", "workx", worst, tol,
-                   "eps_TP = 1/4, eps_ETP = 3/8, eps_MTP = 8/15 and protocol oracles")
+    return (worst, tol,
+            "eps_TP = 1/4, eps_ETP = 3/8, eps_MTP = 8/15 and protocol oracles")
 
 
+@_check("extraction-bisection-grid", "majorization")
 def check_extraction_bisection(scale=1.0):
     """Reachability bisection reproduces the closed minimum error on a W grid."""
     tol = 1.0e-9 * scale
@@ -201,10 +224,10 @@ def check_extraction_bisection(scale=1.0):
         st = workx.ExtractionSetup(LN2, float(bw), 1.0)
         worst = max(worst, abs(majorization.min_extraction_error_tp(LN2, float(bw), 1.0)
                                - workx.epsilon_tp(st)))
-    return _result("extraction-bisection-grid", "majorization", worst, tol,
-                   "50-point work-gap grid at beta_E = ln 2")
+    return worst, tol, "50-point work-gap grid at beta_E = ln 2"
 
 
+@_check("extraction-error-ordering", "workx")
 def check_extraction_ordering(scale=1.0):
     """eps_TP <= eps_ETP <= eps_MTP and the memory errors bracket in between."""
     tol = 1.0e-12 * scale
@@ -218,10 +241,10 @@ def check_extraction_ordering(scale=1.0):
             eps_d = workx.epsilon_d_closed(st, d)
             worst = max(worst, tp - eps_d, eps_d - eps_prev)
             eps_prev = eps_d
-    return _result("extraction-error-ordering", "workx", worst, tol,
-                   "class ordering and monotone memory errors, d <= 40")
+    return worst, tol, "class ordering and monotone memory errors, d <= 40"
 
 
+@_check("memory-extraction-closed-form", "workx")
 def check_memory_extraction(scale=1.0):
     """4d-level protocol simulation equals the closed-form error, d <= 10."""
     tol = 1.0e-10 * scale
@@ -232,10 +255,10 @@ def check_memory_extraction(scale=1.0):
             for d in range(1, 11):
                 eps, _ = workx.run_memory_extraction(st, d)
                 worst = max(worst, abs(eps - workx.epsilon_d_closed(st, d)))
-    return _result("memory-extraction-closed-form", "workx", worst, tol,
-                   "25-point work-gap grid, beta_E in {ln 2, 1}, d <= 10")
+    return worst, tol, "25-point work-gap grid, beta_E in {ln 2, 1}, d <= 10"
 
 
+@_check("memory-extraction-large-d", "workx")
 def check_memory_extraction_large_d(scale=1.0):
     """d = 400 closed form sits within 0.02 of the unrestricted optimum."""
     tol = 0.02 * scale
@@ -245,10 +268,10 @@ def check_memory_extraction_large_d(scale=1.0):
                               np.linspace(1.1 * w0, 2.5, 8)]):
         st = workx.ExtractionSetup(LN2, float(bw), 1.0)
         worst = max(worst, abs(workx.epsilon_d_closed(st, 400) - workx.epsilon_tp(st)))
-    return _result("memory-extraction-large-d", "workx", worst, tol,
-                   "work gaps at least 10% away from the zero-error threshold")
+    return worst, tol, "work gaps at least 10% away from the zero-error threshold"
 
 
+@_check("special-function-routes", "combinatorics")
 def check_function_routes(scale=1.0):
     """Three independent evaluation routes of L agree."""
     tol = 1.0e-9 * scale
@@ -260,10 +283,10 @@ def check_function_routes(scale=1.0):
                 b = comb.L_eval(n, m, float(x), "alternating")
                 c = comb.L_eval(n, m, float(x), "quadrature")
                 worst = max(worst, abs(a - b), abs(a - c))
-    return _result("special-function-routes", "combinatorics", worst, tol,
-                   "definition vs alternating vs quadrature, n <= 40")
+    return worst, tol, "definition vs alternating vs quadrature, n <= 40"
 
 
+@_check("special-function-identities", "combinatorics")
 def check_function_identities(scale=1.0):
     """The (n-1)-order diagonal matches its Catalan-tail closed form."""
     tol = 1.0e-10 * scale
@@ -273,10 +296,10 @@ def check_function_identities(scale=1.0):
             lhs = comb.I_nm_eval(n, n - 1, x)
             rhs = (1.0 - 2.0 * x) / (1.0 - x) + x * float(comb.delta_d(n, 1.0 - x))
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return _result("special-function-identities", "combinatorics", worst, tol,
-                   "relative error of the diagonal closed form, n <= 50")
+    return worst, tol, "relative error of the diagonal closed form, n <= 50"
 
 
+@_check("exact-coefficient-recurrence", "combinatorics")
 def check_exact_coefficients(scale=1.0):
     """Recurrence table equals binomials exactly; rational routes agree exactly."""
     table = comb.f_table(60, 60)
@@ -290,10 +313,10 @@ def check_exact_coefficients(scale=1.0):
                 exact &= (comb.K_eval(n, m, x) + comb.I_nm_eval(n, m, x)
                           == comb.L_eval(n, m, x, "definition"))
     deviation = 0.0 if exact else math.inf
-    return _result("exact-coefficient-recurrence", "combinatorics", deviation,
-                   0.5 * max(scale, 1e-300), "exact integer and rational equalities")
+    return deviation, 0.5 * max(scale, 1e-300), "exact integer and rational equalities"
 
 
+@_check("qutrit-separation", "reachable")
 def check_qutrit_separation(scale=1.0):
     """Memory-assisted B vertices against the Markovian region, stated grid.
 
@@ -313,10 +336,10 @@ def check_qutrit_separation(scale=1.0):
             worst_margin = min(worst_margin, margin)
             details.append(f"{label}@{g}: {margin:+.2e}")
     deviation = needed - worst_margin  # <= 0 iff every margin clears the bar
-    return _result("qutrit-separation", "reachable", deviation, 0.0,
-                   "; ".join(details))
+    return deviation, 0.0, "; ".join(details)
 
 
+@_check("qutrit-separation-large-gamma", "reachable")
 def check_qutrit_separation_large_gamma(scale=1.0):
     """The same separation where it does hold: large pair weights."""
     needed = 1.0e-6 * scale
@@ -326,22 +349,22 @@ def check_qutrit_separation_large_gamma(scale=1.0):
         _a1, _a2, b1, b2 = reachable.qutrit_mmtp2_vertices(g)
         for v in (b1, b2):
             worst_margin = min(worst_margin, reachable.hull_margin(hull, v.probs))
-    return _result("qutrit-separation-large-gamma", "reachable",
-                   needed - worst_margin, 0.0,
-                   f"worst margin {worst_margin:+.3e} at gamma in {{0.88, 0.92, 0.96}}")
+    return (needed - worst_margin, 0.0,
+            f"worst margin {worst_margin:+.3e} at gamma in {{0.88, 0.92, 0.96}}")
 
 
+@_check("qutrit-tp-membership", "reachable")
 def check_qutrit_tp_membership(scale=1.0):
     """All four memory-assisted vertices are thermally reachable states."""
     ok = True
     for g in (0.65, 0.75, 0.85):
         for v in reachable.qutrit_mmtp2_vertices(g):
             ok &= reachable.inside_tp_cone(g, v.probs)
-    return _result("qutrit-tp-membership", "reachable",
-                   0.0 if ok else math.inf, 0.5 * max(scale, 1e-300),
-                   "thermo-majorization membership of A and B vertices")
+    return (0.0 if ok else math.inf, 0.5 * max(scale, 1e-300),
+            "thermo-majorization membership of A and B vertices")
 
 
+@_check("run-determinism", "cli")
 def check_run_determinism(scale=1.0):
     """Two identical experiment runs emit byte-identical data files."""
     import tempfile
@@ -364,8 +387,8 @@ def check_run_determinism(scale=1.0):
             digests.append(sorted((f["name"], f["sha256"]) for f in manifest.files))
     same = digests[0] == digests[1]
     deviation = 0.0 if same else math.inf
-    return _result("run-determinism", "cli", deviation, 0.5 * max(scale, 1e-300),
-                   "byte-identical outputs across repeated identical runs")
+    return (deviation, 0.5 * max(scale, 1e-300),
+            "byte-identical outputs across repeated identical runs")
 
 
 ALL_CHECKS = (
@@ -396,12 +419,8 @@ def run_checks(only=None, tolerance_scale: float = 1.0):
     """Run the validation checks, optionally restricted to one module."""
     if only is not None and only not in MODULES:
         raise ValueError(f"unknown module {only!r}; pick one of {MODULES}")
-    results = []
-    for fn in ALL_CHECKS:
-        result = fn(tolerance_scale)
-        if only is None or result.module == only:
-            results.append(result)
-    return results
+    return [check(tolerance_scale) for check in ALL_CHECKS
+            if only is None or _MODULE_OF[check.__name__] == only]
 
 
 def summarize(results) -> dict:

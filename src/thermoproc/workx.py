@@ -35,10 +35,8 @@ import numpy as np
 
 from ._kernels import memory_sweep, memory_sweep_ordered
 from .combinatorics import I_d_eval, f_coeff
-from .core import (PopulationVector, TransitionMatrix, beta_swap, compose,
-                   full_thermalization)
-
-SUM_TOL = 1.0e-12
+from .core import (SUM_TOL, PopulationVector, TransitionMatrix, beta_swap,
+                   compose, full_thermalization)
 
 BASIS_SW = ("g0", "g1", "e0", "e1")
 

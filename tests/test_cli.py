@@ -1,12 +1,14 @@
 """Config validation, experiment runs, determinism, and exit codes."""
 
+import functools
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from thermoproc import cli
+from thermoproc import cli, validation
 from thermoproc.reachable import region_import
 from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
                               epsilon_mtp, epsilon_tp)
@@ -86,7 +88,6 @@ class TestRunFig2:
             assert abs(row[5] - epsilon_d_closed(st, 4)) <= 1e-15
 
     def test_manifest_digests_match_files(self, tmp_path):
-        import hashlib
         cfg = cli.ExperimentConfig.from_dict({
             "experiment": "fig2", "output_dir": str(tmp_path / "out"),
             "params": {"w_points": 5, "d_list": [2]},
@@ -113,18 +114,6 @@ class TestDeterminism:
         blob_a = (tmp_path / "a" / "fig2.csv").read_bytes()
         blob_b = (tmp_path / "b" / "fig2.csv").read_bytes()
         assert blob_a == blob_b
-
-    def test_thread_pool_does_not_change_bytes(self, tmp_path, monkeypatch):
-        base = self._digests(tmp_path / "serial")
-        monkeypatch.setenv("THERMOPROC_THREADS", "4")
-        assert self._digests(tmp_path / "pooled") == base
-
-    def test_bad_thread_env_is_config_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("THERMOPROC_THREADS", "zero")
-        cfg = cli.ExperimentConfig.from_dict(dict(self.CONFIG,
-                                                  output_dir=str(tmp_path / "x")))
-        with pytest.raises(cli.ConfigError, match="THERMOPROC_THREADS"):
-            cli.run_experiment(cfg)
 
 
 class TestOtherExperiments:
@@ -218,3 +207,92 @@ class TestMainExitCodes:
                          "--out", str(tmp_path / "f")])
         assert code == 0
         assert (tmp_path / "f" / "fig2.csv").exists()
+
+    def test_flags_are_checked_by_the_config_schema(self, tmp_path, capsys):
+        assert cli.main(["fig", "fig3", "--depth", "0",
+                         "--out", str(tmp_path / "f")]) == 2
+        assert "params.depth" in capsys.readouterr().err
+        assert cli.main(["validate", "--tolerance-scale", "-1"]) == 2
+        assert "params.tolerance_scale" in capsys.readouterr().err
+
+
+# SHA-256 of each default-config output.  The five data files match
+# perfbench/seed_digests.json; validation_report.json is measured against the
+# exact Markovian qutrit region.
+DEFAULT_DIGESTS = {
+    "fig2.csv": "245d4bbef9a02d38084aebbec117b20be613e8b0e336ef82247850490c858883",
+    "fig3_regions.csv": "e6088d3cbc7b2dc870f851f4a70fbe43f9ca143e7e8316ef72aa64bb60c32467",
+    "cooling_coherent.csv": "65cad94d6bfefc4c54f1eb32b6eb114b64ccf5f20d6e162b39263870b4709066",
+    "cooling_incoherent.csv": "e1e064acfb7fbe13a63056f90963c507d5fa58457ff33dd213df1f5744d2deb8",
+    "beta_swap_sweep.csv": "a9993a8d1e6be4486356eda9b6864263a2c62ef74db4aca55f9b153c9bdba94f",
+    "validation_report.json": "1714f35d10a8c7fa4522c185adf8079d38dac78a62e4cc5d1356966477bf2c30",
+}
+
+
+class TestOneSchema:
+    def test_default_outputs_keep_their_digests(self, tmp_path):
+        digests = {}
+        for experiment in cli.EXPERIMENTS:
+            manifest = cli.run_experiment(cli.ExperimentConfig.from_dict(
+                {"experiment": experiment, "output_dir": str(tmp_path / experiment)}))
+            for entry in manifest.files:
+                blob = (tmp_path / experiment / entry["name"]).read_bytes()
+                digests[entry["name"]] = hashlib.sha256(blob).hexdigest()
+        assert digests == DEFAULT_DIGESTS
+
+    @pytest.mark.parametrize("argv, experiment", [
+        (["fig2"], "fig2"),
+        (["fig3"], "fig3"),
+        (["cooling"], "cooling-coherent"),
+        (["cooling", "--paradigm", "coherent"], "cooling-coherent"),
+        (["cooling", "--paradigm", "incoherent"], "cooling-incoherent"),
+    ])
+    def test_fig_without_flags_runs_the_default_config(self, tmp_path, argv,
+                                                       experiment):
+        assert cli.main(["fig", *argv, "--out", str(tmp_path / "fig")]) == 0
+        config = write_config(tmp_path, {"experiment": experiment,
+                                         "output_dir": str(tmp_path / "run")})
+        assert cli.main(["run", config]) == 0
+        fig, run = (json.loads((tmp_path / sub / "run_manifest.json").read_text())
+                    for sub in ("fig", "run"))
+        assert fig["config"]["params"] == run["config"]["params"]
+        assert fig["files"] == run["files"]
+
+    def test_flags_override_single_fields(self, tmp_path):
+        assert cli.main(["fig", "cooling", "--paradigm", "incoherent",
+                         "--rounds", "3", "--d-list", "2,5",
+                         "--out", str(tmp_path / "f")]) == 0
+        manifest = json.loads((tmp_path / "f" / "run_manifest.json").read_text())
+        params = manifest["config"]["params"]
+        defaults = cli.ExperimentConfig.from_dict(
+            {"experiment": "cooling-incoherent"}).params
+        assert params == dict(defaults, rounds=3, d_list=[2, 5])
+
+
+class TestValidateSelection:
+    def test_only_runs_that_modules_checks(self, monkeypatch):
+        calls = []
+
+        def counted(check):
+            @functools.wraps(check)
+            def run(scale=1.0):
+                calls.append(check.__name__)
+                return check(scale)
+            return run
+
+        monkeypatch.setattr(validation, "ALL_CHECKS",
+                            tuple(counted(c) for c in validation.ALL_CHECKS))
+        results = validation.run_checks(only="core")
+        assert calls == ["check_core_elementary"]
+        assert [r.module for r in results] == ["core"]
+
+    def test_scale_zero_keeps_margin_and_boolean_checks_passing(self):
+        # at scale 0 a check passes iff its deviation is <= 0: the margin
+        # checks pass on a nonnegative margin, the boolean one when it holds
+        results = validation.run_checks(only="reachable", tolerance_scale=0.0)
+        assert [(r.name, r.passed) for r in results] == [
+            ("qutrit-separation", True),
+            ("qutrit-separation-large-gamma", True),
+            ("qutrit-tp-membership", True),
+        ]
+        assert all(r.deviation <= 0.0 for r in results)

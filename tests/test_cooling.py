@@ -42,6 +42,15 @@ class TestCoherent:
                         - cooling.coherent_closed_form(process, n, gamma, d)))
         assert worst <= 1e-10
 
+    def test_memory_run_clips_rounding_past_one(self):
+        # the d^2 sweep rounds the ground population to 1 + 2.2e-16 at round 13
+        gamma, d = 30 / 32, 64
+        run = cooling.cool_coherent("MMTP", 50, gamma, d)
+        assert run.populations.max() == 1.0
+        closed = [cooling.coherent_closed_form("MMTP", n, gamma, d)
+                  for n in range(1, 51)]
+        np.testing.assert_allclose(run.populations, closed, rtol=0, atol=1e-12)
+
     def test_monotone_convergence(self):
         for process, d in (("TP", None), ("MMTP", 2), ("MMTP", 6)):
             run = cooling.cool_coherent(process, 40, 0.75, d)

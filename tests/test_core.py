@@ -5,12 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from thermoproc.core import (Hamiltonian, PopulationVector, ThermalContext,
-                             TransitionMatrix, apply, beta_swap, compose,
+from thermoproc.core import (Hamiltonian, PopulationVector, TransitionMatrix,
+                             apply, beta_swap, clip_noise, compose,
                              elementary_tp, full_thermalization, gibbs_state,
-                             is_gibbs_stochastic, partial_thermalization,
-                             qubit_gibbs_weight, system_marginal,
-                             thermalize_memory)
+                             is_gibbs_stochastic, partial_thermalization)
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -80,7 +78,7 @@ class TestBetaSwap:
         np.testing.assert_array_equal(m.entries, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_fixes_gibbs_pair(self):
-        gamma = qubit_gibbs_weight(1.0, LN2)  # q = 1/2
+        gamma = 1.0 / (1.0 + math.exp(-LN2))  # q = 1/2
         out = apply(beta_swap(2, 0, 1, 0.5), PopulationVector([gamma, 1 - gamma]))
         np.testing.assert_allclose(out.probs, [gamma, 1 - gamma], atol=1e-15)
 
@@ -158,13 +156,13 @@ class TestGibbsStochastic:
         assert not is_gibbs_stochastic(TransitionMatrix([[0, 1], [1, 0]]), tau)
 
     def test_elementary_family_preserves_gibbs(self):
-        ctx = ThermalContext(beta=1.3)
+        beta = 1.3
         h = Hamiltonian((0.0, 0.8, 2.1))
-        tau = gibbs_state(h, ctx.beta)
+        tau = gibbs_state(h, beta)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             gap = h.levels[j] - h.levels[i]
-            q = math.exp(-ctx.beta * gap)
-            gamma = qubit_gibbs_weight(ctx.beta, gap)
+            q = math.exp(-beta * gap)
+            gamma = 1.0 / (1.0 + q)
             for lam in (0.0, 0.4, 1.0):
                 assert is_gibbs_stochastic(
                     partial_thermalization(3, i, j, lam, gamma), tau, tol=1e-12)
@@ -178,31 +176,6 @@ class TestGibbsStochastic:
         assert setup.E < setup.W <= setup.W_0
         assert is_gibbs_stochastic(optimal_tp_matrix(setup),
                                    setup.composite_gibbs(), tol=1e-12)
-
-
-class TestThermalizeMemory:
-    def test_product_state_unchanged(self):
-        p = PopulationVector(np.kron([0.3, 0.7], [0.25] * 4))
-        out = thermalize_memory(p, 2, 4)
-        np.testing.assert_allclose(out.probs, p.probs, atol=1e-15)
-
-    def test_correlated_pair(self):
-        out = thermalize_memory(PopulationVector([0.5, 0.0, 0.0, 0.5]), 2, 2)
-        np.testing.assert_allclose(out.probs, [0.25] * 4, atol=1e-16)
-
-    def test_marginal_preserved(self):
-        rng = np.random.default_rng(23)
-        for sys_dim, mem_dim in ((2, 2), (2, 3), (3, 5), (4, 7)):
-            p = PopulationVector(rng.dirichlet(np.ones(sys_dim * mem_dim)))
-            before = system_marginal(p, sys_dim, mem_dim)
-            after = system_marginal(thermalize_memory(p, sys_dim, mem_dim),
-                                    sys_dim, mem_dim)
-            # exact up to the d-fold resummation of equal doubles
-            assert np.abs(before - after).max() <= 1e-15
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            thermalize_memory(PopulationVector([0.5, 0.5]), 2, 2)
 
 
 class TestValidation:
@@ -224,12 +197,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             TransitionMatrix([[1.2, -0.2], [-0.2, 1.2]])
 
-    def test_thermal_context(self):
-        ThermalContext(beta=2.0, beta_hot=0.5)
+    def test_clip_noise(self):
+        assert clip_noise(1.0 + 2.2e-16) == 1.0
+        assert clip_noise(-5e-13) == 0.0
+        assert clip_noise(0.25) == 0.25
         with pytest.raises(ValueError):
-            ThermalContext(beta=0.0)
+            clip_noise(1.0 + 1e-8)
         with pytest.raises(ValueError):
-            ThermalContext(beta=1.0, beta_hot=1.5)
+            clip_noise(-1e-8)
 
     def test_apply_keeps_probabilities_clean(self):
         rng = np.random.default_rng(5)
