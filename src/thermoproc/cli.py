@@ -413,6 +413,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_fig(args) -> int:
     experiment = f"cooling-{args.paradigm}" if args.kind == "cooling" else args.kind
+    own = {p.name for p in PARAMS[experiment]}
+    for other in FIGURES[args.kind][1]:
+        for p in PARAMS[other]:
+            if p.name not in own and hasattr(args, p.name):
+                raise ConfigError(f"params.{p.name}",
+                                  f"{p.option} is not a field of {experiment}")
     manifest = emit_figure_data(experiment, _flag_params(args, experiment), args.out)
     _print_written(manifest, args.out)
     return EXIT_OK

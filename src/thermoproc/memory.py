@@ -69,7 +69,7 @@ def simulate_memory_beta_swap(d: int, p0: float, gamma: float,
 
     ``record_steps=True`` stores every intermediate composite vector in the
     trace (O(d^3) memory); the default fast path keeps only the final slot
-    populations and runs through the compiled sweep kernel.
+    populations and runs the whole sweep in one kernel call.
     """
     if d < 1:
         raise ValueError("memory dimension d must be >= 1")
@@ -82,9 +82,7 @@ def simulate_memory_beta_swap(d: int, p0: float, gamma: float,
     if record_steps:
         for k in range(d):
             for j in range(d):
-                total = vec[k] + vec[d + j]
-                vec[k] = gamma * total
-                vec[d + j] = (1.0 - gamma) * total
+                memory_sweep(vec, 1, gamma, k, d + j)
                 steps.append((f"T[g{k + 1},e{j + 1}]", vec.copy()))
     else:
         memory_sweep(vec, d, gamma, 0, d)

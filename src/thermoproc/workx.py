@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import memory_sweep, memory_sweep_ordered
+from ._kernels import memory_sweep
 from .combinatorics import I_d_eval, f_coeff
 from .core import (SUM_TOL, PopulationVector, TransitionMatrix, beta_swap,
                    compose, full_thermalization)
@@ -257,8 +257,7 @@ def run_memory_extraction(setup: ExtractionSetup, d: int,
     sums = [sectors(vec)]
     # step two: drain each e0 slot against every e1 slot
     for k in order:
-        memory_sweep_ordered(vec, d, setup.gamma_W, 2 * d, 3 * d,
-                             np.array([k], dtype=np.int64))
+        memory_sweep(vec, d, setup.gamma_W, 2 * d, 3 * d, rows=[k])
         sums.append(sectors(vec))
     eps_slots = vec[2 * d:3 * d].copy()
     trace = ExtractionTrace(d=d, step1_residuals=step1, eps_slots=eps_slots,

@@ -268,6 +268,19 @@ class TestOneSchema:
             {"experiment": "cooling-incoherent"}).params
         assert params == dict(defaults, rounds=3, d_list=[2, 5])
 
+    @pytest.mark.parametrize("paradigm, flag, value, field", [
+        ("incoherent", "--gamma", "0.9", "params.gamma"),
+        ("coherent", "--beta", "1.5", "params.beta"),
+        ("coherent", "--script-E", "3", "params.script_E"),
+    ])
+    def test_flag_of_the_other_paradigm_is_a_config_error(
+            self, tmp_path, capsys, paradigm, flag, value, field):
+        out = tmp_path / "f"
+        assert cli.main(["fig", "cooling", "--paradigm", paradigm, flag, value,
+                         "--rounds", "2", "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidateSelection:
     def test_only_runs_that_modules_checks(self, monkeypatch):
