@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
-"""Time the d^2 sweep kernel as its own layer.
+"""Time the d^2 sweep kernel and the float I_d closed form as layers.
 
-For each memory dimension d this times ``_memory_sweep_py`` (the plain loop
-over Python floats, the reference) against ``memory_sweep`` (which takes the
-anti-diagonal wavefront once d reaches ``WAVEFRONT_MIN_WIDTH``), best of
-``--repeats`` runs on the same input, and checks that the two leave the same
-bytes.  The reference is timed once at d >= 2000, where one run takes 0.4 s
-or more.  Exits 1 when any dimension differs.
+Sweep kernel: for each memory dimension d this times ``_memory_sweep_py``
+(the plain loop over Python floats, the reference) against ``memory_sweep``
+(which takes the anti-diagonal wavefront once d reaches
+``WAVEFRONT_MIN_WIDTH``), best of ``--repeats`` runs on the same input, and
+checks that the two leave the same bytes.  The reference is timed once at
+d >= 2000, where one run takes 0.4 s or more.
+
+I_d: at d in {20, 100, 400, 1000} on fig2's 2000-point W grid (beta E = 0.7,
+beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
+(once) against one array call over the grid (best of ``--repeats``), and
+checks that the two give the same bytes on every point whose start terms
+(1-x)^d and (1-y)^d are normal doubles; the others take the log-space path.
+
+Exits 1 when any sweep dimension or I_d dimension differs.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -18,8 +26,12 @@ import time
 import numpy as np
 
 from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
+from thermoproc.combinatorics import I_d_eval
+from thermoproc.workx import ExtractionSetup
 
 SLOW_REFERENCE_D = 2000
+I_D_DIMS = (20, 100, 400, 1000)
+I_D_POINTS = 2000
 
 
 def best_time(fn, vec, d, repeats):
@@ -31,6 +43,35 @@ def best_time(fn, vec, d, repeats):
         fn(work, d, 0.75, 0, d)
         best = min(best, time.perf_counter() - t0)
     return best, work
+
+
+def bench_I_d(repeats):
+    """Print the I_d table; return the dimensions whose bytes differ."""
+    setups = [ExtractionSetup(0.7, float(w), 1.0)
+              for w in np.linspace(0.05, 3.0, I_D_POINTS)]
+    x = np.array([1.0 - st.gamma_delta for st in setups])
+    y = np.array([1.0 - st.gamma_W for st in setups])
+    print(f"\nI_d over a {I_D_POINTS}-point W grid")
+    print(f"{'d':>6} {'log rows':>9} {'per point [ms]':>15} {'array [ms]':>11} "
+          f"{'speedup':>8} {'bitwise':>8}")
+    mismatches = []
+    for d in I_D_DIMS:
+        t0 = time.perf_counter()
+        loop = np.array([I_d_eval(d, a, b) for a, b in zip(x.tolist(), y.tolist())])
+        t_loop = time.perf_counter() - t0
+        t_array = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            grid = I_d_eval(d, x, y)
+            t_array = min(t_array, time.perf_counter() - t0)
+        normal = np.array([min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
+                           for a, b in zip(x.tolist(), y.tolist())])
+        same = loop[normal].tobytes() == grid[normal].tobytes()
+        if not same:
+            mismatches.append(d)
+        print(f"{d:>6} {int((~normal).sum()):>9} {t_loop * 1e3:>15.1f} "
+              f"{t_array * 1e3:>11.2f} {t_loop / t_array:>7.1f}x {str(same):>8}")
+    return mismatches
 
 
 def main():
@@ -58,11 +99,14 @@ def main():
         path = "wavefront" if d >= WAVEFRONT_MIN_WIDTH else "loop"
         print(f"{d:>6} {d * d:>10} {path:>10} {t_ref * 1e3:>11.3f} "
               f"{t_new * 1e3:>18.3f} {t_ref / t_new:>7.1f}x {str(same):>8}")
+    id_mismatches = bench_I_d(args.repeats)
     if mismatches:
         print(f"memory_sweep differs from _memory_sweep_py at d = {mismatches}",
               file=sys.stderr)
-        return 1
-    return 0
+    if id_mismatches:
+        print(f"the I_d array call differs from the per-point calls at d = {id_mismatches}",
+              file=sys.stderr)
+    return 1 if mismatches or id_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ experiment's fields once; config validation and the CLI flags both read it,
 and a flag left out takes the config default.  Runs are fully deterministic:
 identical configs produce byte-identical data files (the manifest echoes
 per-file SHA-256 digests; only its wall-clock field varies between runs).
-CSV floats carry 17 significant digits so they round-trip exactly.
+CSV floats carry 17 significant digits so they round-trip exactly; a NaN or
+infinite value raises ValueError instead of being written.
 
 Exit codes: 0 success, 2 config error, 3 validation failure, 4 I/O error.
 """
@@ -220,25 +221,36 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header_meta: dict, columns, rows):
+    """Write rows of numbers under a commented header; a NaN or infinite
+    value raises ValueError naming its row and column, and nothing is written."""
     lines = [f"# thermoproc {path.stem} v{SCHEMA_VERSION}"]
     for key in sorted(header_meta):
         lines.append(f"# {key}={_fmt(header_meta[key])}")
     lines.append(",".join(columns))
-    for row in rows:
+    for i, row in enumerate(rows, 1):
+        if not all(map(math.isfinite, row)):
+            column = next(c for c, v in zip(columns, row) if not math.isfinite(v))
+            raise ValueError(f"{path}: non-finite value in data row {i}, column {column}")
         lines.append(",".join(_fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
+def _fig2_rows(p):
+    """Per work gap W: W, the TP/ETP/MTP errors and the memory error at each
+    d, which comes from one array call over the whole W grid per d.  The
+    setups are freed on return, before the CSV text is built."""
+    ws = np.linspace(p["w_min"], p["w_max"], p["w_points"])
+    setups = [workx.ExtractionSetup(p["beta_E"], float(bw), 1.0) for bw in ws]
+    eps_d = zip(*(e.tolist() for e in workx.epsilon_d_grid(setups, p["d_list"])))
+    return [[bw, workx.epsilon_tp(st), workx.epsilon_etp(st), workx.epsilon_mtp(st), *eds]
+            for bw, st, eds in zip(ws, setups, eps_d)]
+
+
 def _emit_fig2(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
-    rows = []
-    for bw in np.linspace(p["w_min"], p["w_max"], p["w_points"]):
-        st = workx.ExtractionSetup(p["beta_E"], float(bw), 1.0)
-        row = [bw, workx.epsilon_tp(st), workx.epsilon_etp(st), workx.epsilon_mtp(st)]
-        rows.append(row + [workx.epsilon_d_closed(st, d) for d in p["d_list"]])
     columns = ["W", "eps_tp", "eps_etp", "eps_mtp"] + [f"eps_d{d}" for d in p["d_list"]]
-    path = _write_csv(outdir / "fig2.csv", cfg.echo()["params"], columns, rows)
+    path = _write_csv(outdir / "fig2.csv", cfg.echo()["params"], columns, _fig2_rows(p))
     return [path]
 
 

@@ -27,6 +27,7 @@ cancels catastrophically already around n = 25.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -37,9 +38,16 @@ SQRT_PI = math.sqrt(math.pi)
 # the bounding constant diverges at gamma = 1/2.
 DELTA_GAMMA_MARGIN = 1.0e-9
 
-# C(2d-2, d-1) overflows double around d = 515; well before 1000 the term
-# recurrences start mixing overflow-prone ratios, so float mode is capped.
+# C(2d-2, d-1) overflows double around d = 515, so float-mode I_d multiplies
+# term ratios from (1-x)^d upwards and falls back to log-space terms where
+# (1-x)^d underflows.  The log-space rounding grows with d (d logarithms of
+# size up to ~700 are summed); float mode is capped where it was checked.
 MAX_FLOAT_D = 1000
+
+# doubles per temporary array of one row block of float-mode I_d: bounds the
+# memory (a 2000-point grid at d = 1000 in one block takes 16 MB per
+# temporary) while keeping numpy's per-call cost small next to the work
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def _require_int(value, name, minimum):
@@ -257,15 +265,82 @@ def _geometric_terms_exact(d, x):
     return out
 
 
-def _geometric_terms_float(d, x):
-    t0 = (1.0 - x) ** d
-    if d == 1:
-        return np.array([t0])
+def _term_ratios(d, x):
+    """Rows (n, d) whose columns 1..d-1 hold the term ratios
+    x (d + k - 1) / k, k = 1..d-1, one row per x; column 0 is left unset."""
     ks = np.arange(1, d, dtype=np.float64)
-    ratios = x * (d + ks - 1.0) / ks
-    out = np.empty(d)
-    out[0] = t0
-    out[1:] = t0 * np.cumprod(ratios)
+    out = np.empty((len(x), d))
+    np.multiply(x[:, None], d + ks - 1.0, out=out[:, 1:])
+    np.divide(out[:, 1:], ks, out=out[:, 1:])
+    return out
+
+
+def _geometric_terms_float(d, x, t0):
+    """Rows of terms f_d(k) x^k (1-x)^d, k = 0..d-1, one row per x, from
+    the start terms ``t0`` = (1-x)^d by a cumulative product of the term
+    ratios along the contiguous last axis."""
+    out = _term_ratios(d, x)
+    out[:, 0] = t0
+    tail = out[:, 1:]
+    np.cumprod(tail, axis=1, out=tail)
+    np.multiply(t0[:, None], tail, out=tail)
+    return out
+
+
+def _log_terms_float(d, x):
+    """The rows of ``_geometric_terms_float`` from their logarithms,
+    d log1p(-x) + cumsum(log ratio), for start terms that underflow."""
+    out = _term_ratios(d, x)
+    out[:, 0] = 0.0
+    tail = out[:, 1:]
+    zero = tail == 0.0  # the ratios of x = 0
+    np.log(tail, out=tail, where=~zero)
+    tail[zero] = -np.inf
+    np.cumsum(out, axis=1, out=out)
+    out += d * np.log1p(-x)[:, None]
+    return np.exp(out, out=out)
+
+
+def _I_d_rows(d, tx, ty):
+    """I_d of each row pair of terms; overwrites both.
+
+    With prefix sums P_k of tx_k and Q_k of k tx_k along the last axis, the
+    value is sum_j ty_j ((d - j) P_{d-1-j} - Q_{d-1-j}) / d, a pairwise row
+    sum.  The bracket is formed in place at k = d-1-j, where d - j = k + 1.
+    """
+    ks = np.arange(d)
+    q = ks * tx
+    np.cumsum(q, axis=1, out=q)
+    np.cumsum(tx, axis=1, out=tx)
+    np.multiply(ks + 1, tx, out=tx)
+    tx -= q
+    ty *= tx[:, ::-1]
+    return np.sum(ty, axis=1) / d
+
+
+def _I_d_float(d, x, y):
+    """I_d at each point of the 1-D arrays x, y, in blocks of rows whose
+    temporaries hold at most ``_BLOCK_ELEMENTS`` doubles each.
+
+    A row whose start terms are normal doubles is evaluated directly: each
+    cumulative product of its ratios is a term over its start term, so it
+    stays below 1 / sys.float_info.min and cannot overflow.  The other rows
+    take the log-space terms.
+    """
+    out = np.empty(len(x))
+    step = max(1, _BLOCK_ELEMENTS // d)
+    for lo in range(0, len(x), step):
+        bx, by = x[lo:lo + step], y[lo:lo + step]
+        # Python's float power, which numpy's need not round like
+        t0x = np.array([v ** d for v in (1.0 - bx).tolist()])
+        t0y = np.array([v ** d for v in (1.0 - by).tolist()])
+        ok = (t0x >= sys.float_info.min) & (t0y >= sys.float_info.min)
+        val = out[lo:lo + step]
+        val[ok] = _I_d_rows(d, _geometric_terms_float(d, bx[ok], t0x[ok]),
+                            _geometric_terms_float(d, by[ok], t0y[ok]))
+        if not ok.all():
+            val[~ok] = _I_d_rows(d, _log_terms_float(d, bx[~ok]),
+                                 _log_terms_float(d, by[~ok]))
     return out
 
 
@@ -273,19 +348,22 @@ def I_d_eval(d: int, x, y):
     """Double sum (1/d) sum_{j+k<=d-1} (d-j-k) f_d(k) x^k f_d(j) y^j (1-x)^d (1-y)^d.
 
     Symmetric under swapping x and y.  Evaluated with prefix sums over the
-    term recurrences, O(d) per call.  Float mode rejects d > 1000 (binomial
-    magnitudes overflow doubles); pass Fraction arguments for exact
+    term recurrences, O(d) per point.  Fraction (or int) x and y give the
+    exact rational value.  Otherwise x and y are floats or equal-shape
+    float arrays: a scalar pair returns a float, arrays return an array of
+    their shape.  Arrays are evaluated in row blocks in which each point
+    gets the same floating-point operations, in the same order, as a call
+    on that point alone.  A point whose start term (1-x)^d or (1-y)^d falls
+    below the smallest normal double is evaluated from the logarithms of
+    its terms instead, so float mode returns a finite value up to d = 1000.
+    Float mode rejects d > 1000; pass Fraction arguments for exact
     evaluation beyond that.
     """
     d = _require_int(d, "d", 1)
-    if not (0 <= x < 1 and 0 <= y < 1):
-        raise ValueError("x and y must lie in [0, 1)")
     exact = _is_exact(x) and _is_exact(y)
-    if not exact and d > MAX_FLOAT_D:
-        raise ValueError(
-            f"d = {d} exceeds float-mode limit {MAX_FLOAT_D}; "
-            "pass Fraction arguments for exact evaluation")
     if exact:
+        if not (0 <= x < 1 and 0 <= y < 1):
+            raise ValueError("x and y must lie in [0, 1)")
         tx = _geometric_terms_exact(d, x)
         ty = _geometric_terms_exact(d, y)
         p = [tx[0]]  # prefix sums of tx
@@ -297,13 +375,18 @@ def I_d_eval(d: int, x, y):
         for j in range(d):
             total += ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j])
         return total / d
-    tx = _geometric_terms_float(d, float(x))
-    ty = _geometric_terms_float(d, float(y))
-    p = np.cumsum(tx)
-    q = np.cumsum(np.arange(d) * tx)
-    js = np.arange(d)
-    total = float(np.sum(ty * ((d - js) * p[::-1] - q[::-1])))
-    return total / d
+    xa = np.asarray(x, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.float64)
+    if xa.shape != ya.shape:
+        raise ValueError(f"x and y must have equal shapes, got {xa.shape} and {ya.shape}")
+    if not (np.all((xa >= 0.0) & (xa < 1.0)) and np.all((ya >= 0.0) & (ya < 1.0))):
+        raise ValueError("x and y must lie in [0, 1)")
+    if d > MAX_FLOAT_D:
+        raise ValueError(
+            f"d = {d} exceeds float-mode limit {MAX_FLOAT_D}; "
+            "pass Fraction arguments for exact evaluation")
+    values = _I_d_float(d, xa.ravel(), ya.ravel())
+    return float(values[0]) if xa.ndim == 0 else values.reshape(xa.shape)
 
 
 def I_d_limit(x: float, y: float) -> float:

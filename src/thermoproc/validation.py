@@ -231,17 +231,14 @@ def check_extraction_bisection(scale=1.0):
 def check_extraction_ordering(scale=1.0):
     """eps_TP <= eps_ETP <= eps_MTP and the memory errors bracket in between."""
     tol = 1.0e-12 * scale
-    worst = -math.inf
-    for bw in np.linspace(0.05, 3.0, 60):
-        st = workx.ExtractionSetup(LN2, float(bw), 1.0)
-        tp, etp, mtp = workx.epsilon_tp(st), workx.epsilon_etp(st), workx.epsilon_mtp(st)
-        worst = max(worst, tp - etp, etp - mtp)
-        eps_prev = mtp
-        for d in range(1, 41):
-            eps_d = workx.epsilon_d_closed(st, d)
-            worst = max(worst, tp - eps_d, eps_d - eps_prev)
-            eps_prev = eps_d
-    return worst, tol, "class ordering and monotone memory errors, d <= 40"
+    setups = [workx.ExtractionSetup(LN2, float(bw), 1.0) for bw in np.linspace(0.05, 3.0, 60)]
+    tp = np.array([workx.epsilon_tp(st) for st in setups])
+    etp = np.array([workx.epsilon_etp(st) for st in setups])
+    mtp = np.array([workx.epsilon_mtp(st) for st in setups])
+    eps = np.array([mtp, *workx.epsilon_d_grid(setups, range(1, 41))])
+    worst = max(np.max(tp - etp), np.max(etp - mtp), np.max(tp - eps[1:]),
+                np.max(np.diff(eps, axis=0)))
+    return float(worst), tol, "class ordering and monotone memory errors, d <= 40"
 
 
 @_check("memory-extraction-closed-form", "workx")
@@ -250,11 +247,12 @@ def check_memory_extraction(scale=1.0):
     tol = 1.0e-10 * scale
     worst = 0.0
     for be in (LN2, 1.0):
-        for bw in np.linspace(0.1, 2.6, 25):
-            st = workx.ExtractionSetup(be, float(bw), 1.0)
-            for d in range(1, 11):
+        setups = [workx.ExtractionSetup(be, float(bw), 1.0) for bw in np.linspace(0.1, 2.6, 25)]
+        ds = range(1, 11)
+        for d, closed in zip(ds, workx.epsilon_d_grid(setups, ds)):
+            for st, eps_closed in zip(setups, closed.tolist()):
                 eps, _ = workx.run_memory_extraction(st, d)
-                worst = max(worst, abs(eps - workx.epsilon_d_closed(st, d)))
+                worst = max(worst, abs(eps - eps_closed))
     return worst, tol, "25-point work-gap grid, beta_E in {ln 2, 1}, d <= 10"
 
 
@@ -262,12 +260,13 @@ def check_memory_extraction(scale=1.0):
 def check_memory_extraction_large_d(scale=1.0):
     """d = 400 closed form sits within 0.02 of the unrestricted optimum."""
     tol = 0.02 * scale
-    worst = 0.0
     w0 = workx.ExtractionSetup(LN2, 1.0, 1.0).W_0
-    for bw in np.concatenate([np.linspace(0.2, 0.9 * w0, 8),
-                              np.linspace(1.1 * w0, 2.5, 8)]):
-        st = workx.ExtractionSetup(LN2, float(bw), 1.0)
-        worst = max(worst, abs(workx.epsilon_d_closed(st, 400) - workx.epsilon_tp(st)))
+    setups = [workx.ExtractionSetup(LN2, float(bw), 1.0)
+              for bw in np.concatenate([np.linspace(0.2, 0.9 * w0, 8),
+                                        np.linspace(1.1 * w0, 2.5, 8)])]
+    (eps_400,) = workx.epsilon_d_grid(setups, [400])
+    tp = np.array([workx.epsilon_tp(st) for st in setups])
+    worst = float(np.max(np.abs(eps_400 - tp)))
     return worst, tol, "work gaps at least 10% away from the zero-error threshold"
 
 

@@ -267,9 +267,16 @@ def run_memory_extraction(setup: ExtractionSetup, d: int,
 
 def epsilon_d_closed(setup: ExtractionSetup, d: int) -> float:
     """Closed-form memory-assisted error I_d(1 - gamma_delta, 1 - gamma_W)."""
-    if d < 1:
-        raise ValueError("memory dimension d must be >= 1")
-    return float(I_d_eval(d, 1.0 - setup.gamma_delta, 1.0 - setup.gamma_W))
+    (eps,) = epsilon_d_grid([setup], [d])
+    return float(eps[0])
+
+
+def epsilon_d_grid(setups, ds) -> list:
+    """``epsilon_d_closed`` over a grid of setups: one array per d in ``ds``,
+    each from one array call of I_d, equal bit for bit to the per-setup values."""
+    x = np.array([1.0 - st.gamma_delta for st in setups])
+    y = np.array([1.0 - st.gamma_W for st in setups])
+    return [I_d_eval(d, x, y) for d in ds]
 
 
 def step1_residuals_closed_form(setup: ExtractionSetup, d: int) -> np.ndarray:

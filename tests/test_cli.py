@@ -87,6 +87,27 @@ class TestRunFig2:
             assert abs(row[4] - epsilon_d_closed(st, 1)) <= 1e-15
             assert abs(row[5] - epsilon_d_closed(st, 4)) <= 1e-15
 
+    def test_d1000_writes_no_nan(self, tmp_path):
+        # a fifth of these rows were NaN before the log-space fallback
+        cfg = cli.ExperimentConfig.from_dict({
+            "experiment": "fig2", "output_dir": str(tmp_path / "out"),
+            "params": {"w_points": 50, "d_list": [1000]},
+        })
+        cli.run_experiment(cfg)
+        columns, rows = read_rows(tmp_path / "out" / "fig2.csv")
+        assert rows.shape == (50, 5)
+        assert np.all(np.isfinite(rows))
+        assert np.all(rows[:, 1] - 1e-12 <= rows[:, 4])
+        assert np.all(rows[:, 4] <= rows[:, 3] + 1e-12)
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"t\.csv.*row 2, column b"):
+            cli._write_csv(path, {}, ["a", "b"], [[1, 0.5], [2, float("nan")]])
+        with pytest.raises(ValueError, match="row 1, column a"):
+            cli._write_csv(path, {}, ["a", "b"], [[np.float64(-np.inf), 0.5]])
+        assert not path.exists()
+
     def test_manifest_digests_match_files(self, tmp_path):
         cfg = cli.ExperimentConfig.from_dict({
             "experiment": "fig2", "output_dir": str(tmp_path / "out"),

@@ -1,6 +1,7 @@
 """Exact coefficients, the L/K/I family, the Catalan tail, and the error kernel."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -175,3 +176,92 @@ class TestErrorKernel:
             comb.I_d_eval(3, 1.0, 0.2)
         with pytest.raises(ValueError):
             comb.I_d_limit(0.2, 1.0)
+
+
+def _per_point_I_d(d, x, y):
+    """The per-point float I_d the block form replaced, kept literally as
+    the reference it must equal bit for bit."""
+    def terms(x):
+        t0 = (1.0 - x) ** d
+        if d == 1:
+            return np.array([t0])
+        ks = np.arange(1, d, dtype=np.float64)
+        ratios = x * (d + ks - 1.0) / ks
+        out = np.empty(d)
+        out[0] = t0
+        out[1:] = t0 * np.cumprod(ratios)
+        return out
+
+    tx = terms(float(x))
+    ty = terms(float(y))
+    p = np.cumsum(tx)
+    q = np.cumsum(np.arange(d) * tx)
+    js = np.arange(d)
+    total = float(np.sum(ty * ((d - js) * p[::-1] - q[::-1])))
+    return total / d
+
+
+def _fig2_grid(points=2000, beta_E=0.7):
+    """(x, y) = (1 - gamma_delta, 1 - gamma_W) over a fig2-like W grid."""
+    ws = np.linspace(0.03, 3.2, points)
+    x = 1.0 / (1.0 + np.exp(ws - beta_E))  # 1 - gamma_delta at beta = 1
+    y = 1.0 / (1.0 + np.exp(ws))  # 1 - gamma_W
+    return x, y
+
+
+class TestErrorKernelArrays:
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 100, 400, 1000])
+    def test_bitwise_equal_to_the_per_point_formula(self, d):
+        x, y = _fig2_grid()
+        normal = np.array([min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
+                           for a, b in zip(x.tolist(), y.tolist())])
+        reference = np.array([_per_point_I_d(d, a, b) if ok else np.nan
+                              for a, b, ok in zip(x, y, normal)])
+        block = max(1, comb._BLOCK_ELEMENTS // d)
+        for n in (1, block - 1, block, block + 1, 2000):
+            # a grid longer than 2000 repeats the 2000 points
+            xs, ys = np.resize(x, n), np.resize(y, n)
+            ref, keep = np.resize(reference, n), np.resize(normal, n)
+            got = comb.I_d_eval(d, xs, ys)
+            assert got.shape == (n,)
+            assert got[keep].tobytes() == ref[keep].tobytes(), (d, n)
+
+    def test_scalar_arguments_return_a_float(self):
+        for x, y in ((0.2, 0.3), (np.float64(0.2), np.float64(0.3)), (0.0, 0.0)):
+            value = comb.I_d_eval(5, x, y)
+            assert type(value) is float
+            assert value == comb.I_d_eval(5, np.array([x]), np.array([y]))[0]
+
+    def test_shape_is_kept_and_checked(self):
+        x, y = _fig2_grid(12)
+        grid = comb.I_d_eval(7, x.reshape(3, 4), y.reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert grid.ravel().tobytes() == comb.I_d_eval(7, x, y).tobytes()
+        with pytest.raises(ValueError, match="shape"):
+            comb.I_d_eval(7, x, y[:5])
+        with pytest.raises(ValueError):
+            comb.I_d_eval(7, np.append(x, 1.0), np.append(y, 0.5))
+        with pytest.raises(ValueError):
+            comb.I_d_eval(1001, x, y)
+
+    def test_d1000_is_finite_and_below_d400(self):
+        for beta_E in (0.6, 0.7, 0.8):
+            x, y = _fig2_grid(beta_E=beta_E)
+            at_1000 = comb.I_d_eval(1000, x, y)
+            at_400 = comb.I_d_eval(400, x, y)
+            assert np.all(np.isfinite(at_1000))
+            assert np.all(at_1000 >= 0.0)
+            assert np.any((1.0 - x) ** 1000 < sys.float_info.min)  # the log path runs
+            assert np.all(at_1000 <= at_400 * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("x, y", [(0.99, 0.05), (0.99, 0.00625), (0.0, 0.99)])
+    def test_underflowing_start_term_matches_fraction_twin(self, x, y):
+        # (1 - 0.99)^160 = 1e-320 keeps ~10 bits: the direct recurrence was
+        # off by 1e-5 relative.  At y = 0.00625 the term ratio y * 160 rounds
+        # to exactly 1, whose logarithm is 0; at x = 0 every ratio is 0.
+        d = 160
+        assert min((1.0 - x) ** d, (1.0 - y) ** d) < sys.float_info.min
+        exact = float(comb.I_d_eval(d, Fraction(x), Fraction(y)))
+        assert 1e-300 < exact
+        assert abs(comb.I_d_eval(d, x, y) - exact) <= 1e-12 * exact
+        assert abs(comb.I_d_eval(d, y, x) - exact) <= 1e-12 * exact
