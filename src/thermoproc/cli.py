@@ -151,6 +151,16 @@ PARAMS = {
 
 EXPERIMENTS = tuple(PARAMS)
 
+CONFIG_FIELDS = ("schema_version", "experiment", "params", "output_dir")
+
+
+def _reject_unknown(given: dict, known, prefix: str, owner: str) -> None:
+    """Raise ConfigError on the first key of ``given`` not in ``known``, so a
+    misspelled field is an error rather than a silently applied default."""
+    for key in given:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", f"not a field of {owner}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -164,6 +174,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "config must be a JSON object")
+        _reject_unknown(raw, CONFIG_FIELDS, "", "the config")
         version = raw.get("schema_version", SCHEMA_VERSION)
         if version != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"unsupported version {version}")
@@ -173,6 +184,8 @@ class ExperimentConfig:
         params_in = raw.get("params", {})
         if not isinstance(params_in, dict):
             raise ConfigError("params", "expected a JSON object")
+        _reject_unknown(params_in, [p.name for p in PARAMS[experiment]],
+                        "params.", experiment)
         params = {p.name: p.parse(params_in) for p in PARAMS[experiment]}
         if experiment == "cooling-incoherent":
             if not params["script_E"] > params["E"]:
@@ -300,7 +313,7 @@ def _emit_beta_swap_sweep(cfg: ExperimentConfig, outdir: Path):
     gamma, p0 = p["gamma"], p["p0"]
     rows = []
     for d in range(1, p["d_max"] + 1):
-        sim, _ = simulate_memory_beta_swap(d, p0, gamma)
+        sim = simulate_memory_beta_swap(d, p0, gamma)
         closed = closed_form_p_d(d, p0, gamma)
         rows.append([d, sim, closed, abs(sim - closed), float(delta_d(d, gamma)),
                      catalan_tail_bound(d, gamma)])

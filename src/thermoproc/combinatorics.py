@@ -5,10 +5,10 @@ coefficients and a few generating-function style sums:
 
   - ``f_coeff(j, k) = C(j-1+k, k)``, equivalently the recurrence
     f_j(0) = 1, f_j(k+1) = sum_{j'=1..j} f_j'(k);
-  - Catalan numbers C(2n, n) / (n + 1);
   - ``L(n, m, x) = (1-x)^n * sum_{j<=m} f_n(j) x^j`` and the companions
     K (j-weighted) and I ((n-j)-weighted) with K + I = L;
   - ``delta_d(gamma)``: the Catalan tail sum_{n>=d} cat(n) [gamma(1-gamma)]^n,
+    with cat(n) = C(2n, n) / (n + 1) the Catalan numbers,
     computed through the exact finite identity
     delta_d = (1-gamma)/gamma - sum_{n<d} cat(n) [gamma(1-gamma)]^n,
     valid for gamma > 1/2 (never by truncating the slowly converging tail);
@@ -89,12 +89,6 @@ def f_table(max_j: int, max_k: int):
             rows[j + 1].append(acc)
         prev = nxt
     return rows
-
-
-def catalan(n: int) -> int:
-    """Catalan number C(2n, n) / (n + 1), exact integer."""
-    n = _require_int(n, "n", 0)
-    return math.comb(2 * n, n) // (n + 1)
 
 
 def _l_definition(n, m, x):
@@ -182,13 +176,6 @@ def L_eval(n: int, m: int, x, route: str = "definition"):
     except KeyError:
         raise ValueError(f"unknown route {route!r}; pick one of {sorted(_L_ROUTES)}")
     return fn(n, m, x)
-
-
-def L_derivative(n: int, m: int, x):
-    """Closed-form derivative dL/dx = -n C(n+m, m) x^m (1-x)^{n-1}."""
-    n = _require_int(n, "n", 1)
-    m = _require_int(m, "m", 0)
-    return -n * math.comb(n + m, m) * x ** m * (1 - x) ** (n - 1)
 
 
 def K_eval(n: int, m: int, x):
@@ -387,11 +374,3 @@ def I_d_eval(d: int, x, y):
             "pass Fraction arguments for exact evaluation")
     values = _I_d_float(d, xa.ravel(), ya.ravel())
     return float(values[0]) if xa.ndim == 0 else values.reshape(xa.shape)
-
-
-def I_d_limit(x: float, y: float) -> float:
-    """Large-d limit of I_d: max(0, 1 - x/(1-x) - y/(1-y))."""
-    if not (0 <= x < 1 and 0 <= y < 1):
-        raise ValueError("x and y must lie in [0, 1)")
-    value = 1.0 - x / (1.0 - x) - y / (1.0 - y)
-    return value if value > 0.0 else 0.0

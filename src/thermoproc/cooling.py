@@ -19,32 +19,25 @@ only the geometric convergence rate differs.
 Composite basis for the incoherent paradigm: (g0, g1, e0, e1), system letter
 first, auxiliary level second, energies (0, script_E - E, E, script_E).
 
-A note on the memory-assisted incoherent rate: the closed form implemented
-by ``incoherent_rate`` is derived from the linear round map of the swap
-simulation and satisfies both consistency limits (d = 1 reduces to the MTP
-rate, d -> infinity to the TP rate); the 4d-level simulation is the
-arbiter.  ``incoherent_rate_variant`` evaluates an alternative published
-form that fails the d = 1 limit; it is reported for comparison only.
+The memory-assisted incoherent rate implemented by ``incoherent_rate`` is
+derived from the linear round map of the swap simulation and satisfies both
+consistency limits (d = 1 reduces to the MTP rate, d -> infinity to the TP
+rate); the 4d-level simulation is the arbiter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import memory_sweep
 from .combinatorics import delta_d
 from .core import clip_noise
-from .majorization import beta_order
 from .memory import simulate_memory_beta_swap
 
 PROCESS_CLASSES = ("TP", "MTP", "MMTP")
-
-# Beta-order of the refreshed composite state that makes the g0/e1 swap the
-# optimal step: (g1, e1, g0, e0) as positions in the (g0, g1, e0, e1) basis.
-EXPECTED_ROUND_ORDER = (1, 3, 0, 2)
 
 
 @dataclass
@@ -52,16 +45,13 @@ class CoolingRun:
     """Per-round ground-state populations of one cooling run.
 
     ``populations[k]`` is the system ground population after round k+1; the
-    starting population (the Gibbs weight) is implicit.  Incoherent runs also
-    keep the refreshed composite state seen by each round's bath step, which
-    the ordering check consumes.
+    starting population (the Gibbs weight) is implicit.
     """
 
     paradigm: str
     process: str
     params: dict
     populations: np.ndarray
-    pre_step_states: list = field(default_factory=list)
 
     def __post_init__(self):
         pops = np.asarray(self.populations, dtype=np.float64)
@@ -99,7 +89,7 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
             p = gamma
         else:
             # the d^2-step sweep can round the population just past 1
-            p = clip_noise(simulate_memory_beta_swap(d, inverted, gamma)[0])
+            p = clip_noise(simulate_memory_beta_swap(d, inverted, gamma))
         pops[r] = p
     return CoolingRun("coherent", process, {"gamma": gamma, "d": d}, pops)
 
@@ -157,20 +147,12 @@ class IncoherentSetting:
         return 1.0 / (1.0 + self.q_big)
 
     @property
-    def gamma_aux(self) -> float:
-        return 1.0 / (1.0 + math.exp(-self.beta * (self.script_E - self.E)))
-
-    @property
     def eta(self) -> float:
         return 1.0 / (1.0 + math.exp(-self.beta_hot * (self.script_E - self.E)))
 
     @property
     def p_star(self) -> float:
         return 1.0 / (1.0 + self.q_big * math.exp(self.beta_hot * (self.script_E - self.E)))
-
-    def composite_gibbs(self) -> np.ndarray:
-        g, ga = self.gamma, self.gamma_aux
-        return np.array([g * ga, g * (1.0 - ga), (1.0 - g) * ga, (1.0 - g) * (1.0 - ga)])
 
 
 def _refresh_auxiliary(v: np.ndarray, eta: float) -> np.ndarray:
@@ -204,9 +186,7 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
     v = np.array([setting.gamma * eta, setting.gamma * (1.0 - eta),
                   (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)])
     pops = np.empty(n)
-    pre_steps = []
     for r in range(n):
-        pre_steps.append(v.copy())
         if process == "TP":
             g0, e1 = v[0], v[3]
             v = v.copy()
@@ -223,7 +203,7 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
         v = _refresh_auxiliary(v, eta)
     params = {"E": E, "script_E": script_E, "beta": beta,
               "beta_hot": beta_hot, "d": d}
-    return CoolingRun("incoherent", process, params, pops, pre_steps)
+    return CoolingRun("incoherent", process, params, pops)
 
 
 def p_star_incoherent(E: float, script_E: float, beta: float, beta_hot: float) -> float:
@@ -252,35 +232,6 @@ def incoherent_rate(process: str, E: float, script_E: float, beta: float,
     return v_tp + (s.eta * (1.0 - g) + g * (1.0 - s.eta)) * float(delta_d(d, g))
 
 
-def incoherent_rate_variant(E: float, script_E: float, beta: float,
-                            beta_hot: float, d: int) -> float:
-    """Alternative memory-class rate form, kept for comparison only.
-
-    Reads TP rate + (1 - eta) / (1 + q) * delta_d(G).  It does not reduce to
-    the MTP rate at d = 1, so it is reported but never used as the reference.
-    """
-    s = IncoherentSetting(E, script_E, beta, beta_hot)
-    v_tp = s.eta * (1.0 - s.q_big)
-    return v_tp + (1.0 - s.eta) / (1.0 + s.q_big) * float(delta_d(d, s.gamma_big))
-
-
-def rate_discrepancy_report(E: float, script_E: float, beta: float,
-                            beta_hot: float, d: int) -> dict:
-    """Side-by-side of the derived memory-class rate and the variant form."""
-    derived = incoherent_rate("MMTP", E, script_E, beta, beta_hot, d)
-    variant = incoherent_rate_variant(E, script_E, beta, beta_hot, d)
-    mtp = incoherent_rate("MTP", E, script_E, beta, beta_hot)
-    return {
-        "d": d,
-        "derived_rate": derived,
-        "variant_rate": variant,
-        "abs_difference": abs(derived - variant),
-        "mtp_rate": mtp,
-        "variant_d1_mismatch": abs(
-            incoherent_rate_variant(E, script_E, beta, beta_hot, 1) - mtp),
-    }
-
-
 def incoherent_closed_form(process: str, n: int, E: float, script_E: float,
                            beta: float, beta_hot: float, d=None) -> float:
     """Closed-form ground population after n incoherent rounds."""
@@ -289,24 +240,6 @@ def incoherent_closed_form(process: str, n: int, E: float, script_E: float,
     s = IncoherentSetting(E, script_E, beta, beta_hot)
     rate = incoherent_rate(process, E, script_E, beta, beta_hot, d)
     return s.p_star - rate ** n * (s.p_star - s.gamma)
-
-
-def verify_round_ordering(run: CoolingRun) -> bool:
-    """Check that every refreshed composite state has beta-order (g1, e1, g0, e0).
-
-    This is the premise under which the g0/e1 swap is the optimal step in
-    every round.  Ties (which occur in round one) resolve to the expected
-    order through the ascending-index tie break.
-    """
-    if run.paradigm != "incoherent":
-        raise ValueError("round ordering is defined for incoherent runs")
-    setting = IncoherentSetting(run.params["E"], run.params["script_E"],
-                                run.params["beta"], run.params["beta_hot"])
-    tau = setting.composite_gibbs()
-    for state in run.pre_step_states:
-        if tuple(beta_order(state, tau)) != EXPECTED_ROUND_ORDER:
-            return False
-    return True
 
 
 def measured_rates(run: CoolingRun, p_star: float) -> np.ndarray:

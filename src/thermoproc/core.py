@@ -32,7 +32,6 @@ class Hamiltonian:
     """A finite list of energy levels (any consistent energy unit)."""
 
     levels: tuple
-    label: str | None = None
 
     def __post_init__(self):
         levels = tuple(float(e) for e in self.levels)

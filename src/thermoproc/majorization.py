@@ -1,4 +1,4 @@
-"""Thermo-majorization order, qubit reachability, and extreme points.
+"""Thermo-majorization order, extreme points, and the minimum extraction error.
 
 The reachability order on energy-diagonal states is decided by comparing
 Lorenz curves built along the beta-order: levels sorted by p_k / tau_k
@@ -78,24 +78,6 @@ def thermo_majorizes(p, q, gibbs, tol: float = CURVE_TOL) -> bool:
     cq = lorenz_curve(q, gibbs)
     grid = np.union1d(cp.xs, cq.xs)
     return bool(np.all(cp.value_at(grid) >= cq.value_at(grid) - tol))
-
-
-def qubit_tp_reachable(p: float, p_target: float, gamma: float,
-                       tol: float = CURVE_TOL) -> bool:
-    """Ground population p can reach p_target on a single qubit.
-
-    The reachable interval is [p, p_beta] for p below the Gibbs weight gamma
-    and [p_beta, p] above it, where p_beta = 1 - p (1-gamma)/gamma is the
-    output of the extremal swap.  At p = gamma both ends collapse to gamma.
-    """
-    if not (0.0 <= p <= 1.0 and 0.0 <= p_target <= 1.0):
-        raise ValueError("populations must lie in [0, 1]")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie in (0, 1)")
-    p_beta = 1.0 - p * (1.0 - gamma) / gamma
-    if p <= gamma:
-        return p - tol <= p_target <= p_beta + tol
-    return p_beta - tol <= p_target <= p + tol
 
 
 def tp_reach_vertices(p, gibbs):

@@ -296,21 +296,3 @@ def region_export(regions, path, meta=None):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(data)
     return path
-
-
-def region_import(path):
-    """Read a region CSV back into SimplexRegion objects (export order)."""
-    groups = {}
-    order = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("region,"):
-                continue
-            tag, kind, _idx, pg, pe1, pe2, _x, _y = line.split(",")
-            if tag not in groups:
-                groups[tag] = (kind, [])
-                order.append(tag)
-            groups[tag][1].append([float(pg), float(pe1), float(pe2)])
-    return [SimplexRegion(tag, groups[tag][0], np.array(groups[tag][1]))
-            for tag in order]

@@ -100,7 +100,7 @@ def check_core_elementary(scale=1.0):
 def check_memory_boost(scale=1.0):
     """d = 2 protocol from the ground state hits the known closed value."""
     tol = 1.0e-12 * scale
-    p2, _ = memory.simulate_memory_beta_swap(2, 0.0, 0.75)
+    p2 = memory.simulate_memory_beta_swap(2, 0.0, 0.75)
     dev = abs(p2 - 0.890625)
     return dev, tol, f"simulated {p2!r} vs closed 0.890625"
 
@@ -113,7 +113,7 @@ def check_memory_closed_form(scale=1.0):
     for d in range(1, 13):
         for g in (0.55, 0.65, 0.75, 0.85, 0.95):
             for p0 in (0.0, 0.25, 0.5, g, 0.9):
-                sim, _ = memory.simulate_memory_beta_swap(d, p0, g)
+                sim = memory.simulate_memory_beta_swap(d, p0, g)
                 worst = max(worst, abs(sim - memory.closed_form_p_d(d, p0, g)))
     return worst, tol, "d <= 12 across gamma and p0 grids"
 
@@ -190,10 +190,7 @@ def check_incoherent_rates(scale=1.0):
         worst = max(worst, float(np.abs(ratios - rate).max()))
     worst = max(worst, abs(cooling.incoherent_rate("MMTP", d=1, **INC_REF)
                            - cooling.incoherent_rate("MTP", **INC_REF)))
-    rep = cooling.rate_discrepancy_report(d=1, **INC_REF)
-    detail = (f"alternative published rate form deviates by "
-              f"{rep['variant_d1_mismatch']:.3e} at d = 1 (reported, not used)")
-    return worst, tol, detail
+    return worst, tol, "TP, MTP and MMTP at d in {1, 6}; the d = 1 rate equals MTP's"
 
 
 @_check("extraction-point-values", "workx")

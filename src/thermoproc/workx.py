@@ -34,12 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import memory_sweep
-from .combinatorics import I_d_eval, f_coeff
+from .combinatorics import I_d_eval
 from .core import (SUM_TOL, PopulationVector, TransitionMatrix, beta_swap,
                    compose, full_thermalization)
-
-BASIS_SW = ("g0", "g1", "e0", "e1")
-
 
 @dataclass(frozen=True)
 class ExtractionSetup:
@@ -277,23 +274,3 @@ def epsilon_d_grid(setups, ds) -> list:
     x = np.array([1.0 - st.gamma_delta for st in setups])
     y = np.array([1.0 - st.gamma_W for st in setups])
     return [I_d_eval(d, x, y) for d in ds]
-
-
-def step1_residuals_closed_form(setup: ExtractionSetup, d: int) -> np.ndarray:
-    """Closed-form e0 slot populations after the swap-simulation step.
-
-    x_j = (gamma_delta^d / d) sum_{k<j} f_d(k) (1 - gamma_delta)^k, 1-based j.
-    """
-    gd = setup.gamma_delta
-    terms = np.array([f_coeff(d, k) * (1.0 - gd) ** k for k in range(d)])
-    return gd ** d / d * np.cumsum(terms)
-
-
-def step2_depletion_factors(setup: ExtractionSetup, d: int) -> np.ndarray:
-    """Closed-form drain weights d_k = gamma_W^d (1-gamma_W)^{k-1} f_d(k-1).
-
-    d_k is the fraction of a unit e0 slot population that survives the k-th
-    pass of the drain chain; epsilon_k = sum_j d_j x_{k+1-j}.
-    """
-    gw = setup.gamma_W
-    return np.array([gw ** d * (1.0 - gw) ** k * f_coeff(d, k) for k in range(d)])

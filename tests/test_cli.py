@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from thermoproc import cli, validation
-from thermoproc.reachable import region_import
 from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
                               epsilon_mtp, epsilon_tp)
 
@@ -61,6 +60,28 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match="schema_version"):
             cli.ExperimentConfig.from_dict({"schema_version": 99,
                                             "experiment": "fig2"})
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"experiment": "fig2", "params": {"w_point": 500}}, "params.w_point"),
+        ({"experiment": "fig2", "params": {"w_points": 50, "d_lst": [3]}},
+         "params.d_lst"),
+        ({"experiment": "fig2", "outptu_dir": "elsewhere"}, "outptu_dir"),
+        # a field of another experiment is unknown here too
+        ({"experiment": "cooling-coherent", "params": {"beta_hot": 0.1}},
+         "params.beta_hot"),
+    ])
+    def test_unknown_field_is_rejected(self, raw, field):
+        with pytest.raises(cli.ConfigError, match=field) as info:
+            cli.ExperimentConfig.from_dict(raw)
+        assert info.value.path == field
+
+    def test_unknown_field_exits_with_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "experiment": "fig2", "output_dir": str(tmp_path / "out"),
+            "params": {"w_point": 500, "d_lst": [3]}})
+        assert cli.main(["run", config]) == 2
+        assert "params.w_point" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_defaults_fill_in(self):
         cfg = cli.ExperimentConfig.from_dict({"experiment": "fig2"})
@@ -140,8 +161,10 @@ class TestDeterminism:
 class TestOtherExperiments:
     def test_fig3_round_trips(self, tmp_path):
         cli.emit_figure_data("fig3", {"gamma": 0.8, "depth": 6}, tmp_path / "o")
-        regions = region_import(tmp_path / "o" / "fig3_regions.csv")
-        tags = [r.tag for r in regions]
+        text = (tmp_path / "o" / "fig3_regions.csv").read_text(encoding="utf-8")
+        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+        assert rows[0].startswith("region,")
+        tags = list(dict.fromkeys(ln.split(",")[0] for ln in rows[1:]))
         assert tags == ["TP", "ETP-approx", "MTP-path", "MMTP2-A", "MMTP2-B"]
 
     def test_cooling_coherent_columns(self, tmp_path):
@@ -239,14 +262,15 @@ class TestMainExitCodes:
 
 # SHA-256 of each default-config output.  The five data files match
 # perfbench/seed_digests.json; validation_report.json is measured against the
-# exact Markovian qutrit region.
+# exact Markovian qutrit region, and its incoherent-rates detail states what
+# that check verifies.
 DEFAULT_DIGESTS = {
     "fig2.csv": "245d4bbef9a02d38084aebbec117b20be613e8b0e336ef82247850490c858883",
     "fig3_regions.csv": "e6088d3cbc7b2dc870f851f4a70fbe43f9ca143e7e8316ef72aa64bb60c32467",
     "cooling_coherent.csv": "65cad94d6bfefc4c54f1eb32b6eb114b64ccf5f20d6e162b39263870b4709066",
     "cooling_incoherent.csv": "e1e064acfb7fbe13a63056f90963c507d5fa58457ff33dd213df1f5744d2deb8",
     "beta_swap_sweep.csv": "a9993a8d1e6be4486356eda9b6864263a2c62ef74db4aca55f9b153c9bdba94f",
-    "validation_report.json": "1714f35d10a8c7fa4522c185adf8079d38dac78a62e4cc5d1356966477bf2c30",
+    "validation_report.json": "83b0aab3537de0ef38caa7ba2f75e0be758c72bc30f07e866bffc241707163bf",
 }
 
 

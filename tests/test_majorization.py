@@ -8,8 +8,7 @@ import pytest
 from thermoproc.core import Hamiltonian, gibbs_state
 from thermoproc.majorization import (beta_order, extraction_feasible,
                                      lorenz_curve, min_extraction_error_tp,
-                                     qubit_tp_reachable, thermo_majorizes,
-                                     tp_reach_vertices)
+                                     thermo_majorizes, tp_reach_vertices)
 from thermoproc.workx import ExtractionSetup, epsilon_tp
 
 LN2 = math.log(2.0)
@@ -18,6 +17,23 @@ LN3 = math.log(3.0)
 
 def qubit_gibbs(gamma):
     return np.array([gamma, 1.0 - gamma])
+
+
+def qubit_tp_reachable(p, p_target, gamma, tol=1.0e-12):
+    """Ground population p can reach p_target on a single qubit.
+
+    The reachable interval is [p, p_beta] for p below the Gibbs weight gamma
+    and [p_beta, p] above it, where p_beta = 1 - p (1-gamma)/gamma is the
+    output of the extremal swap.  At p = gamma both ends collapse to gamma.
+    """
+    if not (0.0 <= p <= 1.0 and 0.0 <= p_target <= 1.0):
+        raise ValueError("populations must lie in [0, 1]")
+    if not (0.0 < gamma < 1.0):
+        raise ValueError("gamma must lie in (0, 1)")
+    p_beta = 1.0 - p * (1.0 - gamma) / gamma
+    if p <= gamma:
+        return p - tol <= p_target <= p_beta + tol
+    return p_beta - tol <= p_target <= p + tol
 
 
 class TestBetaOrder:

@@ -5,11 +5,57 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thermoproc._kernels import memory_sweep
 from thermoproc.combinatorics import delta_d, f_coeff
 from thermoproc.memory import (closed_form_p_d, simulate_memory_beta_swap,
-                               simulate_memory_beta_swap_exact,
-                               slot_population_closed_form,
                                verify_swap_simulation)
+
+
+def initial_state(d, p0):
+    """The protocol's start: p0 spread over the ground slots, 1 - p0 over the
+    excited ones."""
+    return np.concatenate([np.full(d, p0 / d), np.full(d, (1.0 - p0) / d)])
+
+
+def exact_protocol(d, p0, gamma):
+    """Exact-rational protocol run.
+
+    Returns (p_final, ground_history) where ground_history[(k, j)] is the
+    population of ground slot k after thermalizing it against excited slot j
+    (both 1-based), the quantity the closed-form slot recurrences describe.
+    """
+    p0, gamma = Fraction(p0), Fraction(gamma)
+    a = [p0 / d] * d
+    b = [(1 - p0) / d] * d
+    history = {}
+    for k in range(d):
+        for j in range(d):
+            total = a[k] + b[j]
+            a[k] = gamma * total
+            b[j] = (1 - gamma) * total
+            history[(k + 1, j + 1)] = a[k]
+    return sum(a), history
+
+
+def slot_population_closed_form(d, k, p0, gamma):
+    """Exact final population of ground slot k (1-based) after the protocol.
+
+    a_d^(k) = (1/d) [ g/(1-g) (1-p0)
+                      - (g-p0)/(1-g) g^d sum_{k'=0}^{k-1} f_d(k') (1-g)^k' ].
+    """
+    p0, g = Fraction(p0), Fraction(gamma)
+    partial = sum(f_coeff(d, kp) * (1 - g) ** kp for kp in range(k))
+    return (g / (1 - g) * (1 - p0) - (g - p0) / (1 - g) * g ** d * partial) / d
+
+
+def single_steps(d, p0, gamma):
+    """Yield (k, j, state) after each elementary thermalization of ground
+    slot k against excited slot j (0-based), in protocol order."""
+    vec = initial_state(d, p0)
+    for k in range(d):
+        for j in range(d):
+            memory_sweep(vec, 1, gamma, k, d + j)
+            yield k, j, vec
 
 
 def slot_recurrence_value(d, j, k, p0, gamma):
@@ -28,18 +74,17 @@ def slot_recurrence_value(d, j, k, p0, gamma):
 class TestProtocolValues:
     def test_single_slot_thermalizes(self):
         for p0 in (0.0, 0.3, 0.75, 1.0):
-            p, _ = simulate_memory_beta_swap(1, p0, 0.75)
+            p = simulate_memory_beta_swap(1, p0, 0.75)
             assert abs(p - 0.75) <= 1e-15
 
     def test_two_slot_boost(self):
-        p, _ = simulate_memory_beta_swap(2, 0.0, 0.75)
+        p = simulate_memory_beta_swap(2, 0.0, 0.75)
         assert abs(p - 0.890625) <= 1e-12
 
     def test_intermediate_state_after_first_sweep(self):
         gamma, p0 = 0.75, 0.3
-        _, trace = simulate_memory_beta_swap(2, p0, gamma, record_steps=True)
-        label, vec = trace.steps[1]  # both inner steps of the first sweep done
-        assert label == "T[g1,e2]"
+        vec = initial_state(2, p0)
+        memory_sweep(vec, 2, gamma, 0, 2, rows=[0])  # ground slot 1 against both
         expected = 0.5 * np.array([
             gamma * (1 - p0 + gamma), p0,
             1 - gamma, (1 - gamma) * (1 - p0 + gamma),
@@ -61,7 +106,7 @@ class TestClosedForm:
         for d in range(1, 13):
             for gamma in (0.55, 0.65, 0.75, 0.85, 0.95):
                 for p0 in (0.0, 0.25, 0.5, gamma, 0.9):
-                    sim, _ = simulate_memory_beta_swap(d, p0, gamma)
+                    sim = simulate_memory_beta_swap(d, p0, gamma)
                     worst = max(worst, abs(sim - closed_form_p_d(d, p0, gamma)))
         assert worst <= 1e-10
 
@@ -92,43 +137,30 @@ class TestTraceInvariants:
     def test_pair_balance_after_every_step(self):
         gamma = 0.7
         for d in (1, 2, 4):
-            _, trace = simulate_memory_beta_swap(d, 0.35, gamma, record_steps=True)
-            idx = 0
-            for k in range(d):
-                for j in range(d):
-                    _label, vec = trace.steps[idx]
-                    # the just-thermalized pair sits at detailed balance
-                    assert abs(vec[d + j] - vec[k] * (1 - gamma) / gamma) <= 1e-12
-                    idx += 1
+            for k, j, vec in single_steps(d, 0.35, gamma):
+                # the just-thermalized pair sits at detailed balance
+                assert abs(vec[d + j] - vec[k] * (1 - gamma) / gamma) <= 1e-12
 
     def test_every_recorded_state_normalized(self):
-        _, trace = simulate_memory_beta_swap(3, 0.2, 0.8, record_steps=True)
-        assert len(trace.steps) == 10  # 9 thermalizations plus the refresh
-        for _label, vec in trace.steps:
+        steps = 0
+        for _k, _j, vec in single_steps(3, 0.2, 0.8):
             assert abs(vec.sum() - 1.0) <= 1e-12
-        assert len(trace.final_a) == 3
-        assert len(trace.final_b) == 3
-
-    def test_fast_path_matches_recorded_path(self):
-        fast, t_fast = simulate_memory_beta_swap(5, 0.1, 0.8)
-        slow, t_slow = simulate_memory_beta_swap(5, 0.1, 0.8, record_steps=True)
-        assert fast == slow
-        np.testing.assert_array_equal(t_fast.final_a, t_slow.final_a)
-        assert t_fast.steps == []
+            steps += 1
+        assert steps == 9
 
 
 class TestExactSubstitution:
     @pytest.mark.parametrize("d", [1, 2, 3, 6])
     def test_slot_recurrence_closed_form(self, d):
         p0, gamma = Fraction(1, 3), Fraction(4, 5)
-        _, history = simulate_memory_beta_swap_exact(d, p0, gamma)
+        _, history = exact_protocol(d, p0, gamma)
         for (k, j), simulated in history.items():
             assert simulated == slot_recurrence_value(d, j, k, p0, gamma)
 
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     def test_final_slot_populations(self, d):
         p0, gamma = Fraction(0), Fraction(3, 4)
-        p_exact, history = simulate_memory_beta_swap_exact(d, p0, gamma)
+        p_exact, history = exact_protocol(d, p0, gamma)
         total = Fraction(0)
         for k in range(1, d + 1):
             value = slot_population_closed_form(d, k, p0, gamma)

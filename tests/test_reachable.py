@@ -12,9 +12,24 @@ from thermoproc.reachable import (SimplexRegion, bary_xy, etp_orbit_hull,
                                   inside_tp_cone, mmtp2_point_regions,
                                   mtp_mixing_path, mtp_region, qutrit_gibbs,
                                   qutrit_mmtp2_vertices, region_export,
-                                  region_import, tp_region)
+                                  tp_region)
 
 GROUND = PopulationVector(np.array([1.0, 0.0, 0.0]))
+
+
+def region_import(path):
+    """Read a region CSV back into SimplexRegion objects (export order)."""
+    groups = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("region,"):
+                continue
+            tag, kind, _idx, pg, pe1, pe2, _x, _y = line.split(",")
+            groups.setdefault(tag, (kind, []))[1].append(
+                [float(pg), float(pe1), float(pe2)])
+    return [SimplexRegion(tag, kind, np.array(rows))
+            for tag, (kind, rows) in groups.items()]
 
 
 def _thermalizations(gamma):

@@ -5,17 +5,37 @@ import math
 import numpy as np
 import pytest
 
+from thermoproc.combinatorics import f_coeff
 from thermoproc.core import PopulationVector, is_gibbs_stochastic
 from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
                               epsilon_mtp, epsilon_tp, optimal_tp_matrix,
                               run_memory_extraction, run_sequence_protocol,
-                              run_tp_protocol, step1_residuals_closed_form,
-                              step2_depletion_factors)
+                              run_tp_protocol)
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
 
 REF = ExtractionSetup(LN2, LN4, 1.0)
+
+
+def step1_residuals_closed_form(setup, d):
+    """Closed-form e0 slot populations after the swap-simulation step.
+
+    x_j = (gamma_delta^d / d) sum_{k<j} f_d(k) (1 - gamma_delta)^k, 1-based j.
+    """
+    gd = setup.gamma_delta
+    terms = np.array([f_coeff(d, k) * (1.0 - gd) ** k for k in range(d)])
+    return gd ** d / d * np.cumsum(terms)
+
+
+def step2_depletion_factors(setup, d):
+    """Closed-form drain weights d_k = gamma_W^d (1-gamma_W)^{k-1} f_d(k-1).
+
+    d_k is the fraction of a unit e0 slot population that survives the k-th
+    pass of the drain chain; epsilon_k = sum_j d_j x_{k+1-j}.
+    """
+    gw = setup.gamma_W
+    return np.array([gw ** d * (1.0 - gw) ** k * f_coeff(d, k) for k in range(d)])
 
 
 class TestSetup:
