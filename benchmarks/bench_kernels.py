@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the d^2 sweep kernel and the float I_d closed form as layers.
+"""Time the d^2 sweep kernel, the float I_d closed form and the exact layer.
 
 Sweep kernel: for each memory dimension d this times ``_memory_sweep_py``
 (the plain loop over Python floats, the reference) against ``memory_sweep``
@@ -14,24 +14,36 @@ beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
 checks that the two give the same bytes on every point whose start terms
 (1-x)^d and (1-y)^d are normal doubles; the others take the log-space path.
 
-Exits 1 when any sweep dimension or I_d dimension differs.
+Exact layer: the integer-numerator alternating route of L over the grid of
+the ``special-function-routes`` check (n <= 40, float x), and exact I_d at
+d in {100, 200, 500, 1000} on one fig2 point taken from floats (beta E = 0.7,
+beta W = 1.3), each best of ``--repeats``, against the Fraction loops they
+replaced (timed once; for I_d only at d <= 200, where one run takes at most
+about 1 s).  The alternating route must give the same bytes and I_d an
+equal Fraction.
+
+Exits 1 when any sweep dimension, I_d dimension or exact result differs.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
 
 import argparse
+import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
 from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
-from thermoproc.combinatorics import I_d_eval
+from thermoproc.combinatorics import I_d_eval, _l_alternating
 from thermoproc.workx import ExtractionSetup
 
 SLOW_REFERENCE_D = 2000
 I_D_DIMS = (20, 100, 400, 1000)
 I_D_POINTS = 2000
+EXACT_I_D_DIMS = (100, 200, 500, 1000)
+FRACTION_REFERENCE_MAX_D = 200
 
 
 def best_time(fn, vec, d, repeats):
@@ -74,6 +86,77 @@ def bench_I_d(repeats):
     return mismatches
 
 
+def alternating_fraction(n, m, x):
+    """The alternating route as a Fraction loop (gcd at every operation)."""
+    xq = Fraction(x)
+    acc = Fraction(0)
+    xpow = Fraction(1)
+    for l in range(n):
+        acc += Fraction((-1) ** l * math.comb(n - 1, l), m + l + 1) * xpow
+        xpow *= xq
+    return float(1 - n * math.comb(n + m, m) * xq ** (m + 1) * acc)
+
+
+def I_d_fraction(d, x, y):
+    """Exact I_d from Fraction terms and prefix sums."""
+    def terms(x):
+        t = (1 - x) ** d
+        out = [t]
+        for k in range(d - 1):
+            t = t * x * (d + k) / (k + 1)
+            out.append(t)
+        return out
+
+    tx, ty = terms(x), terms(y)
+    p, q = [tx[0]], [Fraction(0)]  # prefix sums of tx_k and k tx_k
+    for k in range(1, d):
+        p.append(p[-1] + tx[k])
+        q.append(q[-1] + k * tx[k])
+    return sum(ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j]) for j in range(d)) / d
+
+
+def timed(fn, repeats):
+    """(best wall time over ``repeats`` calls of fn(), its last result)."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def bench_exact(repeats):
+    """Print the exact-layer table; return the names of the rows that differ."""
+    grid = [(n, m, float(x)) for n in range(1, 41) for m in sorted({0, n // 2, n - 1})
+            for x in np.arange(0.1, 0.95, 0.1)]
+    print("\nexact layer")
+    print(f"{'function':>22} {'Fraction [ms]':>14} {'integer [ms]':>13} "
+          f"{'speedup':>8} {'equal':>6}")
+    mismatches = []
+
+    def row(name, reference, fn):
+        t_new, new = timed(fn, repeats)
+        if reference is None:
+            print(f"{name:>22} {'-':>14} {t_new * 1e3:>13.2f} {'-':>8} {'-':>6}")
+            return
+        t_ref, ref = timed(reference, 1)
+        same = ref == new
+        if not same:
+            mismatches.append(name)
+        print(f"{name:>22} {t_ref * 1e3:>14.1f} {t_new * 1e3:>13.2f} "
+              f"{t_ref / t_new:>7.1f}x {str(same):>6}")
+
+    row(f"L alternating x{len(grid)}",
+        lambda: [alternating_fraction(*args).hex() for args in grid],
+        lambda: [_l_alternating(*args).hex() for args in grid])
+    st = ExtractionSetup(0.7, 1.3, 1.0)
+    x, y = Fraction(1.0 - st.gamma_delta), Fraction(1.0 - st.gamma_W)
+    for d in EXACT_I_D_DIMS:
+        reference = (lambda d=d: I_d_fraction(d, x, y)) if d <= FRACTION_REFERENCE_MAX_D else None
+        row(f"I_d d={d}", reference, lambda d=d: I_d_eval(d, x, y))
+    return mismatches
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", default="10,100,400,1000,2000",
@@ -100,13 +183,17 @@ def main():
         print(f"{d:>6} {d * d:>10} {path:>10} {t_ref * 1e3:>11.3f} "
               f"{t_new * 1e3:>18.3f} {t_ref / t_new:>7.1f}x {str(same):>8}")
     id_mismatches = bench_I_d(args.repeats)
+    exact_mismatches = bench_exact(args.repeats)
     if mismatches:
         print(f"memory_sweep differs from _memory_sweep_py at d = {mismatches}",
               file=sys.stderr)
     if id_mismatches:
         print(f"the I_d array call differs from the per-point calls at d = {id_mismatches}",
               file=sys.stderr)
-    return 1 if mismatches or id_mismatches else 0
+    if exact_mismatches:
+        print(f"the exact layer differs from its Fraction reference: {exact_mismatches}",
+              file=sys.stderr)
+    return 1 if mismatches or id_mismatches or exact_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -19,9 +19,11 @@ coefficients and a few generating-function style sums:
 Every function accepts ``fractions.Fraction`` arguments and then evaluates
 exactly; float arguments use double precision.  L has three independent
 evaluation routes (definition, alternating sum, quadrature) that are
-cross-checked in the test suite.  The alternating route is evaluated in
-exact rational arithmetic internally because its raw floating-point form
-cancels catastrophically already around n = 25.
+cross-checked in the test suite.  The alternating route is evaluated
+exactly, as integer numerators over one shared denominator, because its raw
+floating-point form cancels catastrophically already around n = 25; exact
+I_d is evaluated the same way.  A float input enters as its exact binary
+value, and one division at the end forms the result.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,20 +108,25 @@ def _l_alternating(n, m, x):
     """1 - n C(n+m, m) x^{m+1} sum_l C(n-1, l) (-x)^l / (m+l+1), exactly.
 
     The sum alternates with huge binomial terms; it is only meaningful in
-    exact arithmetic, so float inputs are promoted to their exact binary
-    Fraction first and the result is rounded once at the end.
+    exact arithmetic.  With x = a/q (for a float its exact binary value, so
+    q is a power of two) and D = lcm(m+1, ..., m+n), the sum is the integer
+    S = sum_l (-1)^l C(n-1, l) a^l q^{n-1-l} D/(m+l+1) over D q^{n-1}, so
+    L = (D q^{n+m} - n C(n+m, m) a^{m+1} S) / (D q^{n+m}).  The quotient is
+    formed once: a Fraction for exact input, else the correctly rounded
+    integer division, which rounds like float(Fraction).
     """
-    exact_in = _is_exact(x)
-    xq = x if isinstance(x, Fraction) else Fraction(x)
-    acc = Fraction(0)
-    sign = 1
-    xpow = Fraction(1)
+    xq = Fraction(x)
+    a, q = xq.numerator, xq.denominator
+    lcm = math.lcm(*range(m + 1, m + n + 1))
+    s = 0
+    term = q ** (n - 1)  # C(n-1, l) a^l q^{n-1-l}, starting at l = 0
     for l in range(n):
-        acc += Fraction(sign * math.comb(n - 1, l), m + l + 1) * xpow
-        xpow *= xq
-        sign = -sign
-    result = 1 - n * math.comb(n + m, m) * xq ** (m + 1) * acc
-    return result if exact_in else float(result)
+        part = term * (lcm // (m + l + 1))
+        s += -part if l % 2 else part
+        term = term * (n - 1 - l) * a // ((l + 1) * q)
+    den = lcm * q ** (n + m)
+    num = den - n * math.comb(n + m, m) * a ** (m + 1) * s
+    return Fraction(num, den) if _is_exact(x) else num / den
 
 
 def _simpson_to_tolerance(m, n_minus_1, upper, rel_tol=1.0e-12):
@@ -242,16 +250,6 @@ def catalan_tail_bound(d: int, gamma) -> float:
     return (4.0 * g * (1.0 - g)) ** d / (SQRT_PI * d ** 1.5 * (2.0 * g - 1.0) ** 2)
 
 
-def _geometric_terms_exact(d, x):
-    """Terms f_d(k) x^k (1-x)^d for k = 0..d-1, exact rationals."""
-    t = (1 - x) ** d
-    out = [t]
-    for k in range(d - 1):
-        t = t * x * (d + k) / (k + 1)
-        out.append(t)
-    return out
-
-
 def _term_ratios(d, x):
     """Rows (n, d) whose columns 1..d-1 hold the term ratios
     x (d + k - 1) / k, k = 1..d-1, one row per x; column 0 is left unset."""
@@ -331,6 +329,36 @@ def _I_d_float(d, x, y):
     return out
 
 
+def _I_d_exact(d, x, y):
+    """I_d of exact x and y on integers, with one Fraction at the end.
+
+    With x = a/q and y = b/r, the terms f_d(k) x^k (1-x)^d are
+    (q-a)^d u_k / q^{2d-1} with the integers u_k = f_d(k) a^k q^{d-1-k},
+    and likewise for y, so
+
+        I_d = (q-a)^d (r-b)^d T / (d q^{2d-1} r^{2d-1}),
+        T = sum_j f_d(j) b^j r^{d-1-j} B_{d-1-j},
+
+    where B_k = sum_{i<=k} (k+1-i) u_i is the bracket (k+1) P_k - Q_k of the
+    float form: the running sum of the prefix sums of u.  T is summed by
+    Horner in r, so each step multiplies by r, not by a power of it.
+    """
+    xq, yq = Fraction(x), Fraction(y)
+    a, q = xq.numerator, xq.denominator
+    b, r = yq.numerator, yq.denominator
+    u = [q ** (d - 1)]
+    for k in range(d - 1):
+        # exact: u_k (d+k) a = (k+1) f_d(k+1) a^{k+1} q^{d-1-k}
+        u.append(u[-1] * (d + k) * a // ((k + 1) * q))
+    total = 0
+    g = 1  # f_d(j) b^j
+    for j, bracket in enumerate(reversed(list(accumulate(accumulate(u))))):
+        total = total * r + g * bracket
+        g = g * (d + j) * b // (j + 1)
+    return Fraction((q - a) ** d * (r - b) ** d * total,
+                    d * q ** (2 * d - 1) * r ** (2 * d - 1))
+
+
 def I_d_eval(d: int, x, y):
     """Double sum (1/d) sum_{j+k<=d-1} (d-j-k) f_d(k) x^k f_d(j) y^j (1-x)^d (1-y)^d.
 
@@ -344,24 +372,16 @@ def I_d_eval(d: int, x, y):
     below the smallest normal double is evaluated from the logarithms of
     its terms instead, so float mode returns a finite value up to d = 1000.
     Float mode rejects d > 1000; pass Fraction arguments for exact
-    evaluation beyond that.
+    evaluation beyond that.  Exact mode works on integers whose size grows
+    with d times the bits of the denominators; for a point taken from floats
+    it takes about 0.6 s at d = 1000 and 3.4 s at d = 2000 (2-CPU x86 host),
+    growing roughly as d^2.5.
     """
     d = _require_int(d, "d", 1)
-    exact = _is_exact(x) and _is_exact(y)
-    if exact:
+    if _is_exact(x) and _is_exact(y):
         if not (0 <= x < 1 and 0 <= y < 1):
             raise ValueError("x and y must lie in [0, 1)")
-        tx = _geometric_terms_exact(d, x)
-        ty = _geometric_terms_exact(d, y)
-        p = [tx[0]]  # prefix sums of tx
-        q = [0 * tx[0]]  # prefix sums of k * tx_k
-        for k in range(1, d):
-            p.append(p[-1] + tx[k])
-            q.append(q[-1] + k * tx[k])
-        total = 0 * tx[0]
-        for j in range(d):
-            total += ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j])
-        return total / d
+        return _I_d_exact(d, x, y)
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape:

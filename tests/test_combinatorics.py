@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoproc import combinatorics as comb
 
@@ -15,6 +17,52 @@ SQRT_PI = math.sqrt(math.pi)
 def L_derivative(n, m, x):
     """Closed-form derivative dL/dx = -n C(n+m, m) x^m (1-x)^{n-1}."""
     return -n * math.comb(n + m, m) * x ** m * (1 - x) ** (n - 1)
+
+
+def alternating_fraction_oracle(n, m, x):
+    """The Fraction loop the integer alternating route replaced, kept
+    literally as the reference it must equal (float input: bit for bit)."""
+    exact_in = isinstance(x, (Fraction, int))
+    xq = x if isinstance(x, Fraction) else Fraction(x)
+    acc = Fraction(0)
+    sign = 1
+    xpow = Fraction(1)
+    for l in range(n):
+        acc += Fraction(sign * math.comb(n - 1, l), m + l + 1) * xpow
+        xpow *= xq
+        sign = -sign
+    result = 1 - n * math.comb(n + m, m) * xq ** (m + 1) * acc
+    return result if exact_in else float(result)
+
+
+def I_d_fraction_oracle(d, x, y):
+    """The Fraction terms and prefix sums exact I_d replaced, kept literally
+    as the reference it must equal."""
+    def terms(x):
+        t = (1 - x) ** d
+        out = [t]
+        for k in range(d - 1):
+            t = t * x * (d + k) / (k + 1)
+            out.append(t)
+        return out
+
+    tx, ty = terms(x), terms(y)
+    p = [tx[0]]  # prefix sums of tx
+    q = [0 * tx[0]]  # prefix sums of k * tx_k
+    for k in range(1, d):
+        p.append(p[-1] + tx[k])
+        q.append(q[-1] + k * tx[k])
+    total = 0 * tx[0]
+    for j in range(d):
+        total += ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j])
+    return total / d
+
+
+@st.composite
+def orders(draw):
+    """(n, m) with n <= 60 and 0 <= m < n."""
+    n = draw(st.integers(1, 60), label="n")
+    return n, draw(st.integers(0, n - 1), label="m")
 
 
 class TestCoefficients:
@@ -72,6 +120,82 @@ class TestLRoutes:
             xs = np.linspace(0.0, 1.0, 40)
             values = [comb.L_eval(n, m, float(x)) for x in xs]
             assert all(b <= a + 1e-14 for a, b in zip(values, values[1:]))
+
+
+class TestIntegerRoutes:
+    """The integer-numerator alternating route and exact I_d against the
+    Fraction loops they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(orders(), st.floats(0.0, 1.0))
+    def test_alternating_float_is_bitwise_the_fraction_loop(self, nm, x):
+        n, m = nm
+        got = comb.L_eval(n, m, x, "alternating")
+        assert type(got) is float
+        assert got.hex() == alternating_fraction_oracle(n, m, x).hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(orders(), st.fractions(0, 1, max_denominator=1000))
+    def test_alternating_fraction_equals_the_fraction_loop(self, nm, x):
+        n, m = nm
+        got = comb.L_eval(n, m, x, "alternating")
+        assert type(got) is Fraction
+        assert got == alternating_fraction_oracle(n, m, x)
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)])
+    def test_alternating_denominators_that_are_not_powers_of_two(self, x):
+        for n in (1, 2, 7, 30, 60):
+            for m in {0, n // 2, n - 1}:
+                assert (comb.L_eval(n, m, x, "alternating")
+                        == alternating_fraction_oracle(n, m, x)
+                        == comb.L_eval(n, m, x, "definition"))
+                as_float = float(x)
+                assert (comb.L_eval(n, m, as_float, "alternating").hex()
+                        == alternating_fraction_oracle(n, m, as_float).hex())
+
+    def test_alternating_edge_cases(self):
+        for n, m in ((1, 0), (1, 3), (2, 0), (60, 0), (60, 59)):
+            for x in (0.0, Fraction(0), 0):
+                assert comb.L_eval(n, m, x, "alternating") == 1
+            for x in (1.0, Fraction(1), 1):
+                assert comb.L_eval(n, m, x, "alternating") == 0
+        assert type(comb.L_eval(3, 1, 1.0, "alternating")) is float
+        assert type(comb.L_eval(3, 1, 1, "alternating")) is Fraction
+        x = Fraction(2, 7)
+        for k in (0, 1, 5, 59):
+            # n = 1: L = (1-x)(1 + x + ... + x^m) = 1 - x^{m+1}
+            assert comb.L_eval(1, k, x, "alternating") == 1 - x ** (k + 1)
+            # m = 0: L = (1-x)^n
+            assert comb.L_eval(k + 1, 0, x, "alternating") == (1 - x) ** (k + 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60),
+           st.fractions(0, 1, max_denominator=1000).filter(lambda v: v < 1),
+           st.floats(0.0, 1.0, exclude_max=True).map(Fraction))
+    def test_exact_I_d_equals_the_fraction_loop(self, d, x, y):
+        got = comb.I_d_eval(d, x, y)
+        assert type(got) is Fraction
+        assert got == I_d_fraction_oracle(d, x, y)
+        assert got == comb.I_d_eval(d, y, x)
+
+    def test_exact_I_d_edge_cases(self):
+        for d in (1, 2, 60):
+            assert comb.I_d_eval(d, Fraction(0), Fraction(0)) == 1
+            assert comb.I_d_eval(d, 0, 0) == 1
+        x, y = Fraction(1, 3), Fraction(2, 7)
+        assert comb.I_d_eval(1, x, y) == (1 - x) * (1 - y)
+
+    def test_exact_I_d_at_d1000_matches_float(self):
+        # the first and the last fig2 point whose start terms (1-x)^1000 and
+        # (1-y)^1000 are normal doubles
+        d = 1000
+        x, y = _fig2_grid(40)
+        normal = [(a, b) for a, b in zip(x.tolist(), y.tolist())
+                  if min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min]
+        assert len(normal) >= 2
+        for a, b in (normal[0], normal[-1]):
+            exact = float(comb.I_d_eval(d, Fraction(a), Fraction(b)))
+            assert abs(comb.I_d_eval(d, a, b) - exact) <= 1e-12 * exact
 
 
 class TestKAndI:

@@ -6,13 +6,42 @@ import numpy as np
 import pytest
 
 from thermoproc.core import Hamiltonian, gibbs_state
-from thermoproc.majorization import (beta_order, extraction_feasible,
-                                     lorenz_curve, min_extraction_error_tp,
-                                     thermo_majorizes, tp_reach_vertices)
+from thermoproc.majorization import (BISECTION_ITERATIONS, beta_order,
+                                     extraction_target, lorenz_curve,
+                                     min_extraction_error_tp, thermo_majorizes,
+                                     tp_reach_vertices)
 from thermoproc.workx import ExtractionSetup, epsilon_tp
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+
+
+def extraction_feasible(E, W, beta, eps):
+    """Can [0,1]_S x [1,0]_W reach Gibbs_S x [eps, 1-eps] by a thermal process?
+
+    One self-contained test: the Hamiltonian, Gibbs state and both Lorenz
+    curves are built anew, as the bisection did before it built them once.
+    """
+    h = Hamiltonian((0.0, W, E, E + W))
+    tau = gibbs_state(h, beta)
+    gamma_s = 1.0 / (1.0 + math.exp(-beta * E))
+    start = np.array([0.0, 0.0, 1.0, 0.0])
+    return thermo_majorizes(start, extraction_target(gamma_s, eps), tau)
+
+
+def bisection_over_oracle(E, W, beta):
+    """The bisection of ``min_extraction_error_tp`` over ``extraction_feasible``."""
+    if extraction_feasible(E, W, beta, 0.0):
+        return 0.0
+    lo = 0.0
+    hi = 1.0 / (1.0 + math.exp(-beta * W))
+    for _ in range(BISECTION_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if extraction_feasible(E, W, beta, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def qubit_gibbs(gamma):
@@ -215,6 +244,13 @@ class TestExtractionBisection:
             setup = ExtractionSetup(beta_E, float(bw), 1.0)
             got = min_extraction_error_tp(beta_E, float(bw), 1.0)
             assert abs(got - epsilon_tp(setup)) <= 1e-9
+
+    @pytest.mark.parametrize("beta_E", [LN2, 1.0, LN3])
+    def test_equals_bisection_over_the_oracle_bit_for_bit(self, beta_E):
+        # the grid of the extraction-bisection-grid validation check
+        for bw in np.linspace(0.05, 2.5, 50):
+            got = min_extraction_error_tp(beta_E, float(bw), 1.0)
+            assert got.hex() == bisection_over_oracle(beta_E, float(bw), 1.0).hex(), bw
 
     def test_feasibility_monotone_in_error(self):
         for bw in (0.5, 1.2, 2.0):
