@@ -8,6 +8,13 @@ Sweep kernel: for each memory dimension d this times ``_memory_sweep_py``
 checks that the two leave the same bytes.  The reference is timed once at
 d >= 2000, where one run takes 0.4 s or more.
 
+Batched wavefront: d = 1..d_max, d_max in {30, 200, 400}, cut into
+``wavefront_blocks`` with one ``Wavefront`` built and run per block, against
+one ``memory_sweep`` per d; and at d in {128, 256, 400}, 50 runs of one
+wavefront built once against 50 one-off ``memory_sweep`` calls, each on its
+own input.  Best of ``--repeats``; every row must leave the same bytes as
+the per-d or one-off sweeps.
+
 I_d: at d in {20, 100, 400, 1000} on fig2's 2000-point W grid (beta E = 0.7,
 beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
 (once) against one array call over the grid (best of ``--repeats``), and
@@ -22,7 +29,8 @@ replaced (timed once; for I_d only at d <= 200, where one run takes at most
 about 1 s).  The alternating route must give the same bytes and I_d an
 equal Fraction.
 
-Exits 1 when any sweep dimension, I_d dimension or exact result differs.
+Exits 1 when any sweep dimension, batch, I_d dimension or exact result
+differs.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -35,11 +43,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
+from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_py,
+                                 memory_sweep, wavefront_blocks)
 from thermoproc.combinatorics import I_d_eval, _l_alternating
 from thermoproc.workx import ExtractionSetup
 
 SLOW_REFERENCE_D = 2000
+BATCH_D_MAX = (30, 200, 400)
+REUSE_DIMS = (128, 256, 400)
+REUSE_RUNS = 50
 I_D_DIMS = (20, 100, 400, 1000)
 I_D_POINTS = 2000
 EXACT_I_D_DIMS = (100, 200, 500, 1000)
@@ -55,6 +67,67 @@ def best_time(fn, vec, d, repeats):
         fn(work, d, 0.75, 0, d)
         best = min(best, time.perf_counter() - t0)
     return best, work
+
+
+def sweep_each(vecs, ds):
+    """One ``memory_sweep`` per (vector, d); the swept copies."""
+    out = [vec.copy() for vec in vecs]
+    for vec, d in zip(out, ds):
+        memory_sweep(vec, d, 0.75, 0, d)
+    return out
+
+
+def sweep_batch(vecs, ds):
+    """The same sweeps cut into ``wavefront_blocks`` and run one
+    ``Wavefront`` per block, as the batched callers run them; the swept
+    vectors."""
+    out = [None] * len(ds)
+    for rows in wavefront_blocks(ds):
+        block = [ds[i] for i in rows]
+        a, b = np.zeros((len(rows), max(block))), np.zeros((len(rows), max(block)))
+        for r, (i, d) in enumerate(zip(rows, block)):
+            a[r, :d], b[r, :d] = vecs[i][:d], vecs[i][d:]
+        Wavefront(block, 0.75).run(a, b)
+        for r, (i, d) in enumerate(zip(rows, block)):
+            out[i] = np.concatenate([a[r, :d], b[r, :d]])
+    return out
+
+
+def sweep_reused(vecs, d):
+    """One wavefront built once and run on (a copy of) each vector in turn."""
+    wavefront = Wavefront([d], 0.75)
+    out = [vec.copy() for vec in vecs]
+    for vec in out:
+        wavefront.run(vec[None, :d], vec[None, d:])
+    return out
+
+
+def bench_batch(repeats):
+    """Print the batched-wavefront table; return the rows whose bytes differ."""
+    rng = np.random.default_rng(1)
+    print("\nbatched wavefront")
+    print(f"{'sweeps':>16} {'thermalizations':>16} {'one by one [ms]':>16} "
+          f"{'wavefront [ms]':>15} {'speedup':>8} {'bitwise':>8}")
+    mismatches = []
+
+    def row(name, vecs, ds, batched):
+        t_ref, ref = timed(lambda: sweep_each(vecs, ds), repeats)
+        t_new, new = timed(batched, repeats)
+        same = all(x.tobytes() == y.tobytes() for x, y in zip(ref, new))
+        if not same:
+            mismatches.append(name)
+        print(f"{name:>16} {sum(d * d for d in ds):>16} {t_ref * 1e3:>16.2f} "
+              f"{t_new * 1e3:>15.2f} {t_ref / t_new:>7.1f}x {str(same):>8}")
+
+    for d_max in BATCH_D_MAX:
+        ds = list(range(1, d_max + 1))
+        vecs = [rng.random(2 * d) / (2 * d) for d in ds]
+        row(f"d = 1..{d_max}", vecs, ds, lambda: sweep_batch(vecs, ds))
+    for d in REUSE_DIMS:
+        vecs = [rng.random(2 * d) / (2 * d) for _ in range(REUSE_RUNS)]
+        row(f"{REUSE_RUNS} x d = {d}", vecs, [d] * REUSE_RUNS,
+            lambda: sweep_reused(vecs, d))
+    return mismatches
 
 
 def bench_I_d(repeats):
@@ -182,10 +255,14 @@ def main():
         path = "wavefront" if d >= WAVEFRONT_MIN_WIDTH else "loop"
         print(f"{d:>6} {d * d:>10} {path:>10} {t_ref * 1e3:>11.3f} "
               f"{t_new * 1e3:>18.3f} {t_ref / t_new:>7.1f}x {str(same):>8}")
+    batch_mismatches = bench_batch(args.repeats)
     id_mismatches = bench_I_d(args.repeats)
     exact_mismatches = bench_exact(args.repeats)
     if mismatches:
         print(f"memory_sweep differs from _memory_sweep_py at d = {mismatches}",
+              file=sys.stderr)
+    if batch_mismatches:
+        print(f"the wavefront differs from one sweep at a time: {batch_mismatches}",
               file=sys.stderr)
     if id_mismatches:
         print(f"the I_d array call differs from the per-point calls at d = {id_mismatches}",
@@ -193,7 +270,7 @@ def main():
     if exact_mismatches:
         print(f"the exact layer differs from its Fraction reference: {exact_mismatches}",
               file=sys.stderr)
-    return 1 if mismatches or id_mismatches or exact_mismatches else 0
+    return 1 if mismatches or batch_mismatches or id_mismatches or exact_mismatches else 0
 
 
 if __name__ == "__main__":

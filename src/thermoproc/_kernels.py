@@ -9,11 +9,31 @@ for a_k after its step against b_j, the sweep is the 2-D recurrence
     t[k, j] = w (t[k, j-1] + b_j after row k-1),
 
 so a cell depends only on its left and upper neighbours.  The cells of one
-anti-diagonal k + j = s therefore do not depend on each other, and the
-wavefront implementation updates a whole anti-diagonal with three numpy calls
-on strided views (a_k ascending, b_j descending).  Each cell still sees the
-same IEEE operations in the same order as in the plain loop, so the two
-implementations agree bit for bit.
+anti-diagonal k + j = s therefore do not depend on each other, and
+``Wavefront`` updates a whole anti-diagonal with three numpy calls on strided
+views.  Each cell still sees the same IEEE operations in the same order as in
+the plain loop, so the two implementations agree bit for bit.
+
+``Wavefront`` runs B independent sweeps of sizes ``ds`` together.  Their
+a-blocks are the rows of a (B, D) array and their b-blocks the rows of
+another, stored reversed and right-aligned: ``br[i, D-1-j]`` is b_j of row i.
+Then cell (k, j) of every row lies on anti-diagonal s = k + j in the same
+columns, and one step updates all B rows with the same three calls, on 2-D
+slices.  A row with d_i < D is padded to D.  Its padded cells (k >= d_i or
+j >= d_i) never feed a real one, since a real cell reads only its left and
+upper neighbours, which are real.  But padded cells do overwrite finished
+slots: cell (e, d_i) overwrites the final a_e and cell (d_i, e) the final
+b_e.  So a wavefront with such rows copies each slot out after step
+s = e + d_i - 1, where it takes its final value; one whose rows all have its
+largest sizes, a single sweep say, copies nothing and runs exactly the steps
+of that sweep.  The views of every step and the indices of every copy are
+built with the wavefront, so a sweep run many times (the rounds of a cooling
+run) pays for them once.
+
+``wavefront_blocks`` cuts a batch of many sweeps into blocks: rows sorted by
+d, at most ``_BLOCK_ELEMENTS`` doubles per buffer, each block padded only to
+its own largest d.  That bounds the padded work, and, as a caller builds and
+runs the wavefront of one block at a time, the memory, whatever the largest d.
 
 A numpy call costs about a microsecond whatever its length, so the wavefront
 pays off only when anti-diagonals are long: ``memory_sweep`` takes it when the
@@ -21,14 +41,27 @@ widest one, min(len(rows), d), is at least ``WAVEFRONT_MIN_WIDTH`` and
 otherwise runs ``_memory_sweep_py``, the plain loop over Python floats, which
 is also the reference the tests compare the wavefront against.  On a 2-CPU
 x86 host the two break even between d = 124 and d = 140 (three interleaved
-measurements); within 16 of that they differ by less than 10%.
+measurements); within 16 of that they differ by less than 10%.  A batch of
+many sweeps takes the wavefront at any d, since its anti-diagonals span all
+of its rows: in ``benchmarks/bench_kernels.py`` on a 2-CPU x86 host,
+d = 1..30 costs about what one sweep per d does (0.47 against 0.43 ms), and
+d = 1..200 under a third of it (15 against 52 ms).
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 WAVEFRONT_MIN_WIDTH = 128
+
+# doubles per buffer of one wavefront block: bounds a batch's memory whatever
+# its largest d, and the padded cells its shorter rows compute.  On a 2-CPU
+# x86 host, at 2^12, 2^13 and 2^14: d = 1..200 takes 15 ms at each (19 ms at
+# 2^11), d = 1..400 92, 76 and 70 ms, and four sweep-scaled passes leave the
+# peak RSS 0.4, 0.9 and 1.5 MB above that of one sweep per d
+_BLOCK_ELEMENTS = 1 << 12
 
 
 def backend_name() -> str:
@@ -76,27 +109,96 @@ def _memory_sweep_py(vec, d, weight_a, base_a, base_b, rows=None):
     vec[base_b:base_b + d] = b
 
 
-def _memory_sweep_wavefront(vec, d, weight_a, base_a, base_b, rows=None):
-    """The same sweep as ``_memory_sweep_py``, one anti-diagonal at a time."""
-    rows = _check_sweep(vec, d, base_a, base_b, rows)
-    # 0-d arrays: numpy multiplies by them with less per-call overhead than
-    # by Python floats, and to the same bits
-    w = np.array(float(weight_a))
-    v = np.array(1.0 - float(weight_a))
-    slots = base_a + np.asarray(rows, dtype=np.intp)
-    a = vec[slots]  # a copy, outer slots in visiting order
-    br = vec[base_b:base_b + d][::-1]  # a view; br[d-1-j] is b_j
-    n_rows = len(a)
-    add, mul = np.add, np.multiply
-    for s in range(n_rows + d - 1):
-        lo = s - d + 1 if s >= d else 0
-        hi = s + 1 if s < n_rows else n_rows
-        off = d - 1 - s
-        ai, t = a[lo:hi], br[off + lo:off + hi]
-        add(ai, t, t)  # b_j holds the pooled mass until the last call
-        mul(t, w, ai)
-        mul(t, v, t)
-    vec[slots] = a
+def wavefront_blocks(ds):
+    """Indices into ``ds`` sorted by d and cut into blocks of sweeps for one
+    ``Wavefront`` each: a block's buffers hold at most ``_BLOCK_ELEMENTS``
+    doubles, unless a single sweep is larger than that."""
+    blocks, rows = [], []
+    for i in sorted(range(len(ds)), key=ds.__getitem__):
+        if rows and (len(rows) + 1) * ds[i] > _BLOCK_ELEMENTS:
+            blocks.append(rows)
+            rows = []
+        rows.append(i)
+    return blocks + [rows] if rows else blocks
+
+
+class Wavefront:
+    """Independent sweeps of one weight, run together one anti-diagonal at a
+    time on one padded buffer.
+
+    Row i sweeps ``outer[i]`` outer slots (default ``ds[i]``) against
+    ``ds[i]`` inner slots, with ``weight_a`` going to the outer slot as in
+    ``_memory_sweep_py``.  The views of every step and the final-value
+    copies are built here, once; ``run`` may then be called any number of
+    times.
+    """
+
+    def __init__(self, ds, weight_a, outer=None):
+        ds = [operator.index(d) for d in ds]
+        outer = ds if outer is None else [operator.index(m) for m in outer]
+        if not ds or len(outer) != len(ds) or not all(
+                1 <= m <= d for m, d in zip(outer, ds)):
+            raise ValueError("every sweep needs 1 <= outer slots <= d")
+        # 0-d arrays: numpy multiplies by them with less per-call overhead than
+        # by Python floats, and to the same bits
+        self._w = np.array(float(weight_a))
+        self._v = np.array(1.0 - float(weight_a))
+        n, m, d = len(ds), max(outer), max(ds)
+        self._sizes = list(zip(outer, ds))
+        self._buf = np.zeros(n * (m + d))
+        a = self._buf[:n * m].reshape(n, m)
+        br = self._buf[n * m:].reshape(n, d)  # br[i, d-1-j] is b_j of row i
+        self._a, self._br = a, br
+        self._steps = []
+        for s in range(m + d - 1):
+            lo = s - d + 1 if s >= d else 0
+            hi = s + 1 if s < m else m
+            off = d - 1 - s
+            self._steps.append((a[:, lo:hi], br[:, off + lo:off + hi]))
+        if min(outer) == m and min(ds) == d:
+            self._copies = [None] * len(self._steps)
+            self._final = self._buf
+        else:
+            # the step after which each slot is final; -1 for a pad
+            when = np.empty(len(self._buf), dtype=np.intp)
+            when.fill(-1)
+            for i, (mi, di) in enumerate(self._sizes):
+                when[i * m:i * m + mi] = np.arange(di - 1, di - 1 + mi)
+                start = n * m + i * d + d - di  # br[i, d-di:] holds b_{di-1}..b_0
+                when[start:start + di] = np.arange(mi + di - 2, mi - 2, -1)
+            order = np.argsort(when, kind="stable")
+            per_step = np.bincount(when + 1, minlength=len(self._steps) + 1)
+            # the pads come first in ``order`` and are dropped
+            self._copies = [idx if len(idx) else None
+                            for idx in np.split(order, np.cumsum(per_step)[:-1])[1:]]
+            self._final = np.zeros_like(self._buf)
+        self._final_a = self._final[:n * m].reshape(n, m)
+        self._final_br = self._final[n * m:].reshape(n, d)
+
+    def run(self, a, b):
+        """Run every sweep in place on the 2-D arrays ``a`` and ``b``.
+
+        Row i's outer slots are a[i, :outer[i]] in visiting order and its
+        inner slots b[i, :ds[i]]; the entries past those are left as they are.
+        """
+        d = self._br.shape[1]
+        # padded slots keep what the last run left in them: finite values
+        # that never feed a real slot
+        for i, (mi, di) in enumerate(self._sizes):
+            self._a[i, :mi] = a[i, :mi]
+            self._br[i, d - di:] = b[i, :di][::-1]
+        w, v = self._w, self._v
+        add, mul = np.add, np.multiply
+        buf, final = self._buf, self._final
+        for (ai, t), idx in zip(self._steps, self._copies):
+            add(ai, t, t)  # b_j holds the pooled mass until the last call
+            mul(t, w, ai)
+            mul(t, v, t)
+            if idx is not None:
+                final[idx] = buf[idx]
+        for i, (mi, di) in enumerate(self._sizes):
+            a[i, :mi] = self._final_a[i, :mi]
+            b[i, :di] = self._final_br[i, d - di:][::-1]
 
 
 def memory_sweep(vec, d, weight_a, base_a, base_b, rows=None):
@@ -106,7 +208,11 @@ def memory_sweep(vec, d, weight_a, base_a, base_b, rows=None):
     when ``rows`` repeats a slot or leaves range(d).
     """
     width = min(d, len(rows)) if rows is not None else d
-    if width >= WAVEFRONT_MIN_WIDTH:
-        _memory_sweep_wavefront(vec, d, weight_a, base_a, base_b, rows)
-    else:
+    if width < WAVEFRONT_MIN_WIDTH:
         _memory_sweep_py(vec, d, weight_a, base_a, base_b, rows)
+        return
+    rows = _check_sweep(vec, d, base_a, base_b, rows)
+    slots = base_a + np.asarray(rows, dtype=np.intp)
+    a = vec[slots][None]  # a copy, outer slots in visiting order
+    Wavefront([d], weight_a, [len(slots)]).run(a, vec[None, base_b:base_b + d])
+    vec[slots] = a[0]

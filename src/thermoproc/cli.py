@@ -312,8 +312,8 @@ def _emit_beta_swap_sweep(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     gamma, p0 = p["gamma"], p["p0"]
     rows = []
-    for d in range(1, p["d_max"] + 1):
-        sim = simulate_memory_beta_swap(d, p0, gamma)
+    ds = range(1, p["d_max"] + 1)
+    for d, sim in zip(ds, simulate_memory_beta_swap(ds, p0, gamma).tolist()):
         closed = closed_form_p_d(d, p0, gamma)
         rows.append([d, sim, closed, abs(sim - closed), float(delta_d(d, gamma)),
                      catalan_tail_bound(d, gamma)])

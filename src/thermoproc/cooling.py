@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import memory_sweep
-from .combinatorics import delta_d
+from ._kernels import WAVEFRONT_MIN_WIDTH, Wavefront, memory_sweep
+from .combinatorics import _require_int, delta_d
 from .core import clip_noise
-from .memory import simulate_memory_beta_swap
+from .memory import _ground_totals, simulate_memory_beta_swap
 
 PROCESS_CLASSES = ("TP", "MTP", "MMTP")
 
@@ -64,9 +64,16 @@ def _check_process(process: str, d):
     if process not in PROCESS_CLASSES:
         raise ValueError(f"process must be one of {PROCESS_CLASSES}")
     if process == "MMTP":
-        if d is None or d < 1:
+        if d is None:
             raise ValueError("MMTP needs a memory dimension d >= 1")
-        return int(d)
+        return _require_int(d, "memory dimension d", 1)
+    return None
+
+
+def _wavefront(process: str, d, weight: float):
+    """One wavefront for every round of a wide MMTP run, else None."""
+    if process == "MMTP" and d >= WAVEFRONT_MIN_WIDTH:
+        return Wavefront([d], weight)
     return None
 
 
@@ -77,6 +84,7 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
     if not (0.5 < gamma < 1.0):
         raise ValueError("gamma must lie in (1/2, 1)")
     d = _check_process(process, d)
+    wavefront = _wavefront(process, d, gamma)
     q = (1.0 - gamma) / gamma
     p = gamma
     pops = np.empty(n)
@@ -89,7 +97,9 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
             p = gamma
         else:
             # the d^2-step sweep can round the population just past 1
-            p = clip_noise(simulate_memory_beta_swap(d, inverted, gamma))
+            p = clip_noise(
+                simulate_memory_beta_swap(d, inverted, gamma) if wavefront is None
+                else float(_ground_totals(wavefront, [d], inverted, 1.0 - inverted)[0]))
         pops[r] = p
     return CoolingRun("coherent", process, {"gamma": gamma, "d": d}, pops)
 
@@ -162,14 +172,19 @@ def _refresh_auxiliary(v: np.ndarray, eta: float) -> np.ndarray:
                      s_excited * eta, s_excited * (1.0 - eta)])
 
 
-def _mmtp_pair_step(v: np.ndarray, d: int, gamma_big: float) -> np.ndarray:
+def _mmtp_pair_step(v: np.ndarray, d: int, gamma_big: float,
+                    wavefront: Wavefront | None) -> np.ndarray:
     """Memory-simulated swap on the (g0, e1) pair of the 4-level composite.
 
     Attaches a fresh uniform d-level memory, runs the d^2 sweep between the
-    g0 and e1 slot blocks, and traces the memory back out.
+    g0 and e1 slot blocks (on ``wavefront`` when the run built one), and
+    traces the memory back out.
     """
     w = np.repeat(v, d) / d
-    memory_sweep(w, d, gamma_big, 0, 3 * d)
+    if wavefront is None:
+        memory_sweep(w, d, gamma_big, 0, 3 * d)
+    else:
+        wavefront.run(w[None, :d], w[None, 3 * d:])
     return w.reshape(4, d).sum(axis=1)
 
 
@@ -183,6 +198,7 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
     eta = setting.eta
     q_big = setting.q_big
     gamma_big = setting.gamma_big
+    wavefront = _wavefront(process, d, gamma_big)
     v = np.array([setting.gamma * eta, setting.gamma * (1.0 - eta),
                   (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)])
     pops = np.empty(n)
@@ -198,7 +214,7 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
             v[0] = gamma_big * pool
             v[3] = (1.0 - gamma_big) * pool
         else:
-            v = _mmtp_pair_step(v, d, gamma_big)
+            v = _mmtp_pair_step(v, d, gamma_big, wavefront)
         pops[r] = v[0] + v[1]
         v = _refresh_auxiliary(v, eta)
     params = {"E": E, "script_E": script_E, "beta": beta,

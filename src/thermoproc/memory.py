@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import memory_sweep
-from .combinatorics import catalan_tail_bound, delta_d
+from ._kernels import Wavefront, memory_sweep, wavefront_blocks
+from .combinatorics import _require_int, catalan_tail_bound, delta_d
 from .core import SUM_TOL
 
 
@@ -39,15 +39,39 @@ def _sweep(d: int, gamma: float, p_ground: float, p_excited: float) -> float:
     return float(vec[:d].sum())
 
 
-def simulate_memory_beta_swap(d: int, p0: float, gamma: float) -> float:
-    """Run the d^2-step protocol and return the final ground population."""
-    if d < 1:
-        raise ValueError("memory dimension d must be >= 1")
+def _ground_totals(wavefront: Wavefront, ds, p_ground: float,
+                   p_excited: float) -> np.ndarray:
+    """``_sweep`` for every d of ``ds`` at once, on a wavefront built for
+    ``ds``; the same bits as one ``_sweep`` per d."""
+    ds = np.asarray(ds)
+    a = np.empty((len(ds), ds.max()))
+    b = np.empty_like(a)
+    a[:] = (p_ground / ds)[:, None]
+    b[:] = (p_excited / ds)[:, None]
+    wavefront.run(a, b)
+    return np.array([a[i, :d].sum() for i, d in enumerate(ds.tolist())])
+
+
+def simulate_memory_beta_swap(d, p0: float, gamma: float):
+    """Run the d^2-step protocol and return the final ground population.
+
+    ``d`` is one memory dimension, or a sequence of them; a sequence runs
+    its sweeps together, one ``wavefront_blocks`` block at a time, and gives
+    an array, bit for bit the values of one call per d.
+    """
+    scalar = not hasattr(d, "__iter__")
+    ds = [_require_int(k, "memory dimension d", 1) for k in ([d] if scalar else d)]
     if not (0.0 <= p0 <= 1.0):
         raise ValueError("p0 must lie in [0, 1]")
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    return _sweep(d, gamma, p0, 1.0 - p0)
+    if scalar:
+        return _sweep(ds[0], gamma, p0, 1.0 - p0)
+    totals = np.empty(len(ds))
+    for rows in wavefront_blocks(ds):
+        block = [ds[i] for i in rows]
+        totals[rows] = _ground_totals(Wavefront(block, gamma), block, p0, 1.0 - p0)
+    return totals
 
 
 def closed_form_p_d(d: int, p0, gamma):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from thermoproc import cooling
+from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py
 from thermoproc.combinatorics import delta_d
+from thermoproc.core import clip_noise
 from thermoproc.majorization import beta_order
 
 REF = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
@@ -34,6 +36,54 @@ def round_ordering_holds(run):
     tau = np.kron([g, 1.0 - g], [ga, 1.0 - ga])
     return all(tuple(beta_order(np.kron([p, 1.0 - p], [eta, 1.0 - eta]), tau))
                == EXPECTED_ROUND_ORDER for p in (g, *run.populations[:-1]))
+
+
+def coherent_mmtp_by_loop(n, gamma, d):
+    """MMTP coherent rounds, each a fresh sweep by the reference loop."""
+    p, pops = gamma, []
+    for _ in range(n):
+        inverted = 1.0 - p
+        vec = np.empty(2 * d)
+        vec[:d] = inverted / d
+        vec[d:] = (1.0 - inverted) / d
+        _memory_sweep_py(vec, d, gamma, 0, d)
+        p = clip_noise(float(vec[:d].sum()))
+        pops.append(p)
+    return np.array(pops)
+
+
+def incoherent_mmtp_by_loop(n, d, E, script_E, beta, beta_hot):
+    """MMTP incoherent rounds, each pair step a fresh sweep by the
+    reference loop on the 4d-level composite, then the hot-bath refresh."""
+    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
+    eta, g = s.eta, s.gamma
+    v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
+    pops = []
+    for _ in range(n):
+        w = np.repeat(v, d) / d
+        _memory_sweep_py(w, d, s.gamma_big, 0, 3 * d)
+        v = w.reshape(4, d).sum(axis=1)
+        pops.append(v[0] + v[1])
+        ground, excited = v[0] + v[1], v[2] + v[3]
+        v = np.array([ground * eta, ground * (1.0 - eta),
+                      excited * eta, excited * (1.0 - eta)])
+    return np.array(pops)
+
+
+# either side of the width where the rounds switch to one reused wavefront
+WIDE_DS = [WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 2 * WAVEFRONT_MIN_WIDTH]
+
+
+class TestReusedWavefront:
+    @pytest.mark.parametrize("d", WIDE_DS)
+    def test_coherent_rounds_equal_fresh_loop_sweeps(self, d):
+        run = cooling.cool_coherent("MMTP", 4, 0.75, d)
+        assert run.populations.tobytes() == coherent_mmtp_by_loop(4, 0.75, d).tobytes()
+
+    @pytest.mark.parametrize("d", WIDE_DS)
+    def test_incoherent_rounds_equal_fresh_loop_sweeps(self, d):
+        run = cooling.cool_incoherent("MMTP", 4, d=d, **REF)
+        assert run.populations.tobytes() == incoherent_mmtp_by_loop(4, d, **REF).tobytes()
 
 
 class TestCoherent:
@@ -104,6 +154,9 @@ class TestCoherent:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             cooling.cool_coherent("MMTP", 5, 0.75)  # missing d
+        for d in (0, 2.7, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="memory dimension d"):
+                cooling.cool_coherent("MMTP", 2, 0.75, d)
         with pytest.raises(ValueError):
             cooling.cool_coherent("TP", 0, 0.75)
         with pytest.raises(ValueError):
@@ -180,6 +233,9 @@ class TestIncoherent:
                                     beta=1.0, beta_hot=1.5)
         with pytest.raises(ValueError):
             cooling.cool_incoherent("MMTP", 5, **REF)  # missing d
+        for d in (0, 2.7, True):
+            with pytest.raises(ValueError, match="memory dimension d"):
+                cooling.cool_incoherent("MMTP", 5, d=d, **REF)
 
 
 class TestGridAgreement:

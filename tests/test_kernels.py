@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoproc import _kernels
-from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, _memory_sweep_py,
-                                 _memory_sweep_wavefront, memory_sweep)
+from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_py,
+                                 memory_sweep, wavefront_blocks)
 
 DIMS = sorted({1, 2, 3, 17, 111, 112, 113, 257,
                WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH})
@@ -22,6 +22,13 @@ def numpy_element_loop(vec, d, weight_a, base_a, base_b, rows=None):
             total = vec[a] + vec[b]
             vec[a] = weight_a * total
             vec[b] = (1.0 - weight_a) * total
+
+
+def _memory_sweep_wavefront(vec, d, weight_a, base_a, base_b, rows=None):
+    """``memory_sweep`` with its wavefront path taken at every width."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "WAVEFRONT_MIN_WIDTH", 1)
+        memory_sweep(vec, d, weight_a, base_a, base_b, rows)
 
 
 def layouts(d):
@@ -92,6 +99,132 @@ class TestBitwise:
             assert got.tobytes() == expected.tobytes(), fn.__name__
 
 
+def batch_inputs(ds, rng):
+    """(a, b): row i holds the a- and b-block of a sweep of size ds[i] in its
+    first ds[i] entries and noise after them."""
+    width = max(ds)
+    return rng.random((len(ds), width)), rng.random((len(ds), width))
+
+
+def sweep_rows_by_loop(ds, weight, a, b, outer=None):
+    """Each row's sweep by ``_memory_sweep_py``, one row at a time; the
+    outer slots of row i are a[i, :outer[i]], visited in that order."""
+    a, b = a.copy(), b.copy()
+    for i, d in enumerate(ds):
+        m = d if outer is None else outer[i]
+        vec = np.concatenate([a[i, :m], np.zeros(d - m), b[i, :d]])
+        _memory_sweep_py(vec, d, weight, 0, d, rows=list(range(m)))
+        a[i, :m], b[i, :d] = vec[:m], vec[d:]
+    return a, b
+
+
+def assert_same_bytes(got, expected):
+    """The whole a and b arrays, as bytes: every row's own slots, and the
+    entries past them, which a sweep leaves as they are."""
+    assert got[0].tobytes() == expected[0].tobytes(), "a"
+    assert got[1].tobytes() == expected[1].tobytes(), "b"
+
+
+def one_wavefront(ds, weight, a, b, outer=None):
+    """Every row's sweep on one wavefront, in the given row order."""
+    a, b = a.copy(), b.copy()
+    Wavefront(ds, weight, outer).run(a, b)
+    return a, b
+
+
+def by_blocks(ds, weight, a, b):
+    """The rows cut into ``wavefront_blocks``, one wavefront per block, as
+    the batched callers run them."""
+    a, b = a.copy(), b.copy()
+    for rows in wavefront_blocks(ds):
+        block_a, block_b = a[rows], b[rows]
+        Wavefront([ds[i] for i in rows], weight).run(block_a, block_b)
+        a[rows], b[rows] = block_a, block_b
+    return a, b
+
+
+# a row one past a full first block (64 * 64 doubles) starts a second one
+FULL_BLOCK_D = 64
+assert FULL_BLOCK_D * FULL_BLOCK_D == _kernels._BLOCK_ELEMENTS
+
+
+class TestBatch:
+    @pytest.mark.parametrize("run_rows", [one_wavefront, by_blocks])
+    @pytest.mark.parametrize("ds", [
+        [1], [1, 2, 3, 4, 5], [127, 128, 129], [1, 64, 256],
+        [5, 3, 9, 3, 1, 12, 9],                            # unsorted, repeated
+        list(range(1, FULL_BLOCK_D + 3)),                  # a block boundary
+    ], ids=["one", "1-5", "127-129", "1-64-256", "unsorted-repeated", "blocks"])
+    def test_every_row_equals_its_own_sweep(self, ds, run_rows):
+        rng = np.random.default_rng(len(ds))
+        a, b = batch_inputs(ds, rng)
+        weight = rng.uniform(0.5, 1.0)
+        assert_same_bytes(run_rows(ds, weight, a, b), sweep_rows_by_loop(ds, weight, a, b))
+
+    def test_blocks_sort_by_d_and_bound_the_buffers(self):
+        assert wavefront_blocks(range(1, FULL_BLOCK_D + 1)) == [list(range(FULL_BLOCK_D))]
+        assert wavefront_blocks(range(1, FULL_BLOCK_D + 3)) == [
+            list(range(FULL_BLOCK_D)), [FULL_BLOCK_D, FULL_BLOCK_D + 1]]
+        assert wavefront_blocks([3, 1, 3, 2]) == [[1, 3, 0, 2]]
+        assert wavefront_blocks([]) == []
+
+    @pytest.mark.parametrize("block_elements", [1, 16, 64])
+    def test_small_blocks_change_no_bit(self, monkeypatch, block_elements):
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
+        ds = [5, 3, 9, 3, 1, 12, 9, 2, 7]
+        blocks = wavefront_blocks(ds)
+        assert sorted(i for rows in blocks for i in rows) == list(range(len(ds)))
+        assert all(len(rows) == 1 or len(rows) * max(ds[i] for i in rows) <= block_elements
+                   for rows in blocks)
+        rng = np.random.default_rng(block_elements)
+        a, b = batch_inputs(ds, rng)
+        assert_same_bytes(by_blocks(ds, 0.7, a, b), sweep_rows_by_loop(ds, 0.7, a, b))
+
+    @pytest.mark.parametrize("ds", [[3], [WAVEFRONT_MIN_WIDTH], [4, 1, 7, 7, 2]])
+    def test_reused_wavefront_equals_fresh_sweeps(self, ds):
+        rng = np.random.default_rng(sum(ds))
+        wavefront = Wavefront(ds, 0.8)
+        for _ in range(4):
+            a, b = batch_inputs(ds, rng)
+            expected = sweep_rows_by_loop(ds, 0.8, a, b)
+            wavefront.run(a, b)
+            assert_same_bytes((a, b), expected)
+
+    @pytest.mark.parametrize("d, m", [(5, 1), (5, 3), (WAVEFRONT_MIN_WIDTH + 9, 130)])
+    def test_outer_subset_of_one_row(self, d, m):
+        rng = np.random.default_rng(d + m)
+        a, b = batch_inputs([d], rng)
+        assert_same_bytes(one_wavefront([d], 0.6, a, b, [m]),
+                          sweep_rows_by_loop([d], 0.6, a, b, [m]))
+
+    def test_runs_on_views_in_place(self):
+        d = 6
+        vec = np.random.default_rng(3).random(4 * d)
+        expected = vec.copy()
+        _memory_sweep_py(expected, d, 0.7, 0, 3 * d)
+        Wavefront([d], 0.7).run(vec[None, :d], vec[None, 3 * d:])
+        assert vec.tobytes() == expected.tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(1, 200), min_size=1, max_size=5),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.sampled_from([1, 300, _kernels._BLOCK_ELEMENTS]))
+    def test_property_ragged_batches(self, ds, weight, block_elements):
+        rng = np.random.default_rng(sum(ds))
+        a, b = batch_inputs(ds, rng)
+        expected = sweep_rows_by_loop(ds, weight, a, b)
+        assert_same_bytes(one_wavefront(ds, weight, a, b), expected)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
+            assert_same_bytes(by_blocks(ds, weight, a, b), expected)
+
+    @pytest.mark.parametrize("ds, outer", [([], None), ([0], None), ([3, 0], None),
+                                           ([3], [4]), ([3], [0]), ([3, 4], [3])])
+    def test_bad_sizes_raise(self, ds, outer):
+        with pytest.raises(ValueError):
+            Wavefront(ds, 0.75, outer)
+
+
 class TestDispatch:
     @pytest.mark.parametrize("d, rows, wavefront", [
         (WAVEFRONT_MIN_WIDTH - 1, None, False),
@@ -102,7 +235,7 @@ class TestDispatch:
     def test_widest_anti_diagonal_picks_the_path(self, monkeypatch, d, rows,
                                                  wavefront):
         calls = []
-        monkeypatch.setattr(_kernels, "_memory_sweep_wavefront",
+        monkeypatch.setattr(_kernels.Wavefront, "run",
                             lambda *args: calls.append(args))
         memory_sweep(np.full(2 * d, 0.5 / d), d, 0.75, 0, d, rows)
         assert bool(calls) is wavefront

@@ -99,6 +99,34 @@ class TestProtocolValues:
         with pytest.raises(ValueError):
             simulate_memory_beta_swap(2, 0.5, 1.0)
 
+    def test_list_form_rejects_bad_p0_and_gamma(self):
+        for p0, gamma in ((1.5, 0.75), (-0.5, 0.75), (0.5, 1.0), (0.5, 0.0)):
+            with pytest.raises(ValueError):
+                simulate_memory_beta_swap([1, 2, 3], p0, gamma)
+
+    @pytest.mark.parametrize("d", [0, 2.7, 2.0, True, [1, 0], [1, 2.7], [True], [3, False]])
+    def test_rejects_a_memory_dimension_that_is_no_integer_from_one(self, d):
+        with pytest.raises(ValueError, match="memory dimension d"):
+            simulate_memory_beta_swap(d, 0.5, 0.75)
+
+
+class TestBatchedSweeps:
+    @pytest.mark.parametrize("gamma", [17 / 32, 0.75, 31 / 32])
+    @pytest.mark.parametrize("p0", [0.0, 0.5, 1.0])
+    def test_list_form_equals_one_call_per_d(self, gamma, p0):
+        ds = range(1, 201)
+        batch = simulate_memory_beta_swap(ds, p0, gamma)
+        scalar = np.array([simulate_memory_beta_swap(d, p0, gamma) for d in ds])
+        assert batch.tobytes() == scalar.tobytes()
+
+    def test_unsorted_repeated_list_keeps_its_order(self):
+        ds = [7, 2, 130, 2, 1]
+        batch = simulate_memory_beta_swap(np.array(ds), 0.25, 0.75)
+        assert batch.tolist() == [simulate_memory_beta_swap(d, 0.25, 0.75) for d in ds]
+
+    def test_empty_list_gives_an_empty_array(self):
+        assert simulate_memory_beta_swap([], 0.25, 0.75).shape == (0,)
+
 
 class TestClosedForm:
     def test_matches_simulation_on_grid(self):
