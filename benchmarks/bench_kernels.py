@@ -15,6 +15,12 @@ wavefront built once against 50 one-off ``memory_sweep`` calls, each on its
 own input.  Best of ``--repeats``; every row must leave the same bytes as
 the per-d or one-off sweeps.
 
+Reused wavefront: at d in {32, 48, 64, 96, 127}, one ``Wavefront`` built
+once and run 50 times, each on its own input, against 50 ``_memory_sweep_py``
+calls, best of ``--repeats``.  This is the choice a cooling run makes for its
+rounds; ``WAVEFRONT_REUSE_MIN_WIDTH`` is the d where the wavefront starts to
+win.  Every run must leave the same bytes as the loop.
+
 I_d: at d in {20, 100, 400, 1000} on fig2's 2000-point W grid (beta E = 0.7,
 beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
 (once) against one array call over the grid (best of ``--repeats``), and
@@ -29,8 +35,8 @@ replaced (timed once; for I_d only at d <= 200, where one run takes at most
 about 1 s).  The alternating route must give the same bytes and I_d an
 equal Fraction.
 
-Exits 1 when any sweep dimension, batch, I_d dimension or exact result
-differs.
+Exits 1 when any sweep dimension, batch, reused sweep, I_d dimension or
+exact result differs.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -43,8 +49,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_py,
-                                 memory_sweep, wavefront_blocks)
+from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, WAVEFRONT_REUSE_MIN_WIDTH,
+                                 Wavefront, _memory_sweep_py, memory_sweep,
+                                 wavefront_blocks)
 from thermoproc.combinatorics import I_d_eval, _l_alternating
 from thermoproc.workx import ExtractionSetup
 
@@ -52,6 +59,7 @@ SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
 REUSE_DIMS = (128, 256, 400)
 REUSE_RUNS = 50
+REUSE_LOOP_DIMS = (32, 48, 64, 96, 127)
 I_D_DIMS = (20, 100, 400, 1000)
 I_D_POINTS = 2000
 EXACT_I_D_DIMS = (100, 200, 500, 1000)
@@ -69,11 +77,11 @@ def best_time(fn, vec, d, repeats):
     return best, work
 
 
-def sweep_each(vecs, ds):
-    """One ``memory_sweep`` per (vector, d); the swept copies."""
+def sweep_each(vecs, ds, sweep=memory_sweep):
+    """One ``sweep`` per (vector, d); the swept copies."""
     out = [vec.copy() for vec in vecs]
     for vec, d in zip(out, ds):
-        memory_sweep(vec, d, 0.75, 0, d)
+        sweep(vec, d, 0.75, 0, d)
     return out
 
 
@@ -127,6 +135,27 @@ def bench_batch(repeats):
         vecs = [rng.random(2 * d) / (2 * d) for _ in range(REUSE_RUNS)]
         row(f"{REUSE_RUNS} x d = {d}", vecs, [d] * REUSE_RUNS,
             lambda: sweep_reused(vecs, d))
+    return mismatches
+
+
+def bench_reuse(repeats):
+    """Print the reused-wavefront table; return the d whose bytes differ."""
+    rng = np.random.default_rng(2)
+    print(f"\n{REUSE_RUNS} sweeps of one d, cooling takes the wavefront from "
+          f"d = {WAVEFRONT_REUSE_MIN_WIDTH}")
+    print(f"{'d':>6} {'loop [ms]':>10} {'wavefront [ms]':>15} {'ratio':>6} "
+          f"{'bitwise':>8}")
+    mismatches = []
+    for d in REUSE_LOOP_DIMS:
+        vecs = [rng.random(2 * d) / (2 * d) for _ in range(REUSE_RUNS)]
+        t_ref, ref = timed(lambda: sweep_each(vecs, [d] * REUSE_RUNS, _memory_sweep_py),
+                           repeats)
+        t_new, new = timed(lambda: sweep_reused(vecs, d), repeats)
+        same = all(x.tobytes() == y.tobytes() for x, y in zip(ref, new))
+        if not same:
+            mismatches.append(d)
+        print(f"{d:>6} {t_ref * 1e3:>10.2f} {t_new * 1e3:>15.2f} "
+              f"{t_new / t_ref:>6.2f} {str(same):>8}")
     return mismatches
 
 
@@ -256,6 +285,7 @@ def main():
         print(f"{d:>6} {d * d:>10} {path:>10} {t_ref * 1e3:>11.3f} "
               f"{t_new * 1e3:>18.3f} {t_ref / t_new:>7.1f}x {str(same):>8}")
     batch_mismatches = bench_batch(args.repeats)
+    reuse_mismatches = bench_reuse(args.repeats)
     id_mismatches = bench_I_d(args.repeats)
     exact_mismatches = bench_exact(args.repeats)
     if mismatches:
@@ -264,13 +294,18 @@ def main():
     if batch_mismatches:
         print(f"the wavefront differs from one sweep at a time: {batch_mismatches}",
               file=sys.stderr)
+    if reuse_mismatches:
+        print(f"a reused wavefront differs from _memory_sweep_py at d = {reuse_mismatches}",
+              file=sys.stderr)
     if id_mismatches:
         print(f"the I_d array call differs from the per-point calls at d = {id_mismatches}",
               file=sys.stderr)
     if exact_mismatches:
         print(f"the exact layer differs from its Fraction reference: {exact_mismatches}",
               file=sys.stderr)
-    return 1 if mismatches or batch_mismatches or id_mismatches or exact_mismatches else 0
+    failed = (mismatches or batch_mismatches or reuse_mismatches or id_mismatches
+              or exact_mismatches)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

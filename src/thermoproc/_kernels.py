@@ -10,25 +10,33 @@ for a_k after its step against b_j, the sweep is the 2-D recurrence
 
 so a cell depends only on its left and upper neighbours.  The cells of one
 anti-diagonal k + j = s therefore do not depend on each other, and
-``Wavefront`` updates a whole anti-diagonal with three numpy calls on strided
-views.  Each cell still sees the same IEEE operations in the same order as in
-the plain loop, so the two implementations agree bit for bit.
+``Wavefront`` updates a whole anti-diagonal with three numpy calls on slices
+of one buffer.  Each cell still sees the same IEEE operations in the same
+order as in the plain loop, so the two implementations agree bit for bit.
 
-``Wavefront`` runs B independent sweeps of sizes ``ds`` together.  Their
-a-blocks are the rows of a (B, D) array and their b-blocks the rows of
-another, stored reversed and right-aligned: ``br[i, D-1-j]`` is b_j of row i.
-Then cell (k, j) of every row lies on anti-diagonal s = k + j in the same
-columns, and one step updates all B rows with the same three calls, on 2-D
-slices.  A row with d_i < D is padded to D.  Its padded cells (k >= d_i or
-j >= d_i) never feed a real one, since a real cell reads only its left and
-upper neighbours, which are real.  But padded cells do overwrite finished
-slots: cell (e, d_i) overwrites the final a_e and cell (d_i, e) the final
-b_e.  So a wavefront with such rows copies each slot out after step
-s = e + d_i - 1, where it takes its final value; one whose rows all have its
-largest sizes, a single sweep say, copies nothing and runs exactly the steps
-of that sweep.  The views of every step and the indices of every copy are
-built with the wavefront, so a sweep run many times (the rounds of a cooling
-run) pays for them once.
+``Wavefront`` runs B independent sweeps of sizes ``ds`` together, on one
+buffer in which the rows are interleaved: a_k of row i sits at buf[k*B + i]
+and b_j at buf[B*m + (D-1-j)*B + i], where m is the largest number of outer
+slots and D the largest d.  The b-blocks are stored reversed, so the cells
+(k, s-k) of anti-diagonal s, for k from lo to hi-1, read and write the a
+slots buf[lo*B:hi*B] and the b slots of one equally long run that starts at
+B*m + (D-1-s+lo)*B, every row's cell next to the same cell of the other rows.
+One step is then three numpy calls on two contiguous 1-D slices of the
+buffer, which numpy runs on its fast path.  Rows stored one after the other
+would make every step a 2-D strided view, on which numpy's general iterator
+makes a run of two rows of d = 256 cost 2 to 3 times one of one row; on the
+interleaved buffer it costs 1.0 to 1.2 times as much (2-CPU x86 host).
+A row with d_i < D is padded to D.  Its padded cells (k >= d_i or j >= d_i)
+never feed a real one, since a real cell reads only its left and upper
+neighbours, which are real; the layout changes where a cell is stored, not
+which cells it reads.  But padded cells do overwrite finished slots: cell
+(e, d_i) overwrites the final a_e and cell (d_i, e) the final b_e.  So a
+wavefront with such rows copies each slot out after step s = e + d_i - 1,
+where it takes its final value; one whose rows all have its largest sizes,
+a single sweep say, copies nothing and runs exactly the steps of that
+sweep.  The slices of every step and the indices of every copy are built
+with the wavefront, so a sweep run many times (the rounds of a cooling run)
+pays for them once.
 
 ``wavefront_blocks`` cuts a batch of many sweeps into blocks: rows sorted by
 d, at most ``_BLOCK_ELEMENTS`` doubles per buffer, each block padded only to
@@ -36,16 +44,24 @@ its own largest d.  That bounds the padded work, and, as a caller builds and
 runs the wavefront of one block at a time, the memory, whatever the largest d.
 
 A numpy call costs about a microsecond whatever its length, so the wavefront
-pays off only when anti-diagonals are long: ``memory_sweep`` takes it when the
-widest one, min(len(rows), d), is at least ``WAVEFRONT_MIN_WIDTH`` and
-otherwise runs ``_memory_sweep_py``, the plain loop over Python floats, which
-is also the reference the tests compare the wavefront against.  On a 2-CPU
-x86 host the two break even between d = 124 and d = 140 (three interleaved
-measurements); within 16 of that they differ by less than 10%.  A batch of
-many sweeps takes the wavefront at any d, since its anti-diagonals span all
-of its rows: in ``benchmarks/bench_kernels.py`` on a 2-CPU x86 host,
-d = 1..30 costs about what one sweep per d does (0.47 against 0.43 ms), and
-d = 1..200 under a third of it (15 against 52 ms).
+pays off only when anti-diagonals are long, and where it starts to pay
+depends on whether its build is paid once per sweep or once for many:
+
+  - ``memory_sweep`` takes it for a one-off sweep when the widest
+    anti-diagonal, min(len(rows), d), is at least ``WAVEFRONT_MIN_WIDTH``
+    and otherwise runs ``_memory_sweep_py``, the plain loop over Python
+    floats, which is also the reference the tests compare the wavefront
+    against.  On a 2-CPU x86 host the two break even between d = 124 and
+    d = 140 (three interleaved measurements); within 16 of that they differ
+    by less than 10%.
+  - A cooling run builds one wavefront and runs it every round from
+    ``WAVEFRONT_REUSE_MIN_WIDTH`` on.  In ``benchmarks/bench_kernels.py`` on
+    a 2-CPU x86 host (six runs), one wavefront built once and run 50 times
+    takes 0.8 to 1.0 of the time of 50 loop sweeps at d = 48, 0.6 to 0.8 at
+    d = 64 and 0.4 to 0.6 at d = 96; at d = 32 it takes 0.9 to 1.4 of it.
+  - A batch of many sweeps takes the wavefront at any d, since its
+    anti-diagonals span all of its rows: d = 1..30 costs about two thirds
+    of one sweep per d, and d = 1..200 a tenth to a fifth.
 """
 
 from __future__ import annotations
@@ -54,13 +70,17 @@ import operator
 
 import numpy as np
 
+# the widths from which a one-off sweep, and a sweep rerun every round of a
+# cooling run, take the wavefront; measured as told above
 WAVEFRONT_MIN_WIDTH = 128
+WAVEFRONT_REUSE_MIN_WIDTH = 48
 
 # doubles per buffer of one wavefront block: bounds a batch's memory whatever
 # its largest d, and the padded cells its shorter rows compute.  On a 2-CPU
-# x86 host, at 2^12, 2^13 and 2^14: d = 1..200 takes 15 ms at each (19 ms at
-# 2^11), d = 1..400 92, 76 and 70 ms, and four sweep-scaled passes leave the
-# peak RSS 0.4, 0.9 and 1.5 MB above that of one sweep per d
+# x86 host (best of 10, three noisy runs), at 2^11, 2^12, 2^13 and 2^14:
+# d = 1..200 takes 13-25, 10-14, 9-11 and 9-11 ms, d = 1..400 77-130, 63-86,
+# 46-64 and 45-52 ms, and a process that has run four sweep-scaled passes
+# peaks at 34.7, 34.7, 34.9 and 35.5 MB
 _BLOCK_ELEMENTS = 1 << 12
 
 
@@ -128,7 +148,7 @@ class Wavefront:
 
     Row i sweeps ``outer[i]`` outer slots (default ``ds[i]``) against
     ``ds[i]`` inner slots, with ``weight_a`` going to the outer slot as in
-    ``_memory_sweep_py``.  The views of every step and the final-value
+    ``_memory_sweep_py``.  The slices of every step and the final-value
     copies are built here, once; ``run`` may then be called any number of
     times.
     """
@@ -144,36 +164,36 @@ class Wavefront:
         self._w = np.array(float(weight_a))
         self._v = np.array(1.0 - float(weight_a))
         n, m, d = len(ds), max(outer), max(ds)
-        self._sizes = list(zip(outer, ds))
-        self._buf = np.zeros(n * (m + d))
-        a = self._buf[:n * m].reshape(n, m)
-        br = self._buf[n * m:].reshape(n, d)  # br[i, d-1-j] is b_j of row i
-        self._a, self._br = a, br
+        self._buf = buf = np.zeros(n * (m + d))
+        # at[k, i] is a_k of row i, bt[d-1-j, i] its b_j
+        self._at = buf[:n * m].reshape(m, n)
+        self._bt = buf[n * m:].reshape(d, n)
         self._steps = []
         for s in range(m + d - 1):
             lo = s - d + 1 if s >= d else 0
             hi = s + 1 if s < m else m
-            off = d - 1 - s
-            self._steps.append((a[:, lo:hi], br[:, off + lo:off + hi]))
+            b_lo = n * m + (d - 1 - s + lo) * n
+            self._steps.append((buf[lo * n:hi * n], buf[b_lo:b_lo + (hi - lo) * n]))
         if min(outer) == m and min(ds) == d:
             self._copies = [None] * len(self._steps)
-            self._final = self._buf
+            self._final = buf
+            self._real_a = self._real_b = Ellipsis  # every slot is real
         else:
+            k = np.arange(m)[:, None]
+            j = np.arange(d - 1, -1, -1)[:, None]  # the b_j in each row of bt
+            outer, ds = np.array(outer), np.array(ds)
+            self._real_a, self._real_b = k < outer, j < ds
             # the step after which each slot is final; -1 for a pad
-            when = np.empty(len(self._buf), dtype=np.intp)
-            when.fill(-1)
-            for i, (mi, di) in enumerate(self._sizes):
-                when[i * m:i * m + mi] = np.arange(di - 1, di - 1 + mi)
-                start = n * m + i * d + d - di  # br[i, d-di:] holds b_{di-1}..b_0
-                when[start:start + di] = np.arange(mi + di - 2, mi - 2, -1)
+            when = np.concatenate([np.where(self._real_a, k + ds - 1, -1).ravel(),
+                                   np.where(self._real_b, outer - 1 + j, -1).ravel()])
             order = np.argsort(when, kind="stable")
             per_step = np.bincount(when + 1, minlength=len(self._steps) + 1)
             # the pads come first in ``order`` and are dropped
             self._copies = [idx if len(idx) else None
                             for idx in np.split(order, np.cumsum(per_step)[:-1])[1:]]
-            self._final = np.zeros_like(self._buf)
-        self._final_a = self._final[:n * m].reshape(n, m)
-        self._final_br = self._final[n * m:].reshape(n, d)
+            self._final = np.zeros_like(buf)
+        self._final_at = self._final[:n * m].reshape(m, n)
+        self._final_bt = self._final[n * m:].reshape(d, n)
 
     def run(self, a, b):
         """Run every sweep in place on the 2-D arrays ``a`` and ``b``.
@@ -181,12 +201,13 @@ class Wavefront:
         Row i's outer slots are a[i, :outer[i]] in visiting order and its
         inner slots b[i, :ds[i]]; the entries past those are left as they are.
         """
-        d = self._br.shape[1]
-        # padded slots keep what the last run left in them: finite values
-        # that never feed a real slot
-        for i, (mi, di) in enumerate(self._sizes):
-            self._a[i, :mi] = a[i, :mi]
-            self._br[i, d - di:] = b[i, :di][::-1]
+        # views of a and b in the buffer's layout, and the real slots of each;
+        # padded slots keep what the last run left in them: finite values that
+        # never feed a real slot
+        at, bt = a[:, :len(self._at)].T, b[:, :len(self._bt)].T[::-1]
+        real_a, real_b = self._real_a, self._real_b
+        self._at[real_a] = at[real_a]
+        self._bt[real_b] = bt[real_b]
         w, v = self._w, self._v
         add, mul = np.add, np.multiply
         buf, final = self._buf, self._final
@@ -196,9 +217,8 @@ class Wavefront:
             mul(t, v, t)
             if idx is not None:
                 final[idx] = buf[idx]
-        for i, (mi, di) in enumerate(self._sizes):
-            a[i, :mi] = self._final_a[i, :mi]
-            b[i, :di] = self._final_br[i, d - di:][::-1]
+        at[real_a] = self._final_at[real_a]
+        bt[real_b] = self._final_bt[real_b]
 
 
 def memory_sweep(vec, d, weight_a, base_a, base_b, rows=None):

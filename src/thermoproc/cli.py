@@ -227,10 +227,14 @@ class RunManifest:
         return out
 
 
+def _spec(kind: type) -> str:
+    """The %-conversion that prints a value of type ``kind``: floats with 17
+    significant digits, anything else as ``str`` prints it."""
+    return "%.17g" if issubclass(kind, (float, np.floating)) else "%s"
+
+
 def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+    return _spec(type(value)) % (value,)
 
 
 def _write_csv(path: Path, header_meta: dict, columns, rows):
@@ -240,11 +244,16 @@ def _write_csv(path: Path, header_meta: dict, columns, rows):
     for key in sorted(header_meta):
         lines.append(f"# {key}={_fmt(header_meta[key])}")
     lines.append(",".join(columns))
+    templates = {}  # one row template per sequence of value types
     for i, row in enumerate(rows, 1):
         if not all(map(math.isfinite, row)):
             column = next(c for c, v in zip(columns, row) if not math.isfinite(v))
             raise ValueError(f"{path}: non-finite value in data row {i}, column {column}")
-        lines.append(",".join(_fmt(v) for v in row))
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_spec, kinds))
+        lines.append(template % tuple(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -293,16 +302,16 @@ def _emit_cooling(cfg: ExperimentConfig, outdir: Path):
         simulate, closed_form = cooling.cool_incoherent, cooling.incoherent_closed_form
         kw = {k: p[k] for k in ("E", "script_E", "beta", "beta_hot")}
         meta["p_star"] = cooling.p_star_incoherent(**kw)
-    rounds = range(1, p["rounds"] + 1)
     columns = ["round"]
-    rows = [[n] for n in rounds]
+    rows = [[n] for n in range(1, p["rounds"] + 1)]
     classes = [("tp", "TP", None), ("mtp", "MTP", None)]
     classes += [(f"mmtp_d{d}", "MMTP", d) for d in p["d_list"]]
     for label, process, d in classes:
         columns += [f"p_{label}", f"p_{label}_closed"]
         sim = simulate(process, p["rounds"], d=d, **kw).populations
-        for n, row in zip(rounds, rows):
-            row += [sim[n - 1], closed_form(process, n, d=d, **kw)]
+        closed = closed_form(process, p["rounds"], d=d, **kw)
+        for row, *values in zip(rows, sim, closed):
+            row += values
     path = _write_csv(outdir / f"{cfg.experiment.replace('-', '_')}.csv", meta,
                       columns, rows)
     return [path]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import WAVEFRONT_MIN_WIDTH, Wavefront, memory_sweep
+from ._kernels import WAVEFRONT_REUSE_MIN_WIDTH, Wavefront, memory_sweep
 from .combinatorics import _require_int, delta_d
 from .core import clip_noise
 from .memory import _ground_totals, simulate_memory_beta_swap
@@ -55,7 +55,8 @@ class CoolingRun:
 
     def __post_init__(self):
         pops = np.asarray(self.populations, dtype=np.float64)
-        if pops.min() < 0.0 or pops.max() > 1.0:
+        # NaN propagates through min and max and fails both comparisons
+        if not (pops.min() >= 0.0 and pops.max() <= 1.0):
             raise ValueError("populations must lie in [0, 1]")
         self.populations = pops
 
@@ -72,7 +73,7 @@ def _check_process(process: str, d):
 
 def _wavefront(process: str, d, weight: float):
     """One wavefront for every round of a wide MMTP run, else None."""
-    if process == "MMTP" and d >= WAVEFRONT_MIN_WIDTH:
+    if process == "MMTP" and d >= WAVEFRONT_REUSE_MIN_WIDTH:
         return Wavefront([d], weight)
     return None
 
@@ -111,22 +112,33 @@ def coherent_p_max(d: int, gamma):
     equals gamma at d = 1 and tends to 1 as d grows.  Fraction arguments
     evaluate exactly.
     """
-    q = (1 - gamma) / gamma
-    return 1 - gamma / (1 + (1 - q) / delta_d(d, gamma))
+    return _p_max(gamma, (1 - gamma) / gamma, delta_d(d, gamma))
 
 
-def coherent_closed_form(process: str, n: int, gamma, d=None):
-    """Closed-form ground population after n coherent rounds."""
+def _p_max(gamma, q, delta):
+    return 1 - gamma / (1 + (1 - q) / delta)
+
+
+def coherent_closed_form(process: str, n: int, gamma, d=None) -> list:
+    """Closed-form ground populations after coherent rounds 1..n.
+
+    TP: 1 - (1 - gamma) q^k; MTP: gamma; MMTP: p_max - (q - delta_d)^k
+    (p_max - gamma).  ``delta_d`` and ``p_max`` are computed once for the
+    column.  Fraction arguments evaluate exactly.
+    """
     if n < 1:
         raise ValueError("need at least one round")
     d = _check_process(process, d)
+    rounds = range(1, n + 1)
     q = (1 - gamma) / gamma
     if process == "TP":
-        return 1 - (1 - gamma) * q ** n
+        return [1 - (1 - gamma) * q ** k for k in rounds]
     if process == "MTP":
-        return gamma
-    p_max = coherent_p_max(d, gamma)
-    return p_max - (q - delta_d(d, gamma)) ** n * (p_max - gamma)
+        return [gamma] * n
+    delta = delta_d(d, gamma)
+    p_max = _p_max(gamma, q, delta)
+    rate = q - delta
+    return [p_max - rate ** k * (p_max - gamma) for k in rounds]
 
 
 @dataclass(frozen=True)
@@ -249,13 +261,15 @@ def incoherent_rate(process: str, E: float, script_E: float, beta: float,
 
 
 def incoherent_closed_form(process: str, n: int, E: float, script_E: float,
-                           beta: float, beta_hot: float, d=None) -> float:
-    """Closed-form ground population after n incoherent rounds."""
+                           beta: float, beta_hot: float, d=None) -> list:
+    """Closed-form ground populations after incoherent rounds 1..n:
+    p_star - rate^k (p_star - gamma), with the rate computed once."""
     if n < 1:
         raise ValueError("need at least one round")
     s = IncoherentSetting(E, script_E, beta, beta_hot)
     rate = incoherent_rate(process, E, script_E, beta, beta_hot, d)
-    return s.p_star - rate ** n * (s.p_star - s.gamma)
+    p_star, gamma = s.p_star, s.gamma
+    return [p_star - rate ** k * (p_star - gamma) for k in range(1, n + 1)]
 
 
 def measured_rates(run: CoolingRun, p_star: float) -> np.ndarray:

@@ -129,6 +129,16 @@ class TestRunFig2:
             cli._write_csv(path, {}, ["a", "b"], [[np.float64(-np.inf), 0.5]])
         assert not path.exists()
 
+    def test_rows_print_ints_as_str_and_floats_with_17_digits(self, tmp_path):
+        # a column may change type between rows; each row prints by its own types
+        rows = [[1, 0.1, np.float64(1 / 3)], [np.int64(2), 3, -0.0],
+                [True, 1e-300, 2.5], [4, np.float64(7), 0]]
+        cli._write_csv(tmp_path / "t.csv", {"k": 0.2}, ["a", "b", "c"], rows)
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            "# k=0.20000000000000001", "a,b,c",
+            "1,0.10000000000000001,0.33333333333333331",
+            "2,3,-0", "True,1e-300,2.5", "4,7,0"]
+
     def test_manifest_digests_match_files(self, tmp_path):
         cfg = cli.ExperimentConfig.from_dict({
             "experiment": "fig2", "output_dir": str(tmp_path / "out"),

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from thermoproc import cooling
-from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py
+from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, WAVEFRONT_REUSE_MIN_WIDTH,
+                                 _memory_sweep_py)
 from thermoproc.combinatorics import delta_d
 from thermoproc.core import clip_noise
 from thermoproc.majorization import beta_order
@@ -70,8 +71,30 @@ def incoherent_mmtp_by_loop(n, d, E, script_E, beta, beta_hot):
     return np.array(pops)
 
 
-# either side of the width where the rounds switch to one reused wavefront
-WIDE_DS = [WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 2 * WAVEFRONT_MIN_WIDTH]
+def coherent_closed_form_at(process, n, gamma, d=None):
+    """The coherent closed form at round n alone, the per-entry expression
+    the column must reproduce."""
+    q = (1 - gamma) / gamma
+    if process == "TP":
+        return 1 - (1 - gamma) * q ** n
+    if process == "MTP":
+        return gamma
+    p_max = cooling.coherent_p_max(d, gamma)
+    return p_max - (q - delta_d(d, gamma)) ** n * (p_max - gamma)
+
+
+def incoherent_closed_form_at(process, n, d=None, **kw):
+    """The incoherent closed form at round n alone."""
+    s = cooling.IncoherentSetting(**kw)
+    rate = cooling.incoherent_rate(process, d=d, **kw)
+    return s.p_star - rate ** n * (s.p_star - s.gamma)
+
+
+# either side of the width where the rounds switch to one reused wavefront,
+# and of the width where a one-off sweep would
+WIDE_DS = [WAVEFRONT_REUSE_MIN_WIDTH - 1, WAVEFRONT_REUSE_MIN_WIDTH,
+           WAVEFRONT_REUSE_MIN_WIDTH + 1,
+           WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 2 * WAVEFRONT_MIN_WIDTH]
 
 
 class TestReusedWavefront:
@@ -85,6 +108,42 @@ class TestReusedWavefront:
         run = cooling.cool_incoherent("MMTP", 4, d=d, **REF)
         assert run.populations.tobytes() == incoherent_mmtp_by_loop(4, d, **REF).tobytes()
 
+    def test_one_wavefront_per_run_from_the_reuse_width(self, monkeypatch):
+        built, build = [], cooling.Wavefront
+        monkeypatch.setattr(cooling, "Wavefront",
+                            lambda *args: built.append(args[0]) or build(*args))
+        for d in (WAVEFRONT_REUSE_MIN_WIDTH - 1, WAVEFRONT_REUSE_MIN_WIDTH):
+            cooling.cool_coherent("MMTP", 3, 0.75, d)
+            cooling.cool_incoherent("MMTP", 3, d=d, **REF)
+        assert built == [[WAVEFRONT_REUSE_MIN_WIDTH]] * 2
+
+
+CLASSES = [("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 3), ("MMTP", 8)]
+
+
+class TestClosedFormColumns:
+    @pytest.mark.parametrize("process, d", CLASSES)
+    @pytest.mark.parametrize("gamma", [0.6, 0.75, 0.9])
+    def test_coherent_column_equals_per_round_values(self, process, d, gamma):
+        column = cooling.coherent_closed_form(process, 30, gamma, d)
+        expected = [coherent_closed_form_at(process, n, gamma, d) for n in range(1, 31)]
+        assert np.array(column).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("process, d", CLASSES)
+    def test_incoherent_column_equals_per_round_values(self, process, d):
+        column = cooling.incoherent_closed_form(process, 30, d=d, **REF)
+        expected = [incoherent_closed_form_at(process, n, d=d, **REF)
+                    for n in range(1, 31)]
+        assert np.array(column).tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("process, d", CLASSES)
+    def test_fraction_gamma_gives_equal_fractions(self, process, d):
+        gamma = Fraction(3, 4)
+        column = cooling.coherent_closed_form(process, 6, gamma, d)
+        assert all(isinstance(v, Fraction) for v in column)
+        assert column == [coherent_closed_form_at(process, n, gamma, d)
+                          for n in range(1, 7)]
+
 
 class TestCoherent:
     def test_first_round_swap_value(self):
@@ -92,7 +151,7 @@ class TestCoherent:
         assert abs(run.populations[0] - (1.0 - 0.25 / 3.0)) <= 1e-15
 
     def test_swap_closed_form_third_round(self):
-        assert abs(cooling.coherent_closed_form("TP", 3, 0.75)
+        assert abs(cooling.coherent_closed_form("TP", 3, 0.75)[2]
                    - (1.0 - 0.25 / 27.0)) <= 1e-15
 
     def test_thermalization_class_pins_to_gamma(self):
@@ -110,10 +169,8 @@ class TestCoherent:
                             ("MMTP", [1, 2, 4, 8])):
             for d in ds:
                 run = cooling.cool_coherent(process, 50, gamma, d)
-                for n in range(1, 51):
-                    worst = max(worst, abs(
-                        run.populations[n - 1]
-                        - cooling.coherent_closed_form(process, n, gamma, d)))
+                closed = cooling.coherent_closed_form(process, 50, gamma, d)
+                worst = max(worst, np.abs(run.populations - closed).max())
         assert worst <= 1e-10
 
     def test_memory_run_clips_rounding_past_one(self):
@@ -121,8 +178,7 @@ class TestCoherent:
         gamma, d = 30 / 32, 64
         run = cooling.cool_coherent("MMTP", 50, gamma, d)
         assert run.populations.max() == 1.0
-        closed = [cooling.coherent_closed_form("MMTP", n, gamma, d)
-                  for n in range(1, 51)]
+        closed = cooling.coherent_closed_form("MMTP", 50, gamma, d)
         np.testing.assert_allclose(run.populations, closed, rtol=0, atol=1e-12)
 
     def test_monotone_convergence(self):
@@ -164,6 +220,12 @@ class TestCoherent:
         with pytest.raises(ValueError):
             cooling.cool_coherent("TP", 5, 0.4)
 
+    @pytest.mark.parametrize("pops", [[0.5, math.nan], [math.nan], [0.5, -0.1],
+                                      [1.5], [0.5, math.inf], [-math.inf]])
+    def test_run_rejects_populations_outside_the_unit_interval(self, pops):
+        with pytest.raises(ValueError, match="populations must"):
+            cooling.CoolingRun("coherent", "TP", {}, pops)
+
 
 class TestIncoherent:
     def test_asymptote_reference_value(self):
@@ -188,9 +250,8 @@ class TestIncoherent:
                                            ("MMTP", 5), ("MMTP", 8)])
     def test_simulation_matches_closed_form(self, process, d):
         run = cooling.cool_incoherent(process, 50, d=d, **REF)
-        worst = max(abs(run.populations[n - 1]
-                        - cooling.incoherent_closed_form(process, n, d=d, **REF))
-                    for n in range(1, 51))
+        closed = cooling.incoherent_closed_form(process, 50, d=d, **REF)
+        worst = np.abs(run.populations - closed).max()
         assert worst <= 1e-10
 
     def test_all_classes_share_asymptote(self):
@@ -254,7 +315,6 @@ class TestGridAgreement:
             return
         for process, d in (("TP", None), ("MTP", None), ("MMTP", 2), ("MMTP", 8)):
             run = cooling.cool_incoherent(process, 50, d=d, **kw)
-            worst = max(abs(run.populations[n - 1]
-                            - cooling.incoherent_closed_form(process, n, d=d, **kw))
-                        for n in range(1, 51))
+            closed = cooling.incoherent_closed_form(process, 50, d=d, **kw)
+            worst = np.abs(run.populations - closed).max()
             assert worst <= 1e-10
