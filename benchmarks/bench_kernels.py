@@ -10,16 +10,19 @@ d >= 2000, where one run takes 0.4 s or more.
 
 Batched wavefront: d = 1..d_max, d_max in {30, 200, 400}, cut into
 ``wavefront_blocks`` with one ``Wavefront`` built and run per block, against
-one ``memory_sweep`` per d; and at d in {128, 256, 400}, 50 runs of one
-wavefront built once against 50 one-off ``memory_sweep`` calls, each on its
-own input.  Best of ``--repeats``; every row must leave the same bytes as
-the per-d or one-off sweeps.
+one ``memory_sweep`` per d, best of ``--repeats``; every row must leave the
+same bytes as the per-d sweeps.
 
-Reused wavefront: at d in {32, 48, 64, 96, 127}, one ``Wavefront`` built
-once and run 50 times, each on its own input, against 50 ``_memory_sweep_py``
-calls, best of ``--repeats``.  This is the choice a cooling run makes for its
-rounds; ``WAVEFRONT_REUSE_MIN_WIDTH`` is the d where the wavefront starts to
-win.  Every run must leave the same bytes as the loop.
+Round response: one 50-round coherent MMTP run (gamma = 0.75) at d in
+{32, 48, 64, 256, 1000}, two ways, best of ``--repeats``: a fresh
+``simulate_memory_beta_swap`` every round, against one
+``memory._round_response`` and 50 affine steps.  Cooling runs take the
+response from ``RESPONSE_MIN_D`` on.  The rounds must stay within 1e-13 of
+the per-round ones at every d, and up to d = 256 the response must fix the
+Gibbs pair and conserve mass within 1e-15: the tolerances of the tests,
+which stop at d = 256.  At d = 1000 the invariants are printed but not
+checked: the d^2 sweep's own rounding there reaches about 3e-14 (against a
+long-double sweep, gamma = 0.75), and no bound for it is derived yet.
 
 I_d: at d in {20, 100, 400, 1000} on fig2's 2000-point W grid (beta E = 0.7,
 beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
@@ -35,8 +38,8 @@ replaced (timed once; for I_d only at d <= 200, where one run takes at most
 about 1 s).  The alternating route must give the same bytes and I_d an
 equal Fraction.
 
-Exits 1 when any sweep dimension, batch, reused sweep, I_d dimension or
-exact result differs.
+Exits 1 when any sweep dimension, batch, I_d dimension or exact result
+differs, or a round response is off its tolerances.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -49,17 +52,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, WAVEFRONT_REUSE_MIN_WIDTH,
-                                 Wavefront, _memory_sweep_py, memory_sweep,
-                                 wavefront_blocks)
+from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_py,
+                                 memory_sweep, wavefront_blocks)
 from thermoproc.combinatorics import I_d_eval, _l_alternating
+from thermoproc.core import clip_noise
+from thermoproc.memory import RESPONSE_MIN_D, _round_response, simulate_memory_beta_swap
 from thermoproc.workx import ExtractionSetup
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
-REUSE_DIMS = (128, 256, 400)
-REUSE_RUNS = 50
-REUSE_LOOP_DIMS = (32, 48, 64, 96, 127)
+RESPONSE_DIMS = (32, 48, 64, 256, 1000)
+ROUNDS = 50
+RESPONSE_GAMMA = 0.75
+INVARIANT_TOL = 1e-15
+INVARIANT_MAX_D = 256
+ROUNDS_TOL = 1e-13
 I_D_DIMS = (20, 100, 400, 1000)
 I_D_POINTS = 2000
 EXACT_I_D_DIMS = (100, 200, 500, 1000)
@@ -77,11 +84,11 @@ def best_time(fn, vec, d, repeats):
     return best, work
 
 
-def sweep_each(vecs, ds, sweep=memory_sweep):
-    """One ``sweep`` per (vector, d); the swept copies."""
+def sweep_each(vecs, ds):
+    """One ``memory_sweep`` per (vector, d); the swept copies."""
     out = [vec.copy() for vec in vecs]
     for vec, d in zip(out, ds):
-        sweep(vec, d, 0.75, 0, d)
+        memory_sweep(vec, d, 0.75, 0, d)
     return out
 
 
@@ -98,15 +105,6 @@ def sweep_batch(vecs, ds):
         Wavefront(block, 0.75).run(a, b)
         for r, (i, d) in enumerate(zip(rows, block)):
             out[i] = np.concatenate([a[r, :d], b[r, :d]])
-    return out
-
-
-def sweep_reused(vecs, d):
-    """One wavefront built once and run on (a copy of) each vector in turn."""
-    wavefront = Wavefront([d], 0.75)
-    out = [vec.copy() for vec in vecs]
-    for vec in out:
-        wavefront.run(vec[None, :d], vec[None, d:])
     return out
 
 
@@ -131,32 +129,52 @@ def bench_batch(repeats):
         ds = list(range(1, d_max + 1))
         vecs = [rng.random(2 * d) / (2 * d) for d in ds]
         row(f"d = 1..{d_max}", vecs, ds, lambda: sweep_batch(vecs, ds))
-    for d in REUSE_DIMS:
-        vecs = [rng.random(2 * d) / (2 * d) for _ in range(REUSE_RUNS)]
-        row(f"{REUSE_RUNS} x d = {d}", vecs, [d] * REUSE_RUNS,
-            lambda: sweep_reused(vecs, d))
     return mismatches
 
 
-def bench_reuse(repeats):
-    """Print the reused-wavefront table; return the d whose bytes differ."""
-    rng = np.random.default_rng(2)
-    print(f"\n{REUSE_RUNS} sweeps of one d, cooling takes the wavefront from "
-          f"d = {WAVEFRONT_REUSE_MIN_WIDTH}")
-    print(f"{'d':>6} {'loop [ms]':>10} {'wavefront [ms]':>15} {'ratio':>6} "
-          f"{'bitwise':>8}")
-    mismatches = []
-    for d in REUSE_LOOP_DIMS:
-        vecs = [rng.random(2 * d) / (2 * d) for _ in range(REUSE_RUNS)]
-        t_ref, ref = timed(lambda: sweep_each(vecs, [d] * REUSE_RUNS, _memory_sweep_py),
-                           repeats)
-        t_new, new = timed(lambda: sweep_reused(vecs, d), repeats)
-        same = all(x.tobytes() == y.tobytes() for x, y in zip(ref, new))
-        if not same:
-            mismatches.append(d)
-        print(f"{d:>6} {t_ref * 1e3:>10.2f} {t_new * 1e3:>15.2f} "
-              f"{t_new / t_ref:>6.2f} {str(same):>8}")
-    return mismatches
+def rounds_by_sweeps(d, gamma):
+    """The coherent MMTP rounds, each a fresh d^2 sweep."""
+    p, pops = gamma, []
+    for _ in range(ROUNDS):
+        p = clip_noise(simulate_memory_beta_swap(d, 1.0 - p, gamma))
+        pops.append(p)
+    return np.array(pops)
+
+
+def rounds_by_response(d, gamma):
+    """The same rounds stepped through one round response."""
+    (a_g, _), (b_g, _) = _round_response(d, gamma)
+    p, pops = gamma, []
+    for _ in range(ROUNDS):
+        inverted = 1.0 - p
+        p = clip_noise(inverted * a_g + (1.0 - inverted) * b_g)
+        pops.append(p)
+    return np.array(pops)
+
+
+def bench_response(repeats):
+    """Print the round-response table; return the d whose response is off
+    its tolerances."""
+    gamma = RESPONSE_GAMMA
+    print(f"\none {ROUNDS}-round coherent MMTP run, gamma = {gamma}; cooling "
+          f"takes the response from d = {RESPONSE_MIN_D}")
+    print(f"{'d':>6} {'per-round sweeps [ms]':>22} {'response [ms]':>14} "
+          f"{'speedup':>8} {'max |diff|':>11} {'invariants':>11}")
+    failures = []
+    for d in RESPONSE_DIMS:
+        t_ref, ref = timed(lambda: rounds_by_sweeps(d, gamma), repeats)
+        t_new, new = timed(lambda: rounds_by_response(d, gamma), repeats)
+        (a_g, a_e), (b_g, b_e) = _round_response(d, gamma)
+        invariants = max(abs(gamma * a_g + (1.0 - gamma) * b_g - gamma),
+                         abs(a_g + a_e - 1.0), abs(b_g + b_e - 1.0))
+        diff = float(np.abs(new - ref).max())
+        checked = d <= INVARIANT_MAX_D
+        if (checked and invariants > INVARIANT_TOL) or diff > ROUNDS_TOL:
+            failures.append(d)
+        print(f"{d:>6} {t_ref * 1e3:>22.2f} {t_new * 1e3:>14.3f} "
+              f"{t_ref / t_new:>7.1f}x {diff:>11.1e} {invariants:>11.1e}"
+              + ("" if checked else " (not checked)"))
+    return failures
 
 
 def bench_I_d(repeats):
@@ -285,7 +303,7 @@ def main():
         print(f"{d:>6} {d * d:>10} {path:>10} {t_ref * 1e3:>11.3f} "
               f"{t_new * 1e3:>18.3f} {t_ref / t_new:>7.1f}x {str(same):>8}")
     batch_mismatches = bench_batch(args.repeats)
-    reuse_mismatches = bench_reuse(args.repeats)
+    response_failures = bench_response(args.repeats)
     id_mismatches = bench_I_d(args.repeats)
     exact_mismatches = bench_exact(args.repeats)
     if mismatches:
@@ -294,8 +312,8 @@ def main():
     if batch_mismatches:
         print(f"the wavefront differs from one sweep at a time: {batch_mismatches}",
               file=sys.stderr)
-    if reuse_mismatches:
-        print(f"a reused wavefront differs from _memory_sweep_py at d = {reuse_mismatches}",
+    if response_failures:
+        print(f"the round response is off its tolerances at d = {response_failures}",
               file=sys.stderr)
     if id_mismatches:
         print(f"the I_d array call differs from the per-point calls at d = {id_mismatches}",
@@ -303,7 +321,7 @@ def main():
     if exact_mismatches:
         print(f"the exact layer differs from its Fraction reference: {exact_mismatches}",
               file=sys.stderr)
-    failed = (mismatches or batch_mismatches or reuse_mismatches or id_mismatches
+    failed = (mismatches or batch_mismatches or response_failures or id_mismatches
               or exact_mismatches)
     return 1 if failed else 0
 

@@ -35,8 +35,7 @@ wavefront with such rows copies each slot out after step s = e + d_i - 1,
 where it takes its final value; one whose rows all have its largest sizes,
 a single sweep say, copies nothing and runs exactly the steps of that
 sweep.  The slices of every step and the indices of every copy are built
-with the wavefront, so a sweep run many times (the rounds of a cooling run)
-pays for them once.
+with the wavefront, once; ``run`` may then be called any number of times.
 
 ``wavefront_blocks`` cuts a batch of many sweeps into blocks: rows sorted by
 d, at most ``_BLOCK_ELEMENTS`` doubles per buffer, each block padded only to
@@ -44,8 +43,7 @@ its own largest d.  That bounds the padded work, and, as a caller builds and
 runs the wavefront of one block at a time, the memory, whatever the largest d.
 
 A numpy call costs about a microsecond whatever its length, so the wavefront
-pays off only when anti-diagonals are long, and where it starts to pay
-depends on whether its build is paid once per sweep or once for many:
+pays off only when anti-diagonals are long:
 
   - ``memory_sweep`` takes it for a one-off sweep when the widest
     anti-diagonal, min(len(rows), d), is at least ``WAVEFRONT_MIN_WIDTH``
@@ -54,11 +52,6 @@ depends on whether its build is paid once per sweep or once for many:
     against.  On a 2-CPU x86 host the two break even between d = 124 and
     d = 140 (three interleaved measurements); within 16 of that they differ
     by less than 10%.
-  - A cooling run builds one wavefront and runs it every round from
-    ``WAVEFRONT_REUSE_MIN_WIDTH`` on.  In ``benchmarks/bench_kernels.py`` on
-    a 2-CPU x86 host (six runs), one wavefront built once and run 50 times
-    takes 0.8 to 1.0 of the time of 50 loop sweeps at d = 48, 0.6 to 0.8 at
-    d = 64 and 0.4 to 0.6 at d = 96; at d = 32 it takes 0.9 to 1.4 of it.
   - A batch of many sweeps takes the wavefront at any d, since its
     anti-diagonals span all of its rows: d = 1..30 costs about two thirds
     of one sweep per d, and d = 1..200 a tenth to a fifth.
@@ -70,10 +63,9 @@ import operator
 
 import numpy as np
 
-# the widths from which a one-off sweep, and a sweep rerun every round of a
-# cooling run, take the wavefront; measured as told above
+# the width from which a one-off sweep takes the wavefront; measured as told
+# above
 WAVEFRONT_MIN_WIDTH = 128
-WAVEFRONT_REUSE_MIN_WIDTH = 48
 
 # doubles per buffer of one wavefront block: bounds a batch's memory whatever
 # its largest d, and the padded cells its shorter rows compute.  On a 2-CPU

@@ -34,8 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__, cooling, reachable, validation, workx
-from .memory import closed_form_p_d, simulate_memory_beta_swap
-from .combinatorics import catalan_tail_bound, delta_d
+from .memory import _p_d, simulate_memory_beta_swap
+from .combinatorics import DELTA_GAMMA_MARGIN, catalan_tail_bound, delta_d_column
 
 SCHEMA_VERSION = 1
 DEFAULT_OUTPUT_DIR = "thermoproc-out"
@@ -113,6 +113,10 @@ def _d_list(default):
 
 
 _GAMMA = Param("gamma", float, 0.75, lambda v: 0.5 < v < 1.0, "must lie in (1/2, 1)")
+# the experiments that evaluate delta_d take gamma only from its domain
+_DELTA_GAMMA = Param("gamma", float, 0.75,
+                     lambda v: 0.5 + DELTA_GAMMA_MARGIN < v < 1.0,
+                     f"must lie in (1/2 + {DELTA_GAMMA_MARGIN:g}, 1)")
 _COOLING_D_LIST = _d_list([1, 2, 4, 8])
 
 PARAMS = {
@@ -124,7 +128,7 @@ PARAMS = {
         _d_list([1, 2, 5, 20]),
     ),
     "fig3": (_GAMMA, _at_least_one("depth", 8)),
-    "cooling-coherent": (_GAMMA, _at_least_one("rounds", 20), _COOLING_D_LIST),
+    "cooling-coherent": (_DELTA_GAMMA, _at_least_one("rounds", 20), _COOLING_D_LIST),
     "cooling-incoherent": (
         _positive("beta", 1.0),
         _positive("E", 1.0),
@@ -134,7 +138,7 @@ PARAMS = {
         _COOLING_D_LIST,
     ),
     "beta-swap-sweep": (
-        _GAMMA,
+        _DELTA_GAMMA,
         Param("p0", float, 0.0, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
         _at_least_one("d_max", 30),
     ),
@@ -322,9 +326,10 @@ def _emit_beta_swap_sweep(cfg: ExperimentConfig, outdir: Path):
     gamma, p0 = p["gamma"], p["p0"]
     rows = []
     ds = range(1, p["d_max"] + 1)
-    for d, sim in zip(ds, simulate_memory_beta_swap(ds, p0, gamma).tolist()):
-        closed = closed_form_p_d(d, p0, gamma)
-        rows.append([d, sim, closed, abs(sim - closed), float(delta_d(d, gamma)),
+    for d, sim, delta in zip(ds, simulate_memory_beta_swap(ds, p0, gamma).tolist(),
+                             delta_d_column(p["d_max"], gamma)):
+        closed = _p_d(p0, gamma, delta)
+        rows.append([d, sim, closed, abs(sim - closed), delta,
                      catalan_tail_bound(d, gamma)])
     columns = ["d", "p_sim", "p_closed", "abs_dev", "delta_d", "tail_bound"]
     path = _write_csv(outdir / "beta_swap_sweep.csv", cfg.echo()["params"],

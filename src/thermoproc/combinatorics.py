@@ -223,18 +223,27 @@ def delta_d(d: int, gamma):
     delta_1 is the full series; the tail is strictly decreasing in d.
     Fraction input gives the exact rational value.
     """
-    d = _require_int(d, "d", 1)
+    return delta_d_column(d, gamma)[-1]
+
+
+def delta_d_column(d_max: int, gamma) -> list:
+    """[delta_d(1, gamma), ..., delta_d(d_max, gamma)] from one running
+    subtraction; entry d-1 is the value after d-1 subtractions, which is
+    ``delta_d(d, gamma)`` bit for bit."""
+    d_max = _require_int(d_max, "d", 1)
     g = float(gamma)
     if not (0.5 + DELTA_GAMMA_MARGIN < g < 1.0):
         raise ValueError("gamma must lie in (1/2, 1), strictly above 1/2")
     one = Fraction(1) if _is_exact(gamma) else 1.0
     z = gamma * (one - gamma)
     acc = (one - gamma) / gamma
+    tails = [acc]
     term = z  # catalan(n) z^n, starting at n = 1
-    for n in range(1, d):
+    for n in range(1, d_max):
         acc = acc - term
+        tails.append(acc)
         term = term * z * (2 * (2 * n + 1)) / (n + 2)
-    return acc
+    return tails
 
 
 def catalan_tail_bound(d: int, gamma) -> float:

@@ -23,6 +23,15 @@ The memory-assisted incoherent rate implemented by ``incoherent_rate`` is
 derived from the linear round map of the swap simulation and satisfies both
 consistency limits (d = 1 reduces to the MTP rate, d -> infinity to the TP
 rate); the 4d-level simulation is the arbiter.
+
+That round map is also how the MMTP runs simulate from
+``memory.RESPONSE_MIN_D`` on: every round attaches a fresh uniform memory,
+so a round is fixed by the totals of one sweep from unit ground mass (A) and
+one from unit excited mass (B), which ``memory._round_response`` computes
+once per run.  A coherent round is then p' = inv A_g + (1 - inv) B_g with
+inv = 1 - p, and an incoherent one g0' = g0 A_g + e1 B_g,
+e1' = g0 A_e + e1 B_e.  Below ``RESPONSE_MIN_D`` each round runs its own d^2
+sweep, so that the default runs (d <= 8) keep their output bytes.
 """
 
 from __future__ import annotations
@@ -32,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import WAVEFRONT_REUSE_MIN_WIDTH, Wavefront, memory_sweep
+from ._kernels import memory_sweep
 from .combinatorics import _require_int, delta_d
 from .core import clip_noise
-from .memory import _ground_totals, simulate_memory_beta_swap
+from .memory import RESPONSE_MIN_D, _round_response, simulate_memory_beta_swap
 
 PROCESS_CLASSES = ("TP", "MTP", "MMTP")
 
@@ -71,13 +80,6 @@ def _check_process(process: str, d):
     return None
 
 
-def _wavefront(process: str, d, weight: float):
-    """One wavefront for every round of a wide MMTP run, else None."""
-    if process == "MMTP" and d >= WAVEFRONT_REUSE_MIN_WIDTH:
-        return Wavefront([d], weight)
-    return None
-
-
 def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
     """Simulate n coherent-control rounds from the thermal starting point."""
     if n < 1:
@@ -85,7 +87,8 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
     if not (0.5 < gamma < 1.0):
         raise ValueError("gamma must lie in (1/2, 1)")
     d = _check_process(process, d)
-    wavefront = _wavefront(process, d, gamma)
+    if process == "MMTP" and d >= RESPONSE_MIN_D:
+        (a_g, _), (b_g, _) = _round_response(d, gamma)
     q = (1.0 - gamma) / gamma
     p = gamma
     pops = np.empty(n)
@@ -96,11 +99,11 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
             p = 1.0 - q * inverted
         elif process == "MTP":
             p = gamma
-        else:
+        elif d < RESPONSE_MIN_D:
             # the d^2-step sweep can round the population just past 1
-            p = clip_noise(
-                simulate_memory_beta_swap(d, inverted, gamma) if wavefront is None
-                else float(_ground_totals(wavefront, [d], inverted, 1.0 - inverted)[0]))
+            p = clip_noise(simulate_memory_beta_swap(d, inverted, gamma))
+        else:
+            p = clip_noise(inverted * a_g + (1.0 - inverted) * b_g)
         pops[r] = p
     return CoolingRun("coherent", process, {"gamma": gamma, "d": d}, pops)
 
@@ -184,19 +187,14 @@ def _refresh_auxiliary(v: np.ndarray, eta: float) -> np.ndarray:
                      s_excited * eta, s_excited * (1.0 - eta)])
 
 
-def _mmtp_pair_step(v: np.ndarray, d: int, gamma_big: float,
-                    wavefront: Wavefront | None) -> np.ndarray:
+def _mmtp_pair_step(v: np.ndarray, d: int, gamma_big: float) -> np.ndarray:
     """Memory-simulated swap on the (g0, e1) pair of the 4-level composite.
 
     Attaches a fresh uniform d-level memory, runs the d^2 sweep between the
-    g0 and e1 slot blocks (on ``wavefront`` when the run built one), and
-    traces the memory back out.
+    g0 and e1 slot blocks, and traces the memory back out.
     """
     w = np.repeat(v, d) / d
-    if wavefront is None:
-        memory_sweep(w, d, gamma_big, 0, 3 * d)
-    else:
-        wavefront.run(w[None, :d], w[None, 3 * d:])
+    memory_sweep(w, d, gamma_big, 0, 3 * d)
     return w.reshape(4, d).sum(axis=1)
 
 
@@ -210,7 +208,8 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
     eta = setting.eta
     q_big = setting.q_big
     gamma_big = setting.gamma_big
-    wavefront = _wavefront(process, d, gamma_big)
+    if process == "MMTP" and d >= RESPONSE_MIN_D:
+        (a_g, a_e), (b_g, b_e) = _round_response(d, gamma_big)
     v = np.array([setting.gamma * eta, setting.gamma * (1.0 - eta),
                   (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)])
     pops = np.empty(n)
@@ -225,8 +224,13 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
             v = v.copy()
             v[0] = gamma_big * pool
             v[3] = (1.0 - gamma_big) * pool
+        elif d < RESPONSE_MIN_D:
+            v = _mmtp_pair_step(v, d, gamma_big)
         else:
-            v = _mmtp_pair_step(v, d, gamma_big, wavefront)
+            g0, e1 = v[0], v[3]
+            v = v.copy()
+            v[0] = g0 * a_g + e1 * b_g
+            v[3] = g0 * a_e + e1 * b_e
         pops[r] = v[0] + v[1]
         v = _refresh_auxiliary(v, eta)
     params = {"E": E, "script_E": script_E, "beta": beta,

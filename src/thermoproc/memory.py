@@ -16,6 +16,23 @@ i.e. the exact swap output minus a Catalan-tail correction that decays like
 
 Composite basis: flat index s*d + m with s = 0 (ground), 1 (excited) and
 memory slot m = 0..d-1 fastest.
+
+The sweep is linear in the populations, and a protocol that attaches a fresh,
+maximally mixed memory spreads each pair population evenly over its d slots.
+So one such round maps the pair (g, e) to
+
+    g' = g A_g + e B_g,    e' = g A_e + e B_e,
+
+where (A_g, A_e) are the ground and excited totals of one sweep from unit
+ground mass (1/d per ground slot, nothing excited) and (B_g, B_e) those of
+one sweep from unit excited mass.  ``_round_response`` computes the four
+totals with one two-row ``Wavefront``, and the memory-assisted cooling runs
+step their rounds through them from ``RESPONSE_MIN_D`` on.  Below it a round
+still runs its own sweep: the default cooling runs (d <= 8) then keep their
+output bytes, which the affine map would change in 184 of 280 values, each by
+at most 1.1e-15.  From d = 48 on, 50 rounds on the response stay within
+1e-14 of a long-double reference (at most 4.2e-15 in the tests' cases, where
+per-round sweeps reach 1.6e-14).
 """
 
 from __future__ import annotations
@@ -28,6 +45,11 @@ from ._kernels import Wavefront, memory_sweep, wavefront_blocks
 from .combinatorics import _require_int, catalan_tail_bound, delta_d
 from .core import SUM_TOL
 
+# the memory dimension from which cooling rounds step through
+# ``_round_response``; see the module docstring for why smaller d keep the
+# per-round sweep
+RESPONSE_MIN_D = 48
+
 
 def _sweep(d: int, gamma: float, p_ground: float, p_excited: float) -> float:
     """Spread the pair populations uniformly over the slots, run the d^2
@@ -39,17 +61,15 @@ def _sweep(d: int, gamma: float, p_ground: float, p_excited: float) -> float:
     return float(vec[:d].sum())
 
 
-def _ground_totals(wavefront: Wavefront, ds, p_ground: float,
-                   p_excited: float) -> np.ndarray:
-    """``_sweep`` for every d of ``ds`` at once, on a wavefront built for
-    ``ds``; the same bits as one ``_sweep`` per d."""
-    ds = np.asarray(ds)
-    a = np.empty((len(ds), ds.max()))
-    b = np.empty_like(a)
-    a[:] = (p_ground / ds)[:, None]
-    b[:] = (p_excited / ds)[:, None]
-    wavefront.run(a, b)
-    return np.array([a[i, :d].sum() for i, d in enumerate(ds.tolist())])
+def _round_response(d: int, gamma: float):
+    """The totals ((A_g, A_e), (B_g, B_e)) of one d^2 sweep from unit ground
+    mass and of one from unit excited mass, both spread uniformly over the
+    slots; one two-row wavefront runs both sweeps."""
+    a = np.zeros((2, d))
+    b = np.zeros((2, d))
+    a[0] = b[1] = 1.0 / d
+    Wavefront([d, d], gamma).run(a, b)
+    return tuple(zip(a.sum(axis=1).tolist(), b.sum(axis=1).tolist()))
 
 
 def simulate_memory_beta_swap(d, p0: float, gamma: float):
@@ -70,7 +90,13 @@ def simulate_memory_beta_swap(d, p0: float, gamma: float):
     totals = np.empty(len(ds))
     for rows in wavefront_blocks(ds):
         block = [ds[i] for i in rows]
-        totals[rows] = _ground_totals(Wavefront(block, gamma), block, p0, 1.0 - p0)
+        sizes = np.array(block)[:, None]
+        a = np.empty((len(block), max(block)))
+        b = np.empty_like(a)
+        a[:] = p0 / sizes
+        b[:] = (1.0 - p0) / sizes
+        Wavefront(block, gamma).run(a, b)
+        totals[rows] = [a[i, :d].sum() for i, d in enumerate(block)]
     return totals
 
 
@@ -82,7 +108,11 @@ def closed_form_p_d(d: int, p0, gamma):
     """
     if d < 1:
         raise ValueError("memory dimension d must be >= 1")
-    return 1 - p0 * (1 - gamma) / gamma - (gamma - p0) * delta_d(d, gamma)
+    return _p_d(p0, gamma, delta_d(d, gamma))
+
+
+def _p_d(p0, gamma, delta):
+    return 1 - p0 * (1 - gamma) / gamma - (gamma - p0) * delta
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from thermoproc import cli, validation
+from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, delta_d
+from thermoproc.memory import closed_form_p_d
 from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
                               epsilon_mtp, epsilon_tp)
 
@@ -197,6 +199,15 @@ class TestOtherExperiments:
                            "tail_bound"]
         assert np.all(rows[:, 3] <= 1e-10)
 
+    def test_beta_swap_sweep_columns_are_the_per_d_closed_forms(self, tmp_path):
+        gamma, p0 = 27 / 32, 0.25
+        cli.emit_figure_data("beta-swap-sweep", {"gamma": gamma, "p0": p0, "d_max": 60},
+                             tmp_path / "o")
+        _, rows = read_rows(tmp_path / "o" / "beta_swap_sweep.csv")
+        ds = range(1, 61)
+        assert rows[:, 2].tolist() == [closed_form_p_d(d, p0, gamma) for d in ds]
+        assert rows[:, 4].tolist() == [delta_d(d, gamma) for d in ds]
+
     def test_validate_experiment_writes_report(self, tmp_path):
         cfg = cli.ExperimentConfig.from_dict({
             "experiment": "validate", "output_dir": str(tmp_path / "v"),
@@ -231,6 +242,27 @@ class TestMainExitCodes:
                                          "params": {"depth": 0}})
         assert cli.main(["run", config]) == 2
         assert "params.depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, params", [
+        ("cooling-coherent", {"rounds": 2, "d_list": [1]}),
+        ("beta-swap-sweep", {"d_max": 2}),
+    ])
+    def test_gamma_below_the_delta_d_domain_is_a_config_error(self, tmp_path, capsys,
+                                                              experiment, params):
+        # inside (1/2, 1) but not above 1/2 + DELTA_GAMMA_MARGIN, where
+        # delta_d is defined
+        gamma = 0.5 + DELTA_GAMMA_MARGIN / 10
+        config = write_config(tmp_path, {
+            "experiment": experiment, "output_dir": str(tmp_path / "o"),
+            "params": {"gamma": gamma, **params}})
+        assert cli.main(["run", config]) == 2
+        assert "params.gamma" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_fig3_keeps_the_whole_open_gamma_interval(self):
+        cfg = cli.ExperimentConfig.from_dict(
+            {"experiment": "fig3", "params": {"gamma": 0.5 + DELTA_GAMMA_MARGIN / 10}})
+        assert cfg.params["gamma"] == 0.5 + DELTA_GAMMA_MARGIN / 10
 
     def test_output_path_collision_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"

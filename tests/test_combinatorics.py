@@ -246,6 +246,13 @@ class TestDeltaTail:
         with pytest.raises(ValueError):
             comb.delta_d(0, 0.75)
 
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, 27 / 32, 0.95, Fraction(3, 4)])
+    def test_column_entries_are_the_per_d_tails(self, gamma):
+        column = comb.delta_d_column(40, gamma)
+        per_d = [comb.delta_d(d, gamma) for d in range(1, 41)]
+        assert [type(v) for v in column] == [type(v) for v in per_d]
+        assert column == per_d
+
     def test_strictly_decreasing_in_d(self):
         # exact rationals: float cannot resolve the tail at high gamma
         for gamma in (Fraction(11, 20), Fraction(3, 4), Fraction(19, 20)):

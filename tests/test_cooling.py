@@ -6,12 +6,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thermoproc import cooling
-from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, WAVEFRONT_REUSE_MIN_WIDTH,
-                                 _memory_sweep_py)
+from thermoproc import _kernels, cooling, memory
+from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py
 from thermoproc.combinatorics import delta_d
 from thermoproc.core import clip_noise
 from thermoproc.majorization import beta_order
+from thermoproc.memory import RESPONSE_MIN_D
 
 REF = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
 
@@ -90,32 +90,161 @@ def incoherent_closed_form_at(process, n, d=None, **kw):
     return s.p_star - rate ** n * (s.p_star - s.gamma)
 
 
-# either side of the width where the rounds switch to one reused wavefront,
-# and of the width where a one-off sweep would
-WIDE_DS = [WAVEFRONT_REUSE_MIN_WIDTH - 1, WAVEFRONT_REUSE_MIN_WIDTH,
-           WAVEFRONT_REUSE_MIN_WIDTH + 1,
+LD = np.longdouble
+EXTENDED = np.finfo(LD).eps < 1e-18
+
+
+def longdouble_response(d, weight):
+    """((A_g, A_e), (B_g, B_e)) of ``memory._round_response`` from
+    anti-diagonal sweeps in long double: the cells k + j = s of one step
+    take three array operations, as in the wavefront."""
+    w = LD(weight)
+    v = 1 - w
+    totals = []
+    for a0, b0 in ((1, 0), (0, 1)):
+        a, b = np.full(d, LD(a0) / d), np.full(d, LD(b0) / d)
+        for s in range(2 * d - 1):
+            k = np.arange(max(0, s - d + 1), min(s, d - 1) + 1)
+            pooled = a[k] + b[s - k]
+            a[k] = w * pooled
+            b[s - k] = v * pooled
+        totals.append((a.sum(), b.sum()))
+    return totals
+
+
+def coherent_mmtp_by_longdouble(n, gamma, d):
+    """MMTP coherent rounds on the long-double response."""
+    (a_g, _), (b_g, _) = longdouble_response(d, gamma)
+    p, pops = LD(gamma), []
+    for _ in range(n):
+        inverted = 1 - p
+        p = min(inverted * a_g + (1 - inverted) * b_g, LD(1))
+        pops.append(p)
+    return np.array(pops)
+
+
+def incoherent_mmtp_by_longdouble(n, d, E, script_E, beta, beta_hot):
+    """MMTP incoherent rounds on the long-double response, every product
+    and sum in long double."""
+    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
+    (a_g, a_e), (b_g, b_e) = longdouble_response(d, s.gamma_big)
+    g, eta = LD(s.gamma), LD(s.eta)
+    v = [g * eta, g * (1 - eta), (1 - g) * eta, (1 - g) * (1 - eta)]
+    pops = []
+    for _ in range(n):
+        g0, e1 = v[0], v[3]
+        ground, excited = g0 * a_g + e1 * b_g + v[1], v[2] + g0 * a_e + e1 * b_e
+        pops.append(ground)
+        v = [ground * eta, ground * (1 - eta), excited * eta, excited * (1 - eta)]
+    return np.array(pops)
+
+
+# the corners of the benchmark's scaled incoherent draws, and REF
+INCOHERENT_SETTINGS = [
+    REF,
+    dict(E=0.75, script_E=1.75, beta=0.75, beta_hot=0.125),
+    dict(E=1.25, script_E=2.25, beta=1.25, beta_hot=0.3125),
+]
+
+# either side of the width from which the rounds step through the response,
+# and of the width from which a one-off sweep takes the wavefront
+WIDE_DS = [RESPONSE_MIN_D - 1, RESPONSE_MIN_D, RESPONSE_MIN_D + 1,
            WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 2 * WAVEFRONT_MIN_WIDTH]
+RESPONSE_DS = [RESPONSE_MIN_D, 64, 256]
+
+
+def assert_rounds_match_the_loop(populations, by_loop, d):
+    """Bit for bit where every round runs its own sweep; from
+    ``RESPONSE_MIN_D`` on, the response's rounding differs from the
+    sweeps' by at most 1.7e-14 (measured)."""
+    if d < RESPONSE_MIN_D:
+        assert populations.tobytes() == by_loop.tobytes()
+    else:
+        assert np.abs(populations - by_loop).max() <= 1e-13
 
 
 class TestReusedWavefront:
+    """The MMTP rounds against the per-round reference loop and a long-double
+    reference: per-round sweeps below ``RESPONSE_MIN_D``, the round response
+    from there on."""
+
     @pytest.mark.parametrize("d", WIDE_DS)
     def test_coherent_rounds_equal_fresh_loop_sweeps(self, d):
         run = cooling.cool_coherent("MMTP", 4, 0.75, d)
-        assert run.populations.tobytes() == coherent_mmtp_by_loop(4, 0.75, d).tobytes()
+        assert_rounds_match_the_loop(run.populations, coherent_mmtp_by_loop(4, 0.75, d), d)
 
     @pytest.mark.parametrize("d", WIDE_DS)
     def test_incoherent_rounds_equal_fresh_loop_sweeps(self, d):
         run = cooling.cool_incoherent("MMTP", 4, d=d, **REF)
-        assert run.populations.tobytes() == incoherent_mmtp_by_loop(4, d, **REF).tobytes()
+        assert_rounds_match_the_loop(run.populations,
+                                     incoherent_mmtp_by_loop(4, d, **REF), d)
 
-    def test_one_wavefront_per_run_from_the_reuse_width(self, monkeypatch):
-        built, build = [], cooling.Wavefront
-        monkeypatch.setattr(cooling, "Wavefront",
-                            lambda *args: built.append(args[0]) or build(*args))
-        for d in (WAVEFRONT_REUSE_MIN_WIDTH - 1, WAVEFRONT_REUSE_MIN_WIDTH):
+    @pytest.mark.parametrize("d", RESPONSE_DS)
+    def test_fifty_response_rounds_stay_near_the_loop(self, d):
+        gamma = 0.75
+        run = cooling.cool_coherent("MMTP", 50, gamma, d)
+        assert_rounds_match_the_loop(run.populations,
+                                     coherent_mmtp_by_loop(50, gamma, d), d)
+        run = cooling.cool_incoherent("MMTP", 50, d=d, **INCOHERENT_SETTINGS[1])
+        assert_rounds_match_the_loop(
+            run.populations, incoherent_mmtp_by_loop(50, d, **INCOHERENT_SETTINGS[1]), d)
+
+    @pytest.mark.parametrize("d", RESPONSE_DS)
+    def test_coherent_rounds_are_affine_steps_on_the_response(self, d):
+        (a_g, _), (b_g, _) = memory._round_response(d, 0.75)
+        p, expected = 0.75, []
+        for _ in range(20):
+            inverted = 1.0 - p
+            p = clip_noise(inverted * a_g + (1.0 - inverted) * b_g)
+            expected.append(p)
+        assert cooling.cool_coherent("MMTP", 20, 0.75, d).populations.tolist() == expected
+
+    @pytest.mark.parametrize("d", RESPONSE_DS)
+    def test_incoherent_rounds_are_affine_steps_on_the_response(self, d):
+        s = cooling.IncoherentSetting(**REF)
+        (a_g, a_e), (b_g, b_e) = memory._round_response(d, s.gamma_big)
+        g, eta = s.gamma, s.eta
+        v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
+        expected = []
+        for _ in range(20):
+            g0, e1 = v[0], v[3]
+            v = np.array([g0 * a_g + e1 * b_g, v[1], v[2], g0 * a_e + e1 * b_e])
+            expected.append(v[0] + v[1])
+            v = cooling._refresh_auxiliary(v, eta)
+        run = cooling.cool_incoherent("MMTP", 20, d=d, **REF)
+        assert run.populations.tolist() == expected
+
+    @pytest.mark.skipif(not EXTENDED, reason="long double is no wider than double here")
+    @pytest.mark.parametrize("d", RESPONSE_DS)
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, 0.95])
+    def test_coherent_rounds_near_a_long_double_reference(self, d, gamma):
+        run = cooling.cool_coherent("MMTP", 50, gamma, d)
+        reference = coherent_mmtp_by_longdouble(50, gamma, d)
+        assert float(np.abs(run.populations - reference).max()) <= 1e-14
+
+    @pytest.mark.skipif(not EXTENDED, reason="long double is no wider than double here")
+    @pytest.mark.parametrize("d", RESPONSE_DS)
+    @pytest.mark.parametrize("setting", range(len(INCOHERENT_SETTINGS)))
+    def test_incoherent_rounds_near_a_long_double_reference(self, d, setting):
+        kw = INCOHERENT_SETTINGS[setting]
+        run = cooling.cool_incoherent("MMTP", 50, d=d, **kw)
+        reference = incoherent_mmtp_by_longdouble(50, d, **kw)
+        assert float(np.abs(run.populations - reference).max()) <= 1e-14
+
+    def test_one_two_row_wavefront_per_run_from_the_response_width(self, monkeypatch):
+        # 48, not RESPONSE_MIN_D: which runs keep their bytes is a contract
+        built, build = [], _kernels.Wavefront
+
+        def record(*args):
+            built.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(memory, "Wavefront", record)
+        monkeypatch.setattr(_kernels, "Wavefront", record)
+        for d in (47, 48):
             cooling.cool_coherent("MMTP", 3, 0.75, d)
             cooling.cool_incoherent("MMTP", 3, d=d, **REF)
-        assert built == [[WAVEFRONT_REUSE_MIN_WIDTH]] * 2
+        assert built == [[48, 48]] * 2
 
 
 CLASSES = [("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 3), ("MMTP", 8)]
@@ -174,12 +303,20 @@ class TestCoherent:
         assert worst <= 1e-10
 
     def test_memory_run_clips_rounding_past_one(self):
-        # the d^2 sweep rounds the ground population to 1 + 2.2e-16 at round 13
+        # the ground population reaches 1 at round 13; the next test has runs
+        # whose rounds round it past 1
         gamma, d = 30 / 32, 64
         run = cooling.cool_coherent("MMTP", 50, gamma, d)
         assert run.populations.max() == 1.0
         closed = cooling.coherent_closed_form("MMTP", 50, gamma, d)
         np.testing.assert_allclose(run.populations, closed, rtol=0, atol=1e-12)
+
+    # unclipped, round 13 of the per-round sweeps gives 1 + 2.2e-16 and round 7
+    # of the response 1 + 6.7e-16
+    @pytest.mark.parametrize("gamma, d", [(30 / 32, 30), (0.99, 48)])
+    def test_both_round_paths_clip_rounding_past_one(self, gamma, d):
+        run = cooling.cool_coherent("MMTP", 50, gamma, d)
+        assert run.populations.max() == 1.0
 
     def test_monotone_convergence(self):
         for process, d in (("TP", None), ("MMTP", 2), ("MMTP", 6)):

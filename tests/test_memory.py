@@ -7,8 +7,8 @@ import pytest
 
 from thermoproc._kernels import memory_sweep
 from thermoproc.combinatorics import delta_d, f_coeff
-from thermoproc.memory import (closed_form_p_d, simulate_memory_beta_swap,
-                               verify_swap_simulation)
+from thermoproc.memory import (_round_response, closed_form_p_d,
+                               simulate_memory_beta_swap, verify_swap_simulation)
 
 
 def initial_state(d, p0):
@@ -126,6 +126,26 @@ class TestBatchedSweeps:
 
     def test_empty_list_gives_an_empty_array(self):
         assert simulate_memory_beta_swap([], 0.25, 0.75).shape == (0,)
+
+
+class TestRoundResponse:
+    @pytest.mark.parametrize("d", [48, 64, 256])
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, 0.95])
+    def test_gibbs_pair_is_fixed_and_mass_conserved(self, d, gamma):
+        (a_g, a_e), (b_g, b_e) = _round_response(d, gamma)
+        assert abs(gamma * a_g + (1.0 - gamma) * b_g - gamma) <= 1e-15
+        assert abs(a_g + a_e - 1.0) <= 1e-15
+        assert abs(b_g + b_e - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("d", [1, 2, 47, 48, 130])
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, 0.95])
+    def test_totals_are_those_of_one_row_sweeps(self, d, gamma):
+        totals = []
+        for p_ground in (1.0, 0.0):
+            vec = initial_state(d, p_ground)
+            memory_sweep(vec, d, gamma, 0, d)
+            totals.append((float(vec[:d].sum()), float(vec[d:].sum())))
+        assert _round_response(d, gamma) == tuple(totals)
 
 
 class TestClosedForm:
