@@ -196,6 +196,13 @@ class ExperimentConfig:
                 raise ConfigError("params.script_E", "must exceed E")
             if not params["beta_hot"] < params["beta"]:
                 raise ConfigError("params.beta_hot", "must be below beta")
+            # the MMTP rate evaluates delta_d at gamma_big
+            gamma_big = cooling.IncoherentSetting(
+                params["E"], params["script_E"], params["beta"], params["beta_hot"]).gamma_big
+            if not 0.5 + DELTA_GAMMA_MARGIN < gamma_big < 1.0:
+                raise ConfigError(
+                    "params.script_E", "gamma_big = 1/(1 + e^(-beta script_E)) must lie "
+                    f"in (1/2 + {DELTA_GAMMA_MARGIN:g}, 1)")
         outdir = raw.get("output_dir", DEFAULT_OUTPUT_DIR)
         if not isinstance(outdir, str) or not outdir:
             raise ConfigError("output_dir", "expected a non-empty string")

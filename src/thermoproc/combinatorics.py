@@ -23,11 +23,15 @@ cross-checked in the test suite.  The alternating route is evaluated
 exactly, as integer numerators over one shared denominator, because its raw
 floating-point form cancels catastrophically already around n = 25; exact
 I_d is evaluated the same way.  A float input enters as its exact binary
-value, and one division at the end forms the result.
+value, and one division at the end forms the result.  The quadrature route
+integrates its polynomial integrand with the Gauss-Legendre rule whose node
+count makes it exact for that degree (Golub & Welsch, Math. Comp. 1969), so
+it differs from the exact value only by rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -129,37 +133,26 @@ def _l_alternating(n, m, x):
     return Fraction(num, den) if _is_exact(x) else num / den
 
 
-def _simpson_to_tolerance(m, n_minus_1, upper, rel_tol=1.0e-12):
-    """Integral of t^m (1-t)^{n-1} on [0, upper] by refined composite Simpson.
+@functools.cache
+def _gauss_legendre(count):
+    """Nodes and weights of the count-point Gauss-Legendre rule on [-1, 1].
 
-    Panel count doubles until the Richardson error estimate |S_h - S_2h|/15
-    drops below rel_tol relative to the running value.  The integrand is a
-    smooth polynomial, so convergence is O(h^4).
+    Reached through ``np.`` here: numpy loads ``numpy.polynomial`` lazily, and
+    importing it with this module would slow every import of the package.
     """
-    if upper == 0.0:
-        return 0.0
-
-    def total(panels):
-        ts = np.linspace(0.0, upper, 2 * panels + 1)
-        vals = ts ** m * (1.0 - ts) ** n_minus_1
-        h = upper / (2 * panels)
-        return h / 3.0 * (vals[0] + vals[-1]
-                          + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
-
-    panels = 64
-    prev = total(panels)
-    for _ in range(16):
-        panels *= 2
-        cur = total(panels)
-        if abs(cur - prev) <= 15.0 * rel_tol * max(abs(cur), 1.0e-300):
-            return cur
-        prev = cur
-    return prev
+    return np.polynomial.legendre.leggauss(count)
 
 
 def _l_quadrature(n, m, x):
+    """1 - n C(n+m, m) times the integral of t^m (1-t)^{n-1} on [0, x].
+
+    The integrand is a polynomial of degree m + n - 1, which the Gauss-Legendre
+    rule with floor((n+m)/2) + 1 nodes integrates exactly up to rounding.
+    """
     x = float(x)
-    integral = _simpson_to_tolerance(m, n - 1, x)
+    nodes, weights = _gauss_legendre((n + m) // 2 + 1)
+    t = 0.5 * x * (nodes + 1.0)
+    integral = 0.5 * x * float(weights @ (t ** m * (1.0 - t) ** (n - 1)))
     return 1.0 - n * math.comb(n + m, m) * integral
 
 

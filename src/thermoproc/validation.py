@@ -205,7 +205,7 @@ def check_extraction_point_values(scale=1.0):
         for variant in ("primary", "tilde"):
             eps, _ = workx.run_sequence_protocol(kind, st, variant)
             worst = max(worst, abs(eps - target))
-    eps1, _ = workx.run_memory_extraction(st, 1)
+    eps1 = workx.run_memory_extraction(st, 1)
     worst = max(worst, abs(eps1 - workx.epsilon_mtp(st)))
     return (worst, tol,
             "eps_TP = 1/4, eps_ETP = 3/8, eps_MTP = 8/15 and protocol oracles")
@@ -247,7 +247,7 @@ def check_memory_extraction(scale=1.0):
         ds = range(1, 11)
         for d, closed in zip(ds, workx.epsilon_d_grid(setups, ds)):
             for st, eps_closed in zip(setups, closed.tolist()):
-                eps, _ = workx.run_memory_extraction(st, d)
+                eps = workx.run_memory_extraction(st, d)
                 worst = max(worst, abs(eps - eps_closed))
     return worst, tol, "25-point work-gap grid, beta_E in {ln 2, 1}, d <= 10"
 

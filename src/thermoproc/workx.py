@@ -22,8 +22,10 @@ Closed-form minima implemented here:
 
 The two-step memory protocol: step one runs the memory-simulated swap
 between the e0 and g1 slot blocks (outer loop over e0 slots); step two
-drains each e0 slot against all e1 slots, processing slots in ascending
-order of their step-one residuals, which is the error-minimizing order.
+drains each e0 slot against all e1 slots, as one ``memory_sweep`` whose
+``rows`` list the e0 slots in visiting order.  The default order is
+ascending, which is the ascending order of the step-one residuals and the
+error-minimizing order.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import memory_sweep
-from .combinatorics import I_d_eval
-from .core import (SUM_TOL, PopulationVector, TransitionMatrix, beta_swap,
-                   compose, full_thermalization)
+from .combinatorics import I_d_eval, _require_int
+from .core import (PopulationVector, TransitionMatrix, beta_swap, compose,
+                   full_thermalization)
 
 @dataclass(frozen=True)
 class ExtractionSetup:
@@ -204,62 +206,29 @@ def run_sequence_protocol(kind: str, setup: ExtractionSetup,
     return float(state[0] + state[2]), trace
 
 
-@dataclass
-class ExtractionTrace:
-    """Record of one memory-assisted extraction run.
-
-    ``step1_residuals[j]`` is the population left on e0 slot j after the
-    swap-simulation step (monotone increasing in j); ``eps_slots[k]`` is the
-    finalized e0 slot population after its drain subroutine; sector sums are
-    snapshots (g0, g1, e0, e1 block totals) at every subroutine boundary.
-    """
-
-    d: int
-    step1_residuals: np.ndarray
-    eps_slots: np.ndarray
-    sector_sums: list
-    subroutine_order: tuple
-
-    def __post_init__(self):
-        if abs(self.eps_slots.sum() - self.sector_sums[-1][2]) > SUM_TOL:
-            raise ValueError("slot residuals do not add up to the e0 sector mass")
-
-
 def run_memory_extraction(setup: ExtractionSetup, d: int,
-                          subroutine_order=None):
-    """Simulate the two-step memory-assisted protocol on the 4d-level composite.
+                          subroutine_order=None) -> float:
+    """Simulate the two-step memory-assisted protocol on the 4d-level composite
+    and return its error epsilon.
 
-    Returns (epsilon, ExtractionTrace).  ``subroutine_order`` overrides the
-    ascending slot order of the drain step (used to probe the optimality of
-    the default order); it must be a permutation of range(d).
+    ``subroutine_order`` overrides the ascending slot order of the drain step
+    (used to probe the optimality of the default order); it must be a
+    permutation of range(d).
     """
-    if d < 1:
-        raise ValueError("memory dimension d must be >= 1")
+    d = _require_int(d, "memory dimension d", 1)
     if subroutine_order is None:
-        order = np.arange(d, dtype=np.int64)
+        rows = range(d)
     else:
-        order = np.asarray(subroutine_order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(d)):
+        rows = [int(k) for k in subroutine_order]
+        if sorted(rows) != list(range(d)):
             raise ValueError("subroutine_order must be a permutation of range(d)")
     vec = np.zeros(4 * d)
     vec[2 * d:3 * d] = 1.0 / d
-
     # step one: simulated swap between the e0 block (outer) and the g1 block
     memory_sweep(vec, d, setup.gamma_delta, 2 * d, d)
-    step1 = vec[2 * d:3 * d].copy()
-
-    def sectors(v):
-        return tuple(float(v[s * d:(s + 1) * d].sum()) for s in range(4))
-
-    sums = [sectors(vec)]
-    # step two: drain each e0 slot against every e1 slot
-    for k in order:
-        memory_sweep(vec, d, setup.gamma_W, 2 * d, 3 * d, rows=[k])
-        sums.append(sectors(vec))
-    eps_slots = vec[2 * d:3 * d].copy()
-    trace = ExtractionTrace(d=d, step1_residuals=step1, eps_slots=eps_slots,
-                            sector_sums=sums, subroutine_order=tuple(order.tolist()))
-    return float(eps_slots.sum()), trace
+    # step two: drain each e0 slot, in ``rows`` order, against every e1 slot
+    memory_sweep(vec, d, setup.gamma_W, 2 * d, 3 * d, rows=rows)
+    return float(vec[2 * d:3 * d].sum())
 
 
 def epsilon_d_closed(setup: ExtractionSetup, d: int) -> float:

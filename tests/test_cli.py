@@ -259,6 +259,26 @@ class TestMainExitCodes:
         assert "params.gamma" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("beta", [
+        1e-9,  # gamma_big = 1/2 + 5e-10, below the margin
+        40.0,  # gamma_big rounds to 1
+    ])
+    def test_gamma_big_outside_the_delta_d_domain_is_a_config_error(
+            self, tmp_path, capsys, beta):
+        config = write_config(tmp_path, {
+            "experiment": "cooling-incoherent", "output_dir": str(tmp_path / "o"),
+            "params": {"beta": beta, "beta_hot": 0.0, "rounds": 2, "d_list": [1]}})
+        assert cli.main(["run", config]) == 2
+        assert "params.script_E" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_gamma_big_just_inside_the_delta_d_domain_runs(self, tmp_path):
+        # beta * script_E = 1e-8 puts gamma_big at 1/2 + 2.5e-9
+        config = write_config(tmp_path, {
+            "experiment": "cooling-incoherent", "output_dir": str(tmp_path / "o"),
+            "params": {"beta": 5e-9, "beta_hot": 0.0, "rounds": 2, "d_list": [1]}})
+        assert cli.main(["run", config]) == 0
+
     def test_fig3_keeps_the_whole_open_gamma_interval(self):
         cfg = cli.ExperimentConfig.from_dict(
             {"experiment": "fig3", "params": {"gamma": 0.5 + DELTA_GAMMA_MARGIN / 10}})
@@ -312,7 +332,7 @@ DEFAULT_DIGESTS = {
     "cooling_coherent.csv": "65cad94d6bfefc4c54f1eb32b6eb114b64ccf5f20d6e162b39263870b4709066",
     "cooling_incoherent.csv": "e1e064acfb7fbe13a63056f90963c507d5fa58457ff33dd213df1f5744d2deb8",
     "beta_swap_sweep.csv": "a9993a8d1e6be4486356eda9b6864263a2c62ef74db4aca55f9b153c9bdba94f",
-    "validation_report.json": "83b0aab3537de0ef38caa7ba2f75e0be758c72bc30f07e866bffc241707163bf",
+    "validation_report.json": "3cd34c0777fb559e38621420c019b7173b65d6c770025c90e752160cd837b78d",
 }
 
 

@@ -86,9 +86,10 @@ class TestCoefficients:
 
 class TestLRoutes:
     def test_endpoint_values(self):
-        # the quadrature route is only as exact as its 1e-12 integral tolerance
+        # the quadrature rule is exact for the integrand's degree, so the
+        # quadrature route is off only by rounding (<= 8.9e-16 on these cases)
         for route, tol in (("definition", 1e-15), ("alternating", 1e-15),
-                           ("quadrature", 1e-11)):
+                           ("quadrature", 1e-14)):
             for n, m in ((1, 0), (5, 2), (12, 11)):
                 assert abs(comb.L_eval(n, m, 0.0, route) - 1.0) <= tol
                 assert abs(comb.L_eval(n, m, 1.0, route)) <= tol
@@ -103,6 +104,16 @@ class TestLRoutes:
                     c = comb.L_eval(n, m, float(x), "quadrature")
                     worst = max(worst, abs(a - b), abs(a - c))
         assert worst <= 1e-9
+
+    def test_quadrature_route_is_exact_up_to_rounding(self):
+        # the grid of the special-function-routes check
+        worst = 0.0
+        for n in range(1, 41):
+            for m in {0, n // 2, n - 1}:
+                for x in np.arange(0.1, 0.95, 0.1):
+                    exact = float(comb.L_eval(n, m, Fraction(float(x)), "alternating"))
+                    worst = max(worst, abs(comb.L_eval(n, m, float(x), "quadrature") - exact))
+        assert worst <= 1e-13
 
     def test_rational_routes_agree_exactly(self):
         for n in (1, 2, 5, 10, 17, 25):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
+from thermoproc._kernels import memory_sweep
 from thermoproc.combinatorics import f_coeff
 from thermoproc.core import PopulationVector, is_gibbs_stochastic
 from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
@@ -26,6 +28,30 @@ def step1_residuals_closed_form(setup, d):
     gd = setup.gamma_delta
     terms = np.array([f_coeff(d, k) * (1.0 - gd) ** k for k in range(d)])
     return gd ** d / d * np.cumsum(terms)
+
+
+def stepwise_extraction(setup, d, order=None):
+    """Per-step oracle of ``run_memory_extraction``: step one, then one
+    single-row sweep per e0 slot in ``order`` (default ascending).
+
+    Returns (epsilon, step-one e0 residuals, final e0 slot populations,
+    (g0, g1, e0, e1) sector sums before the drain and after each slot).
+    """
+    order = range(d) if order is None else order
+    vec = np.zeros(4 * d)
+    vec[2 * d:3 * d] = 1.0 / d
+    memory_sweep(vec, d, setup.gamma_delta, 2 * d, d)
+    step1 = vec[2 * d:3 * d].copy()
+
+    def sectors():
+        return tuple(float(vec[s * d:(s + 1) * d].sum()) for s in range(4))
+
+    sums = [sectors()]
+    for k in order:
+        memory_sweep(vec, d, setup.gamma_W, 2 * d, 3 * d, rows=[k])
+        sums.append(sectors())
+    eps_slots = vec[2 * d:3 * d].copy()
+    return float(eps_slots.sum()), step1, eps_slots, sums
 
 
 def step2_depletion_factors(setup, d):
@@ -154,7 +180,7 @@ class TestMemoryProtocol:
     def test_single_slot_equals_markovian_optimum(self):
         for bw in (0.2, LN2, LN4, 2.0):
             st = ExtractionSetup(LN2, bw, 1.0)
-            eps, _ = run_memory_extraction(st, 1)
+            eps = run_memory_extraction(st, 1)
             assert abs(eps - epsilon_mtp(st)) <= 1e-12
 
     @pytest.mark.parametrize("beta_E", [LN2, 1.0])
@@ -162,26 +188,46 @@ class TestMemoryProtocol:
         for bw in np.linspace(0.1, 2.6, 25):
             st = ExtractionSetup(beta_E, float(bw), 1.0)
             for d in range(1, 11):
-                eps, _ = run_memory_extraction(st, d)
+                eps = run_memory_extraction(st, d)
                 assert abs(eps - epsilon_d_closed(st, d)) <= 1e-10
 
     def test_step1_residuals_increase_and_match_closed_form(self):
         for d in (2, 4, 8):
-            _, trace = run_memory_extraction(REF, d)
-            res = trace.step1_residuals
+            _, res, _, _ = stepwise_extraction(REF, d)
             assert np.all(np.diff(res) > 0.0)
             np.testing.assert_allclose(res, step1_residuals_closed_form(REF, d),
                                        atol=1e-14)
 
     def test_conservation_at_subroutine_boundaries(self):
-        _, trace = run_memory_extraction(REF, 6)
-        for sums in trace.sector_sums:
+        _, _, _, sector_sums = stepwise_extraction(REF, 6)
+        assert len(sector_sums) == 7
+        for sums in sector_sums:
             assert abs(sum(sums) - 1.0) <= 1e-12
 
     def test_slot_errors_sum_to_sector_mass(self):
-        eps, trace = run_memory_extraction(REF, 5)
-        assert abs(trace.eps_slots.sum() - eps) <= 1e-15
-        assert abs(eps - trace.sector_sums[-1][2]) <= 1e-12
+        eps, _, eps_slots, sector_sums = stepwise_extraction(REF, 5)
+        assert abs(eps_slots.sum() - eps) <= 1e-15
+        assert abs(eps - sector_sums[-1][2]) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 50, 127, 128, 129, 200, 400])
+    def test_one_sweep_equals_the_stepwise_drain(self, d):
+        rng = np.random.default_rng(d)
+        for bw in (0.3, LN2, LN4, 2.5):
+            setup = ExtractionSetup(LN2, bw, 1.0)
+            assert run_memory_extraction(setup, d) == stepwise_extraction(setup, d)[0]
+            order = rng.permutation(d)
+            assert (run_memory_extraction(setup, d, subroutine_order=order)
+                    == stepwise_extraction(setup, d, order)[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=strategies.integers(1, 200),
+           bw=strategies.sampled_from([0.2, LN2, LN4, 2.0, 3.0]),
+           seed=strategies.integers(0, 2 ** 32 - 1))
+    def test_one_sweep_equals_the_stepwise_drain_property(self, d, bw, seed):
+        setup = ExtractionSetup(LN2, bw, 1.0)
+        order = np.random.default_rng(seed).permutation(d)
+        assert (run_memory_extraction(setup, d, subroutine_order=order)
+                == stepwise_extraction(setup, d, order)[0])
 
     def test_depletion_factors_match_effective_chain(self):
         # independent oracle: run the (d+1)-level drain chain, feeding each
@@ -203,10 +249,10 @@ class TestMemoryProtocol:
     def test_ascending_order_is_optimal(self):
         rng = np.random.default_rng(53)
         d = 6
-        eps_best, _ = run_memory_extraction(REF, d)
+        eps_best = run_memory_extraction(REF, d)
         for _ in range(50):
             order = rng.permutation(d)
-            eps, _ = run_memory_extraction(REF, d, subroutine_order=order)
+            eps = run_memory_extraction(REF, d, subroutine_order=order)
             assert eps_best <= eps + 1e-14
 
     def test_rejects_bad_order(self):
@@ -234,5 +280,6 @@ class TestMemoryErrorCurve:
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
             epsilon_d_closed(REF, 0)
-        with pytest.raises(ValueError):
-            run_memory_extraction(REF, 0)
+        for bad in (0, True, 2.0):
+            with pytest.raises(ValueError):
+                run_memory_extraction(REF, bad)
