@@ -38,8 +38,16 @@ replaced (timed once; for I_d only at d <= 200, where one run takes at most
 about 1 s).  The alternating route must give the same bytes and I_d an
 equal Fraction.
 
-Exits 1 when any sweep dimension, batch, I_d dimension or exact result
-differs, or a round response is off its tolerances.
+Validation geometry: the ``extraction-bisection-grid`` check's 50 work gaps
+(beta E = ln 2, beta W from 0.05 to 2.5), as one scalar
+``min_extraction_error_tp`` call per gap against one lockstep call over the
+grid; and ``convex_hull_xy`` on the swap orbit (gamma = 0.75) at depths 8 and
+10, against the same monotone chain with each turn test on numpy rows
+(``reachable._cross2``).  Best of ``--repeats`` each; the bisection must give
+the same bytes and the hull the same indices.
+
+Exits 1 when any sweep dimension, batch, I_d dimension, exact result,
+bisection or hull differs, or a round response is off its tolerances.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -56,7 +64,9 @@ from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_p
                                  memory_sweep, wavefront_blocks)
 from thermoproc.combinatorics import I_d_eval, _l_alternating
 from thermoproc.core import clip_noise
+from thermoproc.majorization import min_extraction_error_tp
 from thermoproc.memory import RESPONSE_MIN_D, _round_response, simulate_memory_beta_swap
+from thermoproc.reachable import _cross2, bary_xy, convex_hull_xy, etp_orbit_points
 from thermoproc.workx import ExtractionSetup
 
 SLOW_REFERENCE_D = 2000
@@ -71,6 +81,9 @@ I_D_DIMS = (20, 100, 400, 1000)
 I_D_POINTS = 2000
 EXACT_I_D_DIMS = (100, 200, 500, 1000)
 FRACTION_REFERENCE_MAX_D = 200
+BISECTION_GAPS = 50
+HULL_GAMMA = 0.75
+HULL_DEPTHS = (8, 10)
 
 
 def best_time(fn, vec, d, repeats):
@@ -277,6 +290,55 @@ def bench_exact(repeats):
     return mismatches
 
 
+def hull_numpy(points_xy):
+    """Andrew's monotone chain with each turn test on numpy rows (the
+    chain ``convex_hull_xy`` ran before it moved to Python floats)."""
+    pts = np.asarray(points_xy, dtype=np.float64)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+
+    def build(indices):
+        chain = []
+        for i in indices:
+            while len(chain) >= 2:
+                o, a = pts[chain[-2]], pts[chain[-1]]
+                if _cross2(a - o, pts[i] - o) <= 1.0e-15:
+                    chain.pop()
+                else:
+                    break
+            chain.append(i)
+        return chain
+
+    return build(order)[:-1] + build(order[::-1])[:-1]
+
+
+def bench_validation_geometry(repeats):
+    """Print the bisection and hull table; return the rows that differ."""
+    print("\nvalidation geometry")
+    print(f"{'work':>22} {'reference [ms]':>15} {'new [ms]':>9} {'speedup':>8} "
+          f"{'bitwise':>8}")
+    mismatches = []
+
+    def row(name, reference, fn):
+        t_ref, ref = timed(reference, repeats)
+        t_new, new = timed(fn, repeats)
+        same = ref == new
+        if not same:
+            mismatches.append(name)
+        print(f"{name:>22} {t_ref * 1e3:>15.2f} {t_new * 1e3:>9.2f} "
+              f"{t_ref / t_new:>7.1f}x {str(same):>8}")
+
+    gaps = np.linspace(0.05, 2.5, BISECTION_GAPS).tolist()
+    row(f"bisection x{BISECTION_GAPS}",
+        lambda: [min_extraction_error_tp(math.log(2.0), w, 1.0).hex() for w in gaps],
+        lambda: [v.hex() for v in
+                 min_extraction_error_tp(math.log(2.0), np.array(gaps), 1.0).tolist()])
+    for depth in HULL_DEPTHS:
+        xy = bary_xy(etp_orbit_points(HULL_GAMMA, depth))
+        row(f"hull depth {depth} ({len(xy)} pts)", lambda: hull_numpy(xy),
+            lambda: convex_hull_xy(xy).tolist())
+    return mismatches
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", default="10,100,400,1000,2000",
@@ -306,6 +368,7 @@ def main():
     response_failures = bench_response(args.repeats)
     id_mismatches = bench_I_d(args.repeats)
     exact_mismatches = bench_exact(args.repeats)
+    geometry_mismatches = bench_validation_geometry(args.repeats)
     if mismatches:
         print(f"memory_sweep differs from _memory_sweep_py at d = {mismatches}",
               file=sys.stderr)
@@ -321,8 +384,11 @@ def main():
     if exact_mismatches:
         print(f"the exact layer differs from its Fraction reference: {exact_mismatches}",
               file=sys.stderr)
+    if geometry_mismatches:
+        print(f"the validation geometry differs from its reference: {geometry_mismatches}",
+              file=sys.stderr)
     failed = (mismatches or batch_mismatches or response_failures or id_mismatches
-              or exact_mismatches)
+              or exact_mismatches or geometry_mismatches)
     return 1 if failed else 0
 
 

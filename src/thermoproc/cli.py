@@ -416,7 +416,7 @@ def _print_validation(results) -> bool:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name:<{width}}  dev={r.deviation:.3e}  "
-              f"tol={r.tolerance:.3e}  ({r.module}) {r.detail}")
+              f"tol={r.tolerance:.3e}  t={r.seconds * 1e3:.1f}ms  ({r.module}) {r.detail}")
     passed = all(r.passed for r in results)
     print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
     return passed

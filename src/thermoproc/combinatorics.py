@@ -25,8 +25,10 @@ floating-point form cancels catastrophically already around n = 25; exact
 I_d is evaluated the same way.  A float input enters as its exact binary
 value, and one division at the end forms the result.  The quadrature route
 integrates its polynomial integrand with the Gauss-Legendre rule whose node
-count makes it exact for that degree (Golub & Welsch, Math. Comp. 1969), so
-it differs from the exact value only by rounding.
+count makes it exact for that degree, so it differs from the exact value
+only by rounding; the nodes are the roots of the Legendre polynomial, found
+by Newton's iteration on its three-term recurrence (Press et al., Numerical
+Recipes, 3rd ed., 2007, section 4.6).
 """
 
 from __future__ import annotations
@@ -137,10 +139,34 @@ def _l_alternating(n, m, x):
 def _gauss_legendre(count):
     """Nodes and weights of the count-point Gauss-Legendre rule on [-1, 1].
 
-    Reached through ``np.`` here: numpy loads ``numpy.polynomial`` lazily, and
-    importing it with this module would slow every import of the package.
+    Each positive node is a root of P_count found by Newton's iteration from
+    the usual cosine guess, with P_count and P_count' from the three-term
+    recurrence (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}; its weight is
+    2 / ((1 - x^2) P_count'(x)^2).  The negative nodes mirror them.
     """
-    return np.polynomial.legendre.leggauss(count)
+    def legendre(x):
+        """(P_count(x), P_count'(x))."""
+        p_prev, p = 1.0, x
+        for k in range(1, count):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, count * (x * p - p_prev) / (x * x - 1.0)
+
+    nodes, weights = [], []
+    for i in range((count + 1) // 2):
+        # the middle root of an odd count is 0 exactly
+        x = 0.0 if 2 * i + 1 == count else math.cos(math.pi * (i + 0.75) / (count + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1.0e-15:
+                break
+        _, dp = legendre(x)
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    mirror = count // 2
+    return (np.array([-x for x in nodes[:mirror]] + nodes[::-1]),
+            np.array(weights[:mirror] + weights[::-1]))
 
 
 def _l_quadrature(n, m, x):

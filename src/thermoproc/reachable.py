@@ -29,6 +29,11 @@ Regions computed:
 
 Plot coordinates: barycentric map onto the equilateral triangle with
 g -> (0, 0), e1 -> (1, 0), e2 -> (1/2, sqrt(3)/2).
+
+The orbit closure and the hull chain run on Python floats: each step works
+on a 2- or 3-element point, where a numpy call would cost more than the
+arithmetic.  The turn test is spelled out as the same IEEE operations as
+``_cross2``, so the hull keeps its vertices.
 """
 
 from __future__ import annotations
@@ -176,16 +181,24 @@ def etp_orbit_points(gamma: float, depth: int = 8) -> np.ndarray:
 
 
 def convex_hull_xy(points_xy: np.ndarray) -> np.ndarray:
-    """Indices of the convex hull of 2-d points, CCW (Andrew monotone chain)."""
+    """Indices of the convex hull of 2-d points, CCW (Andrew monotone chain).
+
+    The chain runs on Python floats: each turn test is ``_cross2(a - o, p - o)``
+    spelled out, the same IEEE operations in the same order, without a numpy
+    call per point.
+    """
     pts = np.asarray(points_xy, dtype=np.float64)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    xy = pts.tolist()
 
     def build(indices):
         chain = []
         for i in indices:
+            px, py = xy[i]
             while len(chain) >= 2:
-                o, a = pts[chain[-2]], pts[chain[-1]]
-                if _cross2(a - o, pts[i] - o) <= 1.0e-15:
+                ox, oy = xy[chain[-2]]
+                ax, ay = xy[chain[-1]]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 1.0e-15:
                     chain.pop()
                 else:
                     break
@@ -269,8 +282,9 @@ def hull_margin(region: SimplexRegion, point) -> float:
     return -dist if inside else dist
 
 
-def inside_tp_cone(gamma: float, point) -> bool:
-    """Thermo-majorization membership of a state in the cone of [1, 0, 0]."""
+def inside_tp_cone(gamma: float, point):
+    """Thermo-majorization membership of a state in the cone of [1, 0, 0];
+    rows of states give one verdict each."""
     return thermo_majorizes(np.array([1.0, 0.0, 0.0]), np.asarray(point),
                             qutrit_gibbs(gamma))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -45,9 +46,12 @@ class CheckResult:
     deviation: float
     tolerance: float
     detail: str
+    seconds: float = 0.0  # wall time of the check, kept out of the report
 
     def to_dict(self):
-        return asdict(self)
+        out = asdict(self)
+        del out["seconds"]
+        return out
 
 
 # check function name -> the module it validates; keyed by name so that a
@@ -58,15 +62,18 @@ _MODULE_OF = {}
 def _check(name, module):
     """Declare a check of ``module``.  The decorated body takes the tolerance
     scale and returns (deviation, tolerance, detail); the check returns the
-    CheckResult, which passes iff deviation <= tolerance."""
+    CheckResult, which passes iff deviation <= tolerance and records the
+    body's wall time."""
     def declare(body):
         @functools.wraps(body)
         def check(scale=1.0):
+            t0 = time.perf_counter()
             deviation, tolerance, detail = body(scale)
             return CheckResult(name=name, module=module,
                                passed=bool(deviation <= tolerance),
                                deviation=float(deviation),
-                               tolerance=float(tolerance), detail=detail)
+                               tolerance=float(tolerance), detail=detail,
+                               seconds=time.perf_counter() - t0)
         _MODULE_OF[check.__name__] = module
         return check
     return declare
@@ -157,7 +164,8 @@ def check_coherent_asymptote(scale=1.0):
     dev = abs(float(cooling.coherent_p_max(1, 0.75)) - 0.75)
     ok_monotone = True
     for g in (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10)):
-        values = [cooling.coherent_p_max(d, g) for d in range(1, 31)]
+        q = (1 - g) / g
+        values = [cooling._p_max(g, q, delta) for delta in comb.delta_d_column(30, g)]
         ok_monotone &= all(b > a for a, b in zip(values, values[1:]))
     deviation = dev if ok_monotone else math.inf
     return deviation, tol, "p_max(1) = gamma; exact-rational strict increase d = 1..30"
@@ -215,11 +223,10 @@ def check_extraction_point_values(scale=1.0):
 def check_extraction_bisection(scale=1.0):
     """Reachability bisection reproduces the closed minimum error on a W grid."""
     tol = 1.0e-9 * scale
-    worst = 0.0
-    for bw in np.linspace(0.05, 2.5, 50):
-        st = workx.ExtractionSetup(LN2, float(bw), 1.0)
-        worst = max(worst, abs(majorization.min_extraction_error_tp(LN2, float(bw), 1.0)
-                               - workx.epsilon_tp(st)))
+    gaps = np.linspace(0.05, 2.5, 50)
+    bisected = majorization.min_extraction_error_tp(LN2, gaps, 1.0)
+    worst = max(abs(eps - workx.epsilon_tp(workx.ExtractionSetup(LN2, bw, 1.0)))
+                for eps, bw in zip(bisected.tolist(), gaps.tolist()))
     return worst, tol, "50-point work-gap grid at beta_E = ln 2"
 
 
@@ -353,8 +360,8 @@ def check_qutrit_tp_membership(scale=1.0):
     """All four memory-assisted vertices are thermally reachable states."""
     ok = True
     for g in (0.65, 0.75, 0.85):
-        for v in reachable.qutrit_mmtp2_vertices(g):
-            ok &= reachable.inside_tp_cone(g, v.probs)
+        vertices = np.array([v.probs for v in reachable.qutrit_mmtp2_vertices(g)])
+        ok &= bool(reachable.inside_tp_cone(g, vertices).all())
     return (0.0 if ok else math.inf, 0.5 * max(scale, 1e-300),
             "thermo-majorization membership of A and B vertices")
 

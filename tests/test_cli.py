@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +299,17 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "[PASS]" in out
 
+    def test_validate_prints_each_check_time_but_keeps_it_out_of_the_report(
+            self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert cli.main(["validate", "--only", "majorization",
+                         "--json", str(report)]) == 0
+        line, = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[")]
+        assert re.search(r"  t=\d+\.\dms  \(majorization\)", line), line
+        (check,) = json.loads(report.read_text())["checks"]
+        assert sorted(check) == ["detail", "deviation", "module", "name",
+                                 "passed", "tolerance"]
+
     def test_validate_forced_failure(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         code = cli.main(["validate", "--only", "core",
@@ -332,7 +344,7 @@ DEFAULT_DIGESTS = {
     "cooling_coherent.csv": "65cad94d6bfefc4c54f1eb32b6eb114b64ccf5f20d6e162b39263870b4709066",
     "cooling_incoherent.csv": "e1e064acfb7fbe13a63056f90963c507d5fa58457ff33dd213df1f5744d2deb8",
     "beta_swap_sweep.csv": "a9993a8d1e6be4486356eda9b6864263a2c62ef74db4aca55f9b153c9bdba94f",
-    "validation_report.json": "3cd34c0777fb559e38621420c019b7173b65d6c770025c90e752160cd837b78d",
+    "validation_report.json": "61e3e75f8caf7cd5bce73b3afadfc32ed8bee870d90289bc16bb12f64c5479bf",
 }
 
 
@@ -405,6 +417,7 @@ class TestValidateSelection:
         results = validation.run_checks(only="core")
         assert calls == ["check_core_elementary"]
         assert [r.module for r in results] == ["core"]
+        assert results[0].seconds > 0.0
 
     def test_scale_zero_keeps_margin_and_boolean_checks_passing(self):
         # at scale 0 a check passes iff its deviation is <= 0: the margin

@@ -1,8 +1,11 @@
 """Exact coefficients, the L/K/I family, the Catalan tail, and the error kernel."""
 
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from thermoproc import combinatorics as comb
 
 SQRT_PI = math.sqrt(math.pi)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def L_derivative(n, m, x):
@@ -113,7 +117,29 @@ class TestLRoutes:
                 for x in np.arange(0.1, 0.95, 0.1):
                     exact = float(comb.L_eval(n, m, Fraction(float(x)), "alternating"))
                     worst = max(worst, abs(comb.L_eval(n, m, float(x), "quadrature") - exact))
-        assert worst <= 1e-13
+        assert worst <= 1e-14
+
+    def test_gauss_legendre_rule(self):
+        for count in range(1, 41):
+            nodes, weights = comb._gauss_legendre(count)
+            ref_nodes, ref_weights = np.polynomial.legendre.leggauss(count)
+            assert np.abs(nodes - ref_nodes).max() <= 1e-14
+            assert np.abs(weights - ref_weights).max() <= 1e-14
+            assert nodes.tobytes() == (-nodes[::-1] + 0.0).tobytes()
+            assert weights.tobytes() == weights[::-1].tobytes()
+            # exact for every monomial of degree <= 2 count - 1
+            for k in range(2 * count):
+                exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+                assert abs(float(weights @ nodes ** k) - exact) <= 1e-14
+
+    def test_quadrature_route_loads_no_polynomial_module(self):
+        code = ("import sys; from thermoproc import combinatorics as c; "
+                "c.L_eval(40, 39, 0.3, 'quadrature'); "
+                "print('numpy.polynomial' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ,
+                                                         "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "False"
 
     def test_rational_routes_agree_exactly(self):
         for n in (1, 2, 5, 10, 17, 25):

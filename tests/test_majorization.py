@@ -2,12 +2,17 @@
 
 import math
 
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoproc.core import Hamiltonian, gibbs_state
-from thermoproc.majorization import (BISECTION_ITERATIONS, beta_order,
-                                     extraction_target, lorenz_curve,
+from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL,
+                                     VERTEX_DEDUP_DECIMALS, beta_order,
+                                     lorenz_curve,
                                      min_extraction_error_tp, thermo_majorizes,
                                      tp_reach_vertices)
 from thermoproc.workx import ExtractionSetup, epsilon_tp
@@ -16,17 +21,33 @@ LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
+def oracle_curve(p, tau):
+    """Lorenz breakpoints of one state: levels by (-p/tau, index), then cumsum."""
+    p, tau = np.asarray(p, dtype=np.float64), np.asarray(tau, dtype=np.float64)
+    ratios = p / tau
+    order = sorted(range(p.size), key=lambda k: (-ratios[k], k))
+    return (np.concatenate(([0.0], np.cumsum(tau[order]))),
+            np.concatenate(([0.0], np.cumsum(p[order]))))
+
+
+def oracle_majorizes(p, q, tau, tol=CURVE_TOL):
+    """p's curve on or above q's - tol at every breakpoint, by ``np.interp``."""
+    (pxs, pys), (qxs, qys) = oracle_curve(p, tau), oracle_curve(q, tau)
+    grid = np.concatenate((pxs, qxs))
+    return bool((np.interp(grid, pxs, pys) >= np.interp(grid, qxs, qys) - tol).all())
+
+
 def extraction_feasible(E, W, beta, eps):
     """Can [0,1]_S x [1,0]_W reach Gibbs_S x [eps, 1-eps] by a thermal process?
 
-    One self-contained test: the Hamiltonian, Gibbs state and both Lorenz
-    curves are built anew, as the bisection did before it built them once.
+    One self-contained test on the ``np.interp`` oracle: the Hamiltonian,
+    Gibbs state, target and both Lorenz curves are built anew.
     """
-    h = Hamiltonian((0.0, W, E, E + W))
-    tau = gibbs_state(h, beta)
+    tau = gibbs_state(Hamiltonian((0.0, W, E, E + W)), beta).probs
     gamma_s = 1.0 / (1.0 + math.exp(-beta * E))
-    start = np.array([0.0, 0.0, 1.0, 0.0])
-    return thermo_majorizes(start, extraction_target(gamma_s, eps), tau)
+    target = np.array([gamma_s * eps, gamma_s * (1.0 - eps),
+                       (1.0 - gamma_s) * eps, (1.0 - gamma_s) * (1.0 - eps)])
+    return oracle_majorizes(np.array([0.0, 0.0, 1.0, 0.0]), target, tau)
 
 
 def bisection_over_oracle(E, W, beta):
@@ -177,6 +198,29 @@ class TestThermoMajorizes:
                 assert thermo_majorizes(p, r, tau)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([3, 4]), rows=st.integers(1, 6))
+    def test_rows_equal_the_interp_oracle(self, data, dim, rows):
+        # random states, zeros and ties included; one Gibbs vector per row
+        def states(low):
+            entries = st.lists(st.floats(low, 1.0), min_size=dim, max_size=dim)
+            raw = np.array(data.draw(st.lists(entries.filter(lambda v: sum(v) > 0.0),
+                                              min_size=rows, max_size=rows)))
+            return raw / raw.sum(axis=1, keepdims=True)
+
+        p, q, tau = states(0.0), states(0.0), states(0.01)
+        verdicts = thermo_majorizes(p, q, tau)
+        assert verdicts.tolist() == [oracle_majorizes(*row) for row in zip(p, q, tau)]
+        curves = lorenz_curve(p, tau)
+        grid = np.concatenate((curves.xs, lorenz_curve(q, tau).xs, 1.5 * tau), axis=1)
+        for r in range(rows):
+            xs, ys = oracle_curve(p[r], tau[r])
+            assert curves.xs[r].tobytes() == xs.tobytes()
+            assert curves.ys[r].tobytes() == ys.tobytes()
+            assert (curves.value_at(grid)[r].tobytes()
+                    == np.interp(grid[r], xs, ys).tobytes())
+
+
 class TestQubitReachable:
     def test_below_gibbs_interval(self):
         gamma, p = 0.75, 0.2
@@ -220,6 +264,24 @@ class TestVertices:
         mirrored = {(g, e2, e1) for g, e1, e2 in vertices}
         assert vertices == mirrored
 
+    def test_equal_the_per_permutation_interp_loop_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for dim in (2, 3, 4, 5):
+            tau = rng.dirichlet(np.ones(dim))
+            p = rng.dirichlet(np.ones(dim))
+            xs, ys = oracle_curve(p, tau)
+            expected = {}
+            for perm in permutations(range(dim)):
+                v, x, y_prev = np.zeros(dim), 0.0, 0.0
+                for idx in perm:
+                    x += tau[idx]
+                    y = float(np.interp(x, xs, ys))
+                    v[idx] = y - y_prev
+                    y_prev = y
+                expected.setdefault(tuple(np.round(v, VERTEX_DEDUP_DECIMALS)), v)
+            got = [v.probs.tobytes() for v in tp_reach_vertices(p, tau)]
+            assert got == [v.tobytes() for v in expected.values()]
+
     def test_dimension_cap(self):
         tau = np.ones(7) / 7
         with pytest.raises(ValueError):
@@ -240,17 +302,47 @@ class TestExtractionBisection:
 
     @pytest.mark.parametrize("beta_E", [LN2, LN3, 1.0])
     def test_matches_closed_form_on_grid(self, beta_E):
-        for bw in np.linspace(0.05, 2.5, 50):
-            setup = ExtractionSetup(beta_E, float(bw), 1.0)
-            got = min_extraction_error_tp(beta_E, float(bw), 1.0)
-            assert abs(got - epsilon_tp(setup)) <= 1e-9
+        gaps = np.linspace(0.05, 2.5, 50)
+        for bw, got in zip(gaps.tolist(), min_extraction_error_tp(beta_E, gaps, 1.0).tolist()):
+            assert abs(got - epsilon_tp(ExtractionSetup(beta_E, bw, 1.0))) <= 1e-9
 
     @pytest.mark.parametrize("beta_E", [LN2, 1.0, LN3])
     def test_equals_bisection_over_the_oracle_bit_for_bit(self, beta_E):
-        # the grid of the extraction-bisection-grid validation check
-        for bw in np.linspace(0.05, 2.5, 50):
-            got = min_extraction_error_tp(beta_E, float(bw), 1.0)
-            assert got.hex() == bisection_over_oracle(beta_E, float(bw), 1.0).hex(), bw
+        # the grid of the extraction-bisection-grid validation check, in the
+        # one lockstep call the check makes
+        gaps = np.linspace(0.05, 2.5, 50)
+        for bw, got in zip(gaps.tolist(), min_extraction_error_tp(beta_E, gaps, 1.0).tolist()):
+            assert got.hex() == bisection_over_oracle(beta_E, bw, 1.0).hex(), bw
+
+    @pytest.mark.parametrize("beta_E", [LN2, 1.0, LN3])
+    def test_array_equals_scalar_calls_bit_for_bit(self, beta_E):
+        # the threshold gap (error-free at beta_E = ln 2) and a tiny gap included
+        gaps = np.concatenate([np.linspace(0.05, 2.5, 50), [LN3, 1e-6, 4.0]])
+        got = min_extraction_error_tp(beta_E, gaps, 1.0)
+        assert got.shape == gaps.shape
+        assert ([v.hex() for v in got.tolist()]
+                == [min_extraction_error_tp(beta_E, w, 1.0).hex() for w in gaps.tolist()])
+
+    def test_shapes_round_trip(self):
+        gaps = np.linspace(0.2, 2.0, 6)
+        flat = min_extraction_error_tp(LN2, gaps, 1.0)
+        grid = min_extraction_error_tp(LN2, gaps.reshape(2, 3), 1.0)
+        assert grid.shape == (2, 3)
+        assert grid.tobytes() == flat.tobytes()
+        for scalar in (0.7, np.float64(0.7), np.array(0.7)):
+            got = min_extraction_error_tp(LN2, scalar, 1.0)
+            assert isinstance(got, float)
+            assert got == min_extraction_error_tp(LN2, [0.7], 1.0)[0]
+
+    @pytest.mark.parametrize("E, W, beta", [
+        (0.0, 1.0, 1.0), (-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, -0.5, 1.0),
+        (1.0, 1.0, 0.0), (1.0, 1.0, -1.0), (1.0, [0.5, 0.0], 1.0),
+        (1.0, [0.5, -1.0], 1.0), (1.0, [0.5, float("nan")], 1.0),
+        (float("nan"), 1.0, 1.0),
+    ])
+    def test_rejects_nonpositive_parameters_in_any_form(self, E, W, beta):
+        with pytest.raises(ValueError):
+            min_extraction_error_tp(E, W, beta)
 
     def test_feasibility_monotone_in_error(self):
         for bw in (0.5, 1.2, 2.0):

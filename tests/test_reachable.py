@@ -7,8 +7,8 @@ from thermoproc.core import (PopulationVector, apply, beta_swap,
                              elementary_tp, full_thermalization,
                              partial_thermalization)
 from thermoproc.memory import closed_form_p_d
-from thermoproc.reachable import (SimplexRegion, bary_xy, etp_orbit_hull,
-                                  etp_orbit_points, hull_margin,
+from thermoproc.reachable import (SimplexRegion, bary_xy, convex_hull_xy,
+                                  etp_orbit_hull, etp_orbit_points, hull_margin,
                                   inside_tp_cone, mmtp2_point_regions,
                                   mtp_mixing_path, mtp_region, qutrit_gibbs,
                                   qutrit_mmtp2_vertices, region_export,
@@ -32,6 +32,26 @@ def region_import(path):
             for tag, (kind, rows) in groups.items()]
 
 
+def hull_oracle(points_xy):
+    """Andrew's monotone chain with every turn test on numpy rows."""
+    pts = np.asarray(points_xy, dtype=np.float64)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    def build(indices):
+        chain = []
+        for i in indices:
+            while len(chain) >= 2 and cross(pts[chain[-1]] - pts[chain[-2]],
+                                            pts[i] - pts[chain[-2]]) <= 1.0e-15:
+                chain.pop()
+            chain.append(i)
+        return chain
+
+    return (build(order)[:-1] + build(order[::-1])[:-1])
+
+
 def _thermalizations(gamma):
     """The three full two-level thermalizations as (i, j, pair weight)."""
     return ((0, 1, gamma), (0, 2, gamma), (1, 2, 0.5))
@@ -45,8 +65,11 @@ class TestMemoryVertices:
 
     def test_all_vertices_thermally_reachable(self):
         for gamma in (0.65, 0.75, 0.85):
-            for v in qutrit_mmtp2_vertices(gamma):
+            vertices = qutrit_mmtp2_vertices(gamma)
+            for v in vertices:
                 assert inside_tp_cone(gamma, v.probs)
+            rows = np.array([v.probs for v in vertices])
+            assert inside_tp_cone(gamma, rows).tolist() == [True] * 4
 
     def test_pumped_component_matches_memory_closed_form(self):
         # the A vertex is the two-slot swap simulation applied to the full
@@ -88,6 +111,22 @@ class TestOrbit:
             outer = etp_orbit_hull(gamma, depth + 1)
             for v in inner.vertices:
                 assert hull_margin(outer, v) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.55, 0.6, 0.65, 0.75, 0.8, 0.85, 0.88,
+                                       0.92, 0.999])
+    def test_hull_indices_equal_the_numpy_chain(self, gamma):
+        for depth in range(1, 11):
+            xy = bary_xy(etp_orbit_points(gamma, depth))
+            assert convex_hull_xy(xy).tolist() == hull_oracle(xy), depth
+
+    def test_hull_indices_equal_the_numpy_chain_on_random_points(self):
+        # collinear and repeated points exercise the turn tolerance
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            xy = rng.random((40, 2))
+            xy[:10] = np.round(xy[:10], 1)
+            xy[10:20] = xy[:10]
+            assert convex_hull_xy(xy).tolist() == hull_oracle(xy)
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
