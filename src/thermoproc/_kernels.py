@@ -1,9 +1,9 @@
 """The d^2 full-thermalization sweep, the hot loop of every memory protocol.
 
 Every protocol in this package reduces to sweeps of two-level full
-thermalizations applied in place to a population vector: for each outer slot
-a_k (in the order ``rows``) and each inner slot b_j (j = 0..d-1), the pooled
-mass a_k + b_j splits ``weight_a`` to a_k and the rest to b_j.  Writing t[k, j]
+thermalizations applied in place to a population vector: for each slot a_k
+(k = 0..d-1, ascending) and each slot b_j (j = 0..d-1), the pooled mass
+a_k + b_j splits ``weight_a`` to a_k and the rest to b_j.  Writing t[k, j]
 for a_k after its step against b_j, the sweep is the 2-D recurrence
 
     t[k, j] = w (t[k, j-1] + b_j after row k-1),
@@ -16,11 +16,11 @@ order as in the plain loop, so the two implementations agree bit for bit.
 
 ``Wavefront`` runs B independent sweeps of sizes ``ds`` together, on one
 buffer in which the rows are interleaved: a_k of row i sits at buf[k*B + i]
-and b_j at buf[B*m + (D-1-j)*B + i], where m is the largest number of outer
-slots and D the largest d.  The b-blocks are stored reversed, so the cells
-(k, s-k) of anti-diagonal s, for k from lo to hi-1, read and write the a
-slots buf[lo*B:hi*B] and the b slots of one equally long run that starts at
-B*m + (D-1-s+lo)*B, every row's cell next to the same cell of the other rows.
+and b_j at buf[B*D + (D-1-j)*B + i], where D is the largest d.  The b-blocks
+are stored reversed, so the cells (k, s-k) of anti-diagonal s, for k from lo
+to hi-1, read and write the a slots buf[lo*B:hi*B] and the b slots of one
+equally long run that starts at B*D + (D-1-s+lo)*B, every row's cell next to
+the same cell of the other rows.
 One step is then three numpy calls on two contiguous 1-D slices of the
 buffer, which numpy runs on its fast path.  Rows stored one after the other
 would make every step a 2-D strided view, on which numpy's general iterator
@@ -32,10 +32,10 @@ neighbours, which are real; the layout changes where a cell is stored, not
 which cells it reads.  But padded cells do overwrite finished slots: cell
 (e, d_i) overwrites the final a_e and cell (d_i, e) the final b_e.  So a
 wavefront with such rows copies each slot out after step s = e + d_i - 1,
-where it takes its final value; one whose rows all have its largest sizes,
-a single sweep say, copies nothing and runs exactly the steps of that
-sweep.  The slices of every step and the indices of every copy are built
-with the wavefront, once; ``run`` may then be called any number of times.
+where it takes its final value; one whose rows all have its largest d, a
+single sweep say, copies nothing and runs exactly the steps of that sweep.
+The slices of every step and the indices of every copy are built with the
+wavefront, once; ``run`` may then be called any number of times.
 
 ``wavefront_blocks`` cuts a batch of many sweeps into blocks: rows sorted by
 d, at most ``_BLOCK_ELEMENTS`` doubles per buffer, each block padded only to
@@ -46,10 +46,9 @@ A numpy call costs about a microsecond whatever its length, so the wavefront
 pays off only when anti-diagonals are long:
 
   - ``memory_sweep`` takes it for a one-off sweep when the widest
-    anti-diagonal, min(len(rows), d), is at least ``WAVEFRONT_MIN_WIDTH``
-    and otherwise runs ``_memory_sweep_py``, the plain loop over Python
-    floats, which is also the reference the tests compare the wavefront
-    against.  On a 2-CPU x86 host the two break even between d = 124 and
+    anti-diagonal, d, is at least ``WAVEFRONT_MIN_WIDTH`` and otherwise
+    runs ``_memory_sweep_py``, the plain loop over Python floats, which is
+    also the reference the tests compare the wavefront against.  On a 2-CPU x86 host the two break even between d = 124 and
     d = 140 (three interleaved measurements); within 16 of that they differ
     by less than 10%.
   - A batch of many sweeps takes the wavefront at any d, since its
@@ -81,36 +80,30 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _check_sweep(vec, d, base_a, base_b, rows):
-    """Reject layouts on which the sweep is ill-defined; return the outer
-    slot order."""
+def _check_sweep(vec, d, base_a, base_b):
+    """Reject layouts on which the sweep is ill-defined."""
     if d < 1:
         raise ValueError("sweep dimension d must be >= 1")
     if min(base_a, base_b) < 0 or max(base_a, base_b) + d > len(vec):
         raise ValueError("sweep blocks must lie inside the vector")
     if abs(base_a - base_b) < d:
         raise ValueError("sweep blocks must not overlap")
-    if rows is None:
-        return range(d)
-    if len(set(rows)) != len(rows) or not all(0 <= k < d for k in rows):
-        raise ValueError("rows must be distinct slots in range(d)")
-    return rows
 
 
-def _memory_sweep_py(vec, d, weight_a, base_a, base_b, rows=None):
-    """len(rows)*d full thermalizations between slot blocks of a flat vector.
+def _memory_sweep_py(vec, d, weight_a, base_a, base_b):
+    """d^2 full thermalizations between two slot blocks of a flat vector.
 
-    Outer loop over slots base_a + k for k in ``rows`` (default range(d)),
-    inner loop over slots base_b..base_b+d-1; the pooled mass splits
-    ``weight_a`` to the base_a slot.  This is the elementary sweep that
-    simulates a beta-swap with a d-dimensional memory.  Operates in place.
+    Outer loop over slots base_a..base_a+d-1, inner loop over slots
+    base_b..base_b+d-1; the pooled mass splits ``weight_a`` to the base_a
+    slot.  This is the elementary sweep that simulates a beta-swap with a
+    d-dimensional memory.  Operates in place.
     """
-    rows = _check_sweep(vec, d, base_a, base_b, rows)
+    _check_sweep(vec, d, base_a, base_b)
     w = float(weight_a)
     v = 1.0 - w
     a = vec[base_a:base_a + d].tolist()
     b = vec[base_b:base_b + d].tolist()
-    for k in rows:
+    for k in range(d):
         x = a[k]
         for j in range(d):
             total = x + b[j]
@@ -138,60 +131,57 @@ class Wavefront:
     """Independent sweeps of one weight, run together one anti-diagonal at a
     time on one padded buffer.
 
-    Row i sweeps ``outer[i]`` outer slots (default ``ds[i]``) against
-    ``ds[i]`` inner slots, with ``weight_a`` going to the outer slot as in
-    ``_memory_sweep_py``.  The slices of every step and the final-value
-    copies are built here, once; ``run`` may then be called any number of
-    times.
+    Row i sweeps ``ds[i]`` outer slots against ``ds[i]`` inner slots, with
+    ``weight_a`` going to the outer slot as in ``_memory_sweep_py``.  The
+    slices of every step and the final-value copies are built here, once;
+    ``run`` may then be called any number of times.
     """
 
-    def __init__(self, ds, weight_a, outer=None):
+    def __init__(self, ds, weight_a):
         ds = [operator.index(d) for d in ds]
-        outer = ds if outer is None else [operator.index(m) for m in outer]
-        if not ds or len(outer) != len(ds) or not all(
-                1 <= m <= d for m, d in zip(outer, ds)):
-            raise ValueError("every sweep needs 1 <= outer slots <= d")
+        if not ds or min(ds) < 1:
+            raise ValueError("every sweep needs d >= 1")
         # 0-d arrays: numpy multiplies by them with less per-call overhead than
         # by Python floats, and to the same bits
         self._w = np.array(float(weight_a))
         self._v = np.array(1.0 - float(weight_a))
-        n, m, d = len(ds), max(outer), max(ds)
-        self._buf = buf = np.zeros(n * (m + d))
+        n, d = len(ds), max(ds)
+        self._buf = buf = np.zeros(2 * n * d)
         # at[k, i] is a_k of row i, bt[d-1-j, i] its b_j
-        self._at = buf[:n * m].reshape(m, n)
-        self._bt = buf[n * m:].reshape(d, n)
+        self._at = buf[:n * d].reshape(d, n)
+        self._bt = buf[n * d:].reshape(d, n)
         self._steps = []
-        for s in range(m + d - 1):
+        for s in range(2 * d - 1):
             lo = s - d + 1 if s >= d else 0
-            hi = s + 1 if s < m else m
-            b_lo = n * m + (d - 1 - s + lo) * n
+            hi = s + 1 if s < d else d
+            b_lo = n * d + (d - 1 - s + lo) * n
             self._steps.append((buf[lo * n:hi * n], buf[b_lo:b_lo + (hi - lo) * n]))
-        if min(outer) == m and min(ds) == d:
+        if min(ds) == d:
             self._copies = [None] * len(self._steps)
             self._final = buf
             self._real_a = self._real_b = Ellipsis  # every slot is real
         else:
-            k = np.arange(m)[:, None]
+            k = np.arange(d)[:, None]
             j = np.arange(d - 1, -1, -1)[:, None]  # the b_j in each row of bt
-            outer, ds = np.array(outer), np.array(ds)
-            self._real_a, self._real_b = k < outer, j < ds
+            ds = np.array(ds)
+            self._real_a, self._real_b = k < ds, j < ds
             # the step after which each slot is final; -1 for a pad
             when = np.concatenate([np.where(self._real_a, k + ds - 1, -1).ravel(),
-                                   np.where(self._real_b, outer - 1 + j, -1).ravel()])
+                                   np.where(self._real_b, ds - 1 + j, -1).ravel()])
             order = np.argsort(when, kind="stable")
             per_step = np.bincount(when + 1, minlength=len(self._steps) + 1)
             # the pads come first in ``order`` and are dropped
             self._copies = [idx if len(idx) else None
                             for idx in np.split(order, np.cumsum(per_step)[:-1])[1:]]
             self._final = np.zeros_like(buf)
-        self._final_at = self._final[:n * m].reshape(m, n)
-        self._final_bt = self._final[n * m:].reshape(d, n)
+        self._final_at = self._final[:n * d].reshape(d, n)
+        self._final_bt = self._final[n * d:].reshape(d, n)
 
     def run(self, a, b):
         """Run every sweep in place on the 2-D arrays ``a`` and ``b``.
 
-        Row i's outer slots are a[i, :outer[i]] in visiting order and its
-        inner slots b[i, :ds[i]]; the entries past those are left as they are.
+        Row i's outer slots are a[i, :ds[i]] and its inner slots b[i, :ds[i]];
+        the entries past those are left as they are.
         """
         # views of a and b in the buffer's layout, and the real slots of each;
         # padded slots keep what the last run left in them: finite values that
@@ -213,18 +203,14 @@ class Wavefront:
         bt[real_b] = self._final_bt[real_b]
 
 
-def memory_sweep(vec, d, weight_a, base_a, base_b, rows=None):
+def memory_sweep(vec, d, weight_a, base_a, base_b):
     """Run the sweep of ``_memory_sweep_py`` in place, by the faster path.
 
-    Raises ValueError when the two blocks overlap or leave the vector, or
-    when ``rows`` repeats a slot or leaves range(d).
+    Raises ValueError when the two blocks overlap or leave the vector.
     """
-    width = min(d, len(rows)) if rows is not None else d
-    if width < WAVEFRONT_MIN_WIDTH:
-        _memory_sweep_py(vec, d, weight_a, base_a, base_b, rows)
+    if d < WAVEFRONT_MIN_WIDTH:
+        _memory_sweep_py(vec, d, weight_a, base_a, base_b)
         return
-    rows = _check_sweep(vec, d, base_a, base_b, rows)
-    slots = base_a + np.asarray(rows, dtype=np.intp)
-    a = vec[slots][None]  # a copy, outer slots in visiting order
-    Wavefront([d], weight_a, [len(slots)]).run(a, vec[None, base_b:base_b + d])
-    vec[slots] = a[0]
+    _check_sweep(vec, d, base_a, base_b)
+    Wavefront([d], weight_a).run(vec[None, base_a:base_a + d],
+                                 vec[None, base_b:base_b + d])

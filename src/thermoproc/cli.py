@@ -106,10 +106,12 @@ def _at_least_one(name, default):
 
 
 def _d_list(default):
+    # a repeated d would write its columns twice
     return Param("d_list", list, default,
                  lambda v: bool(v) and all(isinstance(x, int) and not isinstance(x, bool)
-                                           and x >= 1 for x in v),
-                 "expected a non-empty list of integers >= 1")
+                                           and x >= 1 for x in v)
+                 and len(set(v)) == len(v),
+                 "expected a non-empty list of distinct integers >= 1")
 
 
 _GAMMA = Param("gamma", float, 0.75, lambda v: 0.5 < v < 1.0, "must lie in (1/2, 1)")

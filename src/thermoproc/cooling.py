@@ -278,7 +278,7 @@ def incoherent_closed_form(process: str, n: int, E: float, script_E: float,
 
 def measured_rates(run: CoolingRun, p_star: float) -> np.ndarray:
     """Per-round contraction ratios (p_star - p_k) / (p_star - p_{k-1})."""
-    if "gamma" in run.params:
+    if run.paradigm == "coherent":
         p0 = run.params["gamma"]
     else:
         p0 = IncoherentSetting(run.params["E"], run.params["script_E"],

@@ -131,13 +131,13 @@ def _dominates(cp: LorenzCurve, cq: LorenzCurve, tol: float) -> np.ndarray:
             & (cp.value_at(cq.xs) >= cq.ys - tol).all(axis=-1))
 
 
-def thermo_majorizes(p, q, gibbs, tol: float = CURVE_TOL):
+def thermo_majorizes(p, q, gibbs):
     """True iff p's Lorenz curve dominates q's at every breakpoint of either.
 
     Rows of ``p``, ``q`` and ``gibbs`` give one verdict each (a bool array);
     1-d inputs give one bool.
     """
-    ok = _dominates(lorenz_curve(p, gibbs), lorenz_curve(q, gibbs), tol)
+    ok = _dominates(lorenz_curve(p, gibbs), lorenz_curve(q, gibbs), CURVE_TOL)
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -37,13 +37,10 @@ per-round sweeps reach 1.6e-14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import Wavefront, memory_sweep, wavefront_blocks
-from .combinatorics import _require_int, catalan_tail_bound, delta_d
-from .core import SUM_TOL
+from .combinatorics import _require_int, delta_d
 
 # the memory dimension from which cooling rounds step through
 # ``_round_response``; see the module docstring for why smaller d keep the
@@ -113,55 +110,3 @@ def closed_form_p_d(d: int, p0, gamma):
 
 def _p_d(p0, gamma, delta):
     return 1 - p0 * (1 - gamma) / gamma - (gamma - p0) * delta
-
-
-@dataclass(frozen=True)
-class SwapSimulationReport:
-    """Comparison of one simulated run against its closed forms."""
-
-    d: int
-    gamma: float
-    p_i: float
-    p_j: float
-    simulated: float
-    predicted: float
-    deviation: float
-    passed: bool
-    exact_swap: float
-    swap_deviation: float
-    delta_term: float
-    tail_bound: float
-
-
-def verify_swap_simulation(d: int, gamma: float, p_pair,
-                           tol: float = 1.0e-10) -> SwapSimulationReport:
-    """Run the protocol on a two-level restriction and compare to closed forms.
-
-    ``p_pair = (p_i, p_j)`` may carry total mass below 1 (an embedded pair of
-    a larger system); the protocol recurrences are linear, so the prediction
-
-        p_i' = (1 - q) p_i + p_j + [(1-gamma) p_i - gamma p_j] delta_d(gamma)
-
-    with q = (1-gamma)/gamma applies unchanged.  The report also compares
-    against the exact swap output (1-q) p_i + p_j, whose distance is the
-    delta term itself, bounded by the explicit Catalan tail bound.
-    """
-    p_i, p_j = (float(v) for v in p_pair)
-    if p_i < 0.0 or p_j < 0.0 or p_i + p_j > 1.0 + SUM_TOL:
-        raise ValueError("pair populations must be nonnegative with p_i + p_j <= 1")
-    simulated = _sweep(d, gamma, p_i, p_j)
-    q = (1.0 - gamma) / gamma
-    delta = float(delta_d(d, gamma))
-    coeff = (1.0 - gamma) * p_i - gamma * p_j
-    predicted = (1.0 - q) * p_i + p_j + coeff * delta
-    exact_swap = (1.0 - q) * p_i + p_j
-    deviation = abs(simulated - predicted)
-    return SwapSimulationReport(
-        d=d, gamma=gamma, p_i=p_i, p_j=p_j,
-        simulated=simulated, predicted=predicted,
-        deviation=deviation, passed=deviation <= tol,
-        exact_swap=exact_swap,
-        swap_deviation=abs(simulated - exact_swap),
-        delta_term=abs(coeff) * delta,
-        tail_bound=abs(coeff) * catalan_tail_bound(d, gamma),
-    )

@@ -243,9 +243,9 @@ def mtp_region(gamma: float) -> SimplexRegion:
     ])
 
 
-def mtp_mixing_path(gamma: float, n_points: int = 17) -> SimplexRegion:
-    """Straight mixing segment from [1, 0, 0] to the Gibbs point."""
-    ts = np.linspace(0.0, 1.0, n_points)[:, None]
+def mtp_mixing_path(gamma: float) -> SimplexRegion:
+    """Straight mixing segment from [1, 0, 0] to the Gibbs point, 17 points."""
+    ts = np.linspace(0.0, 1.0, 17)[:, None]
     start = np.array([1.0, 0.0, 0.0])
     pts = (1.0 - ts) * start + ts * qutrit_gibbs(gamma)
     return SimplexRegion("MTP-path", "path", pts)

@@ -80,7 +80,7 @@ def _check(name, module):
 
 
 @_check("elementary-matrix-invariants", "core")
-def check_core_elementary(scale=1.0):
+def check_core_elementary(scale):
     """Elementary matrices are Gibbs-stochastic and satisfy the swap identity."""
     tol = 1.0e-12 * scale
     worst = 0.0
@@ -104,7 +104,7 @@ def check_core_elementary(scale=1.0):
 
 
 @_check("qubit-memory-boost", "memory")
-def check_memory_boost(scale=1.0):
+def check_memory_boost(scale):
     """d = 2 protocol from the ground state hits the known closed value."""
     tol = 1.0e-12 * scale
     p2 = memory.simulate_memory_beta_swap(2, 0.0, 0.75)
@@ -113,7 +113,7 @@ def check_memory_boost(scale=1.0):
 
 
 @_check("swap-simulation-closed-form", "memory")
-def check_memory_closed_form(scale=1.0):
+def check_memory_closed_form(scale):
     """Simulation equals the closed form over the (d, gamma, p0) grid."""
     tol = 1.0e-10 * scale
     worst = 0.0
@@ -126,24 +126,27 @@ def check_memory_closed_form(scale=1.0):
 
 
 @_check("swap-simulation-tail-bound", "memory")
-def check_memory_tail_bound(scale=1.0):
+def check_memory_tail_bound(scale):
     """Distance to the exact swap output obeys the Catalan tail bound, d >= 10."""
     worst_excess = 0.0
     slack = 1.0e-13  # float rounding of the d^2-step sweep
     for d in (10, 11, 12):
         for g in (0.55, 0.65, 0.75, 0.85, 0.95):
+            bound = comb.catalan_tail_bound(d, g)
             for p0 in (0.0, 0.25, 0.5, 0.9):
-                rep = memory.verify_swap_simulation(d, g, (p0, 1.0 - p0))
+                # the exact swap output (1-q) p0 + 1 - p0 is missed by the
+                # delta term |(1-g) p0 - g (1-p0)| delta_d, below its bound
+                sim = memory.simulate_memory_beta_swap(d, p0, g)
+                exact_swap = (1.0 - (1.0 - g) / g) * p0 + (1.0 - p0)
+                coeff = (1.0 - g) * p0 - g * (1.0 - p0)
                 worst_excess = max(worst_excess,
-                                   rep.swap_deviation - rep.tail_bound)
-            worst_excess = max(worst_excess,
-                               float(comb.delta_d(d, g))
-                               - comb.catalan_tail_bound(d, g))
+                                   abs(sim - exact_swap) - abs(coeff) * bound)
+            worst_excess = max(worst_excess, float(comb.delta_d(d, g)) - bound)
     return worst_excess, slack * scale, "swap deviation minus bound, d in {10,11,12}"
 
 
 @_check("coherent-cooling-closed-forms", "cooling")
-def check_coherent_cooling(scale=1.0):
+def check_coherent_cooling(scale):
     """Round-by-round simulation equals the closed forms, every class."""
     tol = 1.0e-10 * scale
     worst = 0.0
@@ -158,7 +161,7 @@ def check_coherent_cooling(scale=1.0):
 
 
 @_check("coherent-asymptote-monotone", "cooling")
-def check_coherent_asymptote(scale=1.0):
+def check_coherent_asymptote(scale):
     """Memory asymptote: equals gamma at d = 1, strictly increasing to d = 30."""
     tol = 1.0e-12 * scale
     dev = abs(float(cooling.coherent_p_max(1, 0.75)) - 0.75)
@@ -172,7 +175,7 @@ def check_coherent_asymptote(scale=1.0):
 
 
 @_check("incoherent-cooling-convergence", "cooling")
-def check_incoherent_convergence(scale=1.0):
+def check_incoherent_convergence(scale):
     """All classes converge to the shared asymptote at the reference point."""
     tol = 1.0e-6 * scale
     p_star = cooling.p_star_incoherent(**INC_REF)
@@ -185,7 +188,7 @@ def check_incoherent_convergence(scale=1.0):
 
 
 @_check("incoherent-rates", "cooling")
-def check_incoherent_rates(scale=1.0):
+def check_incoherent_rates(scale):
     """Measured contraction matches the closed rates; d = 1 equals the MTP rate."""
     tol = 1.0e-10 * scale
     p_star = cooling.p_star_incoherent(**INC_REF)
@@ -201,7 +204,7 @@ def check_incoherent_rates(scale=1.0):
 
 
 @_check("extraction-point-values", "workx")
-def check_extraction_point_values(scale=1.0):
+def check_extraction_point_values(scale):
     """Reference errors at beta_E = ln2, beta_W = ln4, each matched by protocol."""
     tol = 1.0e-12 * scale
     st = workx.ExtractionSetup(LN2, math.log(4.0), 1.0)
@@ -220,7 +223,7 @@ def check_extraction_point_values(scale=1.0):
 
 
 @_check("extraction-bisection-grid", "majorization")
-def check_extraction_bisection(scale=1.0):
+def check_extraction_bisection(scale):
     """Reachability bisection reproduces the closed minimum error on a W grid."""
     tol = 1.0e-9 * scale
     gaps = np.linspace(0.05, 2.5, 50)
@@ -231,7 +234,7 @@ def check_extraction_bisection(scale=1.0):
 
 
 @_check("extraction-error-ordering", "workx")
-def check_extraction_ordering(scale=1.0):
+def check_extraction_ordering(scale):
     """eps_TP <= eps_ETP <= eps_MTP and the memory errors bracket in between."""
     tol = 1.0e-12 * scale
     setups = [workx.ExtractionSetup(LN2, float(bw), 1.0) for bw in np.linspace(0.05, 3.0, 60)]
@@ -245,7 +248,7 @@ def check_extraction_ordering(scale=1.0):
 
 
 @_check("memory-extraction-closed-form", "workx")
-def check_memory_extraction(scale=1.0):
+def check_memory_extraction(scale):
     """4d-level protocol simulation equals the closed-form error, d <= 10."""
     tol = 1.0e-10 * scale
     worst = 0.0
@@ -260,7 +263,7 @@ def check_memory_extraction(scale=1.0):
 
 
 @_check("memory-extraction-large-d", "workx")
-def check_memory_extraction_large_d(scale=1.0):
+def check_memory_extraction_large_d(scale):
     """d = 400 closed form sits within 0.02 of the unrestricted optimum."""
     tol = 0.02 * scale
     w0 = workx.ExtractionSetup(LN2, 1.0, 1.0).W_0
@@ -274,7 +277,7 @@ def check_memory_extraction_large_d(scale=1.0):
 
 
 @_check("special-function-routes", "combinatorics")
-def check_function_routes(scale=1.0):
+def check_function_routes(scale):
     """Three independent evaluation routes of L agree."""
     tol = 1.0e-9 * scale
     worst = 0.0
@@ -289,7 +292,7 @@ def check_function_routes(scale=1.0):
 
 
 @_check("special-function-identities", "combinatorics")
-def check_function_identities(scale=1.0):
+def check_function_identities(scale):
     """The (n-1)-order diagonal matches its Catalan-tail closed form."""
     tol = 1.0e-10 * scale
     worst = 0.0
@@ -302,7 +305,7 @@ def check_function_identities(scale=1.0):
 
 
 @_check("exact-coefficient-recurrence", "combinatorics")
-def check_exact_coefficients(scale=1.0):
+def check_exact_coefficients(scale):
     """Recurrence table equals binomials exactly; rational routes agree exactly."""
     table = comb.f_table(60, 60)
     exact = all(table[j][k] == comb.f_coeff(j, k)
@@ -319,7 +322,7 @@ def check_exact_coefficients(scale=1.0):
 
 
 @_check("qutrit-separation", "reachable")
-def check_qutrit_separation(scale=1.0):
+def check_qutrit_separation(scale):
     """Memory-assisted B vertices against the Markovian region, stated grid.
 
     Asks for a positive clearance of at least 1e-6 outside the exact MTP
@@ -342,7 +345,7 @@ def check_qutrit_separation(scale=1.0):
 
 
 @_check("qutrit-separation-large-gamma", "reachable")
-def check_qutrit_separation_large_gamma(scale=1.0):
+def check_qutrit_separation_large_gamma(scale):
     """The same separation where it does hold: large pair weights."""
     needed = 1.0e-6 * scale
     worst_margin = math.inf
@@ -356,7 +359,7 @@ def check_qutrit_separation_large_gamma(scale=1.0):
 
 
 @_check("qutrit-tp-membership", "reachable")
-def check_qutrit_tp_membership(scale=1.0):
+def check_qutrit_tp_membership(scale):
     """All four memory-assisted vertices are thermally reachable states."""
     ok = True
     for g in (0.65, 0.75, 0.85):
@@ -367,7 +370,7 @@ def check_qutrit_tp_membership(scale=1.0):
 
 
 @_check("run-determinism", "cli")
-def check_run_determinism(scale=1.0):
+def check_run_determinism(scale):
     """Two identical experiment runs emit byte-identical data files."""
     import tempfile
     from pathlib import Path

@@ -22,10 +22,11 @@ Closed-form minima implemented here:
 
 The two-step memory protocol: step one runs the memory-simulated swap
 between the e0 and g1 slot blocks (outer loop over e0 slots); step two
-drains each e0 slot against all e1 slots, as one ``memory_sweep`` whose
-``rows`` list the e0 slots in visiting order.  The default order is
-ascending, which is the ascending order of the step-one residuals and the
-error-minimizing order.
+drains each e0 slot against all e1 slots, as one ``memory_sweep`` that
+visits the e0 slots in ascending order.  That is the ascending order of the
+step-one residuals and the error-minimizing order, so it is part of the
+protocol; ``tests/test_workx.py::TestMemoryProtocol::test_ascending_order_is_optimal``
+probes other orders with a drain of its own that permutes the e0 block.
 """
 
 from __future__ import annotations
@@ -206,28 +207,16 @@ def run_sequence_protocol(kind: str, setup: ExtractionSetup,
     return float(state[0] + state[2]), trace
 
 
-def run_memory_extraction(setup: ExtractionSetup, d: int,
-                          subroutine_order=None) -> float:
+def run_memory_extraction(setup: ExtractionSetup, d: int) -> float:
     """Simulate the two-step memory-assisted protocol on the 4d-level composite
-    and return its error epsilon.
-
-    ``subroutine_order`` overrides the ascending slot order of the drain step
-    (used to probe the optimality of the default order); it must be a
-    permutation of range(d).
-    """
+    and return its error epsilon."""
     d = _require_int(d, "memory dimension d", 1)
-    if subroutine_order is None:
-        rows = range(d)
-    else:
-        rows = [int(k) for k in subroutine_order]
-        if sorted(rows) != list(range(d)):
-            raise ValueError("subroutine_order must be a permutation of range(d)")
     vec = np.zeros(4 * d)
     vec[2 * d:3 * d] = 1.0 / d
     # step one: simulated swap between the e0 block (outer) and the g1 block
     memory_sweep(vec, d, setup.gamma_delta, 2 * d, d)
-    # step two: drain each e0 slot, in ``rows`` order, against every e1 slot
-    memory_sweep(vec, d, setup.gamma_W, 2 * d, 3 * d, rows=rows)
+    # step two: drain each e0 slot, in ascending order, against every e1 slot
+    memory_sweep(vec, d, setup.gamma_W, 2 * d, 3 * d)
     return float(vec[2 * d:3 * d].sum())
 
 

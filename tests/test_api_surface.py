@@ -64,3 +64,77 @@ def test_every_public_name_is_used_by_the_package():
                     if name not in used and name not in exempt)
     assert unused == [], "public names nothing in src/thermoproc uses: " + ", ".join(unused)
 
+
+
+# (module, function, parameter) left unset by every call in the package, with
+# the caller that does set it
+UNPASSED_EXEMPT = {
+    # the console entry point; the console script calls main() with no argv
+    ("cli", "main", "argv"),
+    # ``cli._emit_cooling`` calls it through a variable, ``closed_form``
+    ("cooling", "incoherent_closed_form", "d"),
+}
+
+
+def _public_functions(trees):
+    """(module, function node) of every public module-level function and
+    every public method of a public module-level class."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield module, node
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from ((module, f) for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and not f.name.startswith("_"))
+
+
+def _defaulted(fn):
+    """(position or None, name) of each parameter of ``fn`` with a default;
+    the position is None for a keyword-only one."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    yield from ((i, positional[i].arg) for i in range(first, len(positional)))
+    yield from ((None, a.arg) for a, default in
+                zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None)
+
+
+def _calls(trees):
+    """Per called name, the (positional count, keyword names) of each call
+    in the package; ``*args`` counts as every position, ``**kwargs`` as
+    every keyword."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args),
+                 None if None in keywords else keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    """A default that no call in the package overrides is a knob that only
+    tests (or nothing) turn; the value belongs in the body."""
+    trees = _trees()
+    exempt = _exported(trees)
+    calls = _calls(trees)
+    unpassed = []
+    for module, fn in _public_functions(trees):
+        if fn.name in exempt:
+            continue
+        # a method's positions count from the argument after self
+        shift = 1 if fn.args.args and fn.args.args[0].arg in ("self", "cls") else 0
+        for position, name in _defaulted(fn):
+            passed = any(
+                keywords is None or name in keywords
+                or (position is not None and count > position - shift)
+                for count, keywords in calls.get(fn.name, ()))
+            if not passed and (module, fn.name, name) not in UNPASSED_EXEMPT:
+                unpassed.append(f"{module}.{fn.name}({name})")
+    assert unpassed == [], ("defaulted parameters no call in src/thermoproc "
+                            "passes: " + ", ".join(unpassed))

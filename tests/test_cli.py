@@ -280,6 +280,28 @@ class TestMainExitCodes:
             "params": {"beta": 5e-9, "beta_hot": 0.0, "rounds": 2, "d_list": [1]}})
         assert cli.main(["run", config]) == 0
 
+    @pytest.mark.parametrize("experiment", ["fig2", "cooling-coherent",
+                                            "cooling-incoherent"])
+    def test_repeated_d_is_a_config_error(self, tmp_path, capsys, experiment):
+        # a repeated d would write its columns twice
+        config = write_config(tmp_path, {
+            "experiment": experiment, "output_dir": str(tmp_path / "o"),
+            "params": {"d_list": [2, 3, 2]}})
+        assert cli.main(["run", config]) == 2
+        assert "params.d_list" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2"],
+        ["cooling", "--paradigm", "coherent"],
+        ["cooling", "--paradigm", "incoherent"],
+    ])
+    def test_repeated_d_flag_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "f"
+        assert cli.main(["fig", *argv, "--d-list", "2,2", "--out", str(out)]) == 2
+        assert "params.d_list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fig3_keeps_the_whole_open_gamma_interval(self):
         cfg = cli.ExperimentConfig.from_dict(
             {"experiment": "fig3", "params": {"gamma": 0.5 + DELTA_GAMMA_MARGIN / 10}})

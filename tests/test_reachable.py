@@ -252,7 +252,8 @@ class TestRegions:
         assert (third, third, third) in pts
 
     def test_mixing_path_endpoints(self):
-        path = mtp_mixing_path(0.75, 9)
+        path = mtp_mixing_path(0.75)
+        assert len(path.vertices) == 17
         np.testing.assert_allclose(path.vertices[0], [1.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(path.vertices[-1], qutrit_gibbs(0.75), atol=1e-15)
 
