@@ -38,6 +38,19 @@ replaced (timed once; for I_d only at d <= 200, where one run takes at most
 about 1 s).  The alternating route must give the same bytes and I_d an
 equal Fraction.
 
+The alternating row is timed twice: with the cached per-(n, m) integers
+warm, and with the cache cleared before every run (cold), as a fresh
+``validate`` process runs it.
+
+Validation batches: the ``memory-extraction-closed-form`` check's grid
+(50 setups: beta E in {ln 2, 1}, 25 work gaps from 0.1 to 2.6; d = 1..10) as
+500 per-point runs of the two ``memory_sweep`` calls, the protocol as it ran
+before the grid existed, and as 500 ``run_memory_extraction`` calls, each
+against one ``memory_extraction_grid`` call; and the
+``special-function-routes`` check's quadrature route, 1053 per-point calls
+against one array call per (n, m).  Best of ``--repeats`` each; every row
+must give the same bytes.
+
 Validation geometry: the ``extraction-bisection-grid`` check's 50 work gaps
 (beta E = ln 2, beta W from 0.05 to 2.5), as one scalar
 ``min_extraction_error_tp`` call per gap against one lockstep call over the
@@ -47,7 +60,8 @@ grid; and ``convex_hull_xy`` on the swap orbit (gamma = 0.75) at depths 8 and
 the same bytes and the hull the same indices.
 
 Exits 1 when any sweep dimension, batch, I_d dimension, exact result,
-bisection or hull differs, or a round response is off its tolerances.
+validation batch, bisection or hull differs, or a round response is off its
+tolerances.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -62,12 +76,13 @@ import numpy as np
 
 from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_py,
                                  memory_sweep, wavefront_blocks)
-from thermoproc.combinatorics import I_d_eval, _l_alternating
+from thermoproc import combinatorics
+from thermoproc.combinatorics import I_d_eval, L_eval, _l_alternating
 from thermoproc.core import clip_noise
 from thermoproc.majorization import min_extraction_error_tp
 from thermoproc.memory import RESPONSE_MIN_D, _round_response, simulate_memory_beta_swap
 from thermoproc.reachable import _cross2, bary_xy, convex_hull_xy, etp_orbit_points
-from thermoproc.workx import ExtractionSetup
+from thermoproc.workx import ExtractionSetup, memory_extraction_grid, run_memory_extraction
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -279,14 +294,69 @@ def bench_exact(repeats):
         print(f"{name:>22} {t_ref * 1e3:>14.1f} {t_new * 1e3:>13.2f} "
               f"{t_ref / t_new:>7.1f}x {str(same):>6}")
 
+    def alternating_cold():
+        combinatorics._alternating_coefficients.cache_clear()
+        return [_l_alternating(*args).hex() for args in grid]
+
     row(f"L alternating x{len(grid)}",
         lambda: [alternating_fraction(*args).hex() for args in grid],
         lambda: [_l_alternating(*args).hex() for args in grid])
+    row("  (cold cache)", None, alternating_cold)
     st = ExtractionSetup(0.7, 1.3, 1.0)
     x, y = Fraction(1.0 - st.gamma_delta), Fraction(1.0 - st.gamma_W)
     for d in EXACT_I_D_DIMS:
         reference = (lambda d=d: I_d_fraction(d, x, y)) if d <= FRACTION_REFERENCE_MAX_D else None
         row(f"I_d d={d}", reference, lambda d=d: I_d_eval(d, x, y))
+    return mismatches
+
+
+def extraction_by_sweeps(setup, d):
+    """One point of the two-step extraction protocol as two ``memory_sweep``
+    calls on a 4d-slot vector (the loop over Python floats below
+    ``WAVEFRONT_MIN_WIDTH``)."""
+    vec = np.zeros(4 * d)
+    vec[2 * d:3 * d] = 1.0 / d
+    memory_sweep(vec, d, setup.gamma_delta, 2 * d, d)
+    memory_sweep(vec, d, setup.gamma_W, 2 * d, 3 * d)
+    return float(vec[2 * d:3 * d].sum())
+
+
+def bench_validation_batches(repeats):
+    """Print the batched-check table; return the rows that differ."""
+    print("\nvalidation batches")
+    print(f"{'work':>26} {'per point [ms]':>15} {'batched [ms]':>13} {'speedup':>8} "
+          f"{'bitwise':>8}")
+    mismatches = []
+
+    def row(name, reference, fn):
+        t_ref, ref = timed(reference, repeats)
+        t_new, new = timed(fn, repeats)
+        same = ref == new
+        if not same:
+            mismatches.append(name)
+        print(f"{name:>26} {t_ref * 1e3:>15.2f} {t_new * 1e3:>13.2f} "
+              f"{t_ref / t_new:>7.1f}x {str(same):>8}")
+
+    setups = [ExtractionSetup(be, float(bw), 1.0)
+              for be in (math.log(2.0), 1.0) for bw in np.linspace(0.1, 2.6, 25)]
+    ds = range(1, 11)
+    points = len(setups) * len(ds)
+
+    def grid():
+        return [v.hex() for errors in memory_extraction_grid(setups, ds)
+                for v in errors.tolist()]
+
+    row(f"extraction sweeps x{points}",
+        lambda: [extraction_by_sweeps(st, d).hex() for d in ds for st in setups], grid)
+    row(f"extraction scalar x{points}",
+        lambda: [run_memory_extraction(st, d).hex() for d in ds for st in setups], grid)
+
+    xs = np.arange(0.1, 0.95, 0.1)
+    orders = [(n, m) for n in range(1, 41) for m in sorted({0, n // 2, n - 1})]
+    row(f"L quadrature x{len(orders) * len(xs)}",
+        lambda: [L_eval(n, m, x, "quadrature").hex() for n, m in orders for x in xs.tolist()],
+        lambda: [v.hex() for n, m in orders
+                 for v in L_eval(n, m, xs, "quadrature").tolist()])
     return mismatches
 
 
@@ -368,6 +438,7 @@ def main():
     response_failures = bench_response(args.repeats)
     id_mismatches = bench_I_d(args.repeats)
     exact_mismatches = bench_exact(args.repeats)
+    batch_check_mismatches = bench_validation_batches(args.repeats)
     geometry_mismatches = bench_validation_geometry(args.repeats)
     if mismatches:
         print(f"memory_sweep differs from _memory_sweep_py at d = {mismatches}",
@@ -384,11 +455,14 @@ def main():
     if exact_mismatches:
         print(f"the exact layer differs from its Fraction reference: {exact_mismatches}",
               file=sys.stderr)
+    if batch_check_mismatches:
+        print(f"a batched check differs from its per-point calls: {batch_check_mismatches}",
+              file=sys.stderr)
     if geometry_mismatches:
         print(f"the validation geometry differs from its reference: {geometry_mismatches}",
               file=sys.stderr)
     failed = (mismatches or batch_mismatches or response_failures or id_mismatches
-              or exact_mismatches or geometry_mismatches)
+              or exact_mismatches or batch_check_mismatches or geometry_mismatches)
     return 1 if failed else 0
 
 

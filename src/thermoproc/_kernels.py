@@ -37,6 +37,17 @@ single sweep say, copies nothing and runs exactly the steps of that sweep.
 The slices of every step and the indices of every copy are built with the
 wavefront, once; ``run`` may then be called any number of times.
 
+Each row may sweep with its own weight: ``weight_a`` is one float for every
+row, or one weight per row, as a grid of work-extraction setups needs.  The
+weight operand of every step is chosen once, when the wavefront is built.
+One weight is a 0-d array, on which numpy's per-call cost is smallest.
+Per-row weights are tiled D times, and a step takes the prefix as long as its
+slices: every slice starts at a multiple of B, so the prefix puts row i's
+weight on row i's cells.  ``run`` makes the same three numpy calls per step
+either way; tiling one weight as well would slow the one-weight batches
+d = 1..30 and 1..200 by 14% and 16% (medians of interleaved runs, 2-CPU x86
+host).
+
 ``wavefront_blocks`` cuts a batch of many sweeps into blocks: rows sorted by
 d, at most ``_BLOCK_ELEMENTS`` doubles per buffer, each block padded only to
 its own largest d.  That bounds the padded work, and, as a caller builds and
@@ -128,36 +139,39 @@ def wavefront_blocks(ds):
 
 
 class Wavefront:
-    """Independent sweeps of one weight, run together one anti-diagonal at a
-    time on one padded buffer.
+    """Independent sweeps, run together one anti-diagonal at a time on one
+    padded buffer.
 
     Row i sweeps ``ds[i]`` outer slots against ``ds[i]`` inner slots, with
-    ``weight_a`` going to the outer slot as in ``_memory_sweep_py``.  The
-    slices of every step and the final-value copies are built here, once;
-    ``run`` may then be called any number of times.
+    its weight going to the outer slot as in ``_memory_sweep_py``.
+    ``weight_a`` is one float for every row, or a sequence of one weight per
+    row.  The slices of every step, their weight operands and the
+    final-value copies are built here, once; ``run`` may then be called any
+    number of times.
     """
 
     def __init__(self, ds, weight_a):
         ds = [operator.index(d) for d in ds]
         if not ds or min(ds) < 1:
             raise ValueError("every sweep needs d >= 1")
-        # 0-d arrays: numpy multiplies by them with less per-call overhead than
-        # by Python floats, and to the same bits
-        self._w = np.array(float(weight_a))
-        self._v = np.array(1.0 - float(weight_a))
         n, d = len(ds), max(ds)
+        w = np.array(weight_a, dtype=np.float64)
+        if w.ndim == 0:
+            # 0-d arrays: numpy multiplies by them with less per-call overhead
+            # than by Python floats or by arrays, and to the same bits
+            v = np.array(1.0 - float(w))
+        elif w.shape == (n,):
+            w = np.tile(w, d)
+            v = 1.0 - w
+        else:
+            raise ValueError(f"weight_a must be one float or one weight per row "
+                             f"({n}), got shape {w.shape}")
         self._buf = buf = np.zeros(2 * n * d)
         # at[k, i] is a_k of row i, bt[d-1-j, i] its b_j
         self._at = buf[:n * d].reshape(d, n)
         self._bt = buf[n * d:].reshape(d, n)
-        self._steps = []
-        for s in range(2 * d - 1):
-            lo = s - d + 1 if s >= d else 0
-            hi = s + 1 if s < d else d
-            b_lo = n * d + (d - 1 - s + lo) * n
-            self._steps.append((buf[lo * n:hi * n], buf[b_lo:b_lo + (hi - lo) * n]))
         if min(ds) == d:
-            self._copies = [None] * len(self._steps)
+            copies = [None] * (2 * d - 1)
             self._final = buf
             self._real_a = self._real_b = Ellipsis  # every slot is real
         else:
@@ -169,11 +183,24 @@ class Wavefront:
             when = np.concatenate([np.where(self._real_a, k + ds - 1, -1).ravel(),
                                    np.where(self._real_b, ds - 1 + j, -1).ravel()])
             order = np.argsort(when, kind="stable")
-            per_step = np.bincount(when + 1, minlength=len(self._steps) + 1)
+            per_step = np.bincount(when + 1, minlength=2 * d)
             # the pads come first in ``order`` and are dropped
-            self._copies = [idx if len(idx) else None
-                            for idx in np.split(order, np.cumsum(per_step)[:-1])[1:]]
+            copies = [idx if len(idx) else None
+                      for idx in np.split(order, np.cumsum(per_step)[:-1])[1:]]
             self._final = np.zeros_like(buf)
+        # step s: its a and b slices, its weight operands, and the slots that
+        # are final after it
+        self._steps = []
+        for s, idx in enumerate(copies):
+            lo = s - d + 1 if s >= d else 0
+            hi = s + 1 if s < d else d
+            b_lo = n * d + (d - 1 - s + lo) * n
+            self._steps.append((buf[lo * n:hi * n], buf[b_lo:b_lo + (hi - lo) * n], w, v, idx))
+        if w.ndim:
+            # each step's slices start at a multiple of n, so a prefix of the
+            # tiled weights puts each row's weight on its own cells
+            self._steps = [(ai, t, w[:len(ai)], v[:len(ai)], idx)
+                           for ai, t, _, _, idx in self._steps]
         self._final_at = self._final[:n * d].reshape(d, n)
         self._final_bt = self._final[n * d:].reshape(d, n)
 
@@ -190,10 +217,9 @@ class Wavefront:
         real_a, real_b = self._real_a, self._real_b
         self._at[real_a] = at[real_a]
         self._bt[real_b] = bt[real_b]
-        w, v = self._w, self._v
         add, mul = np.add, np.multiply
         buf, final = self._buf, self._final
-        for (ai, t), idx in zip(self._steps, self._copies):
+        for ai, t, w, v, idx in self._steps:
             add(ai, t, t)  # b_j holds the pooled mass until the last call
             mul(t, w, ai)
             mul(t, v, t)

@@ -23,12 +23,17 @@ cross-checked in the test suite.  The alternating route is evaluated
 exactly, as integer numerators over one shared denominator, because its raw
 floating-point form cancels catastrophically already around n = 25; exact
 I_d is evaluated the same way.  A float input enters as its exact binary
-value, and one division at the end forms the result.  The quadrature route
+value, and one division at the end forms the result.  The integers of the
+alternating route that do not depend on x (the lcm denominator, the scale
+n C(n+m, m) and the signed coefficients) are cached per (n, m), and the sum
+is taken by Horner's rule in the numerator of x; a float's denominator is a
+power of two, so its powers are shifts.  The quadrature route
 integrates its polynomial integrand with the Gauss-Legendre rule whose node
 count makes it exact for that degree, so it differs from the exact value
 only by rounding; the nodes are the roots of the Legendre polynomial, found
 by Newton's iteration on its three-term recurrence (Press et al., Numerical
-Recipes, 3rd ed., 2007, section 4.6).
+Recipes, 3rd ed., 2007, section 4.6).  It takes an array of x as well, each
+point with the bits of its own call.
 """
 
 from __future__ import annotations
@@ -110,28 +115,48 @@ def _l_definition(n, m, x):
     return (one - x) ** n * acc
 
 
+@functools.cache
+def _alternating_coefficients(n, m):
+    """The x-independent integers of the alternating route of L(n, m, .):
+    D = lcm(m+1, ..., m+n), n C(n+m, m), and c_l = (-1)^l C(n-1, l) D/(m+l+1)
+    for l = n-1 down to 0, the order in which Horner's rule takes them."""
+    lcm = math.lcm(*range(m + 1, m + n + 1))
+    coeffs, binom = [], 1  # binom = C(n-1, l)
+    for l in range(n):
+        c = binom * (lcm // (m + l + 1))
+        coeffs.append(-c if l % 2 else c)
+        binom = binom * (n - 1 - l) // (l + 1)
+    return lcm, n * math.comb(n + m, m), tuple(reversed(coeffs))
+
+
 def _l_alternating(n, m, x):
     """1 - n C(n+m, m) x^{m+1} sum_l C(n-1, l) (-x)^l / (m+l+1), exactly.
 
     The sum alternates with huge binomial terms; it is only meaningful in
     exact arithmetic.  With x = a/q (for a float its exact binary value, so
-    q is a power of two) and D = lcm(m+1, ..., m+n), the sum is the integer
-    S = sum_l (-1)^l C(n-1, l) a^l q^{n-1-l} D/(m+l+1) over D q^{n-1}, so
-    L = (D q^{n+m} - n C(n+m, m) a^{m+1} S) / (D q^{n+m}).  The quotient is
-    formed once: a Fraction for exact input, else the correctly rounded
-    integer division, which rounds like float(Fraction).
+    q is a power of two) and the cached integers of
+    ``_alternating_coefficients``, the sum is the integer
+    S = sum_l c_l a^l q^{n-1-l} over D q^{n-1}, so
+    L = (D q^{n+m} - n C(n+m, m) a^{m+1} S) / (D q^{n+m}).  S is summed by
+    Horner's rule in a; for q = 2^e each power of q is a shift by e bits.
+    The quotient is formed once: a Fraction for exact input, else the
+    correctly rounded integer division, which rounds like float(Fraction).
     """
-    xq = Fraction(x)
-    a, q = xq.numerator, xq.denominator
-    lcm = math.lcm(*range(m + 1, m + n + 1))
+    a, q = Fraction(x).as_integer_ratio()
+    lcm, scale, coeffs = _alternating_coefficients(n, m)
     s = 0
-    term = q ** (n - 1)  # C(n-1, l) a^l q^{n-1-l}, starting at l = 0
-    for l in range(n):
-        part = term * (lcm // (m + l + 1))
-        s += -part if l % 2 else part
-        term = term * (n - 1 - l) * a // ((l + 1) * q)
-    den = lcm * q ** (n + m)
-    num = den - n * math.comb(n + m, m) * a ** (m + 1) * s
+    if q & (q - 1) == 0:  # every float; shifts beat the multiply loop below
+        e = q.bit_length() - 1
+        for k, c in enumerate(coeffs):  # c = c_l with k = n-1-l
+            s = s * a + (c << (e * k))
+        den = lcm << (e * (n + m))
+    else:
+        q_k = 1  # q^k with k = n-1-l
+        for c in coeffs:
+            s = s * a + c * q_k
+            q_k *= q
+        den = lcm * q ** (n + m)
+    num = den - scale * a ** (m + 1) * s
     return Fraction(num, den) if _is_exact(x) else num / den
 
 
@@ -174,12 +199,20 @@ def _l_quadrature(n, m, x):
 
     The integrand is a polynomial of degree m + n - 1, which the Gauss-Legendre
     rule with floor((n+m)/2) + 1 nodes integrates exactly up to rounding.
+    ``x`` is a float, the one-point case, or a 1-D float array: the
+    elementwise part runs on one (len(x), nodes) array, and each point keeps
+    its own ``weights @ row``, so that no batched product changes the
+    summation order and each value has the bits of its one-point call.
     """
-    x = float(x)
+    if np.ndim(x) == 0:
+        return float(_l_quadrature(n, m, np.array([float(x)]))[0])
     nodes, weights = _gauss_legendre((n + m) // 2 + 1)
-    t = 0.5 * x * (nodes + 1.0)
-    integral = 0.5 * x * float(weights @ (t ** m * (1.0 - t) ** (n - 1)))
-    return 1.0 - n * math.comb(n + m, m) * integral
+    scale = n * math.comb(n + m, m)
+    half = 0.5 * x
+    t = half[:, None] * (nodes + 1.0)
+    rows = t ** m * (1.0 - t) ** (n - 1)
+    return np.array([1.0 - scale * (h * float(weights @ row))
+                     for h, row in zip(half.tolist(), rows)])
 
 
 _L_ROUTES = {
@@ -192,11 +225,19 @@ _L_ROUTES = {
 def L_eval(n: int, m: int, x, route: str = "definition"):
     """L(n, m, x) = (1-x)^n sum_{j=0}^m f_n(j) x^j via the chosen route.
 
-    L(n, m, 0) = 1 and L(n, m, 1) = 0 for every n >= 1, m >= 0.
+    L(n, m, 0) = 1 and L(n, m, 1) = 0 for every n >= 1, m >= 0.  The
+    quadrature route also takes a 1-D float array of x and returns an array,
+    each value equal bit for bit to that of a call on its point.
     """
     n = _require_int(n, "n", 1)
     m = _require_int(m, "m", 0)
-    if not (0 <= x <= 1):
+    if isinstance(x, np.ndarray) and x.ndim:
+        if route != "quadrature" or x.ndim != 1:
+            raise ValueError("only the quadrature route takes an array of x, "
+                             "a 1-D one")
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            raise ValueError("x must lie in [0, 1]")
+    elif not (0 <= x <= 1):
         raise ValueError("x must lie in [0, 1]")
     try:
         fn = _L_ROUTES[route]

@@ -15,7 +15,6 @@ margin nonnegative.  Scale 0 therefore does not force failures.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -65,7 +64,8 @@ def _check(name, module):
     CheckResult, which passes iff deviation <= tolerance and records the
     body's wall time."""
     def declare(body):
-        @functools.wraps(body)
+        # name and docstring by hand: ``functools.wraps`` would make
+        # ``inspect.signature`` report the body's (scale) without the default
         def check(scale=1.0):
             t0 = time.perf_counter()
             deviation, tolerance, detail = body(scale)
@@ -74,6 +74,8 @@ def _check(name, module):
                                deviation=float(deviation),
                                tolerance=float(tolerance), detail=detail,
                                seconds=time.perf_counter() - t0)
+        check.__name__, check.__qualname__ = body.__name__, body.__qualname__
+        check.__doc__ = body.__doc__
         _MODULE_OF[check.__name__] = module
         return check
     return declare
@@ -251,14 +253,11 @@ def check_extraction_ordering(scale):
 def check_memory_extraction(scale):
     """4d-level protocol simulation equals the closed-form error, d <= 10."""
     tol = 1.0e-10 * scale
-    worst = 0.0
-    for be in (LN2, 1.0):
-        setups = [workx.ExtractionSetup(be, float(bw), 1.0) for bw in np.linspace(0.1, 2.6, 25)]
-        ds = range(1, 11)
-        for d, closed in zip(ds, workx.epsilon_d_grid(setups, ds)):
-            for st, eps_closed in zip(setups, closed.tolist()):
-                eps = workx.run_memory_extraction(st, d)
-                worst = max(worst, abs(eps - eps_closed))
+    setups = [workx.ExtractionSetup(be, float(bw), 1.0)
+              for be in (LN2, 1.0) for bw in np.linspace(0.1, 2.6, 25)]
+    ds = range(1, 11)
+    worst = max(float(np.max(np.abs(sim - closed))) for sim, closed in zip(
+        workx.memory_extraction_grid(setups, ds), workx.epsilon_d_grid(setups, ds)))
     return worst, tol, "25-point work-gap grid, beta_E in {ln 2, 1}, d <= 10"
 
 
@@ -281,12 +280,13 @@ def check_function_routes(scale):
     """Three independent evaluation routes of L agree."""
     tol = 1.0e-9 * scale
     worst = 0.0
+    xs = np.arange(0.1, 0.95, 0.1)
     for n in range(1, 41):
         for m in {0, n // 2, n - 1}:
-            for x in np.arange(0.1, 0.95, 0.1):
-                a = comb.L_eval(n, m, float(x), "definition")
-                b = comb.L_eval(n, m, float(x), "alternating")
-                c = comb.L_eval(n, m, float(x), "quadrature")
+            quadrature = comb.L_eval(n, m, xs, "quadrature").tolist()
+            for x, c in zip(xs.tolist(), quadrature):
+                a = comb.L_eval(n, m, x, "definition")
+                b = comb.L_eval(n, m, x, "alternating")
                 worst = max(worst, abs(a - b), abs(a - c))
     return worst, tol, "definition vs alternating vs quadrature, n <= 40"
 

@@ -22,11 +22,15 @@ Closed-form minima implemented here:
 
 The two-step memory protocol: step one runs the memory-simulated swap
 between the e0 and g1 slot blocks (outer loop over e0 slots); step two
-drains each e0 slot against all e1 slots, as one ``memory_sweep`` that
-visits the e0 slots in ascending order.  That is the ascending order of the
-step-one residuals and the error-minimizing order, so it is part of the
-protocol; ``tests/test_workx.py::TestMemoryProtocol::test_ascending_order_is_optimal``
+drains each e0 slot against all e1 slots, as one sweep that visits the e0
+slots in ascending order.  That is the ascending order of the step-one
+residuals and the error-minimizing order, so it is part of the protocol;
+``tests/test_workx.py::TestMemoryProtocol::test_ascending_order_is_optimal``
 probes other orders with a drain of its own that permutes the e0 block.
+``memory_extraction_grid`` simulates a grid of setups and memory sizes as
+batched wavefronts: each (setup, d) pair is one row with its own weights,
+gamma_delta in step one and gamma_W in the drain, and each row's error has
+the bits of a sweep run on that point alone.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import memory_sweep
+from ._kernels import Wavefront, wavefront_blocks
 from .combinatorics import I_d_eval, _require_int
 from .core import (PopulationVector, TransitionMatrix, beta_swap, compose,
                    full_thermalization)
@@ -209,15 +213,37 @@ def run_sequence_protocol(kind: str, setup: ExtractionSetup,
 
 def run_memory_extraction(setup: ExtractionSetup, d: int) -> float:
     """Simulate the two-step memory-assisted protocol on the 4d-level composite
-    and return its error epsilon."""
-    d = _require_int(d, "memory dimension d", 1)
-    vec = np.zeros(4 * d)
-    vec[2 * d:3 * d] = 1.0 / d
-    # step one: simulated swap between the e0 block (outer) and the g1 block
-    memory_sweep(vec, d, setup.gamma_delta, 2 * d, d)
-    # step two: drain each e0 slot, in ascending order, against every e1 slot
-    memory_sweep(vec, d, setup.gamma_W, 2 * d, 3 * d)
-    return float(vec[2 * d:3 * d].sum())
+    and return its error epsilon: the one-point ``memory_extraction_grid``.
+
+    Each call builds two wavefronts, so a caller that loops over setups or
+    memory sizes should pass them to ``memory_extraction_grid`` in one call.
+    """
+    (eps,) = memory_extraction_grid([setup], [d])
+    return float(eps[0])
+
+
+def memory_extraction_grid(setups, ds) -> list:
+    """``run_memory_extraction`` over a grid of setups: one array per d in
+    ``ds``, equal bit for bit to the per-point values.
+
+    Every (setup, d) pair is one row of a batch of sweeps, run one
+    ``wavefront_blocks`` block at a time: the e0 block (outer) against the
+    g1 block with each row's gamma_delta, then the drain of the e0 block
+    against the e1 block with each row's gamma_W.
+    """
+    ds = [_require_int(d, "memory dimension d", 1) for d in ds]
+    row_d = [d for d in ds for _ in setups]
+    gamma_delta = [st.gamma_delta for st in setups] * len(ds)
+    gamma_w = [st.gamma_W for st in setups] * len(ds)
+    errors = np.empty(len(row_d))
+    for rows in wavefront_blocks(row_d):
+        block = [row_d[i] for i in rows]
+        e0 = np.empty((len(block), max(block)))
+        e0[:] = 1.0 / np.array(block)[:, None]
+        Wavefront(block, [gamma_delta[i] for i in rows]).run(e0, np.zeros_like(e0))
+        Wavefront(block, [gamma_w[i] for i in rows]).run(e0, np.zeros_like(e0))
+        errors[rows] = [e0[i, :d].sum() for i, d in enumerate(block)]
+    return list(errors.reshape(len(ds), len(setups)))
 
 
 def epsilon_d_closed(setup: ExtractionSetup, d: int) -> float:

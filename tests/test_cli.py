@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -440,6 +441,12 @@ class TestValidateSelection:
         assert calls == ["check_core_elementary"]
         assert [r.module for r in results] == ["core"]
         assert results[0].seconds > 0.0
+
+    def test_checks_keep_their_name_doc_and_default_scale(self):
+        for check in validation.ALL_CHECKS:
+            assert inspect.signature(check).parameters["scale"].default == 1.0
+            assert check.__name__.startswith("check_") and check.__doc__
+            assert check.__name__ in validation._MODULE_OF
 
     def test_scale_zero_keeps_margin_and_boolean_checks_passing(self):
         # at scale 0 a check passes iff its deviation is <= 0: the margin

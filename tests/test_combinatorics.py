@@ -63,9 +63,9 @@ def I_d_fraction_oracle(d, x, y):
 
 
 @st.composite
-def orders(draw):
-    """(n, m) with n <= 60 and 0 <= m < n."""
-    n = draw(st.integers(1, 60), label="n")
+def orders(draw, max_n=60):
+    """(n, m) with n <= max_n and 0 <= m < n."""
+    n = draw(st.integers(1, max_n), label="n")
     return n, draw(st.integers(0, n - 1), label="m")
 
 
@@ -141,6 +141,36 @@ class TestLRoutes:
                                                          "PYTHONPATH": SRC})
         assert out.stdout.strip() == "False"
 
+    def test_quadrature_array_equals_per_point_calls(self):
+        # the check's grid, the endpoints, and points near them
+        xs = np.concatenate([np.arange(0.1, 0.95, 0.1), [0.0, 1.0, 1e-300, 1e-9, 0.999]])
+        for n in range(1, 41):
+            for m in {0, n // 2, n - 1, 2 * n}:
+                got = comb.L_eval(n, m, xs, "quadrature")
+                assert type(got) is np.ndarray and got.shape == xs.shape
+                expected = [comb.L_eval(n, m, x, "quadrature") for x in xs.tolist()]
+                assert got.tobytes() == np.array(expected).tobytes(), (n, m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(orders(40), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_property_quadrature_array_equals_per_point_calls(self, nm, xs):
+        n, m = nm
+        got = comb.L_eval(n, m, np.array(xs), "quadrature")
+        expected = [comb.L_eval(n, m, x, "quadrature") for x in xs]
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("route, x", [
+        ("definition", np.array([0.5])),
+        ("alternating", np.array([0.5])),
+        ("quadrature", np.array([[0.5]])),
+        ("quadrature", np.array([0.5, 1.5])),
+        ("quadrature", np.array([-0.1, 0.5])),
+        ("quadrature", np.array([np.nan])),
+    ], ids=["definition", "alternating", "2-d", "above-1", "below-0", "nan"])
+    def test_bad_x_arrays_rejected(self, route, x):
+        with pytest.raises(ValueError):
+            comb.L_eval(3, 1, x, route)
+
     def test_rational_routes_agree_exactly(self):
         for n in (1, 2, 5, 10, 17, 25):
             for m in {0, n // 2, n - 1}:
@@ -178,6 +208,20 @@ class TestIntegerRoutes:
         got = comb.L_eval(n, m, x, "alternating")
         assert type(got) is Fraction
         assert got == alternating_fraction_oracle(n, m, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(orders(40), st.floats(0.0, 1.0) | st.fractions(0, 1, max_denominator=1000))
+    def test_alternating_is_the_rounded_definition(self, nm, x):
+        # the cached coefficients and Horner's rule against the definition
+        # route on the exact input: a float gets the correctly rounded value,
+        # a Fraction the exact one
+        n, m = nm
+        exact = comb.L_eval(n, m, Fraction(x), "definition")
+        got = comb.L_eval(n, m, x, "alternating")
+        if isinstance(x, float):
+            assert type(got) is float and got.hex() == float(exact).hex()
+        else:
+            assert type(got) is Fraction and got == exact
 
     @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)])
     def test_alternating_denominators_that_are_not_powers_of_two(self, x):

@@ -134,12 +134,19 @@ def batch_inputs(ds, rng):
     return rng.random((len(ds), width)), rng.random((len(ds), width))
 
 
+def row_weights(weight, rows):
+    """The weight argument of a wavefront of the given rows: one float as it
+    is, one weight per row picked for them."""
+    return weight if np.ndim(weight) == 0 else [weight[i] for i in rows]
+
+
 def sweep_rows_by_loop(ds, weight, a, b):
-    """Each row's sweep by ``_memory_sweep_py``, one row at a time."""
+    """Each row's sweep by ``_memory_sweep_py``, one row at a time, with its
+    own weight when ``weight`` holds one per row."""
     a, b = a.copy(), b.copy()
     for i, d in enumerate(ds):
         vec = np.concatenate([a[i, :d], b[i, :d]])
-        _memory_sweep_py(vec, d, weight, 0, d)
+        _memory_sweep_py(vec, d, weight if np.ndim(weight) == 0 else weight[i], 0, d)
         a[i, :d], b[i, :d] = vec[:d], vec[d:]
     return a, b
 
@@ -164,7 +171,7 @@ def by_blocks(ds, weight, a, b):
     a, b = a.copy(), b.copy()
     for rows in wavefront_blocks(ds):
         block_a, block_b = a[rows], b[rows]
-        Wavefront([ds[i] for i in rows], weight).run(block_a, block_b)
+        Wavefront([ds[i] for i in rows], row_weights(weight, rows)).run(block_a, block_b)
         a[rows], b[rows] = block_a, block_b
     return a, b
 
@@ -241,6 +248,48 @@ class TestBatch:
     def test_bad_sizes_raise(self, ds):
         with pytest.raises(ValueError):
             Wavefront(ds, 0.75)
+
+
+class TestPerRowWeights:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 200),
+                              st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                    min_size=1, max_size=6),
+           st.sampled_from([1, 300, _kernels._BLOCK_ELEMENTS]))
+    def test_property_ragged_rows_with_their_own_weights(self, rows, block_elements):
+        ds, weights = [d for d, _ in rows], [w for _, w in rows]
+        rng = np.random.default_rng(sum(ds))
+        a, b = batch_inputs(ds, rng)
+        expected = sweep_rows_by_loop(ds, weights, a, b)
+        assert_same_bytes(one_wavefront(ds, weights, a, b), expected)
+        assert_same_bytes(one_wavefront(ds, np.array(weights), a, b), expected)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
+            assert_same_bytes(by_blocks(ds, weights, a, b), expected)
+
+    @pytest.mark.parametrize("ds", [[1], [4, 1, 7, 7, 2], [WAVEFRONT_MIN_WIDTH + 2],
+                                    list(range(1, FULL_BLOCK_D + 3))])
+    def test_one_weight_per_row_equals_the_scalar_weight(self, ds):
+        a, b = batch_inputs(ds, np.random.default_rng(len(ds)))
+        scalar = one_wavefront(ds, 0.8, a, b)
+        assert_same_bytes(one_wavefront(ds, np.full(len(ds), 0.8), a, b), scalar)
+        assert_same_bytes(by_blocks(ds, [0.8] * len(ds), a, b), scalar)
+
+    def test_reused_wavefront_keeps_each_rows_weight(self):
+        ds, weights = [4, 1, 7, 7, 2], [0.6, 0.9, 0.55, 0.99, 0.7]
+        rng = np.random.default_rng(11)
+        wavefront = Wavefront(ds, weights)
+        for _ in range(3):
+            a, b = batch_inputs(ds, rng)
+            expected = sweep_rows_by_loop(ds, weights, a, b)
+            wavefront.run(a, b)
+            assert_same_bytes((a, b), expected)
+
+    @pytest.mark.parametrize("weights", [[0.7], [0.7, 0.8, 0.9], [[0.7], [0.8]], []],
+                             ids=["short", "long", "2-d", "empty"])
+    def test_wrong_number_of_weights_raises(self, weights):
+        with pytest.raises(ValueError):
+            Wavefront([3, 4], weights)
 
 
 class TestDispatch:

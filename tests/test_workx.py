@@ -10,9 +10,9 @@ from thermoproc._kernels import memory_sweep
 from thermoproc.combinatorics import f_coeff
 from thermoproc.core import PopulationVector, is_gibbs_stochastic
 from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
-                              epsilon_mtp, epsilon_tp, optimal_tp_matrix,
-                              run_memory_extraction, run_sequence_protocol,
-                              run_tp_protocol)
+                              epsilon_mtp, epsilon_tp, memory_extraction_grid,
+                              optimal_tp_matrix, run_memory_extraction,
+                              run_sequence_protocol, run_tp_protocol)
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -254,6 +254,27 @@ class TestMemoryProtocol:
         order = np.random.default_rng(seed).permutation(d)
         assert (extraction_in_order(setup, d, order)
                 == stepwise_extraction(setup, d, order)[0])
+
+    def test_grid_equals_the_stepwise_oracle_bit_for_bit(self):
+        setups = [ExtractionSetup(be, bw, 1.0) for be in (LN2, 1.0)
+                  for bw in (0.1, 0.3, LN2, 1.0, LN4, 2.6)]
+        ds = [*range(1, 11), 100]
+        grid = memory_extraction_grid(setups, ds)
+        assert len(grid) == len(ds)
+        for d, errors in zip(ds, grid):
+            expected = np.array([stepwise_extraction(st, d)[0] for st in setups])
+            assert errors.tobytes() == expected.tobytes(), d
+
+    def test_grid_takes_memory_sizes_in_any_order(self):
+        setups = [ExtractionSetup(LN2, bw, 1.0) for bw in (0.3, LN4, 2.0)]
+        ds = [7, 1, 130, 7, 3]
+        grid = memory_extraction_grid(setups, ds)
+        for d, errors in zip(ds, grid):
+            assert errors.tolist() == [run_memory_extraction(st, d) for st in setups]
+        assert memory_extraction_grid([], ds)[0].shape == (0,)
+        assert memory_extraction_grid(setups, []) == []
+        with pytest.raises(ValueError):
+            memory_extraction_grid(setups, [3, 0])
 
     def test_depletion_factors_match_effective_chain(self):
         # independent oracle: run the (d+1)-level drain chain, feeding each
