@@ -13,8 +13,9 @@ experiment's fields once; config validation and the CLI flags both read it,
 and a flag left out takes the config default.  Runs are fully deterministic:
 identical configs produce byte-identical data files (the manifest echoes
 per-file SHA-256 digests; only its wall-clock field varies between runs).
-CSV floats carry 17 significant digits so they round-trip exactly; a NaN or
-infinite value raises ValueError instead of being written.
+Every CSV, fig3's included, goes through one writer: floats carry 17
+significant digits so they round-trip exactly; a NaN or infinite value
+raises ValueError instead of being written.
 
 Exit codes: 0 success, 2 config error, 3 validation failure, 4 I/O error.
 """
@@ -28,6 +29,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Callable
 
@@ -148,10 +150,6 @@ PARAMS = {
         Param("only", str, None, lambda v: v in validation.MODULES,
               f"must be one of {validation.MODULES}",
               help="restrict to one module's checks: " + ", ".join(validation.MODULES)),
-        Param("tolerance_scale", float, 1.0, lambda v: v >= 0, "must be >= 0",
-              help="multiply every tolerance; at 0 a check passes only with a "
-                   "deviation <= 0 (no rounding error, an exact or boolean check "
-                   "that holds, a nonnegative margin)"),
     ),
 }
 
@@ -250,22 +248,26 @@ def _fmt(value) -> str:
     return _spec(type(value)) % (value,)
 
 
-def _write_csv(path: Path, header_meta: dict, columns, rows):
-    """Write rows of numbers under a commented header; a NaN or infinite
-    value raises ValueError naming its row and column, and nothing is written."""
-    lines = [f"# thermoproc {path.stem} v{SCHEMA_VERSION}"]
+def _write_csv(path: Path, header_meta: dict, columns, rows, title=None):
+    """Write rows of numbers and labels under a commented header titled
+    ``title`` (the file's stem if None); a NaN or infinite number raises
+    ValueError naming its row and column, and nothing is written."""
+    lines = [f"# thermoproc {title or path.stem} v{SCHEMA_VERSION}"]
     for key in sorted(header_meta):
         lines.append(f"# {key}={_fmt(header_meta[key])}")
     lines.append(",".join(columns))
-    templates = {}  # one row template per sequence of value types
+    formats = {}  # per sequence of value types: row template, which cells are numbers
     for i, row in enumerate(rows, 1):
-        if not all(map(math.isfinite, row)):
-            column = next(c for c, v in zip(columns, row) if not math.isfinite(v))
-            raise ValueError(f"{path}: non-finite value in data row {i}, column {column}")
         kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = ",".join(map(_spec, kinds))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = (",".join(map(_spec, kinds)),
+                                    [not issubclass(k, str) for k in kinds])
+        template, numbers = fmt
+        if not all(map(math.isfinite, compress(row, numbers))):
+            column = next(c for c, v in compress(zip(columns, row), numbers)
+                          if not math.isfinite(v))
+            raise ValueError(f"{path}: non-finite value in data row {i}, column {column}")
         lines.append(template % tuple(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -292,15 +294,14 @@ def _emit_fig2(cfg: ExperimentConfig, outdir: Path):
 def _emit_fig3(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     gamma, depth = p["gamma"], p["depth"]
-    regions = [
-        reachable.tp_region(gamma),
-        reachable.etp_orbit_hull(gamma, depth),
-        reachable.mtp_mixing_path(gamma),
-        *reachable.mmtp2_point_regions(gamma),
-    ]
-    path = reachable.region_export(regions, outdir / "fig3_regions.csv",
-                                   meta=cfg.echo()["params"])
-    return [Path(path)]
+    regions = [reachable.tp_region(gamma), reachable.etp_orbit_hull(gamma, depth),
+               reachable.mtp_mixing_path(gamma), *reachable.mmtp2_point_regions(gamma)]
+    rows = [[r.tag, r.kind, i, *probs, *xy] for r in regions
+            for i, (probs, xy) in enumerate(zip(r.vertices.tolist(), r.xy().tolist()))]
+    columns = ["region", "kind", "index", "p_g", "p_e1", "p_e2", "x", "y"]
+    path = _write_csv(outdir / "fig3_regions.csv", cfg.echo()["params"], columns, rows,
+                      "qutrit regions")
+    return [path]
 
 
 def _emit_cooling(cfg: ExperimentConfig, outdir: Path):
@@ -349,8 +350,7 @@ def _emit_beta_swap_sweep(cfg: ExperimentConfig, outdir: Path):
 def _validate(params: dict, report_path):
     """Run the checks ``params`` select; write their JSON summary to
     ``report_path`` unless it is None."""
-    results = validation.run_checks(only=params["only"],
-                                    tolerance_scale=params["tolerance_scale"])
+    results = validation.run_checks(only=params["only"])
     if report_path is not None:
         Path(report_path).write_text(
             json.dumps(validation.summarize(results), indent=2, sort_keys=True) + "\n",

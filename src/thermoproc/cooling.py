@@ -31,7 +31,8 @@ one from unit excited mass (B), which ``memory._round_response`` computes
 once per run.  A coherent round is then p' = inv A_g + (1 - inv) B_g with
 inv = 1 - p, and an incoherent one g0' = g0 A_g + e1 B_g,
 e1' = g0 A_e + e1 B_e.  Below ``RESPONSE_MIN_D`` each round runs its own d^2
-sweep, so that the default runs (d <= 8) keep their output bytes.
+sweep, so that the default runs (d <= 8) keep their output bytes.  Either
+way the pair step acts on (g0, e1) alone; g1 and e0 keep their values.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import memory_sweep
 from .combinatorics import _require_int, delta_d
 from .core import clip_noise
-from .memory import RESPONSE_MIN_D, _round_response, simulate_memory_beta_swap
+from .memory import RESPONSE_MIN_D, _round_response, _sweep, simulate_memory_beta_swap
+from .memory import memory_sweep  # noqa: F401  (unused; perfbench's tracer test reads it)
 
 PROCESS_CLASSES = ("TP", "MTP", "MMTP")
 
@@ -187,17 +188,6 @@ def _refresh_auxiliary(v: np.ndarray, eta: float) -> np.ndarray:
                      s_excited * eta, s_excited * (1.0 - eta)])
 
 
-def _mmtp_pair_step(v: np.ndarray, d: int, gamma_big: float) -> np.ndarray:
-    """Memory-simulated swap on the (g0, e1) pair of the 4-level composite.
-
-    Attaches a fresh uniform d-level memory, runs the d^2 sweep between the
-    g0 and e1 slot blocks, and traces the memory back out.
-    """
-    w = np.repeat(v, d) / d
-    memory_sweep(w, d, gamma_big, 0, 3 * d)
-    return w.reshape(4, d).sum(axis=1)
-
-
 def cool_incoherent(process: str, n: int, E: float, script_E: float,
                     beta: float, beta_hot: float, d=None) -> CoolingRun:
     """Simulate n incoherent-control rounds on the 4-level composite."""
@@ -214,23 +204,17 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
                   (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)])
     pops = np.empty(n)
     for r in range(n):
+        # each step acts on the (g0, e1) pair of this round's fresh state
+        g0, e1 = v[0], v[3]
         if process == "TP":
-            g0, e1 = v[0], v[3]
-            v = v.copy()
-            v[0] = (1.0 - q_big) * g0 + e1
-            v[3] = q_big * g0
+            v[0], v[3] = (1.0 - q_big) * g0 + e1, q_big * g0
         elif process == "MTP":
-            pool = v[0] + v[3]
-            v = v.copy()
-            v[0] = gamma_big * pool
-            v[3] = (1.0 - gamma_big) * pool
+            pool = g0 + e1
+            v[0], v[3] = gamma_big * pool, (1.0 - gamma_big) * pool
         elif d < RESPONSE_MIN_D:
-            v = _mmtp_pair_step(v, d, gamma_big)
+            v[0], v[3] = _sweep(d, gamma_big, g0, e1)
         else:
-            g0, e1 = v[0], v[3]
-            v = v.copy()
-            v[0] = g0 * a_g + e1 * b_g
-            v[3] = g0 * a_e + e1 * b_e
+            v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
         pops[r] = v[0] + v[1]
         v = _refresh_auxiliary(v, eta)
     params = {"E": E, "script_E": script_E, "beta": beta,

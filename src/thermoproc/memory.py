@@ -48,14 +48,15 @@ from .combinatorics import _require_int, delta_d
 RESPONSE_MIN_D = 48
 
 
-def _sweep(d: int, gamma: float, p_ground: float, p_excited: float) -> float:
-    """Spread the pair populations uniformly over the slots, run the d^2
-    sweep, and return the ground block's total."""
+def _sweep(d: int, gamma: float, p_ground: float, p_excited: float):
+    """One memory-simulated swap of a pair: spread its populations evenly
+    over the slots of a fresh memory, run the d^2 sweep, and return the
+    (ground, excited) block totals."""
     vec = np.empty(2 * d)
     vec[:d] = p_ground / d
     vec[d:] = p_excited / d
     memory_sweep(vec, d, gamma, 0, d)
-    return float(vec[:d].sum())
+    return float(vec[:d].sum()), float(vec[d:].sum())
 
 
 def _round_response(d: int, gamma: float):
@@ -83,7 +84,7 @@ def simulate_memory_beta_swap(d, p0: float, gamma: float):
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
     if scalar:
-        return _sweep(ds[0], gamma, p0, 1.0 - p0)
+        return _sweep(ds[0], gamma, p0, 1.0 - p0)[0]
     totals = np.empty(len(ds))
     for rows in wavefront_blocks(ds):
         block = [ds[i] for i in rows]

@@ -30,6 +30,8 @@ Regions computed:
 Plot coordinates: barycentric map onto the equilateral triangle with
 g -> (0, 0), e1 -> (1, 0), e2 -> (1/2, sqrt(3)/2).
 
+Geometry only, no I/O: ``cli`` writes the regions through its one CSV writer.
+
 The orbit closure and the hull chain run on Python floats: each step works
 on a 2- or 3-element point, where a numpy call would cost more than the
 arithmetic.  The turn test is spelled out as the same IEEE operations as
@@ -288,25 +290,3 @@ def inside_tp_cone(gamma: float, point):
     return thermo_majorizes(np.array([1.0, 0.0, 0.0]), np.asarray(point),
                             qutrit_gibbs(gamma))
 
-
-def region_export(regions, path, meta=None):
-    """Write regions as CSV: one row per vertex, 17-significant-digit floats.
-
-    Columns: region tag, kind, vertex index, the three populations, and the
-    triangle plot coordinates.  ``meta`` key/value pairs are echoed as
-    '#'-prefixed header comments.  An empty region list writes headers only.
-    """
-    lines = ["# thermoproc qutrit regions v1"]
-    for key in sorted(meta or {}):
-        lines.append(f"# {key}={meta[key]}")
-    lines.append("region,kind,index,p_g,p_e1,p_e2,x,y")
-    for region in regions:
-        xy = region.xy()
-        for idx, (p, c) in enumerate(zip(region.vertices, xy)):
-            fields = [region.tag, region.kind, str(idx)]
-            fields += [f"{v:.17g}" for v in (*p, *c)]
-            lines.append(",".join(fields))
-    data = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    return path

@@ -6,15 +6,15 @@ other) and reports the worst measured deviation next to its tolerance.  The
 CLI ``validate`` command runs these and exits nonzero when any fail; the
 acceptance test suite runs the same checks one criterion at a time.
 
-``tolerance_scale`` multiplies every tolerance and every margin a check asks
-for.  At 0 a check passes only when its deviation is 0 or negative: when a
-numeric comparison shows no rounding error at all, when an exact or boolean
-check holds, or when a margin check (the qutrit separations) finds its
-margin nonnegative.  Scale 0 therefore does not force failures.
+Each tolerance is a constant of its check: an exact or boolean check reports
+0 or inf against 1/2, a margin check the clearance it asks for minus the one
+it finds against 0.  The JSON report gives every deviation next to its
+tolerance, which shows how close each check runs to its bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -59,32 +59,29 @@ _MODULE_OF = {}
 
 
 def _check(name, module):
-    """Declare a check of ``module``.  The decorated body takes the tolerance
-    scale and returns (deviation, tolerance, detail); the check returns the
-    CheckResult, which passes iff deviation <= tolerance and records the
-    body's wall time."""
+    """Declare a check of ``module``.  The decorated body takes no argument
+    and returns (deviation, tolerance, detail); the check, which keeps the
+    body's name and docstring, returns the CheckResult, which passes iff
+    deviation <= tolerance and records the body's wall time."""
     def declare(body):
-        # name and docstring by hand: ``functools.wraps`` would make
-        # ``inspect.signature`` report the body's (scale) without the default
-        def check(scale=1.0):
+        @functools.wraps(body)
+        def check():
             t0 = time.perf_counter()
-            deviation, tolerance, detail = body(scale)
+            deviation, tolerance, detail = body()
             return CheckResult(name=name, module=module,
                                passed=bool(deviation <= tolerance),
                                deviation=float(deviation),
                                tolerance=float(tolerance), detail=detail,
                                seconds=time.perf_counter() - t0)
-        check.__name__, check.__qualname__ = body.__name__, body.__qualname__
-        check.__doc__ = body.__doc__
         _MODULE_OF[check.__name__] = module
         return check
     return declare
 
 
 @_check("elementary-matrix-invariants", "core")
-def check_core_elementary(scale):
+def check_core_elementary():
     """Elementary matrices are Gibbs-stochastic and satisfy the swap identity."""
-    tol = 1.0e-12 * scale
+    tol = 1.0e-12
     worst = 0.0
     h = Hamiltonian((0.0, 1.0))
     for beta in (LN2, LN3, 1.0):
@@ -106,18 +103,18 @@ def check_core_elementary(scale):
 
 
 @_check("qubit-memory-boost", "memory")
-def check_memory_boost(scale):
+def check_memory_boost():
     """d = 2 protocol from the ground state hits the known closed value."""
-    tol = 1.0e-12 * scale
+    tol = 1.0e-12
     p2 = memory.simulate_memory_beta_swap(2, 0.0, 0.75)
     dev = abs(p2 - 0.890625)
     return dev, tol, f"simulated {p2!r} vs closed 0.890625"
 
 
 @_check("swap-simulation-closed-form", "memory")
-def check_memory_closed_form(scale):
+def check_memory_closed_form():
     """Simulation equals the closed form over the (d, gamma, p0) grid."""
-    tol = 1.0e-10 * scale
+    tol = 1.0e-10
     worst = 0.0
     for d in range(1, 13):
         for g in (0.55, 0.65, 0.75, 0.85, 0.95):
@@ -128,9 +125,9 @@ def check_memory_closed_form(scale):
 
 
 @_check("swap-simulation-tail-bound", "memory")
-def check_memory_tail_bound(scale):
+def check_memory_tail_bound():
     """Distance to the exact swap output obeys the Catalan tail bound, d >= 10."""
-    worst_excess = 0.0
+    worst_excess = -math.inf  # the largest excess itself, < 0 when all points clear
     slack = 1.0e-13  # float rounding of the d^2-step sweep
     for d in (10, 11, 12):
         for g in (0.55, 0.65, 0.75, 0.85, 0.95):
@@ -144,13 +141,13 @@ def check_memory_tail_bound(scale):
                 worst_excess = max(worst_excess,
                                    abs(sim - exact_swap) - abs(coeff) * bound)
             worst_excess = max(worst_excess, float(comb.delta_d(d, g)) - bound)
-    return worst_excess, slack * scale, "swap deviation minus bound, d in {10,11,12}"
+    return worst_excess, slack, "swap deviation minus bound, d in {10,11,12}"
 
 
 @_check("coherent-cooling-closed-forms", "cooling")
-def check_coherent_cooling(scale):
+def check_coherent_cooling():
     """Round-by-round simulation equals the closed forms, every class."""
-    tol = 1.0e-10 * scale
+    tol = 1.0e-10
     worst = 0.0
     for g in (0.6, 0.75, 0.9):
         for process, ds in (("TP", [None]), ("MTP", [None]),
@@ -163,9 +160,9 @@ def check_coherent_cooling(scale):
 
 
 @_check("coherent-asymptote-monotone", "cooling")
-def check_coherent_asymptote(scale):
+def check_coherent_asymptote():
     """Memory asymptote: equals gamma at d = 1, strictly increasing to d = 30."""
-    tol = 1.0e-12 * scale
+    tol = 1.0e-12
     dev = abs(float(cooling.coherent_p_max(1, 0.75)) - 0.75)
     ok_monotone = True
     for g in (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10)):
@@ -177,9 +174,9 @@ def check_coherent_asymptote(scale):
 
 
 @_check("incoherent-cooling-convergence", "cooling")
-def check_incoherent_convergence(scale):
+def check_incoherent_convergence():
     """All classes converge to the shared asymptote at the reference point."""
-    tol = 1.0e-6 * scale
+    tol = 1.0e-6
     p_star = cooling.p_star_incoherent(**INC_REF)
     worst = 0.0
     detail = f"p_star = {p_star:.9f}"
@@ -190,9 +187,9 @@ def check_incoherent_convergence(scale):
 
 
 @_check("incoherent-rates", "cooling")
-def check_incoherent_rates(scale):
+def check_incoherent_rates():
     """Measured contraction matches the closed rates; d = 1 equals the MTP rate."""
-    tol = 1.0e-10 * scale
+    tol = 1.0e-10
     p_star = cooling.p_star_incoherent(**INC_REF)
     worst = 0.0
     for process, d in (("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 6)):
@@ -206,9 +203,9 @@ def check_incoherent_rates(scale):
 
 
 @_check("extraction-point-values", "workx")
-def check_extraction_point_values(scale):
+def check_extraction_point_values():
     """Reference errors at beta_E = ln2, beta_W = ln4, each matched by protocol."""
-    tol = 1.0e-12 * scale
+    tol = 1.0e-12
     st = workx.ExtractionSetup(LN2, math.log(4.0), 1.0)
     worst = abs(workx.epsilon_tp(st) - 0.25)
     worst = max(worst, abs(workx.epsilon_mtp(st) - 8.0 / 15.0))
@@ -225,9 +222,9 @@ def check_extraction_point_values(scale):
 
 
 @_check("extraction-bisection-grid", "majorization")
-def check_extraction_bisection(scale):
+def check_extraction_bisection():
     """Reachability bisection reproduces the closed minimum error on a W grid."""
-    tol = 1.0e-9 * scale
+    tol = 1.0e-9
     gaps = np.linspace(0.05, 2.5, 50)
     bisected = majorization.min_extraction_error_tp(LN2, gaps, 1.0)
     worst = max(abs(eps - workx.epsilon_tp(workx.ExtractionSetup(LN2, bw, 1.0)))
@@ -236,9 +233,9 @@ def check_extraction_bisection(scale):
 
 
 @_check("extraction-error-ordering", "workx")
-def check_extraction_ordering(scale):
+def check_extraction_ordering():
     """eps_TP <= eps_ETP <= eps_MTP and the memory errors bracket in between."""
-    tol = 1.0e-12 * scale
+    tol = 1.0e-12
     setups = [workx.ExtractionSetup(LN2, float(bw), 1.0) for bw in np.linspace(0.05, 3.0, 60)]
     tp = np.array([workx.epsilon_tp(st) for st in setups])
     etp = np.array([workx.epsilon_etp(st) for st in setups])
@@ -250,9 +247,9 @@ def check_extraction_ordering(scale):
 
 
 @_check("memory-extraction-closed-form", "workx")
-def check_memory_extraction(scale):
+def check_memory_extraction():
     """4d-level protocol simulation equals the closed-form error, d <= 10."""
-    tol = 1.0e-10 * scale
+    tol = 1.0e-10
     setups = [workx.ExtractionSetup(be, float(bw), 1.0)
               for be in (LN2, 1.0) for bw in np.linspace(0.1, 2.6, 25)]
     ds = range(1, 11)
@@ -262,9 +259,9 @@ def check_memory_extraction(scale):
 
 
 @_check("memory-extraction-large-d", "workx")
-def check_memory_extraction_large_d(scale):
+def check_memory_extraction_large_d():
     """d = 400 closed form sits within 0.02 of the unrestricted optimum."""
-    tol = 0.02 * scale
+    tol = 0.02
     w0 = workx.ExtractionSetup(LN2, 1.0, 1.0).W_0
     setups = [workx.ExtractionSetup(LN2, float(bw), 1.0)
               for bw in np.concatenate([np.linspace(0.2, 0.9 * w0, 8),
@@ -276,9 +273,9 @@ def check_memory_extraction_large_d(scale):
 
 
 @_check("special-function-routes", "combinatorics")
-def check_function_routes(scale):
+def check_function_routes():
     """Three independent evaluation routes of L agree."""
-    tol = 1.0e-9 * scale
+    tol = 1.0e-9
     worst = 0.0
     xs = np.arange(0.1, 0.95, 0.1)
     for n in range(1, 41):
@@ -292,9 +289,9 @@ def check_function_routes(scale):
 
 
 @_check("special-function-identities", "combinatorics")
-def check_function_identities(scale):
+def check_function_identities():
     """The (n-1)-order diagonal matches its Catalan-tail closed form."""
-    tol = 1.0e-10 * scale
+    tol = 1.0e-10
     worst = 0.0
     for n in range(1, 51):
         for x in (0.1, 0.2, 0.3, 0.4):
@@ -305,7 +302,7 @@ def check_function_identities(scale):
 
 
 @_check("exact-coefficient-recurrence", "combinatorics")
-def check_exact_coefficients(scale):
+def check_exact_coefficients():
     """Recurrence table equals binomials exactly; rational routes agree exactly."""
     table = comb.f_table(60, 60)
     exact = all(table[j][k] == comb.f_coeff(j, k)
@@ -318,11 +315,11 @@ def check_exact_coefficients(scale):
                 exact &= (comb.K_eval(n, m, x) + comb.I_nm_eval(n, m, x)
                           == comb.L_eval(n, m, x, "definition"))
     deviation = 0.0 if exact else math.inf
-    return deviation, 0.5 * max(scale, 1e-300), "exact integer and rational equalities"
+    return deviation, 0.5, "exact integer and rational equalities"
 
 
 @_check("qutrit-separation", "reachable")
-def check_qutrit_separation(scale):
+def check_qutrit_separation():
     """Memory-assisted B vertices against the Markovian region, stated grid.
 
     Asks for a positive clearance of at least 1e-6 outside the exact MTP
@@ -330,7 +327,7 @@ def check_qutrit_separation(scale):
     memoryless Markovian process can.  (Against the swap sequences no such
     clearance exists at this grid: one swap and two partial swaps reach B.)
     """
-    needed = 1.0e-6 * scale
+    needed = 1.0e-6
     worst_margin = math.inf
     details = []
     for g in (0.65, 0.75, 0.85):
@@ -345,9 +342,9 @@ def check_qutrit_separation(scale):
 
 
 @_check("qutrit-separation-large-gamma", "reachable")
-def check_qutrit_separation_large_gamma(scale):
+def check_qutrit_separation_large_gamma():
     """The same separation where it does hold: large pair weights."""
-    needed = 1.0e-6 * scale
+    needed = 1.0e-6
     worst_margin = math.inf
     for g in (0.88, 0.92, 0.96):
         hull = reachable.etp_orbit_hull(g, 8)
@@ -359,18 +356,18 @@ def check_qutrit_separation_large_gamma(scale):
 
 
 @_check("qutrit-tp-membership", "reachable")
-def check_qutrit_tp_membership(scale):
+def check_qutrit_tp_membership():
     """All four memory-assisted vertices are thermally reachable states."""
     ok = True
     for g in (0.65, 0.75, 0.85):
         vertices = np.array([v.probs for v in reachable.qutrit_mmtp2_vertices(g)])
         ok &= bool(reachable.inside_tp_cone(g, vertices).all())
-    return (0.0 if ok else math.inf, 0.5 * max(scale, 1e-300),
+    return (0.0 if ok else math.inf, 0.5,
             "thermo-majorization membership of A and B vertices")
 
 
 @_check("run-determinism", "cli")
-def check_run_determinism(scale):
+def check_run_determinism():
     """Two identical experiment runs emit byte-identical data files."""
     import tempfile
     from pathlib import Path
@@ -392,7 +389,7 @@ def check_run_determinism(scale):
             digests.append(sorted((f["name"], f["sha256"]) for f in manifest.files))
     same = digests[0] == digests[1]
     deviation = 0.0 if same else math.inf
-    return (deviation, 0.5 * max(scale, 1e-300),
+    return (deviation, 0.5,
             "byte-identical outputs across repeated identical runs")
 
 
@@ -420,11 +417,11 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(only=None, tolerance_scale: float = 1.0):
+def run_checks(only=None):
     """Run the validation checks, optionally restricted to one module."""
     if only is not None and only not in MODULES:
         raise ValueError(f"unknown module {only!r}; pick one of {MODULES}")
-    return [check(tolerance_scale) for check in ALL_CHECKS
+    return [check() for check in ALL_CHECKS
             if only is None or _MODULE_OF[check.__name__] == only]
 
 

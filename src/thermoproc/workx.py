@@ -89,14 +89,6 @@ class ExtractionSetup:
         """Largest gap extractable with vanishing error: E + ln(Z)/beta."""
         return self.E + math.log(self.Z) / self.beta
 
-    @property
-    def energies(self) -> tuple:
-        return (0.0, self.W, self.E, self.E + self.W)
-
-    def composite_gibbs(self) -> PopulationVector:
-        w = np.exp(-self.beta * np.array(self.energies))
-        return PopulationVector(w / w.sum())
-
     def initial_state(self) -> PopulationVector:
         return PopulationVector([0.0, 0.0, 1.0, 0.0])
 

@@ -1,10 +1,12 @@
 """Every public name of the package is used by the package itself.
 
-A public module-level function, class or constant that no code in
-``src/thermoproc`` reads is API that only tests (or nothing) use; it belongs
-in the test that needs it.  The scan is static: a name counts as used when
-some ``Name`` (read, not assigned) or ``Attribute`` node in the package
-spells it.
+A public module-level function, class or constant, or a public method or
+property of a public class, that no code in ``src/thermoproc`` reads is API
+that only tests (or nothing) use; it belongs in the test that needs it.  The
+scan is static: a name counts as used when some ``Name`` (read, not
+assigned) or ``Attribute`` node in the package spells it.
+
+The same static scan keeps every file write in ``cli.py``.
 """
 
 import ast
@@ -33,7 +35,8 @@ def _exported(trees):
 
 
 def _public_definitions(trees):
-    """(module, name) of every public module-level def, class or constant."""
+    """(qualified name, name) of every public module-level def, class or
+    constant, and of every public method or property of a public class."""
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -42,7 +45,10 @@ def _public_definitions(trees):
                 names = [t.id for t in node.targets if isinstance(t, ast.Name)]
             else:
                 continue
-            yield from ((module, n) for n in names if not n.startswith("_"))
+            yield from ((f"{module}.{n}", n) for n in names if not n.startswith("_"))
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from ((f"{module}.{node.name}.{f.name}", f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
 
 
 def _used_names(trees):
@@ -60,7 +66,7 @@ def test_every_public_name_is_used_by_the_package():
     trees = _trees()
     exempt = _exported(trees) | README_NAMES
     used = _used_names(trees)
-    unused = sorted(f"{module}.{name}" for module, name in _public_definitions(trees)
+    unused = sorted(qualified for qualified, name in _public_definitions(trees)
                     if name not in used and name not in exempt)
     assert unused == [], "public names nothing in src/thermoproc uses: " + ", ".join(unused)
 
@@ -138,3 +144,38 @@ def test_every_defaulted_parameter_is_passed_by_the_package():
                 unpassed.append(f"{module}.{fn.name}({name})")
     assert unpassed == [], ("defaulted parameters no call in src/thermoproc "
                             "passes: " + ", ".join(unpassed))
+
+
+WRITE_METHODS = {"write_text", "write_bytes"}
+
+
+def _file_writes(tree):
+    """Line numbers of the calls in ``tree`` that write a file: a
+    ``write_text`` or ``write_bytes`` method, or ``open`` with a mode that
+    writes, appends or creates."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in WRITE_METHODS:
+            yield node.lineno
+        elif name == "open":
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[1:2]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in modes):
+                yield node.lineno
+
+
+def test_only_the_cli_writes_files():
+    """Every output file goes through ``cli``: its one CSV writer, the JSON
+    report and the manifest."""
+    writers = sorted(f"{module}.py:{line}" for module, tree in _trees().items()
+                     if module != "cli" for line in _file_writes(tree))
+    assert writers == [], "file writes outside cli.py: " + ", ".join(writers)
+
+
+def test_the_write_scan_sees_each_kind_of_write():
+    tree = ast.parse("p.write_text(s)\nq.write_bytes(b)\nopen(f, 'w')\n"
+                     "open(f, mode='a')\nopen(f, m)\nopen(f)\nopen(f, 'rb')\n")
+    assert list(_file_writes(tree)) == [1, 2, 3, 4, 5]
+    assert list(_file_writes(_trees()["cli"]))  # cli itself writes

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from thermoproc import cli, validation
+from thermoproc import cli, reachable, validation
 from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, delta_d
 from thermoproc.memory import closed_form_p_d
 from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
@@ -73,6 +73,9 @@ class TestConfigValidation:
         # a field of another experiment is unknown here too
         ({"experiment": "cooling-coherent", "params": {"beta_hot": 0.1}},
          "params.beta_hot"),
+        # validate takes no tolerance scale; each tolerance is the check's own
+        ({"experiment": "validate", "params": {"tolerance_scale": 1.0}},
+         "params.tolerance_scale"),
     ])
     def test_unknown_field_is_rejected(self, raw, field):
         with pytest.raises(cli.ConfigError, match=field) as info:
@@ -222,6 +225,76 @@ class TestOtherExperiments:
         assert all(c["module"] == "core" for c in report["checks"])
 
 
+def region_import(path):
+    """Read fig3_regions.csv back: per region, in file order, its tag, kind,
+    vertex indices, populations and plot coordinates."""
+    regions = {}
+    for line in open(path, encoding="utf-8"):
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("region,"):
+            continue
+        tag, kind, idx, *values = line.split(",")
+        region = regions.setdefault(tag, {"kind": kind, "index": [], "probs": [], "xy": []})
+        region["index"].append(int(idx))
+        region["probs"].append([float(v) for v in values[:3]])
+        region["xy"].append([float(v) for v in values[3:]])
+    return regions
+
+
+def fig3_regions(gamma, depth):
+    """The regions fig3 exports, in export order."""
+    return [reachable.tp_region(gamma), reachable.etp_orbit_hull(gamma, depth),
+            reachable.mtp_mixing_path(gamma), *reachable.mmtp2_point_regions(gamma)]
+
+
+class TestExport:
+    """fig3_regions.csv, written by the CSV writer every experiment uses."""
+
+    def test_empty_export_is_header_only(self, tmp_path):
+        path = cli._write_csv(tmp_path / "empty.csv", {"gamma": 0.75},
+                              ["region", "kind", "index"], [], "qutrit regions")
+        assert path.read_text().splitlines() == [
+            "# thermoproc qutrit regions v1", "# gamma=0.75", "region,kind,index"]
+
+    def test_block_layout_and_round_trip(self, tmp_path):
+        cli.emit_figure_data("fig3", {"gamma": 0.75, "depth": 8}, tmp_path / "o")
+        path = tmp_path / "o" / "fig3_regions.csv"
+        assert path.read_text().splitlines()[:4] == [
+            "# thermoproc qutrit regions v1", "# depth=8", "# gamma=0.75",
+            "region,kind,index,p_g,p_e1,p_e2,x,y"]
+        loaded = region_import(path)
+        assert list(loaded) == ["TP", "ETP-approx", "MTP-path", "MMTP2-A", "MMTP2-B"]
+        kinds = [r["kind"] for r in loaded.values()]
+        assert kinds == ["polygon", "polygon", "path", "points", "points"]
+        for orig, back in zip(fig3_regions(0.75, 8), loaded.values()):
+            assert back["index"] == list(range(len(orig.vertices)))
+            np.testing.assert_allclose(back["probs"], orig.vertices, atol=1e-9)
+
+    def test_round_trip_is_exact(self, tmp_path):
+        # 17 significant digits reproduce doubles bit for bit
+        cli.emit_figure_data("fig3", {"gamma": 0.8, "depth": 6}, tmp_path / "o")
+        loaded = region_import(tmp_path / "o" / "fig3_regions.csv")
+        for orig, back in zip(fig3_regions(0.8, 6), loaded.values(), strict=True):
+            assert np.array(back["probs"]).tobytes() == orig.vertices.tobytes()
+            assert np.array(back["xy"]).tobytes() == orig.xy().tobytes()
+
+    def test_non_finite_number_raises_and_nothing_is_written(self, tmp_path, monkeypatch):
+        class NanPoints:
+            tag, kind = "MMTP2-A", "points"
+            vertices = np.array([[1.0, 0.0, 0.0], [0.5, math.nan, 0.5]])
+
+            def xy(self):
+                return reachable.bary_xy(self.vertices)
+
+        monkeypatch.setattr(reachable, "mmtp2_point_regions", lambda gamma: [NanPoints()])
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="fig3_regions.csv: non-finite value "
+                                             r"in data row \d+, column p_e1"):
+            cli.emit_figure_data("fig3", {"gamma": 0.75, "depth": 4}, out)
+        assert not (out / "fig3_regions.csv").exists()
+        assert not (out / "run_manifest.json").exists()
+
+
 class TestMainExitCodes:
     def test_run_ok(self, tmp_path, capsys):
         config = write_config(tmp_path, {
@@ -333,15 +406,26 @@ class TestMainExitCodes:
         assert sorted(check) == ["detail", "deviation", "module", "name",
                                  "passed", "tolerance"]
 
-    def test_validate_forced_failure(self, tmp_path, capsys):
+    def test_validate_forced_failure(self, tmp_path, capsys, monkeypatch):
+        # the core check's body swapped for one whose deviation exceeds its
+        # tolerance; same name and module, so selection is unchanged
+        def check_core_elementary():
+            return 1.0, 1.0e-12, "forced"
+
+        forced = validation._check("elementary-matrix-invariants", "core")(
+            check_core_elementary)
+        monkeypatch.setattr(validation, "ALL_CHECKS", tuple(
+            forced if c.__name__ == forced.__name__ else c
+            for c in validation.ALL_CHECKS))
         report = tmp_path / "report.json"
-        code = cli.main(["validate", "--only", "core",
-                         "--tolerance-scale", "0", "--json", str(report)])
+        code = cli.main(["validate", "--only", "core", "--json", str(report)])
         assert code == 3
-        assert "[FAIL]" in capsys.readouterr().out
+        assert "[FAIL] elementary-matrix-invariants" in capsys.readouterr().out
         payload = json.loads(report.read_text())
         assert payload["passed"] is False
-        assert payload["checks"][0]["deviation"] >= 0.0
+        assert payload["n_failed"] == 1
+        assert (payload["checks"][0]["deviation"], payload["checks"][0]["tolerance"]) \
+            == (1.0, 1.0e-12)
 
     def test_fig_subcommand(self, tmp_path, capsys):
         code = cli.main(["fig", "fig2", "--w-points", "5", "--d-list", "2",
@@ -353,21 +437,21 @@ class TestMainExitCodes:
         assert cli.main(["fig", "fig3", "--depth", "0",
                          "--out", str(tmp_path / "f")]) == 2
         assert "params.depth" in capsys.readouterr().err
-        assert cli.main(["validate", "--tolerance-scale", "-1"]) == 2
-        assert "params.tolerance_scale" in capsys.readouterr().err
+        assert cli.main(["validate", "--only", "kernels"]) == 2
+        assert "params.only" in capsys.readouterr().err
 
 
 # SHA-256 of each default-config output.  The five data files match
 # perfbench/seed_digests.json; validation_report.json is measured against the
-# exact Markovian qutrit region, and its incoherent-rates detail states what
-# that check verifies.
+# exact Markovian qutrit region, its incoherent-rates detail states what that
+# check verifies, and its tail-bound deviation is the largest excess itself.
 DEFAULT_DIGESTS = {
     "fig2.csv": "245d4bbef9a02d38084aebbec117b20be613e8b0e336ef82247850490c858883",
     "fig3_regions.csv": "e6088d3cbc7b2dc870f851f4a70fbe43f9ca143e7e8316ef72aa64bb60c32467",
     "cooling_coherent.csv": "65cad94d6bfefc4c54f1eb32b6eb114b64ccf5f20d6e162b39263870b4709066",
     "cooling_incoherent.csv": "e1e064acfb7fbe13a63056f90963c507d5fa58457ff33dd213df1f5744d2deb8",
     "beta_swap_sweep.csv": "a9993a8d1e6be4486356eda9b6864263a2c62ef74db4aca55f9b153c9bdba94f",
-    "validation_report.json": "61e3e75f8caf7cd5bce73b3afadfc32ed8bee870d90289bc16bb12f64c5479bf",
+    "validation_report.json": "a81fa657560720c91e1f6f7e977c2b06ce7e4f8a4878affe7ea89d7f44524fd7",
 }
 
 
@@ -430,9 +514,9 @@ class TestValidateSelection:
 
         def counted(check):
             @functools.wraps(check)
-            def run(scale=1.0):
+            def run():
                 calls.append(check.__name__)
-                return check(scale)
+                return check()
             return run
 
         monkeypatch.setattr(validation, "ALL_CHECKS",
@@ -442,19 +526,15 @@ class TestValidateSelection:
         assert [r.module for r in results] == ["core"]
         assert results[0].seconds > 0.0
 
-    def test_checks_keep_their_name_doc_and_default_scale(self):
+    def test_checks_keep_their_name_and_doc_and_take_no_argument(self):
         for check in validation.ALL_CHECKS:
-            assert inspect.signature(check).parameters["scale"].default == 1.0
+            assert inspect.signature(check).parameters == {}
             assert check.__name__.startswith("check_") and check.__doc__
             assert check.__name__ in validation._MODULE_OF
 
-    def test_scale_zero_keeps_margin_and_boolean_checks_passing(self):
-        # at scale 0 a check passes iff its deviation is <= 0: the margin
-        # checks pass on a nonnegative margin, the boolean one when it holds
-        results = validation.run_checks(only="reachable", tolerance_scale=0.0)
-        assert [(r.name, r.passed) for r in results] == [
-            ("qutrit-separation", True),
-            ("qutrit-separation-large-gamma", True),
-            ("qutrit-tp-membership", True),
-        ]
-        assert all(r.deviation <= 0.0 for r in results)
+    def test_tail_bound_reports_its_true_margin(self):
+        # the largest excess over the bound, not a floor at 0: on working code
+        # every point clears the bound, so the deviation is negative
+        result = validation.check_memory_tail_bound()
+        assert result.passed
+        assert -1.0e-12 < result.deviation < 0.0

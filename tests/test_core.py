@@ -174,8 +174,10 @@ class TestGibbsStochastic:
         from thermoproc.workx import ExtractionSetup, optimal_tp_matrix
         setup = ExtractionSetup(LN2, 1.0, 1.0)  # E < W < threshold gap
         assert setup.E < setup.W <= setup.W_0
+        # the Gibbs state of the composite (g0, g1, e0, e1), energies (0, W, E, E + W)
+        w = np.exp(-setup.beta * np.array([0.0, setup.W, setup.E, setup.E + setup.W]))
         assert is_gibbs_stochastic(optimal_tp_matrix(setup),
-                                   setup.composite_gibbs(), tol=1e-12)
+                                   PopulationVector(w / w.sum()), tol=1e-12)
 
 
 class TestValidation:

@@ -1,4 +1,4 @@
-"""Qutrit reachable-set geometry and the region CSV format."""
+"""Qutrit reachable-set geometry."""
 
 import numpy as np
 import pytest
@@ -9,27 +9,10 @@ from thermoproc.core import (PopulationVector, apply, beta_swap,
 from thermoproc.memory import closed_form_p_d
 from thermoproc.reachable import (SimplexRegion, bary_xy, convex_hull_xy,
                                   etp_orbit_hull, etp_orbit_points, hull_margin,
-                                  inside_tp_cone, mmtp2_point_regions,
-                                  mtp_mixing_path, mtp_region, qutrit_gibbs,
-                                  qutrit_mmtp2_vertices, region_export,
-                                  tp_region)
+                                  inside_tp_cone, mtp_mixing_path, mtp_region,
+                                  qutrit_gibbs, qutrit_mmtp2_vertices, tp_region)
 
 GROUND = PopulationVector(np.array([1.0, 0.0, 0.0]))
-
-
-def region_import(path):
-    """Read a region CSV back into SimplexRegion objects (export order)."""
-    groups = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("region,"):
-                continue
-            tag, kind, _idx, pg, pe1, pe2, _x, _y = line.split(",")
-            groups.setdefault(tag, (kind, []))[1].append(
-                [float(pg), float(pe1), float(pe2)])
-    return [SimplexRegion(tag, kind, np.array(rows))
-            for tag, (kind, rows) in groups.items()]
 
 
 def hull_oracle(points_xy):
@@ -269,31 +252,3 @@ class TestRegions:
         np.testing.assert_allclose(xy[1], [1.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(xy[2], [0.5, np.sqrt(3) / 2], atol=1e-15)
 
-
-class TestExport:
-    def test_empty_export_is_header_only(self, tmp_path):
-        path = region_export([], tmp_path / "empty.csv")
-        lines = [ln for ln in open(path).read().splitlines() if ln]
-        assert lines[-1].startswith("region,kind,index")
-        assert all(ln.startswith("#") for ln in lines[:-1])
-
-    def test_block_layout_and_round_trip(self, tmp_path):
-        gamma = 0.75
-        regions = [tp_region(gamma), etp_orbit_hull(gamma, 8),
-                   mtp_mixing_path(gamma), *mmtp2_point_regions(gamma)]
-        path = region_export(regions, tmp_path / "regions.csv",
-                             meta={"gamma": gamma, "depth": 8})
-        loaded = region_import(path)
-        assert [r.tag for r in loaded] == ["TP", "ETP-approx", "MTP-path",
-                                           "MMTP2-A", "MMTP2-B"]
-        kinds = {r.tag: r.kind for r in loaded}
-        assert sum(k in ("polygon", "path") for k in kinds.values()) == 3
-        assert sum(k == "points" for k in kinds.values()) == 2
-        for orig, back in zip(regions, loaded):
-            np.testing.assert_allclose(back.vertices, orig.vertices, atol=1e-9)
-
-    def test_round_trip_is_exact(self, tmp_path):
-        # 17 significant digits reproduce doubles bit for bit
-        regions = [etp_orbit_hull(0.8, 6)]
-        loaded = region_import(region_export(regions, tmp_path / "r.csv"))
-        np.testing.assert_array_equal(loaded[0].vertices, regions[0].vertices)

@@ -20,6 +20,17 @@ LN4 = math.log(4.0)
 REF = ExtractionSetup(LN2, LN4, 1.0)
 
 
+def composite_energies(setup):
+    """Level energies of the composite (g0, g1, e0, e1): (0, W, E, E + W)."""
+    return np.array([0.0, setup.W, setup.E, setup.E + setup.W])
+
+
+def composite_gibbs(setup):
+    """Gibbs state of the composite at the setup's inverse temperature."""
+    w = np.exp(-setup.beta * composite_energies(setup))
+    return PopulationVector(w / w.sum())
+
+
 def step1_residuals_closed_form(setup, d):
     """Closed-form e0 slot populations after the swap-simulation step.
 
@@ -135,7 +146,7 @@ class TestOptimalMatrices:
     def test_gibbs_stochastic_and_achieves_error(self, bw):
         setup = ExtractionSetup(LN2, bw, 1.0)
         m = optimal_tp_matrix(setup)
-        assert is_gibbs_stochastic(m, setup.composite_gibbs(), tol=1e-12)
+        assert is_gibbs_stochastic(m, composite_gibbs(setup), tol=1e-12)
         eps, final = run_tp_protocol(setup)
         assert abs(eps - epsilon_tp(setup)) <= 1e-12
         # final state is the thermal-system product
@@ -158,7 +169,7 @@ class TestOptimalMatrices:
     def test_detailed_balance_above_system_gap(self, bw):
         setup = ExtractionSetup(LN2, bw, 1.0)
         m = optimal_tp_matrix(setup).entries
-        energies = np.array(setup.energies)
+        energies = composite_energies(setup)
         for i in range(4):
             for j in range(4):
                 lhs = m[j, i]
