@@ -45,8 +45,8 @@ warm, and with the cache cleared before every run (cold), as a fresh
 Validation batches: the ``memory-extraction-closed-form`` check's grid
 (50 setups: beta E in {ln 2, 1}, 25 work gaps from 0.1 to 2.6; d = 1..10) as
 500 per-point runs of the two ``memory_sweep`` calls, the protocol as it ran
-before the grid existed, and as 500 ``run_memory_extraction`` calls, each
-against one ``memory_extraction_grid`` call; and the
+before the grid existed, and as 500 one-point ``memory_extraction_grid``
+calls, each against one ``memory_extraction_grid`` call over the grid; and the
 ``special-function-routes`` check's quadrature route, 1053 per-point calls
 against one array call per (n, m).  Best of ``--repeats`` each; every row
 must give the same bytes.
@@ -82,7 +82,7 @@ from thermoproc.core import clip_noise
 from thermoproc.majorization import min_extraction_error_tp
 from thermoproc.memory import RESPONSE_MIN_D, _round_response, simulate_memory_beta_swap
 from thermoproc.reachable import _cross2, bary_xy, convex_hull_xy, etp_orbit_points
-from thermoproc.workx import ExtractionSetup, memory_extraction_grid, run_memory_extraction
+from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -348,8 +348,9 @@ def bench_validation_batches(repeats):
 
     row(f"extraction sweeps x{points}",
         lambda: [extraction_by_sweeps(st, d).hex() for d in ds for st in setups], grid)
-    row(f"extraction scalar x{points}",
-        lambda: [run_memory_extraction(st, d).hex() for d in ds for st in setups], grid)
+    row(f"extraction one-point x{points}",
+        lambda: [memory_extraction_grid([st], [d])[0][0].hex() for d in ds for st in setups],
+        grid)
 
     xs = np.arange(0.1, 0.95, 0.1)
     orders = [(n, m) for n in range(1, 41) for m in sorted({0, n // 2, n - 1})]

@@ -2,22 +2,27 @@
 
 Subcommands:
 
-  thermoproc run <config.json>      run one experiment from a config file
-  thermoproc validate [...]         run the validation checks, write a report
-  thermoproc fig <fig2|fig3|cooling> [...]  shorthand for one experiment, with
-                                    a flag per config field
+  thermoproc run <config.json>             run one experiment from a config file
+  thermoproc fig <experiment> [...]        run one of fig2, fig3, cooling-coherent,
+                                           cooling-incoherent, beta-swap-sweep
+  thermoproc validate [--only M] [--out DIR]  run the validation checks
 
 Configs are JSON with a versioned schema; all physical inputs are
 dimensionless products (beta*E, beta*W, ...).  ``PARAMS`` declares every
-experiment's fields once; config validation and the CLI flags both read it,
-and a flag left out takes the config default.  Runs are fully deterministic:
-identical configs produce byte-identical data files (the manifest echoes
-per-file SHA-256 digests; only its wall-clock field varies between runs).
-Every CSV, fig3's included, goes through one writer: floats carry 17
-significant digits so they round-trip exactly; a NaN or infinite value
-raises ValueError instead of being written.
+experiment's fields once; config validation and the CLI flags both read it.
+``fig <experiment>`` and ``validate`` take one flag per field of their
+experiment (``--beta-E`` for ``beta_E``, ``--d-list 1,2,4`` for ``d_list``)
+plus ``--out DIR``, and a flag left out takes the config default.  Every
+command builds one config and runs it through ``run_experiment``, which
+writes the experiment's files and ``run_manifest.json``.  Runs are fully
+deterministic: identical configs produce byte-identical data files (the
+manifest echoes per-file SHA-256 digests; only its wall-clock field varies
+between runs).  Every CSV, fig3's included, goes through one writer: floats
+carry 17 significant digits so they round-trip exactly; a NaN or infinite
+value raises OutputError instead of being written.
 
-Exit codes: 0 success, 2 config error, 3 validation failure, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 validation failure or a NaN or
+infinite value refused by the CSV writer, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+class OutputError(ValueError):
+    """A value the CSV writer refuses to write: NaN or infinite."""
+
+
 @dataclass(frozen=True)
 class Param:
     """One config field: type, default, accepted range and the message shown
@@ -63,8 +72,8 @@ class Param:
 
     ``kind`` is float (ints are accepted and converted), int, str, or list
     for a list of integers, spelled ``1,2,5`` on the command line.  A field
-    whose default is None may be left unset.  ``flag`` overrides the CLI
-    spelling ``--name`` with dashes for underscores.
+    whose default is None may be left unset.  Its CLI flag is ``--name``
+    with dashes for underscores.
     """
 
     name: str
@@ -72,12 +81,11 @@ class Param:
     default: object
     check: Callable
     message: str
-    flag: str | None = None
     help: str | None = None
 
     @property
     def option(self) -> str:
-        return self.flag or "--" + self.name.replace("_", "-")
+        return "--" + self.name.replace("_", "-")
 
     def parse(self, params: dict):
         """The validated value of this field in ``params``, or its default."""
@@ -99,8 +107,8 @@ def _int_list(text: str) -> list:
     return [int(v) for v in text.split(",")]
 
 
-def _positive(name, default, **kw):
-    return Param(name, float, default, lambda v: v > 0, "must be > 0", **kw)
+def _positive(name, default):
+    return Param(name, float, default, lambda v: v > 0, "must be > 0")
 
 
 def _at_least_one(name, default):
@@ -125,7 +133,7 @@ _COOLING_D_LIST = _d_list([1, 2, 4, 8])
 
 PARAMS = {
     "fig2": (
-        _positive("beta_E", math.log(2.0), flag="--beta-e"),
+        _positive("beta_E", math.log(2.0)),
         _positive("w_min", 0.05),
         _positive("w_max", 3.0),
         Param("w_points", int, 200, lambda v: v >= 2, "need at least 2 grid points"),
@@ -216,14 +224,21 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """What a run produced: config echo, file digests, timing."""
+    """What a run produced: config echo, file digests, timing.  A
+    ``validate`` run also carries its check results in ``checks``, which
+    ``to_dict`` leaves out: the report holds them, without their times."""
 
     experiment: str
     config: dict
     artifact_version: str
     files: list = field(default_factory=list)
     wall_clock_s: float = 0.0
-    validation_passed: bool | None = None
+    checks: list | None = None
+
+    @property
+    def validation_passed(self) -> bool | None:
+        """Whether every check passed; None for a run that is not ``validate``."""
+        return None if self.checks is None else all(r.passed for r in self.checks)
 
     def to_dict(self):
         out = {
@@ -233,7 +248,7 @@ class RunManifest:
             "files": self.files,
             "wall_clock_s": self.wall_clock_s,
         }
-        if self.validation_passed is not None:
+        if self.checks is not None:
             out["validation_passed"] = self.validation_passed
         return out
 
@@ -251,7 +266,7 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, header_meta: dict, columns, rows, title=None):
     """Write rows of numbers and labels under a commented header titled
     ``title`` (the file's stem if None); a NaN or infinite number raises
-    ValueError naming its row and column, and nothing is written."""
+    OutputError naming its row and column, and nothing is written."""
     lines = [f"# thermoproc {title or path.stem} v{SCHEMA_VERSION}"]
     for key in sorted(header_meta):
         lines.append(f"# {key}={_fmt(header_meta[key])}")
@@ -267,7 +282,7 @@ def _write_csv(path: Path, header_meta: dict, columns, rows, title=None):
         if not all(map(math.isfinite, compress(row, numbers))):
             column = next(c for c, v in compress(zip(columns, row), numbers)
                           if not math.isfinite(v))
-            raise ValueError(f"{path}: non-finite value in data row {i}, column {column}")
+            raise OutputError(f"{path}: non-finite value in data row {i}, column {column}")
         lines.append(template % tuple(row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -347,21 +362,14 @@ def _emit_beta_swap_sweep(cfg: ExperimentConfig, outdir: Path):
     return [path]
 
 
-def _validate(params: dict, report_path):
-    """Run the checks ``params`` select; write their JSON summary to
-    ``report_path`` unless it is None."""
-    results = validation.run_checks(only=params["only"])
-    if report_path is not None:
-        Path(report_path).write_text(
-            json.dumps(validation.summarize(results), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-    return results
-
-
 def _emit_validate(cfg: ExperimentConfig, outdir: Path):
+    """Run the checks ``cfg`` selects and write their JSON report; returns
+    the report's path and the checks' results."""
+    results = validation.run_checks(only=cfg.params["only"])
     path = outdir / "validation_report.json"
-    results = _validate(cfg.params, path)
-    return [path], all(r.passed for r in results)
+    path.write_text(json.dumps(validation.summarize(results), indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return [path], results
 
 
 _EMITTERS = {
@@ -382,9 +390,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     t0 = time.monotonic()
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    validation_passed = None
+    checks = None
     if cfg.experiment == "validate":
-        paths, validation_passed = _emit_validate(cfg, outdir)
+        paths, checks = _emit_validate(cfg, outdir)
     else:
         paths = _EMITTERS[cfg.experiment](cfg, outdir)
     manifest = RunManifest(
@@ -394,7 +402,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
         files=[{"name": p.name, "sha256": _sha256(p), "bytes": p.stat().st_size}
                for p in paths],
         wall_clock_s=round(time.monotonic() - t0, 6),
-        validation_passed=validation_passed,
+        checks=checks,
     )
     (outdir / "run_manifest.json").write_text(
         json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -402,96 +410,49 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def emit_figure_data(kind: str, params: dict, output_dir) -> RunManifest:
-    """Programmatic shorthand: build a config for ``kind`` and run it."""
-    cfg = ExperimentConfig.from_dict({
-        "schema_version": SCHEMA_VERSION,
-        "experiment": kind,
-        "params": params,
-        "output_dir": str(output_dir),
-    })
-    return run_experiment(cfg)
+def _raw_config(args) -> dict:
+    """The config a command asks for: the file ``run`` names, or the
+    experiment's flags (the fields left out take their defaults) and ``--out``."""
+    if args.command == "run":
+        try:
+            return json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(args.config, f"cannot read: {exc.strerror or exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(args.config, f"invalid JSON: {exc}") from exc
+    params = {p.name: getattr(args, p.name) for p in PARAMS[args.experiment]
+              if hasattr(args, p.name)}
+    return {"experiment": args.experiment, "params": params, "output_dir": args.out}
 
 
-def _print_validation(results) -> bool:
-    width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name:<{width}}  dev={r.deviation:.3e}  "
-              f"tol={r.tolerance:.3e}  t={r.seconds * 1e3:.1f}ms  ({r.module}) {r.detail}")
-    passed = all(r.passed for r in results)
-    print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    return passed
-
-
-def _print_written(manifest: RunManifest, outdir) -> None:
+def _report(manifest: RunManifest) -> int:
+    """Print each check's line if the run validated, then the files it wrote;
+    returns the exit code."""
+    if manifest.checks is not None:
+        results = manifest.checks
+        width = max(len(r.name) for r in results)
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            print(f"[{status}] {r.name:<{width}}  dev={r.deviation:.3e}  "
+                  f"tol={r.tolerance:.3e}  t={r.seconds * 1e3:.1f}ms  ({r.module}) {r.detail}")
+        print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    outdir = Path(manifest.config["output_dir"])
     for entry in manifest.files:
-        print(f"wrote {Path(outdir) / entry['name']} ({entry['bytes']} bytes)")
+        print(f"wrote {outdir / entry['name']} ({entry['bytes']} bytes)")
+    return EXIT_VALIDATION if manifest.validation_passed is False else EXIT_OK
 
-
-def _flag_params(args, experiment: str) -> dict:
-    """The fields of ``experiment`` given as flags; the rest take their defaults."""
-    return {p.name: getattr(args, p.name) for p in PARAMS[experiment]
-            if hasattr(args, p.name)}
-
-
-def _cmd_run(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    cfg = ExperimentConfig.from_dict(raw)
-    manifest = run_experiment(cfg)
-    _print_written(manifest, cfg.output_dir)
-    if manifest.validation_passed is False:
-        return EXIT_VALIDATION
-    return EXIT_OK
-
-
-def _cmd_validate(args) -> int:
-    cfg = ExperimentConfig.from_dict(
-        {"experiment": "validate", "params": _flag_params(args, "validate")})
-    passed = _print_validation(_validate(cfg.params, args.json))
-    return EXIT_OK if passed else EXIT_VALIDATION
-
-
-def _cmd_fig(args) -> int:
-    experiment = f"cooling-{args.paradigm}" if args.kind == "cooling" else args.kind
-    own = {p.name for p in PARAMS[experiment]}
-    for other in FIGURES[args.kind][1]:
-        for p in PARAMS[other]:
-            if p.name not in own and hasattr(args, p.name):
-                raise ConfigError(f"params.{p.name}",
-                                  f"{p.option} is not a field of {experiment}")
-    manifest = emit_figure_data(experiment, _flag_params(args, experiment), args.out)
-    _print_written(manifest, args.out)
-    return EXIT_OK
-
-
-# fig shorthand -> (help, the experiments its flags cover)
-FIGURES = {
-    "fig2": ("work-extraction error curves", ("fig2",)),
-    "fig3": ("qutrit reachable regions", ("fig3",)),
-    "cooling": ("cooling round curves", ("cooling-coherent", "cooling-incoherent")),
-}
 
 _FLAG_TYPES = {float: float, int: int, str: str, list: _int_list}
 
 
-def _add_param_flags(parser, experiments) -> None:
-    """One flag per config field of ``experiments``; an omitted flag leaves
-    the field unset, so the config default applies."""
-    seen = set()
-    for experiment in experiments:
-        for p in PARAMS[experiment]:
-            if p.name not in seen:
-                seen.add(p.name)
-                parser.add_argument(p.option, dest=p.name, type=_FLAG_TYPES[p.kind],
-                                    default=argparse.SUPPRESS, help=p.help)
+def _add_experiment(parser, experiment: str) -> None:
+    """One flag per config field of ``experiment``, plus ``--out``; an
+    omitted field flag leaves the field unset, so the config default applies."""
+    parser.set_defaults(experiment=experiment)
+    for p in PARAMS[experiment]:
+        parser.add_argument(p.option, dest=p.name, type=_FLAG_TYPES[p.kind],
+                            default=argparse.SUPPRESS, help=p.help)
+    parser.add_argument("--out", default=DEFAULT_OUTPUT_DIR, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,37 +465,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to the config file")
 
-    p_val = sub.add_parser("validate", help="run the validation checks")
-    _add_param_flags(p_val, ("validate",))
-    p_val.add_argument("--json", default=None, help="also write a JSON report")
+    _add_experiment(sub.add_parser("validate", help="run the validation checks"), "validate")
 
-    p_fig = sub.add_parser("fig", help="emit figure data")
-    fig_sub = p_fig.add_subparsers(dest="kind", required=True)
-    for kind, (help_text, experiments) in FIGURES.items():
-        p_kind = fig_sub.add_parser(kind, help=help_text)
-        if kind == "cooling":
-            p_kind.add_argument("--paradigm", choices=("coherent", "incoherent"),
-                                default="coherent")
-        _add_param_flags(p_kind, experiments)
-        p_kind.add_argument("--out", default=DEFAULT_OUTPUT_DIR)
+    p_fig = sub.add_parser("fig", help="run one experiment with a flag per config field")
+    fig_sub = p_fig.add_subparsers(dest="experiment", required=True)
+    for experiment in _EMITTERS:
+        _add_experiment(fig_sub.add_parser(experiment), experiment)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        return _cmd_fig(args)
+        manifest = run_experiment(ExperimentConfig.from_dict(_raw_config(args)))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return _report(manifest)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ import numpy as np
 
 from .combinatorics import _require_int, delta_d
 from .core import clip_noise
-from .memory import RESPONSE_MIN_D, _round_response, _sweep, simulate_memory_beta_swap
+from .memory import RESPONSE_MIN_D, _round_response, _sweep
 from .memory import memory_sweep  # noqa: F401  (unused; perfbench's tracer test reads it)
 
 PROCESS_CLASSES = ("TP", "MTP", "MMTP")
@@ -102,7 +102,7 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
             p = gamma
         elif d < RESPONSE_MIN_D:
             # the d^2-step sweep can round the population just past 1
-            p = clip_noise(simulate_memory_beta_swap(d, inverted, gamma))
+            p = clip_noise(_sweep(d, gamma, inverted, 1.0 - inverted)[0])
         else:
             p = clip_noise(inverted * a_g + (1.0 - inverted) * b_g)
         pops[r] = p

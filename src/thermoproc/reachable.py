@@ -80,14 +80,15 @@ class SimplexRegion:
         pts = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
         if pts.shape[1] != 3:
             raise ValueError("vertices must be rows of 3 populations")
-        if pts.size and (pts.min() < -1.0e-12
-                         or np.abs(pts.sum(axis=1) - 1.0).max() > 1.0e-9):
+        # written so that a NaN, which fails every comparison, fails the checks
+        if pts.size and not (pts.min() >= -1.0e-12
+                             and np.abs(pts.sum(axis=1) - 1.0).max() <= 1.0e-9):
             raise ValueError("vertices must be probability rows")
         if self.kind == "polygon" and len(pts) >= 3:
             xy = bary_xy(pts)
             edges = np.roll(xy, -1, axis=0) - xy
             cross = _cross2(edges, np.roll(edges, -1, axis=0))
-            if cross.min() < -1.0e-12:
+            if not cross.min() >= -1.0e-12:
                 raise ValueError("polygon vertices are not in convex CCW order")
         self.vertices = pts
 

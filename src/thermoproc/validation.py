@@ -215,7 +215,7 @@ def check_extraction_point_values():
         for variant in ("primary", "tilde"):
             eps, _ = workx.run_sequence_protocol(kind, st, variant)
             worst = max(worst, abs(eps - target))
-    eps1 = workx.run_memory_extraction(st, 1)
+    eps1 = float(workx.memory_extraction_grid([st], [1])[0][0])
     worst = max(worst, abs(eps1 - workx.epsilon_mtp(st)))
     return (worst, tol,
             "eps_TP = 1/4, eps_ETP = 3/8, eps_MTP = 8/15 and protocol oracles")

@@ -203,20 +203,10 @@ def run_sequence_protocol(kind: str, setup: ExtractionSetup,
     return float(state[0] + state[2]), trace
 
 
-def run_memory_extraction(setup: ExtractionSetup, d: int) -> float:
-    """Simulate the two-step memory-assisted protocol on the 4d-level composite
-    and return its error epsilon: the one-point ``memory_extraction_grid``.
-
-    Each call builds two wavefronts, so a caller that loops over setups or
-    memory sizes should pass them to ``memory_extraction_grid`` in one call.
-    """
-    (eps,) = memory_extraction_grid([setup], [d])
-    return float(eps[0])
-
-
 def memory_extraction_grid(setups, ds) -> list:
-    """``run_memory_extraction`` over a grid of setups: one array per d in
-    ``ds``, equal bit for bit to the per-point values.
+    """Simulate the two-step memory-assisted protocol on the 4d-level
+    composite over a grid of setups: its error epsilon, one array per d in
+    ``ds``, each entry bit for bit the value of a one-point grid.
 
     Every (setup, d) pair is one row of a batch of sweeps, run one
     ``wavefront_blocks`` block at a time: the e0 block (outer) against the
@@ -238,15 +228,10 @@ def memory_extraction_grid(setups, ds) -> list:
     return list(errors.reshape(len(ds), len(setups)))
 
 
-def epsilon_d_closed(setup: ExtractionSetup, d: int) -> float:
-    """Closed-form memory-assisted error I_d(1 - gamma_delta, 1 - gamma_W)."""
-    (eps,) = epsilon_d_grid([setup], [d])
-    return float(eps[0])
-
-
 def epsilon_d_grid(setups, ds) -> list:
-    """``epsilon_d_closed`` over a grid of setups: one array per d in ``ds``,
-    each from one array call of I_d, equal bit for bit to the per-setup values."""
+    """Closed-form memory-assisted error I_d(1 - gamma_delta, 1 - gamma_W)
+    over a grid of setups: one array per d in ``ds``, each from one array
+    call of I_d, equal bit for bit to the one-setup values."""
     x = np.array([1.0 - st.gamma_delta for st in setups])
     y = np.array([1.0 - st.gamma_W for st in setups])
     return [I_d_eval(d, x, y) for d in ds]

@@ -90,7 +90,7 @@ def test_criterion_5_extraction_closed_forms():
 def test_criterion_6_memory_extraction():
     closed = validation.check_memory_extraction()
     st = workx.ExtractionSetup(LN2, math.log(4.0), 1.0)
-    eps1 = workx.run_memory_extraction(st, 1)
+    eps1 = float(workx.memory_extraction_grid([st], [1])[0][0])
     d1 = abs(eps1 - workx.epsilon_mtp(st))
     mono = validation.check_extraction_ordering()
     large = validation.check_memory_extraction_large_d()

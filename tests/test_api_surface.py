@@ -14,10 +14,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thermoproc"
 
-# the README quick start calls this one; the package itself evaluates the
-# grid form, epsilon_d_grid
-README_NAMES = {"epsilon_d_closed"}
-
 
 def _trees():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -64,7 +60,7 @@ def _used_names(trees):
 
 def test_every_public_name_is_used_by_the_package():
     trees = _trees()
-    exempt = _exported(trees) | README_NAMES
+    exempt = _exported(trees)
     used = _used_names(trees)
     unused = sorted(qualified for qualified, name in _public_definitions(trees)
                     if name not in used and name not in exempt)

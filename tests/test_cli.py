@@ -1,5 +1,6 @@
 """Config validation, experiment runs, determinism, and exit codes."""
 
+import argparse
 import functools
 import hashlib
 import inspect
@@ -13,7 +14,7 @@ import pytest
 from thermoproc import cli, reachable, validation
 from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, delta_d
 from thermoproc.memory import closed_form_p_d
-from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
+from thermoproc.workx import (ExtractionSetup, epsilon_d_grid, epsilon_etp,
                               epsilon_mtp, epsilon_tp)
 
 
@@ -21,6 +22,11 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_fig(out, experiment, *flags):
+    """``thermoproc fig <experiment> <flags> --out <out>``, which must succeed."""
+    assert cli.main(["fig", experiment, *flags, "--out", str(out)]) == 0
 
 
 def read_rows(path):
@@ -107,13 +113,14 @@ class TestRunFig2:
         columns, rows = read_rows(tmp_path / "out" / "fig2.csv")
         assert columns == ["W", "eps_tp", "eps_etp", "eps_mtp", "eps_d1", "eps_d4"]
         assert rows.shape == (7, 6)
-        for row in rows:
-            st = ExtractionSetup(math.log(2.0), row[0], 1.0)
+        setups = [ExtractionSetup(math.log(2.0), row[0], 1.0) for row in rows]
+        eps_d = np.transpose(epsilon_d_grid(setups, [1, 4]))
+        for row, st, (eps_1, eps_4) in zip(rows, setups, eps_d):
             assert abs(row[1] - epsilon_tp(st)) <= 1e-15
             assert abs(row[2] - epsilon_etp(st)) <= 1e-15
             assert abs(row[3] - epsilon_mtp(st)) <= 1e-15
-            assert abs(row[4] - epsilon_d_closed(st, 1)) <= 1e-15
-            assert abs(row[5] - epsilon_d_closed(st, 4)) <= 1e-15
+            assert abs(row[4] - eps_1) <= 1e-15
+            assert abs(row[5] - eps_4) <= 1e-15
 
     def test_d1000_writes_no_nan(self, tmp_path):
         # a fifth of these rows were NaN before the log-space fallback
@@ -130,9 +137,9 @@ class TestRunFig2:
 
     def test_non_finite_value_is_not_written(self, tmp_path):
         path = tmp_path / "t.csv"
-        with pytest.raises(ValueError, match=r"t\.csv.*row 2, column b"):
+        with pytest.raises(cli.OutputError, match=r"t\.csv.*row 2, column b"):
             cli._write_csv(path, {}, ["a", "b"], [[1, 0.5], [2, float("nan")]])
-        with pytest.raises(ValueError, match="row 1, column a"):
+        with pytest.raises(cli.OutputError, match="row 1, column a"):
             cli._write_csv(path, {}, ["a", "b"], [[np.float64(-np.inf), 0.5]])
         assert not path.exists()
 
@@ -177,7 +184,7 @@ class TestDeterminism:
 
 class TestOtherExperiments:
     def test_fig3_round_trips(self, tmp_path):
-        cli.emit_figure_data("fig3", {"gamma": 0.8, "depth": 6}, tmp_path / "o")
+        run_fig(tmp_path / "o", "fig3", "--gamma", "0.8", "--depth", "6")
         text = (tmp_path / "o" / "fig3_regions.csv").read_text(encoding="utf-8")
         rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         assert rows[0].startswith("region,")
@@ -185,9 +192,8 @@ class TestOtherExperiments:
         assert tags == ["TP", "ETP-approx", "MTP-path", "MMTP2-A", "MMTP2-B"]
 
     def test_cooling_coherent_columns(self, tmp_path):
-        cli.emit_figure_data("cooling-coherent",
-                             {"gamma": 0.75, "rounds": 6, "d_list": [2]},
-                             tmp_path / "o")
+        run_fig(tmp_path / "o", "cooling-coherent",
+                "--gamma", "0.75", "--rounds", "6", "--d-list", "2")
         columns, rows = read_rows(tmp_path / "o" / "cooling_coherent.csv")
         assert columns == ["round", "p_tp", "p_tp_closed", "p_mtp",
                            "p_mtp_closed", "p_mmtp_d2", "p_mmtp_d2_closed"]
@@ -196,9 +202,8 @@ class TestOtherExperiments:
         np.testing.assert_allclose(rows[:, 5], rows[:, 6], atol=1e-12)
 
     def test_beta_swap_sweep(self, tmp_path):
-        cli.emit_figure_data("beta-swap-sweep",
-                             {"gamma": 0.75, "p0": 0.0, "d_max": 10},
-                             tmp_path / "o")
+        run_fig(tmp_path / "o", "beta-swap-sweep",
+                "--gamma", "0.75", "--p0", "0.0", "--d-max", "10")
         columns, rows = read_rows(tmp_path / "o" / "beta_swap_sweep.csv")
         assert columns == ["d", "p_sim", "p_closed", "abs_dev", "delta_d",
                            "tail_bound"]
@@ -206,8 +211,8 @@ class TestOtherExperiments:
 
     def test_beta_swap_sweep_columns_are_the_per_d_closed_forms(self, tmp_path):
         gamma, p0 = 27 / 32, 0.25
-        cli.emit_figure_data("beta-swap-sweep", {"gamma": gamma, "p0": p0, "d_max": 60},
-                             tmp_path / "o")
+        run_fig(tmp_path / "o", "beta-swap-sweep",
+                "--gamma", repr(gamma), "--p0", repr(p0), "--d-max", "60")
         _, rows = read_rows(tmp_path / "o" / "beta_swap_sweep.csv")
         ds = range(1, 61)
         assert rows[:, 2].tolist() == [closed_form_p_d(d, p0, gamma) for d in ds]
@@ -257,7 +262,7 @@ class TestExport:
             "# thermoproc qutrit regions v1", "# gamma=0.75", "region,kind,index"]
 
     def test_block_layout_and_round_trip(self, tmp_path):
-        cli.emit_figure_data("fig3", {"gamma": 0.75, "depth": 8}, tmp_path / "o")
+        run_fig(tmp_path / "o", "fig3", "--gamma", "0.75", "--depth", "8")
         path = tmp_path / "o" / "fig3_regions.csv"
         assert path.read_text().splitlines()[:4] == [
             "# thermoproc qutrit regions v1", "# depth=8", "# gamma=0.75",
@@ -272,13 +277,14 @@ class TestExport:
 
     def test_round_trip_is_exact(self, tmp_path):
         # 17 significant digits reproduce doubles bit for bit
-        cli.emit_figure_data("fig3", {"gamma": 0.8, "depth": 6}, tmp_path / "o")
+        run_fig(tmp_path / "o", "fig3", "--gamma", "0.8", "--depth", "6")
         loaded = region_import(tmp_path / "o" / "fig3_regions.csv")
         for orig, back in zip(fig3_regions(0.8, 6), loaded.values(), strict=True):
             assert np.array(back["probs"]).tobytes() == orig.vertices.tobytes()
             assert np.array(back["xy"]).tobytes() == orig.xy().tobytes()
 
-    def test_non_finite_number_raises_and_nothing_is_written(self, tmp_path, monkeypatch):
+    def test_non_finite_number_raises_and_nothing_is_written(self, tmp_path, monkeypatch,
+                                                             capsys):
         class NanPoints:
             tag, kind = "MMTP2-A", "points"
             vertices = np.array([[1.0, 0.0, 0.0], [0.5, math.nan, 0.5]])
@@ -288,9 +294,15 @@ class TestExport:
 
         monkeypatch.setattr(reachable, "mmtp2_point_regions", lambda gamma: [NanPoints()])
         out = tmp_path / "o"
-        with pytest.raises(ValueError, match="fig3_regions.csv: non-finite value "
-                                             r"in data row \d+, column p_e1"):
-            cli.emit_figure_data("fig3", {"gamma": 0.75, "depth": 4}, out)
+        cfg = cli.ExperimentConfig.from_dict(
+            {"experiment": "fig3", "params": {"depth": 4}, "output_dir": str(out)})
+        message = r"fig3_regions.csv: non-finite value in data row \d+, column p_e1"
+        with pytest.raises(cli.OutputError, match=message):
+            cli.run_experiment(cfg)
+        # from the command line: exit 3 and one line on stderr, no traceback
+        assert cli.main(["fig", "fig3", "--depth", "4", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch("output error: .*" + message + "\n", err), err
         assert not (out / "fig3_regions.csv").exists()
         assert not (out / "run_manifest.json").exists()
 
@@ -367,8 +379,8 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["fig2"],
-        ["cooling", "--paradigm", "coherent"],
-        ["cooling", "--paradigm", "incoherent"],
+        ["cooling-coherent"],
+        ["cooling-incoherent"],
     ])
     def test_repeated_d_flag_is_a_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "f"
@@ -390,16 +402,20 @@ class TestMainExitCodes:
         assert cli.main(["run", config]) == 4
         assert "i/o error" in capsys.readouterr().err
 
-    def test_validate_subset_passes(self, capsys):
-        assert cli.main(["validate", "--only", "core"]) == 0
+    def test_validate_subset_passes(self, tmp_path, capsys):
+        assert cli.main(["validate", "--only", "core", "--out", str(tmp_path / "v")]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
+        assert f"wrote {tmp_path / 'v' / 'validation_report.json'}" in out
+        manifest = json.loads((tmp_path / "v" / "run_manifest.json").read_text())
+        assert manifest["validation_passed"] is True
+        assert manifest["config"]["params"] == {"only": "core"}
 
     def test_validate_prints_each_check_time_but_keeps_it_out_of_the_report(
             self, tmp_path, capsys):
-        report = tmp_path / "report.json"
         assert cli.main(["validate", "--only", "majorization",
-                         "--json", str(report)]) == 0
+                         "--out", str(tmp_path)]) == 0
+        report = tmp_path / "validation_report.json"
         line, = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[")]
         assert re.search(r"  t=\d+\.\dms  \(majorization\)", line), line
         (check,) = json.loads(report.read_text())["checks"]
@@ -417,11 +433,12 @@ class TestMainExitCodes:
         monkeypatch.setattr(validation, "ALL_CHECKS", tuple(
             forced if c.__name__ == forced.__name__ else c
             for c in validation.ALL_CHECKS))
-        report = tmp_path / "report.json"
-        code = cli.main(["validate", "--only", "core", "--json", str(report)])
+        code = cli.main(["validate", "--only", "core", "--out", str(tmp_path)])
         assert code == 3
         assert "[FAIL] elementary-matrix-invariants" in capsys.readouterr().out
-        payload = json.loads(report.read_text())
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        assert manifest["validation_passed"] is False
+        payload = json.loads((tmp_path / "validation_report.json").read_text())
         assert payload["passed"] is False
         assert payload["n_failed"] == 1
         assert (payload["checks"][0]["deviation"], payload["checks"][0]["tolerance"]) \
@@ -437,8 +454,10 @@ class TestMainExitCodes:
         assert cli.main(["fig", "fig3", "--depth", "0",
                          "--out", str(tmp_path / "f")]) == 2
         assert "params.depth" in capsys.readouterr().err
-        assert cli.main(["validate", "--only", "kernels"]) == 2
+        out = tmp_path / "v"
+        assert cli.main(["validate", "--only", "kernels", "--out", str(out)]) == 2
         assert "params.only" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # SHA-256 of each default-config output.  The five data files match
@@ -455,23 +474,51 @@ DEFAULT_DIGESTS = {
 }
 
 
+def command(experiment):
+    """The CLI command that runs ``experiment`` from its flags."""
+    return ["validate"] if experiment == "validate" else ["fig", experiment]
+
+
+def subcommand_options(parser):
+    """Per experiment, the option strings of its subcommand, ``-h`` left out."""
+    def subparsers(p):
+        (action,) = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    commands = subparsers(parser)
+    return {name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, sub in [("validate", commands["validate"]),
+                              *subparsers(commands["fig"]).items()]}
+
+
 class TestOneSchema:
     def test_default_outputs_keep_their_digests(self, tmp_path):
+        # every default experiment from its command with no flags but --out
         digests = {}
         for experiment in cli.EXPERIMENTS:
-            manifest = cli.run_experiment(cli.ExperimentConfig.from_dict(
-                {"experiment": experiment, "output_dir": str(tmp_path / experiment)}))
-            for entry in manifest.files:
-                blob = (tmp_path / experiment / entry["name"]).read_bytes()
-                digests[entry["name"]] = hashlib.sha256(blob).hexdigest()
+            out = tmp_path / experiment
+            assert cli.main([*command(experiment), "--out", str(out)]) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            for entry in manifest["files"]:
+                blob = (out / entry["name"]).read_bytes()
+                assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
+                digests[entry["name"]] = entry["sha256"]
         assert digests == DEFAULT_DIGESTS
+
+    def test_each_subcommand_offers_exactly_its_fields_and_out(self):
+        options = subcommand_options(cli.build_parser())
+        assert list(options) == ["validate", *cli._EMITTERS]
+        for experiment, flags in options.items():
+            assert flags == {p.option for p in cli.PARAMS[experiment]} | {"--out"}
 
     @pytest.mark.parametrize("argv, experiment", [
         (["fig2"], "fig2"),
         (["fig3"], "fig3"),
-        (["cooling"], "cooling-coherent"),
-        (["cooling", "--paradigm", "coherent"], "cooling-coherent"),
-        (["cooling", "--paradigm", "incoherent"], "cooling-incoherent"),
+        (["cooling-coherent"], "cooling-coherent"),
+        # a flag given at its default value changes nothing
+        (["cooling-coherent", "--rounds", "20"], "cooling-coherent"),
+        (["cooling-incoherent"], "cooling-incoherent"),
+        (["beta-swap-sweep"], "beta-swap-sweep"),
     ])
     def test_fig_without_flags_runs_the_default_config(self, tmp_path, argv,
                                                        experiment):
@@ -485,14 +532,17 @@ class TestOneSchema:
         assert fig["files"] == run["files"]
 
     def test_flags_override_single_fields(self, tmp_path):
-        assert cli.main(["fig", "cooling", "--paradigm", "incoherent",
-                         "--rounds", "3", "--d-list", "2,5",
-                         "--out", str(tmp_path / "f")]) == 0
+        assert cli.main(["fig", "cooling-incoherent", "--rounds", "3", "--d-list", "2,5",
+                         "--beta-hot", "0.1", "--out", str(tmp_path / "f")]) == 0
         manifest = json.loads((tmp_path / "f" / "run_manifest.json").read_text())
         params = manifest["config"]["params"]
         defaults = cli.ExperimentConfig.from_dict(
             {"experiment": "cooling-incoherent"}).params
-        assert params == dict(defaults, rounds=3, d_list=[2, 5])
+        assert params == dict(defaults, rounds=3, d_list=[2, 5], beta_hot=0.1)
+        assert cli.main(["fig", "fig2", "--beta-E", "0.5", "--w-points", "3",
+                         "--out", str(tmp_path / "g")]) == 0
+        manifest = json.loads((tmp_path / "g" / "run_manifest.json").read_text())
+        assert manifest["config"]["params"]["beta_E"] == 0.5
 
     @pytest.mark.parametrize("paradigm, flag, value, field", [
         ("incoherent", "--gamma", "0.9", "params.gamma"),
@@ -501,11 +551,29 @@ class TestOneSchema:
     ])
     def test_flag_of_the_other_paradigm_is_a_config_error(
             self, tmp_path, capsys, paradigm, flag, value, field):
+        # the flag names a field of the other cooling experiment only, so the
+        # parser rejects it with exit 2 before any config is built
+        experiment = f"cooling-{paradigm}"
+        other = "cooling-incoherent" if paradigm == "coherent" else "cooling-coherent"
+        name = field.removeprefix("params.")
+        assert name in [p.name for p in cli.PARAMS[other]]
+        assert name not in [p.name for p in cli.PARAMS[experiment]]
         out = tmp_path / "f"
-        assert cli.main(["fig", "cooling", "--paradigm", paradigm, flag, value,
-                         "--rounds", "2", "--out", str(out)]) == 2
-        assert field in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            cli.main(["fig", experiment, flag, value, "--rounds", "2", "--out", str(out)])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_paradigm_and_json_flags_are_gone(self, tmp_path, capsys):
+        for argv in (["fig", "cooling", "--out", str(tmp_path)],
+                     ["fig", "cooling-coherent", "--paradigm", "coherent"],
+                     ["validate", "--json", str(tmp_path / "r.json")],
+                     ["fig", "fig2", "--beta-e", "0.5"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2, argv
+        assert not any(tmp_path.iterdir())
 
 
 class TestValidateSelection:

@@ -1,5 +1,7 @@
 """Qutrit reachable-set geometry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,13 @@ class TestRegions:
             SimplexRegion("bad", "polygon",
                           [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                            [0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("kind", ["points", "polygon"])
+    def test_nan_vertex_is_rejected(self, kind):
+        # every comparison with NaN is false, so each check is written to fail on it
+        with pytest.raises(ValueError, match="probability rows"):
+            SimplexRegion("bad", kind, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                        [0.0, math.nan, 1.0]])
 
     def test_bary_corners(self):
         xy = bary_xy([[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies
 from thermoproc._kernels import memory_sweep
 from thermoproc.combinatorics import f_coeff
 from thermoproc.core import PopulationVector, is_gibbs_stochastic
-from thermoproc.workx import (ExtractionSetup, epsilon_d_closed, epsilon_etp,
+from thermoproc.workx import (ExtractionSetup, epsilon_d_grid, epsilon_etp,
                               epsilon_mtp, epsilon_tp, memory_extraction_grid,
-                              optimal_tp_matrix, run_memory_extraction,
-                              run_sequence_protocol, run_tp_protocol)
+                              optimal_tp_matrix, run_sequence_protocol,
+                              run_tp_protocol)
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -53,7 +53,7 @@ def drain_slot(vec, d, gamma_W, k):
 
 
 def stepwise_extraction(setup, d, order=None):
-    """Per-step oracle of ``run_memory_extraction``: step one, then one
+    """Per-step oracle of ``memory_extraction_grid``: step one, then one
     single-slot drain per e0 slot in ``order`` (default ascending).
 
     Returns (epsilon, step-one e0 residuals, final e0 slot populations,
@@ -77,7 +77,7 @@ def stepwise_extraction(setup, d, order=None):
 
 
 def extraction_in_order(setup, d, order):
-    """``run_memory_extraction`` with a drain that visits the e0 slots in
+    """The memory protocol with a drain that visits the e0 slots in
     ``order``: the e0 block is permuted into that order, drained by one
     ascending sweep, and permuted back."""
     order = np.asarray(order)
@@ -215,18 +215,18 @@ class TestSequenceProtocols:
 
 class TestMemoryProtocol:
     def test_single_slot_equals_markovian_optimum(self):
-        for bw in (0.2, LN2, LN4, 2.0):
-            st = ExtractionSetup(LN2, bw, 1.0)
-            eps = run_memory_extraction(st, 1)
+        setups = [ExtractionSetup(LN2, bw, 1.0) for bw in (0.2, LN2, LN4, 2.0)]
+        (errors,) = memory_extraction_grid(setups, [1])
+        for st, eps in zip(setups, errors.tolist(), strict=True):
             assert abs(eps - epsilon_mtp(st)) <= 1e-12
 
     @pytest.mark.parametrize("beta_E", [LN2, 1.0])
     def test_simulation_matches_closed_form(self, beta_E):
-        for bw in np.linspace(0.1, 2.6, 25):
-            st = ExtractionSetup(beta_E, float(bw), 1.0)
-            for d in range(1, 11):
-                eps = run_memory_extraction(st, d)
-                assert abs(eps - epsilon_d_closed(st, d)) <= 1e-10
+        setups = [ExtractionSetup(beta_E, float(bw), 1.0) for bw in np.linspace(0.1, 2.6, 25)]
+        ds = range(1, 11)
+        for sim, closed in zip(memory_extraction_grid(setups, ds),
+                               epsilon_d_grid(setups, ds), strict=True):
+            assert np.abs(sim - closed).max() <= 1e-10
 
     def test_step1_residuals_increase_and_match_closed_form(self):
         for d in (2, 4, 8):
@@ -251,7 +251,8 @@ class TestMemoryProtocol:
         rng = np.random.default_rng(d)
         for bw in (0.3, LN2, LN4, 2.5):
             setup = ExtractionSetup(LN2, bw, 1.0)
-            assert run_memory_extraction(setup, d) == stepwise_extraction(setup, d)[0]
+            (eps,), = memory_extraction_grid([setup], [d])
+            assert eps == stepwise_extraction(setup, d)[0]
             order = rng.permutation(d)
             assert (extraction_in_order(setup, d, order)
                     == stepwise_extraction(setup, d, order)[0])
@@ -281,7 +282,9 @@ class TestMemoryProtocol:
         ds = [7, 1, 130, 7, 3]
         grid = memory_extraction_grid(setups, ds)
         for d, errors in zip(ds, grid):
-            assert errors.tolist() == [run_memory_extraction(st, d) for st in setups]
+            # each row has the bits of a one-point grid
+            assert errors.tolist() == [memory_extraction_grid([st], [d])[0][0]
+                                       for st in setups]
         assert memory_extraction_grid([], ds)[0].shape == (0,)
         assert memory_extraction_grid(setups, []) == []
         with pytest.raises(ValueError):
@@ -307,7 +310,7 @@ class TestMemoryProtocol:
     def test_ascending_order_is_optimal(self):
         rng = np.random.default_rng(53)
         d = 6
-        eps_best = run_memory_extraction(REF, d)
+        (eps_best,), = memory_extraction_grid([REF], [d])
         assert extraction_in_order(REF, d, range(d)) == eps_best
         for _ in range(50):
             order = rng.permutation(d)
@@ -317,24 +320,26 @@ class TestMemoryProtocol:
 
 class TestMemoryErrorCurve:
     def test_bracketing_and_monotonicity(self):
-        for bw in np.linspace(0.05, 3.0, 30):
-            st = ExtractionSetup(LN2, float(bw), 1.0)
+        setups = [ExtractionSetup(LN2, float(bw), 1.0) for bw in np.linspace(0.05, 3.0, 30)]
+        per_d = np.array(epsilon_d_grid(setups, range(1, 41)))
+        for st, column in zip(setups, per_d.T):
             tp, mtp = epsilon_tp(st), epsilon_mtp(st)
             prev = mtp
-            for d in range(1, 41):
-                eps = epsilon_d_closed(st, d)
+            for eps in column.tolist():
                 assert tp - 1e-12 <= eps <= prev + 1e-12
                 prev = eps
 
     def test_large_memory_approaches_unrestricted(self):
         w0 = REF.W_0
-        for bw in (0.5 * w0, 0.9 * w0, 1.1 * w0, 1.5 * w0, 2.2 * w0):
-            st = ExtractionSetup(LN2, float(bw), 1.0)
-            assert abs(epsilon_d_closed(st, 400) - epsilon_tp(st)) <= 0.02
+        setups = [ExtractionSetup(LN2, float(bw), 1.0)
+                  for bw in (0.5 * w0, 0.9 * w0, 1.1 * w0, 1.5 * w0, 2.2 * w0)]
+        (errors,) = epsilon_d_grid(setups, [400])
+        for st, eps in zip(setups, errors.tolist()):
+            assert abs(eps - epsilon_tp(st)) <= 0.02
 
     def test_rejects_bad_d(self):
         with pytest.raises(ValueError):
-            epsilon_d_closed(REF, 0)
+            epsilon_d_grid([REF], [0])
         for bad in (0, True, 2.0):
             with pytest.raises(ValueError):
-                run_memory_extraction(REF, bad)
+                memory_extraction_grid([REF], [bad])
