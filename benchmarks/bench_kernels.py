@@ -10,8 +10,21 @@ d >= 2000, where one run takes 0.4 s or more.
 
 Batched wavefront: d = 1..d_max, d_max in {30, 200, 400}, cut into
 ``wavefront_blocks`` with one ``Wavefront`` built and run per block, against
-one ``memory_sweep`` per d, best of ``--repeats``; every row must leave the
-same bytes as the per-d sweeps.
+one ``memory_sweep`` per d, best of ``--repeats``.  The build of every
+block's wavefront and the run of the built ones (inputs filled, swept and
+copied out) are also timed on their own.  Every row must leave the same
+bytes as the per-d sweeps, run on fresh wavefronts and on reused ones.
+
+Narrow pair sweep: ``memory._sweep`` at d in {1, 2, 4, 8}, the pair step of
+every cooling round below ``RESPONSE_MIN_D``, in microseconds per call,
+against the same sweep with its vector filled by two slice assignments and
+its totals taken by two block sums; best of ``--repeats`` runs of
+``NARROW_CALLS`` calls.  Both must give the same bytes.
+
+Incoherent rounds: one 50-round incoherent MMTP run (E = 1, script_E = 2,
+beta = 1, beta_hot = 0.2) at d in {1, 8, 64} by ``cool_incoherent``, against
+the same rounds on a 4-element numpy state with the two-sum pair sweep, best
+of ``--repeats``; both must give the same bytes.
 
 Round response: one 50-round coherent MMTP run (gamma = 0.75) at d in
 {32, 48, 64, 256, 1000}, two ways, best of ``--repeats``: a fresh
@@ -59,9 +72,9 @@ grid; and ``convex_hull_xy`` on the swap orbit (gamma = 0.75) at depths 8 and
 (``reachable._cross2``).  Best of ``--repeats`` each; the bisection must give
 the same bytes and the hull the same indices.
 
-Exits 1 when any sweep dimension, batch, I_d dimension, exact result,
-validation batch, bisection or hull differs, or a round response is off its
-tolerances.
+Exits 1 when any sweep dimension, batch, narrow pair sweep, incoherent run,
+I_d dimension, exact result, validation batch, bisection or hull differs, or
+a round response is off its tolerances.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -78,14 +91,20 @@ from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_p
                                  memory_sweep, wavefront_blocks)
 from thermoproc import combinatorics
 from thermoproc.combinatorics import I_d_eval, L_eval, _l_alternating
+from thermoproc.cooling import IncoherentSetting, cool_incoherent
 from thermoproc.core import clip_noise
 from thermoproc.majorization import min_extraction_error_tp
-from thermoproc.memory import RESPONSE_MIN_D, _round_response, simulate_memory_beta_swap
+from thermoproc.memory import (RESPONSE_MIN_D, _round_response, _sweep,
+                               simulate_memory_beta_swap)
 from thermoproc.reachable import _cross2, bary_xy, convex_hull_xy, etp_orbit_points
 from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
+NARROW_DIMS = (1, 2, 4, 8)
+NARROW_CALLS = 400
+INCOHERENT = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
+INCOHERENT_DIMS = (1, 8, 64)
 RESPONSE_DIMS = (32, 48, 64, 256, 1000)
 ROUNDS = 50
 RESPONSE_GAMMA = 0.75
@@ -120,17 +139,22 @@ def sweep_each(vecs, ds):
     return out
 
 
-def sweep_batch(vecs, ds):
+def build_batch(ds):
+    """One ``Wavefront`` per block of ``wavefront_blocks(ds)``."""
+    return [Wavefront([ds[i] for i in rows], 0.75) for rows in wavefront_blocks(ds)]
+
+
+def sweep_batch(vecs, ds, wavefronts=None):
     """The same sweeps cut into ``wavefront_blocks`` and run one
-    ``Wavefront`` per block, as the batched callers run them; the swept
-    vectors."""
+    ``Wavefront`` per block, as the batched callers run them: built here, or
+    taken from ``wavefronts``, one per block; the swept vectors."""
     out = [None] * len(ds)
-    for rows in wavefront_blocks(ds):
+    for n, rows in enumerate(wavefront_blocks(ds)):
         block = [ds[i] for i in rows]
         a, b = np.zeros((len(rows), max(block))), np.zeros((len(rows), max(block)))
         for r, (i, d) in enumerate(zip(rows, block)):
             a[r, :d], b[r, :d] = vecs[i][:d], vecs[i][d:]
-        Wavefront(block, 0.75).run(a, b)
+        (Wavefront(block, 0.75) if wavefronts is None else wavefronts[n]).run(a, b)
         for r, (i, d) in enumerate(zip(rows, block)):
             out[i] = np.concatenate([a[r, :d], b[r, :d]])
     return out
@@ -141,22 +165,94 @@ def bench_batch(repeats):
     rng = np.random.default_rng(1)
     print("\nbatched wavefront")
     print(f"{'sweeps':>16} {'thermalizations':>16} {'one by one [ms]':>16} "
-          f"{'wavefront [ms]':>15} {'speedup':>8} {'bitwise':>8}")
+          f"{'wavefront [ms]':>15} {'build [ms]':>11} {'run [ms]':>9} {'speedup':>8} "
+          f"{'bitwise':>8}")
     mismatches = []
-
-    def row(name, vecs, ds, batched):
+    for d_max in BATCH_D_MAX:
+        name = f"d = 1..{d_max}"
+        ds = list(range(1, d_max + 1))
+        vecs = [rng.random(2 * d) / (2 * d) for d in ds]
         t_ref, ref = timed(lambda: sweep_each(vecs, ds), repeats)
-        t_new, new = timed(batched, repeats)
-        same = all(x.tobytes() == y.tobytes() for x, y in zip(ref, new))
+        t_new, new = timed(lambda: sweep_batch(vecs, ds), repeats)
+        t_build, wavefronts = timed(lambda: build_batch(ds), repeats)
+        t_run, reused = timed(lambda: sweep_batch(vecs, ds, wavefronts), repeats)
+        same = all(x.tobytes() == y.tobytes() == z.tobytes()
+                   for x, y, z in zip(ref, new, reused))
         if not same:
             mismatches.append(name)
         print(f"{name:>16} {sum(d * d for d in ds):>16} {t_ref * 1e3:>16.2f} "
-              f"{t_new * 1e3:>15.2f} {t_ref / t_new:>7.1f}x {str(same):>8}")
+              f"{t_new * 1e3:>15.2f} {t_build * 1e3:>11.2f} {t_run * 1e3:>9.2f} "
+              f"{t_ref / t_new:>7.1f}x {str(same):>8}")
+    return mismatches
 
-    for d_max in BATCH_D_MAX:
-        ds = list(range(1, d_max + 1))
-        vecs = [rng.random(2 * d) / (2 * d) for d in ds]
-        row(f"d = 1..{d_max}", vecs, ds, lambda: sweep_batch(vecs, ds))
+
+def sweep_two_sums(d, gamma, p_ground, p_excited):
+    """``memory._sweep`` with its vector filled by two slice assignments and
+    its totals taken by two block sums."""
+    vec = np.empty(2 * d)
+    vec[:d] = p_ground / d
+    vec[d:] = p_excited / d
+    memory_sweep(vec, d, gamma, 0, d)
+    return float(vec[:d].sum()), float(vec[d:].sum())
+
+
+def bench_narrow(repeats):
+    """Print the narrow pair-sweep table; return the d whose bytes differ."""
+    print(f"\nnarrow pair sweep, {NARROW_CALLS} calls")
+    print(f"{'d':>6} {'two sums [us/call]':>19} {'_sweep [us/call]':>17} "
+          f"{'speedup':>8} {'bitwise':>8}")
+    mismatches = []
+    masses = np.random.default_rng(2).random((NARROW_CALLS, 2)).tolist()
+    for d in NARROW_DIMS:
+        t_ref, ref = timed(lambda: [sweep_two_sums(d, 0.75, g, e) for g, e in masses],
+                           repeats)
+        t_new, new = timed(lambda: [_sweep(d, 0.75, g, e) for g, e in masses], repeats)
+        same = np.array(ref).tobytes() == np.array(new).tobytes()
+        if not same:
+            mismatches.append(d)
+        print(f"{d:>6} {t_ref / NARROW_CALLS * 1e6:>19.2f} "
+              f"{t_new / NARROW_CALLS * 1e6:>17.2f} {t_ref / t_new:>7.1f}x {str(same):>8}")
+    return mismatches
+
+
+def incoherent_numpy_scalars(d):
+    """The incoherent MMTP rounds of ``cool_incoherent`` on a 4-element numpy
+    state, every product and sum on numpy scalars, with the two-sum pair
+    sweep below ``RESPONSE_MIN_D``; the populations."""
+    s = IncoherentSetting(**INCOHERENT)
+    eta, gamma_big, g = s.eta, s.gamma_big, s.gamma
+    if d >= RESPONSE_MIN_D:
+        (a_g, a_e), (b_g, b_e) = _round_response(d, gamma_big)
+    v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
+    pops = np.empty(ROUNDS)
+    for r in range(ROUNDS):
+        g0, e1 = v[0], v[3]
+        if d < RESPONSE_MIN_D:
+            v[0], v[3] = sweep_two_sums(d, gamma_big, g0, e1)
+        else:
+            v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
+        pops[r] = v[0] + v[1]
+        ground, excited = v[0] + v[1], v[2] + v[3]
+        v = np.array([ground * eta, ground * (1.0 - eta),
+                      excited * eta, excited * (1.0 - eta)])
+    return pops
+
+
+def bench_incoherent(repeats):
+    """Print the incoherent-run table; return the d whose bytes differ."""
+    print(f"\none {ROUNDS}-round incoherent MMTP run")
+    print(f"{'d':>6} {'numpy scalars [ms]':>19} {'Python floats [ms]':>19} "
+          f"{'speedup':>8} {'bitwise':>8}")
+    mismatches = []
+    for d in INCOHERENT_DIMS:
+        t_ref, ref = timed(lambda: incoherent_numpy_scalars(d), repeats)
+        t_new, new = timed(lambda: cool_incoherent("MMTP", ROUNDS, d=d, **INCOHERENT),
+                           repeats)
+        same = ref.tobytes() == new.populations.tobytes()
+        if not same:
+            mismatches.append(d)
+        print(f"{d:>6} {t_ref * 1e3:>19.3f} {t_new * 1e3:>19.3f} "
+              f"{t_ref / t_new:>7.1f}x {str(same):>8}")
     return mismatches
 
 
@@ -436,6 +532,8 @@ def main():
         print(f"{d:>6} {d * d:>10} {path:>10} {t_ref * 1e3:>11.3f} "
               f"{t_new * 1e3:>18.3f} {t_ref / t_new:>7.1f}x {str(same):>8}")
     batch_mismatches = bench_batch(args.repeats)
+    narrow_mismatches = bench_narrow(args.repeats)
+    incoherent_mismatches = bench_incoherent(args.repeats)
     response_failures = bench_response(args.repeats)
     id_mismatches = bench_I_d(args.repeats)
     exact_mismatches = bench_exact(args.repeats)
@@ -447,6 +545,12 @@ def main():
     if batch_mismatches:
         print(f"the wavefront differs from one sweep at a time: {batch_mismatches}",
               file=sys.stderr)
+    if narrow_mismatches:
+        print(f"_sweep differs from the two-sum sweep at d = {narrow_mismatches}",
+              file=sys.stderr)
+    if incoherent_mismatches:
+        print(f"cool_incoherent differs from the numpy-scalar rounds at d = "
+              f"{incoherent_mismatches}", file=sys.stderr)
     if response_failures:
         print(f"the round response is off its tolerances at d = {response_failures}",
               file=sys.stderr)
@@ -462,8 +566,9 @@ def main():
     if geometry_mismatches:
         print(f"the validation geometry differs from its reference: {geometry_mismatches}",
               file=sys.stderr)
-    failed = (mismatches or batch_mismatches or response_failures or id_mismatches
-              or exact_mismatches or batch_check_mismatches or geometry_mismatches)
+    failed = (mismatches or batch_mismatches or narrow_mismatches or incoherent_mismatches
+              or response_failures or id_mismatches or exact_mismatches
+              or batch_check_mismatches or geometry_mismatches)
     return 1 if failed else 0
 
 

@@ -36,6 +36,13 @@ where it takes its final value; one whose rows all have its largest d, a
 single sweep say, copies nothing and runs exactly the steps of that sweep.
 The slices of every step and the indices of every copy are built with the
 wavefront, once; ``run`` may then be called any number of times.
+A slot's copy key is one more than the step after which it is final, 0 for
+a padded slot, so the keys lie in 0..2D-1.  They are held in the smallest
+unsigned type that holds 2D-1, on which numpy's stable argsort is a radix
+sort up to D = 32768: it lists the slots step by step, each step's slots in
+buffer order, and the running key counts (``np.bincount``, ``np.cumsum``)
+cut that list into one slice of copy indices per step, the pads' leading
+slice dropped.
 
 Each row may sweep with its own weight: ``weight_a`` is one float for every
 row, or one weight per row, as a grid of work-extraction setups needs.  The
@@ -82,7 +89,12 @@ WAVEFRONT_MIN_WIDTH = 128
 # x86 host (best of 10, three noisy runs), at 2^11, 2^12, 2^13 and 2^14:
 # d = 1..200 takes 13-25, 10-14, 9-11 and 9-11 ms, d = 1..400 77-130, 63-86,
 # 46-64 and 45-52 ms, and a process that has run four sweep-scaled passes
-# peaks at 34.7, 34.7, 34.9 and 35.5 MB
+# peaks at 34.7, 34.7, 34.9 and 35.5 MB.  With the cheaper build (a radix
+# sort of the copy keys, no np.split) the same host ran d = 1..200 in
+# 13.1-14.2 ms at 2^12 against 11.7-12.2 ms at 2^13, and d = 1..400 in 75-83
+# against 59-61 ms (best of 10, three runs); but in the benchmark 2^13 moved
+# the sweep-scaled median wall time by -0.9% (4 of 6 pairs faster) and the
+# default-suite one by +2.0% (1 of 4), its peak RSS by -0.2 MB, so 2^12 stays
 _BLOCK_ELEMENTS = 1 << 12
 
 
@@ -175,32 +187,42 @@ class Wavefront:
             self._final = buf
             self._real_a = self._real_b = Ellipsis  # every slot is real
         else:
-            k = np.arange(d)[:, None]
-            j = np.arange(d - 1, -1, -1)[:, None]  # the b_j in each row of bt
-            ds = np.array(ds)
+            # the smallest unsigned type that holds the keys 0..2d-1: on one of
+            # 16 bits or less numpy's stable argsort is a radix sort
+            key_type = np.min_scalar_type(2 * d - 1)
+            k = np.arange(d, dtype=key_type)[:, None]
+            # the b_j in each row of bt
+            j = np.arange(d - 1, -1, -1, dtype=key_type)[:, None]
+            ds = np.array(ds, dtype=key_type)
             self._real_a, self._real_b = k < ds, j < ds
-            # the step after which each slot is final; -1 for a pad
-            when = np.concatenate([np.where(self._real_a, k + ds - 1, -1).ravel(),
-                                   np.where(self._real_b, ds - 1 + j, -1).ravel()])
-            order = np.argsort(when, kind="stable")
-            per_step = np.bincount(when + 1, minlength=2 * d)
-            # the pads come first in ``order`` and are dropped
-            copies = [idx if len(idx) else None
-                      for idx in np.split(order, np.cumsum(per_step)[:-1])[1:]]
+            # one more than the step after which each slot is final; 0 for a pad
+            key = np.concatenate([np.where(self._real_a, k + ds, 0).ravel(),
+                                  np.where(self._real_b, ds + j, 0).ravel()])
+            order = np.argsort(key, kind="stable")
+            # step s copies order[ends[s]:ends[s + 1]]; the pads, first in
+            # ``order``, are dropped
+            ends = np.cumsum(np.bincount(key, minlength=2 * d)).tolist()
+            copies = [order[lo:hi] if hi > lo else None
+                      for lo, hi in zip(ends, ends[1:])]
             self._final = np.zeros_like(buf)
         # step s: its a and b slices, its weight operands, and the slots that
-        # are final after it
-        self._steps = []
-        for s, idx in enumerate(copies):
-            lo = s - d + 1 if s >= d else 0
-            hi = s + 1 if s < d else d
-            b_lo = n * d + (d - 1 - s + lo) * n
-            self._steps.append((buf[lo * n:hi * n], buf[b_lo:b_lo + (hi - lo) * n], w, v, idx))
+        # are final after it.  Up to s = d-1 the a slice is the prefix of the
+        # a part, of s+1 cells per row, and the b slice the suffix of the b
+        # part as long; from there on the a slice is a suffix and the b slice
+        # a prefix, one cell per row shorter each step
+        a_part, b_part = buf[:n * d], buf[n * d:]
+        a_slices = ([a_part[:m] for m in range(n, n * d + 1, n)]
+                    + [a_part[m:] for m in range(n, n * d, n)])
+        b_slices = ([b_part[m:] for m in range((d - 1) * n, -1, -n)]
+                    + [b_part[:m] for m in range((d - 1) * n, 0, -n)])
         if w.ndim:
             # each step's slices start at a multiple of n, so a prefix of the
             # tiled weights puts each row's weight on its own cells
-            self._steps = [(ai, t, w[:len(ai)], v[:len(ai)], idx)
-                           for ai, t, _, _, idx in self._steps]
+            ws = [w[:len(ai)] for ai in a_slices]
+            vs = [v[:len(ai)] for ai in a_slices]
+        else:
+            ws, vs = [w] * len(copies), [v] * len(copies)
+        self._steps = list(zip(a_slices, b_slices, ws, vs, copies))
         self._final_at = self._final[:n * d].reshape(d, n)
         self._final_bt = self._final[n * d:].reshape(d, n)
 

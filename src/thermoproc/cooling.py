@@ -83,8 +83,7 @@ def _check_process(process: str, d):
 
 def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
     """Simulate n coherent-control rounds from the thermal starting point."""
-    if n < 1:
-        raise ValueError("need at least one round")
+    n = _require_int(n, "rounds", 1)
     if not (0.5 < gamma < 1.0):
         raise ValueError("gamma must lie in (1/2, 1)")
     d = _check_process(process, d)
@@ -130,8 +129,7 @@ def coherent_closed_form(process: str, n: int, gamma, d=None) -> list:
     (p_max - gamma).  ``delta_d`` and ``p_max`` are computed once for the
     column.  Fraction arguments evaluate exactly.
     """
-    if n < 1:
-        raise ValueError("need at least one round")
+    n = _require_int(n, "rounds", 1)
     d = _check_process(process, d)
     rounds = range(1, n + 1)
     q = (1 - gamma) / gamma
@@ -181,18 +179,22 @@ class IncoherentSetting:
         return 1.0 / (1.0 + self.q_big * math.exp(self.beta_hot * (self.script_E - self.E)))
 
 
-def _refresh_auxiliary(v: np.ndarray, eta: float) -> np.ndarray:
+def _refresh_auxiliary(v: list, eta: float) -> list:
     s_ground = v[0] + v[1]
     s_excited = v[2] + v[3]
-    return np.array([s_ground * eta, s_ground * (1.0 - eta),
-                     s_excited * eta, s_excited * (1.0 - eta)])
+    return [s_ground * eta, s_ground * (1.0 - eta),
+            s_excited * eta, s_excited * (1.0 - eta)]
 
 
 def cool_incoherent(process: str, n: int, E: float, script_E: float,
                     beta: float, beta_hot: float, d=None) -> CoolingRun:
-    """Simulate n incoherent-control rounds on the 4-level composite."""
-    if n < 1:
-        raise ValueError("need at least one round")
+    """Simulate n incoherent-control rounds on the 4-level composite.
+
+    The state is a list of Python floats: each round does the IEEE operations
+    numpy scalars would do, to the same bits, without numpy's per-operation
+    cost.
+    """
+    n = _require_int(n, "rounds", 1)
     d = _check_process(process, d)
     setting = IncoherentSetting(E, script_E, beta, beta_hot)
     eta = setting.eta
@@ -200,10 +202,10 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
     gamma_big = setting.gamma_big
     if process == "MMTP" and d >= RESPONSE_MIN_D:
         (a_g, a_e), (b_g, b_e) = _round_response(d, gamma_big)
-    v = np.array([setting.gamma * eta, setting.gamma * (1.0 - eta),
-                  (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)])
-    pops = np.empty(n)
-    for r in range(n):
+    v = [setting.gamma * eta, setting.gamma * (1.0 - eta),
+         (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)]
+    pops = []
+    for _ in range(n):
         # each step acts on the (g0, e1) pair of this round's fresh state
         g0, e1 = v[0], v[3]
         if process == "TP":
@@ -215,11 +217,11 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
             v[0], v[3] = _sweep(d, gamma_big, g0, e1)
         else:
             v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
-        pops[r] = v[0] + v[1]
+        pops.append(v[0] + v[1])
         v = _refresh_auxiliary(v, eta)
     params = {"E": E, "script_E": script_E, "beta": beta,
               "beta_hot": beta_hot, "d": d}
-    return CoolingRun("incoherent", process, params, pops)
+    return CoolingRun("incoherent", process, params, np.array(pops))
 
 
 def p_star_incoherent(E: float, script_E: float, beta: float, beta_hot: float) -> float:
@@ -252,8 +254,7 @@ def incoherent_closed_form(process: str, n: int, E: float, script_E: float,
                            beta: float, beta_hot: float, d=None) -> list:
     """Closed-form ground populations after incoherent rounds 1..n:
     p_star - rate^k (p_star - gamma), with the rate computed once."""
-    if n < 1:
-        raise ValueError("need at least one round")
+    n = _require_int(n, "rounds", 1)
     s = IncoherentSetting(E, script_E, beta, beta_hot)
     rate = incoherent_rate(process, E, script_E, beta, beta_hot, d)
     p_star, gamma = s.p_star, s.gamma

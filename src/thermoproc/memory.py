@@ -51,12 +51,15 @@ RESPONSE_MIN_D = 48
 def _sweep(d: int, gamma: float, p_ground: float, p_excited: float):
     """One memory-simulated swap of a pair: spread its populations evenly
     over the slots of a fresh memory, run the d^2 sweep, and return the
-    (ground, excited) block totals."""
-    vec = np.empty(2 * d)
+    [ground, excited] block totals.
+
+    One reduction over the two blocks sums each as ``vec[:d].sum()`` and
+    ``vec[d:].sum()`` would, in numpy's pairwise order, to the same bits.
+    """
+    vec = np.full(2 * d, p_excited / d)
     vec[:d] = p_ground / d
-    vec[d:] = p_excited / d
     memory_sweep(vec, d, gamma, 0, d)
-    return float(vec[:d].sum()), float(vec[d:].sum())
+    return np.add.reduce(vec.reshape(2, d), axis=1).tolist()
 
 
 def _round_response(d: int, gamma: float):

@@ -94,6 +94,38 @@ def incoherent_mmtp_by_composite_loop(n, d, E, script_E, beta, beta_hot):
     return np.array(pops)
 
 
+def incoherent_by_numpy_scalars(process, n, d, E, script_E, beta, beta_hot):
+    """``cool_incoherent`` as it ran on a 4-element numpy state: every
+    product and sum on numpy scalars, the pair sweep's totals from two block
+    sums, the populations stored into an array round by round."""
+    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
+    eta, q_big, gamma_big, g = s.eta, s.q_big, s.gamma_big, s.gamma
+    if process == "MMTP" and d >= RESPONSE_MIN_D:
+        (a_g, a_e), (b_g, b_e) = memory._round_response(d, gamma_big)
+    v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
+    pops = np.empty(n)
+    for r in range(n):
+        g0, e1 = v[0], v[3]
+        if process == "TP":
+            v[0], v[3] = (1.0 - q_big) * g0 + e1, q_big * g0
+        elif process == "MTP":
+            pool = g0 + e1
+            v[0], v[3] = gamma_big * pool, (1.0 - gamma_big) * pool
+        elif d < RESPONSE_MIN_D:
+            pair = np.empty(2 * d)
+            pair[:d] = g0 / d
+            pair[d:] = e1 / d
+            _memory_sweep_py(pair, d, gamma_big, 0, d)
+            v[0], v[3] = float(pair[:d].sum()), float(pair[d:].sum())
+        else:
+            v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
+        pops[r] = v[0] + v[1]
+        ground, excited = v[0] + v[1], v[2] + v[3]
+        v = np.array([ground * eta, ground * (1.0 - eta),
+                      excited * eta, excited * (1.0 - eta)])
+    return pops
+
+
 def coherent_closed_form_at(process, n, gamma, d=None):
     """The coherent closed form at round n alone, the per-entry expression
     the column must reproduce."""
@@ -470,6 +502,31 @@ class TestIncoherent:
         for d in (0, 2.7, True):
             with pytest.raises(ValueError, match="memory dimension d"):
                 cooling.cool_incoherent("MMTP", 5, d=d, **REF)
+
+
+class TestRoundCount:
+    @pytest.mark.parametrize("rounds", [2.5, True, 0])
+    @pytest.mark.parametrize("call", [
+        lambda n: cooling.cool_coherent("TP", n, 0.75),
+        lambda n: cooling.coherent_closed_form("MMTP", n, 0.75, 2),
+        lambda n: cooling.cool_incoherent("MTP", n, **REF),
+        lambda n: cooling.incoherent_closed_form("TP", n, **REF),
+    ], ids=["cool_coherent", "coherent_closed_form", "cool_incoherent",
+            "incoherent_closed_form"])
+    def test_rounds_must_be_an_integer_from_one(self, call, rounds):
+        with pytest.raises(ValueError, match="rounds"):
+            call(rounds)
+
+
+class TestIncoherentState:
+    @pytest.mark.parametrize("process, d", [("TP", None), ("MTP", None), ("MMTP", 1),
+                                            ("MMTP", 8), ("MMTP", 64)])
+    @pytest.mark.parametrize("setting", range(len(INCOHERENT_SETTINGS)))
+    def test_python_floats_equal_the_numpy_scalar_rounds(self, process, d, setting):
+        kw = INCOHERENT_SETTINGS[setting]
+        run = cooling.cool_incoherent(process, 50, d=d, **kw)
+        expected = incoherent_by_numpy_scalars(process, 50, d, **kw)
+        assert run.populations.tobytes() == expected.tobytes()
 
 
 class TestGridAgreement:

@@ -244,6 +244,17 @@ class TestBatch:
             mp.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
             assert_same_bytes(by_blocks(ds, weight, a, b), expected)
 
+    @pytest.mark.parametrize("per_row", [False, True], ids=["one-weight", "per-row"])
+    def test_copy_keys_past_eight_bits(self, per_row):
+        # unsorted rows, a repeated d, and a largest d whose copy keys, up to
+        # 2 * 200 - 1, need more than 8 bits
+        ds = [130, 3, 200, 3, 129, 1, 64]
+        rng = np.random.default_rng(19)
+        a, b = batch_inputs(ds, rng)
+        weight = rng.uniform(0.5, 1.0, len(ds)).tolist() if per_row else 0.65
+        assert_same_bytes(one_wavefront(ds, weight, a, b),
+                          sweep_rows_by_loop(ds, weight, a, b))
+
     @pytest.mark.parametrize("ds", [[], [0], [3, 0]])
     def test_bad_sizes_raise(self, ds):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thermoproc._kernels import memory_sweep
+from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
 from thermoproc.combinatorics import catalan_tail_bound, delta_d, f_coeff
-from thermoproc.memory import (_round_response, closed_form_p_d,
+from thermoproc.memory import (_round_response, _sweep, closed_form_p_d,
                                simulate_memory_beta_swap)
 
 
@@ -127,6 +127,24 @@ class TestBatchedSweeps:
 
     def test_empty_list_gives_an_empty_array(self):
         assert simulate_memory_beta_swap([], 0.25, 0.75).shape == (0,)
+
+
+class TestSweepTotals:
+    def test_one_reduction_equals_the_two_block_sums(self):
+        # every narrow d: below 8 numpy sums a block in order, from 8 on in
+        # its blocked pairwise order, which the one reduction must share
+        rng = np.random.default_rng(29)
+        for d in range(1, WAVEFRONT_MIN_WIDTH):
+            for _ in range(3):
+                p_ground, p_excited = rng.random(2)
+                gamma = rng.uniform(0.0, 1.0)
+                vec = np.empty(2 * d)
+                vec[:d] = p_ground / d
+                vec[d:] = p_excited / d
+                _memory_sweep_py(vec, d, gamma, 0, d)
+                expected = [vec[:d].sum(), vec[d:].sum()]
+                got = _sweep(d, gamma, p_ground, p_excited)
+                assert np.array(got).tobytes() == np.array(expected).tobytes(), d
 
 
 class TestRoundResponse:
