@@ -16,15 +16,21 @@ copied out) are also timed on their own.  Every row must leave the same
 bytes as the per-d sweeps, run on fresh wavefronts and on reused ones.
 
 Narrow pair sweep: ``memory._sweep`` at d in {1, 2, 4, 8}, the pair step of
-every cooling round below ``RESPONSE_MIN_D``, in microseconds per call,
-against the same sweep with its vector filled by two slice assignments and
-its totals taken by two block sums; best of ``--repeats`` runs of
+every cooling round below ``RESPONSE_MIN_D``, on Python floats alone, in
+microseconds per call, against the numpy-vector pair step it replaced (the
+vector filled by ``np.full`` and one slice write, swept by ``memory_sweep``,
+its blocks summed by one ``np.add.reduce``); best of ``--repeats`` runs of
 ``NARROW_CALLS`` calls.  Both must give the same bytes.
+
+Wide single sweeps: one ``simulate_memory_beta_swap`` call at d in
+{128, 200, 400}, now a one-row batch, against the numpy-vector pair step it
+ran before (a one-row wavefront inside ``memory_sweep``), best of
+``--repeats``; both must give the same bytes.
 
 Incoherent rounds: one 50-round incoherent MMTP run (E = 1, script_E = 2,
 beta = 1, beta_hot = 0.2) at d in {1, 8, 64} by ``cool_incoherent``, against
-the same rounds on a 4-element numpy state with the two-sum pair sweep, best
-of ``--repeats``; both must give the same bytes.
+the same rounds on a 4-element numpy state with the numpy-vector pair step,
+best of ``--repeats``; both must give the same bytes.
 
 Round response: one 50-round coherent MMTP run (gamma = 0.75) at d in
 {32, 48, 64, 256, 1000}, two ways, best of ``--repeats``: a fresh
@@ -72,7 +78,8 @@ grid; and ``convex_hull_xy`` on the swap orbit (gamma = 0.75) at depths 8 and
 (``reachable._cross2``).  Best of ``--repeats`` each; the bisection must give
 the same bytes and the hull the same indices.
 
-Exits 1 when any sweep dimension, batch, narrow pair sweep, incoherent run,
+Exits 1 when any sweep dimension, batch, narrow pair sweep, wide single
+sweep, incoherent run,
 I_d dimension, exact result, validation batch, bisection or hull differs, or
 a round response is off its tolerances.
 
@@ -103,6 +110,7 @@ SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
 NARROW_DIMS = (1, 2, 4, 8)
 NARROW_CALLS = 400
+WIDE_SCALAR_DIMS = (128, 200, 400)
 INCOHERENT = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
 INCOHERENT_DIMS = (1, 8, 64)
 RESPONSE_DIMS = (32, 48, 64, 256, 1000)
@@ -186,39 +194,56 @@ def bench_batch(repeats):
     return mismatches
 
 
-def sweep_two_sums(d, gamma, p_ground, p_excited):
-    """``memory._sweep`` with its vector filled by two slice assignments and
-    its totals taken by two block sums."""
-    vec = np.empty(2 * d)
+def sweep_numpy_vector(d, gamma, p_ground, p_excited):
+    """The pair step ``memory._sweep`` replaced: the populations spread over a
+    numpy vector, swept by ``memory_sweep`` and summed by one reduction."""
+    vec = np.full(2 * d, p_excited / d)
     vec[:d] = p_ground / d
-    vec[d:] = p_excited / d
     memory_sweep(vec, d, gamma, 0, d)
-    return float(vec[:d].sum()), float(vec[d:].sum())
+    return np.add.reduce(vec.reshape(2, d), axis=1).tolist()
 
 
 def bench_narrow(repeats):
     """Print the narrow pair-sweep table; return the d whose bytes differ."""
     print(f"\nnarrow pair sweep, {NARROW_CALLS} calls")
-    print(f"{'d':>6} {'two sums [us/call]':>19} {'_sweep [us/call]':>17} "
+    print(f"{'d':>6} {'numpy vector [us/call]':>23} {'_sweep [us/call]':>17} "
           f"{'speedup':>8} {'bitwise':>8}")
     mismatches = []
     masses = np.random.default_rng(2).random((NARROW_CALLS, 2)).tolist()
     for d in NARROW_DIMS:
-        t_ref, ref = timed(lambda: [sweep_two_sums(d, 0.75, g, e) for g, e in masses],
+        t_ref, ref = timed(lambda: [sweep_numpy_vector(d, 0.75, g, e) for g, e in masses],
                            repeats)
         t_new, new = timed(lambda: [_sweep(d, 0.75, g, e) for g, e in masses], repeats)
         same = np.array(ref).tobytes() == np.array(new).tobytes()
         if not same:
             mismatches.append(d)
-        print(f"{d:>6} {t_ref / NARROW_CALLS * 1e6:>19.2f} "
+        print(f"{d:>6} {t_ref / NARROW_CALLS * 1e6:>23.2f} "
               f"{t_new / NARROW_CALLS * 1e6:>17.2f} {t_ref / t_new:>7.1f}x {str(same):>8}")
+    return mismatches
+
+
+def bench_wide_scalar(repeats):
+    """Print the wide single-sweep table; return the d whose bytes differ."""
+    p0, gamma = 0.25, 0.75
+    print("\none simulate_memory_beta_swap call")
+    print(f"{'d':>6} {'numpy vector [ms]':>18} {'one-row batch [ms]':>19} "
+          f"{'speedup':>8} {'bitwise':>8}")
+    mismatches = []
+    for d in WIDE_SCALAR_DIMS:
+        t_ref, ref = timed(lambda: sweep_numpy_vector(d, gamma, p0, 1.0 - p0)[0], repeats)
+        t_new, new = timed(lambda: simulate_memory_beta_swap(d, p0, gamma), repeats)
+        same = ref.hex() == new.hex()
+        if not same:
+            mismatches.append(d)
+        print(f"{d:>6} {t_ref * 1e3:>18.3f} {t_new * 1e3:>19.3f} "
+              f"{t_ref / t_new:>7.2f}x {str(same):>8}")
     return mismatches
 
 
 def incoherent_numpy_scalars(d):
     """The incoherent MMTP rounds of ``cool_incoherent`` on a 4-element numpy
-    state, every product and sum on numpy scalars, with the two-sum pair
-    sweep below ``RESPONSE_MIN_D``; the populations."""
+    state, every product and sum on numpy scalars, with the numpy-vector
+    pair step below ``RESPONSE_MIN_D``; the populations."""
     s = IncoherentSetting(**INCOHERENT)
     eta, gamma_big, g = s.eta, s.gamma_big, s.gamma
     if d >= RESPONSE_MIN_D:
@@ -228,7 +253,7 @@ def incoherent_numpy_scalars(d):
     for r in range(ROUNDS):
         g0, e1 = v[0], v[3]
         if d < RESPONSE_MIN_D:
-            v[0], v[3] = sweep_two_sums(d, gamma_big, g0, e1)
+            v[0], v[3] = sweep_numpy_vector(d, gamma_big, g0, e1)
         else:
             v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
         pops[r] = v[0] + v[1]
@@ -533,6 +558,7 @@ def main():
               f"{t_new * 1e3:>18.3f} {t_ref / t_new:>7.1f}x {str(same):>8}")
     batch_mismatches = bench_batch(args.repeats)
     narrow_mismatches = bench_narrow(args.repeats)
+    wide_mismatches = bench_wide_scalar(args.repeats)
     incoherent_mismatches = bench_incoherent(args.repeats)
     response_failures = bench_response(args.repeats)
     id_mismatches = bench_I_d(args.repeats)
@@ -546,8 +572,11 @@ def main():
         print(f"the wavefront differs from one sweep at a time: {batch_mismatches}",
               file=sys.stderr)
     if narrow_mismatches:
-        print(f"_sweep differs from the two-sum sweep at d = {narrow_mismatches}",
+        print(f"_sweep differs from the numpy-vector pair step at d = {narrow_mismatches}",
               file=sys.stderr)
+    if wide_mismatches:
+        print(f"a wide simulate_memory_beta_swap call differs from the numpy-vector "
+              f"pair step at d = {wide_mismatches}", file=sys.stderr)
     if incoherent_mismatches:
         print(f"cool_incoherent differs from the numpy-scalar rounds at d = "
               f"{incoherent_mismatches}", file=sys.stderr)
@@ -566,7 +595,8 @@ def main():
     if geometry_mismatches:
         print(f"the validation geometry differs from its reference: {geometry_mismatches}",
               file=sys.stderr)
-    failed = (mismatches or batch_mismatches or narrow_mismatches or incoherent_mismatches
+    failed = (mismatches or batch_mismatches or narrow_mismatches or wide_mismatches
+              or incoherent_mismatches
               or response_failures or id_mismatches or exact_mismatches
               or batch_check_mismatches or geometry_mismatches)
     return 1 if failed else 0

@@ -65,7 +65,9 @@ _BLOCK_ELEMENTS = 1 << 15
 
 
 def _require_int(value, name, minimum):
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    # a plain int, the common case, passes one type test
+    if type(value) is not int and (not isinstance(value, (int, np.integer))
+                                   or isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
@@ -142,7 +144,10 @@ def _l_alternating(n, m, x):
     The quotient is formed once: a Fraction for exact input, else the
     correctly rounded integer division, which rounds like float(Fraction).
     """
-    a, q = Fraction(x).as_integer_ratio()
+    try:  # float, int, Fraction and numpy floats give their ratio directly
+        a, q = x.as_integer_ratio()
+    except AttributeError:  # numpy integers do not, and overflow in the sums
+        a, q = int(x), 1
     lcm, scale, coeffs = _alternating_coefficients(n, m)
     s = 0
     if q & (q - 1) == 0:  # every float; shifts beat the multiply loop below

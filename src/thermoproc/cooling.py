@@ -42,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import memory_sweep  # noqa: F401  (unused; perfbench's tracer test reads it)
 from .combinatorics import _require_int, delta_d
 from .core import clip_noise
 from .memory import RESPONSE_MIN_D, _round_response, _sweep
-from .memory import memory_sweep  # noqa: F401  (unused; perfbench's tracer test reads it)
 
 PROCESS_CLASSES = ("TP", "MTP", "MMTP")
 

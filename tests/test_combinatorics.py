@@ -249,6 +249,16 @@ class TestIntegerRoutes:
             # m = 0: L = (1-x)^n
             assert comb.L_eval(k + 1, 0, x, "alternating") == (1 - x) ** (k + 1)
 
+    @pytest.mark.parametrize("x", [np.float64(0.3), np.float32(0.7), np.int64(0), np.int64(1)],
+                             ids=["float64", "float32", "int64-0", "int64-1"])
+    def test_alternating_takes_numpy_scalars(self, x):
+        # numpy integers have no as_integer_ratio, and as numerators they
+        # overflowed from n = 30 on
+        for n, m in ((1, 0), (7, 3), (30, 29), (60, 59)):
+            got = comb.L_eval(n, m, x, "alternating")
+            assert type(got) is float
+            assert got.hex() == comb.L_eval(n, m, float(x), "alternating").hex()
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 60),
            st.fractions(0, 1, max_denominator=1000).filter(lambda v: v < 1),

@@ -5,9 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from thermoproc import _kernels, memory
 from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
 from thermoproc.combinatorics import catalan_tail_bound, delta_d, f_coeff
-from thermoproc.memory import (_round_response, _sweep, closed_form_p_d,
+from thermoproc.memory import (_pairwise_sum, _round_response, _sweep, closed_form_p_d,
                                simulate_memory_beta_swap)
 
 
@@ -127,6 +128,44 @@ class TestBatchedSweeps:
 
     def test_empty_list_gives_an_empty_array(self):
         assert simulate_memory_beta_swap([], 0.25, 0.75).shape == (0,)
+
+    @pytest.mark.parametrize("d", [WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 200])
+    def test_a_wide_scalar_call_is_a_one_row_wavefront(self, monkeypatch, d):
+        # the same bits either way, so the path is read from the wavefronts
+        # built: a wide sweep as a loop over Python floats would be slower
+        built, build = [], _kernels.Wavefront
+
+        def record(*args):
+            built.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(memory, "Wavefront", record)
+        monkeypatch.setattr(_kernels, "Wavefront", record)
+        p = simulate_memory_beta_swap(d, 0.25, 0.75)
+        assert built == ([[d]] if d >= WAVEFRONT_MIN_WIDTH else [])
+        assert type(p) is float
+        assert p == simulate_memory_beta_swap([d], 0.25, 0.75)[0]
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+    def test_equals_numpy_reduction_at_every_length(self, signed):
+        rng = np.random.default_rng(41)
+        for n in range(301):
+            # magnitudes over 8 decades, so that the order of the additions
+            # shows in the last bits
+            rows = rng.random((2, n)) * 10.0 ** rng.uniform(-8.0, 0.0, (2, n))
+            if signed:
+                rows *= rng.choice([-1.0, 1.0], (2, n))
+            expected = [np.add.reduce(row) for row in rows]
+            expected += np.add.reduce(rows, axis=1).tolist()
+            got = [_pairwise_sum(row) for row in rows.tolist()] * 2
+            assert np.array(got).tobytes() == np.array(expected).tobytes(), n
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 128, 129, 300])
+    def test_negative_zeros_sum_to_positive_zero_as_in_numpy(self, n):
+        zeros = -np.zeros(n)
+        assert np.float64(_pairwise_sum(zeros.tolist())).tobytes() == zeros.sum().tobytes()
 
 
 class TestSweepTotals:
