@@ -15,27 +15,35 @@ block's wavefront and the run of the built ones (inputs filled, swept and
 copied out) are also timed on their own.  Every row must leave the same
 bytes as the per-d sweeps, run on fresh wavefronts and on reused ones.
 
-Narrow pair sweep: ``memory._sweep`` at d in {1, 2, 4, 8}, the pair step of
-every cooling round below ``RESPONSE_MIN_D``, on Python floats alone, in
-microseconds per call, against the numpy-vector pair step it replaced (the
-vector filled by ``np.full`` and one slice write, swept by ``memory_sweep``,
-its blocks summed by one ``np.add.reduce``); best of ``--repeats`` runs of
-``NARROW_CALLS`` calls.  Both must give the same bytes.
+The tables below whose new column must be no slower than its reference
+(narrow pair sweep, wide single sweeps, incoherent rounds, round response,
+validation batches) take ``--repeats`` alternating samples of the reference
+and of the new code, and print each one's median with its quartiles; the
+other tables print the best of ``--repeats``.
+
+Narrow pair sweep: the pair step of every cooling round below
+``RESPONSE_MIN_D``, one row of ``memory._protocol_totals`` at d in
+{1, 2, 4, 8} with its sweep built once, on Python floats alone, in
+microseconds per call, against a numpy-vector pair step (the vector filled
+by ``np.full`` and one slice write, swept by ``memory_sweep``, its blocks
+summed by one ``np.add.reduce``); samples of ``NARROW_CALLS`` calls.  Both
+must give the same bytes.
 
 Wide single sweeps: one ``simulate_memory_beta_swap`` call at d in
-{128, 200, 400}, now a one-row batch, against the numpy-vector pair step it
-ran before (a one-row wavefront inside ``memory_sweep``), best of
-``--repeats``; both must give the same bytes.
+{128, 200, 400}, a one-row batch of the evaluator, against the
+numpy-vector pair step (a one-row wavefront inside ``memory_sweep``); both
+must give the same bytes.
 
 Incoherent rounds: one 50-round incoherent MMTP run (E = 1, script_E = 2,
 beta = 1, beta_hot = 0.2) at d in {1, 8, 64} by ``cool_incoherent``, against
 the same rounds on a 4-element numpy state with the numpy-vector pair step,
-best of ``--repeats``; both must give the same bytes.
+and at d = 64 the round response from two numpy-vector sweeps; both must
+give the same bytes.
 
 Round response: one 50-round coherent MMTP run (gamma = 0.75) at d in
-{32, 48, 64, 256, 1000}, two ways, best of ``--repeats``: a fresh
-``simulate_memory_beta_swap`` every round, against one
-``memory._round_response`` and 50 affine steps.  Cooling runs take the
+{32, 48, 64, 256, 1000}, two ways: a fresh ``simulate_memory_beta_swap``
+every round, against the swap's 2 x 2 matrix from one two-row
+``memory._protocol_totals`` call and 50 affine steps.  Cooling runs take the
 response from ``RESPONSE_MIN_D`` on.  The rounds must stay within 1e-13 of
 the per-round ones at every d, and up to d = 256 the response must fix the
 Gibbs pair and conserve mass within 1e-15: the tolerances of the tests,
@@ -65,10 +73,11 @@ Validation batches: the ``memory-extraction-closed-form`` check's grid
 (50 setups: beta E in {ln 2, 1}, 25 work gaps from 0.1 to 2.6; d = 1..10) as
 500 per-point runs of the two ``memory_sweep`` calls, the protocol as it ran
 before the grid existed, and as 500 one-point ``memory_extraction_grid``
-calls, each against one ``memory_extraction_grid`` call over the grid; and the
-``special-function-routes`` check's quadrature route, 1053 per-point calls
-against one array call per (n, m).  Best of ``--repeats`` each; every row
-must give the same bytes.
+calls (one row of the evaluator each, on Python floats), each against one
+``memory_extraction_grid`` call over the grid (the evaluator's batched
+wavefronts); and the ``special-function-routes`` check's quadrature route,
+1053 per-point calls against one array call per (n, m).  Every row must give
+the same bytes.
 
 Validation geometry: the ``extraction-bisection-grid`` check's 50 work gaps
 (beta E = ln 2, beta W from 0.05 to 2.5), as one scalar
@@ -88,6 +97,7 @@ Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000
 
 import argparse
 import math
+import statistics
 import sys
 import time
 from fractions import Fraction
@@ -101,8 +111,7 @@ from thermoproc.combinatorics import I_d_eval, L_eval, _l_alternating
 from thermoproc.cooling import IncoherentSetting, cool_incoherent
 from thermoproc.core import clip_noise
 from thermoproc.majorization import min_extraction_error_tp
-from thermoproc.memory import (RESPONSE_MIN_D, _round_response, _sweep,
-                               simulate_memory_beta_swap)
+from thermoproc.memory import RESPONSE_MIN_D, _protocol_totals, simulate_memory_beta_swap
 from thermoproc.reachable import _cross2, bary_xy, convex_hull_xy, etp_orbit_points
 from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
@@ -195,59 +204,95 @@ def bench_batch(repeats):
 
 
 def sweep_numpy_vector(d, gamma, p_ground, p_excited):
-    """The pair step ``memory._sweep`` replaced: the populations spread over a
-    numpy vector, swept by ``memory_sweep`` and summed by one reduction."""
+    """A pair step on a numpy vector: the populations spread over the slots,
+    swept by ``memory_sweep`` and summed by one reduction."""
     vec = np.full(2 * d, p_excited / d)
     vec[:d] = p_ground / d
     memory_sweep(vec, d, gamma, 0, d)
     return np.add.reduce(vec.reshape(2, d), axis=1).tolist()
 
 
+def alternating(reference, fn, samples):
+    """``samples`` calls each of reference() and fn(), alternating: the
+    (median, lower quartile, upper quartile) of each one's seconds, and the
+    last result of each."""
+    times, outs = ([], []), [None, None]
+    for _ in range(samples):
+        for k, f in enumerate((reference, fn)):
+            t0 = time.perf_counter()
+            outs[k] = f()
+            times[k].append(time.perf_counter() - t0)
+    return [quartiles(t) for t in times], outs
+
+
+def quartiles(times):
+    """(median, lower quartile, upper quartile) of the samples."""
+    if len(times) < 2:
+        return times[0], times[0], times[0]
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return median, q1, q3
+
+
+def spread(stats, scale, width, digits=3):
+    """A median and its quartiles, scaled, as "median [q1, q3]"."""
+    median, q1, q3 = (x * scale for x in stats)
+    return f"{median:.{digits}f} [{q1:.{digits}f}, {q3:.{digits}f}]".rjust(width)
+
+
 def bench_narrow(repeats):
     """Print the narrow pair-sweep table; return the d whose bytes differ."""
-    print(f"\nnarrow pair sweep, {NARROW_CALLS} calls")
-    print(f"{'d':>6} {'numpy vector [us/call]':>23} {'_sweep [us/call]':>17} "
+    print(f"\nnarrow pair sweep, {NARROW_CALLS} calls; median [quartiles] of "
+          f"{repeats} alternating samples")
+    print(f"{'d':>6} {'numpy vector [us/call]':>24} {'evaluator [us/call]':>24} "
           f"{'speedup':>8} {'bitwise':>8}")
     mismatches = []
     masses = np.random.default_rng(2).random((NARROW_CALLS, 2)).tolist()
+    swap = ((0, 1, 0.75),)
     for d in NARROW_DIMS:
-        t_ref, ref = timed(lambda: [sweep_numpy_vector(d, 0.75, g, e) for g, e in masses],
-                           repeats)
-        t_new, new = timed(lambda: [_sweep(d, 0.75, g, e) for g, e in masses], repeats)
+        ds = [d]
+        (ref_t, new_t), (ref, new) = alternating(
+            lambda: [sweep_numpy_vector(d, 0.75, g, e) for g, e in masses],
+            lambda: [[total for (total,) in _protocol_totals(ds, swap, ((g, e),), (0, 1))]
+                     for g, e in masses], repeats)
         same = np.array(ref).tobytes() == np.array(new).tobytes()
         if not same:
             mismatches.append(d)
-        print(f"{d:>6} {t_ref / NARROW_CALLS * 1e6:>23.2f} "
-              f"{t_new / NARROW_CALLS * 1e6:>17.2f} {t_ref / t_new:>7.1f}x {str(same):>8}")
+        print(f"{d:>6} {spread(ref_t, 1e6 / NARROW_CALLS, 24, 2)} "
+              f"{spread(new_t, 1e6 / NARROW_CALLS, 24, 2)} "
+              f"{ref_t[0] / new_t[0]:>7.1f}x {str(same):>8}")
     return mismatches
 
 
 def bench_wide_scalar(repeats):
     """Print the wide single-sweep table; return the d whose bytes differ."""
     p0, gamma = 0.25, 0.75
-    print("\none simulate_memory_beta_swap call")
-    print(f"{'d':>6} {'numpy vector [ms]':>18} {'one-row batch [ms]':>19} "
+    print(f"\none simulate_memory_beta_swap call; median [quartiles] of {repeats} "
+          f"alternating samples")
+    print(f"{'d':>6} {'numpy vector [ms]':>24} {'one-row batch [ms]':>24} "
           f"{'speedup':>8} {'bitwise':>8}")
     mismatches = []
     for d in WIDE_SCALAR_DIMS:
-        t_ref, ref = timed(lambda: sweep_numpy_vector(d, gamma, p0, 1.0 - p0)[0], repeats)
-        t_new, new = timed(lambda: simulate_memory_beta_swap(d, p0, gamma), repeats)
+        (ref_t, new_t), (ref, new) = alternating(
+            lambda: sweep_numpy_vector(d, gamma, p0, 1.0 - p0)[0],
+            lambda: simulate_memory_beta_swap(d, p0, gamma), repeats)
         same = ref.hex() == new.hex()
         if not same:
             mismatches.append(d)
-        print(f"{d:>6} {t_ref * 1e3:>18.3f} {t_new * 1e3:>19.3f} "
-              f"{t_ref / t_new:>7.2f}x {str(same):>8}")
+        print(f"{d:>6} {spread(ref_t, 1e3, 24)} {spread(new_t, 1e3, 24)} "
+              f"{ref_t[0] / new_t[0]:>7.2f}x {str(same):>8}")
     return mismatches
 
 
 def incoherent_numpy_scalars(d):
     """The incoherent MMTP rounds of ``cool_incoherent`` on a 4-element numpy
     state, every product and sum on numpy scalars, with the numpy-vector
-    pair step below ``RESPONSE_MIN_D``; the populations."""
+    pair step below ``RESPONSE_MIN_D`` and from there on the round response
+    from two numpy-vector sweeps; the populations."""
     s = IncoherentSetting(**INCOHERENT)
     eta, gamma_big, g = s.eta, s.gamma_big, s.gamma
     if d >= RESPONSE_MIN_D:
-        (a_g, a_e), (b_g, b_e) = _round_response(d, gamma_big)
+        a_g, a_e = sweep_numpy_vector(d, gamma_big, 1.0, 0.0)
+        b_g, b_e = sweep_numpy_vector(d, gamma_big, 0.0, 1.0)
     v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
     pops = np.empty(ROUNDS)
     for r in range(ROUNDS):
@@ -265,19 +310,20 @@ def incoherent_numpy_scalars(d):
 
 def bench_incoherent(repeats):
     """Print the incoherent-run table; return the d whose bytes differ."""
-    print(f"\none {ROUNDS}-round incoherent MMTP run")
-    print(f"{'d':>6} {'numpy scalars [ms]':>19} {'Python floats [ms]':>19} "
+    print(f"\none {ROUNDS}-round incoherent MMTP run; median [quartiles] of {repeats} "
+          f"alternating samples")
+    print(f"{'d':>6} {'numpy scalars [ms]':>24} {'Python floats [ms]':>24} "
           f"{'speedup':>8} {'bitwise':>8}")
     mismatches = []
     for d in INCOHERENT_DIMS:
-        t_ref, ref = timed(lambda: incoherent_numpy_scalars(d), repeats)
-        t_new, new = timed(lambda: cool_incoherent("MMTP", ROUNDS, d=d, **INCOHERENT),
-                           repeats)
+        (ref_t, new_t), (ref, new) = alternating(
+            lambda: incoherent_numpy_scalars(d),
+            lambda: cool_incoherent("MMTP", ROUNDS, d=d, **INCOHERENT), repeats)
         same = ref.tobytes() == new.populations.tobytes()
         if not same:
             mismatches.append(d)
-        print(f"{d:>6} {t_ref * 1e3:>19.3f} {t_new * 1e3:>19.3f} "
-              f"{t_ref / t_new:>7.1f}x {str(same):>8}")
+        print(f"{d:>6} {spread(ref_t, 1e3, 24)} {spread(new_t, 1e3, 24)} "
+              f"{ref_t[0] / new_t[0]:>7.1f}x {str(same):>8}")
     return mismatches
 
 
@@ -290,9 +336,15 @@ def rounds_by_sweeps(d, gamma):
     return np.array(pops)
 
 
+def swap_matrix(d, gamma):
+    """The swap's 2 x 2 stochastic matrix [[A_g, B_g], [A_e, B_e]]: one
+    two-row evaluator call from unit ground and unit excited mass."""
+    return _protocol_totals([d, d], ((0, 1, gamma),), ((1.0, 0.0), (0.0, 1.0)), (0, 1))
+
+
 def rounds_by_response(d, gamma):
     """The same rounds stepped through one round response."""
-    (a_g, _), (b_g, _) = _round_response(d, gamma)
+    (a_g, b_g), _ = swap_matrix(d, gamma)
     p, pops = gamma, []
     for _ in range(ROUNDS):
         inverted = 1.0 - p
@@ -306,22 +358,24 @@ def bench_response(repeats):
     its tolerances."""
     gamma = RESPONSE_GAMMA
     print(f"\none {ROUNDS}-round coherent MMTP run, gamma = {gamma}; cooling "
-          f"takes the response from d = {RESPONSE_MIN_D}")
-    print(f"{'d':>6} {'per-round sweeps [ms]':>22} {'response [ms]':>14} "
+          f"takes the response from d = {RESPONSE_MIN_D}; median [quartiles] of "
+          f"{repeats} alternating samples")
+    print(f"{'d':>6} {'per-round sweeps [ms]':>26} {'response [ms]':>24} "
           f"{'speedup':>8} {'max |diff|':>11} {'invariants':>11}")
     failures = []
     for d in RESPONSE_DIMS:
-        t_ref, ref = timed(lambda: rounds_by_sweeps(d, gamma), repeats)
-        t_new, new = timed(lambda: rounds_by_response(d, gamma), repeats)
-        (a_g, a_e), (b_g, b_e) = _round_response(d, gamma)
+        (ref_t, new_t), (ref, new) = alternating(
+            lambda: rounds_by_sweeps(d, gamma), lambda: rounds_by_response(d, gamma),
+            repeats)
+        (a_g, b_g), (a_e, b_e) = swap_matrix(d, gamma)
         invariants = max(abs(gamma * a_g + (1.0 - gamma) * b_g - gamma),
                          abs(a_g + a_e - 1.0), abs(b_g + b_e - 1.0))
         diff = float(np.abs(new - ref).max())
         checked = d <= INVARIANT_MAX_D
         if (checked and invariants > INVARIANT_TOL) or diff > ROUNDS_TOL:
             failures.append(d)
-        print(f"{d:>6} {t_ref * 1e3:>22.2f} {t_new * 1e3:>14.3f} "
-              f"{t_ref / t_new:>7.1f}x {diff:>11.1e} {invariants:>11.1e}"
+        print(f"{d:>6} {spread(ref_t, 1e3, 26, 2)} {spread(new_t, 1e3, 24)} "
+              f"{ref_t[0] / new_t[0]:>7.1f}x {diff:>11.1e} {invariants:>11.1e}"
               + ("" if checked else " (not checked)"))
     return failures
 
@@ -444,19 +498,18 @@ def extraction_by_sweeps(setup, d):
 
 def bench_validation_batches(repeats):
     """Print the batched-check table; return the rows that differ."""
-    print("\nvalidation batches")
-    print(f"{'work':>26} {'per point [ms]':>15} {'batched [ms]':>13} {'speedup':>8} "
+    print(f"\nvalidation batches; median [quartiles] of {repeats} alternating samples")
+    print(f"{'work':>26} {'per point [ms]':>24} {'batched [ms]':>24} {'speedup':>8} "
           f"{'bitwise':>8}")
     mismatches = []
 
     def row(name, reference, fn):
-        t_ref, ref = timed(reference, repeats)
-        t_new, new = timed(fn, repeats)
+        (ref_t, new_t), (ref, new) = alternating(reference, fn, repeats)
         same = ref == new
         if not same:
             mismatches.append(name)
-        print(f"{name:>26} {t_ref * 1e3:>15.2f} {t_new * 1e3:>13.2f} "
-              f"{t_ref / t_new:>7.1f}x {str(same):>8}")
+        print(f"{name:>26} {spread(ref_t, 1e3, 24, 2)} {spread(new_t, 1e3, 24, 2)} "
+              f"{ref_t[0] / new_t[0]:>7.1f}x {str(same):>8}")
 
     setups = [ExtractionSetup(be, float(bw), 1.0)
               for be in (math.log(2.0), 1.0) for bw in np.linspace(0.1, 2.6, 25)]
@@ -572,8 +625,8 @@ def main():
         print(f"the wavefront differs from one sweep at a time: {batch_mismatches}",
               file=sys.stderr)
     if narrow_mismatches:
-        print(f"_sweep differs from the numpy-vector pair step at d = {narrow_mismatches}",
-              file=sys.stderr)
+        print(f"the narrow evaluator differs from the numpy-vector pair step at d = "
+              f"{narrow_mismatches}", file=sys.stderr)
     if wide_mismatches:
         print(f"a wide simulate_memory_beta_swap call differs from the numpy-vector "
               f"pair step at d = {wide_mismatches}", file=sys.stderr)

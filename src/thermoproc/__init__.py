@@ -1,6 +1,6 @@
 """Markovian thermal processes with finite memories: simulation and closed forms."""
 
-from ._kernels import backend_name
+from ._kernels import backend_name, memory_sweep
 
 __version__ = "0.1.0"
 
@@ -10,7 +10,10 @@ from .core import (Hamiltonian, PopulationVector, TransitionMatrix, apply,
 
 __all__ = [
     "Hamiltonian", "PopulationVector", "TransitionMatrix", "apply",
-    "backend_name", "beta_swap", "compose", "elementary_tp",
+    "beta_swap", "compose", "elementary_tp",
     "full_thermalization", "gibbs_state", "is_gibbs_stochastic",
     "partial_thermalization", "__version__",
+    # read only by the benchmark: the kernel path it records, and the
+    # one-off sweep it checks bit for bit against ``_memory_sweep_py``
+    "backend_name", "memory_sweep",
 ]

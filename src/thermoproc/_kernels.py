@@ -63,19 +63,18 @@ runs the wavefront of one block at a time, the memory, whatever the largest d.
 A numpy call costs about a microsecond whatever its length, so the wavefront
 pays off only when anti-diagonals are long:
 
-  - ``memory_sweep`` takes it for a one-off sweep when the widest
-    anti-diagonal, d, is at least ``WAVEFRONT_MIN_WIDTH`` and otherwise
-    runs ``_memory_sweep_py``, the plain loop over Python floats, which is
-    also the reference the tests compare the wavefront against.  On a 2-CPU
-    x86 host the two break even between d = 124 and d = 140 (three
-    interleaved measurements); within 16 of that they differ by less than
-    10%.
-  - That loop is ``_sweep_lists``, on two lists of Python floats.
-    ``_memory_sweep_py`` runs it on two blocks of a vector, which it
-    validates and copies out and back; the pair step of a memory cooling
-    round (``memory._sweep``) builds its two lists and runs it with no numpy
-    call at all, and sums its blocks in numpy's pairwise order, so that its
-    totals keep the bits of a numpy reduction.
+  - A one-off sweep takes it when the widest anti-diagonal, d, is at least
+    ``WAVEFRONT_MIN_WIDTH`` and otherwise runs the plain loop over Python
+    floats, ``_sweep_lists``; ``memory``'s protocol evaluator and
+    ``memory_sweep`` both choose so.  On a 2-CPU x86 host the two break
+    even between d = 124 and d = 140 (three interleaved measurements);
+    within 16 of that they differ by less than 10%.
+  - ``_memory_sweep_py`` runs the loop on two blocks of a vector, which it
+    validates and copies out and back; it is the reference the tests
+    compare the wavefront against.  The evaluator runs it on lists it
+    builds itself, with no numpy call at all, and sums its blocks in
+    numpy's pairwise order, so that its totals keep the bits of a numpy
+    reduction.
   - A batch of many sweeps takes the wavefront at any d, since its
     anti-diagonals span all of its rows: d = 1..30 costs about two thirds
     of one sweep per d, and d = 1..200 a tenth to a fifth.
@@ -120,11 +119,10 @@ def _check_sweep(vec, d, base_a, base_b):
         raise ValueError("sweep blocks must not overlap")
 
 
-def _sweep_lists(a, b, weight_a):
+def _sweep_lists(a, b, w):
     """The sweep on two equally long lists of Python floats, in place: for
     each a_k in turn, against each b_j in turn, the pooled mass a_k + b_j
-    splits ``weight_a`` to a_k and the rest to b_j."""
-    w = float(weight_a)
+    splits the float ``w`` to a_k and the rest to b_j."""
     v = 1.0 - w
     d = len(a)
     for k in range(d):
@@ -147,7 +145,7 @@ def _memory_sweep_py(vec, d, weight_a, base_a, base_b):
     _check_sweep(vec, d, base_a, base_b)
     a = vec[base_a:base_a + d].tolist()
     b = vec[base_b:base_b + d].tolist()
-    _sweep_lists(a, b, weight_a)
+    _sweep_lists(a, b, float(weight_a))
     vec[base_a:base_a + d] = a
     vec[base_b:base_b + d] = b
 

@@ -24,15 +24,17 @@ derived from the linear round map of the swap simulation and satisfies both
 consistency limits (d = 1 reduces to the MTP rate, d -> infinity to the TP
 rate); the 4d-level simulation is the arbiter.
 
-That round map is also how the MMTP runs simulate from
-``memory.RESPONSE_MIN_D`` on: every round attaches a fresh uniform memory,
-so a round is fixed by the totals of one sweep from unit ground mass (A) and
-one from unit excited mass (B), which ``memory._round_response`` computes
-once per run.  A coherent round is then p' = inv A_g + (1 - inv) B_g with
+Every MMTP round, at every d, is one run of ``memory``'s one protocol
+evaluator, ``memory._protocol_totals``: the swap on the (g0, e1) pair, or
+on (inverted, 1 - inverted) in the coherent paradigm, with a fresh uniform
+memory.  A round is linear, so from ``memory.RESPONSE_MIN_D`` on a run asks
+the evaluator once for the swap's matrix [[A_g, B_g], [A_e, B_e]] and steps
+through it: a coherent round is p' = inv A_g + (1 - inv) B_g with
 inv = 1 - p, and an incoherent one g0' = g0 A_g + e1 B_g,
-e1' = g0 A_e + e1 B_e.  Below ``RESPONSE_MIN_D`` each round runs its own d^2
-sweep, so that the default runs (d <= 8) keep their output bytes.  Either
-way the pair step acts on (g0, e1) alone; g1 and e0 keep their values.
+e1' = g0 A_e + e1 B_e.  Below ``RESPONSE_MIN_D`` each round runs its own
+d^2 sweep, on the evaluator's narrow path, so that the default runs
+(d <= 8) keep their output bytes.  Either way the pair step acts on
+(g0, e1) alone; g1 and e0 keep their values.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ import numpy as np
 from ._kernels import memory_sweep  # noqa: F401  (unused; perfbench's tracer test reads it)
 from .combinatorics import _require_int, delta_d
 from .core import clip_noise
-from .memory import RESPONSE_MIN_D, _round_response, _sweep
+from .memory import RESPONSE_MIN_D, _protocol_totals
 
 PROCESS_CLASSES = ("TP", "MTP", "MMTP")
+
+# unit ground mass and unit excited mass: the start of the round response
+_UNIT_PAIR = ((1.0, 0.0), (0.0, 1.0))
 
 
 @dataclass
@@ -87,8 +92,9 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
     if not (0.5 < gamma < 1.0):
         raise ValueError("gamma must lie in (1/2, 1)")
     d = _check_process(process, d)
+    ds, swap = [d], ((0, 1, gamma),)
     if process == "MMTP" and d >= RESPONSE_MIN_D:
-        (a_g, _), (b_g, _) = _round_response(d, gamma)
+        ((a_g, b_g),) = _protocol_totals([d, d], swap, _UNIT_PAIR, (0,))
     q = (1.0 - gamma) / gamma
     p = gamma
     pops = np.empty(n)
@@ -101,7 +107,8 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
             p = gamma
         elif d < RESPONSE_MIN_D:
             # the d^2-step sweep can round the population just past 1
-            p = clip_noise(_sweep(d, gamma, inverted, 1.0 - inverted)[0])
+            p = clip_noise(_protocol_totals(ds, swap, ((inverted, 1.0 - inverted),),
+                                            (0,))[0][0])
         else:
             p = clip_noise(inverted * a_g + (1.0 - inverted) * b_g)
         pops[r] = p
@@ -200,8 +207,9 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
     eta = setting.eta
     q_big = setting.q_big
     gamma_big = setting.gamma_big
+    ds, swap = [d], ((0, 1, gamma_big),)
     if process == "MMTP" and d >= RESPONSE_MIN_D:
-        (a_g, a_e), (b_g, b_e) = _round_response(d, gamma_big)
+        (a_g, b_g), (a_e, b_e) = _protocol_totals([d, d], swap, _UNIT_PAIR, (0, 1))
     v = [setting.gamma * eta, setting.gamma * (1.0 - eta),
          (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)]
     pops = []
@@ -214,7 +222,7 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
             pool = g0 + e1
             v[0], v[3] = gamma_big * pool, (1.0 - gamma_big) * pool
         elif d < RESPONSE_MIN_D:
-            v[0], v[3] = _sweep(d, gamma_big, g0, e1)
+            (v[0],), (v[3],) = _protocol_totals(ds, swap, ((g0, e1),), (0, 1))
         else:
             v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
         pops.append(v[0] + v[1])

@@ -14,32 +14,36 @@ The resulting ground population has the closed form
 i.e. the exact swap output minus a Catalan-tail correction that decays like
 (4 gamma (1-gamma))^d d^{-3/2}.
 
-Composite basis: flat index s*d + m with s = 0 (ground), 1 (excited) and
-memory slot m = 0..d-1 fastest.
+Every memory protocol of the package has one form: b system blocks of d
+memory slots each start from p (x) uniform, run an ordered list of block
+sweeps of full two-level thermalizations, and end with one memory refresh.
+This swap and a cooling round have b = 2 and one sweep, the extraction of
+``workx`` b = 4 and two, the qutrit points of ``reachable`` b = 3 and one or
+two.  One evaluator, ``_protocol_totals``, runs them all.  A protocol is
+linear in p, so from unit masses it gives the b x b stochastic matrix M of
+its action on the system; for this swap M = [[A_g, B_g], [A_e, B_e]], and
+one cooling round with a fresh memory maps the pair (g, e) to
 
-The sweep is linear in the populations, and a protocol that attaches a fresh,
-maximally mixed memory spreads each pair population evenly over its d slots.
-So one such round maps the pair (g, e) to
+    g' = g A_g + e B_g,    e' = g A_e + e B_e.
 
-    g' = g A_g + e B_g,    e' = g A_e + e B_e,
+Cooling steps its rounds through M from ``RESPONSE_MIN_D`` on.  Below it a
+round runs its own sweep: the default cooling runs (d <= 8) then keep their
+output bytes, which M would change in 184 of 280 values, each by at most
+1.1e-15.  From d = 48 on, 50 rounds on M stay within 1e-14 of a long-double
+reference (at most 4.2e-15 in the tests' cases, where per-round sweeps reach
+1.6e-14).
 
-where (A_g, A_e) are the ground and excited totals of one sweep from unit
-ground mass (1/d per ground slot, nothing excited) and (B_g, B_e) those of
-one sweep from unit excited mass.  ``_round_response`` computes the four
-totals with one two-row ``Wavefront``, and the memory-assisted cooling runs
-step their rounds through them from ``RESPONSE_MIN_D`` on.  Below it a round
-still runs its own sweep: the default cooling runs (d <= 8) then keep their
-output bytes, which the affine map would change in 184 of 280 values, each by
-at most 1.1e-15.  From d = 48 on, 50 rounds on the response stay within
-1e-14 of a long-double reference (at most 4.2e-15 in the tests' cases, where
-per-round sweeps reach 1.6e-14).
-
-That per-round pair step, ``_sweep``, makes no numpy call: it runs the one
-list loop of ``_kernels`` (``_sweep_lists``, which also serves
-``memory_sweep``'s narrow path) on two lists of Python floats and sums each
-block with ``_pairwise_sum``, in the order numpy's reduction sums a
-contiguous float64 array, so its totals have the bits of ``vec[:d].sum()``
-and ``vec[d:].sum()`` of the same sweep on a numpy vector.
+The evaluator picks its kernel from the input size.  A single row narrower
+than ``WAVEFRONT_MIN_WIDTH`` (a cooling round below ``RESPONSE_MIN_D``, one
+swap, a qutrit point) makes no numpy call, whose fixed cost would outweigh
+its few cells: it runs the one list loop of ``_kernels`` (``_sweep_lists``)
+on lists of Python floats and sums each block with ``_pairwise_sum``, in the
+order numpy's reduction sums a contiguous float64 array.  Anything else runs
+batched wavefronts.  Both give a row the bits of its sweeps on a numpy
+vector summed block by block, so a row's totals do not depend on the batch
+it runs in.  The narrow path and ``RESPONSE_MIN_D`` stay so that the default
+cooling outputs keep their bytes, which stepping every round through M
+would change, as said above.
 """
 
 from __future__ import annotations
@@ -49,9 +53,8 @@ import numpy as np
 from ._kernels import WAVEFRONT_MIN_WIDTH, Wavefront, _sweep_lists, wavefront_blocks
 from .combinatorics import _require_int, delta_d
 
-# the memory dimension from which cooling rounds step through
-# ``_round_response``; see the module docstring for why smaller d keep the
-# per-round sweep
+# the memory dimension from which cooling rounds step through the swap's
+# matrix; see the module docstring for why smaller d keep the per-round sweep
 RESPONSE_MIN_D = 48
 
 
@@ -90,50 +93,53 @@ def _pairwise_sum(values):
     return total
 
 
-def _sweep(d: int, gamma: float, p_ground: float, p_excited: float):
-    """One memory-simulated swap of a pair: spread its populations evenly
-    over the slots of a fresh memory, run the d^2 sweep, and return the
-    [ground, excited] block totals.
+def _protocol_totals(ds, sweeps, start, read):
+    """Run one memory protocol per row; ``totals[r][i]`` is the total of
+    block ``read[r]`` in row i, a Python float.
 
-    All on Python floats: the totals have the bits of the same sweep on a
-    numpy vector summed block by block (see the module docstring).
+    Row i has blocks of ``ds[i]`` slots and starts with ``start[i][k] /
+    ds[i]`` in each slot of block k.  ``sweeps`` lists the block sweeps
+    ``(outer, inner, weight)`` in order, outer != inner, the weight one
+    float or one per row.  With b rows of one d, ``start`` the identity and
+    ``read`` every block, ``totals`` is the protocol's matrix M.  The kernel
+    is chosen here, from the size (see the module docstring).
     """
-    a = [p_ground / d] * d
-    b = [p_excited / d] * d
-    _sweep_lists(a, b, gamma)
-    return [_pairwise_sum(a), _pairwise_sum(b)]
-
-
-def _round_response(d: int, gamma: float):
-    """The totals ((A_g, A_e), (B_g, B_e)) of one d^2 sweep from unit ground
-    mass and of one from unit excited mass, both spread uniformly over the
-    slots; one two-row wavefront runs both sweeps."""
-    a = np.zeros((2, d))
-    b = np.zeros((2, d))
-    a[0] = b[1] = 1.0 / d
-    Wavefront([d, d], gamma).run(a, b)
-    return tuple(zip(a.sum(axis=1).tolist(), b.sum(axis=1).tolist()))
-
-
-def _block_totals(block, p0: float, gamma: float):
-    """The final ground populations of the protocol at each memory dimension
-    of ``block``, from one ``Wavefront`` over them all."""
-    # as floats: the same quotients, without a cast of the integers on every
-    # division
-    sizes = np.array(block, dtype=float)[:, None]
-    a = np.empty((len(block), max(block)))
-    b = np.empty_like(a)
-    a[:] = p0 / sizes
-    b[:] = (1.0 - p0) / sizes
-    Wavefront(block, gamma).run(a, b)
-    return [a[i, :d].sum() for i, d in enumerate(block)]
+    if len(ds) == 1 and ds[0] < WAVEFRONT_MIN_WIDTH:
+        # loops, not comprehensions, which cost a function call each
+        d = ds[0]
+        slots = []
+        for mass in start[0]:
+            slots.append([mass / d] * d)
+        for outer, inner, weight in sweeps:
+            if type(weight) is not float:  # one weight per row, or not a float
+                weight = float(np.ravel(weight)[0])
+            _sweep_lists(slots[outer], slots[inner], weight)
+        totals = []
+        for k in read:
+            totals.append([_pairwise_sum(slots[k])])
+        return totals
+    start = np.asarray(start, dtype=np.float64)
+    sizes = np.array(ds, dtype=np.float64)[:, None]
+    weights = [np.asarray(weight, dtype=np.float64) for _, _, weight in sweeps]
+    totals = [[0.0] * len(ds) for _ in read]
+    for rows in wavefront_blocks(ds):
+        block = [ds[i] for i in rows]
+        # slots[k, r] is block k of row rows[r], padded to the block's largest d
+        slots = np.empty((start.shape[1], len(rows), block[-1]))
+        np.divide(start[rows].T[:, :, None], sizes[rows], out=slots)
+        for (outer, inner, _), weight in zip(sweeps, weights):
+            Wavefront(block, weight[rows] if weight.ndim else weight).run(
+                slots[outer], slots[inner])
+        for out, k in zip(totals, read):
+            for i, d, row in zip(rows, block, slots[k]):
+                out[i] = float(row[:d].sum())
+    return totals
 
 
 def simulate_memory_beta_swap(d, p0: float, gamma: float):
     """Run the d^2-step protocol and return the final ground population.
 
-    ``d`` is one memory dimension, or a sequence of them; a sequence runs
-    its sweeps together, one ``wavefront_blocks`` block at a time, and gives
+    ``d`` is one memory dimension, or a sequence of them; a sequence gives
     an array, bit for bit the values of one call per d.
     """
     scalar = not hasattr(d, "__iter__")
@@ -142,15 +148,8 @@ def simulate_memory_beta_swap(d, p0: float, gamma: float):
         raise ValueError("p0 must lie in [0, 1]")
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    if scalar:
-        # a wide single sweep runs faster as a one-row batch than as the loop
-        if ds[0] >= WAVEFRONT_MIN_WIDTH:
-            return float(_block_totals(ds, p0, gamma)[0])
-        return _sweep(ds[0], gamma, p0, 1.0 - p0)[0]
-    totals = np.empty(len(ds))
-    for rows in wavefront_blocks(ds):
-        totals[rows] = _block_totals([ds[i] for i in rows], p0, gamma)
-    return totals
+    (ground,) = _protocol_totals(ds, ((0, 1, gamma),), [(p0, 1.0 - p0)] * len(ds), (0,))
+    return ground[0] if scalar else np.array(ground)
 
 
 def closed_form_p_d(d: int, p0, gamma):

@@ -21,7 +21,8 @@ Regions computed:
   - MTP-path: the straight mixing segment from the start state to the Gibbs
     point, an inner path of the MTP polygon (still what fig3 exports);
   - MMTP2-points: the four states produced by the listed memory-assisted
-    sequences with a qubit memory (A_1, A_2, B_1, B_2).  The B points fall
+    sequences with a qubit memory (A_1, A_2, B_1, B_2), each a protocol of
+    the blocks (g, e1, e2) on ``memory``'s one evaluator.  The B points fall
     outside the MTP polygon at every pair weight, which is the separation
     this module exists to exhibit: the memory closes part of the gap
     between MTP and TP.  They do not escape the swap sequences below
@@ -45,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import memory_sweep
 from .core import PopulationVector
 from .majorization import thermo_majorizes, tp_reach_vertices
+from .memory import _protocol_totals
 
 TRIANGLE_E2 = (0.5, math.sqrt(3.0) / 2.0)
 DEDUP_DECIMALS = 12
@@ -111,28 +112,12 @@ def qutrit_mmtp2_vertices(gamma: float):
     """
     if not (0.5 < gamma < 1.0):
         raise ValueError("gamma must lie in (1/2, 1)")
-    # composite basis: (system level) x (memory slot), memory fastest;
-    # g slots 0..1, e1 slots 2..3, e2 slots 4..5
-    def start():
-        v = np.zeros(6)
-        v[0] = v[1] = 0.5
-        return v
-
-    def marginal(v):
-        return PopulationVector(v.reshape(3, 2).sum(axis=1))
-
-    out = []
-    for target in (1, 2):  # A_s
-        v = start()
-        memory_sweep(v, 2, gamma, 0, 2 * target)
-        out.append(marginal(v))
-    for target in (1, 2):  # B_s
-        other = 3 - target
-        v = start()
-        memory_sweep(v, 2, gamma, 0, 2 * target)
-        memory_sweep(v, 2, gamma, 0, 2 * other)
-        out.append(marginal(v))
-    return out
+    # blocks g, e1, e2 (0, 1, 2) of two memory slots each, all the mass on g
+    protocols = ([((0, s, gamma),) for s in (1, 2)]
+                 + [((0, s, gamma), (0, 3 - s, gamma)) for s in (1, 2)])
+    return [PopulationVector([total for (total,) in _protocol_totals(
+                [2], sweeps, ((1.0, 0.0, 0.0),), (0, 1, 2))])
+            for sweeps in protocols]
 
 
 def _swap_maps(gamma: float):

@@ -27,10 +27,11 @@ slots in ascending order.  That is the ascending order of the step-one
 residuals and the error-minimizing order, so it is part of the protocol;
 ``tests/test_workx.py::TestMemoryProtocol::test_ascending_order_is_optimal``
 probes other orders with a drain of its own that permutes the e0 block.
-``memory_extraction_grid`` simulates a grid of setups and memory sizes as
-batched wavefronts: each (setup, d) pair is one row with its own weights,
-gamma_delta in step one and gamma_W in the drain, and each row's error has
-the bits of a sweep run on that point alone.
+``memory_extraction_grid`` runs it on ``memory``'s one protocol evaluator,
+as a protocol of the blocks (g0, g1, e0, e1) = (0, 1, 2, 3) with unit mass
+on e0 and the sweeps (e0, g1) and (e0, e1): each (setup, d) pair is one row
+with its own weights, gamma_delta in step one and gamma_W in the drain, and
+each row's error has the bits of that point run alone.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import Wavefront, wavefront_blocks
 from .combinatorics import I_d_eval, _require_int
 from .core import (PopulationVector, TransitionMatrix, beta_swap, compose,
                    full_thermalization)
+from .memory import _protocol_totals
 
 @dataclass(frozen=True)
 class ExtractionSetup:
@@ -208,24 +209,16 @@ def memory_extraction_grid(setups, ds) -> list:
     composite over a grid of setups: its error epsilon, one array per d in
     ``ds``, each entry bit for bit the value of a one-point grid.
 
-    Every (setup, d) pair is one row of a batch of sweeps, run one
-    ``wavefront_blocks`` block at a time: the e0 block (outer) against the
-    g1 block with each row's gamma_delta, then the drain of the e0 block
-    against the e1 block with each row's gamma_W.
+    Every (setup, d) pair is one row of the protocol evaluator: the e0
+    block (outer) against the g1 block with each row's gamma_delta, then
+    the drain of the e0 block against the e1 block with each row's gamma_W.
     """
     ds = [_require_int(d, "memory dimension d", 1) for d in ds]
     row_d = [d for d in ds for _ in setups]
-    gamma_delta = [st.gamma_delta for st in setups] * len(ds)
-    gamma_w = [st.gamma_W for st in setups] * len(ds)
-    errors = np.empty(len(row_d))
-    for rows in wavefront_blocks(row_d):
-        block = [row_d[i] for i in rows]
-        e0 = np.empty((len(block), max(block)))
-        e0[:] = 1.0 / np.array(block)[:, None]
-        Wavefront(block, [gamma_delta[i] for i in rows]).run(e0, np.zeros_like(e0))
-        Wavefront(block, [gamma_w[i] for i in rows]).run(e0, np.zeros_like(e0))
-        errors[rows] = [e0[i, :d].sum() for i, d in enumerate(block)]
-    return list(errors.reshape(len(ds), len(setups)))
+    sweeps = ((2, 1, [st.gamma_delta for st in setups] * len(ds)),
+              (2, 3, [st.gamma_W for st in setups] * len(ds)))
+    (errors,) = _protocol_totals(row_d, sweeps, [(0.0, 0.0, 1.0, 0.0)] * len(row_d), (2,))
+    return list(np.array(errors).reshape(len(ds), len(setups)))
 
 
 def epsilon_d_grid(setups, ds) -> list:

@@ -94,6 +94,16 @@ def incoherent_mmtp_by_composite_loop(n, d, E, script_E, beta, beta_hot):
     return np.array(pops)
 
 
+def round_response(d, weight):
+    """((A_g, A_e), (B_g, B_e)): the ground and excited totals of one sweep
+    from unit ground mass and of one from unit excited mass, the round map of
+    the MMTP runs from ``RESPONSE_MIN_D`` on, as ``memory._protocol_totals``
+    gives them: the columns of the swap's 2 x 2 stochastic matrix."""
+    (a_g, b_g), (a_e, b_e) = memory._protocol_totals(
+        [d, d], ((0, 1, weight),), ((1.0, 0.0), (0.0, 1.0)), (0, 1))
+    return (a_g, a_e), (b_g, b_e)
+
+
 def incoherent_by_numpy_scalars(process, n, d, E, script_E, beta, beta_hot):
     """``cool_incoherent`` as it ran on a 4-element numpy state: every
     product and sum on numpy scalars, the pair sweep's totals from two block
@@ -101,7 +111,7 @@ def incoherent_by_numpy_scalars(process, n, d, E, script_E, beta, beta_hot):
     s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
     eta, q_big, gamma_big, g = s.eta, s.q_big, s.gamma_big, s.gamma
     if process == "MMTP" and d >= RESPONSE_MIN_D:
-        (a_g, a_e), (b_g, b_e) = memory._round_response(d, gamma_big)
+        (a_g, a_e), (b_g, b_e) = round_response(d, gamma_big)
     v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
     pops = np.empty(n)
     for r in range(n):
@@ -150,7 +160,7 @@ EXTENDED = np.finfo(LD).eps < 1e-18
 
 
 def longdouble_response(d, weight):
-    """((A_g, A_e), (B_g, B_e)) of ``memory._round_response`` from
+    """((A_g, A_e), (B_g, B_e)) of ``round_response`` from
     anti-diagonal sweeps in long double: the cells k + j = s of one step
     take three array operations, as in the wavefront."""
     w = LD(weight)
@@ -259,7 +269,7 @@ class TestReusedWavefront:
 
     @pytest.mark.parametrize("d", RESPONSE_DS)
     def test_coherent_rounds_are_affine_steps_on_the_response(self, d):
-        (a_g, _), (b_g, _) = memory._round_response(d, 0.75)
+        (a_g, _), (b_g, _) = round_response(d, 0.75)
         p, expected = 0.75, []
         for _ in range(20):
             inverted = 1.0 - p
@@ -270,7 +280,7 @@ class TestReusedWavefront:
     @pytest.mark.parametrize("d", RESPONSE_DS)
     def test_incoherent_rounds_are_affine_steps_on_the_response(self, d):
         s = cooling.IncoherentSetting(**REF)
-        (a_g, a_e), (b_g, b_e) = memory._round_response(d, s.gamma_big)
+        (a_g, a_e), (b_g, b_e) = round_response(d, s.gamma_big)
         g, eta = s.gamma, s.eta
         v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
         expected = []

@@ -1,5 +1,8 @@
 """The d^2 sweep kernel: the wavefront equals the plain loop bit for bit."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,3 +335,13 @@ class TestRejects:
         with pytest.raises(ValueError):
             fn(vec, d, 0.75, base_a, base_b)
         assert np.array_equal(vec, np.full(8, 0.125))
+
+
+def test_the_kernel_bench_imports():
+    # the bench reads private names of the package; importing it without
+    # running it fails here on a name that is gone, not at its next run
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert callable(bench.main)

@@ -1,15 +1,19 @@
 """The d^2-thermalization swap simulation and its closed forms."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermoproc import _kernels, memory
 from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
 from thermoproc.combinatorics import catalan_tail_bound, delta_d, f_coeff
-from thermoproc.memory import (_pairwise_sum, _round_response, _sweep, closed_form_p_d,
+from thermoproc.memory import (_pairwise_sum, _protocol_totals, closed_form_p_d,
                                simulate_memory_beta_swap)
+from thermoproc.workx import ExtractionSetup
 
 
 def initial_state(d, p0):
@@ -70,6 +74,21 @@ def slot_recurrence_value(d, j, k, p0, gamma):
     partial = sum(f_coeff(j, kp) * (1 - gamma) ** kp for kp in range(k))
     s = (1 - gamma) ** (-k) * ((1 - p0) * gamma ** (1 - j) - (gamma - p0) * partial)
     return Fraction(1, d) * gamma ** j * (1 - gamma) ** (k - 1) * s
+
+
+def pair_totals(d, gamma, p_ground, p_excited):
+    """The [ground, excited] totals of one swap simulation of a pair whose
+    populations are spread evenly over a fresh memory's slots."""
+    return [total for (total,) in _protocol_totals(
+        [d], ((0, 1, gamma),), [(p_ground, p_excited)], (0, 1))]
+
+
+def round_response(d, gamma):
+    """((A_g, A_e), (B_g, B_e)): the totals of one swap simulation from unit
+    ground mass and of one from unit excited mass, from one two-row batch."""
+    (a_g, b_g), (a_e, b_e) = _protocol_totals(
+        [d, d], ((0, 1, gamma),), ((1.0, 0.0), (0.0, 1.0)), (0, 1))
+    return (a_g, a_e), (b_g, b_e)
 
 
 class TestProtocolValues:
@@ -182,7 +201,7 @@ class TestSweepTotals:
                 vec[d:] = p_excited / d
                 _memory_sweep_py(vec, d, gamma, 0, d)
                 expected = [vec[:d].sum(), vec[d:].sum()]
-                got = _sweep(d, gamma, p_ground, p_excited)
+                got = pair_totals(d, gamma, p_ground, p_excited)
                 assert np.array(got).tobytes() == np.array(expected).tobytes(), d
 
 
@@ -190,7 +209,7 @@ class TestRoundResponse:
     @pytest.mark.parametrize("d", [48, 64, 256])
     @pytest.mark.parametrize("gamma", [0.55, 0.75, 0.95])
     def test_gibbs_pair_is_fixed_and_mass_conserved(self, d, gamma):
-        (a_g, a_e), (b_g, b_e) = _round_response(d, gamma)
+        (a_g, a_e), (b_g, b_e) = round_response(d, gamma)
         assert abs(gamma * a_g + (1.0 - gamma) * b_g - gamma) <= 1e-15
         assert abs(a_g + a_e - 1.0) <= 1e-15
         assert abs(b_g + b_e - 1.0) <= 1e-15
@@ -203,7 +222,113 @@ class TestRoundResponse:
             vec = initial_state(d, p_ground)
             memory_sweep(vec, d, gamma, 0, d)
             totals.append((float(vec[:d].sum()), float(vec[d:].sum())))
-        assert _round_response(d, gamma) == tuple(totals)
+        assert round_response(d, gamma) == tuple(totals)
+
+
+# dyadic pair weights: the float is the exact rational, and exact delta_d
+# stays fast at large d
+DYADIC_GAMMAS = [Fraction(9, 16), Fraction(3, 4), Fraction(15, 16)]
+MATRIX_DS = [1, 2, 8, 48, 256]
+
+
+def protocol_matrix(d, sweeps, blocks):
+    """The protocol's blocks x blocks stochastic matrix M: column j is the
+    run from unit mass on block j."""
+    return np.array(_protocol_totals([d] * blocks, sweeps, np.eye(blocks), range(blocks)))
+
+
+def swap_protocol(gamma):
+    """(Gibbs state of the blocks, sweeps) of the swap simulation: blocks
+    (g, e)."""
+    return np.array([gamma, 1.0 - gamma]), ((0, 1, gamma),)
+
+
+def extraction_protocol(setup):
+    """The two-step extraction of ``workx``: blocks (g0, g1, e0, e1) with
+    energies (0, W, E, E + W); e0 against g1, then the drain into e1."""
+    energies = np.array([0.0, setup.W, setup.E, setup.E + setup.W])
+    gibbs = np.exp(-setup.beta * energies)
+    return gibbs / gibbs.sum(), ((2, 1, setup.gamma_delta), (2, 3, setup.gamma_W))
+
+
+def qutrit_protocol(gamma, chained):
+    """The qutrit sequences of ``reachable``: blocks (g, e1, e2), g against
+    e1 (A_1), then against e2 as well (B_1)."""
+    q = (1.0 - gamma) / gamma
+    sweeps = ((0, 1, gamma), (0, 2, gamma)) if chained else ((0, 1, gamma),)
+    return np.array([1.0, q, q]) / (1.0 + 2.0 * q), sweeps
+
+
+MATRIX_PROTOCOLS = {
+    **{f"swap-{g}": swap_protocol(float(g)) for g in DYADIC_GAMMAS},
+    **{f"extraction-W{w}": extraction_protocol(ExtractionSetup(math.log(2.0), w, 1.0))
+       for w in (0.3, 1.5)},
+    **{f"qutrit-{'B' if chained else 'A'}-{g}": qutrit_protocol(float(g), chained)
+       for g in DYADIC_GAMMAS for chained in (False, True)},
+}
+
+
+class TestProtocolMatrix:
+    """From unit masses the evaluator gives each protocol's action on its
+    system blocks: a column-stochastic matrix that fixes the Gibbs state."""
+
+    @pytest.mark.parametrize("d", MATRIX_DS)
+    @pytest.mark.parametrize("name", MATRIX_PROTOCOLS)
+    def test_column_stochastic_and_gibbs_fixing(self, name, d):
+        gibbs, sweeps = MATRIX_PROTOCOLS[name]
+        m = protocol_matrix(d, sweeps, len(gibbs))
+        assert m.min() >= 0.0
+        assert np.abs(m.sum(axis=0) - 1.0).max() <= 1e-14
+        assert np.abs(m @ gibbs - gibbs).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", MATRIX_DS)
+    @pytest.mark.parametrize("gamma", DYADIC_GAMMAS)
+    def test_swap_matrix_closed_form(self, gamma, d):
+        # M = [[1 - q s, s], [q s, 1 - s]] with s = 1 - gamma delta_d, delta_d
+        # exact: its float cancels at large d
+        q = (1 - gamma) / gamma
+        s = 1 - gamma * delta_d(d, gamma)
+        expected = np.array([[float(1 - q * s), float(s)], [float(q * s), float(1 - s)]])
+        m = protocol_matrix(d, swap_protocol(float(gamma))[1], 2)
+        assert np.abs(m - expected).max() <= 1e-14
+
+    def test_each_column_is_the_one_row_run_from_its_unit_mass(self):
+        _, sweeps = MATRIX_PROTOCOLS["extraction-W1.5"]
+        m = protocol_matrix(8, sweeps, 4)
+        for j in range(4):
+            column = _protocol_totals([8], sweeps, [np.eye(4)[j].tolist()], range(4))
+            assert np.array(column).ravel().tobytes() == m[:, j].tobytes()
+
+
+unit_interval = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestOneDispatch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_row_equals_its_row_in_a_batch(self, data):
+        # one row takes the loop over Python floats below WAVEFRONT_MIN_WIDTH;
+        # in a batch of several rows it runs on the wavefront
+        d = data.draw(st.integers(1, 140), label="d")
+        blocks = data.draw(st.sampled_from([2, 3, 4]), label="blocks")
+        ds = data.draw(st.lists(st.integers(1, 140), min_size=1, max_size=3), label="others")
+        row = data.draw(st.integers(0, len(ds)), label="row")
+        ds.insert(row, d)
+        pairs = st.lists(st.integers(0, blocks - 1), min_size=2, max_size=2, unique=True)
+        per_row = data.draw(st.booleans(), label="per_row")
+        weight = st.lists(unit_interval, min_size=len(ds), max_size=len(ds)) if per_row \
+            else unit_interval
+        sweeps = [(outer, inner, data.draw(weight, label="weight")) for outer, inner in
+                  data.draw(st.lists(pairs, min_size=1, max_size=4), label="sweeps")]
+        start = data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=blocks,
+                                            max_size=blocks),
+                                   min_size=len(ds), max_size=len(ds)), label="start")
+        one = _protocol_totals([d], [(o, i, [w[row]] if per_row else w) for o, i, w in sweeps],
+                               [start[row]], range(blocks))
+        batch = _protocol_totals(ds, sweeps, start, range(blocks))
+        assert all(type(total) is float for (total,) in one)
+        assert (np.array(one).ravel().tobytes()
+                == np.array([totals[row] for totals in batch]).tobytes())
 
 
 class TestClosedForm:
