@@ -22,12 +22,12 @@ and of the new code, and print each one's median with its quartiles; the
 other tables print the best of ``--repeats``.
 
 Narrow pair sweep: the pair step of every cooling round below
-``RESPONSE_MIN_D``, one row of ``memory._protocol_totals`` at d in
-{1, 2, 4, 8} with its sweep built once, on Python floats alone, in
-microseconds per call, against a numpy-vector pair step (the vector filled
-by ``np.full`` and one slice write, swept by ``memory_sweep``, its blocks
-summed by one ``np.add.reduce``); samples of ``NARROW_CALLS`` calls.  Both
-must give the same bytes.
+``RESPONSE_MIN_D``, the step of ``memory.swap_round`` (one row of
+``memory._protocol_totals``) at d in {1, 2, 4, 8}, built once, on Python
+floats alone, in microseconds per call, against a numpy-vector pair step
+(the vector filled by ``np.full`` and one slice write, swept by
+``memory_sweep``, its blocks summed by one ``np.add.reduce``); samples of
+``NARROW_CALLS`` calls.  Both must give the same bytes.
 
 Wide single sweeps: one ``simulate_memory_beta_swap`` call at d in
 {128, 200, 400}, a one-row batch of the evaluator, against the
@@ -111,7 +111,8 @@ from thermoproc.combinatorics import I_d_eval, L_eval, _l_alternating
 from thermoproc.cooling import IncoherentSetting, cool_incoherent
 from thermoproc.core import clip_noise
 from thermoproc.majorization import min_extraction_error_tp
-from thermoproc.memory import RESPONSE_MIN_D, _protocol_totals, simulate_memory_beta_swap
+from thermoproc.memory import (RESPONSE_MIN_D, _protocol_totals, simulate_memory_beta_swap,
+                               swap_round)
 from thermoproc.reachable import _cross2, bary_xy, convex_hull_xy, etp_orbit_points
 from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
@@ -243,17 +244,15 @@ def bench_narrow(repeats):
     """Print the narrow pair-sweep table; return the d whose bytes differ."""
     print(f"\nnarrow pair sweep, {NARROW_CALLS} calls; median [quartiles] of "
           f"{repeats} alternating samples")
-    print(f"{'d':>6} {'numpy vector [us/call]':>24} {'evaluator [us/call]':>24} "
+    print(f"{'d':>6} {'numpy vector [us/call]':>24} {'swap_round [us/call]':>24} "
           f"{'speedup':>8} {'bitwise':>8}")
     mismatches = []
     masses = np.random.default_rng(2).random((NARROW_CALLS, 2)).tolist()
-    swap = ((0, 1, 0.75),)
     for d in NARROW_DIMS:
-        ds = [d]
+        step = swap_round(d, 0.75, (0, 1))
         (ref_t, new_t), (ref, new) = alternating(
             lambda: [sweep_numpy_vector(d, 0.75, g, e) for g, e in masses],
-            lambda: [[total for (total,) in _protocol_totals(ds, swap, ((g, e),), (0, 1))]
-                     for g, e in masses], repeats)
+            lambda: [[total for (total,) in step(g, e)] for g, e in masses], repeats)
         same = np.array(ref).tobytes() == np.array(new).tobytes()
         if not same:
             mismatches.append(d)
@@ -319,7 +318,7 @@ def bench_incoherent(repeats):
         (ref_t, new_t), (ref, new) = alternating(
             lambda: incoherent_numpy_scalars(d),
             lambda: cool_incoherent("MMTP", ROUNDS, d=d, **INCOHERENT), repeats)
-        same = ref.tobytes() == new.populations.tobytes()
+        same = ref.tobytes() == new.tobytes()
         if not same:
             mismatches.append(d)
         print(f"{d:>6} {spread(ref_t, 1e3, 24)} {spread(new_t, 1e3, 24)} "

@@ -42,7 +42,8 @@ import numpy as np
 
 from . import __version__, cooling, reachable, validation, workx
 from .memory import _p_d, simulate_memory_beta_swap
-from .combinatorics import DELTA_GAMMA_MARGIN, catalan_tail_bound, delta_d_column
+from .combinatorics import (DELTA_GAMMA_MARGIN, MAX_FLOAT_D, catalan_tail_bound,
+                            delta_d_column)
 
 SCHEMA_VERSION = 1
 DEFAULT_OUTPUT_DIR = "thermoproc-out"
@@ -115,13 +116,14 @@ def _at_least_one(name, default):
     return Param(name, int, default, lambda v: v >= 1, "must be >= 1")
 
 
-def _d_list(default):
+def _d_list(default, largest=math.inf):
     # a repeated d would write its columns twice
+    bound = "" if largest == math.inf else f" and <= {largest}"
     return Param("d_list", list, default,
                  lambda v: bool(v) and all(isinstance(x, int) and not isinstance(x, bool)
-                                           and x >= 1 for x in v)
+                                           and 1 <= x <= largest for x in v)
                  and len(set(v)) == len(v),
-                 "expected a non-empty list of distinct integers >= 1")
+                 f"expected a non-empty list of distinct integers >= 1{bound}")
 
 
 _GAMMA = Param("gamma", float, 0.75, lambda v: 0.5 < v < 1.0, "must lie in (1/2, 1)")
@@ -137,7 +139,8 @@ PARAMS = {
         _positive("w_min", 0.05),
         _positive("w_max", 3.0),
         Param("w_points", int, 200, lambda v: v >= 2, "need at least 2 grid points"),
-        _d_list([1, 2, 5, 20]),
+        # I_d_eval refuses a larger d
+        _d_list([1, 2, 5, 20], MAX_FLOAT_D),
     ),
     "fig3": (_GAMMA, _at_least_one("depth", 8)),
     "cooling-coherent": (_DELTA_GAMMA, _at_least_one("rounds", 20), _COOLING_D_LIST),
@@ -330,14 +333,14 @@ def _emit_cooling(cfg: ExperimentConfig, outdir: Path):
     else:
         simulate, closed_form = cooling.cool_incoherent, cooling.incoherent_closed_form
         kw = {k: p[k] for k in ("E", "script_E", "beta", "beta_hot")}
-        meta["p_star"] = cooling.p_star_incoherent(**kw)
+        meta["p_star"] = cooling.IncoherentSetting(**kw).p_star
     columns = ["round"]
     rows = [[n] for n in range(1, p["rounds"] + 1)]
     classes = [("tp", "TP", None), ("mtp", "MTP", None)]
     classes += [(f"mmtp_d{d}", "MMTP", d) for d in p["d_list"]]
     for label, process, d in classes:
         columns += [f"p_{label}", f"p_{label}_closed"]
-        sim = simulate(process, p["rounds"], d=d, **kw).populations
+        sim = simulate(process, p["rounds"], d=d, **kw)
         closed = closed_form(process, p["rounds"], d=d, **kw)
         for row, *values in zip(rows, sim, closed):
             row += values

@@ -24,17 +24,12 @@ derived from the linear round map of the swap simulation and satisfies both
 consistency limits (d = 1 reduces to the MTP rate, d -> infinity to the TP
 rate); the 4d-level simulation is the arbiter.
 
-Every MMTP round, at every d, is one run of ``memory``'s one protocol
-evaluator, ``memory._protocol_totals``: the swap on the (g0, e1) pair, or
-on (inverted, 1 - inverted) in the coherent paradigm, with a fresh uniform
-memory.  A round is linear, so from ``memory.RESPONSE_MIN_D`` on a run asks
-the evaluator once for the swap's matrix [[A_g, B_g], [A_e, B_e]] and steps
-through it: a coherent round is p' = inv A_g + (1 - inv) B_g with
-inv = 1 - p, and an incoherent one g0' = g0 A_g + e1 B_g,
-e1' = g0 A_e + e1 B_e.  Below ``RESPONSE_MIN_D`` each round runs its own
-d^2 sweep, on the evaluator's narrow path, so that the default runs
-(d <= 8) keep their output bytes.  Either way the pair step acts on
-(g0, e1) alone; g1 and e0 keep their values.
+Every MMTP round, in both paradigms, is the pair step ``memory.swap_round``
+gives, on (inverted, 1 - inverted) or on (g0, e1); g1 and e0 keep their
+values.  Each run asks for the step once, and ``memory`` decides how it runs.
+
+Every class's closed form in either paradigm has one shape, asymptote -
+rate^k (asymptote - start) after round k, built by ``_approach``.
 """
 
 from __future__ import annotations
@@ -47,33 +42,26 @@ import numpy as np
 from ._kernels import memory_sweep  # noqa: F401  (unused; perfbench's tracer test reads it)
 from .combinatorics import _require_int, delta_d
 from .core import clip_noise
-from .memory import RESPONSE_MIN_D, _protocol_totals
+from .memory import swap_round
 
 PROCESS_CLASSES = ("TP", "MTP", "MMTP")
 
-# unit ground mass and unit excited mass: the start of the round response
-_UNIT_PAIR = ((1.0, 0.0), (0.0, 1.0))
+
+def _checked(populations) -> np.ndarray:
+    """The per-round ground populations of a run as a float64 array, each in
+    [0, 1]; entry k is the population after round k+1."""
+    pops = np.asarray(populations, dtype=np.float64)
+    # NaN propagates through min and max and fails both comparisons
+    if not (pops.min() >= 0.0 and pops.max() <= 1.0):
+        raise ValueError("populations must lie in [0, 1]")
+    return pops
 
 
-@dataclass
-class CoolingRun:
-    """Per-round ground-state populations of one cooling run.
-
-    ``populations[k]`` is the system ground population after round k+1; the
-    starting population (the Gibbs weight) is implicit.
-    """
-
-    paradigm: str
-    process: str
-    params: dict
-    populations: np.ndarray
-
-    def __post_init__(self):
-        pops = np.asarray(self.populations, dtype=np.float64)
-        # NaN propagates through min and max and fails both comparisons
-        if not (pops.min() >= 0.0 and pops.max() <= 1.0):
-            raise ValueError("populations must lie in [0, 1]")
-        self.populations = pops
+def _approach(asymptote, rate, start, n):
+    """The closed-form column asymptote - rate^k (asymptote - start) for
+    rounds k = 1..n.  Fraction arguments evaluate exactly."""
+    n = _require_int(n, "rounds", 1)
+    return [asymptote - rate ** k * (asymptote - start) for k in range(1, n + 1)]
 
 
 def _check_process(process: str, d):
@@ -86,15 +74,15 @@ def _check_process(process: str, d):
     return None
 
 
-def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
-    """Simulate n coherent-control rounds from the thermal starting point."""
+def cool_coherent(process: str, n: int, gamma: float, d=None) -> np.ndarray:
+    """Simulate n coherent-control rounds from the thermal starting point;
+    the ground population after each round."""
     n = _require_int(n, "rounds", 1)
     if not (0.5 < gamma < 1.0):
         raise ValueError("gamma must lie in (1/2, 1)")
     d = _check_process(process, d)
-    ds, swap = [d], ((0, 1, gamma),)
-    if process == "MMTP" and d >= RESPONSE_MIN_D:
-        ((a_g, b_g),) = _protocol_totals([d, d], swap, _UNIT_PAIR, (0,))
+    if process == "MMTP":
+        step = swap_round(d, gamma, (0,))
     q = (1.0 - gamma) / gamma
     p = gamma
     pops = np.empty(n)
@@ -105,14 +93,11 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> CoolingRun:
             p = 1.0 - q * inverted
         elif process == "MTP":
             p = gamma
-        elif d < RESPONSE_MIN_D:
-            # the d^2-step sweep can round the population just past 1
-            p = clip_noise(_protocol_totals(ds, swap, ((inverted, 1.0 - inverted),),
-                                            (0,))[0][0])
         else:
-            p = clip_noise(inverted * a_g + (1.0 - inverted) * b_g)
+            # the memory round can round the population just past 1
+            p = clip_noise(step(inverted, 1.0 - inverted)[0][0])
         pops[r] = p
-    return CoolingRun("coherent", process, {"gamma": gamma, "d": d}, pops)
+    return _checked(pops)
 
 
 def coherent_p_max(d: int, gamma):
@@ -132,22 +117,19 @@ def _p_max(gamma, q, delta):
 def coherent_closed_form(process: str, n: int, gamma, d=None) -> list:
     """Closed-form ground populations after coherent rounds 1..n.
 
-    TP: 1 - (1 - gamma) q^k; MTP: gamma; MMTP: p_max - (q - delta_d)^k
+    TP: 1 - q^k (1 - gamma); MTP: gamma; MMTP: p_max - (q - delta_d)^k
     (p_max - gamma).  ``delta_d`` and ``p_max`` are computed once for the
     column.  Fraction arguments evaluate exactly.
     """
-    n = _require_int(n, "rounds", 1)
     d = _check_process(process, d)
-    rounds = range(1, n + 1)
     q = (1 - gamma) / gamma
     if process == "TP":
-        return [1 - (1 - gamma) * q ** k for k in rounds]
+        return _approach(1, q, gamma, n)
     if process == "MTP":
-        return [gamma] * n
+        # an integer rate keeps a Fraction gamma exact
+        return _approach(gamma, 0, gamma, n)
     delta = delta_d(d, gamma)
-    p_max = _p_max(gamma, q, delta)
-    rate = q - delta
-    return [p_max - rate ** k * (p_max - gamma) for k in rounds]
+    return _approach(_p_max(gamma, q, delta), q - delta, gamma, n)
 
 
 @dataclass(frozen=True)
@@ -194,8 +176,9 @@ def _refresh_auxiliary(v: list, eta: float) -> list:
 
 
 def cool_incoherent(process: str, n: int, E: float, script_E: float,
-                    beta: float, beta_hot: float, d=None) -> CoolingRun:
-    """Simulate n incoherent-control rounds on the 4-level composite.
+                    beta: float, beta_hot: float, d=None) -> np.ndarray:
+    """Simulate n incoherent-control rounds on the 4-level composite; the
+    system ground population after each round.
 
     The state is a list of Python floats: each round does the IEEE operations
     numpy scalars would do, to the same bits, without numpy's per-operation
@@ -207,9 +190,8 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
     eta = setting.eta
     q_big = setting.q_big
     gamma_big = setting.gamma_big
-    ds, swap = [d], ((0, 1, gamma_big),)
-    if process == "MMTP" and d >= RESPONSE_MIN_D:
-        (a_g, b_g), (a_e, b_e) = _protocol_totals([d, d], swap, _UNIT_PAIR, (0, 1))
+    if process == "MMTP":
+        step = swap_round(d, gamma_big, (0, 1))
     v = [setting.gamma * eta, setting.gamma * (1.0 - eta),
          (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)]
     pops = []
@@ -221,20 +203,11 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
         elif process == "MTP":
             pool = g0 + e1
             v[0], v[3] = gamma_big * pool, (1.0 - gamma_big) * pool
-        elif d < RESPONSE_MIN_D:
-            (v[0],), (v[3],) = _protocol_totals(ds, swap, ((g0, e1),), (0, 1))
         else:
-            v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
+            (v[0],), (v[3],) = step(g0, e1)
         pops.append(v[0] + v[1])
         v = _refresh_auxiliary(v, eta)
-    params = {"E": E, "script_E": script_E, "beta": beta,
-              "beta_hot": beta_hot, "d": d}
-    return CoolingRun("incoherent", process, params, np.array(pops))
-
-
-def p_star_incoherent(E: float, script_E: float, beta: float, beta_hot: float) -> float:
-    """Shared asymptotic ground population of all incoherent classes."""
-    return IncoherentSetting(E, script_E, beta, beta_hot).p_star
+    return _checked(pops)
 
 
 def incoherent_rate(process: str, E: float, script_E: float, beta: float,
@@ -262,19 +235,13 @@ def incoherent_closed_form(process: str, n: int, E: float, script_E: float,
                            beta: float, beta_hot: float, d=None) -> list:
     """Closed-form ground populations after incoherent rounds 1..n:
     p_star - rate^k (p_star - gamma), with the rate computed once."""
-    n = _require_int(n, "rounds", 1)
     s = IncoherentSetting(E, script_E, beta, beta_hot)
     rate = incoherent_rate(process, E, script_E, beta, beta_hot, d)
-    p_star, gamma = s.p_star, s.gamma
-    return [p_star - rate ** k * (p_star - gamma) for k in range(1, n + 1)]
+    return _approach(s.p_star, rate, s.gamma, n)
 
 
-def measured_rates(run: CoolingRun, p_star: float) -> np.ndarray:
-    """Per-round contraction ratios (p_star - p_k) / (p_star - p_{k-1})."""
-    if run.paradigm == "coherent":
-        p0 = run.params["gamma"]
-    else:
-        p0 = IncoherentSetting(run.params["E"], run.params["script_E"],
-                               run.params["beta"], run.params["beta_hot"]).gamma
-    gaps = p_star - np.concatenate(([p0], run.populations))
+def measured_rates(pops: np.ndarray, p0: float, p_star: float) -> np.ndarray:
+    """Per-round contraction ratios (p_star - p_k) / (p_star - p_{k-1}) of a
+    run that starts from p0."""
+    gaps = p_star - np.concatenate(([p0], pops))
     return gaps[1:] / gaps[:-1]

@@ -21,17 +21,21 @@ This swap and a cooling round have b = 2 and one sweep, the extraction of
 ``workx`` b = 4 and two, the qutrit points of ``reachable`` b = 3 and one or
 two.  One evaluator, ``_protocol_totals``, runs them all.  A protocol is
 linear in p, so from unit masses it gives the b x b stochastic matrix M of
-its action on the system; for this swap M = [[A_g, B_g], [A_e, B_e]], and
-one cooling round with a fresh memory maps the pair (g, e) to
+its action on the system; for this swap M = [[A_g, B_g], [A_e, B_e]].
 
-    g' = g A_g + e B_g,    e' = g A_e + e B_e.
+One MMTP cooling round is this swap, with a fresh memory, on a qubit pair:
+(g0, e1) under incoherent control, (inverted, 1 - inverted) under coherent
+control.  ``swap_round`` is that pair step, (g, e) -> (g', e') with
 
-Cooling steps its rounds through M from ``RESPONSE_MIN_D`` on.  Below it a
-round runs its own sweep: the default cooling runs (d <= 8) then keep their
-output bytes, which M would change in 184 of 280 values, each by at most
-1.1e-15.  From d = 48 on, 50 rounds on M stay within 1e-14 of a long-double
-reference (at most 4.2e-15 in the tests' cases, where per-round sweeps reach
-1.6e-14).
+    g' = g A_g + e B_g,    e' = g A_e + e B_e,
+
+and it alone decides how a round runs.  From ``RESPONSE_MIN_D`` on it asks
+the evaluator once for M and steps through it.  Below it each round runs
+its own sweep, for one reason only: the default cooling runs (d <= 8) then
+keep their output bytes, which M would change in 184 of 280 values, each by
+at most 1.1e-15.  From d = 48 on, 50 rounds on M stay within 1e-14 of a
+long-double reference (at most 4.2e-15 in the tests' cases, where per-round
+sweeps reach 1.6e-14).
 
 The evaluator picks its kernel from the input size.  A single row narrower
 than ``WAVEFRONT_MIN_WIDTH`` (a cooling round below ``RESPONSE_MIN_D``, one
@@ -41,9 +45,7 @@ on lists of Python floats and sums each block with ``_pairwise_sum``, in the
 order numpy's reduction sums a contiguous float64 array.  Anything else runs
 batched wavefronts.  Both give a row the bits of its sweeps on a numpy
 vector summed block by block, so a row's totals do not depend on the batch
-it runs in.  The narrow path and ``RESPONSE_MIN_D`` stay so that the default
-cooling outputs keep their bytes, which stepping every round through M
-would change, as said above.
+it runs in.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 from ._kernels import WAVEFRONT_MIN_WIDTH, Wavefront, _sweep_lists, wavefront_blocks
 from .combinatorics import _require_int, delta_d
 
-# the memory dimension from which cooling rounds step through the swap's
+# the memory dimension from which ``swap_round`` steps through the swap's
 # matrix; see the module docstring for why smaller d keep the per-round sweep
 RESPONSE_MIN_D = 48
 
@@ -134,6 +136,37 @@ def _protocol_totals(ds, sweeps, start, read):
             for i, d, row in zip(rows, block, slots[k]):
                 out[i] = float(row[:d].sum())
     return totals
+
+
+def swap_round(d: int, gamma: float, read):
+    """The MMTP pair step of one cooling round: a function (g, e) -> the
+    totals of the pair's blocks in ``read`` (0 ground, 1 excited) after one
+    swap simulation with a fresh d-level memory; ``step(g, e)[r][0]`` is the
+    total of block ``read[r]``, in the nesting ``_protocol_totals`` returns.
+
+    Below ``RESPONSE_MIN_D`` each call runs one evaluator row; from there on
+    the calls step through the swap's matrix, built once here.
+    """
+    swap = ((0, 1, gamma),)
+    if d < RESPONSE_MIN_D:
+        ds = [d]
+
+        def step(g, e):
+            return _protocol_totals(ds, swap, ((g, e),), read)
+        return step
+    rows = _protocol_totals([d, d], swap, ((1.0, 0.0), (0.0, 1.0)), read)
+    # one step per read length: a comprehension would cost a call per round
+    if len(rows) == 1:
+        ((a, b),) = rows
+
+        def step(g, e):
+            return ((g * a + e * b,),)
+        return step
+    (a_g, b_g), (a_e, b_e) = rows
+
+    def step(g, e):
+        return (g * a_g + e * b_g,), (g * a_e + e * b_e,)
+    return step
 
 
 def simulate_memory_beta_swap(d, p0: float, gamma: float):

@@ -153,9 +153,9 @@ def check_coherent_cooling():
         for process, ds in (("TP", [None]), ("MTP", [None]),
                             ("MMTP", [1, 2, 4, 8])):
             for d in ds:
-                run = cooling.cool_coherent(process, 50, g, d)
+                pops = cooling.cool_coherent(process, 50, g, d)
                 closed = cooling.coherent_closed_form(process, 50, g, d)
-                worst = max(worst, np.abs(run.populations - closed).max())
+                worst = max(worst, np.abs(pops - closed).max())
     return worst, tol, "TP/MTP/MMTP, n <= 50, gamma in {0.6, 0.75, 0.9}, d <= 8"
 
 
@@ -177,12 +177,12 @@ def check_coherent_asymptote():
 def check_incoherent_convergence():
     """All classes converge to the shared asymptote at the reference point."""
     tol = 1.0e-6
-    p_star = cooling.p_star_incoherent(**INC_REF)
+    p_star = cooling.IncoherentSetting(**INC_REF).p_star
     worst = 0.0
     detail = f"p_star = {p_star:.9f}"
     for process, d in (("TP", None), ("MTP", None), ("MMTP", 4)):
-        run = cooling.cool_incoherent(process, 50, d=d, **INC_REF)
-        worst = max(worst, abs(run.populations[-1] - p_star))
+        pops = cooling.cool_incoherent(process, 50, d=d, **INC_REF)
+        worst = max(worst, abs(pops[-1] - p_star))
     return worst, tol, detail
 
 
@@ -190,12 +190,12 @@ def check_incoherent_convergence():
 def check_incoherent_rates():
     """Measured contraction matches the closed rates; d = 1 equals the MTP rate."""
     tol = 1.0e-10
-    p_star = cooling.p_star_incoherent(**INC_REF)
+    setting = cooling.IncoherentSetting(**INC_REF)
     worst = 0.0
     for process, d in (("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 6)):
-        run = cooling.cool_incoherent(process, 12, d=d, **INC_REF)
+        pops = cooling.cool_incoherent(process, 12, d=d, **INC_REF)
         rate = cooling.incoherent_rate(process, d=d, **INC_REF)
-        ratios = cooling.measured_rates(run, p_star)
+        ratios = cooling.measured_rates(pops, setting.gamma, setting.p_star)
         worst = max(worst, float(np.abs(ratios - rate).max()))
     worst = max(worst, abs(cooling.incoherent_rate("MMTP", d=1, **INC_REF)
                            - cooling.incoherent_rate("MTP", **INC_REF)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from thermoproc import cli, reachable, validation
-from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, delta_d
+from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, MAX_FLOAT_D, delta_d
 from thermoproc.memory import closed_form_p_d
 from thermoproc.workx import (ExtractionSetup, epsilon_d_grid, epsilon_etp,
                               epsilon_mtp, epsilon_tp)
@@ -386,6 +386,20 @@ class TestMainExitCodes:
         out = tmp_path / "f"
         assert cli.main(["fig", *argv, "--d-list", "2,2", "--out", str(out)]) == 2
         assert "params.d_list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fig2_takes_d_up_to_the_float_limit_of_i_d(self):
+        cfg = cli.ExperimentConfig.from_dict(
+            {"experiment": "fig2", "params": {"d_list": [1, MAX_FLOAT_D]}})
+        assert cfg.params["d_list"] == [1, MAX_FLOAT_D]
+
+    def test_fig2_d_past_the_float_limit_of_i_d_is_a_config_error(self, tmp_path, capsys):
+        # I_d_eval refuses it; it used to pass validation and end in a traceback
+        out = tmp_path / "f"
+        argv = ["fig", "fig2", "--d-list", f"1,{MAX_FLOAT_D + 1}", "--out", str(out)]
+        assert cli.main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: params.d_list")
         assert not out.exists()
 
     def test_fig3_keeps_the_whole_open_gamma_interval(self):

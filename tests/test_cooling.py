@@ -10,7 +10,7 @@ from thermoproc import _kernels, cooling, memory
 from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py
 from thermoproc.combinatorics import delta_d
 from thermoproc.core import clip_noise
-from thermoproc.majorization import beta_order
+from thermoproc.majorization import beta_order, tp_reach_vertices
 from thermoproc.memory import RESPONSE_MIN_D
 
 REF = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
@@ -20,7 +20,7 @@ REF = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
 EXPECTED_ROUND_ORDER = (1, 3, 0, 2)
 
 
-def round_ordering_holds(run):
+def round_ordering_holds(pops, kw):
     """Every refreshed composite state of an incoherent run has beta-order
     (g1, e1, g0, e0), the premise under which the g0/e1 swap is the optimal
     step in every round.
@@ -31,12 +31,12 @@ def round_ordering_holds(run):
     round one) resolve to the expected order through the ascending-index
     tie break.
     """
-    s = cooling.IncoherentSetting(**{k: run.params[k] for k in REF})
+    s = cooling.IncoherentSetting(**kw)
     g, eta = s.gamma, s.eta
     ga = 1.0 / (1.0 + math.exp(-s.beta * (s.script_E - s.E)))
     tau = np.kron([g, 1.0 - g], [ga, 1.0 - ga])
     return all(tuple(beta_order(np.kron([p, 1.0 - p], [eta, 1.0 - eta]), tau))
-               == EXPECTED_ROUND_ORDER for p in (g, *run.populations[:-1]))
+               == EXPECTED_ROUND_ORDER for p in (g, *pops[:-1]))
 
 
 def coherent_mmtp_by_loop(n, gamma, d):
@@ -235,13 +235,13 @@ class TestReusedWavefront:
 
     @pytest.mark.parametrize("d", WIDE_DS)
     def test_coherent_rounds_equal_fresh_loop_sweeps(self, d):
-        run = cooling.cool_coherent("MMTP", 4, 0.75, d)
-        assert_rounds_match_the_loop(run.populations, coherent_mmtp_by_loop(4, 0.75, d), d)
+        pops = cooling.cool_coherent("MMTP", 4, 0.75, d)
+        assert_rounds_match_the_loop(pops, coherent_mmtp_by_loop(4, 0.75, d), d)
 
     @pytest.mark.parametrize("d", [*range(1, 9), *WIDE_DS])
     def test_incoherent_rounds_equal_fresh_loop_sweeps(self, d):
-        run = cooling.cool_incoherent("MMTP", 4, d=d, **REF)
-        assert_rounds_match_the_loop(run.populations,
+        pops = cooling.cool_incoherent("MMTP", 4, d=d, **REF)
+        assert_rounds_match_the_loop(pops,
                                      incoherent_mmtp_by_loop(4, d, **REF), d)
 
     @pytest.mark.parametrize("d", [*range(1, 13), RESPONSE_MIN_D - 1])
@@ -250,22 +250,22 @@ class TestReusedWavefront:
         # spectators then being exact; otherwise at most 2.9e-15 apart over
         # d <= 47 and these settings (measured)
         for kw in INCOHERENT_SETTINGS:
-            run = cooling.cool_incoherent("MMTP", 50, d=d, **kw)
+            pops = cooling.cool_incoherent("MMTP", 50, d=d, **kw)
             composite = incoherent_mmtp_by_composite_loop(50, d, **kw)
             if d & (d - 1) == 0:
-                assert run.populations.tobytes() == composite.tobytes()
+                assert pops.tobytes() == composite.tobytes()
             else:
-                assert np.abs(run.populations - composite).max() <= 1e-14
+                assert np.abs(pops - composite).max() <= 1e-14
 
     @pytest.mark.parametrize("d", RESPONSE_DS)
     def test_fifty_response_rounds_stay_near_the_loop(self, d):
         gamma = 0.75
-        run = cooling.cool_coherent("MMTP", 50, gamma, d)
-        assert_rounds_match_the_loop(run.populations,
+        pops = cooling.cool_coherent("MMTP", 50, gamma, d)
+        assert_rounds_match_the_loop(pops,
                                      coherent_mmtp_by_loop(50, gamma, d), d)
-        run = cooling.cool_incoherent("MMTP", 50, d=d, **INCOHERENT_SETTINGS[1])
+        pops = cooling.cool_incoherent("MMTP", 50, d=d, **INCOHERENT_SETTINGS[1])
         assert_rounds_match_the_loop(
-            run.populations, incoherent_mmtp_by_loop(50, d, **INCOHERENT_SETTINGS[1]), d)
+            pops, incoherent_mmtp_by_loop(50, d, **INCOHERENT_SETTINGS[1]), d)
 
     @pytest.mark.parametrize("d", RESPONSE_DS)
     def test_coherent_rounds_are_affine_steps_on_the_response(self, d):
@@ -275,7 +275,7 @@ class TestReusedWavefront:
             inverted = 1.0 - p
             p = clip_noise(inverted * a_g + (1.0 - inverted) * b_g)
             expected.append(p)
-        assert cooling.cool_coherent("MMTP", 20, 0.75, d).populations.tolist() == expected
+        assert cooling.cool_coherent("MMTP", 20, 0.75, d).tolist() == expected
 
     @pytest.mark.parametrize("d", RESPONSE_DS)
     def test_incoherent_rounds_are_affine_steps_on_the_response(self, d):
@@ -289,25 +289,25 @@ class TestReusedWavefront:
             v = np.array([g0 * a_g + e1 * b_g, v[1], v[2], g0 * a_e + e1 * b_e])
             expected.append(v[0] + v[1])
             v = cooling._refresh_auxiliary(v, eta)
-        run = cooling.cool_incoherent("MMTP", 20, d=d, **REF)
-        assert run.populations.tolist() == expected
+        pops = cooling.cool_incoherent("MMTP", 20, d=d, **REF)
+        assert pops.tolist() == expected
 
     @pytest.mark.skipif(not EXTENDED, reason="long double is no wider than double here")
     @pytest.mark.parametrize("d", RESPONSE_DS)
     @pytest.mark.parametrize("gamma", [0.55, 0.75, 0.95])
     def test_coherent_rounds_near_a_long_double_reference(self, d, gamma):
-        run = cooling.cool_coherent("MMTP", 50, gamma, d)
+        pops = cooling.cool_coherent("MMTP", 50, gamma, d)
         reference = coherent_mmtp_by_longdouble(50, gamma, d)
-        assert float(np.abs(run.populations - reference).max()) <= 1e-14
+        assert float(np.abs(pops - reference).max()) <= 1e-14
 
     @pytest.mark.skipif(not EXTENDED, reason="long double is no wider than double here")
     @pytest.mark.parametrize("d", RESPONSE_DS)
     @pytest.mark.parametrize("setting", range(len(INCOHERENT_SETTINGS)))
     def test_incoherent_rounds_near_a_long_double_reference(self, d, setting):
         kw = INCOHERENT_SETTINGS[setting]
-        run = cooling.cool_incoherent("MMTP", 50, d=d, **kw)
+        pops = cooling.cool_incoherent("MMTP", 50, d=d, **kw)
         reference = incoherent_mmtp_by_longdouble(50, d, **kw)
-        assert float(np.abs(run.populations - reference).max()) <= 1e-14
+        assert float(np.abs(pops - reference).max()) <= 1e-14
 
     def test_one_two_row_wavefront_per_run_from_the_response_width(self, monkeypatch):
         # 48, not RESPONSE_MIN_D: which runs keep their bytes is a contract
@@ -354,20 +354,20 @@ class TestClosedFormColumns:
 
 class TestCoherent:
     def test_first_round_swap_value(self):
-        run = cooling.cool_coherent("TP", 1, 0.75)
-        assert abs(run.populations[0] - (1.0 - 0.25 / 3.0)) <= 1e-15
+        pops = cooling.cool_coherent("TP", 1, 0.75)
+        assert abs(pops[0] - (1.0 - 0.25 / 3.0)) <= 1e-15
 
     def test_swap_closed_form_third_round(self):
         assert abs(cooling.coherent_closed_form("TP", 3, 0.75)[2]
                    - (1.0 - 0.25 / 27.0)) <= 1e-15
 
     def test_thermalization_class_pins_to_gamma(self):
-        run = cooling.cool_coherent("MTP", 10, 0.8)
-        np.testing.assert_allclose(run.populations, 0.8, atol=1e-15)
+        pops = cooling.cool_coherent("MTP", 10, 0.8)
+        np.testing.assert_allclose(pops, 0.8, atol=1e-15)
 
     def test_single_slot_memory_equals_thermalization(self):
-        run = cooling.cool_coherent("MMTP", 10, 0.75, 1)
-        np.testing.assert_allclose(run.populations, 0.75, atol=1e-12)
+        pops = cooling.cool_coherent("MMTP", 10, 0.75, 1)
+        np.testing.assert_allclose(pops, 0.75, atol=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.6, 0.75, 0.9])
     def test_simulation_matches_closed_forms(self, gamma):
@@ -375,31 +375,30 @@ class TestCoherent:
         for process, ds in (("TP", [None]), ("MTP", [None]),
                             ("MMTP", [1, 2, 4, 8])):
             for d in ds:
-                run = cooling.cool_coherent(process, 50, gamma, d)
+                pops = cooling.cool_coherent(process, 50, gamma, d)
                 closed = cooling.coherent_closed_form(process, 50, gamma, d)
-                worst = max(worst, np.abs(run.populations - closed).max())
+                worst = max(worst, np.abs(pops - closed).max())
         assert worst <= 1e-10
 
     def test_memory_run_clips_rounding_past_one(self):
         # the ground population reaches 1 at round 13; the next test has runs
         # whose rounds round it past 1
         gamma, d = 30 / 32, 64
-        run = cooling.cool_coherent("MMTP", 50, gamma, d)
-        assert run.populations.max() == 1.0
+        pops = cooling.cool_coherent("MMTP", 50, gamma, d)
+        assert pops.max() == 1.0
         closed = cooling.coherent_closed_form("MMTP", 50, gamma, d)
-        np.testing.assert_allclose(run.populations, closed, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pops, closed, rtol=0, atol=1e-12)
 
     # unclipped, round 13 of the per-round sweeps gives 1 + 2.2e-16 and round 7
     # of the response 1 + 6.7e-16
     @pytest.mark.parametrize("gamma, d", [(30 / 32, 30), (0.99, 48)])
     def test_both_round_paths_clip_rounding_past_one(self, gamma, d):
-        run = cooling.cool_coherent("MMTP", 50, gamma, d)
-        assert run.populations.max() == 1.0
+        pops = cooling.cool_coherent("MMTP", 50, gamma, d)
+        assert pops.max() == 1.0
 
     def test_monotone_convergence(self):
         for process, d in (("TP", None), ("MMTP", 2), ("MMTP", 6)):
-            run = cooling.cool_coherent(process, 40, 0.75, d)
-            pops = np.concatenate(([0.75], run.populations))
+            pops = np.concatenate(([0.75], cooling.cool_coherent(process, 40, 0.75, d)))
             assert np.all(np.diff(pops) >= -1e-15)
 
     def test_measured_contraction_matches_rate(self):
@@ -407,8 +406,8 @@ class TestCoherent:
         q = (1.0 - gamma) / gamma
         rate = q - float(delta_d(d, gamma))
         p_max = float(cooling.coherent_p_max(d, gamma))
-        run = cooling.cool_coherent("MMTP", 12, gamma, d)
-        gaps = p_max - np.concatenate(([gamma], run.populations))
+        pops = cooling.cool_coherent("MMTP", 12, gamma, d)
+        gaps = p_max - np.concatenate(([gamma], pops))
         ratios = gaps[1:] / gaps[:-1]
         assert np.abs(ratios - rate).max() <= 1e-8
 
@@ -439,48 +438,48 @@ class TestCoherent:
                                       [1.5], [0.5, math.inf], [-math.inf]])
     def test_run_rejects_populations_outside_the_unit_interval(self, pops):
         with pytest.raises(ValueError, match="populations must"):
-            cooling.CoolingRun("coherent", "TP", {}, pops)
+            cooling._checked(pops)
 
 
 class TestIncoherent:
     def test_asymptote_reference_value(self):
-        p_star = cooling.p_star_incoherent(**REF)
+        p_star = cooling.IncoherentSetting(**REF).p_star
         assert abs(p_star - 1.0 / (1.0 + math.exp(-1.8))) <= 1e-15
 
     def test_hot_limit_asymptote(self):
         # beta_hot -> 0 pushes the asymptote to the largest-gap Gibbs weight
-        p_star = cooling.p_star_incoherent(1.0, 2.0, 1.0, 0.0)
+        p_star = cooling.IncoherentSetting(1.0, 2.0, 1.0, 0.0).p_star
         assert abs(p_star - 1.0 / (1.0 + math.exp(-2.0))) <= 1e-15
 
     def test_swap_class_recurrence(self):
-        p_star = cooling.p_star_incoherent(**REF)
+        p_star = cooling.IncoherentSetting(**REF).p_star
         v_tp = cooling.incoherent_rate("TP", **REF)
-        run = cooling.cool_incoherent("TP", 6, **REF)
+        pops = cooling.cool_incoherent("TP", 6, **REF)
         gamma = 1.0 / (1.0 + math.exp(-1.0))
-        gaps = p_star - np.concatenate(([gamma], run.populations))
+        gaps = p_star - np.concatenate(([gamma], pops))
         np.testing.assert_allclose(gaps[1:], v_tp * gaps[:-1], atol=1e-14)
 
     @pytest.mark.parametrize("process,d", [("TP", None), ("MTP", None),
                                            ("MMTP", 1), ("MMTP", 2),
                                            ("MMTP", 5), ("MMTP", 8)])
     def test_simulation_matches_closed_form(self, process, d):
-        run = cooling.cool_incoherent(process, 50, d=d, **REF)
+        pops = cooling.cool_incoherent(process, 50, d=d, **REF)
         closed = cooling.incoherent_closed_form(process, 50, d=d, **REF)
-        worst = np.abs(run.populations - closed).max()
+        worst = np.abs(pops - closed).max()
         assert worst <= 1e-10
 
     def test_all_classes_share_asymptote(self):
-        p_star = cooling.p_star_incoherent(**REF)
+        p_star = cooling.IncoherentSetting(**REF).p_star
         for process, d in (("TP", None), ("MTP", None), ("MMTP", 3)):
-            run = cooling.cool_incoherent(process, 50, d=d, **REF)
-            assert abs(run.populations[-1] - p_star) <= 1e-6
+            pops = cooling.cool_incoherent(process, 50, d=d, **REF)
+            assert abs(pops[-1] - p_star) <= 1e-6
 
     def test_measured_rates_match(self):
-        p_star = cooling.p_star_incoherent(**REF)
+        s = cooling.IncoherentSetting(**REF)
         for process, d in (("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 6)):
-            run = cooling.cool_incoherent(process, 10, d=d, **REF)
+            pops = cooling.cool_incoherent(process, 10, d=d, **REF)
             rate = cooling.incoherent_rate(process, d=d, **REF)
-            assert np.abs(cooling.measured_rates(run, p_star) - rate).max() <= 1e-10
+            assert np.abs(cooling.measured_rates(pops, s.gamma, s.p_star) - rate).max() <= 1e-10
 
     def test_single_slot_memory_rate_is_thermalization_rate(self):
         assert abs(cooling.incoherent_rate("MMTP", d=1, **REF)
@@ -497,8 +496,8 @@ class TestIncoherent:
 
     def test_round_ordering_holds_on_runs(self):
         for process, d in (("TP", None), ("MTP", None), ("MMTP", 4)):
-            run = cooling.cool_incoherent(process, 30, d=d, **REF)
-            assert round_ordering_holds(run)
+            pops = cooling.cool_incoherent(process, 30, d=d, **REF)
+            assert round_ordering_holds(pops, REF)
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -512,6 +511,36 @@ class TestIncoherent:
         for d in (0, 2.7, True):
             with pytest.raises(ValueError, match="memory dimension d"):
                 cooling.cool_incoherent("MMTP", 5, d=d, **REF)
+
+
+class TestTPOptimality:
+    """Each TP round reaches the largest ground population that any thermal
+    process reaches from the state before the round: the best vertex of that
+    state's TP-reachable polytope."""
+
+    @pytest.mark.parametrize("gamma", [0.6, 0.75, 0.9])
+    def test_coherent_round_is_the_best_vertex_of_the_inverted_state(self, gamma):
+        gibbs = [gamma, 1.0 - gamma]
+        pops = cooling.cool_coherent("TP", 5, gamma)
+        for p, after in zip([gamma, *pops[:-1]], pops):
+            best = max(v[0] for v in tp_reach_vertices([1.0 - p, p], gibbs))
+            assert abs(after - best) <= 1e-15
+            # inverting first does no worse than acting on the state as it is
+            assert after >= max(v[0] for v in tp_reach_vertices([p, 1.0 - p], gibbs))
+
+    @pytest.mark.parametrize("beta_hot", [0.2, 0.3])
+    def test_incoherent_round_is_the_best_vertex_of_the_refreshed_state(self, beta_hot):
+        kw = dict(REF, beta_hot=beta_hot)
+        s = cooling.IncoherentSetting(**kw)
+        # the composite's Gibbs state on (g0, g1, e0, e1)
+        gibbs = np.exp(-s.beta * np.array([0.0, s.script_E - s.E, s.E, s.script_E]))
+        gibbs /= gibbs.sum()
+        eta = s.eta
+        pops = cooling.cool_incoherent("TP", 6, **kw)
+        for p, after in zip([s.gamma, *pops[:-1]], pops):
+            refreshed = [p * eta, p * (1.0 - eta), (1.0 - p) * eta, (1.0 - p) * (1.0 - eta)]
+            best = max(v[0] + v[1] for v in tp_reach_vertices(refreshed, gibbs))
+            assert abs(after - best) <= 1e-15
 
 
 class TestRoundCount:
@@ -534,9 +563,9 @@ class TestIncoherentState:
     @pytest.mark.parametrize("setting", range(len(INCOHERENT_SETTINGS)))
     def test_python_floats_equal_the_numpy_scalar_rounds(self, process, d, setting):
         kw = INCOHERENT_SETTINGS[setting]
-        run = cooling.cool_incoherent(process, 50, d=d, **kw)
+        pops = cooling.cool_incoherent(process, 50, d=d, **kw)
         expected = incoherent_by_numpy_scalars(process, 50, d, **kw)
-        assert run.populations.tobytes() == expected.tobytes()
+        assert pops.tobytes() == expected.tobytes()
 
 
 class TestGridAgreement:
@@ -554,7 +583,7 @@ class TestGridAgreement:
                 cooling.cool_incoherent("TP", 1, **kw)
             return
         for process, d in (("TP", None), ("MTP", None), ("MMTP", 2), ("MMTP", 8)):
-            run = cooling.cool_incoherent(process, 50, d=d, **kw)
+            pops = cooling.cool_incoherent(process, 50, d=d, **kw)
             closed = cooling.incoherent_closed_form(process, 50, d=d, **kw)
-            worst = np.abs(run.populations - closed).max()
+            worst = np.abs(pops - closed).max()
             assert worst <= 1e-10

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from thermoproc import _kernels, memory
 from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
 from thermoproc.combinatorics import catalan_tail_bound, delta_d, f_coeff
-from thermoproc.memory import (_pairwise_sum, _protocol_totals, closed_form_p_d,
-                               simulate_memory_beta_swap)
+from thermoproc.core import PopulationVector, compose, full_thermalization, is_gibbs_stochastic
+from thermoproc.memory import (RESPONSE_MIN_D, _pairwise_sum, _protocol_totals,
+                               closed_form_p_d, simulate_memory_beta_swap, swap_round)
 from thermoproc.workx import ExtractionSetup
 
 
@@ -225,6 +226,21 @@ class TestRoundResponse:
         assert round_response(d, gamma) == tuple(totals)
 
 
+class TestSwapRound:
+    @pytest.mark.parametrize("read", [(0,), (0, 1)])
+    @pytest.mark.parametrize("d", [1, 8, RESPONSE_MIN_D - 1, RESPONSE_MIN_D, 64])
+    def test_one_row_per_call_below_the_response_width_the_matrix_from_it(self, d, read):
+        step = swap_round(d, 0.75, read)
+        (a_g, a_e), (b_g, b_e) = round_response(d, 0.75)
+        matrix = {0: (a_g, b_g), 1: (a_e, b_e)}
+        for g, e in np.random.default_rng(d).random((5, 2)).tolist():
+            if d < RESPONSE_MIN_D:
+                expected = _protocol_totals([d], ((0, 1, 0.75),), ((g, e),), read)
+            else:
+                expected = [[g * matrix[k][0] + e * matrix[k][1]] for k in read]
+            assert [total for (total,) in step(g, e)] == [total for (total,) in expected]
+
+
 # dyadic pair weights: the float is the exact rational, and exact delta_d
 # stays fast at large d
 DYADIC_GAMMAS = [Fraction(9, 16), Fraction(3, 4), Fraction(15, 16)]
@@ -251,11 +267,11 @@ def extraction_protocol(setup):
     return gibbs / gibbs.sum(), ((2, 1, setup.gamma_delta), (2, 3, setup.gamma_W))
 
 
-def qutrit_protocol(gamma, chained):
+def qutrit_protocol(gamma, chained, s=1):
     """The qutrit sequences of ``reachable``: blocks (g, e1, e2), g against
-    e1 (A_1), then against e2 as well (B_1)."""
+    e_s (A_s), then against the other excited level as well (B_s)."""
     q = (1.0 - gamma) / gamma
-    sweeps = ((0, 1, gamma), (0, 2, gamma)) if chained else ((0, 1, gamma),)
+    sweeps = ((0, s, gamma), (0, 3 - s, gamma)) if chained else ((0, s, gamma),)
     return np.array([1.0, q, q]) / (1.0 + 2.0 * q), sweeps
 
 
@@ -298,6 +314,49 @@ class TestProtocolMatrix:
         for j in range(4):
             column = _protocol_totals([8], sweeps, [np.eye(4)[j].tolist()], range(4))
             assert np.array(column).ravel().tobytes() == m[:, j].tobytes()
+
+
+# every protocol of the package: the matrix protocols and the qutrit A_2, B_2
+ORACLE_PROTOCOLS = {
+    **MATRIX_PROTOCOLS,
+    **{f"qutrit-{'B' if chained else 'A'}2-{g}": qutrit_protocol(float(g), chained, 2)
+       for g in DYADIC_GAMMAS for chained in (False, True)},
+}
+ORACLE_DS = [1, 2, 3, 4, 8]
+
+
+def elementary_steps(d, sweeps, blocks):
+    """The protocol's d^2 thermalizations per sweep as ``core`` matrices on
+    the blocks * d composite, slot j of block k at k * d + j, in the order
+    they act."""
+    return [full_thermalization(blocks * d, outer * d + k, inner * d + j, weight)
+            for outer, inner, weight in sweeps for k in range(d) for j in range(d)]
+
+
+class TestExplicitMatrixOracle:
+    """The evaluator against the product of the protocol's elementary
+    Gibbs-stochastic matrices, applied to start (x) uniform with the memory
+    traced out."""
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    @pytest.mark.parametrize("name", ORACLE_PROTOCOLS)
+    def test_product_of_elementary_matrices_equals_the_evaluator(self, name, d):
+        gibbs, sweeps = ORACLE_PROTOCOLS[name]
+        blocks = len(gibbs)
+        product = compose(reversed(elementary_steps(d, sweeps, blocks))).entries
+        starts = [*np.eye(blocks), np.random.default_rng(d).dirichlet(np.ones(blocks))]
+        for start in starts:
+            traced = (product @ (np.repeat(start, d) / d)).reshape(blocks, d).sum(axis=1)
+            totals = _protocol_totals([d], sweeps, [start.tolist()], range(blocks))
+            assert np.abs(traced - np.ravel(totals)).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", ORACLE_DS)
+    @pytest.mark.parametrize("name", ORACLE_PROTOCOLS)
+    def test_each_step_fixes_gibbs_times_uniform(self, name, d):
+        gibbs, sweeps = ORACLE_PROTOCOLS[name]
+        composite = PopulationVector(np.repeat(gibbs, d) / d)
+        assert all(is_gibbs_stochastic(step, composite, tol=1e-15)
+                   for step in elementary_steps(d, sweeps, len(gibbs)))
 
 
 unit_interval = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
