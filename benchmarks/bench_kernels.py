@@ -17,9 +17,9 @@ bytes as the per-d sweeps, run on fresh wavefronts and on reused ones.
 
 The tables below whose new column must be no slower than its reference
 (narrow pair sweep, wide single sweeps, incoherent rounds, round response,
-validation batches) take ``--repeats`` alternating samples of the reference
-and of the new code, and print each one's median with its quartiles; the
-other tables print the best of ``--repeats``.
+I_d, validation batches) take ``--repeats`` alternating samples of the
+reference and of the new code, and print each one's median with its
+quartiles; the other tables print the best of ``--repeats``.
 
 Narrow pair sweep: the pair step of every cooling round below
 ``RESPONSE_MIN_D``, the step of ``memory.swap_round`` (one row of
@@ -53,9 +53,10 @@ long-double sweep, gamma = 0.75), and no bound for it is derived yet.
 
 I_d: at d in {20, 100, 400, 1000} on fig2's 2000-point W grid (beta E = 0.7,
 beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
-(once) against one array call over the grid (best of ``--repeats``), and
-checks that the two give the same bytes on every point whose start terms
-(1-x)^d and (1-y)^d are normal doubles; the others take the log-space path.
+against one array call over the grid, in ``--repeats`` alternating samples,
+and prints the loop's median per call as the cost of one scalar call.  The
+two must give the same bytes on every point, the log-space ones included
+(those whose start term (1-x)^d or (1-y)^d is not a normal double).
 
 Exact layer: the integer-numerator alternating route of L over the grid of
 the ``special-function-routes`` check (n <= 40, float x), and exact I_d at
@@ -385,26 +386,23 @@ def bench_I_d(repeats):
               for w in np.linspace(0.05, 3.0, I_D_POINTS)]
     x = np.array([1.0 - st.gamma_delta for st in setups])
     y = np.array([1.0 - st.gamma_W for st in setups])
-    print(f"\nI_d over a {I_D_POINTS}-point W grid")
-    print(f"{'d':>6} {'log rows':>9} {'per point [ms]':>15} {'array [ms]':>11} "
-          f"{'speedup':>8} {'bitwise':>8}")
+    print(f"\nI_d over a {I_D_POINTS}-point W grid; median [quartiles] of {repeats} "
+          f"alternating samples")
+    print(f"{'d':>6} {'log rows':>9} {'per point [ms]':>24} {'array [ms]':>24} "
+          f"{'scalar [us]':>12} {'speedup':>8} {'bitwise':>8}")
     mismatches = []
     for d in I_D_DIMS:
-        t0 = time.perf_counter()
-        loop = np.array([I_d_eval(d, a, b) for a, b in zip(x.tolist(), y.tolist())])
-        t_loop = time.perf_counter() - t0
-        t_array = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            grid = I_d_eval(d, x, y)
-            t_array = min(t_array, time.perf_counter() - t0)
-        normal = np.array([min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
-                           for a, b in zip(x.tolist(), y.tolist())])
-        same = loop[normal].tobytes() == grid[normal].tobytes()
+        (loop_t, array_t), (loop, grid) = alternating(
+            lambda: np.array([I_d_eval(d, a, b) for a, b in zip(x.tolist(), y.tolist())]),
+            lambda: I_d_eval(d, x, y), repeats)
+        log_rows = sum(min((1.0 - a) ** d, (1.0 - b) ** d) < sys.float_info.min
+                       for a, b in zip(x.tolist(), y.tolist()))
+        same = loop.tobytes() == grid.tobytes()
         if not same:
             mismatches.append(d)
-        print(f"{d:>6} {int((~normal).sum()):>9} {t_loop * 1e3:>15.1f} "
-              f"{t_array * 1e3:>11.2f} {t_loop / t_array:>7.1f}x {str(same):>8}")
+        print(f"{d:>6} {log_rows:>9} {spread(loop_t, 1e3, 24, 1)} "
+              f"{spread(array_t, 1e3, 24, 2)} {loop_t[0] * 1e6 / I_D_POINTS:>12.1f} "
+              f"{loop_t[0] / array_t[0]:>7.1f}x {str(same):>8}")
     return mismatches
 
 

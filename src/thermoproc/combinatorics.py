@@ -14,7 +14,13 @@ coefficients and a few generating-function style sums:
     valid for gamma > 1/2 (never by truncating the slowly converging tail);
   - ``I_d(x, y)``: the double sum controlling the memory-assisted work
     extraction error, evaluated with multiplicative term recurrences so no
-    oversized binomial is ever formed in float mode.
+    oversized binomial is ever formed in float mode.  A float call works
+    through its points in row blocks inside three reused buffers of at most
+    2^15 doubles each.  The term ratios fill whole rows with 1.0 in column
+    0, and since 1.0 r_1 = r_1 exactly, each running product keeps its
+    bits.  What remains per term is elementwise work and four sequential
+    scans (two cumulative products, two cumulative sums), which set the
+    cost.
 
 Every function accepts ``fractions.Fraction`` arguments and then evaluates
 exactly; float arguments use double precision.  L has three independent
@@ -58,9 +64,10 @@ DELTA_GAMMA_MARGIN = 1.0e-9
 # size up to ~700 are summed); float mode is capped where it was checked.
 MAX_FLOAT_D = 1000
 
-# doubles per temporary array of one row block of float-mode I_d: bounds the
-# memory (a 2000-point grid at d = 1000 in one block takes 16 MB per
-# temporary) while keeping numpy's per-call cost small next to the work
+# doubles per buffer of float-mode I_d, each call holding three of them
+# (3 x 256 KB): bounds the memory (a 2000-point grid at d = 1000 in one block
+# would take 16 MB per buffer) while keeping numpy's per-call cost small next
+# to the work of a block
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -324,82 +331,101 @@ def catalan_tail_bound(d: int, gamma) -> float:
     return (4.0 * g * (1.0 - g)) ** d / (SQRT_PI * d ** 1.5 * (2.0 * g - 1.0) ** 2)
 
 
-def _term_ratios(d, x):
-    """Rows (n, d) whose columns 1..d-1 hold the term ratios
-    x (d + k - 1) / k, k = 1..d-1, one row per x; column 0 is left unset."""
-    ks = np.arange(1, d, dtype=np.float64)
-    out = np.empty((len(x), d))
-    np.multiply(x[:, None], d + ks - 1.0, out=out[:, 1:])
-    np.divide(out[:, 1:], ks, out=out[:, 1:])
+def _term_ratios(out, x, num, den):
+    """Fill the rows of ``out`` (n, d) with the term ratios
+    x (d + k - 1) / k at columns k = 1..d-1, one row per x, and 1.0 at
+    column 0.  ``num`` and ``den`` are the float rows d + k - 1 and k, with
+    den[0] = 1 so that column 0, overwritten, raises no division by zero."""
+    np.multiply(x[:, None], num, out=out)
+    np.divide(out, den, out=out)
+    out[:, 0] = 1.0
     return out
 
 
-def _geometric_terms_float(d, x, t0):
+def _geometric_terms_float(out, x, t0, num, den):
     """Rows of terms f_d(k) x^k (1-x)^d, k = 0..d-1, one row per x, from
-    the start terms ``t0`` = (1-x)^d by a cumulative product of the term
-    ratios along the contiguous last axis."""
-    out = _term_ratios(d, x)
-    out[:, 0] = t0
-    tail = out[:, 1:]
-    np.cumprod(tail, axis=1, out=tail)
-    np.multiply(t0[:, None], tail, out=tail)
+    the start terms ``t0`` = (1-x)^d times the cumulative product of the
+    term ratios along the contiguous last axis.  Column 0 starts at 1.0, and
+    1.0 r_1 = r_1 exactly, so every product has the bits it would have
+    without it."""
+    _term_ratios(out, x, num, den)
+    np.cumprod(out, axis=1, out=out)
+    np.multiply(t0[:, None], out, out=out)
     return out
 
 
-def _log_terms_float(d, x):
+def _log_terms_float(out, x, num, den):
     """The rows of ``_geometric_terms_float`` from their logarithms,
-    d log1p(-x) + cumsum(log ratio), for start terms that underflow."""
-    out = _term_ratios(d, x)
-    out[:, 0] = 0.0
-    tail = out[:, 1:]
-    zero = tail == 0.0  # the ratios of x = 0
-    np.log(tail, out=tail, where=~zero)
-    tail[zero] = -np.inf
+    d log1p(-x) + cumsum(log ratio), for start terms that underflow.  Column
+    0 holds log 1.0 = 0.  The ratios of x = 0 are 0, whose logarithm -inf
+    numpy flags as a division by zero; that flag is expected and silenced
+    here alone."""
+    _term_ratios(out, x, num, den)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
     np.cumsum(out, axis=1, out=out)
-    out += d * np.log1p(-x)[:, None]
+    out += out.shape[1] * np.log1p(-x)[:, None]
     return np.exp(out, out=out)
 
 
-def _I_d_rows(d, tx, ty):
-    """I_d of each row pair of terms; overwrites both.
+def _I_d_rows(tx, ty, q, ks, ks1):
+    """I_d of each row pair of terms; overwrites ``tx``, ``ty`` and ``q``,
+    an array of their shape.
 
     With prefix sums P_k of tx_k and Q_k of k tx_k along the last axis, the
     value is sum_j ty_j ((d - j) P_{d-1-j} - Q_{d-1-j}) / d, a pairwise row
-    sum.  The bracket is formed in place at k = d-1-j, where d - j = k + 1.
+    sum.  The bracket is formed in place at k = d-1-j, where d - j = k + 1;
+    ``ks`` and ``ks1`` are the float rows k and k + 1.
     """
-    ks = np.arange(d)
-    q = ks * tx
+    np.multiply(ks, tx, out=q)
     np.cumsum(q, axis=1, out=q)
     np.cumsum(tx, axis=1, out=tx)
-    np.multiply(ks + 1, tx, out=tx)
+    np.multiply(ks1, tx, out=tx)
     tx -= q
     ty *= tx[:, ::-1]
-    return np.sum(ty, axis=1) / d
+    return np.sum(ty, axis=1) / tx.shape[1]
 
 
 def _I_d_float(d, x, y):
-    """I_d at each point of the 1-D arrays x, y, in blocks of rows whose
-    temporaries hold at most ``_BLOCK_ELEMENTS`` doubles each.
+    """I_d at each point of the 1-D arrays x, y, in blocks of rows.
 
+    Each call allocates three (rows, d) buffers once, rows =
+    min(len(x), ``_BLOCK_ELEMENTS`` // d), and every block runs inside them
+    with ``out=``; the float rows k, k + 1 and d + k - 1 and the divisor row
+    of ``_term_ratios`` are built once too.
     A row whose start terms are normal doubles is evaluated directly: each
     cumulative product of its ratios is a term over its start term, so it
     stays below 1 / sys.float_info.min and cannot overflow.  The other rows
-    take the log-space terms.
+    take the log-space terms, in the same buffers.  Terms may underflow to
+    subnormals or 0, past the smallest double; nothing overflows, divides by
+    zero or turns invalid.
     """
     out = np.empty(len(x))
-    step = max(1, _BLOCK_ELEMENTS // d)
-    for lo in range(0, len(x), step):
-        bx, by = x[lo:lo + step], y[lo:lo + step]
+    rows = max(1, min(len(x), _BLOCK_ELEMENTS // d))
+    tx, ty, q = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
+    ks = np.arange(d, dtype=np.float64)
+    ks1 = ks + 1.0
+    num = ks + (d - 1.0)
+    den = np.maximum(ks, 1.0)  # k, with 1 at k = 0
+    for lo in range(0, len(x), rows):
+        bx, by = x[lo:lo + rows], y[lo:lo + rows]
         # Python's float power, which numpy's need not round like
         t0x = np.array([v ** d for v in (1.0 - bx).tolist()])
         t0y = np.array([v ** d for v in (1.0 - by).tolist()])
         ok = (t0x >= sys.float_info.min) & (t0y >= sys.float_info.min)
-        val = out[lo:lo + step]
-        val[ok] = _I_d_rows(d, _geometric_terms_float(d, bx[ok], t0x[ok]),
-                            _geometric_terms_float(d, by[ok], t0y[ok]))
-        if not ok.all():
-            val[~ok] = _I_d_rows(d, _log_terms_float(d, bx[~ok]),
-                                 _log_terms_float(d, by[~ok]))
+        val = out[lo:lo + rows]
+        # a block of direct rows alone is sliced by views, not mask copies
+        direct = slice(None) if ok.all() else ok
+        n = int(ok.sum())
+        val[direct] = _I_d_rows(
+            _geometric_terms_float(tx[:n], bx[direct], t0x[direct], num, den),
+            _geometric_terms_float(ty[:n], by[direct], t0y[direct], num, den),
+            q[:n], ks, ks1)
+        if n < len(bx):
+            n = len(bx) - n
+            val[~ok] = _I_d_rows(_log_terms_float(tx[:n], bx[~ok], num, den),
+                                 _log_terms_float(ty[:n], by[~ok], num, den),
+                                 q[:n], ks, ks1)
     return out
 
 

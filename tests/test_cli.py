@@ -7,6 +7,7 @@ import inspect
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -474,18 +475,13 @@ class TestMainExitCodes:
         assert not out.exists()
 
 
-# SHA-256 of each default-config output.  The five data files match
-# perfbench/seed_digests.json; validation_report.json is measured against the
-# exact Markovian qutrit region, its incoherent-rates detail states what that
-# check verifies, and its tail-bound deviation is the largest excess itself.
-DEFAULT_DIGESTS = {
-    "fig2.csv": "245d4bbef9a02d38084aebbec117b20be613e8b0e336ef82247850490c858883",
-    "fig3_regions.csv": "e6088d3cbc7b2dc870f851f4a70fbe43f9ca143e7e8316ef72aa64bb60c32467",
-    "cooling_coherent.csv": "65cad94d6bfefc4c54f1eb32b6eb114b64ccf5f20d6e162b39263870b4709066",
-    "cooling_incoherent.csv": "e1e064acfb7fbe13a63056f90963c507d5fa58457ff33dd213df1f5744d2deb8",
-    "beta_swap_sweep.csv": "a9993a8d1e6be4486356eda9b6864263a2c62ef74db4aca55f9b153c9bdba94f",
-    "validation_report.json": "a81fa657560720c91e1f6f7e977c2b06ce7e4f8a4878affe7ea89d7f44524fd7",
-}
+# SHA-256 of each default-config output, kept in one ledger at the root of
+# the repository.  The five data files match perfbench/seed_digests.json;
+# validation_report.json is measured against the exact Markovian qutrit
+# region, its incoherent-rates detail states what that check verifies, and
+# its tail-bound deviation is the largest excess itself.
+DEFAULT_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "default_digests.json").read_text())
 
 
 def command(experiment):

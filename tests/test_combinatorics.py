@@ -397,7 +397,9 @@ class TestErrorKernel:
 
 def _per_point_I_d(d, x, y):
     """The per-point float I_d the block form replaced, kept literally as
-    the reference it must equal bit for bit."""
+    the reference it must equal bit for bit.  A point whose start term
+    (1-x)^d or (1-y)^d is not a normal double takes the terms of
+    ``_per_point_log_terms`` for both."""
     def terms(x):
         t0 = (1.0 - x) ** d
         if d == 1:
@@ -409,13 +411,34 @@ def _per_point_I_d(d, x, y):
         out[1:] = t0 * np.cumprod(ratios)
         return out
 
-    tx = terms(float(x))
-    ty = terms(float(y))
+    x, y = float(x), float(y)
+    if min((1.0 - x) ** d, (1.0 - y) ** d) >= sys.float_info.min:
+        tx, ty = terms(x), terms(y)
+    else:
+        tx, ty = _per_point_log_terms(d, x), _per_point_log_terms(d, y)
     p = np.cumsum(tx)
     q = np.cumsum(np.arange(d) * tx)
     js = np.arange(d)
     total = float(np.sum(ty * ((d - js) * p[::-1] - q[::-1])))
     return total / d
+
+
+def _per_point_log_terms(d, x):
+    """The terms f_d(k) x^k (1-x)^d, k = 0..d-1, of one point from their
+    logarithms, kept literally as the reference of the log-space rows:
+    exp(d log1p(-x) + sum_{i<=k} log(x (d + i - 1) / i)), with log 0 = -inf
+    for the ratios of x = 0."""
+    logs = np.zeros(d)
+    if d > 1:
+        ks = np.arange(1, d, dtype=np.float64)
+        ratios = x * (d + ks - 1.0) / ks
+        with np.errstate(divide="ignore"):
+            logs[1:] = np.log(ratios)
+    return np.exp(np.cumsum(logs) + d * np.log1p(-x))
+
+
+# (x, y) at d = 160 whose start term (1-x)^d or (1-y)^d underflows
+UNDERFLOWING_STARTS = [(0.99, 0.05), (0.99, 0.00625), (0.0, 0.99)]
 
 
 def _fig2_grid(points=2000, beta_E=0.7):
@@ -429,19 +452,34 @@ def _fig2_grid(points=2000, beta_E=0.7):
 class TestErrorKernelArrays:
     @pytest.mark.parametrize("d", [1, 2, 5, 20, 100, 400, 1000])
     def test_bitwise_equal_to_the_per_point_formula(self, d):
+        # every row, the log-space ones included (444 of 2000 at d = 1000)
         x, y = _fig2_grid()
-        normal = np.array([min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
-                           for a, b in zip(x.tolist(), y.tolist())])
-        reference = np.array([_per_point_I_d(d, a, b) if ok else np.nan
-                              for a, b, ok in zip(x, y, normal)])
+        self.assert_bitwise_on_every_grid_length(d, x, y)
+
+    @pytest.mark.parametrize("d", [160, 1000])
+    def test_log_space_rows_bitwise_equal_to_the_per_point_formula(self, d):
+        # every third x so close to 1 that (1-x)^d underflows, and x = 0
+        # next to an underflowing y, so that blocks mix direct and log rows
+        x, y = _fig2_grid()
+        x[::3] = 1.0 - np.geomspace(1e-4, 1e-2, len(x[::3]))
+        x[1::15], y[1::15] = 0.0, 1.0 - 1e-3
+        log_rows = np.minimum((1.0 - x) ** d, (1.0 - y) ** d) < sys.float_info.min
+        block = comb._BLOCK_ELEMENTS // d
+        mixed = [rows.any() and not rows.all()
+                 for rows in np.split(log_rows, range(block, len(x), block))]
+        assert sum(mixed) >= 10, mixed
+        self.assert_bitwise_on_every_grid_length(d, x, y)
+
+    @staticmethod
+    def assert_bitwise_on_every_grid_length(d, x, y):
+        reference = np.array([_per_point_I_d(d, a, b) for a, b in zip(x, y)])
         block = max(1, comb._BLOCK_ELEMENTS // d)
         for n in (1, block - 1, block, block + 1, 2000):
             # a grid longer than 2000 repeats the 2000 points
             xs, ys = np.resize(x, n), np.resize(y, n)
-            ref, keep = np.resize(reference, n), np.resize(normal, n)
             got = comb.I_d_eval(d, xs, ys)
             assert got.shape == (n,)
-            assert got[keep].tobytes() == ref[keep].tobytes(), (d, n)
+            assert got.tobytes() == np.resize(reference, n).tobytes(), (d, n)
 
     def test_scalar_arguments_return_a_float(self):
         for x, y in ((0.2, 0.3), (np.float64(0.2), np.float64(0.3)), (0.0, 0.0)):
@@ -471,7 +509,7 @@ class TestErrorKernelArrays:
             assert np.any((1.0 - x) ** 1000 < sys.float_info.min)  # the log path runs
             assert np.all(at_1000 <= at_400 * (1.0 + 1e-12))
 
-    @pytest.mark.parametrize("x, y", [(0.99, 0.05), (0.99, 0.00625), (0.0, 0.99)])
+    @pytest.mark.parametrize("x, y", UNDERFLOWING_STARTS)
     def test_underflowing_start_term_matches_fraction_twin(self, x, y):
         # (1 - 0.99)^160 = 1e-320 keeps ~10 bits: the direct recurrence was
         # off by 1e-5 relative.  At y = 0.00625 the term ratio y * 160 rounds
@@ -482,3 +520,14 @@ class TestErrorKernelArrays:
         assert 1e-300 < exact
         assert abs(comb.I_d_eval(d, x, y) - exact) <= 1e-12 * exact
         assert abs(comb.I_d_eval(d, y, x) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("beta_E", [0.6, 0.7, 0.8])
+    def test_no_overflow_division_by_zero_or_invalid_value(self, beta_E):
+        # underflow stays allowed: the terms decay past the smallest double
+        x, y = _fig2_grid(beta_E=beta_E)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for d in (1, 2, 5, 20, 100, 400, 1000):
+                assert np.all(np.isfinite(comb.I_d_eval(d, x, y)))
+            for a, b in UNDERFLOWING_STARTS:
+                assert math.isfinite(comb.I_d_eval(160, a, b))
+                assert math.isfinite(comb.I_d_eval(160, b, a))
