@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the d^2 sweep kernel, the float I_d closed form and the exact layer.
+"""Time the d^2 sweep kernel, the float I_d closed form, the exact layer and
+the batched validation work, each against its reference.
 
 Sweep kernel: for each memory dimension d this times ``_memory_sweep_py``
 (the plain loop over Python floats, the reference) against ``memory_sweep``
@@ -15,11 +16,10 @@ block's wavefront and the run of the built ones (inputs filled, swept and
 copied out) are also timed on their own.  Every row must leave the same
 bytes as the per-d sweeps, run on fresh wavefronts and on reused ones.
 
-The tables below whose new column must be no slower than its reference
-(narrow pair sweep, wide single sweeps, incoherent rounds, round response,
-I_d, validation batches) take ``--repeats`` alternating samples of the
-reference and of the new code, and print each one's median with its
-quartiles; the other tables print the best of ``--repeats``.
+The batched-wavefront and sweep-kernel tables print the best of
+``--repeats``; every other table takes ``--repeats`` alternating samples of
+the reference and of the new code, and prints each one's median with its
+quartiles.
 
 Narrow pair sweep: the pair step of every cooling round below
 ``RESPONSE_MIN_D``, the step of ``memory.swap_round`` (one row of
@@ -58,13 +58,18 @@ and prints the loop's median per call as the cost of one scalar call.  The
 two must give the same bytes on every point, the log-space ones included
 (those whose start term (1-x)^d or (1-y)^d is not a normal double).
 
-Exact layer: the integer-numerator alternating route of L over the grid of
-the ``special-function-routes`` check (n <= 40, float x), and exact I_d at
-d in {100, 200, 500, 1000} on one fig2 point taken from floats (beta E = 0.7,
-beta W = 1.3), each best of ``--repeats``, against the Fraction loops they
-replaced (timed once; for I_d only at d <= 200, where one run takes at most
-about 1 s).  The alternating route must give the same bytes and I_d an
-equal Fraction.
+Exact layer: the integer-numerator forms against the Fraction loops they
+replaced, which reduce by a gcd at every operation.  The rows are the
+alternating route of L over the grid of the ``special-function-routes``
+check (n <= 40, float x); the definition route of L, K and I over the grid
+of the ``exact-coefficient-recurrence`` check (n in {3, 10, 25}, m in
+{0, n // 2, n - 1}, x in {1/10, 2/5, 9/10}); ``delta_d_column(30, gamma)``
+at gamma in {3/5, 3/4, 9/10}, the ``coherent-asymptote-monotone`` check's
+columns; ``delta_d(400, Fraction(0.7))``; and exact I_d at d in {100, 200,
+500, 1000} on one fig2 point taken from floats (beta E = 0.7, beta W =
+1.3), whose Fraction loop runs only at d <= 200, where one run takes at
+most about 1 s.  The alternating route must give the same bytes and every
+other row equal Fractions.
 
 The alternating row is timed twice: with the cached per-(n, m) integers
 warm, and with the cache cleared before every run (cold), as a fresh
@@ -81,17 +86,20 @@ wavefronts); and the ``special-function-routes`` check's quadrature route,
 the same bytes.
 
 Validation geometry: the ``extraction-bisection-grid`` check's 50 work gaps
-(beta E = ln 2, beta W from 0.05 to 2.5), as one scalar
-``min_extraction_error_tp`` call per gap against one lockstep call over the
-grid; and ``convex_hull_xy`` on the swap orbit (gamma = 0.75) at depths 8 and
-10, against the same monotone chain with each turn test on numpy rows
-(``reachable._cross2``).  Best of ``--repeats`` each; the bisection must give
+(beta E = ln 2, beta W from 0.05 to 2.5) as one lockstep call over the grid
+(two halvings per batched feasibility test), against the lockstep loop with
+one halving per test, kept here, and against one scalar
+``min_extraction_error_tp`` call per gap; ``etp_orbit_points`` (gamma =
+0.75) at depths 8 and 10, whose states carry their rounded keys, against
+the closure that rounds every image anew, kept here; and ``convex_hull_xy``
+on those orbits, against the same monotone chain with each turn test on
+numpy rows (``reachable._cross2``).  The bisection and the orbit must give
 the same bytes and the hull the same indices.
 
 Exits 1 when any sweep dimension, batch, narrow pair sweep, wide single
-sweep, incoherent run,
-I_d dimension, exact result, validation batch, bisection or hull differs, or
-a round response is off its tolerances.
+sweep, incoherent run, I_d dimension, exact result, validation batch,
+bisection, orbit or hull differs, or a round response is off its
+tolerances: every ``bitwise`` and ``equal`` cell must read True.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -108,13 +116,17 @@ import numpy as np
 from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_py,
                                  memory_sweep, wavefront_blocks)
 from thermoproc import combinatorics
-from thermoproc.combinatorics import I_d_eval, L_eval, _l_alternating
+from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, _l_alternating,
+                                      delta_d, delta_d_column)
 from thermoproc.cooling import IncoherentSetting, cool_incoherent
-from thermoproc.core import clip_noise
-from thermoproc.majorization import min_extraction_error_tp
+from thermoproc.core import Hamiltonian, clip_noise, gibbs_state
+from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL, _dominates,
+                                     extraction_target, lorenz_curve,
+                                     min_extraction_error_tp)
 from thermoproc.memory import (RESPONSE_MIN_D, _protocol_totals, simulate_memory_beta_swap,
                                swap_round)
-from thermoproc.reachable import _cross2, bary_xy, convex_hull_xy, etp_orbit_points
+from thermoproc.reachable import (_cross2, bary_xy, convex_hull_xy, etp_orbit_points,
+                                  qutrit_gibbs)
 from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
 SLOW_REFERENCE_D = 2000
@@ -134,6 +146,7 @@ I_D_DIMS = (20, 100, 400, 1000)
 I_D_POINTS = 2000
 EXACT_I_D_DIMS = (100, 200, 500, 1000)
 FRACTION_REFERENCE_MAX_D = 200
+DELTA_GAMMAS = (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))
 BISECTION_GAPS = 50
 HULL_GAMMA = 0.75
 HULL_DEPTHS = (8, 10)
@@ -225,6 +238,17 @@ def alternating(reference, fn, samples):
             outs[k] = f()
             times[k].append(time.perf_counter() - t0)
     return [quartiles(t) for t in times], outs
+
+
+def sampled(fn, samples):
+    """(median, lower quartile, upper quartile) of the seconds of
+    ``samples`` calls of fn()."""
+    times = []
+    for _ in range(samples):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return quartiles(times)
 
 
 def quartiles(times):
@@ -435,6 +459,32 @@ def I_d_fraction(d, x, y):
     return sum(ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j]) for j in range(d)) / d
 
 
+def weighted_fraction(n, m, x, w0, w1):
+    """(1-x)^n sum_{j<=m} (w0 + w1 j) f_n(j) x^j as the Fraction loop of the
+    definition route of L (w = 1), K (w = j, then / n) and I (w = n - j,
+    then / n): a gcd at every operation."""
+    term = Fraction(1)
+    acc = Fraction(w0)
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + (w0 + w1 * (j + 1)) * term
+    return (1 - x) ** n * acc
+
+
+def delta_fraction(d_max, gamma):
+    """The tails delta_1 .. delta_{d_max} as the Fraction loop of one running
+    subtraction."""
+    z = gamma * (1 - gamma)
+    acc = (1 - gamma) / gamma
+    tails = [acc]
+    term = z
+    for n in range(1, d_max):
+        acc = acc - term
+        tails.append(acc)
+        term = term * z * (2 * (2 * n + 1)) / (n + 2)
+    return tails
+
+
 def timed(fn, repeats):
     """(best wall time over ``repeats`` calls of fn(), its last result)."""
     best = float("inf")
@@ -449,22 +499,25 @@ def bench_exact(repeats):
     """Print the exact-layer table; return the names of the rows that differ."""
     grid = [(n, m, float(x)) for n in range(1, 41) for m in sorted({0, n // 2, n - 1})
             for x in np.arange(0.1, 0.95, 0.1)]
-    print("\nexact layer")
-    print(f"{'function':>22} {'Fraction [ms]':>14} {'integer [ms]':>13} "
+    # the exact-coefficient-recurrence check's grid
+    rational = [(n, m, x) for n in (3, 10, 25) for m in (0, n // 2, n - 1)
+                for x in (Fraction(1, 10), Fraction(2, 5), Fraction(9, 10))]
+    print(f"\nexact layer; median [quartiles] of {repeats} alternating samples")
+    print(f"{'function':>24} {'Fraction [ms]':>26} {'integer [ms]':>26} "
           f"{'speedup':>8} {'equal':>6}")
     mismatches = []
 
     def row(name, reference, fn):
-        t_new, new = timed(fn, repeats)
         if reference is None:
-            print(f"{name:>22} {'-':>14} {t_new * 1e3:>13.2f} {'-':>8} {'-':>6}")
+            new_t = sampled(fn, repeats)
+            print(f"{name:>24} {'-':>26} {spread(new_t, 1e3, 26, 2)} {'-':>8} {'-':>6}")
             return
-        t_ref, ref = timed(reference, 1)
+        (ref_t, new_t), (ref, new) = alternating(reference, fn, repeats)
         same = ref == new
         if not same:
             mismatches.append(name)
-        print(f"{name:>22} {t_ref * 1e3:>14.1f} {t_new * 1e3:>13.2f} "
-              f"{t_ref / t_new:>7.1f}x {str(same):>6}")
+        print(f"{name:>24} {spread(ref_t, 1e3, 26, 1)} {spread(new_t, 1e3, 26, 2)} "
+              f"{ref_t[0] / new_t[0]:>7.1f}x {str(same):>6}")
 
     def alternating_cold():
         combinatorics._alternating_coefficients.cache_clear()
@@ -474,6 +527,21 @@ def bench_exact(repeats):
         lambda: [alternating_fraction(*args).hex() for args in grid],
         lambda: [_l_alternating(*args).hex() for args in grid])
     row("  (cold cache)", None, alternating_cold)
+    row(f"L definition x{len(rational)}",
+        lambda: [weighted_fraction(n, m, x, 1, 0) for n, m, x in rational],
+        lambda: [L_eval(n, m, x) for n, m, x in rational])
+    row(f"K x{len(rational)}",
+        lambda: [weighted_fraction(n, m, x, 0, 1) / n for n, m, x in rational],
+        lambda: [K_eval(n, m, x) for n, m, x in rational])
+    row(f"I x{len(rational)}",
+        lambda: [weighted_fraction(n, m, x, n, -1) / n for n, m, x in rational],
+        lambda: [I_nm_eval(n, m, x) for n, m, x in rational])
+    for gamma in DELTA_GAMMAS:
+        row(f"delta_d_column(30, {gamma})", lambda: delta_fraction(30, gamma),
+            lambda: delta_d_column(30, gamma))
+    gamma = Fraction(0.7)
+    row("delta_d(400, 0.7)", lambda: delta_fraction(400, gamma)[-1],
+        lambda: delta_d(400, gamma))
     st = ExtractionSetup(0.7, 1.3, 1.0)
     x, y = Fraction(1.0 - st.gamma_delta), Fraction(1.0 - st.gamma_W)
     for d in EXACT_I_D_DIMS:
@@ -553,27 +621,92 @@ def hull_numpy(points_xy):
     return build(order)[:-1] + build(order[::-1])[:-1]
 
 
+def bisection_one_halving(E, W, beta):
+    """``min_extraction_error_tp`` over an array of gaps with one halving per
+    batched feasibility test, 64 tests on n rows (the loop the two-halving
+    tests replaced)."""
+    ws = np.asarray(W, dtype=np.float64).tolist()
+    tau = np.array([gibbs_state(Hamiltonian((0.0, w, E, E + w)), beta).probs for w in ws])
+    gamma_s = 1.0 / (1.0 + math.exp(-beta * E))
+    start = lorenz_curve(np.array([0.0, 0.0, 1.0, 0.0]), tau)
+
+    def feasible(eps):
+        target = lorenz_curve(extraction_target(gamma_s, eps), tau)
+        return _dominates(start, target, CURVE_TOL)
+
+    lo = np.zeros(len(ws))
+    hi = np.array([1.0 / (1.0 + math.exp(-beta * w)) for w in ws])
+    error_free = feasible(lo)
+    for _ in range(BISECTION_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        ok = feasible(mid)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    hi[error_free] = 0.0
+    return hi
+
+
+def orbit_per_image(gamma, depth):
+    """``etp_orbit_points`` with every image's key rounded anew, nine
+    ``round`` calls per state (the loop the carried keys replaced)."""
+    q = (1.0 - gamma) / gamma
+    maps = (lambda p: (p[0] * (1.0 - q) + p[1], q * p[0], p[2]),
+            lambda p: (p[0] * (1.0 - q) + p[2], p[1], q * p[0]),
+            lambda p: (p[0], p[2], p[1]))
+
+    def key(p):
+        return tuple(round(x, 12) for x in p)
+
+    start = (1.0, 0.0, 0.0)
+    seen = {key(start): start}
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for f in maps:
+                img = f(p)
+                k = key(img)
+                if k not in seen:
+                    seen[k] = img
+                    nxt.append(img)
+        if not nxt:
+            break
+        frontier = nxt
+    gibbs = tuple(qutrit_gibbs(gamma))
+    if key(gibbs) not in seen:
+        seen[key(gibbs)] = gibbs
+    return np.array(list(seen.values()))
+
+
 def bench_validation_geometry(repeats):
-    """Print the bisection and hull table; return the rows that differ."""
-    print("\nvalidation geometry")
-    print(f"{'work':>22} {'reference [ms]':>15} {'new [ms]':>9} {'speedup':>8} "
+    """Print the bisection, orbit and hull table; return the rows that differ."""
+    print(f"\nvalidation geometry; median [quartiles] of {repeats} alternating samples")
+    print(f"{'work':>26} {'reference [ms]':>26} {'new [ms]':>24} {'speedup':>8} "
           f"{'bitwise':>8}")
     mismatches = []
 
     def row(name, reference, fn):
-        t_ref, ref = timed(reference, repeats)
-        t_new, new = timed(fn, repeats)
+        (ref_t, new_t), (ref, new) = alternating(reference, fn, repeats)
         same = ref == new
         if not same:
             mismatches.append(name)
-        print(f"{name:>22} {t_ref * 1e3:>15.2f} {t_new * 1e3:>9.2f} "
-              f"{t_ref / t_new:>7.1f}x {str(same):>8}")
+        print(f"{name:>26} {spread(ref_t, 1e3, 26, 2)} {spread(new_t, 1e3, 24, 2)} "
+              f"{ref_t[0] / new_t[0]:>7.1f}x {str(same):>8}")
 
-    gaps = np.linspace(0.05, 2.5, BISECTION_GAPS).tolist()
-    row(f"bisection x{BISECTION_GAPS}",
-        lambda: [min_extraction_error_tp(math.log(2.0), w, 1.0).hex() for w in gaps],
-        lambda: [v.hex() for v in
-                 min_extraction_error_tp(math.log(2.0), np.array(gaps), 1.0).tolist()])
+    e = math.log(2.0)
+    gaps = np.linspace(0.05, 2.5, BISECTION_GAPS)
+
+    def grid():
+        return [v.hex() for v in min_extraction_error_tp(e, gaps, 1.0).tolist()]
+
+    row(f"bisection x{BISECTION_GAPS}, 1 halving",
+        lambda: [v.hex() for v in bisection_one_halving(e, gaps, 1.0).tolist()], grid)
+    row(f"bisection x{BISECTION_GAPS}, scalar",
+        lambda: [min_extraction_error_tp(e, w, 1.0).hex() for w in gaps.tolist()], grid)
+    for depth in HULL_DEPTHS:
+        row(f"orbit depth {depth}",
+            lambda: orbit_per_image(HULL_GAMMA, depth).tobytes(),
+            lambda: etp_orbit_points(HULL_GAMMA, depth).tobytes())
     for depth in HULL_DEPTHS:
         xy = bary_xy(etp_orbit_points(HULL_GAMMA, depth))
         row(f"hull depth {depth} ({len(xy)} pts)", lambda: hull_numpy(xy),

@@ -23,13 +23,18 @@ coefficients and a few generating-function style sums:
     cost.
 
 Every function accepts ``fractions.Fraction`` arguments and then evaluates
-exactly; float arguments use double precision.  L has three independent
+exactly; float arguments use double precision.  The exact mode works on
+integer numerators over one shared denominator and forms a single Fraction
+at the end: with x = a/q, L, K and I make one integer pass over
+sum_j w_j f_n(j) a^j q^{m-j} with the weights 1, j and n - j, and the
+delta_d tails keep one running numerator over a q^{2k}.  A Fraction loop
+would reduce by a gcd at every operation instead.  L has three independent
 evaluation routes (definition, alternating sum, quadrature) that are
 cross-checked in the test suite.  The alternating route is evaluated
-exactly, as integer numerators over one shared denominator, because its raw
+exactly in the same way, for float input too, because its raw
 floating-point form cancels catastrophically already around n = 25; exact
-I_d is evaluated the same way.  A float input enters as its exact binary
-value, and one division at the end forms the result.  The integers of the
+I_d is as well.  A float input enters as its exact binary value, and one
+division at the end forms the result.  The integers of the
 alternating route that do not depend on x (the lcm denominator, the scale
 n C(n+m, m) and the signed coefficients) are cached per (n, m), and the sum
 is taken by Horner's rule in the numerator of x; a float's denominator is a
@@ -81,6 +86,12 @@ def _require_int(value, name, minimum):
     return int(value)
 
 
+def _require_unit(x):
+    # written so that a NaN, which fails every comparison, is rejected
+    if not (0 <= x <= 1):
+        raise ValueError("x must lie in [0, 1]")
+
+
 def _is_exact(x) -> bool:
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
@@ -114,14 +125,33 @@ def f_table(max_j: int, max_k: int):
     return rows
 
 
+def _weighted_sum_exact(n, m, x, w0, w1):
+    """(1-x)^n sum_{j<=m} (w0 + w1 j) f_n(j) x^j for exact x, as the
+    integers (numerator, denominator) of one fraction.
+
+    With x = a/q the sum is (q-a)^n S / q^{n+m}, S = sum_j (w0 + w1 j) g_j
+    q^{m-j} with g_j = f_n(j) a^j, summed by Horner's rule in q.  Each g_j
+    follows from the last by an exact integer division, since
+    f_n(j) (n+j) = (j+1) f_n(j+1).
+    """
+    a, q = x.numerator, x.denominator
+    s = 0
+    g = 1  # f_n(j) a^j
+    for j in range(m + 1):
+        s = s * q + (w0 + w1 * j) * g
+        g = g * (n + j) * a // (j + 1)
+    return (q - a) ** n * s, q ** (n + m)
+
+
 def _l_definition(n, m, x):
-    one = Fraction(1) if _is_exact(x) else 1.0
-    term = one
-    acc = one
+    if _is_exact(x):
+        return Fraction(*_weighted_sum_exact(n, m, x, 1, 0))
+    term = 1.0
+    acc = 1.0
     for j in range(m):
         term = term * x * (n + j) / (j + 1)
         acc = acc + term
-    return (one - x) ** n * acc
+    return (1.0 - x) ** n * acc
 
 
 @functools.cache
@@ -249,8 +279,8 @@ def L_eval(n: int, m: int, x, route: str = "definition"):
                              "a 1-D one")
         if not np.all((x >= 0.0) & (x <= 1.0)):
             raise ValueError("x must lie in [0, 1]")
-    elif not (0 <= x <= 1):
-        raise ValueError("x must lie in [0, 1]")
+    else:
+        _require_unit(x)
     try:
         fn = _L_ROUTES[route]
     except KeyError:
@@ -265,26 +295,32 @@ def K_eval(n: int, m: int, x):
     """
     n = _require_int(n, "n", 1)
     m = _require_int(m, "m", 0)
-    one = Fraction(1) if _is_exact(x) else 1.0
-    term = one  # f_n(j) x^j, starting at j = 0
-    acc = 0 * one
+    _require_unit(x)
+    if _is_exact(x):
+        num, den = _weighted_sum_exact(n, m, x, 0, 1)
+        return Fraction(num, n * den)
+    term = 1.0  # f_n(j) x^j, starting at j = 0
+    acc = 0.0
     for j in range(m):
         term = term * x * (n + j) / (j + 1)
         acc = acc + (j + 1) * term
-    return (one - x) ** n * acc / n
+    return (1.0 - x) ** n * acc / n
 
 
 def I_nm_eval(n: int, m: int, x):
     """I(n, m, x) = ((1-x)^n / n) sum_{j=0}^m (n-j) f_n(j) x^j = L - K."""
     n = _require_int(n, "n", 1)
     m = _require_int(m, "m", 0)
-    one = Fraction(1) if _is_exact(x) else 1.0
-    term = one
-    acc = n * one
+    _require_unit(x)
+    if _is_exact(x):
+        num, den = _weighted_sum_exact(n, m, x, n, -1)
+        return Fraction(num, n * den)
+    term = 1.0
+    acc = float(n)
     for j in range(m):
         term = term * x * (n + j) / (j + 1)
         acc = acc + (n - j - 1) * term
-    return (one - x) ** n * acc / n
+    return (1.0 - x) ** n * acc / n
 
 
 def delta_d(d: int, gamma):
@@ -293,8 +329,10 @@ def delta_d(d: int, gamma):
     Evaluated by the exact finite identity: the full series equals
     (1-gamma)/gamma, so the tail is that total minus the first d-1 terms.
     delta_1 is the full series; the tail is strictly decreasing in d.
-    Fraction input gives the exact rational value.
+    Fraction input gives the exact rational value, formed once.
     """
+    if _is_exact(gamma):
+        return _delta_exact(d, gamma, every=False)[-1]
     return delta_d_column(d, gamma)[-1]
 
 
@@ -302,13 +340,11 @@ def delta_d_column(d_max: int, gamma) -> list:
     """[delta_d(1, gamma), ..., delta_d(d_max, gamma)] from one running
     subtraction; entry d-1 is the value after d-1 subtractions, which is
     ``delta_d(d, gamma)`` bit for bit."""
-    d_max = _require_int(d_max, "d", 1)
-    g = float(gamma)
-    if not (0.5 + DELTA_GAMMA_MARGIN < g < 1.0):
-        raise ValueError("gamma must lie in (1/2, 1), strictly above 1/2")
-    one = Fraction(1) if _is_exact(gamma) else 1.0
-    z = gamma * (one - gamma)
-    acc = (one - gamma) / gamma
+    if _is_exact(gamma):
+        return _delta_exact(d_max, gamma, every=True)
+    d_max = _require_delta_domain(d_max, gamma)
+    z = gamma * (1.0 - gamma)
+    acc = (1.0 - gamma) / gamma
     tails = [acc]
     term = z  # catalan(n) z^n, starting at n = 1
     for n in range(1, d_max):
@@ -316,6 +352,39 @@ def delta_d_column(d_max: int, gamma) -> list:
         tails.append(acc)
         term = term * z * (2 * (2 * n + 1)) / (n + 2)
     return tails
+
+
+def _require_delta_domain(d, gamma):
+    d = _require_int(d, "d", 1)
+    if not (0.5 + DELTA_GAMMA_MARGIN < float(gamma) < 1.0):
+        raise ValueError("gamma must lie in (1/2, 1), strictly above 1/2")
+    return d
+
+
+def _delta_exact(d_max, gamma, every):
+    """The exact tails delta_1 .. delta_{d_max} at gamma = a/q on integers:
+    every one if ``every``, else only the last.
+
+    With w = a(q-a), so that gamma(1-gamma) = w/q^2, the tail after k
+    subtractions is N_k / (a q^{2k}) with N_0 = q - a and
+    N_k = N_{k-1} q^2 - a cat(k) w^k.  The term a cat(k) w^k follows from
+    the last by an exact integer division, since
+    cat(k) 2(2k+1) = (k+2) cat(k+1); a Fraction is formed only for an
+    entry that is returned.
+    """
+    d_max = _require_delta_domain(d_max, gamma)
+    a, q = gamma.numerator, gamma.denominator
+    w, q2 = a * (q - a), q * q
+    num, den = q - a, a
+    tails = [Fraction(num, den)] if every else []
+    term = a * w  # a cat(k) w^k, starting at k = 1
+    for k in range(1, d_max):
+        num = num * q2 - term
+        den *= q2
+        if every:
+            tails.append(Fraction(num, den))
+        term = term * w * (2 * (2 * k + 1)) // (k + 2)
+    return tails if every else [Fraction(num, den)]
 
 
 def catalan_tail_bound(d: int, gamma) -> float:

@@ -14,8 +14,10 @@ state is the one-row case.  The row-wise interpolation repeats
 ``np.interp``'s operations in its order, so each row gives the bits of a
 one-state ``np.interp`` comparison.  The extraction bisection uses that to
 run a whole work-gap grid in lockstep: one batched feasibility test per
-iteration rather than one per grid point, since numpy's per-call cost, not
-the arithmetic, sets the time of a few-element curve.
+two halvings rather than one per grid point and halving, since numpy's
+per-call cost, not the arithmetic, sets the time of a few-element curve.
+Each test holds the midpoint and both quarter points of every interval, so
+following its two decisions gives the bits of one halving at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .core import Hamiltonian, PopulationVector, gibbs_state
 
 CURVE_TOL = 1.0e-12
 VERTEX_DEDUP_DECIMALS = 12
-BISECTION_ITERATIONS = 64  # interval width 2^-64, far below the 1e-12 target
+BISECTION_ITERATIONS = 64  # halvings, two per feasibility test; width 2^-64
 
 
 @dataclass(frozen=True)
@@ -181,34 +183,50 @@ def min_extraction_error_tp(E: float, W, beta: float):
 
     Bisection on eps over [0, gamma_W] of whether [0,1]_S x [1,0]_W reaches
     Gibbs_S x [eps, 1-eps] by a thermal process.  ``W`` may be an array of
-    work gaps: every gap bisects in lockstep, one row each, with one batched
-    feasibility test per iteration, and the result has W's shape (a float
-    for a scalar W).  The Gibbs states and the start curves are built once;
-    each iteration builds (and checks) the target curves of all rows.  The
-    upper end (the full Gibbs product) is always feasible, and feasibility
-    is monotone in eps on this interval (asserted by sampling in the test
-    suite, not proved here).  64 iterations pin the answer well below 1e-12.
+    work gaps: every gap bisects in lockstep, one row each, and the result
+    has W's shape (a float for a scalar W).  Each batched feasibility test
+    makes two halvings: it takes the midpoint of every interval and both
+    quarter points, the midpoints of the two halves that the first decision
+    can leave, as 3n rows.  Each quarter point is the very midpoint that
+    one halving at a time would form next, so the two decisions reach the
+    same (lo, hi) bits as two separate tests.  The Gibbs states and the
+    start curves are built once; each test builds (and checks) the target
+    curves of all rows.  The upper end (the full Gibbs product) is always
+    feasible, and feasibility is monotone in eps on this interval (asserted
+    by sampling in the test suite, not proved here).  64 halvings pin the
+    answer well below 1e-12.
     """
     gaps = np.asarray(W, dtype=np.float64)
     if not (E > 0.0 and beta > 0.0 and (gaps > 0.0).all()):
         raise ValueError("E, W and beta must be positive")
     ws = gaps.ravel().tolist()
+    n = len(ws)
     tau = np.array([gibbs_state(Hamiltonian((0.0, w, E, E + w)), beta).probs
-                    for w in ws]).reshape(len(ws), 4)
+                    for w in ws]).reshape(n, 4)
+    tau3 = np.concatenate((tau, tau, tau))
     gamma_s = 1.0 / (1.0 + math.exp(-beta * E))
-    start = lorenz_curve(np.array([0.0, 0.0, 1.0, 0.0]), tau)
+    excited = np.array([0.0, 0.0, 1.0, 0.0])
+    start, start3 = lorenz_curve(excited, tau), lorenz_curve(excited, tau3)
 
-    def feasible(eps):
+    def feasible(eps, tau, start):
         target = lorenz_curve(extraction_target(gamma_s, eps), tau)
         return _dominates(start, target, CURVE_TOL)
 
-    lo = np.zeros(len(ws))
+    lo = np.zeros(n)
     hi = np.array([1.0 / (1.0 + math.exp(-beta * w)) for w in ws])
-    error_free = feasible(lo)
-    for _ in range(BISECTION_ITERATIONS):
+    error_free = feasible(lo, tau, start)
+    for _ in range(BISECTION_ITERATIONS // 2):
         mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
+        lower, upper = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        ok_mid, ok_lower, ok_upper = feasible(
+            np.concatenate((mid, lower, upper)), tau3, start3).reshape(3, n)
+        # first halving: [lo, mid] when mid is feasible, else [mid, hi]
+        lo = np.where(ok_mid, lo, mid)
+        hi = np.where(ok_mid, mid, hi)
+        # second halving, at that half's midpoint
+        quarter = np.where(ok_mid, lower, upper)
+        ok = np.where(ok_mid, ok_lower, ok_upper)
+        hi = np.where(ok, quarter, hi)
+        lo = np.where(ok, lo, quarter)
     hi[error_free] = 0.0
     return float(hi[0]) if gaps.ndim == 0 else hi.reshape(gaps.shape)

@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernels import WAVEFRONT_MIN_WIDTH, Wavefront, _sweep_lists, wavefront_blocks
-from .combinatorics import _require_int, delta_d
+from .combinatorics import _require_int
 
 # the memory dimension from which ``swap_round`` steps through the swap's
 # matrix; see the module docstring for why smaller d keep the per-round sweep
@@ -185,16 +185,7 @@ def simulate_memory_beta_swap(d, p0: float, gamma: float):
     return ground[0] if scalar else np.array(ground)
 
 
-def closed_form_p_d(d: int, p0, gamma):
-    """Ground population after the protocol: 1 - p0 (1-g)/g - (g - p0) delta_d(g).
-
-    Accepts floats or Fractions; gamma must exceed 1/2 (delta_d domain).
-    The d -> infinity limit, 1 - p0 (1-gamma)/gamma, is the exact swap output.
-    """
-    if d < 1:
-        raise ValueError("memory dimension d must be >= 1")
-    return _p_d(p0, gamma, delta_d(d, gamma))
-
-
 def _p_d(p0, gamma, delta):
+    """Ground population after the protocol from p0, given the tail
+    ``delta`` = delta_d(gamma); floats or Fractions."""
     return 1 - p0 * (1 - gamma) / gamma - (gamma - p0) * delta

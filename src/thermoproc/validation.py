@@ -116,11 +116,13 @@ def check_memory_closed_form():
     """Simulation equals the closed form over the (d, gamma, p0) grid."""
     tol = 1.0e-10
     worst = 0.0
+    gammas = (0.55, 0.65, 0.75, 0.85, 0.95)
+    deltas = {g: comb.delta_d_column(12, g) for g in gammas}
     for d in range(1, 13):
-        for g in (0.55, 0.65, 0.75, 0.85, 0.95):
+        for g in gammas:
             for p0 in (0.0, 0.25, 0.5, g, 0.9):
                 sim = memory.simulate_memory_beta_swap(d, p0, g)
-                worst = max(worst, abs(sim - memory.closed_form_p_d(d, p0, g)))
+                worst = max(worst, abs(sim - memory._p_d(p0, g, deltas[g][d - 1])))
     return worst, tol, "d <= 12 across gamma and p0 grids"
 
 
@@ -293,10 +295,12 @@ def check_function_identities():
     """The (n-1)-order diagonal matches its Catalan-tail closed form."""
     tol = 1.0e-10
     worst = 0.0
+    xs = (0.1, 0.2, 0.3, 0.4)
+    deltas = {x: comb.delta_d_column(50, 1.0 - x) for x in xs}
     for n in range(1, 51):
-        for x in (0.1, 0.2, 0.3, 0.4):
+        for x in xs:
             lhs = comb.I_nm_eval(n, n - 1, x)
-            rhs = (1.0 - 2.0 * x) / (1.0 - x) + x * float(comb.delta_d(n, 1.0 - x))
+            rhs = (1.0 - 2.0 * x) / (1.0 - x) + x * float(deltas[x][n - 1])
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     return worst, tol, "relative error of the diagonal closed form, n <= 50"
 

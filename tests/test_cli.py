@@ -14,7 +14,7 @@ import pytest
 
 from thermoproc import cli, reachable, validation
 from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, MAX_FLOAT_D, delta_d
-from thermoproc.memory import closed_form_p_d
+from thermoproc.memory import _p_d
 from thermoproc.workx import (ExtractionSetup, epsilon_d_grid, epsilon_etp,
                               epsilon_mtp, epsilon_tp)
 
@@ -216,7 +216,7 @@ class TestOtherExperiments:
                 "--gamma", repr(gamma), "--p0", repr(p0), "--d-max", "60")
         _, rows = read_rows(tmp_path / "o" / "beta_swap_sweep.csv")
         ds = range(1, 61)
-        assert rows[:, 2].tolist() == [closed_form_p_d(d, p0, gamma) for d in ds]
+        assert rows[:, 2].tolist() == [_p_d(p0, gamma, delta_d(d, gamma)) for d in ds]
         assert rows[:, 4].tolist() == [delta_d(d, gamma) for d in ds]
 
     def test_validate_experiment_writes_report(self, tmp_path):

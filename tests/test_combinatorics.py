@@ -62,6 +62,55 @@ def I_d_fraction_oracle(d, x, y):
     return total / d
 
 
+def l_definition_fraction_oracle(n, m, x):
+    """The Fraction loop of the exact definition route of L, kept literally
+    as the reference the integer pass must equal."""
+    one = Fraction(1)
+    term = one
+    acc = one
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + term
+    return (one - x) ** n * acc
+
+
+def K_fraction_oracle(n, m, x):
+    """The Fraction loop of exact K, kept literally."""
+    one = Fraction(1)
+    term = one  # f_n(j) x^j, starting at j = 0
+    acc = 0 * one
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + (j + 1) * term
+    return (one - x) ** n * acc / n
+
+
+def I_nm_fraction_oracle(n, m, x):
+    """The Fraction loop of exact I, kept literally."""
+    one = Fraction(1)
+    term = one
+    acc = n * one
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + (n - j - 1) * term
+    return (one - x) ** n * acc / n
+
+
+def delta_d_column_fraction_oracle(d_max, gamma):
+    """The Fraction loop of exact ``delta_d_column``, kept literally: one
+    running subtraction, a gcd at every operation."""
+    one = Fraction(1)
+    z = gamma * (one - gamma)
+    acc = (one - gamma) / gamma
+    tails = [acc]
+    term = z  # catalan(n) z^n, starting at n = 1
+    for n in range(1, d_max):
+        acc = acc - term
+        tails.append(acc)
+        term = term * z * (2 * (2 * n + 1)) / (n + 2)
+    return tails
+
+
 @st.composite
 def orders(draw, max_n=60):
     """(n, m) with n <= max_n and 0 <= m < n."""
@@ -189,9 +238,57 @@ class TestLRoutes:
             assert all(b <= a + 1e-14 for a, b in zip(values, values[1:]))
 
 
+# exact inputs: fractions with small denominators, and floats taken exactly
+EXACT_UNIT = (st.fractions(0, 1, max_denominator=1000)
+              | st.floats(0.0, 1.0).map(Fraction))
+# exact pair weights of delta_d's domain, strictly above 1/2 + its margin
+EXACT_GAMMA = (st.fractions(Fraction(501, 1000), 1, max_denominator=1000)
+               | st.floats(0.501, 1.0, exclude_max=True).map(Fraction)).filter(
+                   lambda g: 0.5 + comb.DELTA_GAMMA_MARGIN < g < 1)
+
+
 class TestIntegerRoutes:
-    """The integer-numerator alternating route and exact I_d against the
-    Fraction loops they replaced."""
+    """The integer-numerator exact forms (the alternating and definition
+    routes of L, K, I, I_d and the delta_d tails) against the Fraction loops
+    they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(orders(), EXACT_UNIT)
+    def test_exact_definition_K_and_I_equal_the_fraction_loops(self, nm, x):
+        n, m = nm
+        for got, expected in ((comb.L_eval(n, m, x, "definition"),
+                               l_definition_fraction_oracle(n, m, x)),
+                              (comb.K_eval(n, m, x), K_fraction_oracle(n, m, x)),
+                              (comb.I_nm_eval(n, m, x), I_nm_fraction_oracle(n, m, x))):
+            assert type(got) is Fraction
+            assert got == expected
+
+    def test_exact_definition_K_and_I_edge_cases(self):
+        for n, m in ((1, 0), (1, 5), (60, 0), (60, 59)):
+            for x in (0, 1, Fraction(0), Fraction(1), Fraction(1, 3)):
+                assert comb.L_eval(n, m, x) == l_definition_fraction_oracle(n, m, x)
+                assert comb.K_eval(n, m, x) == K_fraction_oracle(n, m, x)
+                assert comb.I_nm_eval(n, m, x) == I_nm_fraction_oracle(n, m, x)
+                assert all(type(f(n, m, x)) is Fraction
+                           for f in (comb.L_eval, comb.K_eval, comb.I_nm_eval))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), EXACT_GAMMA)
+    def test_exact_delta_d_column_equals_the_fraction_loop(self, d_max, gamma):
+        column = comb.delta_d_column(d_max, gamma)
+        assert all(type(v) is Fraction for v in column)
+        assert column == delta_d_column_fraction_oracle(d_max, gamma)
+        assert comb.delta_d(d_max, gamma) == column[-1]
+
+    @pytest.mark.parametrize("gamma", [Fraction(0.7), Fraction(3, 5), Fraction(3, 4),
+                                       Fraction(9, 10), Fraction(27, 32)],
+                             ids=["0.7", "3/5", "3/4", "9/10", "27/32"])
+    def test_exact_delta_d_to_d200_equals_the_fraction_loop(self, gamma):
+        expected = delta_d_column_fraction_oracle(200, gamma)
+        assert comb.delta_d_column(200, gamma) == expected
+        for d in (1, 2, 3, 31, 199, 200):
+            got = comb.delta_d(d, gamma)
+            assert type(got) is Fraction and got == expected[d - 1]
 
     @settings(max_examples=150, deadline=None)
     @given(orders(), st.floats(0.0, 1.0))
@@ -305,6 +402,16 @@ class TestKAndI:
                 x = Fraction(2, 7)
                 assert (comb.K_eval(n, m, x) + comb.I_nm_eval(n, m, x)
                         == comb.L_eval(n, m, x, "definition"))
+
+    @pytest.mark.parametrize("fn", [comb.L_eval, comb.K_eval, comb.I_nm_eval],
+                             ids=["L", "K", "I"])
+    @pytest.mark.parametrize("x", [2.0, -0.1, math.nextafter(1.0, 2.0), math.nan, math.inf,
+                                   Fraction(3, 2), Fraction(-1, 2), 2, -1],
+                             ids=["2.0", "-0.1", "above-1", "nan", "inf", "3/2",
+                                  "-1/2", "int-2", "int--1"])
+    def test_x_outside_the_unit_interval_rejected(self, fn, x):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            fn(3, 1, x)
 
     def test_first_diagonal_value(self):
         for x in (0.0, 0.2, 0.5, 0.9):

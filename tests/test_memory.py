@@ -12,9 +12,15 @@ from thermoproc import _kernels, memory
 from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
 from thermoproc.combinatorics import catalan_tail_bound, delta_d, f_coeff
 from thermoproc.core import PopulationVector, compose, full_thermalization, is_gibbs_stochastic
-from thermoproc.memory import (RESPONSE_MIN_D, _pairwise_sum, _protocol_totals,
-                               closed_form_p_d, simulate_memory_beta_swap, swap_round)
+from thermoproc.memory import (RESPONSE_MIN_D, _p_d, _pairwise_sum, _protocol_totals,
+                               simulate_memory_beta_swap, swap_round)
 from thermoproc.workx import ExtractionSetup
+
+
+def closed_form_p_d(d, p0, gamma):
+    """Ground population after the protocol, 1 - p0 (1-g)/g - (g - p0) delta_d(g),
+    floats or Fractions; the d -> infinity limit is the exact swap output."""
+    return _p_d(p0, gamma, delta_d(d, gamma))
 
 
 def initial_state(d, p0):

@@ -8,7 +8,8 @@ import pytest
 from thermoproc.core import (PopulationVector, apply, beta_swap,
                              elementary_tp, full_thermalization,
                              partial_thermalization)
-from thermoproc.memory import closed_form_p_d
+from thermoproc.combinatorics import delta_d
+from thermoproc.memory import _p_d
 from thermoproc.reachable import (SimplexRegion, bary_xy, convex_hull_xy,
                                   etp_orbit_hull, etp_orbit_points, hull_margin,
                                   inside_tp_cone, mtp_mixing_path, mtp_region,
@@ -37,6 +38,46 @@ def hull_oracle(points_xy):
     return (build(order)[:-1] + build(order[::-1])[:-1])
 
 
+def orbit_oracle(gamma, depth):
+    """The swap-orbit closure that rounds every image anew, kept literally
+    as the reference the keys carried with the frontier must equal."""
+    q = (1.0 - gamma) / gamma
+
+    def swap_g_e1(p):
+        return (p[0] * (1.0 - q) + p[1], q * p[0], p[2])
+
+    def swap_g_e2(p):
+        return (p[0] * (1.0 - q) + p[2], p[1], q * p[0])
+
+    def swap_e1_e2(p):
+        return (p[0], p[2], p[1])
+
+    maps = (swap_g_e1, swap_g_e2, swap_e1_e2)
+    start = (1.0, 0.0, 0.0)
+
+    def key(p):
+        return tuple(round(x, 12) for x in p)
+
+    seen = {key(start): start}
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for f in maps:
+                img = f(p)
+                k = key(img)
+                if k not in seen:
+                    seen[k] = img
+                    nxt.append(img)
+        if not nxt:
+            break
+        frontier = nxt
+    gibbs = tuple(qutrit_gibbs(gamma))
+    if key(gibbs) not in seen:
+        seen[key(gibbs)] = gibbs
+    return np.array(list(seen.values()))
+
+
 def _thermalizations(gamma):
     """The three full two-level thermalizations as (i, j, pair weight)."""
     return ((0, 1, gamma), (0, 2, gamma), (1, 2, 0.5))
@@ -61,7 +102,7 @@ class TestMemoryVertices:
         # ground population, so its target component is 1 - p_d(2, p0 = 1)
         for gamma in (0.65, 0.75, 0.9):
             a1, a2, _b1, _b2 = qutrit_mmtp2_vertices(gamma)
-            expected = 1.0 - closed_form_p_d(2, 1.0, gamma)
+            expected = 1.0 - _p_d(1.0, gamma, delta_d(2, gamma))
             assert abs(a1[1] - expected) <= 1e-14
             assert abs(a2[2] - expected) <= 1e-14
             assert abs(a1[2]) <= 1e-15  # untouched level stays empty
@@ -96,6 +137,14 @@ class TestOrbit:
             outer = etp_orbit_hull(gamma, depth + 1)
             for v in inner.vertices:
                 assert hull_margin(outer, v) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, 0.88, 0.92, 0.96, 0.999])
+    def test_points_equal_the_per_image_rounding_loop(self, gamma):
+        for depth in range(1, 11):
+            got = etp_orbit_points(gamma, depth)
+            expected = orbit_oracle(gamma, depth)
+            assert got.shape == expected.shape, depth
+            assert got.tobytes() == expected.tobytes(), depth
 
     @pytest.mark.parametrize("gamma", [0.55, 0.6, 0.65, 0.75, 0.8, 0.85, 0.88,
                                        0.92, 0.999])
