@@ -68,8 +68,8 @@ at gamma in {3/5, 3/4, 9/10}, the ``coherent-asymptote-monotone`` check's
 columns; ``delta_d(400, Fraction(0.7))``; and exact I_d at d in {100, 200,
 500, 1000} on one fig2 point taken from floats (beta E = 0.7, beta W =
 1.3), whose Fraction loop runs only at d <= 200, where one run takes at
-most about 1 s.  The alternating route must give the same bytes and every
-other row equal Fractions.
+most about 1 s.  The alternating route, one grid call, must give the same
+bytes and every other row equal Fractions.
 
 The alternating row is timed twice: with the cached per-(n, m) integers
 warm, and with the cache cleared before every run (cold), as a fresh
@@ -81,9 +81,17 @@ Validation batches: the ``memory-extraction-closed-form`` check's grid
 before the grid existed, and as 500 one-point ``memory_extraction_grid``
 calls (one row of the evaluator each, on Python floats), each against one
 ``memory_extraction_grid`` call over the grid (the evaluator's batched
-wavefronts); and the ``special-function-routes`` check's quadrature route,
-1053 per-point calls against one array call per (n, m).  Every row must give
-the same bytes.
+wavefronts).  Every row must give the same bytes.
+
+Special functions on grids: the definition route of L, K, I, the
+alternating route and the quadrature route over the
+``special-function-routes`` check's grid (1053 points), each as one grid
+call against one call per point: the scalar float loop of L, K and I, kept
+here, for the first three, and one-point ``L_eval`` calls for the other
+two.  And I_d over a list of d, one call, against one call per
+d: d = 1..40 on the ``extraction-error-ordering`` check's 60 points
+(beta E = ln 2), and d in {1, 2, 5, 20, 100, 400, 1000} on a 2000-point
+fig2-dense grid (beta E = 0.7).  Every row must give the same bytes.
 
 Validation geometry: the ``extraction-bisection-grid`` check's 50 work gaps
 (beta E = ln 2, beta W from 0.05 to 2.5) as one lockstep call over the grid
@@ -98,7 +106,7 @@ the same bytes and the hull the same indices.
 
 Exits 1 when any sweep dimension, batch, narrow pair sweep, wide single
 sweep, incoherent run, I_d dimension, exact result, validation batch,
-bisection, orbit or hull differs, or a round response is off its
+special-function grid, bisection, orbit or hull differs, or a round response is off its
 tolerances: every ``bitwise`` and ``equal`` cell must read True.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
@@ -116,8 +124,8 @@ import numpy as np
 from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_py,
                                  memory_sweep, wavefront_blocks)
 from thermoproc import combinatorics
-from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, _l_alternating,
-                                      delta_d, delta_d_column)
+from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, delta_d,
+                                      delta_d_column)
 from thermoproc.cooling import IncoherentSetting, cool_incoherent
 from thermoproc.core import Hamiltonian, clip_noise, gibbs_state
 from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL, _dominates,
@@ -519,13 +527,17 @@ def bench_exact(repeats):
         print(f"{name:>24} {spread(ref_t, 1e3, 26, 1)} {spread(new_t, 1e3, 26, 2)} "
               f"{ref_t[0] / new_t[0]:>7.1f}x {str(same):>6}")
 
+    n, m, x = (np.array(v) for v in zip(*grid))
+
+    def alternating_grid():
+        return [v.hex() for v in L_eval(n, m, x, "alternating").tolist()]
+
     def alternating_cold():
         combinatorics._alternating_coefficients.cache_clear()
-        return [_l_alternating(*args).hex() for args in grid]
+        return alternating_grid()
 
     row(f"L alternating x{len(grid)}",
-        lambda: [alternating_fraction(*args).hex() for args in grid],
-        lambda: [_l_alternating(*args).hex() for args in grid])
+        lambda: [alternating_fraction(*args).hex() for args in grid], alternating_grid)
     row("  (cold cache)", None, alternating_cold)
     row(f"L definition x{len(rational)}",
         lambda: [weighted_fraction(n, m, x, 1, 0) for n, m, x in rational],
@@ -590,13 +602,67 @@ def bench_validation_batches(repeats):
     row(f"extraction one-point x{points}",
         lambda: [memory_extraction_grid([st], [d])[0][0].hex() for d in ds for st in setups],
         grid)
+    return mismatches
 
+
+def weighted_float(n, m, x, w0, w1):
+    """The scalar float loop of the definition route of L (w = 1), K
+    (w = j, then / n) and I (w = n - j, then / n), one point per call."""
+    term = 1.0
+    acc = float(w0)
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + (w0 + w1 * (j + 1)) * term
+    return (1.0 - x) ** n * acc
+
+
+def bench_special_function_grids(repeats):
+    """Print the grid table of L, K, I and I_d; return the rows that differ."""
+    print(f"\nspecial functions on grids; median [quartiles] of {repeats} alternating "
+          f"samples")
+    print(f"{'work':>26} {'per point [ms]':>24} {'grid [ms]':>24} {'speedup':>8} "
+          f"{'bitwise':>8}")
+    mismatches = []
+
+    def row(name, reference, fn):
+        (ref_t, new_t), (ref, new) = alternating(reference, fn, repeats)
+        same = ref == new
+        if not same:
+            mismatches.append(name)
+        print(f"{name:>26} {spread(ref_t, 1e3, 24, 2)} {spread(new_t, 1e3, 24, 2)} "
+              f"{ref_t[0] / new_t[0]:>7.1f}x {str(same):>8}")
+
+    # the special-function-routes check's grid
     xs = np.arange(0.1, 0.95, 0.1)
     orders = [(n, m) for n in range(1, 41) for m in sorted({0, n // 2, n - 1})]
-    row(f"L quadrature x{len(orders) * len(xs)}",
-        lambda: [L_eval(n, m, x, "quadrature").hex() for n, m in orders for x in xs.tolist()],
-        lambda: [v.hex() for n, m in orders
-                 for v in L_eval(n, m, xs, "quadrature").tolist()])
+    n, m = np.repeat(np.array(orders).T, len(xs), axis=1)
+    x = np.tile(xs, len(orders))
+    points = list(zip(n.tolist(), m.tolist(), x.tolist()))
+
+    def hexes(values):
+        return [v.hex() for v in values]
+
+    for name, scalar, fn in (
+            ("L definition", lambda a, b, c: weighted_float(a, b, c, 1, 0), L_eval),
+            ("K", lambda a, b, c: weighted_float(a, b, c, 0, 1) / a, K_eval),
+            ("I", lambda a, b, c: weighted_float(a, b, c, a, -1) / a, I_nm_eval)):
+        row(f"{name} x{len(points)}", lambda scalar=scalar: hexes(
+            scalar(*point) for point in points), lambda fn=fn: hexes(fn(n, m, x).tolist()))
+    for route in ("alternating", "quadrature"):
+        row(f"L {route} x{len(points)}",
+            lambda route=route: hexes(L_eval(*point, route) for point in points),
+            lambda route=route: hexes(L_eval(n, m, x, route).tolist()))
+
+    # the extraction-error-ordering check's grid, and the fig2-dense one
+    for beta_E, points, ds in ((math.log(2.0), 60, range(1, 41)),
+                               (0.7, I_D_POINTS, (1, 2, 5, 20, 100, 400, 1000))):
+        setups = [ExtractionSetup(beta_E, float(w), 1.0)
+                  for w in np.linspace(0.05, 3.0, points)]
+        x_d = np.array([1.0 - st.gamma_delta for st in setups])
+        y_d = np.array([1.0 - st.gamma_W for st in setups])
+        row(f"I_d x{points}, {len(ds)} d",
+            lambda: [I_d_eval(d, x_d, y_d).tobytes() for d in ds],
+            lambda: [v.tobytes() for v in I_d_eval(ds, x_d, y_d)])
     return mismatches
 
 
@@ -747,6 +813,7 @@ def main():
     id_mismatches = bench_I_d(args.repeats)
     exact_mismatches = bench_exact(args.repeats)
     batch_check_mismatches = bench_validation_batches(args.repeats)
+    grid_mismatches = bench_special_function_grids(args.repeats)
     geometry_mismatches = bench_validation_geometry(args.repeats)
     if mismatches:
         print(f"memory_sweep differs from _memory_sweep_py at d = {mismatches}",
@@ -775,13 +842,16 @@ def main():
     if batch_check_mismatches:
         print(f"a batched check differs from its per-point calls: {batch_check_mismatches}",
               file=sys.stderr)
+    if grid_mismatches:
+        print(f"a special-function grid differs from its per-point calls: {grid_mismatches}",
+              file=sys.stderr)
     if geometry_mismatches:
         print(f"the validation geometry differs from its reference: {geometry_mismatches}",
               file=sys.stderr)
     failed = (mismatches or batch_mismatches or narrow_mismatches or wide_mismatches
               or incoherent_mismatches
               or response_failures or id_mismatches or exact_mismatches
-              or batch_check_mismatches or geometry_mismatches)
+              or batch_check_mismatches or grid_mismatches or geometry_mismatches)
     return 1 if failed else 0
 
 

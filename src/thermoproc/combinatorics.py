@@ -15,8 +15,10 @@ coefficients and a few generating-function style sums:
   - ``I_d(x, y)``: the double sum controlling the memory-assisted work
     extraction error, evaluated with multiplicative term recurrences so no
     oversized binomial is ever formed in float mode.  A float call works
-    through its points in row blocks inside three reused buffers of at most
-    2^15 doubles each.  The term ratios fill whole rows with 1.0 in column
+    through its points in row blocks inside two buffers, of at most 2 x 2^15
+    and 2^15 doubles, allocated once and reused for every d of the call;
+    each block's x terms lie above its y terms, so that one numpy call
+    covers both.  The term ratios fill whole rows with 1.0 in column
     0, and since 1.0 r_1 = r_1 exactly, each running product keeps its
     bits.  What remains per term is elementwise work and four sequential
     scans (two cumulative products, two cumulative sums), which set the
@@ -43,8 +45,15 @@ integrates its polynomial integrand with the Gauss-Legendre rule whose node
 count makes it exact for that degree, so it differs from the exact value
 only by rounding; the nodes are the roots of the Legendre polynomial, found
 by Newton's iteration on its three-term recurrence (Press et al., Numerical
-Recipes, 3rd ed., 2007, section 4.6).  It takes an array of x as well, each
-point with the bits of its own call.
+Recipes, 3rd ed., 2007, section 4.6).
+
+The float functions take whole grids.  L (every route), K and I take n, m
+and x as 1-D numpy arrays of one length, a number standing for its value at
+every point, and return an array; I_d takes equal-shape arrays of x and y
+and one d, or a sequence of d, which gives a list with one result per d.
+Each value equals bit for bit that of a call on its point alone, and a
+float call on numbers is the one-point grid.  The float L, K and I share
+one masked loop, ``_weighted_sum_float``, the twin of the exact pass.
 """
 
 from __future__ import annotations
@@ -143,15 +152,33 @@ def _weighted_sum_exact(n, m, x, w0, w1):
     return (q - a) ** n * s, q ** (n + m)
 
 
-def _l_definition(n, m, x):
-    if _is_exact(x):
-        return Fraction(*_weighted_sum_exact(n, m, x, 1, 0))
-    term = 1.0
-    acc = 1.0
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + term
-    return (1.0 - x) ** n * acc
+def _weighted_sum_float(n, m, x, w0, w1):
+    """(1-x)^n sum_{j<=m} (w0 + w1 j) f_n(j) x^j at each point of the
+    equal-length 1-D arrays n, m (integers) and x (floats); ``w0`` is a
+    number or an array over the points.
+
+    The float twin of ``_weighted_sum_exact``: each term f_n(j) x^j follows
+    from the last as term x (n+j-1) / j.  A lane updates its term and its
+    sum only while j <= its own m: its sum stops at its order, and its term,
+    frozen there, can neither overflow nor warn while other lanes go on.
+    (1-x)^n is Python's float power, one point at a time, which numpy's need
+    not round like.  Each value has the bits
+    of the scalar loop term = term x (n+j-1) / j, acc = acc + w_j term on
+    its own point.
+    """
+    nf = n.astype(np.float64)
+    term = np.ones(len(x))
+    acc = np.zeros(len(x)) + w0
+    weighted = np.empty(len(x))
+    for j in range(1, int(m.max(initial=0)) + 1):
+        live = j <= m
+        np.multiply(term, x, out=term, where=live)
+        np.multiply(term, nf + (j - 1), out=term, where=live)
+        np.divide(term, j, out=term, where=live)
+        np.multiply(w0 + w1 * j, term, out=weighted, where=live)
+        np.add(acc, weighted, out=acc, where=live)
+    start = [v ** k for v, k in zip((1.0 - x).tolist(), n.tolist())]
+    return np.array(start) * acc
 
 
 @functools.cache
@@ -168,7 +195,7 @@ def _alternating_coefficients(n, m):
     return lcm, n * math.comb(n + m, m), tuple(reversed(coeffs))
 
 
-def _l_alternating(n, m, x):
+def _alternating_point(n, m, x):
     """1 - n C(n+m, m) x^{m+1} sum_l C(n-1, l) (-x)^l / (m+l+1), exactly.
 
     The sum alternates with huge binomial terms; it is only meaningful in
@@ -181,10 +208,7 @@ def _l_alternating(n, m, x):
     The quotient is formed once: a Fraction for exact input, else the
     correctly rounded integer division, which rounds like float(Fraction).
     """
-    try:  # float, int, Fraction and numpy floats give their ratio directly
-        a, q = x.as_integer_ratio()
-    except AttributeError:  # numpy integers do not, and overflow in the sums
-        a, q = int(x), 1
+    a, q = x.as_integer_ratio()
     lcm, scale, coeffs = _alternating_coefficients(n, m)
     s = 0
     if q & (q - 1) == 0:  # every float; shifts beat the multiply loop below
@@ -200,6 +224,12 @@ def _l_alternating(n, m, x):
         den = lcm * q ** (n + m)
     num = den - scale * a ** (m + 1) * s
     return Fraction(num, den) if _is_exact(x) else num / den
+
+
+def _l_alternating(n, m, x):
+    """The alternating route at every point of a grid."""
+    return np.array([_alternating_point(*point)
+                     for point in zip(n.tolist(), m.tolist(), x.tolist())])
 
 
 @functools.cache
@@ -236,18 +266,16 @@ def _gauss_legendre(count):
             np.array(weights[:mirror] + weights[::-1]))
 
 
-def _l_quadrature(n, m, x):
-    """1 - n C(n+m, m) times the integral of t^m (1-t)^{n-1} on [0, x].
+def _quadrature_points(n, m, x):
+    """1 - n C(n+m, m) times the integral of t^m (1-t)^{n-1} on [0, x], at
+    each point of the 1-D float array x.
 
     The integrand is a polynomial of degree m + n - 1, which the Gauss-Legendre
     rule with floor((n+m)/2) + 1 nodes integrates exactly up to rounding.
-    ``x`` is a float, the one-point case, or a 1-D float array: the
-    elementwise part runs on one (len(x), nodes) array, and each point keeps
-    its own ``weights @ row``, so that no batched product changes the
+    The elementwise part runs on one (len(x), nodes) array, and each point
+    keeps its own ``weights @ row``, so that no batched product changes the
     summation order and each value has the bits of its one-point call.
     """
-    if np.ndim(x) == 0:
-        return float(_l_quadrature(n, m, np.array([float(x)]))[0])
     nodes, weights = _gauss_legendre((n + m) // 2 + 1)
     scale = n * math.comb(n + m, m)
     half = 0.5 * x
@@ -257,70 +285,93 @@ def _l_quadrature(n, m, x):
                      for h, row in zip(half.tolist(), rows)])
 
 
+def _l_quadrature(n, m, x):
+    """The quadrature route at every point of a grid: one array pass of
+    ``_quadrature_points`` per (n, m) on its points."""
+    groups = {}
+    for i, order in enumerate(zip(n.tolist(), m.tolist())):
+        groups.setdefault(order, []).append(i)
+    out = np.empty(len(x))
+    for (n_k, m_k), points in groups.items():
+        out[points] = _quadrature_points(n_k, m_k, x[points])
+    return out
+
+
+def _grid(n, m, x):
+    """n, m and x of a grid call as 1-D arrays (int64, int64, float64) of one
+    length, a number repeated at every point."""
+    n, m, x = np.asarray(n), np.asarray(m), np.asarray(x, dtype=np.float64)
+    lengths = {len(a) for a in (n, m, x) if a.ndim}
+    if max(n.ndim, m.ndim, x.ndim) > 1 or len(lengths) != 1:
+        raise ValueError("n, m and x must be numbers or 1-D arrays of one length")
+    if n.dtype.kind not in "iu" or m.dtype.kind not in "iu":
+        raise ValueError("n and m must be integers")
+    (size,) = lengths
+    n, m, x = (a if a.ndim else np.full(size, a) for a in (n.astype(np.int64),
+                                                            m.astype(np.int64), x))
+    if not (np.all(n >= 1) and np.all(m >= 0)):
+        raise ValueError("n must be >= 1 and m >= 0")
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError("x must lie in [0, 1]")
+    return n, m, x
+
+
+def _evaluate(n, m, x, exact, on_grid):
+    """The front of L, K and I: ``exact(n, m, x)`` for numbers n, m and an
+    exact x, else ``on_grid`` on the arrays of ``_grid``, whose one point a
+    float call returns as a float."""
+    # numbers have no ndim; a numpy scalar's is 0
+    if getattr(n, "ndim", 0) or getattr(m, "ndim", 0) or getattr(x, "ndim", 0):
+        return on_grid(*_grid(n, m, x))
+    n = _require_int(n, "n", 1)
+    m = _require_int(m, "m", 0)
+    _require_unit(x)
+    if exact is not None and _is_exact(x):
+        return exact(n, m, x)
+    return float(on_grid(np.array([n]), np.array([m]), np.array([float(x)]))[0])
+
+
+# route -> (its exact form, its grid form); the quadrature route is float only
 _L_ROUTES = {
-    "definition": _l_definition,
-    "alternating": _l_alternating,
-    "quadrature": _l_quadrature,
+    "definition": (lambda n, m, x: Fraction(*_weighted_sum_exact(n, m, x, 1, 0)),
+                   lambda n, m, x: _weighted_sum_float(n, m, x, 1, 0)),
+    "alternating": (_alternating_point, _l_alternating),
+    "quadrature": (None, _l_quadrature),
 }
 
 
-def L_eval(n: int, m: int, x, route: str = "definition"):
+def L_eval(n, m, x, route: str = "definition"):
     """L(n, m, x) = (1-x)^n sum_{j=0}^m f_n(j) x^j via the chosen route.
 
-    L(n, m, 0) = 1 and L(n, m, 1) = 0 for every n >= 1, m >= 0.  The
-    quadrature route also takes a 1-D float array of x and returns an array,
-    each value equal bit for bit to that of a call on its point.
+    L(n, m, 0) = 1 and L(n, m, 1) = 0 for every n >= 1, m >= 0.  Every route
+    takes a grid as well: n, m and x as 1-D arrays of one length (or
+    numbers, repeated at every point), evaluated in floats and returned as
+    an array, each value equal bit for bit to that of a call on its point.
     """
-    n = _require_int(n, "n", 1)
-    m = _require_int(m, "m", 0)
-    if isinstance(x, np.ndarray) and x.ndim:
-        if route != "quadrature" or x.ndim != 1:
-            raise ValueError("only the quadrature route takes an array of x, "
-                             "a 1-D one")
-        if not np.all((x >= 0.0) & (x <= 1.0)):
-            raise ValueError("x must lie in [0, 1]")
-    else:
-        _require_unit(x)
     try:
-        fn = _L_ROUTES[route]
+        exact, on_grid = _L_ROUTES[route]
     except KeyError:
         raise ValueError(f"unknown route {route!r}; pick one of {sorted(_L_ROUTES)}")
-    return fn(n, m, x)
+    return _evaluate(n, m, x, exact, on_grid)
 
 
-def K_eval(n: int, m: int, x):
+def K_eval(n, m, x):
     """K(n, m, x) = ((1-x)^n / n) sum_{j=0}^m j f_n(j) x^j.
 
-    Satisfies K = x L / (1-x) + (x/n) dL/dx.
+    Satisfies K = x L / (1-x) + (x/n) dL/dx.  Takes a grid as ``L_eval``
+    does.
     """
-    n = _require_int(n, "n", 1)
-    m = _require_int(m, "m", 0)
-    _require_unit(x)
-    if _is_exact(x):
-        num, den = _weighted_sum_exact(n, m, x, 0, 1)
-        return Fraction(num, n * den)
-    term = 1.0  # f_n(j) x^j, starting at j = 0
-    acc = 0.0
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + (j + 1) * term
-    return (1.0 - x) ** n * acc / n
+    return _evaluate(n, m, x, lambda n, m, x: Fraction(*_weighted_sum_exact(n, m, x, 0, 1)) / n,
+                     lambda n, m, x: _weighted_sum_float(n, m, x, 0, 1) / n)
 
 
-def I_nm_eval(n: int, m: int, x):
-    """I(n, m, x) = ((1-x)^n / n) sum_{j=0}^m (n-j) f_n(j) x^j = L - K."""
-    n = _require_int(n, "n", 1)
-    m = _require_int(m, "m", 0)
-    _require_unit(x)
-    if _is_exact(x):
-        num, den = _weighted_sum_exact(n, m, x, n, -1)
-        return Fraction(num, n * den)
-    term = 1.0
-    acc = float(n)
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + (n - j - 1) * term
-    return (1.0 - x) ** n * acc / n
+def I_nm_eval(n, m, x):
+    """I(n, m, x) = ((1-x)^n / n) sum_{j=0}^m (n-j) f_n(j) x^j = L - K.
+
+    Takes a grid as ``L_eval`` does.
+    """
+    return _evaluate(n, m, x, lambda n, m, x: Fraction(*_weighted_sum_exact(n, m, x, n, -1)) / n,
+                     lambda n, m, x: _weighted_sum_float(n, m, x, n, -1) / n)
 
 
 def delta_d(d: int, gamma):
@@ -455,13 +506,17 @@ def _I_d_rows(tx, ty, q, ks, ks1):
     return np.sum(ty, axis=1) / tx.shape[1]
 
 
-def _I_d_float(d, x, y):
-    """I_d at each point of the 1-D arrays x, y, in blocks of rows.
+def _I_d_float(ds, x, y):
+    """I_d at each point of the 1-D arrays x, y, one array per d of ``ds``;
+    each d runs in blocks of rows.
 
-    Each call allocates three (rows, d) buffers once, rows =
-    min(len(x), ``_BLOCK_ELEMENTS`` // d), and every block runs inside them
-    with ``out=``; the float rows k, k + 1 and d + k - 1 and the divisor row
-    of ``_term_ratios`` are built once too.
+    The call allocates two flat buffers once, and each d views them as
+    (2 rows, d) and (rows, d), rows = min(len(x), ``_BLOCK_ELEMENTS`` // d):
+    the first holds the x terms of a block above its y terms, so that each
+    pass over the terms is one numpy call, and the second is the scratch of
+    ``_I_d_rows``.  Every block runs inside them with ``out=``; the float
+    rows k, k + 1 and d + k - 1 and the divisor row of ``_term_ratios`` are
+    built once per d.
     A row whose start terms are normal doubles is evaluated directly: each
     cumulative product of its ratios is a term over its start term, so it
     stays below 1 / sys.float_info.min and cannot overflow.  The other rows
@@ -469,32 +524,39 @@ def _I_d_float(d, x, y):
     subnormals or 0, past the smallest double; nothing overflows, divides by
     zero or turns invalid.
     """
-    out = np.empty(len(x))
-    rows = max(1, min(len(x), _BLOCK_ELEMENTS // d))
-    tx, ty, q = np.empty((rows, d)), np.empty((rows, d)), np.empty((rows, d))
-    ks = np.arange(d, dtype=np.float64)
-    ks1 = ks + 1.0
-    num = ks + (d - 1.0)
-    den = np.maximum(ks, 1.0)  # k, with 1 at k = 0
-    for lo in range(0, len(x), rows):
-        bx, by = x[lo:lo + rows], y[lo:lo + rows]
+    one_minus_x, one_minus_y = (1.0 - x).tolist(), (1.0 - y).tolist()
+    block_rows = [max(1, min(len(x), _BLOCK_ELEMENTS // d)) for d in ds]
+    cells = max((rows * d for rows, d in zip(block_rows, ds)), default=0)
+    terms_buffer, q_buffer = np.empty(2 * cells), np.empty(cells)
+    out = []
+    for d, rows in zip(ds, block_rows):
+        terms = terms_buffer[:2 * rows * d].reshape(2 * rows, d)
+        q = q_buffer[:rows * d].reshape(rows, d)
+        ks = np.arange(d, dtype=np.float64)
+        ks1 = ks + 1.0
+        num = ks + (d - 1.0)
+        den = np.maximum(ks, 1.0)  # k, with 1 at k = 0
         # Python's float power, which numpy's need not round like
-        t0x = np.array([v ** d for v in (1.0 - bx).tolist()])
-        t0y = np.array([v ** d for v in (1.0 - by).tolist()])
-        ok = (t0x >= sys.float_info.min) & (t0y >= sys.float_info.min)
-        val = out[lo:lo + rows]
-        # a block of direct rows alone is sliced by views, not mask copies
-        direct = slice(None) if ok.all() else ok
-        n = int(ok.sum())
-        val[direct] = _I_d_rows(
-            _geometric_terms_float(tx[:n], bx[direct], t0x[direct], num, den),
-            _geometric_terms_float(ty[:n], by[direct], t0y[direct], num, den),
-            q[:n], ks, ks1)
-        if n < len(bx):
-            n = len(bx) - n
-            val[~ok] = _I_d_rows(_log_terms_float(tx[:n], bx[~ok], num, den),
-                                 _log_terms_float(ty[:n], by[~ok], num, den),
-                                 q[:n], ks, ks1)
+        t0x = np.array([v ** d for v in one_minus_x])
+        t0y = np.array([v ** d for v in one_minus_y])
+        normal = (t0x >= sys.float_info.min) & (t0y >= sys.float_info.min)
+        values = np.empty(len(x))
+        for lo in range(0, len(x), rows):
+            block = slice(lo, lo + rows)
+            bx, by, ok, val = x[block], y[block], normal[block], values[block]
+            # a block of direct rows alone is sliced by views, not mask copies
+            direct = slice(None) if ok.all() else ok
+            n = int(ok.sum())
+            both = _geometric_terms_float(
+                terms[:2 * n], np.concatenate((bx[direct], by[direct])),
+                np.concatenate((t0x[block][direct], t0y[block][direct])), num, den)
+            val[direct] = _I_d_rows(both[:n], both[n:], q[:n], ks, ks1)
+            if n < len(bx):
+                n = len(bx) - n
+                both = _log_terms_float(terms[:2 * n],
+                                        np.concatenate((bx[~ok], by[~ok])), num, den)
+                val[~ok] = _I_d_rows(both[:n], both[n:], q[:n], ks, ks1)
+        out.append(values)
     return out
 
 
@@ -528,11 +590,13 @@ def _I_d_exact(d, x, y):
                     d * q ** (2 * d - 1) * r ** (2 * d - 1))
 
 
-def I_d_eval(d: int, x, y):
+def I_d_eval(d, x, y):
     """Double sum (1/d) sum_{j+k<=d-1} (d-j-k) f_d(k) x^k f_d(j) y^j (1-x)^d (1-y)^d.
 
     Symmetric under swapping x and y.  Evaluated with prefix sums over the
-    term recurrences, O(d) per point.  Fraction (or int) x and y give the
+    term recurrences, O(d) per point.  ``d`` is one memory dimension, or a
+    sequence of them, which gives a list: the value of one call per d, in
+    the sequence's order.  Fraction (or int) x and y give the
     exact rational value.  Otherwise x and y are floats or equal-shape
     float arrays: a scalar pair returns a float, arrays return an array of
     their shape.  Arrays are evaluated in row blocks in which each point
@@ -546,20 +610,23 @@ def I_d_eval(d: int, x, y):
     it takes about 0.6 s at d = 1000 and 3.4 s at d = 2000 (2-CPU x86 host),
     growing roughly as d^2.5.
     """
-    d = _require_int(d, "d", 1)
+    scalar = not hasattr(d, "__iter__")
+    ds = [_require_int(k, "d", 1) for k in ([d] if scalar else d)]
     if _is_exact(x) and _is_exact(y):
         if not (0 <= x < 1 and 0 <= y < 1):
             raise ValueError("x and y must lie in [0, 1)")
-        return _I_d_exact(d, x, y)
+        values = [_I_d_exact(k, x, y) for k in ds]
+        return values[0] if scalar else values
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape:
         raise ValueError(f"x and y must have equal shapes, got {xa.shape} and {ya.shape}")
     if not (np.all((xa >= 0.0) & (xa < 1.0)) and np.all((ya >= 0.0) & (ya < 1.0))):
         raise ValueError("x and y must lie in [0, 1)")
-    if d > MAX_FLOAT_D:
+    if max(ds, default=0) > MAX_FLOAT_D:
         raise ValueError(
-            f"d = {d} exceeds float-mode limit {MAX_FLOAT_D}; "
+            f"d = {max(ds)} exceeds float-mode limit {MAX_FLOAT_D}; "
             "pass Fraction arguments for exact evaluation")
-    values = _I_d_float(d, xa.ravel(), ya.ravel())
-    return float(values[0]) if xa.ndim == 0 else values.reshape(xa.shape)
+    values = [float(v[0]) if xa.ndim == 0 else v.reshape(xa.shape)
+              for v in _I_d_float(ds, xa.ravel(), ya.ravel())]
+    return values[0] if scalar else values

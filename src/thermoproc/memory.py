@@ -100,7 +100,9 @@ def _protocol_totals(ds, sweeps, start, read):
     block ``read[r]`` in row i, a Python float.
 
     Row i has blocks of ``ds[i]`` slots and starts with ``start[i][k] /
-    ds[i]`` in each slot of block k.  ``sweeps`` lists the block sweeps
+    ds[i]`` in each slot of block k; a start shared by all rows is best
+    passed as one float row under ``np.broadcast_to``, which spares the
+    parse of a list of rows.  ``sweeps`` lists the block sweeps
     ``(outer, inner, weight)`` in order, outer != inner, the weight one
     float or one per row.  With b rows of one d, ``start`` the identity and
     ``read`` every block, ``totals`` is the protocol's matrix M.  The kernel
@@ -109,8 +111,11 @@ def _protocol_totals(ds, sweeps, start, read):
     if len(ds) == 1 and ds[0] < WAVEFRONT_MIN_WIDTH:
         # loops, not comprehensions, which cost a function call each
         d = ds[0]
+        masses = start[0]
+        if isinstance(masses, np.ndarray):  # a row of a broadcast start
+            masses = masses.tolist()
         slots = []
-        for mass in start[0]:
+        for mass in masses:
             slots.append([mass / d] * d)
         for outer, inner, weight in sweeps:
             if type(weight) is not float:  # one weight per row, or not a float
@@ -181,7 +186,9 @@ def simulate_memory_beta_swap(d, p0: float, gamma: float):
         raise ValueError("p0 must lie in [0, 1]")
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie in (0, 1)")
-    (ground,) = _protocol_totals(ds, ((0, 1, gamma),), [(p0, 1.0 - p0)] * len(ds), (0,))
+    # one call starts from a tuple, cheaper than a broadcast row
+    start = ((p0, 1.0 - p0),) if scalar else np.broadcast_to((p0, 1.0 - p0), (len(ds), 2))
+    (ground,) = _protocol_totals(ds, ((0, 1, gamma),), start, (0,))
     return ground[0] if scalar else np.array(ground)
 
 

@@ -177,7 +177,8 @@ def convex_hull_xy(points_xy: np.ndarray) -> np.ndarray:
 
     The chain runs on Python floats: each turn test is ``_cross2(a - o, p - o)``
     spelled out, the same IEEE operations in the same order, without a numpy
-    call per point.
+    call per point.  The last two chain points o and a are held in locals;
+    only a pop looks up the point before them.
     """
     pts = np.asarray(points_xy, dtype=np.float64)
     order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
@@ -185,16 +186,19 @@ def convex_hull_xy(points_xy: np.ndarray) -> np.ndarray:
 
     def build(indices):
         chain = []
+        ox = oy = ax = ay = 0.0  # read only once the chain holds two points
         for i in indices:
             px, py = xy[i]
             while len(chain) >= 2:
-                ox, oy = xy[chain[-2]]
-                ax, ay = xy[chain[-1]]
                 if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 1.0e-15:
                     chain.pop()
+                    ax, ay = ox, oy
+                    if len(chain) >= 2:
+                        ox, oy = xy[chain[-2]]
                 else:
                     break
             chain.append(i)
+            ox, oy, ax, ay = ax, ay, px, py
         return chain
 
     lower = build(order)

@@ -58,6 +58,21 @@ class CheckResult:
 _MODULE_OF = {}
 
 
+def _worst(*values):
+    """The largest of ``values``, numbers or numpy arrays, with a NaN counted
+    as +inf.  The built-in ``max`` drops a NaN that follows a number, since
+    every comparison with a NaN is false, so a check would pass on it."""
+    worst = -math.inf
+    for value in values:
+        if isinstance(value, np.ndarray):
+            value = value.max()  # a NaN if any entry is one
+        if value != value:
+            return math.inf
+        if value > worst:
+            worst = value
+    return worst
+
+
 def _check(name, module):
     """Declare a check of ``module``.  The decorated body takes no argument
     and returns (deviation, tolerance, detail); the check, which keeps the
@@ -91,14 +106,14 @@ def check_core_elementary():
         for lam in (0.0, 0.3, 1.0):
             for m in (partial_thermalization(2, 0, 1, lam, gamma),
                       elementary_tp(2, 0, 1, lam, q)):
-                worst = max(worst,
-                            float(np.abs(m.entries @ tau.probs - tau.probs).max()),
-                            float(np.abs(m.entries.sum(axis=0) - 1.0).max()))
+                worst = _worst(worst,
+                               float(np.abs(m.entries @ tau.probs - tau.probs).max()),
+                               float(np.abs(m.entries.sum(axis=0) - 1.0).max()))
     for q in np.linspace(0.0, 1.0, 11):
         b = beta_swap(2, 0, 1, float(q))
         lhs = b.entries @ b.entries
         rhs = (1.0 - q) * b.entries + q * np.eye(2)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        worst = _worst(worst, float(np.abs(lhs - rhs).max()))
     return worst, tol, "Gibbs fixed point and swap composition identity"
 
 
@@ -122,7 +137,7 @@ def check_memory_closed_form():
         for g in gammas:
             for p0 in (0.0, 0.25, 0.5, g, 0.9):
                 sim = memory.simulate_memory_beta_swap(d, p0, g)
-                worst = max(worst, abs(sim - memory._p_d(p0, g, deltas[g][d - 1])))
+                worst = _worst(worst, abs(sim - memory._p_d(p0, g, deltas[g][d - 1])))
     return worst, tol, "d <= 12 across gamma and p0 grids"
 
 
@@ -140,9 +155,9 @@ def check_memory_tail_bound():
                 sim = memory.simulate_memory_beta_swap(d, p0, g)
                 exact_swap = (1.0 - (1.0 - g) / g) * p0 + (1.0 - p0)
                 coeff = (1.0 - g) * p0 - g * (1.0 - p0)
-                worst_excess = max(worst_excess,
-                                   abs(sim - exact_swap) - abs(coeff) * bound)
-            worst_excess = max(worst_excess, float(comb.delta_d(d, g)) - bound)
+                worst_excess = _worst(worst_excess,
+                                      abs(sim - exact_swap) - abs(coeff) * bound)
+            worst_excess = _worst(worst_excess, float(comb.delta_d(d, g)) - bound)
     return worst_excess, slack, "swap deviation minus bound, d in {10,11,12}"
 
 
@@ -157,7 +172,7 @@ def check_coherent_cooling():
             for d in ds:
                 pops = cooling.cool_coherent(process, 50, g, d)
                 closed = cooling.coherent_closed_form(process, 50, g, d)
-                worst = max(worst, np.abs(pops - closed).max())
+                worst = _worst(worst, np.abs(pops - closed))
     return worst, tol, "TP/MTP/MMTP, n <= 50, gamma in {0.6, 0.75, 0.9}, d <= 8"
 
 
@@ -184,7 +199,7 @@ def check_incoherent_convergence():
     detail = f"p_star = {p_star:.9f}"
     for process, d in (("TP", None), ("MTP", None), ("MMTP", 4)):
         pops = cooling.cool_incoherent(process, 50, d=d, **INC_REF)
-        worst = max(worst, abs(pops[-1] - p_star))
+        worst = _worst(worst, abs(pops[-1] - p_star))
     return worst, tol, detail
 
 
@@ -198,9 +213,9 @@ def check_incoherent_rates():
         pops = cooling.cool_incoherent(process, 12, d=d, **INC_REF)
         rate = cooling.incoherent_rate(process, d=d, **INC_REF)
         ratios = cooling.measured_rates(pops, setting.gamma, setting.p_star)
-        worst = max(worst, float(np.abs(ratios - rate).max()))
-    worst = max(worst, abs(cooling.incoherent_rate("MMTP", d=1, **INC_REF)
-                           - cooling.incoherent_rate("MTP", **INC_REF)))
+        worst = _worst(worst, float(np.abs(ratios - rate).max()))
+    worst = _worst(worst, abs(cooling.incoherent_rate("MMTP", d=1, **INC_REF)
+                              - cooling.incoherent_rate("MTP", **INC_REF)))
     return worst, tol, "TP, MTP and MMTP at d in {1, 6}; the d = 1 rate equals MTP's"
 
 
@@ -210,15 +225,15 @@ def check_extraction_point_values():
     tol = 1.0e-12
     st = workx.ExtractionSetup(LN2, math.log(4.0), 1.0)
     worst = abs(workx.epsilon_tp(st) - 0.25)
-    worst = max(worst, abs(workx.epsilon_mtp(st) - 8.0 / 15.0))
-    worst = max(worst, abs(workx.epsilon_etp(st) - 0.375))
-    worst = max(worst, abs(workx.run_tp_protocol(st)[0] - workx.epsilon_tp(st)))
+    worst = _worst(worst, abs(workx.epsilon_mtp(st) - 8.0 / 15.0))
+    worst = _worst(worst, abs(workx.epsilon_etp(st) - 0.375))
+    worst = _worst(worst, abs(workx.run_tp_protocol(st)[0] - workx.epsilon_tp(st)))
     for kind, target in (("MTP", workx.epsilon_mtp(st)), ("ETP", workx.epsilon_etp(st))):
         for variant in ("primary", "tilde"):
             eps, _ = workx.run_sequence_protocol(kind, st, variant)
-            worst = max(worst, abs(eps - target))
+            worst = _worst(worst, abs(eps - target))
     eps1 = float(workx.memory_extraction_grid([st], [1])[0][0])
-    worst = max(worst, abs(eps1 - workx.epsilon_mtp(st)))
+    worst = _worst(worst, abs(eps1 - workx.epsilon_mtp(st)))
     return (worst, tol,
             "eps_TP = 1/4, eps_ETP = 3/8, eps_MTP = 8/15 and protocol oracles")
 
@@ -229,8 +244,8 @@ def check_extraction_bisection():
     tol = 1.0e-9
     gaps = np.linspace(0.05, 2.5, 50)
     bisected = majorization.min_extraction_error_tp(LN2, gaps, 1.0)
-    worst = max(abs(eps - workx.epsilon_tp(workx.ExtractionSetup(LN2, bw, 1.0)))
-                for eps, bw in zip(bisected.tolist(), gaps.tolist()))
+    worst = _worst(*(abs(eps - workx.epsilon_tp(workx.ExtractionSetup(LN2, bw, 1.0)))
+                     for eps, bw in zip(bisected.tolist(), gaps.tolist())))
     return worst, tol, "50-point work-gap grid at beta_E = ln 2"
 
 
@@ -243,8 +258,7 @@ def check_extraction_ordering():
     etp = np.array([workx.epsilon_etp(st) for st in setups])
     mtp = np.array([workx.epsilon_mtp(st) for st in setups])
     eps = np.array([mtp, *workx.epsilon_d_grid(setups, range(1, 41))])
-    worst = max(np.max(tp - etp), np.max(etp - mtp), np.max(tp - eps[1:]),
-                np.max(np.diff(eps, axis=0)))
+    worst = _worst(tp - etp, etp - mtp, tp - eps[1:], np.diff(eps, axis=0))
     return float(worst), tol, "class ordering and monotone memory errors, d <= 40"
 
 
@@ -255,8 +269,8 @@ def check_memory_extraction():
     setups = [workx.ExtractionSetup(be, float(bw), 1.0)
               for be in (LN2, 1.0) for bw in np.linspace(0.1, 2.6, 25)]
     ds = range(1, 11)
-    worst = max(float(np.max(np.abs(sim - closed))) for sim, closed in zip(
-        workx.memory_extraction_grid(setups, ds), workx.epsilon_d_grid(setups, ds)))
+    worst = _worst(*(np.abs(sim - closed) for sim, closed in zip(
+        workx.memory_extraction_grid(setups, ds), workx.epsilon_d_grid(setups, ds))))
     return worst, tol, "25-point work-gap grid, beta_E in {ln 2, 1}, d <= 10"
 
 
@@ -270,7 +284,7 @@ def check_memory_extraction_large_d():
                                         np.linspace(1.1 * w0, 2.5, 8)])]
     (eps_400,) = workx.epsilon_d_grid(setups, [400])
     tp = np.array([workx.epsilon_tp(st) for st in setups])
-    worst = float(np.max(np.abs(eps_400 - tp)))
+    worst = _worst(np.abs(eps_400 - tp))
     return worst, tol, "work gaps at least 10% away from the zero-error threshold"
 
 
@@ -278,15 +292,13 @@ def check_memory_extraction_large_d():
 def check_function_routes():
     """Three independent evaluation routes of L agree."""
     tol = 1.0e-9
-    worst = 0.0
     xs = np.arange(0.1, 0.95, 0.1)
-    for n in range(1, 41):
-        for m in {0, n // 2, n - 1}:
-            quadrature = comb.L_eval(n, m, xs, "quadrature").tolist()
-            for x, c in zip(xs.tolist(), quadrature):
-                a = comb.L_eval(n, m, x, "definition")
-                b = comb.L_eval(n, m, x, "alternating")
-                worst = max(worst, abs(a - b), abs(a - c))
+    orders = [(n, m) for n in range(1, 41) for m in sorted({0, n // 2, n - 1})]
+    n, m = np.repeat(np.array(orders).T, len(xs), axis=1)
+    x = np.tile(xs, len(orders))
+    definition = comb.L_eval(n, m, x, "definition")
+    worst = _worst(np.abs(definition - comb.L_eval(n, m, x, "alternating")),
+                   np.abs(definition - comb.L_eval(n, m, x, "quadrature")))
     return worst, tol, "definition vs alternating vs quadrature, n <= 40"
 
 
@@ -294,14 +306,14 @@ def check_function_routes():
 def check_function_identities():
     """The (n-1)-order diagonal matches its Catalan-tail closed form."""
     tol = 1.0e-10
-    worst = 0.0
     xs = (0.1, 0.2, 0.3, 0.4)
-    deltas = {x: comb.delta_d_column(50, 1.0 - x) for x in xs}
-    for n in range(1, 51):
-        for x in xs:
-            lhs = comb.I_nm_eval(n, n - 1, x)
-            rhs = (1.0 - 2.0 * x) / (1.0 - x) + x * float(deltas[x][n - 1])
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    # row n - 1 holds delta_n(1 - x) at each x
+    deltas = np.array([comb.delta_d_column(50, 1.0 - x) for x in xs]).T
+    n = np.repeat(np.arange(1, 51), len(xs))
+    x = np.tile(xs, 50)
+    lhs = comb.I_nm_eval(n, n - 1, x)
+    rhs = (1.0 - 2.0 * x) / (1.0 - x) + x * deltas.ravel()
+    worst = _worst(np.abs(lhs - rhs) / np.abs(rhs))
     return worst, tol, "relative error of the diagonal closed form, n <= 50"
 
 
@@ -332,16 +344,15 @@ def check_qutrit_separation():
     clearance exists at this grid: one swap and two partial swaps reach B.)
     """
     needed = 1.0e-6
-    worst_margin = math.inf
+    deviation = -math.inf  # needed minus the least margin: <= 0 iff all clear the bar
     details = []
     for g in (0.65, 0.75, 0.85):
         region = reachable.mtp_region(g)
         _a1, _a2, b1, b2 = reachable.qutrit_mmtp2_vertices(g)
         for label, v in (("B1", b1), ("B2", b2)):
             margin = reachable.hull_margin(region, v.probs)
-            worst_margin = min(worst_margin, margin)
+            deviation = _worst(deviation, needed - margin)
             details.append(f"{label}@{g}: {margin:+.2e}")
-    deviation = needed - worst_margin  # <= 0 iff every margin clears the bar
     return deviation, 0.0, "; ".join(details)
 
 
@@ -349,12 +360,13 @@ def check_qutrit_separation():
 def check_qutrit_separation_large_gamma():
     """The same separation where it does hold: large pair weights."""
     needed = 1.0e-6
-    worst_margin = math.inf
+    margins = []
     for g in (0.88, 0.92, 0.96):
         hull = reachable.etp_orbit_hull(g, 8)
         _a1, _a2, b1, b2 = reachable.qutrit_mmtp2_vertices(g)
         for v in (b1, b2):
-            worst_margin = min(worst_margin, reachable.hull_margin(hull, v.probs))
+            margins.append(reachable.hull_margin(hull, v.probs))
+    worst_margin = -_worst(*(-margin for margin in margins))  # a NaN gives -inf
     return (needed - worst_margin, 0.0,
             f"worst margin {worst_margin:+.3e} at gamma in {{0.88, 0.92, 0.96}}")
 

@@ -217,14 +217,15 @@ def memory_extraction_grid(setups, ds) -> list:
     row_d = [d for d in ds for _ in setups]
     sweeps = ((2, 1, [st.gamma_delta for st in setups] * len(ds)),
               (2, 3, [st.gamma_W for st in setups] * len(ds)))
-    (errors,) = _protocol_totals(row_d, sweeps, [(0.0, 0.0, 1.0, 0.0)] * len(row_d), (2,))
+    start = np.broadcast_to((0.0, 0.0, 1.0, 0.0), (len(row_d), 4))
+    (errors,) = _protocol_totals(row_d, sweeps, start, (2,))
     return list(np.array(errors).reshape(len(ds), len(setups)))
 
 
 def epsilon_d_grid(setups, ds) -> list:
     """Closed-form memory-assisted error I_d(1 - gamma_delta, 1 - gamma_W)
-    over a grid of setups: one array per d in ``ds``, each from one array
-    call of I_d, equal bit for bit to the one-setup values."""
+    over a grid of setups: one array per d in ``ds``, all from one call of
+    I_d, equal bit for bit to the one-setup values."""
     x = np.array([1.0 - st.gamma_delta for st in setups])
     y = np.array([1.0 - st.gamma_W for st in setups])
-    return [I_d_eval(d, x, y) for d in ds]
+    return I_d_eval(ds, x, y)

@@ -111,6 +111,38 @@ def delta_d_column_fraction_oracle(d_max, gamma):
     return tails
 
 
+def l_definition_float_oracle(n, m, x):
+    """The scalar float loop of the definition route of L that the grid
+    loop replaced, kept literally as the reference it must equal bit for
+    bit."""
+    term = 1.0
+    acc = 1.0
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + term
+    return (1.0 - x) ** n * acc
+
+
+def K_float_oracle(n, m, x):
+    """The scalar float loop of K, kept literally."""
+    term = 1.0  # f_n(j) x^j, starting at j = 0
+    acc = 0.0
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + (j + 1) * term
+    return (1.0 - x) ** n * acc / n
+
+
+def I_nm_float_oracle(n, m, x):
+    """The scalar float loop of I, kept literally."""
+    term = 1.0
+    acc = float(n)
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + (n - j - 1) * term
+    return (1.0 - x) ** n * acc / n
+
+
 @st.composite
 def orders(draw, max_n=60):
     """(n, m) with n <= max_n and 0 <= m < n."""
@@ -208,9 +240,11 @@ class TestLRoutes:
         expected = [comb.L_eval(n, m, x, "quadrature") for x in xs]
         assert got.tobytes() == np.array(expected).tobytes()
 
+    # every route takes a 1-D array of x; TestGrids covers each route with
+    # each bad grid
     @pytest.mark.parametrize("route, x", [
-        ("definition", np.array([0.5])),
-        ("alternating", np.array([0.5])),
+        ("definition", np.array([0.5, 1.5])),
+        ("alternating", np.array([0.5, np.nan])),
         ("quadrature", np.array([[0.5]])),
         ("quadrature", np.array([0.5, 1.5])),
         ("quadrature", np.array([-0.1, 0.5])),
@@ -384,6 +418,102 @@ class TestIntegerRoutes:
         for a, b in (normal[0], normal[-1]):
             exact = float(comb.I_d_eval(d, Fraction(a), Fraction(b)))
             assert abs(comb.I_d_eval(d, a, b) - exact) <= 1e-12 * exact
+
+
+# grid points (n, m, x): n <= 60, m from 0 to past n, x with both ends
+GRID_POINTS = st.tuples(st.integers(1, 60), st.integers(0, 130),
+                        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+FLOAT_ORACLES = ((lambda n, m, x: comb.L_eval(n, m, x), l_definition_float_oracle),
+                 (comb.K_eval, K_float_oracle), (comb.I_nm_eval, I_nm_float_oracle))
+
+
+def as_grid(points):
+    n, m, x = zip(*points)
+    return np.array(n), np.array(m), np.array(x)
+
+
+class TestGrids:
+    """L (every route), K and I over grids of (n, m, x) against the scalar
+    loops they replaced and against calls on one point."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(GRID_POINTS, min_size=1, max_size=30))
+    def test_L_K_and_I_grids_equal_the_scalar_loops(self, points):
+        n, m, x = as_grid(points)
+        for fn, oracle in FLOAT_ORACLES:
+            expected = np.array([oracle(*point) for point in points])
+            got = fn(n, m, x)
+            assert type(got) is np.ndarray and got.shape == (len(points),)
+            assert got.tobytes() == expected.tobytes()
+            one_point = [fn(*point) for point in points]
+            assert all(type(v) is float for v in one_point)
+            assert np.array(one_point).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(GRID_POINTS, min_size=1, max_size=25))
+    def test_every_route_grid_equals_its_one_point_calls(self, points):
+        n, m, x = as_grid(points)
+        alternating = np.array([alternating_fraction_oracle(*point) for point in points])
+        assert comb.L_eval(n, m, x, "alternating").tobytes() == alternating.tobytes()
+        for route in ("definition", "alternating", "quadrature"):
+            expected = np.array([comb.L_eval(*point, route) for point in points])
+            assert comb.L_eval(n, m, x, route).tobytes() == expected.tobytes(), route
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 130),
+           st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=1,
+                    max_size=20))
+    def test_numbers_are_repeated_at_every_point(self, n, m, xs):
+        x = np.array(xs)
+        for route in ("definition", "alternating", "quadrature"):
+            full = comb.L_eval(np.full(len(xs), n), np.full(len(xs), m), x, route)
+            assert comb.L_eval(n, m, x, route).tobytes() == full.tobytes()
+        expected = np.array([I_nm_float_oracle(n, k, 0.3) for k in range(m + 1)])
+        assert comb.I_nm_eval(n, np.arange(m + 1), 0.3).tobytes() == expected.tobytes()
+
+    def test_no_lane_runs_past_its_order(self):
+        # x = 1 lanes of order 0 next to one of order 500: a lane's term
+        # stops at its own m, so nothing warns or overflows
+        n = np.array([60, 60, 1, 60])
+        m = np.array([0, 500, 0, 7])
+        x = np.array([1.0, 1.0, 0.5, 0.0])
+        with np.errstate(all="raise"):
+            for fn, oracle in FLOAT_ORACLES:
+                expected = [oracle(*point) for point in zip(n.tolist(), m.tolist(), x.tolist())]
+                assert fn(n, m, x).tobytes() == np.array(expected).tobytes()
+
+    def test_grid_of_the_routes_check(self):
+        xs = np.arange(0.1, 0.95, 0.1)
+        orders = [(n, m) for n in range(1, 41) for m in sorted({0, n // 2, n - 1})]
+        n, m = np.repeat(np.array(orders).T, len(xs), axis=1)
+        x = np.tile(xs, len(orders))
+        points = list(zip(n.tolist(), m.tolist(), x.tolist()))
+        expected = np.array([l_definition_float_oracle(*point) for point in points])
+        assert comb.L_eval(n, m, x).tobytes() == expected.tobytes()
+        expected = np.array([alternating_fraction_oracle(*point) for point in points])
+        assert comb.L_eval(n, m, x, "alternating").tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fn", [
+        *(lambda n, m, x, route=route: comb.L_eval(n, m, x, route)
+          for route in ("definition", "alternating", "quadrature")),
+        comb.K_eval, comb.I_nm_eval], ids=["definition", "alternating", "quadrature", "K", "I"])
+    @pytest.mark.parametrize("n, m, x", [
+        (np.array([3, 4]), 1, np.array([0.5, 0.5, 0.5])),
+        (3, np.array([0, 1, 2]), np.array([0.5, 0.5])),
+        (np.array([3, 4]), np.array([1]), 0.5),
+        (3, 1, np.array([0.5, 1.5])),
+        (3, 1, np.array([-0.1, 0.5])),
+        (3, 1, np.array([0.2, np.nan])),
+        (3, np.array([1, 2]), math.nan),
+        (3, 1, np.array([[0.5]])),
+        (np.array([3.0]), 1, np.array([0.5])),
+        (np.array([0, 3]), 1, np.array([0.5, 0.5])),
+        (3, np.array([-1, 1]), np.array([0.5, 0.5])),
+    ], ids=["n-and-x-lengths", "m-and-x-lengths", "n-and-m-lengths", "above-1",
+            "below-0", "nan", "nan-number", "2-d", "float-n", "n-below-1", "m-below-0"])
+    def test_bad_grids_rejected(self, fn, n, m, x):
+        with pytest.raises(ValueError):
+            fn(n, m, x)
 
 
 class TestKAndI:
@@ -638,3 +768,72 @@ class TestErrorKernelArrays:
             for a, b in UNDERFLOWING_STARTS:
                 assert math.isfinite(comb.I_d_eval(160, a, b))
                 assert math.isfinite(comb.I_d_eval(160, b, a))
+
+
+class TestErrorKernelOverDimensions:
+    """I_d over a sequence of d against one call per d."""
+
+    @staticmethod
+    def assert_equal_to_per_d_calls(ds, x, y):
+        got = comb.I_d_eval(ds, x, y)
+        assert type(got) is list and len(got) == len(ds)
+        for d, values in zip(ds, got):
+            expected = comb.I_d_eval(d, x, y)
+            assert type(values) is type(expected)
+            assert np.asarray(values).tobytes() == np.asarray(expected).tobytes(), d
+
+    def test_unsorted_and_repeated_d_on_the_fig2_grid(self):
+        # d = 1000 takes the log-space rows at 444 of the 2000 points
+        x, y = _fig2_grid()
+        self.assert_equal_to_per_d_calls([20, 1, 1000, 5, 20, 2, 400, 1], x, y)
+
+    def test_mixed_log_space_blocks(self):
+        x, y = _fig2_grid(600)
+        x[::3] = 1.0 - np.geomspace(1e-4, 1e-2, len(x[::3]))
+        x[1::15], y[1::15] = 0.0, 1.0 - 1e-3
+        self.assert_equal_to_per_d_calls([1000, 160, 3, 160], x, y)
+
+    def test_one_point_grids_scalars_and_shapes(self):
+        ds = [7, 1, 300, 2]
+        self.assert_equal_to_per_d_calls(ds, np.array([0.3]), np.array([0.6]))
+        self.assert_equal_to_per_d_calls(ds, 0.3, 0.6)
+        self.assert_equal_to_per_d_calls(ds, 0.99, 0.0)
+        x, y = _fig2_grid(12)
+        self.assert_equal_to_per_d_calls(ds, x.reshape(3, 4), y.reshape(3, 4))
+        assert comb.I_d_eval([], x, y) == []
+        assert comb.I_d_eval(range(1, 4), x, y)[2].tobytes() == comb.I_d_eval(3, x, y).tobytes()
+
+    def test_exact_arguments(self):
+        x, y = Fraction(1, 3), Fraction(2, 7)
+        assert comb.I_d_eval([3, 1, 3], x, y) == [comb.I_d_eval(d, x, y) for d in (3, 1, 3)]
+
+    @pytest.mark.parametrize("ds", [[5, 0], [5, 1001], [5, 2.0]],
+                             ids=["zero", "above-cap", "float"])
+    def test_bad_d_rejected(self, ds):
+        with pytest.raises(ValueError):
+            comb.I_d_eval(ds, np.array([0.2]), np.array([0.3]))
+
+    @pytest.mark.parametrize("x, y", [(np.array([0.2, 0.3]), np.array([0.3])),
+                                      (np.array([0.2, 1.0]), np.array([0.3, 0.3])),
+                                      (np.array([0.2, np.nan]), np.array([0.3, 0.3]))],
+                             ids=["lengths", "x-is-1", "nan"])
+    def test_bad_points_rejected(self, x, y):
+        with pytest.raises(ValueError):
+            comb.I_d_eval([1, 2], x, y)
+
+    def test_each_d_keeps_its_block_rows(self, monkeypatch):
+        # rows_d = min(points, _BLOCK_ELEMENTS // d) for every d of the list
+        seen = {}
+        rows_of = comb._I_d_rows
+
+        def recording(tx, ty, q, ks, ks1):
+            rows = seen.setdefault(tx.shape[1], set())
+            rows.add(tx.shape[0])
+            return rows_of(tx, ty, q, ks, ks1)
+
+        monkeypatch.setattr(comb, "_I_d_rows", recording)
+        x, y = _fig2_grid()
+        ds = [1000, 1, 40, 400]
+        comb.I_d_eval(ds, x, y)
+        for d in ds:
+            assert max(seen[d]) == min(len(x), comb._BLOCK_ELEMENTS // d), d
