@@ -2,24 +2,26 @@
 """Time the d^2 sweep kernel, the float I_d closed form, the exact layer and
 the batched validation work, each against its reference.
 
+The references that the tests also compare against (the Fraction loops,
+the scalar float loop of L, K and I, the numpy-scalar incoherent rounds,
+the round response, the per-image orbit and the numpy hull) are imported
+from ``tests/reference.py``, their one home.  Every table takes
+``--repeats`` alternating samples of the reference and of the new code, and
+prints each one's median with its quartiles.
+
 Sweep kernel: for each memory dimension d this times ``_memory_sweep_py``
 (the plain loop over Python floats, the reference) against ``memory_sweep``
 (which takes the anti-diagonal wavefront once d reaches
-``WAVEFRONT_MIN_WIDTH``), best of ``--repeats`` runs on the same input, and
-checks that the two leave the same bytes.  The reference is timed once at
+``WAVEFRONT_MIN_WIDTH``), each run on a fresh copy of the same input, and
+checks that the two leave the same bytes.  The reference is sampled once at
 d >= 2000, where one run takes 0.4 s or more.
 
 Batched wavefront: d = 1..d_max, d_max in {30, 200, 400}, cut into
 ``wavefront_blocks`` with one ``Wavefront`` built and run per block, against
-one ``memory_sweep`` per d, best of ``--repeats``.  The build of every
-block's wavefront and the run of the built ones (inputs filled, swept and
-copied out) are also timed on their own.  Every row must leave the same
-bytes as the per-d sweeps, run on fresh wavefronts and on reused ones.
-
-The batched-wavefront and sweep-kernel tables print the best of
-``--repeats``; every other table takes ``--repeats`` alternating samples of
-the reference and of the new code, and prints each one's median with its
-quartiles.
+one ``memory_sweep`` per d.  The build of every block's wavefront and the
+run of the built ones (inputs filled, swept and copied out) are also
+sampled on their own, alternating.  Every row must leave the same bytes as
+the per-d sweeps, run on fresh wavefronts and on reused ones.
 
 Narrow pair sweep: the pair step of every cooling round below
 ``RESPONSE_MIN_D``, the step of ``memory.swap_round`` (one row of
@@ -36,20 +38,21 @@ must give the same bytes.
 
 Incoherent rounds: one 50-round incoherent MMTP run (E = 1, script_E = 2,
 beta = 1, beta_hot = 0.2) at d in {1, 8, 64} by ``cool_incoherent``, against
-the same rounds on a 4-element numpy state with the numpy-vector pair step,
-and at d = 64 the round response from two numpy-vector sweeps; both must
-give the same bytes.
+the same rounds on a 4-element numpy state (``incoherent_by_numpy_scalars``):
+below ``RESPONSE_MIN_D`` each pair step a ``_memory_sweep_py`` sweep summed
+block by block, at d = 64 the round response; both must give the same bytes.
 
-Round response: one 50-round coherent MMTP run (gamma = 0.75) at d in
-{32, 48, 64, 256, 1000}, two ways: a fresh ``simulate_memory_beta_swap``
-every round, against the swap's 2 x 2 matrix from one two-row
-``memory._protocol_totals`` call and 50 affine steps.  Cooling runs take the
-response from ``RESPONSE_MIN_D`` on.  The rounds must stay within 1e-13 of
-the per-round ones at every d, and up to d = 256 the response must fix the
-Gibbs pair and conserve mass within 1e-15: the tolerances of the tests,
-which stop at d = 256.  At d = 1000 the invariants are printed but not
-checked: the d^2 sweep's own rounding there reaches about 3e-14 (against a
-long-double sweep, gamma = 0.75), and no bound for it is derived yet.
+Round response: one 50-round coherent MMTP run (gamma = 0.75) at d in {32,
+48, 64, 256, 1000}, two ways: a fresh ``simulate_memory_beta_swap`` every
+round, against the swap's 2 x 2 matrix from one two-row
+``memory._protocol_totals`` call (``round_response``) and 50 affine steps.
+Cooling runs take the response from ``RESPONSE_MIN_D`` on.  The rounds must
+stay within 1e-13 of the per-round ones at every d, and up to d = 256 the
+response must fix the Gibbs pair and conserve mass within 1e-15: the
+tolerances of the tests, which stop at d = 256. At d = 1000 the invariants
+are printed but not checked: the d^2 sweep's own rounding there reaches
+about 3e-14 (against a long-double sweep, gamma = 0.75), and no bound for it
+is derived yet.
 
 I_d: at d in {20, 100, 400, 1000} on fig2's 2000-point W grid (beta E = 0.7,
 beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
@@ -59,17 +62,19 @@ two must give the same bytes on every point, the log-space ones included
 (those whose start term (1-x)^d or (1-y)^d is not a normal double).
 
 Exact layer: the integer-numerator forms against the Fraction loops they
-replaced, which reduce by a gcd at every operation.  The rows are the
-alternating route of L over the grid of the ``special-function-routes``
-check (n <= 40, float x); the definition route of L, K and I over the grid
-of the ``exact-coefficient-recurrence`` check (n in {3, 10, 25}, m in
-{0, n // 2, n - 1}, x in {1/10, 2/5, 9/10}); ``delta_d_column(30, gamma)``
-at gamma in {3/5, 3/4, 9/10}, the ``coherent-asymptote-monotone`` check's
-columns; ``delta_d(400, Fraction(0.7))``; and exact I_d at d in {100, 200,
-500, 1000} on one fig2 point taken from floats (beta E = 0.7, beta W =
-1.3), whose Fraction loop runs only at d <= 200, where one run takes at
-most about 1 s.  The alternating route, one grid call, must give the same
-bytes and every other row equal Fractions.
+replaced, which reduce by a gcd at every operation:
+``alternating_fraction``, ``weighted_fraction``, ``delta_d_column_fraction``
+and ``I_d_fraction``. The rows are the alternating route of L over the grid
+of the ``special-function-routes`` check (n <= 40, float x); the definition
+route of L, K and I over the grid of the ``exact-coefficient-recurrence``
+check (n in {3, 10, 25}, m in {0, n // 2, n - 1}, x in {1/10, 2/5, 9/10});
+``delta_d_column(30, gamma)`` at gamma in {3/5, 3/4, 9/10}, the
+``coherent-asymptote-monotone`` check's columns; ``delta_d(400,
+Fraction(0.7))``; and exact I_d at d in {100, 200, 500, 1000} on one fig2
+point taken from floats (beta E = 0.7, beta W = 1.3), whose Fraction loop
+runs only at d <= 200, where one run takes at most about 1 s.  The
+alternating route, one grid call, must give the same bytes and every other
+row equal Fractions.
 
 The alternating row is timed twice: with the cached per-(n, m) integers
 warm, and with the cache cleared before every run (cold), as a fresh
@@ -83,31 +88,31 @@ calls (one row of the evaluator each, on Python floats), each against one
 ``memory_extraction_grid`` call over the grid (the evaluator's batched
 wavefronts).  Every row must give the same bytes.
 
-Special functions on grids: the definition route of L, K, I, the
-alternating route and the quadrature route over the
-``special-function-routes`` check's grid (1053 points), each as one grid
-call against one call per point: the scalar float loop of L, K and I, kept
-here, for the first three, and one-point ``L_eval`` calls for the other
-two.  And I_d over a list of d, one call, against one call per
-d: d = 1..40 on the ``extraction-error-ordering`` check's 60 points
-(beta E = ln 2), and d in {1, 2, 5, 20, 100, 400, 1000} on a 2000-point
-fig2-dense grid (beta E = 0.7).  Every row must give the same bytes.
+Special functions on grids: the definition route of L, K, I, the alternating
+route and the quadrature route over the ``special-function-routes`` check's
+grid (1053 points), each as one grid call against one call per point: the
+scalar float loop of L, K and I (``weighted_float``) for the first three,
+and one-point ``L_eval`` calls for the other two.  And I_d over a list of d,
+one call, against one call per d: d = 1..40 on the
+``extraction-error-ordering`` check's 60 points (beta E = ln 2), and d in
+{1, 2, 5, 20, 100, 400, 1000} on a 2000-point fig2-dense grid (beta E =
+0.7). Every row must give the same bytes.
 
 Validation geometry: the ``extraction-bisection-grid`` check's 50 work gaps
 (beta E = ln 2, beta W from 0.05 to 2.5) as one lockstep call over the grid
 (two halvings per batched feasibility test), against the lockstep loop with
 one halving per test, kept here, and against one scalar
 ``min_extraction_error_tp`` call per gap; ``etp_orbit_points`` (gamma =
-0.75) at depths 8 and 10, whose states carry their rounded keys, against
-the closure that rounds every image anew, kept here; and ``convex_hull_xy``
-on those orbits, against the same monotone chain with each turn test on
-numpy rows (``reachable._cross2``).  The bisection and the orbit must give
-the same bytes and the hull the same indices.
+0.75) at depths 8 and 10, whose states carry their rounded keys, against the
+closure that rounds every image anew (``orbit_per_image``); and
+``convex_hull_xy`` on those orbits, against the same monotone chain with
+each turn test on numpy rows (``hull_numpy``). The bisection and the orbit
+must give the same bytes and the hull the same indices.
 
 Exits 1 when any sweep dimension, batch, narrow pair sweep, wide single
 sweep, incoherent run, I_d dimension, exact result, validation batch,
-special-function grid, bisection, orbit or hull differs, or a round response is off its
-tolerances: every ``bitwise`` and ``equal`` cell must read True.
+special-function grid, bisection, orbit or hull differs, or a round response
+is off its tolerances: every ``bitwise`` and ``equal`` cell must read True.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -118,6 +123,7 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -126,16 +132,20 @@ from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_p
 from thermoproc import combinatorics
 from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, delta_d,
                                       delta_d_column)
-from thermoproc.cooling import IncoherentSetting, cool_incoherent
+from thermoproc.cooling import cool_incoherent
 from thermoproc.core import Hamiltonian, clip_noise, gibbs_state
 from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL, _dominates,
                                      extraction_target, lorenz_curve,
                                      min_extraction_error_tp)
-from thermoproc.memory import (RESPONSE_MIN_D, _protocol_totals, simulate_memory_beta_swap,
-                               swap_round)
-from thermoproc.reachable import (_cross2, bary_xy, convex_hull_xy, etp_orbit_points,
-                                  qutrit_gibbs)
+from thermoproc.memory import RESPONSE_MIN_D, simulate_memory_beta_swap, swap_round
+from thermoproc.reachable import bary_xy, convex_hull_xy, etp_orbit_points
 from thermoproc.workx import ExtractionSetup, memory_extraction_grid
+
+# the references are the tests' own, kept once in tests/reference.py
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,  # noqa: E402
+                       hull_numpy, incoherent_by_numpy_scalars, orbit_per_image,
+                       round_response, weighted_float, weighted_fraction)
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -160,15 +170,11 @@ HULL_GAMMA = 0.75
 HULL_DEPTHS = (8, 10)
 
 
-def best_time(fn, vec, d, repeats):
-    """(best wall time over ``repeats`` runs, the output of the last run)."""
-    best = float("inf")
-    for _ in range(repeats):
-        work = vec.copy()
-        t0 = time.perf_counter()
-        fn(work, d, 0.75, 0, d)
-        best = min(best, time.perf_counter() - t0)
-    return best, work
+def swept(sweep, vec, d):
+    """A copy of ``vec`` swept by ``sweep`` at gamma = 0.75."""
+    work = vec.copy()
+    sweep(work, d, 0.75, 0, d)
+    return work
 
 
 def sweep_each(vecs, ds):
@@ -203,26 +209,27 @@ def sweep_batch(vecs, ds, wavefronts=None):
 def bench_batch(repeats):
     """Print the batched-wavefront table; return the rows whose bytes differ."""
     rng = np.random.default_rng(1)
-    print("\nbatched wavefront")
-    print(f"{'sweeps':>16} {'thermalizations':>16} {'one by one [ms]':>16} "
-          f"{'wavefront [ms]':>15} {'build [ms]':>11} {'run [ms]':>9} {'speedup':>8} "
+    print(f"\nbatched wavefront; median [quartiles] of {repeats} alternating samples")
+    print(f"{'sweeps':>16} {'thermalizations':>16} {'one by one [ms]':>24} "
+          f"{'wavefront [ms]':>24} {'build [ms]':>24} {'run [ms]':>24} {'speedup':>8} "
           f"{'bitwise':>8}")
     mismatches = []
     for d_max in BATCH_D_MAX:
         name = f"d = 1..{d_max}"
         ds = list(range(1, d_max + 1))
         vecs = [rng.random(2 * d) / (2 * d) for d in ds]
-        t_ref, ref = timed(lambda: sweep_each(vecs, ds), repeats)
-        t_new, new = timed(lambda: sweep_batch(vecs, ds), repeats)
-        t_build, wavefronts = timed(lambda: build_batch(ds), repeats)
-        t_run, reused = timed(lambda: sweep_batch(vecs, ds, wavefronts), repeats)
+        (ref_t, new_t), (ref, new) = alternating(
+            lambda: sweep_each(vecs, ds), lambda: sweep_batch(vecs, ds), repeats)
+        wavefronts = build_batch(ds)
+        (build_t, run_t), (_, reused) = alternating(
+            lambda: build_batch(ds), lambda: sweep_batch(vecs, ds, wavefronts), repeats)
         same = all(x.tobytes() == y.tobytes() == z.tobytes()
                    for x, y, z in zip(ref, new, reused))
         if not same:
             mismatches.append(name)
-        print(f"{name:>16} {sum(d * d for d in ds):>16} {t_ref * 1e3:>16.2f} "
-              f"{t_new * 1e3:>15.2f} {t_build * 1e3:>11.2f} {t_run * 1e3:>9.2f} "
-              f"{t_ref / t_new:>7.1f}x {str(same):>8}")
+        print(f"{name:>16} {sum(d * d for d in ds):>16} {spread(ref_t, 1e3, 24, 2)} "
+              f"{spread(new_t, 1e3, 24, 2)} {spread(build_t, 1e3, 24, 2)} "
+              f"{spread(run_t, 1e3, 24, 2)} {ref_t[0] / new_t[0]:>7.1f}x {str(same):>8}")
     return mismatches
 
 
@@ -315,31 +322,6 @@ def bench_wide_scalar(repeats):
     return mismatches
 
 
-def incoherent_numpy_scalars(d):
-    """The incoherent MMTP rounds of ``cool_incoherent`` on a 4-element numpy
-    state, every product and sum on numpy scalars, with the numpy-vector
-    pair step below ``RESPONSE_MIN_D`` and from there on the round response
-    from two numpy-vector sweeps; the populations."""
-    s = IncoherentSetting(**INCOHERENT)
-    eta, gamma_big, g = s.eta, s.gamma_big, s.gamma
-    if d >= RESPONSE_MIN_D:
-        a_g, a_e = sweep_numpy_vector(d, gamma_big, 1.0, 0.0)
-        b_g, b_e = sweep_numpy_vector(d, gamma_big, 0.0, 1.0)
-    v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
-    pops = np.empty(ROUNDS)
-    for r in range(ROUNDS):
-        g0, e1 = v[0], v[3]
-        if d < RESPONSE_MIN_D:
-            v[0], v[3] = sweep_numpy_vector(d, gamma_big, g0, e1)
-        else:
-            v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
-        pops[r] = v[0] + v[1]
-        ground, excited = v[0] + v[1], v[2] + v[3]
-        v = np.array([ground * eta, ground * (1.0 - eta),
-                      excited * eta, excited * (1.0 - eta)])
-    return pops
-
-
 def bench_incoherent(repeats):
     """Print the incoherent-run table; return the d whose bytes differ."""
     print(f"\none {ROUNDS}-round incoherent MMTP run; median [quartiles] of {repeats} "
@@ -349,7 +331,7 @@ def bench_incoherent(repeats):
     mismatches = []
     for d in INCOHERENT_DIMS:
         (ref_t, new_t), (ref, new) = alternating(
-            lambda: incoherent_numpy_scalars(d),
+            lambda: incoherent_by_numpy_scalars("MMTP", ROUNDS, d, **INCOHERENT),
             lambda: cool_incoherent("MMTP", ROUNDS, d=d, **INCOHERENT), repeats)
         same = ref.tobytes() == new.tobytes()
         if not same:
@@ -368,15 +350,9 @@ def rounds_by_sweeps(d, gamma):
     return np.array(pops)
 
 
-def swap_matrix(d, gamma):
-    """The swap's 2 x 2 stochastic matrix [[A_g, B_g], [A_e, B_e]]: one
-    two-row evaluator call from unit ground and unit excited mass."""
-    return _protocol_totals([d, d], ((0, 1, gamma),), ((1.0, 0.0), (0.0, 1.0)), (0, 1))
-
-
 def rounds_by_response(d, gamma):
     """The same rounds stepped through one round response."""
-    (a_g, b_g), _ = swap_matrix(d, gamma)
+    (a_g, _), (b_g, _) = round_response(d, gamma)
     p, pops = gamma, []
     for _ in range(ROUNDS):
         inverted = 1.0 - p
@@ -399,7 +375,7 @@ def bench_response(repeats):
         (ref_t, new_t), (ref, new) = alternating(
             lambda: rounds_by_sweeps(d, gamma), lambda: rounds_by_response(d, gamma),
             repeats)
-        (a_g, b_g), (a_e, b_e) = swap_matrix(d, gamma)
+        (a_g, a_e), (b_g, b_e) = round_response(d, gamma)
         invariants = max(abs(gamma * a_g + (1.0 - gamma) * b_g - gamma),
                          abs(a_g + a_e - 1.0), abs(b_g + b_e - 1.0))
         diff = float(np.abs(new - ref).max())
@@ -436,71 +412,6 @@ def bench_I_d(repeats):
               f"{spread(array_t, 1e3, 24, 2)} {loop_t[0] * 1e6 / I_D_POINTS:>12.1f} "
               f"{loop_t[0] / array_t[0]:>7.1f}x {str(same):>8}")
     return mismatches
-
-
-def alternating_fraction(n, m, x):
-    """The alternating route as a Fraction loop (gcd at every operation)."""
-    xq = Fraction(x)
-    acc = Fraction(0)
-    xpow = Fraction(1)
-    for l in range(n):
-        acc += Fraction((-1) ** l * math.comb(n - 1, l), m + l + 1) * xpow
-        xpow *= xq
-    return float(1 - n * math.comb(n + m, m) * xq ** (m + 1) * acc)
-
-
-def I_d_fraction(d, x, y):
-    """Exact I_d from Fraction terms and prefix sums."""
-    def terms(x):
-        t = (1 - x) ** d
-        out = [t]
-        for k in range(d - 1):
-            t = t * x * (d + k) / (k + 1)
-            out.append(t)
-        return out
-
-    tx, ty = terms(x), terms(y)
-    p, q = [tx[0]], [Fraction(0)]  # prefix sums of tx_k and k tx_k
-    for k in range(1, d):
-        p.append(p[-1] + tx[k])
-        q.append(q[-1] + k * tx[k])
-    return sum(ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j]) for j in range(d)) / d
-
-
-def weighted_fraction(n, m, x, w0, w1):
-    """(1-x)^n sum_{j<=m} (w0 + w1 j) f_n(j) x^j as the Fraction loop of the
-    definition route of L (w = 1), K (w = j, then / n) and I (w = n - j,
-    then / n): a gcd at every operation."""
-    term = Fraction(1)
-    acc = Fraction(w0)
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + (w0 + w1 * (j + 1)) * term
-    return (1 - x) ** n * acc
-
-
-def delta_fraction(d_max, gamma):
-    """The tails delta_1 .. delta_{d_max} as the Fraction loop of one running
-    subtraction."""
-    z = gamma * (1 - gamma)
-    acc = (1 - gamma) / gamma
-    tails = [acc]
-    term = z
-    for n in range(1, d_max):
-        acc = acc - term
-        tails.append(acc)
-        term = term * z * (2 * (2 * n + 1)) / (n + 2)
-    return tails
-
-
-def timed(fn, repeats):
-    """(best wall time over ``repeats`` calls of fn(), its last result)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
 
 
 def bench_exact(repeats):
@@ -549,10 +460,10 @@ def bench_exact(repeats):
         lambda: [weighted_fraction(n, m, x, n, -1) / n for n, m, x in rational],
         lambda: [I_nm_eval(n, m, x) for n, m, x in rational])
     for gamma in DELTA_GAMMAS:
-        row(f"delta_d_column(30, {gamma})", lambda: delta_fraction(30, gamma),
+        row(f"delta_d_column(30, {gamma})", lambda: delta_d_column_fraction(30, gamma),
             lambda: delta_d_column(30, gamma))
     gamma = Fraction(0.7)
-    row("delta_d(400, 0.7)", lambda: delta_fraction(400, gamma)[-1],
+    row("delta_d(400, 0.7)", lambda: delta_d_column_fraction(400, gamma)[-1],
         lambda: delta_d(400, gamma))
     st = ExtractionSetup(0.7, 1.3, 1.0)
     x, y = Fraction(1.0 - st.gamma_delta), Fraction(1.0 - st.gamma_W)
@@ -605,17 +516,6 @@ def bench_validation_batches(repeats):
     return mismatches
 
 
-def weighted_float(n, m, x, w0, w1):
-    """The scalar float loop of the definition route of L (w = 1), K
-    (w = j, then / n) and I (w = n - j, then / n), one point per call."""
-    term = 1.0
-    acc = float(w0)
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + (w0 + w1 * (j + 1)) * term
-    return (1.0 - x) ** n * acc
-
-
 def bench_special_function_grids(repeats):
     """Print the grid table of L, K, I and I_d; return the rows that differ."""
     print(f"\nspecial functions on grids; median [quartiles] of {repeats} alternating "
@@ -666,27 +566,6 @@ def bench_special_function_grids(repeats):
     return mismatches
 
 
-def hull_numpy(points_xy):
-    """Andrew's monotone chain with each turn test on numpy rows (the
-    chain ``convex_hull_xy`` ran before it moved to Python floats)."""
-    pts = np.asarray(points_xy, dtype=np.float64)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-
-    def build(indices):
-        chain = []
-        for i in indices:
-            while len(chain) >= 2:
-                o, a = pts[chain[-2]], pts[chain[-1]]
-                if _cross2(a - o, pts[i] - o) <= 1.0e-15:
-                    chain.pop()
-                else:
-                    break
-            chain.append(i)
-        return chain
-
-    return build(order)[:-1] + build(order[::-1])[:-1]
-
-
 def bisection_one_halving(E, W, beta):
     """``min_extraction_error_tp`` over an array of gaps with one halving per
     batched feasibility test, 64 tests on n rows (the loop the two-halving
@@ -710,38 +589,6 @@ def bisection_one_halving(E, W, beta):
         lo = np.where(ok, lo, mid)
     hi[error_free] = 0.0
     return hi
-
-
-def orbit_per_image(gamma, depth):
-    """``etp_orbit_points`` with every image's key rounded anew, nine
-    ``round`` calls per state (the loop the carried keys replaced)."""
-    q = (1.0 - gamma) / gamma
-    maps = (lambda p: (p[0] * (1.0 - q) + p[1], q * p[0], p[2]),
-            lambda p: (p[0] * (1.0 - q) + p[2], p[1], q * p[0]),
-            lambda p: (p[0], p[2], p[1]))
-
-    def key(p):
-        return tuple(round(x, 12) for x in p)
-
-    start = (1.0, 0.0, 0.0)
-    seen = {key(start): start}
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for p in frontier:
-            for f in maps:
-                img = f(p)
-                k = key(img)
-                if k not in seen:
-                    seen[k] = img
-                    nxt.append(img)
-        if not nxt:
-            break
-        frontier = nxt
-    gibbs = tuple(qutrit_gibbs(gamma))
-    if key(gibbs) not in seen:
-        seen[key(gibbs)] = gibbs
-    return np.array(list(seen.values()))
 
 
 def bench_validation_geometry(repeats):
@@ -788,23 +635,27 @@ def main():
     args = parser.parse_args()
     dims = [int(v) for v in args.dims.split(",")]
 
-    print(f"wavefront from d = {WAVEFRONT_MIN_WIDTH}")
-    print(f"{'d':>6} {'steps':>10} {'path':>10} {'loop [ms]':>11} "
-          f"{'memory_sweep [ms]':>18} {'speedup':>8} {'bitwise':>8}")
+    print(f"wavefront from d = {WAVEFRONT_MIN_WIDTH}; median [quartiles] of "
+          f"{args.repeats} alternating samples, the loop once from d = {SLOW_REFERENCE_D}")
+    print(f"{'d':>6} {'steps':>10} {'path':>10} {'loop [ms]':>26} "
+          f"{'memory_sweep [ms]':>26} {'speedup':>8} {'bitwise':>8}")
     mismatches = []
     for d in dims:
         vec = np.empty(2 * d)
         vec[:d] = 0.2 / d
         vec[d:] = 0.8 / d
-        ref_repeats = 1 if d >= SLOW_REFERENCE_D else args.repeats
-        t_ref, ref = best_time(_memory_sweep_py, vec, d, ref_repeats)
-        t_new, new = best_time(memory_sweep, vec, d, args.repeats)
+        ref_samples = 1 if d >= SLOW_REFERENCE_D else args.repeats
+        (ref_t, new_t), (ref, new) = alternating(
+            lambda: swept(_memory_sweep_py, vec, d), lambda: swept(memory_sweep, vec, d),
+            ref_samples)
+        if ref_samples < args.repeats:
+            new_t = sampled(lambda: swept(memory_sweep, vec, d), args.repeats)
         same = ref.tobytes() == new.tobytes()
         if not same:
             mismatches.append(d)
         path = "wavefront" if d >= WAVEFRONT_MIN_WIDTH else "loop"
-        print(f"{d:>6} {d * d:>10} {path:>10} {t_ref * 1e3:>11.3f} "
-              f"{t_new * 1e3:>18.3f} {t_ref / t_new:>7.1f}x {str(same):>8}")
+        print(f"{d:>6} {d * d:>10} {path:>10} {spread(ref_t, 1e3, 26)} "
+              f"{spread(new_t, 1e3, 26)} {ref_t[0] / new_t[0]:>7.1f}x {str(same):>8}")
     batch_mismatches = bench_batch(args.repeats)
     narrow_mismatches = bench_narrow(args.repeats)
     wide_mismatches = bench_wide_scalar(args.repeats)

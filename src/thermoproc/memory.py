@@ -61,16 +61,16 @@ RESPONSE_MIN_D = 48
 
 
 def _pairwise_sum(values):
-    """The sum of a list of Python floats in numpy's pairwise order, to the
-    bits of ``np.add.reduce`` on the same values as a float64 array.
+    """The sum of a list of at most 128 Python floats in numpy's pairwise
+    order, to the bits of ``np.add.reduce`` on the same values as a float64
+    array.  Its one caller sums a block of the narrow path, which runs only
+    below ``WAVEFRONT_MIN_WIDTH`` (128) slots, so at most 127 values.
 
     Below 8 values numpy adds them in order from 0.0.  Up to 128 it keeps
     eight running sums, r_j of the values at j, j + 8, ... below the largest
     multiple of 8, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and
-    adds the rest in order.  Above 128 it sums the two halves on their own,
-    cut at n // 2 rounded down to a multiple of 8.  The built-in ``sum`` will
-    not do for the running sums: from Python 3.12 on it adds floats with
-    compensation, to other bits.
+    adds the rest in order.  The built-in ``sum`` will not do for the running
+    sums: from Python 3.12 on it adds floats with compensation, to other bits.
     """
     n = len(values)
     if n < 8:
@@ -78,17 +78,13 @@ def _pairwise_sum(values):
         for x in values:
             total += x
         return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
     body = n - n % 8
     r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
     for i in range(8, body, 8):
         x0, x1, x2, x3, x4, x5, x6, x7 = values[i:i + 8]
         r0, r1, r2, r3, r4, r5, r6, r7 = (r0 + x0, r1 + x1, r2 + x2, r3 + x3,
                                           r4 + x4, r5 + x5, r6 + x6, r7 + x7)
-    # numpy adds the whole pairwise sum to 0.0, which can only turn -0.0 into
-    # +0.0; adding it to each block of the recursion gives the same bits
+    # numpy adds the pairwise sum to 0.0, which can only turn -0.0 into +0.0
     total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
     for x in values[body:]:
         total += x

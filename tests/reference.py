@@ -1,0 +1,220 @@
+"""Reference implementations, each kept once, for the tests and for
+``benchmarks/bench_kernels.py``.
+
+Each is an exact twin in ``Fraction`` arithmetic (a gcd at every operation)
+or the loop a faster form of the package replaced, kept literally: the
+package must give equal ``Fraction`` values or the same bits.  The file has
+no ``test_`` prefix, so pytest does not collect it; the tests import it from
+their own directory, the bench through one ``sys.path`` entry.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from thermoproc import cooling, memory
+from thermoproc._kernels import _memory_sweep_py
+from thermoproc.memory import RESPONSE_MIN_D
+from thermoproc.reachable import qutrit_gibbs
+
+
+def weighted_fraction(n, m, x, w0, w1):
+    """(1-x)^n sum_{j<=m} (w0 + w1 j) f_n(j) x^j as a Fraction loop: the
+    definition route of L (w = 1), of K (w = j, then / n) and of I
+    (w = n - j, then / n)."""
+    term = Fraction(1)  # f_n(j) x^j, starting at j = 0
+    acc = Fraction(w0)
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + (w0 + w1 * (j + 1)) * term
+    return (1 - x) ** n * acc
+
+
+def weighted_float(n, m, x, w0, w1):
+    """The same sum as the scalar float loop, one point per call, that the
+    grid loop of L, K and I replaced."""
+    term = 1.0
+    acc = float(w0)
+    for j in range(m):
+        term = term * x * (n + j) / (j + 1)
+        acc = acc + (w0 + w1 * (j + 1)) * term
+    return (1.0 - x) ** n * acc
+
+
+def alternating_fraction(n, m, x):
+    """The alternating route of L as the Fraction loop the integer route
+    replaced: exact for an exact x, the rounded value for a float."""
+    exact_in = isinstance(x, (Fraction, int))
+    xq = x if isinstance(x, Fraction) else Fraction(x)
+    acc = Fraction(0)
+    sign = 1
+    xpow = Fraction(1)
+    for l in range(n):
+        acc += Fraction(sign * math.comb(n - 1, l), m + l + 1) * xpow
+        xpow *= xq
+        sign = -sign
+    result = 1 - n * math.comb(n + m, m) * xq ** (m + 1) * acc
+    return result if exact_in else float(result)
+
+
+def I_d_fraction(d, x, y):
+    """Exact I_d from Fraction terms and prefix sums."""
+    def terms(x):
+        t = (1 - x) ** d
+        out = [t]
+        for k in range(d - 1):
+            t = t * x * (d + k) / (k + 1)
+            out.append(t)
+        return out
+
+    tx, ty = terms(x), terms(y)
+    p = [tx[0]]  # prefix sums of tx
+    q = [0 * tx[0]]  # prefix sums of k * tx_k
+    for k in range(1, d):
+        p.append(p[-1] + tx[k])
+        q.append(q[-1] + k * tx[k])
+    total = 0 * tx[0]
+    for j in range(d):
+        total += ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j])
+    return total / d
+
+
+def delta_d_column_fraction(d_max, gamma):
+    """The tails delta_1 .. delta_{d_max} as the Fraction loop of one
+    running subtraction."""
+    one = Fraction(1)
+    z = gamma * (one - gamma)
+    acc = (one - gamma) / gamma
+    tails = [acc]
+    term = z  # catalan(n) z^n, starting at n = 1
+    for n in range(1, d_max):
+        acc = acc - term
+        tails.append(acc)
+        term = term * z * (2 * (2 * n + 1)) / (n + 2)
+    return tails
+
+
+def exact_protocol(d, p0, gamma):
+    """The swap simulation in Fractions, every one of its d^2 thermalizations.
+
+    Returns (p_final, ground_history) where ground_history[(k, j)] is the
+    population of ground slot k after thermalizing it against excited slot j
+    (both 1-based), the quantity the closed-form slot recurrences describe.
+    """
+    p0, gamma = Fraction(p0), Fraction(gamma)
+    a = [p0 / d] * d
+    b = [(1 - p0) / d] * d
+    history = {}
+    for k in range(d):
+        for j in range(d):
+            total = a[k] + b[j]
+            a[k] = gamma * total
+            b[j] = (1 - gamma) * total
+            history[(k + 1, j + 1)] = a[k]
+    return sum(a), history
+
+
+def round_response(d, weight):
+    """((A_g, A_e), (B_g, B_e)): the ground and excited totals of one swap
+    simulation from unit ground mass and of one from unit excited mass, from
+    one two-row ``memory._protocol_totals`` call: the columns of the swap's
+    2 x 2 stochastic matrix, the round map of the MMTP runs from
+    ``RESPONSE_MIN_D`` on."""
+    (a_g, b_g), (a_e, b_e) = memory._protocol_totals(
+        [d, d], ((0, 1, weight),), ((1.0, 0.0), (0.0, 1.0)), (0, 1))
+    return (a_g, a_e), (b_g, b_e)
+
+
+def incoherent_by_numpy_scalars(process, n, d, E, script_E, beta, beta_hot):
+    """``cool_incoherent`` as it ran on a 4-element numpy state: every
+    product and sum on numpy scalars, the pair sweep's totals from two block
+    sums, the populations stored into an array round by round."""
+    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
+    eta, q_big, gamma_big, g = s.eta, s.q_big, s.gamma_big, s.gamma
+    if process == "MMTP" and d >= RESPONSE_MIN_D:
+        (a_g, a_e), (b_g, b_e) = round_response(d, gamma_big)
+    v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
+    pops = np.empty(n)
+    for r in range(n):
+        g0, e1 = v[0], v[3]
+        if process == "TP":
+            v[0], v[3] = (1.0 - q_big) * g0 + e1, q_big * g0
+        elif process == "MTP":
+            pool = g0 + e1
+            v[0], v[3] = gamma_big * pool, (1.0 - gamma_big) * pool
+        elif d < RESPONSE_MIN_D:
+            pair = np.empty(2 * d)
+            pair[:d] = g0 / d
+            pair[d:] = e1 / d
+            _memory_sweep_py(pair, d, gamma_big, 0, d)
+            v[0], v[3] = float(pair[:d].sum()), float(pair[d:].sum())
+        else:
+            v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
+        pops[r] = v[0] + v[1]
+        ground, excited = v[0] + v[1], v[2] + v[3]
+        v = np.array([ground * eta, ground * (1.0 - eta),
+                      excited * eta, excited * (1.0 - eta)])
+    return pops
+
+
+def hull_numpy(points_xy):
+    """Andrew's monotone chain with every turn test on numpy rows: the
+    indices of the hull ``convex_hull_xy`` must return."""
+    pts = np.asarray(points_xy, dtype=np.float64)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    def build(indices):
+        chain = []
+        for i in indices:
+            while len(chain) >= 2 and cross(pts[chain[-1]] - pts[chain[-2]],
+                                            pts[i] - pts[chain[-2]]) <= 1.0e-15:
+                chain.pop()
+            chain.append(i)
+        return chain
+
+    return build(order)[:-1] + build(order[::-1])[:-1]
+
+
+def orbit_per_image(gamma, depth):
+    """The swap-orbit closure that rounds every image's key anew, nine
+    ``round`` calls per state, as ``etp_orbit_points`` ran before its states
+    carried their keys."""
+    q = (1.0 - gamma) / gamma
+
+    def swap_g_e1(p):
+        return (p[0] * (1.0 - q) + p[1], q * p[0], p[2])
+
+    def swap_g_e2(p):
+        return (p[0] * (1.0 - q) + p[2], p[1], q * p[0])
+
+    def swap_e1_e2(p):
+        return (p[0], p[2], p[1])
+
+    maps = (swap_g_e1, swap_g_e2, swap_e1_e2)
+    start = (1.0, 0.0, 0.0)
+
+    def key(p):
+        return tuple(round(x, 12) for x in p)
+
+    seen = {key(start): start}
+    frontier = [start]
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for f in maps:
+                img = f(p)
+                k = key(img)
+                if k not in seen:
+                    seen[k] = img
+                    nxt.append(img)
+        if not nxt:
+            break
+        frontier = nxt
+    gibbs = tuple(qutrit_gibbs(gamma))
+    if key(gibbs) not in seen:
+        seen[key(gibbs)] = gibbs
+    return np.array(list(seen.values()))

@@ -7,6 +7,8 @@ import inspect
 import json
 import math
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,8 @@ from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, MAX_FLOAT_D, delta_d
 from thermoproc.memory import _p_d
 from thermoproc.workx import (ExtractionSetup, epsilon_d_grid, epsilon_etp,
                               epsilon_mtp, epsilon_tp)
+
+from reference import I_d_fraction, delta_d_column_fraction, exact_protocol
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -164,6 +168,60 @@ class TestRunFig2:
             blob = (tmp_path / "out" / entry["name"]).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == entry["sha256"]
             assert len(blob) == entry["bytes"]
+
+
+EPS = sys.float_info.epsilon
+
+
+def worst_relative_error(values, exact):
+    """The largest |v - e| / e, each float taken at its exact binary value."""
+    return max(float(abs(Fraction(v) - e) / e) for v, e in zip(values, exact))
+
+
+class TestExactScores:
+    """The default outputs scored column by column against exact values at
+    the run's float inputs, each within its own stated bound, so that an
+    error that grows fails even after ``default_digests.json`` is recorded
+    again.  The comment after each bound gives the worst error measured."""
+
+    SWEEP_BOUNDS = {
+        "p_sim": 4 * EPS,  # 2.3e-16, the d^2 sweeps up to d = 30
+        "p_closed": 2 * EPS,  # 6.7e-17
+        # 8.9e-12: delta_d's subtraction (1 - gamma)/gamma - head cancels
+        # (ROADMAP item 3)
+        "delta_d": 1e-11,
+    }
+    FIG2_BOUNDS = {"eps_d1": 2 * EPS,  # 9.6e-17
+                   "eps_d2": 4 * EPS,  # 4.0e-16
+                   "eps_d5": 4 * EPS,  # 4.8e-16
+                   "eps_d20": 8 * EPS}  # 9.7e-16
+
+    def test_beta_swap_sweep_against_exact_sweeps(self, tmp_path):
+        p = cli.ExperimentConfig.from_dict({"experiment": "beta-swap-sweep"}).params
+        run_fig(tmp_path, "beta-swap-sweep")
+        columns, rows = read_rows(tmp_path / "beta_swap_sweep.csv")
+        ds = [int(d) for d in rows[:, columns.index("d")]]
+        assert ds == list(range(1, p["d_max"] + 1))
+        p_exact = [exact_protocol(d, p["p0"], p["gamma"])[0] for d in ds]
+        exact = {"p_sim": p_exact, "p_closed": p_exact,
+                 "delta_d": delta_d_column_fraction(p["d_max"], Fraction(p["gamma"]))}
+        for column, bound in self.SWEEP_BOUNDS.items():
+            worst = worst_relative_error(rows[:, columns.index(column)].tolist(),
+                                         exact[column])
+            assert worst <= bound, (column, worst)
+
+    def test_fig2_against_exact_I_d(self, tmp_path):
+        p = cli.ExperimentConfig.from_dict({"experiment": "fig2"}).params
+        run_fig(tmp_path, "fig2")
+        columns, rows = read_rows(tmp_path / "fig2.csv")
+        assert [f"eps_d{d}" for d in p["d_list"]] == list(self.FIG2_BOUNDS)
+        setups = [ExtractionSetup(p["beta_E"], w, 1.0) for w in rows[:, 0].tolist()]
+        xy = [(Fraction(1.0 - st.gamma_delta), Fraction(1.0 - st.gamma_W)) for st in setups]
+        for d in p["d_list"]:
+            column = f"eps_d{d}"
+            worst = worst_relative_error(rows[:, columns.index(column)].tolist(),
+                                         [I_d_fraction(d, x, y) for x, y in xy])
+            assert worst <= self.FIG2_BOUNDS[column], (column, worst)
 
 
 class TestDeterminism:

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 
 from thermoproc import combinatorics as comb
 
+from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,
+                       weighted_float, weighted_fraction)
+
 SQRT_PI = math.sqrt(math.pi)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -23,124 +26,16 @@ def L_derivative(n, m, x):
     return -n * math.comb(n + m, m) * x ** m * (1 - x) ** (n - 1)
 
 
-def alternating_fraction_oracle(n, m, x):
-    """The Fraction loop the integer alternating route replaced, kept
-    literally as the reference it must equal (float input: bit for bit)."""
-    exact_in = isinstance(x, (Fraction, int))
-    xq = x if isinstance(x, Fraction) else Fraction(x)
-    acc = Fraction(0)
-    sign = 1
-    xpow = Fraction(1)
-    for l in range(n):
-        acc += Fraction(sign * math.comb(n - 1, l), m + l + 1) * xpow
-        xpow *= xq
-        sign = -sign
-    result = 1 - n * math.comb(n + m, m) * xq ** (m + 1) * acc
-    return result if exact_in else float(result)
+def lki_oracles(weighted):
+    """L (definition route), K and I, each beside its reference from the
+    ``weighted`` sum: weights 1, j and n - j, K and I then divided by n."""
+    return ((lambda n, m, x: comb.L_eval(n, m, x), lambda n, m, x: weighted(n, m, x, 1, 0)),
+            (comb.K_eval, lambda n, m, x: weighted(n, m, x, 0, 1) / n),
+            (comb.I_nm_eval, lambda n, m, x: weighted(n, m, x, n, -1) / n))
 
 
-def I_d_fraction_oracle(d, x, y):
-    """The Fraction terms and prefix sums exact I_d replaced, kept literally
-    as the reference it must equal."""
-    def terms(x):
-        t = (1 - x) ** d
-        out = [t]
-        for k in range(d - 1):
-            t = t * x * (d + k) / (k + 1)
-            out.append(t)
-        return out
-
-    tx, ty = terms(x), terms(y)
-    p = [tx[0]]  # prefix sums of tx
-    q = [0 * tx[0]]  # prefix sums of k * tx_k
-    for k in range(1, d):
-        p.append(p[-1] + tx[k])
-        q.append(q[-1] + k * tx[k])
-    total = 0 * tx[0]
-    for j in range(d):
-        total += ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j])
-    return total / d
-
-
-def l_definition_fraction_oracle(n, m, x):
-    """The Fraction loop of the exact definition route of L, kept literally
-    as the reference the integer pass must equal."""
-    one = Fraction(1)
-    term = one
-    acc = one
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + term
-    return (one - x) ** n * acc
-
-
-def K_fraction_oracle(n, m, x):
-    """The Fraction loop of exact K, kept literally."""
-    one = Fraction(1)
-    term = one  # f_n(j) x^j, starting at j = 0
-    acc = 0 * one
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + (j + 1) * term
-    return (one - x) ** n * acc / n
-
-
-def I_nm_fraction_oracle(n, m, x):
-    """The Fraction loop of exact I, kept literally."""
-    one = Fraction(1)
-    term = one
-    acc = n * one
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + (n - j - 1) * term
-    return (one - x) ** n * acc / n
-
-
-def delta_d_column_fraction_oracle(d_max, gamma):
-    """The Fraction loop of exact ``delta_d_column``, kept literally: one
-    running subtraction, a gcd at every operation."""
-    one = Fraction(1)
-    z = gamma * (one - gamma)
-    acc = (one - gamma) / gamma
-    tails = [acc]
-    term = z  # catalan(n) z^n, starting at n = 1
-    for n in range(1, d_max):
-        acc = acc - term
-        tails.append(acc)
-        term = term * z * (2 * (2 * n + 1)) / (n + 2)
-    return tails
-
-
-def l_definition_float_oracle(n, m, x):
-    """The scalar float loop of the definition route of L that the grid
-    loop replaced, kept literally as the reference it must equal bit for
-    bit."""
-    term = 1.0
-    acc = 1.0
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + term
-    return (1.0 - x) ** n * acc
-
-
-def K_float_oracle(n, m, x):
-    """The scalar float loop of K, kept literally."""
-    term = 1.0  # f_n(j) x^j, starting at j = 0
-    acc = 0.0
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + (j + 1) * term
-    return (1.0 - x) ** n * acc / n
-
-
-def I_nm_float_oracle(n, m, x):
-    """The scalar float loop of I, kept literally."""
-    term = 1.0
-    acc = float(n)
-    for j in range(m):
-        term = term * x * (n + j) / (j + 1)
-        acc = acc + (n - j - 1) * term
-    return (1.0 - x) ** n * acc / n
+EXACT_ORACLES = lki_oracles(weighted_fraction)
+FLOAT_ORACLES = lki_oracles(weighted_float)
 
 
 @st.composite
@@ -290,35 +185,31 @@ class TestIntegerRoutes:
     @given(orders(), EXACT_UNIT)
     def test_exact_definition_K_and_I_equal_the_fraction_loops(self, nm, x):
         n, m = nm
-        for got, expected in ((comb.L_eval(n, m, x, "definition"),
-                               l_definition_fraction_oracle(n, m, x)),
-                              (comb.K_eval(n, m, x), K_fraction_oracle(n, m, x)),
-                              (comb.I_nm_eval(n, m, x), I_nm_fraction_oracle(n, m, x))):
+        for fn, oracle in EXACT_ORACLES:
+            got = fn(n, m, x)
             assert type(got) is Fraction
-            assert got == expected
+            assert got == oracle(n, m, x)
 
     def test_exact_definition_K_and_I_edge_cases(self):
         for n, m in ((1, 0), (1, 5), (60, 0), (60, 59)):
             for x in (0, 1, Fraction(0), Fraction(1), Fraction(1, 3)):
-                assert comb.L_eval(n, m, x) == l_definition_fraction_oracle(n, m, x)
-                assert comb.K_eval(n, m, x) == K_fraction_oracle(n, m, x)
-                assert comb.I_nm_eval(n, m, x) == I_nm_fraction_oracle(n, m, x)
-                assert all(type(f(n, m, x)) is Fraction
-                           for f in (comb.L_eval, comb.K_eval, comb.I_nm_eval))
+                for fn, oracle in EXACT_ORACLES:
+                    got = fn(n, m, x)
+                    assert type(got) is Fraction and got == oracle(n, m, x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 200), EXACT_GAMMA)
     def test_exact_delta_d_column_equals_the_fraction_loop(self, d_max, gamma):
         column = comb.delta_d_column(d_max, gamma)
         assert all(type(v) is Fraction for v in column)
-        assert column == delta_d_column_fraction_oracle(d_max, gamma)
+        assert column == delta_d_column_fraction(d_max, gamma)
         assert comb.delta_d(d_max, gamma) == column[-1]
 
     @pytest.mark.parametrize("gamma", [Fraction(0.7), Fraction(3, 5), Fraction(3, 4),
                                        Fraction(9, 10), Fraction(27, 32)],
                              ids=["0.7", "3/5", "3/4", "9/10", "27/32"])
     def test_exact_delta_d_to_d200_equals_the_fraction_loop(self, gamma):
-        expected = delta_d_column_fraction_oracle(200, gamma)
+        expected = delta_d_column_fraction(200, gamma)
         assert comb.delta_d_column(200, gamma) == expected
         for d in (1, 2, 3, 31, 199, 200):
             got = comb.delta_d(d, gamma)
@@ -330,7 +221,7 @@ class TestIntegerRoutes:
         n, m = nm
         got = comb.L_eval(n, m, x, "alternating")
         assert type(got) is float
-        assert got.hex() == alternating_fraction_oracle(n, m, x).hex()
+        assert got.hex() == alternating_fraction(n, m, x).hex()
 
     @settings(max_examples=150, deadline=None)
     @given(orders(), st.fractions(0, 1, max_denominator=1000))
@@ -338,7 +229,7 @@ class TestIntegerRoutes:
         n, m = nm
         got = comb.L_eval(n, m, x, "alternating")
         assert type(got) is Fraction
-        assert got == alternating_fraction_oracle(n, m, x)
+        assert got == alternating_fraction(n, m, x)
 
     @settings(max_examples=150, deadline=None)
     @given(orders(40), st.floats(0.0, 1.0) | st.fractions(0, 1, max_denominator=1000))
@@ -359,11 +250,11 @@ class TestIntegerRoutes:
         for n in (1, 2, 7, 30, 60):
             for m in {0, n // 2, n - 1}:
                 assert (comb.L_eval(n, m, x, "alternating")
-                        == alternating_fraction_oracle(n, m, x)
+                        == alternating_fraction(n, m, x)
                         == comb.L_eval(n, m, x, "definition"))
                 as_float = float(x)
                 assert (comb.L_eval(n, m, as_float, "alternating").hex()
-                        == alternating_fraction_oracle(n, m, as_float).hex())
+                        == alternating_fraction(n, m, as_float).hex())
 
     def test_alternating_edge_cases(self):
         for n, m in ((1, 0), (1, 3), (2, 0), (60, 0), (60, 59)):
@@ -397,7 +288,7 @@ class TestIntegerRoutes:
     def test_exact_I_d_equals_the_fraction_loop(self, d, x, y):
         got = comb.I_d_eval(d, x, y)
         assert type(got) is Fraction
-        assert got == I_d_fraction_oracle(d, x, y)
+        assert got == I_d_fraction(d, x, y)
         assert got == comb.I_d_eval(d, y, x)
 
     def test_exact_I_d_edge_cases(self):
@@ -423,8 +314,6 @@ class TestIntegerRoutes:
 # grid points (n, m, x): n <= 60, m from 0 to past n, x with both ends
 GRID_POINTS = st.tuples(st.integers(1, 60), st.integers(0, 130),
                         st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
-FLOAT_ORACLES = ((lambda n, m, x: comb.L_eval(n, m, x), l_definition_float_oracle),
-                 (comb.K_eval, K_float_oracle), (comb.I_nm_eval, I_nm_float_oracle))
 
 
 def as_grid(points):
@@ -453,7 +342,7 @@ class TestGrids:
     @given(st.lists(GRID_POINTS, min_size=1, max_size=25))
     def test_every_route_grid_equals_its_one_point_calls(self, points):
         n, m, x = as_grid(points)
-        alternating = np.array([alternating_fraction_oracle(*point) for point in points])
+        alternating = np.array([alternating_fraction(*point) for point in points])
         assert comb.L_eval(n, m, x, "alternating").tobytes() == alternating.tobytes()
         for route in ("definition", "alternating", "quadrature"):
             expected = np.array([comb.L_eval(*point, route) for point in points])
@@ -468,7 +357,7 @@ class TestGrids:
         for route in ("definition", "alternating", "quadrature"):
             full = comb.L_eval(np.full(len(xs), n), np.full(len(xs), m), x, route)
             assert comb.L_eval(n, m, x, route).tobytes() == full.tobytes()
-        expected = np.array([I_nm_float_oracle(n, k, 0.3) for k in range(m + 1)])
+        expected = np.array([weighted_float(n, k, 0.3, n, -1) / n for k in range(m + 1)])
         assert comb.I_nm_eval(n, np.arange(m + 1), 0.3).tobytes() == expected.tobytes()
 
     def test_no_lane_runs_past_its_order(self):
@@ -488,9 +377,9 @@ class TestGrids:
         n, m = np.repeat(np.array(orders).T, len(xs), axis=1)
         x = np.tile(xs, len(orders))
         points = list(zip(n.tolist(), m.tolist(), x.tolist()))
-        expected = np.array([l_definition_float_oracle(*point) for point in points])
+        expected = np.array([weighted_float(*point, 1, 0) for point in points])
         assert comb.L_eval(n, m, x).tobytes() == expected.tobytes()
-        expected = np.array([alternating_fraction_oracle(*point) for point in points])
+        expected = np.array([alternating_fraction(*point) for point in points])
         assert comb.L_eval(n, m, x, "alternating").tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("fn", [

@@ -13,6 +13,8 @@ from thermoproc.core import clip_noise
 from thermoproc.majorization import beta_order, tp_reach_vertices
 from thermoproc.memory import RESPONSE_MIN_D
 
+from reference import incoherent_by_numpy_scalars, round_response
+
 REF = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
 
 # Beta-order of the refreshed composite state that makes the g0/e1 swap the
@@ -92,48 +94,6 @@ def incoherent_mmtp_by_composite_loop(n, d, E, script_E, beta, beta_hot):
         v = np.array([ground * eta, ground * (1.0 - eta),
                       excited * eta, excited * (1.0 - eta)])
     return np.array(pops)
-
-
-def round_response(d, weight):
-    """((A_g, A_e), (B_g, B_e)): the ground and excited totals of one sweep
-    from unit ground mass and of one from unit excited mass, the round map of
-    the MMTP runs from ``RESPONSE_MIN_D`` on, as ``memory._protocol_totals``
-    gives them: the columns of the swap's 2 x 2 stochastic matrix."""
-    (a_g, b_g), (a_e, b_e) = memory._protocol_totals(
-        [d, d], ((0, 1, weight),), ((1.0, 0.0), (0.0, 1.0)), (0, 1))
-    return (a_g, a_e), (b_g, b_e)
-
-
-def incoherent_by_numpy_scalars(process, n, d, E, script_E, beta, beta_hot):
-    """``cool_incoherent`` as it ran on a 4-element numpy state: every
-    product and sum on numpy scalars, the pair sweep's totals from two block
-    sums, the populations stored into an array round by round."""
-    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
-    eta, q_big, gamma_big, g = s.eta, s.q_big, s.gamma_big, s.gamma
-    if process == "MMTP" and d >= RESPONSE_MIN_D:
-        (a_g, a_e), (b_g, b_e) = round_response(d, gamma_big)
-    v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
-    pops = np.empty(n)
-    for r in range(n):
-        g0, e1 = v[0], v[3]
-        if process == "TP":
-            v[0], v[3] = (1.0 - q_big) * g0 + e1, q_big * g0
-        elif process == "MTP":
-            pool = g0 + e1
-            v[0], v[3] = gamma_big * pool, (1.0 - gamma_big) * pool
-        elif d < RESPONSE_MIN_D:
-            pair = np.empty(2 * d)
-            pair[:d] = g0 / d
-            pair[d:] = e1 / d
-            _memory_sweep_py(pair, d, gamma_big, 0, d)
-            v[0], v[3] = float(pair[:d].sum()), float(pair[d:].sum())
-        else:
-            v[0], v[3] = g0 * a_g + e1 * b_g, g0 * a_e + e1 * b_e
-        pops[r] = v[0] + v[1]
-        ground, excited = v[0] + v[1], v[2] + v[3]
-        v = np.array([ground * eta, ground * (1.0 - eta),
-                      excited * eta, excited * (1.0 - eta)])
-    return pops
 
 
 def coherent_closed_form_at(process, n, gamma, d=None):

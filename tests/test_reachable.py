@@ -15,67 +15,9 @@ from thermoproc.reachable import (SimplexRegion, bary_xy, convex_hull_xy,
                                   inside_tp_cone, mtp_mixing_path, mtp_region,
                                   qutrit_gibbs, qutrit_mmtp2_vertices, tp_region)
 
+from reference import hull_numpy, orbit_per_image
+
 GROUND = PopulationVector(np.array([1.0, 0.0, 0.0]))
-
-
-def hull_oracle(points_xy):
-    """Andrew's monotone chain with every turn test on numpy rows."""
-    pts = np.asarray(points_xy, dtype=np.float64)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    def build(indices):
-        chain = []
-        for i in indices:
-            while len(chain) >= 2 and cross(pts[chain[-1]] - pts[chain[-2]],
-                                            pts[i] - pts[chain[-2]]) <= 1.0e-15:
-                chain.pop()
-            chain.append(i)
-        return chain
-
-    return (build(order)[:-1] + build(order[::-1])[:-1])
-
-
-def orbit_oracle(gamma, depth):
-    """The swap-orbit closure that rounds every image anew, kept literally
-    as the reference the keys carried with the frontier must equal."""
-    q = (1.0 - gamma) / gamma
-
-    def swap_g_e1(p):
-        return (p[0] * (1.0 - q) + p[1], q * p[0], p[2])
-
-    def swap_g_e2(p):
-        return (p[0] * (1.0 - q) + p[2], p[1], q * p[0])
-
-    def swap_e1_e2(p):
-        return (p[0], p[2], p[1])
-
-    maps = (swap_g_e1, swap_g_e2, swap_e1_e2)
-    start = (1.0, 0.0, 0.0)
-
-    def key(p):
-        return tuple(round(x, 12) for x in p)
-
-    seen = {key(start): start}
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for p in frontier:
-            for f in maps:
-                img = f(p)
-                k = key(img)
-                if k not in seen:
-                    seen[k] = img
-                    nxt.append(img)
-        if not nxt:
-            break
-        frontier = nxt
-    gibbs = tuple(qutrit_gibbs(gamma))
-    if key(gibbs) not in seen:
-        seen[key(gibbs)] = gibbs
-    return np.array(list(seen.values()))
 
 
 def _thermalizations(gamma):
@@ -142,7 +84,7 @@ class TestOrbit:
     def test_points_equal_the_per_image_rounding_loop(self, gamma):
         for depth in range(1, 11):
             got = etp_orbit_points(gamma, depth)
-            expected = orbit_oracle(gamma, depth)
+            expected = orbit_per_image(gamma, depth)
             assert got.shape == expected.shape, depth
             assert got.tobytes() == expected.tobytes(), depth
 
@@ -151,7 +93,7 @@ class TestOrbit:
     def test_hull_indices_equal_the_numpy_chain(self, gamma):
         for depth in range(1, 11):
             xy = bary_xy(etp_orbit_points(gamma, depth))
-            assert convex_hull_xy(xy).tolist() == hull_oracle(xy), depth
+            assert convex_hull_xy(xy).tolist() == hull_numpy(xy), depth
 
     def test_hull_indices_equal_the_numpy_chain_on_random_points(self):
         # collinear and repeated points exercise the turn tolerance
@@ -160,7 +102,7 @@ class TestOrbit:
             xy = rng.random((40, 2))
             xy[:10] = np.round(xy[:10], 1)
             xy[10:20] = xy[:10]
-            assert convex_hull_xy(xy).tolist() == hull_oracle(xy)
+            assert convex_hull_xy(xy).tolist() == hull_numpy(xy)
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
