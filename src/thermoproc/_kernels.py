@@ -60,24 +60,11 @@ d, at most ``_BLOCK_ELEMENTS`` doubles per buffer, each block padded only to
 its own largest d.  That bounds the padded work, and, as a caller builds and
 runs the wavefront of one block at a time, the memory, whatever the largest d.
 
-A numpy call costs about a microsecond whatever its length, so the wavefront
-pays off only when anti-diagonals are long:
-
-  - A one-off sweep takes it when the widest anti-diagonal, d, is at least
-    ``WAVEFRONT_MIN_WIDTH`` and otherwise runs the plain loop over Python
-    floats, ``_sweep_lists``; ``memory``'s protocol evaluator and
-    ``memory_sweep`` both choose so.  On a 2-CPU x86 host the two break
-    even between d = 124 and d = 140 (three interleaved measurements);
-    within 16 of that they differ by less than 10%.
-  - ``_memory_sweep_py`` runs the loop on two blocks of a vector, which it
-    validates and copies out and back; it is the reference the tests
-    compare the wavefront against.  The evaluator runs it on lists it
-    builds itself, with no numpy call at all, and sums its blocks in
-    numpy's pairwise order, so that its totals keep the bits of a numpy
-    reduction.
-  - A batch of many sweeps takes the wavefront at any d, since its
-    anti-diagonals span all of its rows: d = 1..30 costs about two thirds
-    of one sweep per d, and d = 1..200 a tenth to a fifth.
+The plain loop, ``_sweep_lists``, runs the sweep on two lists of Python
+floats.  ``_memory_sweep_py`` runs it on two blocks of a vector, which it
+validates and copies out and back; it is the reference the tests compare
+the wavefront against.  ``memory_sweep`` runs the same sweep as a one-row
+``Wavefront``.  Which kernel a protocol runs is ``memory``'s choice alone.
 """
 
 from __future__ import annotations
@@ -85,10 +72,6 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-
-# the width from which a one-off sweep takes the wavefront; measured as told
-# above
-WAVEFRONT_MIN_WIDTH = 128
 
 # doubles per buffer of one wavefront block: bounds a batch's memory whatever
 # its largest d, and the padded cells its shorter rows compute.  On a 2-CPU
@@ -265,13 +248,11 @@ class Wavefront:
 
 
 def memory_sweep(vec, d, weight_a, base_a, base_b):
-    """Run the sweep of ``_memory_sweep_py`` in place, by the faster path.
+    """Run the sweep of ``_memory_sweep_py`` in place: ``_check_sweep``, then
+    a one-row ``Wavefront`` on the two blocks.
 
     Raises ValueError when the two blocks overlap or leave the vector.
     """
-    if d < WAVEFRONT_MIN_WIDTH:
-        _memory_sweep_py(vec, d, weight_a, base_a, base_b)
-        return
     _check_sweep(vec, d, base_a, base_b)
     Wavefront([d], weight_a).run(vec[None, base_a:base_a + d],
                                  vec[None, base_b:base_b + d])

@@ -37,13 +37,17 @@ at most 1.1e-15.  From d = 48 on, 50 rounds on M stay within 1e-14 of a
 long-double reference (at most 4.2e-15 in the tests' cases, where per-round
 sweeps reach 1.6e-14).
 
-The evaluator picks its kernel from the input size.  A single row narrower
-than ``WAVEFRONT_MIN_WIDTH`` (a cooling round below ``RESPONSE_MIN_D``, one
-swap, a qutrit point) makes no numpy call, whose fixed cost would outweigh
-its few cells: it runs the one list loop of ``_kernels`` (``_sweep_lists``)
-on lists of Python floats and sums each block with ``_pairwise_sum``, in the
+The evaluator alone picks the sweep kernel, from the input size.  A numpy
+call costs about a microsecond whatever its length, so the wavefront pays
+off only when anti-diagonals are long.  A single row narrower than
+``WAVEFRONT_MIN_WIDTH`` (a cooling round below ``RESPONSE_MIN_D``, one swap,
+a qutrit point) makes no numpy call, whose fixed cost would outweigh its
+few cells: it runs the one list loop of ``_kernels`` (``_sweep_lists``) on
+lists of Python floats and sums each block with ``_pairwise_sum``, in the
 order numpy's reduction sums a contiguous float64 array.  Anything else runs
-batched wavefronts.  Both give a row the bits of its sweeps on a numpy
+batched wavefronts, at any d, since a batch's anti-diagonals span all of its
+rows: d = 1..30 costs about two thirds of one sweep per d, and d = 1..200 a
+tenth to a fifth.  Both give a row the bits of its sweeps on a numpy
 vector summed block by block, so a row's totals do not depend on the batch
 it runs in.
 """
@@ -52,8 +56,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import WAVEFRONT_MIN_WIDTH, Wavefront, _sweep_lists, wavefront_blocks
+from ._kernels import Wavefront, _sweep_lists, wavefront_blocks
 from .combinatorics import _require_int
+
+# the width from which a single row takes the wavefront: on a 2-CPU x86 host
+# the list loop and a one-row wavefront break even between d = 124 and
+# d = 140 (three interleaved measurements); within 16 of that they differ by
+# less than 10%
+WAVEFRONT_MIN_WIDTH = 128
 
 # the memory dimension from which ``swap_round`` steps through the swap's
 # matrix; see the module docstring for why smaller d keep the per-round sweep

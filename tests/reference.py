@@ -31,6 +31,15 @@ def weighted_fraction(n, m, x, w0, w1):
     return (1 - x) ** n * acc
 
 
+def lki_references(weighted):
+    """The definition route of L, K and I from the ``weighted`` sum
+    (``weighted_fraction`` or ``weighted_float``): weights 1, j and n - j,
+    K and I then divided by n."""
+    return (lambda n, m, x: weighted(n, m, x, 1, 0),
+            lambda n, m, x: weighted(n, m, x, 0, 1) / n,
+            lambda n, m, x: weighted(n, m, x, n, -1) / n)
+
+
 def weighted_float(n, m, x, w0, w1):
     """The same sum as the scalar float loop, one point per call, that the
     grid loop of L, K and I replaced."""
@@ -113,6 +122,57 @@ def exact_protocol(d, p0, gamma):
             b[j] = (1 - gamma) * total
             history[(k + 1, j + 1)] = a[k]
     return sum(a), history
+
+
+def exact_swap_round(d, gamma):
+    """The MMTP pair step in Fractions, (g, e) -> (g', e'), through the
+    swap's exact 2 x 2 matrix: its ground totals from unit ground and unit
+    excited mass by ``exact_protocol`` (the swap is linear in its start);
+    the excited totals follow, as every thermalization keeps the mass."""
+    a_g, b_g = exact_protocol(d, 1, gamma)[0], exact_protocol(d, 0, gamma)[0]
+    return lambda g, e: (g * a_g + e * b_g, g * (1 - a_g) + e * (1 - b_g))
+
+
+def exact_coherent(process, n, gamma, d=None):
+    """``cooling.cool_coherent`` in Fractions, at the binary value of a float
+    ``gamma``."""
+    gamma = Fraction(gamma)
+    q = (1 - gamma) / gamma
+    step = exact_swap_round(d, gamma) if process == "MMTP" else None
+    p, pops = gamma, []
+    for _ in range(n):
+        inverted = 1 - p
+        if process == "TP":
+            p = 1 - q * inverted
+        elif process == "MTP":
+            p = gamma
+        else:
+            p = step(inverted, 1 - inverted)[0]
+        pops.append(p)
+    return pops
+
+
+def exact_incoherent(process, n, E, script_E, beta, beta_hot, d=None):
+    """``cooling.cool_incoherent`` in Fractions, with the derived eta, gamma,
+    q_big and gamma_big at their binary values.  The state after a round's
+    refresh follows from its ground population, since the total mass stays
+    exactly 1."""
+    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
+    eta, gamma, q_big, gamma_big = map(Fraction, (s.eta, s.gamma, s.q_big, s.gamma_big))
+    step = exact_swap_round(d, gamma_big) if process == "MMTP" else None
+    ground, pops = gamma, []
+    for _ in range(n):
+        g0, e1 = ground * eta, (1 - ground) * (1 - eta)
+        if process == "TP":
+            g0, e1 = (1 - q_big) * g0 + e1, q_big * g0
+        elif process == "MTP":
+            g0, e1 = gamma_big * (g0 + e1), (1 - gamma_big) * (g0 + e1)
+        else:
+            g0, e1 = step(g0, e1)
+        # g1 keeps its ground * (1 - eta)
+        ground = g0 + ground * (1 - eta)
+        pops.append(ground)
+    return pops
 
 
 def round_response(d, weight):

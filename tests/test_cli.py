@@ -20,7 +20,8 @@ from thermoproc.memory import _p_d
 from thermoproc.workx import (ExtractionSetup, epsilon_d_grid, epsilon_etp,
                               epsilon_mtp, epsilon_tp)
 
-from reference import I_d_fraction, delta_d_column_fraction, exact_protocol
+from reference import (I_d_fraction, delta_d_column_fraction, exact_coherent, exact_incoherent,
+                       exact_protocol)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -195,6 +196,25 @@ class TestExactScores:
                    "eps_d2": 4 * EPS,  # 4.0e-16
                    "eps_d5": 4 * EPS,  # 4.8e-16
                    "eps_d20": 8 * EPS}  # 9.7e-16
+    # against exact runs at the config's float inputs (the incoherent
+    # paradigm's derived eta, gamma, q_big and gamma_big at their binary
+    # values); MTP's coherent rounds hold gamma itself
+    COOLING_BOUNDS = {
+        "cooling-coherent": {
+            "p_tp": EPS, "p_tp_closed": EPS,  # 4.2e-17, 4.2e-17
+            "p_mtp": 0.0, "p_mtp_closed": 0.0,
+            "p_mmtp_d1": EPS, "p_mmtp_d1_closed": EPS,  # 0, 0
+            "p_mmtp_d2": 2 * EPS, "p_mmtp_d2_closed": EPS,  # 1.8e-16, 7.3e-17
+            "p_mmtp_d4": 2 * EPS, "p_mmtp_d4_closed": EPS,  # 2.1e-16, 1.0e-16
+            "p_mmtp_d8": 2 * EPS, "p_mmtp_d8_closed": EPS},  # 2.5e-16, 5.6e-17
+        "cooling-incoherent": {
+            "p_tp": 2 * EPS, "p_tp_closed": 2 * EPS,  # 2.2e-16, 1.8e-16
+            "p_mtp": 2 * EPS, "p_mtp_closed": 2 * EPS,  # 3.3e-16, 3.6e-16
+            "p_mmtp_d1": 2 * EPS, "p_mmtp_d1_closed": 2 * EPS,  # 3.3e-16, 3.6e-16
+            "p_mmtp_d2": 4 * EPS, "p_mmtp_d2_closed": 2 * EPS,  # 5.9e-16, 3.5e-16
+            "p_mmtp_d4": 4 * EPS, "p_mmtp_d4_closed": 2 * EPS,  # 6.0e-16, 3.5e-16
+            "p_mmtp_d8": 4 * EPS, "p_mmtp_d8_closed": 2 * EPS},  # 7.6e-16, 3.5e-16
+    }
 
     def test_beta_swap_sweep_against_exact_sweeps(self, tmp_path):
         p = cli.ExperimentConfig.from_dict({"experiment": "beta-swap-sweep"}).params
@@ -222,6 +242,24 @@ class TestExactScores:
             worst = worst_relative_error(rows[:, columns.index(column)].tolist(),
                                          [I_d_fraction(d, x, y) for x, y in xy])
             assert worst <= self.FIG2_BOUNDS[column], (column, worst)
+
+    @pytest.mark.parametrize("experiment", ["cooling-coherent", "cooling-incoherent"])
+    def test_cooling_against_exact_runs(self, tmp_path, experiment):
+        p = cli.ExperimentConfig.from_dict({"experiment": experiment}).params
+        run_fig(tmp_path, experiment)
+        columns, rows = read_rows(tmp_path / f"{experiment.replace('-', '_')}.csv")
+        bounds = self.COOLING_BOUNDS[experiment]
+        assert columns[1:] == list(bounds)
+        for process, d in [("TP", None), ("MTP", None), *(("MMTP", d) for d in p["d_list"])]:
+            if experiment == "cooling-coherent":
+                exact = exact_coherent(process, p["rounds"], p["gamma"], d)
+            else:
+                exact = exact_incoherent(process, p["rounds"], p["E"], p["script_E"],
+                                         p["beta"], p["beta_hot"], d)
+            label = process.lower() + (f"_d{d}" if d else "")
+            for column in (f"p_{label}", f"p_{label}_closed"):
+                worst = worst_relative_error(rows[:, columns.index(column)].tolist(), exact)
+                assert worst <= bounds[column], (column, worst)
 
 
 class TestDeterminism:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from thermoproc import combinatorics as comb
 
 from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,
-                       weighted_float, weighted_fraction)
+                       lki_references, weighted_float, weighted_fraction)
 
 SQRT_PI = math.sqrt(math.pi)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -26,16 +26,10 @@ def L_derivative(n, m, x):
     return -n * math.comb(n + m, m) * x ** m * (1 - x) ** (n - 1)
 
 
-def lki_oracles(weighted):
-    """L (definition route), K and I, each beside its reference from the
-    ``weighted`` sum: weights 1, j and n - j, K and I then divided by n."""
-    return ((lambda n, m, x: comb.L_eval(n, m, x), lambda n, m, x: weighted(n, m, x, 1, 0)),
-            (comb.K_eval, lambda n, m, x: weighted(n, m, x, 0, 1) / n),
-            (comb.I_nm_eval, lambda n, m, x: weighted(n, m, x, n, -1) / n))
-
-
-EXACT_ORACLES = lki_oracles(weighted_fraction)
-FLOAT_ORACLES = lki_oracles(weighted_float)
+# L (definition route), K and I, each beside its reference
+LKI = (lambda n, m, x: comb.L_eval(n, m, x), comb.K_eval, comb.I_nm_eval)
+EXACT_ORACLES = tuple(zip(LKI, lki_references(weighted_fraction)))
+FLOAT_ORACLES = tuple(zip(LKI, lki_references(weighted_float)))
 
 
 @st.composite

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from thermoproc import _kernels, cooling, memory
-from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py
+from thermoproc._kernels import _memory_sweep_py
 from thermoproc.combinatorics import delta_d
 from thermoproc.core import clip_noise
 from thermoproc.majorization import beta_order, tp_reach_vertices
-from thermoproc.memory import RESPONSE_MIN_D
+from thermoproc.memory import RESPONSE_MIN_D, WAVEFRONT_MIN_WIDTH
 
-from reference import incoherent_by_numpy_scalars, round_response
+from reference import exact_coherent, incoherent_by_numpy_scalars, round_response
 
 REF = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
 
@@ -310,6 +310,14 @@ class TestClosedFormColumns:
         assert all(isinstance(v, Fraction) for v in column)
         assert column == [coherent_closed_form_at(process, n, gamma, d)
                           for n in range(1, 7)]
+
+    @pytest.mark.parametrize("process, d", CLASSES)
+    def test_exact_rounds_equal_the_closed_form_as_rationals(self, process, d):
+        # the exact runs that score the default cooling CSVs: d^2 Fraction
+        # thermalizations per swap, against the Catalan tail in the closed form
+        for gamma in (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10)):
+            assert (exact_coherent(process, 20, gamma, d)
+                    == cooling.coherent_closed_form(process, 20, gamma, d))
 
 
 class TestCoherent:

@@ -1,6 +1,7 @@
 """The d^2 sweep kernel: the wavefront equals the plain loop bit for bit."""
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoproc import _kernels
-from thermoproc._kernels import (WAVEFRONT_MIN_WIDTH, Wavefront, _memory_sweep_py,
-                                 memory_sweep, wavefront_blocks)
+from thermoproc._kernels import Wavefront, _memory_sweep_py, memory_sweep, wavefront_blocks
+from thermoproc.memory import WAVEFRONT_MIN_WIDTH
 
 DIMS = sorted({1, 2, 3, 17, 111, 112, 113, 257,
                WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH})
@@ -26,13 +27,6 @@ def numpy_element_loop(vec, d, weight_a, base_a, base_b, rows=None):
             total = vec[a] + vec[b]
             vec[a] = weight_a * total
             vec[b] = (1.0 - weight_a) * total
-
-
-def _memory_sweep_wavefront(vec, d, weight_a, base_a, base_b):
-    """``memory_sweep`` with its wavefront path taken at every width."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "WAVEFRONT_MIN_WIDTH", 1)
-        memory_sweep(vec, d, weight_a, base_a, base_b)
 
 
 def in_order(sweep, rows):
@@ -98,12 +92,10 @@ def run_element_loop(vec, d, weight, base_a, base_b, rows):
 class TestBitwise:
     @pytest.mark.parametrize("d, base_a, base_b, vec, weight, rows",
                              list(sweep_cases()))
-    def test_wavefront_and_dispatch_equal_the_loop(self, d, base_a, base_b, vec,
-                                                   weight, rows):
+    def test_wavefront_equals_the_loop(self, d, base_a, base_b, vec, weight, rows):
         expected = run(_memory_sweep_py, vec, d, weight, base_a, base_b, rows)
-        for fn in (_memory_sweep_wavefront, memory_sweep):
-            got = run(fn, vec, d, weight, base_a, base_b, rows)
-            assert got.tobytes() == expected.tobytes(), fn.__name__
+        got = run(memory_sweep, vec, d, weight, base_a, base_b, rows)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2, 3, 17, 113])
     def test_list_loop_equals_numpy_element_loop(self, d):
@@ -125,7 +117,7 @@ class TestBitwise:
         weight = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
         rows = data.draw(st.none() | st.permutations(range(d)), label="rows")
         expected = run_element_loop(vec, d, weight, base_a, base_b, rows)
-        for fn in (_memory_sweep_py, _memory_sweep_wavefront):
+        for fn in (_memory_sweep_py, memory_sweep):
             got = run(fn, vec, d, weight, base_a, base_b, rows)
             assert got.tobytes() == expected.tobytes(), fn.__name__
 
@@ -306,22 +298,8 @@ class TestPerRowWeights:
             Wavefront([3, 4], weights)
 
 
-class TestDispatch:
-    @pytest.mark.parametrize("d, wavefront", [
-        (WAVEFRONT_MIN_WIDTH - 1, False),
-        (WAVEFRONT_MIN_WIDTH, True),
-    ])
-    def test_widest_anti_diagonal_picks_the_path(self, monkeypatch, d, wavefront):
-        calls = []
-        monkeypatch.setattr(_kernels.Wavefront, "run",
-                            lambda *args: calls.append(args))
-        memory_sweep(np.full(2 * d, 0.5 / d), d, 0.75, 0, d)
-        assert bool(calls) is wavefront
-
-
 class TestRejects:
-    @pytest.mark.parametrize("fn", [memory_sweep, _memory_sweep_py,
-                                    _memory_sweep_wavefront])
+    @pytest.mark.parametrize("fn", [memory_sweep, _memory_sweep_py])
     @pytest.mark.parametrize("d, base_a, base_b", [
         (4, 0, 3),       # b block starts inside the a block
         (4, 3, 0),       # a block starts inside the b block
@@ -337,11 +315,40 @@ class TestRejects:
         assert np.array_equal(vec, np.full(8, 0.125))
 
 
-def test_the_kernel_bench_imports():
+@pytest.fixture(scope="module")
+def bench():
     # the bench reads private names of the package; importing it without
     # running it fails here on a name that is gone, not at its next run
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_kernel_bench_imports(bench):
     assert callable(bench.main)
+
+
+class TestKernelBench:
+    def test_a_table_at_one_sample_has_no_failing_row(self, bench, capsys):
+        # widths on both sides of the one at which memory takes the wavefront
+        table = bench.sweep_table([1, 17, WAVEFRONT_MIN_WIDTH])
+        assert bench.run_table(table, 1) == []
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in lines[-3:]] == ["True"] * 3
+
+    def test_a_row_with_other_bytes_is_named_and_main_exits_1(self, bench, monkeypatch,
+                                                              capsys):
+        probe = bench.Table("probe", "work", [
+            bench.Row("equal", lambda: [0.1, Fraction(1, 3)],
+                      lambda: (np.float64(0.1), Fraction(2, 6))),
+            bench.Row("one ulp off", lambda: np.array([0.1]),
+                      lambda: np.array([np.nextafter(0.1, 1.0)])),
+            bench.Row("signed zero", lambda: 0.0, lambda: -0.0),
+            bench.Row("no reference", None, lambda: 0.1)])
+        monkeypatch.setattr(bench, "TABLES", (lambda: probe,))
+        assert bench.main(["--dims", "2", "--repeats", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["fails its check: probe: one ulp off",
+                       "fails its check: probe: signed zero"]

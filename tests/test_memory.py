@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoproc import _kernels, memory
-from thermoproc._kernels import WAVEFRONT_MIN_WIDTH, _memory_sweep_py, memory_sweep
+from thermoproc._kernels import _memory_sweep_py, memory_sweep
 from thermoproc.combinatorics import catalan_tail_bound, delta_d, f_coeff
 from thermoproc.core import PopulationVector, compose, full_thermalization, is_gibbs_stochastic
-from thermoproc.memory import (RESPONSE_MIN_D, _p_d, _pairwise_sum, _protocol_totals,
-                               simulate_memory_beta_swap, swap_round)
+from thermoproc.memory import (RESPONSE_MIN_D, WAVEFRONT_MIN_WIDTH, _p_d, _pairwise_sum,
+                               _protocol_totals, simulate_memory_beta_swap, swap_round)
 from thermoproc.workx import ExtractionSetup
 
 from reference import exact_protocol, round_response
