@@ -105,14 +105,19 @@ one call, against one call per d: d = 1..40 on the
 
 Validation geometry: the ``extraction-bisection-grid`` check's 50 work gaps
 (beta E = ln 2, beta W from 0.05 to 2.5) as one lockstep call over the grid
-(two halvings per batched feasibility test), against the lockstep loop with
-one halving per test, kept here, and against one scalar
-``min_extraction_error_tp`` call per gap; ``etp_orbit_points`` (gamma =
-0.75) at depths 8 and 10, whose states carry their rounded keys, against the
-closure that rounds every image anew (``orbit_per_image``); and
-``convex_hull_xy`` on those orbits, against the same monotone chain with
-each turn test on numpy rows (``hull_numpy``). The bisection and the orbit
-must give the same bytes and the hull the same indices.
+(two halvings per batched feasibility test, the error-free gaps dropped
+after the first test, stopped at the fixed point), against the full
+lockstep that bisects every gap for all 32 tests (``bisection_lockstep``),
+against the lockstep loop with one halving per test, kept here, and against
+one scalar ``min_extraction_error_tp`` call per gap; the
+``swap-simulation-closed-form`` check's 300 (d, p0, gamma) points as one
+``simulate_memory_beta_swap`` call per point against one call over the grid;
+``etp_orbit_points`` (gamma = 0.75) at depths 8 and 10, whose states carry
+their rounded keys, against the closure that rounds every image anew
+(``orbit_per_image``); and ``convex_hull_xy`` on the orbits at depths 8, 10
+and 12, against the same monotone chain over every point with each turn
+test on numpy rows (``hull_numpy``). The bisection, the swap grid and the
+orbit must give the same bytes and the hull the same indices.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -145,9 +150,10 @@ from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
 # the references are the tests' own, kept once in tests/reference.py
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,  # noqa: E402
-                       hull_numpy, incoherent_by_numpy_scalars, lki_references,
-                       orbit_per_image, round_response, weighted_float, weighted_fraction)
+from reference import (I_d_fraction, alternating_fraction, bisection_lockstep,  # noqa: E402
+                       delta_d_column_fraction, hull_numpy, incoherent_by_numpy_scalars,
+                       lki_references, orbit_per_image, round_response, weighted_float,
+                       weighted_fraction)
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -169,7 +175,9 @@ FRACTION_REFERENCE_MAX_D = 200
 DELTA_GAMMAS = (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))
 BISECTION_GAPS = 50
 HULL_GAMMA = 0.75
-HULL_DEPTHS = (8, 10)
+ORBIT_DEPTHS = (8, 10)
+HULL_DEPTHS = (8, 10, 12)
+SWAP_GAMMAS = (0.55, 0.65, 0.75, 0.85, 0.95)
 LKI_NAMES, LKI = ("L definition", "K", "I"), (L_eval, K_eval, I_nm_eval)
 
 
@@ -569,12 +577,20 @@ def geometry_table():
     e = math.log(2.0)
     gaps = np.linspace(0.05, 2.5, BISECTION_GAPS)
     grid = partial(min_extraction_error_tp, e, gaps, 1.0)
-    rows = [Row(f"bisection x{BISECTION_GAPS}, 1 halving",
+    # the swap-simulation-closed-form check's grid
+    swaps = [(d, p0, g) for d in range(1, 13) for g in SWAP_GAMMAS
+             for p0 in (0.0, 0.25, 0.5, g, 0.9)]
+    rows = [Row(f"bisection x{BISECTION_GAPS}, full lockstep",
+                partial(bisection_lockstep, e, gaps, 1.0), grid),
+            Row(f"bisection x{BISECTION_GAPS}, 1 halving",
                 partial(bisection_one_halving, e, gaps, 1.0), grid),
             Row(f"bisection x{BISECTION_GAPS}, scalar",
-                lambda: [min_extraction_error_tp(e, w, 1.0) for w in gaps.tolist()], grid)]
+                lambda: [min_extraction_error_tp(e, w, 1.0) for w in gaps.tolist()], grid),
+            Row(f"swap grid x{len(swaps)}: per point vs one batch",
+                lambda: [simulate_memory_beta_swap(*point) for point in swaps],
+                partial(simulate_memory_beta_swap, *zip(*swaps)))]
     rows += [Row(f"orbit depth {depth}", partial(orbit_per_image, HULL_GAMMA, depth),
-                 partial(etp_orbit_points, HULL_GAMMA, depth)) for depth in HULL_DEPTHS]
+                 partial(etp_orbit_points, HULL_GAMMA, depth)) for depth in ORBIT_DEPTHS]
     for depth in HULL_DEPTHS:
         xy = bary_xy(etp_orbit_points(HULL_GAMMA, depth))
         rows.append(Row(f"hull depth {depth} ({len(xy)} pts)", partial(hull_numpy, xy),

@@ -107,6 +107,8 @@ def _is_exact(x) -> bool:
 
 def f_coeff(j: int, k: int) -> int:
     """Coefficient f_j(k) = C(j-1+k, k), exact integer."""
+    if type(j) is int and type(k) is int and j >= 1 and k >= 0:
+        return math.comb(j - 1 + k, k)  # plain ints in range, the common case
     j = _require_int(j, "j", 1)
     k = _require_int(k, "k", 0)
     return math.comb(j - 1 + k, k)

@@ -17,7 +17,9 @@ run a whole work-gap grid in lockstep: one batched feasibility test per
 two halvings rather than one per grid point and halving, since numpy's
 per-call cost, not the arithmetic, sets the time of a few-element curve.
 Each test holds the midpoint and both quarter points of every interval, so
-following its two decisions gives the bits of one halving at a time.
+following its two decisions gives the bits of one halving at a time.  The
+error-free gaps, decided by one test at eps = 0, stay out of the lockstep,
+and it stops once no test can move an interval.
 """
 
 from __future__ import annotations
@@ -184,49 +186,60 @@ def min_extraction_error_tp(E: float, W, beta: float):
     Bisection on eps over [0, gamma_W] of whether [0,1]_S x [1,0]_W reaches
     Gibbs_S x [eps, 1-eps] by a thermal process.  ``W`` may be an array of
     work gaps: every gap bisects in lockstep, one row each, and the result
-    has W's shape (a float for a scalar W).  Each batched feasibility test
-    makes two halvings: it takes the midpoint of every interval and both
-    quarter points, the midpoints of the two halves that the first decision
-    can leave, as 3n rows.  Each quarter point is the very midpoint that
-    one halving at a time would form next, so the two decisions reach the
-    same (lo, hi) bits as two separate tests.  The Gibbs states and the
-    start curves are built once; each test builds (and checks) the target
-    curves of all rows.  The upper end (the full Gibbs product) is always
-    feasible, and feasibility is monotone in eps on this interval (asserted
-    by sampling in the test suite, not proved here).  64 halvings pin the
-    answer well below 1e-12.
+    has W's shape (a float for a scalar W).  One test at eps = 0 decides
+    the error-free gaps, which give 0.0 and bisect no further.  The others
+    run batched feasibility tests of two halvings each: a test takes the
+    midpoint of every interval and both quarter points, the midpoints of
+    the two halves that the first decision can leave, as 3n rows for n
+    gaps.  Each quarter point is the very midpoint that one halving at a
+    time would form next, so the two decisions reach the same (lo, hi) bits
+    as two separate tests.  The loop stops at its fixed point, once every
+    row's midpoint rounds to one of its ends, where a test would change no
+    hi: a midpoint equal to lo is a point found infeasible before (eps = 0
+    or an earlier midpoint), so the row keeps [lo, hi]; one equal to hi
+    keeps [lo, hi] when it is feasible and becomes [hi, hi] when it is not,
+    which keeps hi too.  The Gibbs states and the start curves are built
+    once; each test builds (and checks) the target curves of all rows.  The
+    upper end (the full Gibbs product) is always feasible, and feasibility
+    is monotone in eps on this interval (asserted by sampling in the test
+    suite, not proved here).  At most 64 halvings pin the answer well below
+    1e-12.
     """
     gaps = np.asarray(W, dtype=np.float64)
     if not (E > 0.0 and beta > 0.0 and (gaps > 0.0).all()):
         raise ValueError("E, W and beta must be positive")
     ws = gaps.ravel().tolist()
-    n = len(ws)
     tau = np.array([gibbs_state(Hamiltonian((0.0, w, E, E + w)), beta).probs
-                    for w in ws]).reshape(n, 4)
-    tau3 = np.concatenate((tau, tau, tau))
+                    for w in ws]).reshape(len(ws), 4)
     gamma_s = 1.0 / (1.0 + math.exp(-beta * E))
     excited = np.array([0.0, 0.0, 1.0, 0.0])
-    start, start3 = lorenz_curve(excited, tau), lorenz_curve(excited, tau3)
 
     def feasible(eps, tau, start):
         target = lorenz_curve(extraction_target(gamma_s, eps), tau)
         return _dominates(start, target, CURVE_TOL)
 
-    lo = np.zeros(n)
-    hi = np.array([1.0 / (1.0 + math.exp(-beta * w)) for w in ws])
-    error_free = feasible(lo, tau, start)
-    for _ in range(BISECTION_ITERATIONS // 2):
-        mid = 0.5 * (lo + hi)
-        lower, upper = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        ok_mid, ok_lower, ok_upper = feasible(
-            np.concatenate((mid, lower, upper)), tau3, start3).reshape(3, n)
-        # first halving: [lo, mid] when mid is feasible, else [mid, hi]
-        lo = np.where(ok_mid, lo, mid)
-        hi = np.where(ok_mid, mid, hi)
-        # second halving, at that half's midpoint
-        quarter = np.where(ok_mid, lower, upper)
-        ok = np.where(ok_mid, ok_lower, ok_upper)
-        hi = np.where(ok, quarter, hi)
-        lo = np.where(ok, lo, quarter)
-    hi[error_free] = 0.0
-    return float(hi[0]) if gaps.ndim == 0 else hi.reshape(gaps.shape)
+    result = np.zeros(len(ws))
+    bisect = np.flatnonzero(~feasible(result, tau, lorenz_curve(excited, tau)))
+    n = len(bisect)
+    if n:
+        tau3 = np.tile(tau[bisect], (3, 1))
+        start3 = lorenz_curve(excited, tau3)
+        lo = np.zeros(n)
+        hi = np.array([1.0 / (1.0 + math.exp(-beta * ws[i])) for i in bisect.tolist()])
+        for _ in range(BISECTION_ITERATIONS // 2):
+            mid = 0.5 * (lo + hi)
+            if ((mid == lo) | (mid == hi)).all():
+                break  # the fixed point: no test changes hi any more
+            lower, upper = 0.5 * (lo + mid), 0.5 * (mid + hi)
+            ok_mid, ok_lower, ok_upper = feasible(
+                np.concatenate((mid, lower, upper)), tau3, start3).reshape(3, n)
+            # first halving: [lo, mid] when mid is feasible, else [mid, hi]
+            lo = np.where(ok_mid, lo, mid)
+            hi = np.where(ok_mid, mid, hi)
+            # second halving, at that half's midpoint
+            quarter = np.where(ok_mid, lower, upper)
+            ok = np.where(ok_mid, ok_lower, ok_upper)
+            hi = np.where(ok, quarter, hi)
+            lo = np.where(ok, lo, quarter)
+        result[bisect] = hi
+    return float(result[0]) if gaps.ndim == 0 else result.reshape(gaps.shape)

@@ -180,20 +180,46 @@ def swap_round(d: int, gamma: float, read):
     return step
 
 
-def simulate_memory_beta_swap(d, p0: float, gamma: float):
+def _per_d(value, n, name):
+    """``value`` as given when it is one number, else as a float array of
+    one entry per memory dimension; ``n`` is their count, None for one d."""
+    if not hasattr(value, "__iter__"):
+        return value
+    values = np.asarray(value, dtype=np.float64)
+    if values.ndim == 0:
+        return value
+    if values.shape != (n,):
+        raise ValueError(f"{name} must be one number or one per memory dimension")
+    return values
+
+
+def simulate_memory_beta_swap(d, p0, gamma):
     """Run the d^2-step protocol and return the final ground population.
 
     ``d`` is one memory dimension, or a sequence of them; a sequence gives
-    an array, bit for bit the values of one call per d.
+    an array, bit for bit the values of one call per d.  With a sequence of
+    d, ``p0`` and ``gamma`` may each be one number or a sequence as long as
+    d, whose entry i goes with d[i] (entries may repeat): a validation grid
+    of (d, p0, gamma) points is then one batch of the evaluator, with one
+    start and one weight per row.
     """
     scalar = not hasattr(d, "__iter__")
     ds = [_require_int(k, "memory dimension d", 1) for k in ([d] if scalar else d)]
-    if not (0.0 <= p0 <= 1.0):
+    n = None if scalar else len(ds)
+    p0, gamma = _per_d(p0, n, "p0"), _per_d(gamma, n, "gamma")
+    # written so that a NaN, which fails every comparison, is rejected
+    if not np.all((0.0 <= p0) & (p0 <= 1.0)):
         raise ValueError("p0 must lie in [0, 1]")
-    if not (0.0 < gamma < 1.0):
+    if not np.all((0.0 < gamma) & (gamma < 1.0)):
         raise ValueError("gamma must lie in (0, 1)")
-    # one call starts from a tuple, cheaper than a broadcast row
-    start = ((p0, 1.0 - p0),) if scalar else np.broadcast_to((p0, 1.0 - p0), (len(ds), 2))
+    # one call starts from a tuple, and one p0 for every d from a broadcast
+    # row: both cheaper than a list of rows
+    if scalar:
+        start = ((p0, 1.0 - p0),)
+    elif isinstance(p0, np.ndarray):
+        start = np.column_stack((p0, 1.0 - p0))
+    else:
+        start = np.broadcast_to((p0, 1.0 - p0), (len(ds), 2))
     (ground,) = _protocol_totals(ds, ((0, 1, gamma),), start, (0,))
     return ground[0] if scalar else np.array(ground)
 

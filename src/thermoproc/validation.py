@@ -133,11 +133,12 @@ def check_memory_closed_form():
     worst = 0.0
     gammas = (0.55, 0.65, 0.75, 0.85, 0.95)
     deltas = {g: comb.delta_d_column(12, g) for g in gammas}
-    for d in range(1, 13):
-        for g in gammas:
-            for p0 in (0.0, 0.25, 0.5, g, 0.9):
-                sim = memory.simulate_memory_beta_swap(d, p0, g)
-                worst = _worst(worst, abs(sim - memory._p_d(p0, g, deltas[g][d - 1])))
+    grid = [(d, p0, g) for d in range(1, 13) for g in gammas
+            for p0 in (0.0, 0.25, 0.5, g, 0.9)]
+    # one batch of the evaluator; each entry has the bits of its own call
+    sims = memory.simulate_memory_beta_swap(*zip(*grid)).tolist()
+    for (d, p0, g), sim in zip(grid, sims):
+        worst = _worst(worst, abs(sim - memory._p_d(p0, g, deltas[g][d - 1])))
     return worst, tol, "d <= 12 across gamma and p0 grids"
 
 
@@ -146,18 +147,20 @@ def check_memory_tail_bound():
     """Distance to the exact swap output obeys the Catalan tail bound, d >= 10."""
     worst_excess = -math.inf  # the largest excess itself, < 0 when all points clear
     slack = 1.0e-13  # float rounding of the d^2-step sweep
-    for d in (10, 11, 12):
-        for g in (0.55, 0.65, 0.75, 0.85, 0.95):
-            bound = comb.catalan_tail_bound(d, g)
-            for p0 in (0.0, 0.25, 0.5, 0.9):
-                # the exact swap output (1-q) p0 + 1 - p0 is missed by the
-                # delta term |(1-g) p0 - g (1-p0)| delta_d, below its bound
-                sim = memory.simulate_memory_beta_swap(d, p0, g)
-                exact_swap = (1.0 - (1.0 - g) / g) * p0 + (1.0 - p0)
-                coeff = (1.0 - g) * p0 - g * (1.0 - p0)
-                worst_excess = _worst(worst_excess,
-                                      abs(sim - exact_swap) - abs(coeff) * bound)
-            worst_excess = _worst(worst_excess, float(comb.delta_d(d, g)) - bound)
+    grid = [(d, g) for d in (10, 11, 12) for g in (0.55, 0.65, 0.75, 0.85, 0.95)]
+    p0s = (0.0, 0.25, 0.5, 0.9)
+    points = [(d, p0, g) for d, g in grid for p0 in p0s]
+    sims = memory.simulate_memory_beta_swap(*zip(*points)).reshape(len(grid), -1)
+    for (d, g), row in zip(grid, sims.tolist()):
+        bound = comb.catalan_tail_bound(d, g)
+        for p0, sim in zip(p0s, row):
+            # the exact swap output (1-q) p0 + 1 - p0 is missed by the
+            # delta term |(1-g) p0 - g (1-p0)| delta_d, below its bound
+            exact_swap = (1.0 - (1.0 - g) / g) * p0 + (1.0 - p0)
+            coeff = (1.0 - g) * p0 - g * (1.0 - p0)
+            worst_excess = _worst(worst_excess,
+                                  abs(sim - exact_swap) - abs(coeff) * bound)
+        worst_excess = _worst(worst_excess, float(comb.delta_d(d, g)) - bound)
     return worst_excess, slack, "swap deviation minus bound, d in {10,11,12}"
 
 
@@ -321,15 +324,13 @@ def check_function_identities():
 def check_exact_coefficients():
     """Recurrence table equals binomials exactly; rational routes agree exactly."""
     table = comb.f_table(60, 60)
-    exact = all(table[j][k] == comb.f_coeff(j, k)
-                for j in range(1, 61) for k in range(61))
+    exact = all(table[j] == [comb.f_coeff(j, k) for k in range(61)] for j in range(1, 61))
     for n in (3, 10, 25):
         for m in (0, n // 2, n - 1):
             for x in (Fraction(1, 10), Fraction(2, 5), Fraction(9, 10)):
-                exact &= (comb.L_eval(n, m, x, "definition")
-                          == comb.L_eval(n, m, x, "alternating"))
-                exact &= (comb.K_eval(n, m, x) + comb.I_nm_eval(n, m, x)
-                          == comb.L_eval(n, m, x, "definition"))
+                definition = comb.L_eval(n, m, x, "definition")
+                exact &= definition == comb.L_eval(n, m, x, "alternating")
+                exact &= comb.K_eval(n, m, x) + comb.I_nm_eval(n, m, x) == definition
     deviation = 0.0 if exact else math.inf
     return deviation, 0.5, "exact integer and rational equalities"
 

@@ -57,6 +57,21 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             comb.f_coeff(2, -1)
 
+    @pytest.mark.parametrize("j, k, message", [
+        (0, 3, "j must be >= 1"), (-2, 3, "j must be >= 1"), (2, -1, "k must be >= 0"),
+        (2.0, 1, "j must be an integer"), (True, 1, "j must be an integer"),
+        (2, 1.0, "k must be an integer"), (1, False, "k must be an integer"),
+        ("2", 1, "j must be an integer"), (np.int64(0), 1, "j must be >= 1"),
+    ])
+    def test_every_argument_off_the_plain_int_path_is_still_checked(self, j, k, message):
+        with pytest.raises(ValueError, match=message):
+            comb.f_coeff(j, k)
+
+    def test_numpy_integers_give_the_plain_int_values(self):
+        for j, k in ((1, 0), (3, 2), (60, 60)):
+            got = comb.f_coeff(np.int64(j), np.int32(k))
+            assert type(got) is int and got == comb.f_coeff(j, k)
+
 
 class TestLRoutes:
     def test_endpoint_values(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoproc import majorization
 from thermoproc.core import Hamiltonian, gibbs_state
 from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL,
                                      VERTEX_DEDUP_DECIMALS, beta_order,
@@ -16,6 +17,8 @@ from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL,
                                      min_extraction_error_tp, thermo_majorizes,
                                      tp_reach_vertices)
 from thermoproc.workx import ExtractionSetup, epsilon_tp
+
+from reference import bisection_lockstep
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -322,6 +325,55 @@ class TestExtractionBisection:
         assert got.shape == gaps.shape
         assert ([v.hex() for v in got.tolist()]
                 == [min_extraction_error_tp(beta_E, w, 1.0).hex() for w in gaps.tolist()])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_full_lockstep_on_random_grids(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            E, beta = rng.uniform(0.05, 3.0), rng.uniform(0.2, 3.0)
+            gaps = rng.uniform(1e-3, 4.0, size=int(rng.integers(1, 40)))
+            assert (min_extraction_error_tp(E, gaps, beta).tobytes()
+                    == bisection_lockstep(E, gaps, beta).tobytes())
+
+    @pytest.mark.parametrize("gaps", [
+        np.linspace(0.05, 1.05, 21),  # every gap error-free at beta_E = ln 2
+        np.linspace(1.15, 3.0, 30),  # none error-free
+    ], ids=["all-error-free", "none-error-free"])
+    def test_equals_the_full_lockstep_when_all_or_no_gap_is_error_free(self, gaps):
+        got = min_extraction_error_tp(LN2, gaps, 1.0)
+        assert (got == 0.0).all() == (gaps[-1] < LN3)
+        assert (got > 0.0).all() == (gaps[0] > LN3)
+        assert got.tobytes() == bisection_lockstep(LN2, gaps, 1.0).tobytes()
+
+    def test_equals_the_full_lockstep_next_to_the_threshold_gap(self):
+        # beta_E = ln 2 puts W_0 at ln 3: gaps within 1e-12 of it are
+        # error-free or have errors so small that the lockstep runs all 32
+        # tests without reaching its fixed point
+        gaps = LN3 + np.array([-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12, 1e-9])
+        assert (min_extraction_error_tp(LN2, gaps, 1.0).tobytes()
+                == bisection_lockstep(LN2, gaps, 1.0).tobytes())
+        for w in gaps.tolist():
+            got = min_extraction_error_tp(LN2, w, 1.0)
+            assert isinstance(got, float)
+            assert got.hex() == bisection_lockstep(LN2, w, 1.0).hex()
+
+    def test_the_validation_grid_stops_at_its_fixed_point(self, monkeypatch):
+        # one test at eps = 0, then fewer than the 32 tests of 64 halvings:
+        # every row's midpoint reaches one of its ends first
+        calls, dominates = [], majorization._dominates
+
+        def counted(*args):
+            calls.append(args[1].xs.shape[0])
+            return dominates(*args)
+
+        monkeypatch.setattr(majorization, "_dominates", counted)
+        gaps = np.linspace(0.05, 2.5, 50)
+        got = min_extraction_error_tp(LN2, gaps, 1.0)
+        monkeypatch.undo()
+        assert got.tobytes() == bisection_lockstep(LN2, gaps, 1.0).tobytes()
+        assert len(calls) < 1 + BISECTION_ITERATIONS // 2
+        # the error-free gaps (21 of 50) leave the lockstep after the first test
+        assert calls[0] == 50 and set(calls[1:]) == {3 * 29}
 
     def test_shapes_round_trip(self):
         gaps = np.linspace(0.2, 2.0, 6)

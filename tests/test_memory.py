@@ -128,6 +128,37 @@ class TestBatchedSweeps:
 
     def test_empty_list_gives_an_empty_array(self):
         assert simulate_memory_beta_swap([], 0.25, 0.75).shape == (0,)
+        assert simulate_memory_beta_swap([], [], []).shape == (0,)
+
+    @pytest.mark.parametrize("ds", [range(1, 13), range(120, 136)])
+    def test_sequences_of_p0_and_gamma_equal_one_call_per_point(self, ds):
+        # the swap-simulation-closed-form grid, and one across the width
+        # from which a single row takes the wavefront; numbers repeat
+        gammas = (17 / 32, 0.55, 0.75, 0.95, 31 / 32)
+        grid = [(d, p0, g) for d in ds for g in gammas for p0 in (0.0, 0.25, g, 1.0)]
+        ds, p0s, gs = zip(*grid)
+        batch = simulate_memory_beta_swap(ds, p0s, gs)
+        assert ([v.hex() for v in batch.tolist()]
+                == [simulate_memory_beta_swap(*point).hex() for point in grid])
+
+    def test_a_sequence_and_a_number_mix(self):
+        ds, p0s = [3, 1, 3, 200, 3], [0.1, 0.5, 0.1, 0.9, 0.0]
+        for p0, gamma in ((p0s, 0.75), (0.25, np.array([0.6, 0.7, 0.6, 0.8, 0.9])),
+                          (np.array(p0s), (0.6,) * 5)):
+            batch = simulate_memory_beta_swap(ds, p0, gamma).tolist()
+            points = zip(ds, np.broadcast_to(p0, 5).tolist(), np.broadcast_to(gamma, 5).tolist())
+            assert batch == [simulate_memory_beta_swap(*point) for point in points]
+
+    @pytest.mark.parametrize("d, p0, gamma", [
+        ([1, 2, 3], [0.5, 0.5], 0.75), ([1, 2, 3], 0.5, [0.75] * 4),
+        ([1, 2], [[0.5, 0.5]], 0.75), (2, [0.5], 0.75), (2, 0.5, [0.75]),
+        ([1, 2, 3], [0.5, 1.5, 0.5], 0.75), ([1, 2, 3], [0.5, -0.1, 0.5], 0.75),
+        ([1, 2, 3], [0.5, math.nan, 0.5], 0.75), ([1, 2, 3], 0.5, [0.75, 1.0, 0.75]),
+        ([1, 2, 3], 0.5, [0.0, 0.75, 0.75]), ([1, 2, 3], 0.5, [0.75, 0.75, math.nan]),
+    ])
+    def test_sequences_of_other_lengths_or_out_of_range_raise(self, d, p0, gamma):
+        with pytest.raises(ValueError):
+            simulate_memory_beta_swap(d, p0, gamma)
 
     @pytest.mark.parametrize("d", [WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 200])
     def test_a_wide_scalar_call_is_a_one_row_wavefront(self, monkeypatch, d):

@@ -10,7 +10,7 @@ from thermoproc.core import (PopulationVector, apply, beta_swap,
                              partial_thermalization)
 from thermoproc.combinatorics import delta_d
 from thermoproc.memory import _p_d
-from thermoproc.reachable import (SimplexRegion, bary_xy, convex_hull_xy,
+from thermoproc.reachable import (SimplexRegion, _outer_points, bary_xy, convex_hull_xy,
                                   etp_orbit_hull, etp_orbit_points, hull_margin,
                                   inside_tp_cone, mtp_mixing_path, mtp_region,
                                   qutrit_gibbs, qutrit_mmtp2_vertices, tp_region)
@@ -89,11 +89,26 @@ class TestOrbit:
             assert got.tobytes() == expected.tobytes(), depth
 
     @pytest.mark.parametrize("gamma", [0.55, 0.6, 0.65, 0.75, 0.8, 0.85, 0.88,
-                                       0.92, 0.999])
+                                       0.92, 0.96, 0.999])
     def test_hull_indices_equal_the_numpy_chain(self, gamma):
-        for depth in range(1, 11):
+        for depth in range(1, 13):
             xy = bary_xy(etp_orbit_points(gamma, depth))
             assert convex_hull_xy(xy).tolist() == hull_numpy(xy), depth
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, 0.88, 0.92, 0.96, 0.999])
+    def test_hull_indices_equal_the_numpy_chain_at_any_scale(self, gamma, scale):
+        for depth in range(1, 13):
+            xy = bary_xy(etp_orbit_points(gamma, depth)) * scale
+            assert convex_hull_xy(xy).tolist() == hull_numpy(xy), depth
+
+    def test_the_filter_drops_most_orbit_points(self):
+        # the orbits the large-gamma check hulls: 31 of 512 points are kept
+        for gamma in (0.88, 0.92, 0.96):
+            xy = bary_xy(etp_orbit_points(gamma, 8))
+            kept = _outer_points(xy)
+            assert kept.sum() == 31
+            assert kept[convex_hull_xy(xy)].all()
 
     def test_hull_indices_equal_the_numpy_chain_on_random_points(self):
         # collinear and repeated points exercise the turn tolerance
@@ -103,6 +118,42 @@ class TestOrbit:
             xy[:10] = np.round(xy[:10], 1)
             xy[10:20] = xy[:10]
             assert convex_hull_xy(xy).tolist() == hull_numpy(xy)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e8])
+    def test_hull_indices_equal_the_numpy_chain_on_degenerate_points(self, scale):
+        # collinear runs and duplicates on a grid, and near-duplicate
+        # clusters at the corners of a polygon with points just inside them,
+        # where the filter's margin decides
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            xy = np.round(rng.random((200, 2)), 1)  # a grid: collinear runs, duplicates
+            assert convex_hull_xy(xy * scale).tolist() == hull_numpy(xy * scale)
+        for _ in range(40):
+            k = int(rng.integers(3, 12))
+            angles = np.sort(rng.random(k)) * 2.0 * np.pi
+            corners = np.column_stack((np.cos(angles), np.sin(angles)))
+            spread = 10.0 ** rng.uniform(-13.0, -6.0, size=(k, 1, 1))
+            clusters = corners[:, None, :] + spread * rng.normal(size=(k, 3, 2))
+            pulled = 10.0 ** rng.uniform(-8.0, -1.0, size=(60, 1))
+            picks = corners[rng.integers(0, k, 60)]
+            inside = picks + (corners.mean(axis=0) - picks) * pulled
+            sliver = np.linspace(-1.0, 1.0, 40)[:, None] * (corners[1] - corners[0]) / 2.0
+            sliver += rng.normal(0.0, 1e-12, size=sliver.shape)  # near-collinear
+            xy = np.concatenate((corners, clusters.reshape(-1, 2), inside, sliver))
+            xy = xy[rng.permutation(len(xy))] * scale
+            assert convex_hull_xy(xy).tolist() == hull_numpy(xy)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("k", [33, 100, 257, 300])
+    def test_a_hull_of_every_point_keeps_every_one(self, k, scale):
+        # a regular polygon: no point lies inside, so the filter keeps all
+        angles = 2.0 * np.pi * np.arange(k) / k
+        xy = np.column_stack((np.cos(angles), np.sin(angles))) * scale
+        assert _outer_points(xy).all()
+        hull = convex_hull_xy(xy).tolist()
+        assert hull == hull_numpy(xy)
+        # at 1e-8 every turn is below the chain's tolerance: two points remain
+        assert len(hull) == (2 if scale < 1e-7 else k)
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
