@@ -114,10 +114,12 @@ one scalar ``min_extraction_error_tp`` call per gap; the
 ``simulate_memory_beta_swap`` call per point against one call over the grid;
 ``etp_orbit_points`` (gamma = 0.75) at depths 8 and 10, whose states carry
 their rounded keys, against the closure that rounds every image anew
-(``orbit_per_image``); and ``convex_hull_xy`` on the orbits at depths 8, 10
-and 12, against the same monotone chain over every point with each turn
-test on numpy rows (``hull_numpy``). The bisection, the swap grid and the
-orbit must give the same bytes and the hull the same indices.
+(``orbit_per_image``); ``convex_hull_xy`` on the orbits at depths 8, 10
+and 12, against the same monotone chain with each turn test on numpy rows
+(``hull_numpy``); and ``qutrit_mmtp2_vertices`` at ten gammas, which runs
+A_1 and B_1 and mirrors them, against all four vertices run
+(``qutrit_vertices_four_runs``). The bisection, the swap grid, the orbit
+and the vertices must give the same bytes and the hull the same indices.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -145,15 +147,16 @@ from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL, _dominates
                                      min_extraction_error_tp)
 from thermoproc.memory import (RESPONSE_MIN_D, WAVEFRONT_MIN_WIDTH,
                                simulate_memory_beta_swap, swap_round)
-from thermoproc.reachable import bary_xy, convex_hull_xy, etp_orbit_points
+from thermoproc.reachable import (bary_xy, convex_hull_xy, etp_orbit_points,
+                                  qutrit_mmtp2_vertices)
 from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
 # the references are the tests' own, kept once in tests/reference.py
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference import (I_d_fraction, alternating_fraction, bisection_lockstep,  # noqa: E402
                        delta_d_column_fraction, hull_numpy, incoherent_by_numpy_scalars,
-                       lki_references, orbit_per_image, round_response, weighted_float,
-                       weighted_fraction)
+                       lki_references, orbit_per_image, qutrit_vertices_four_runs,
+                       round_response, weighted_float, weighted_fraction)
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -178,6 +181,7 @@ HULL_GAMMA = 0.75
 ORBIT_DEPTHS = (8, 10)
 HULL_DEPTHS = (8, 10, 12)
 SWAP_GAMMAS = (0.55, 0.65, 0.75, 0.85, 0.95)
+QUTRIT_GAMMAS = np.linspace(0.55, 0.95, 10).tolist()
 LKI_NAMES, LKI = ("L definition", "K", "I"), (L_eval, K_eval, I_nm_eval)
 
 
@@ -595,6 +599,13 @@ def geometry_table():
         xy = bary_xy(etp_orbit_points(HULL_GAMMA, depth))
         rows.append(Row(f"hull depth {depth} ({len(xy)} pts)", partial(hull_numpy, xy),
                         partial(convex_hull_xy, xy)))
+
+    def vertices(run):
+        return [[v.probs for v in run(g)] for g in QUTRIT_GAMMAS]
+
+    rows.append(Row(f"qutrit vertices x{len(QUTRIT_GAMMAS)} γ: four runs vs two runs + mirror",
+                    partial(vertices, qutrit_vertices_four_runs),
+                    partial(vertices, qutrit_mmtp2_vertices)))
     return Table("validation geometry", "work", rows, times=("reference [ms]", "new [ms]"))
 
 

@@ -59,10 +59,15 @@ import numpy as np
 from ._kernels import Wavefront, _sweep_lists, wavefront_blocks
 from .combinatorics import _require_int
 
-# the width from which a single row takes the wavefront: on a 2-CPU x86 host
-# the list loop and a one-row wavefront break even between d = 124 and
-# d = 140 (three interleaved measurements); within 16 of that they differ by
-# less than 10%
+# the width from which a single row takes the wavefront.  Two measurements on
+# shared 2-CPU x86 hosts disagree: one put the break-even of the list loop
+# and a one-row wavefront between d = 124 and d = 140 (three interleaved
+# runs), a later one near d = 80, where ``simulate_memory_beta_swap`` took
+# 0.51-0.54 ms as the loop against 0.52-0.53 ms as the wavefront, and
+# 0.85-0.87 against 0.42-0.43 ms at d = 127.  The benchmark cannot settle
+# it: the only single-row calls of its three workloads have d in
+# {1, 2, 4, 6, 8} (976 per default-suite pass, 400 per sweep-scaled one).
+# Both paths give the same bits, so the constant changes no output.
 WAVEFRONT_MIN_WIDTH = 128
 
 # the memory dimension from which ``swap_round`` steps through the swap's

@@ -21,12 +21,13 @@ Regions computed:
   - MTP-path: the straight mixing segment from the start state to the Gibbs
     point, an inner path of the MTP polygon (still what fig3 exports);
   - MMTP2-points: the four states produced by the listed memory-assisted
-    sequences with a qubit memory (A_1, A_2, B_1, B_2), each a protocol of
-    the blocks (g, e1, e2) on ``memory``'s one evaluator.  The B points fall
-    outside the MTP polygon at every pair weight, which is the separation
-    this module exists to exhibit: the memory closes part of the gap
-    between MTP and TP.  They do not escape the swap sequences below
-    gamma ~ 0.855: there one swap and two partial swaps reach B exactly.
+    sequences with a qubit memory (A_1, A_2, B_1, B_2): A_1 and B_1 each a
+    protocol of the blocks (g, e1, e2) on ``memory``'s one evaluator, A_2
+    and B_2 their e1 <-> e2 mirrors.  The B points fall outside the MTP
+    polygon at every pair weight, which is the separation this module
+    exists to exhibit: the memory closes part of the gap between MTP and
+    TP.  They do not escape the swap sequences below gamma ~ 0.855: there
+    one swap and two partial swaps reach B exactly.
 
 Plot coordinates: barycentric map onto the equilateral triangle with
 g -> (0, 0), e1 -> (1, 0), e2 -> (1/2, sqrt(3)/2).
@@ -38,8 +39,7 @@ on a 2- or 3-element point, where a numpy call would cost more than the
 arithmetic.  The orbit's states carry their rounded dedup keys with the
 frontier, so an image rounds only the coordinates its swap changes.  The
 turn test is spelled out as the same IEEE operations as ``_cross2``, so the
-hull keeps its vertices.  The chain sees only the points near the hull
-(``_outer_points``, one numpy pass): a depth-8 orbit keeps 31 of its 512.
+hull keeps its vertices.
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ from .memory import _protocol_totals
 TRIANGLE_E2 = (0.5, math.sqrt(3.0) / 2.0)
 DEDUP_DECIMALS = 12
 HULL_TOLERANCE = 1.0e-15  # a chain turn this small or smaller is no left turn
-# the most points the hull filter keeps and compares pairwise; the orbit
-# hulls of etp_orbit_hull keep 15 to 47
-_MAX_KEPT = 256
 
 
 def _cross2(u, v):
@@ -115,16 +112,19 @@ def qutrit_mmtp2_vertices(gamma: float):
     A_s runs the qubit-memory swap simulation between g and e_s and refreshes
     the memory; B_s chains the e_s simulation and then the e_sbar one before
     the single final refresh, keeping the intermediate correlations.
-    Returned in the order A_1, A_2, B_1, B_2.
+    Returned in the order A_1, A_2, B_1, B_2.  Only A_1 and B_1 are run: e1
+    and e2 are degenerate and start empty, so the evaluator does the same
+    float operations on the swapped blocks, and A_2, B_2 are the e1 <-> e2
+    mirrors of A_1, B_1 to the bit.
     """
     if not (0.5 < gamma < 1.0):
         raise ValueError("gamma must lie in (1/2, 1)")
     # blocks g, e1, e2 (0, 1, 2) of two memory slots each, all the mass on g
-    protocols = ([((0, s, gamma),) for s in (1, 2)]
-                 + [((0, s, gamma), (0, 3 - s, gamma)) for s in (1, 2)])
-    return [PopulationVector([total for (total,) in _protocol_totals(
-                [2], sweeps, ((1.0, 0.0, 0.0),), (0, 1, 2))])
-            for sweeps in protocols]
+    (a_g, a_1, a_2), (b_g, b_1, b_2) = (
+        [total for (total,) in _protocol_totals([2], sweeps, ((1.0, 0.0, 0.0),), (0, 1, 2))]
+        for sweeps in (((0, 1, gamma),), ((0, 1, gamma), (0, 2, gamma))))
+    return [PopulationVector(p) for p in ((a_g, a_1, a_2), (a_g, a_2, a_1),
+                                          (b_g, b_1, b_2), (b_g, b_2, b_1))]
 
 
 def etp_orbit_points(gamma: float, depth: int = 8) -> np.ndarray:
@@ -177,71 +177,20 @@ def etp_orbit_points(gamma: float, depth: int = 8) -> np.ndarray:
     return np.array(list(seen.values()))
 
 
-def _outer_points(pts):
-    """A mask of the points the hull chain needs: all but those deep inside
-    the polygon of the extreme points in eight directions (the least and
-    greatest y, x - y, x, x + y, in CCW order).
-
-    A deep point lies farther inside than 1e-9 of the span, far above the
-    rounding of a turn test, and farther than 10 ``HULL_TOLERANCE`` / l,
-    with l the least distance between two distinct kept points: so its turn
-    test against any hull edge of kept points clears the chain's tolerance
-    ten times over, however short the edge.  Without that second bound a
-    deep point near a cluster of hull points can pop one of them.  The
-    closest kept pair is found among all pairs, so past ``_MAX_KEPT`` kept
-    points every point is kept.
-    """
-    x, y = pts[:, 0], pts[:, 1]
-    extents = np.stack((y, x - y, x, x + y))
-    (y0, t0, x0, s0), (y1, t1, x1, s1) = extents.argmin(axis=1), extents.argmax(axis=1)
-    ends = [y0, t1, x1, s1, y1, t0, x0, s0]
-    corners = pts[[i for i, j in zip(ends, ends[1:] + ends[:1]) if i != j]]
-    if len(corners) < 3:
-        return np.ones(len(pts), dtype=bool)
-    edges = np.roll(corners, -1, axis=0) - corners
-    ex, ey = edges[:, :1], edges[:, 1:]
-    # the distance inside: the least over the edges of a turn test's cross
-    # product over the edge's length
-    depth = ((ex * (y - corners[:, 1:]) - ey * (x - corners[:, :1]))
-             / np.hypot(ex, ey)).min(axis=0)
-    needed = 1.0e-9 * max(x[x1] - x[x0], y[y1] - y[y0])
-    count = 0
-    while True:
-        keep = ~(depth > needed)  # so that a NaN point stays for the chain
-        kept = pts[keep]
-        if len(kept) == count:  # the points of the last pass, so its bound
-            return keep
-        if len(kept) > _MAX_KEPT:
-            return np.ones(len(pts), dtype=bool)
-        count = len(kept)
-        z = kept[:, 0] + 1j * kept[:, 1]
-        apart = np.abs(z[:, None] - z)
-        bound = 10.0 * HULL_TOLERANCE / apart[apart > 0.0].min()
-        if needed >= bound:
-            return keep
-        needed = bound
-
-
 def convex_hull_xy(points_xy: np.ndarray) -> np.ndarray:
     """Indices of the convex hull of 2-d points, CCW (Andrew monotone chain).
 
-    Points deep inside the polygon of the extreme points are dropped first
-    (``_outer_points``): such a point is appended to the chain and popped
-    again without moving it, and nearly all of a swap orbit's points are
-    such points.  The rest run through the chain in the same lexicographic
-    order, and the indices returned are into ``points_xy``.  They equal
-    those of the chain over every point: tested on swap orbits, on random
-    sets with collinear runs, duplicates and near-duplicate clusters, on
-    regular polygons, and at scales 1e-8 to 1e8, not proved.  The chain
-    runs on Python floats: each turn test is ``_cross2(a - o, p - o)``
-    spelled out, the same IEEE operations in the same order, without a
-    numpy call per point.  The last two chain points o and a are held in
-    locals; only a pop looks up the point before them.
+    The chain runs over every point in lexicographic order, on Python
+    floats: each turn test is ``_cross2(a - o, p - o)`` spelled out, the same
+    IEEE operations in the same order, without a numpy call per point.  The
+    last two chain points o and a are held in locals; only a pop looks up
+    the point before them.  A turn of at most ``HULL_TOLERANCE`` is no left
+    turn, so collinear and repeated points drop out.  That tolerance is
+    absolute, so a hull whose coordinates are below about 1e-7 degenerates:
+    a regular 33-gon of radius 1e-8 comes back as 2 indices.
     """
     pts = np.asarray(points_xy, dtype=np.float64)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    if len(pts) > 64:  # fewer go through the chain faster than the filter
-        order = order[_outer_points(pts)[order]]
     # the chain runs over positions in ``order``, mapped back at the end
     xy = pts[order].tolist()
 

@@ -50,8 +50,11 @@ from .memory import _protocol_totals
 class ExtractionSetup:
     """System gap, work-bit gap and inverse temperature.
 
-    Everything else (pair weights, threshold gap, composite Gibbs state) is
-    derived on access so nothing can go stale.
+    Everything else is derived on access so nothing can go stale: the
+    Boltzmann factor ``q_E``, the pair weights ``gamma``, ``gamma_W`` and
+    ``gamma_delta``, the partition function ``Z``, the threshold gap ``W_0``
+    and the ``initial_state``.  The composite Gibbs state is built only
+    where it is used, in ``majorization.min_extraction_error_tp``.
     """
 
     E: float

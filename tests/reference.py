@@ -15,10 +15,10 @@ import numpy as np
 
 from thermoproc import cooling, memory
 from thermoproc._kernels import _memory_sweep_py
-from thermoproc.core import Hamiltonian, gibbs_state
+from thermoproc.core import Hamiltonian, PopulationVector, gibbs_state
 from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL, _dominates,
                                      extraction_target, lorenz_curve)
-from thermoproc.memory import RESPONSE_MIN_D
+from thermoproc.memory import RESPONSE_MIN_D, _protocol_totals
 from thermoproc.reachable import qutrit_gibbs
 
 
@@ -317,3 +317,15 @@ def orbit_per_image(gamma, depth):
     if key(gibbs) not in seen:
         seen[key(gibbs)] = gibbs
     return np.array(list(seen.values()))
+
+
+def qutrit_vertices_four_runs(gamma):
+    """The memory-assisted qutrit vertices (A_1, A_2, B_1, B_2) with each
+    one run on the evaluator, as ``qutrit_mmtp2_vertices`` ran before A_2
+    and B_2 became the mirrors of A_1 and B_1."""
+    # blocks g, e1, e2 (0, 1, 2) of two memory slots each, all the mass on g
+    protocols = ([((0, s, gamma),) for s in (1, 2)]
+                 + [((0, s, gamma), (0, 3 - s, gamma)) for s in (1, 2)])
+    return [PopulationVector([total for (total,) in _protocol_totals(
+                [2], sweeps, ((1.0, 0.0, 0.0),), (0, 1, 2))])
+            for sweeps in protocols]

@@ -196,6 +196,10 @@ class TestExactScores:
                    "eps_d2": 4 * EPS,  # 4.0e-16
                    "eps_d5": 4 * EPS,  # 4.8e-16
                    "eps_d20": 8 * EPS}  # 9.7e-16
+    # the closed forms of the class columns above their zero rows
+    CLASS_BOUNDS = {"eps_tp": 2 * EPS,  # 3.0e-16
+                    "eps_etp": 2 * EPS,  # 1.8e-16
+                    "eps_mtp": 2 * EPS}  # 3.1e-16
     # against exact runs at the config's float inputs (the incoherent
     # paradigm's derived eta, gamma, q_big and gamma_big at their binary
     # values); MTP's coherent rounds hold gamma itself
@@ -242,6 +246,34 @@ class TestExactScores:
             worst = worst_relative_error(rows[:, columns.index(column)].tolist(),
                                          [I_d_fraction(d, x, y) for x, y in xy])
             assert worst <= self.FIG2_BOUNDS[column], (column, worst)
+
+    def test_fig2_class_columns_against_exact_values(self, tmp_path):
+        # each math.exp result at its binary value, as the I_d scores take x
+        # and y; the branch at E and W_0 is the float one the code takes
+        p = cli.ExperimentConfig.from_dict({"experiment": "fig2"}).params
+        run_fig(tmp_path, "fig2")
+        columns, rows = read_rows(tmp_path / "fig2.csv")
+        exact = {"eps_tp": [], "eps_etp": [], "eps_mtp": []}
+        for w in rows[:, 0].tolist():
+            st = ExtractionSetup(p["beta_E"], w, 1.0)
+            e_delta = Fraction(math.exp(-st.beta * (st.W - st.E)))
+            e_w = Fraction(math.exp(-st.beta * st.W))
+            exact["eps_tp"].append(1 - Fraction(math.exp(st.beta * (st.E - st.W))) - e_w
+                                   if st.W > st.W_0 else 0)
+            exact["eps_etp"].append((1 - e_delta) * (1 - e_w) if st.W > st.E else 0)
+            exact["eps_mtp"].append(1 / (1 + e_delta) / (1 + e_w))
+        zeros = {}
+        for column, bound in self.CLASS_BOUNDS.items():
+            pairs = list(zip(rows[:, columns.index(column)].tolist(), exact[column]))
+            # the relative error divides by the exact value, so the rows
+            # below the threshold are checked apart: exactly 0.0
+            zero = [v for v, e in pairs if e == 0]
+            assert zero == [0.0] * len(zero), column
+            zeros[column] = len(zero)
+            worst = worst_relative_error([v for v, e in pairs if e != 0],
+                                         [e for v, e in pairs if e != 0])
+            assert worst <= bound, (column, worst)
+        assert zeros == {"eps_tp": 71, "eps_etp": 44, "eps_mtp": 0}
 
     @pytest.mark.parametrize("experiment", ["cooling-coherent", "cooling-incoherent"])
     def test_cooling_against_exact_runs(self, tmp_path, experiment):

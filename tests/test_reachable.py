@@ -10,12 +10,12 @@ from thermoproc.core import (PopulationVector, apply, beta_swap,
                              partial_thermalization)
 from thermoproc.combinatorics import delta_d
 from thermoproc.memory import _p_d
-from thermoproc.reachable import (SimplexRegion, _outer_points, bary_xy, convex_hull_xy,
-                                  etp_orbit_hull, etp_orbit_points, hull_margin,
-                                  inside_tp_cone, mtp_mixing_path, mtp_region,
-                                  qutrit_gibbs, qutrit_mmtp2_vertices, tp_region)
+from thermoproc.reachable import (SimplexRegion, bary_xy, convex_hull_xy, etp_orbit_hull,
+                                  etp_orbit_points, hull_margin, inside_tp_cone,
+                                  mtp_mixing_path, mtp_region, qutrit_gibbs,
+                                  qutrit_mmtp2_vertices, tp_region)
 
-from reference import hull_numpy, orbit_per_image
+from reference import hull_numpy, orbit_per_image, qutrit_vertices_four_runs
 
 GROUND = PopulationVector(np.array([1.0, 0.0, 0.0]))
 
@@ -30,6 +30,13 @@ class TestMemoryVertices:
         a1, a2, b1, b2 = qutrit_mmtp2_vertices(0.75)
         np.testing.assert_allclose(a1.probs, a2.probs[[0, 2, 1]], atol=1e-15)
         np.testing.assert_allclose(b1.probs, b2.probs[[0, 2, 1]], atol=1e-15)
+
+    def test_vertices_equal_the_four_run_reference(self):
+        # A_2 and B_2 are mirrors, not runs: they must keep the runs' bits
+        for gamma in np.linspace(0.5001, 0.9999, 2001).tolist():
+            got = [v.probs.tobytes() for v in qutrit_mmtp2_vertices(gamma)]
+            expected = [v.probs.tobytes() for v in qutrit_vertices_four_runs(gamma)]
+            assert got == expected, gamma
 
     def test_all_vertices_thermally_reachable(self):
         for gamma in (0.65, 0.75, 0.85):
@@ -102,14 +109,6 @@ class TestOrbit:
             xy = bary_xy(etp_orbit_points(gamma, depth)) * scale
             assert convex_hull_xy(xy).tolist() == hull_numpy(xy), depth
 
-    def test_the_filter_drops_most_orbit_points(self):
-        # the orbits the large-gamma check hulls: 31 of 512 points are kept
-        for gamma in (0.88, 0.92, 0.96):
-            xy = bary_xy(etp_orbit_points(gamma, 8))
-            kept = _outer_points(xy)
-            assert kept.sum() == 31
-            assert kept[convex_hull_xy(xy)].all()
-
     def test_hull_indices_equal_the_numpy_chain_on_random_points(self):
         # collinear and repeated points exercise the turn tolerance
         rng = np.random.default_rng(53)
@@ -123,7 +122,7 @@ class TestOrbit:
     def test_hull_indices_equal_the_numpy_chain_on_degenerate_points(self, scale):
         # collinear runs and duplicates on a grid, and near-duplicate
         # clusters at the corners of a polygon with points just inside them,
-        # where the filter's margin decides
+        # where the turn tolerance decides
         rng = np.random.default_rng(59)
         for _ in range(20):
             xy = np.round(rng.random((200, 2)), 1)  # a grid: collinear runs, duplicates
@@ -146,10 +145,9 @@ class TestOrbit:
     @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
     @pytest.mark.parametrize("k", [33, 100, 257, 300])
     def test_a_hull_of_every_point_keeps_every_one(self, k, scale):
-        # a regular polygon: no point lies inside, so the filter keeps all
+        # a regular polygon: no point lies inside
         angles = 2.0 * np.pi * np.arange(k) / k
         xy = np.column_stack((np.cos(angles), np.sin(angles))) * scale
-        assert _outer_points(xy).all()
         hull = convex_hull_xy(xy).tolist()
         assert hull == hull_numpy(xy)
         # at 1e-8 every turn is below the chain's tolerance: two points remain

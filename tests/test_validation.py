@@ -1,4 +1,5 @@
-"""Validation checks fail on a NaN from what they read, wherever it falls."""
+"""Validation checks fail on a NaN from what they read, wherever it falls,
+and every declared check runs."""
 
 import math
 
@@ -71,3 +72,13 @@ def test_worst_counts_a_nan_as_inf_wherever_it_falls():
     assert validation._worst(-math.inf, 2.0, np.array([1.0, math.nan])) == math.inf
     assert validation._worst(3.0, np.array([1.0, 5.0]), 4.0) == 5.0
     assert validation._worst(-math.inf) == -math.inf
+
+
+def test_every_check_is_listed_once_and_the_modules_follow_the_list():
+    # a check left out of ALL_CHECKS never runs, and nothing fails
+    defined = sorted(name for name, obj in vars(validation).items()
+                     if name.startswith("check_") and callable(obj))
+    listed = [check.__name__ for check in validation.ALL_CHECKS]
+    assert sorted(listed) == defined
+    modules = [validation._MODULE_OF[name] for name in listed]
+    assert validation.MODULES == tuple(dict.fromkeys(modules))
