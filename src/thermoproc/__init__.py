@@ -1,4 +1,11 @@
-"""Markovian thermal processes with finite memories: simulation and closed forms."""
+"""Markovian thermal processes with finite memories: simulation and closed forms.
+
+``import thermoproc`` loads only the modules the names below come from;
+any other submodule is imported on first attribute access
+(``thermoproc.validation``).
+"""
+
+import importlib
 
 from ._kernels import backend_name, memory_sweep
 
@@ -17,3 +24,12 @@ __all__ = [
     # one-off sweep it checks bit for bit against ``_memory_sweep_py``
     "backend_name", "memory_sweep",
 ]
+
+
+def __getattr__(name):
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

@@ -23,12 +23,25 @@ value raises OutputError instead of being written.
 
 Exit codes: 0 success, 2 config error, 3 validation failure or a NaN or
 infinite value refused by the CSV writer, 4 I/O error.
+
+Importing this module loads only what every command runs: ``core``,
+``combinatorics``, ``_kernels`` and ``memory`` (``PARAMS`` needs the
+``delta_d`` domain and the float limit of ``I_d``; ``beta-swap-sweep`` runs
+on ``memory`` and ``combinatorics`` alone).  The science modules load with
+the command that runs them, since every process pays for each module it
+imports, and compiles it from source when bytecode caching is off:
+``fig2`` loads ``workx`` (which its config check also reads), ``fig3``
+``reachable`` and ``majorization``, the cooling experiments ``cooling``
+(``cooling-incoherent``'s config check reads it too), and ``validate``
+every module, through ``validation``.  ``cli.validation`` and the other
+deferred modules still resolve as attributes.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import math
 import sys
@@ -40,10 +53,21 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__, cooling, reachable, validation, workx
+from . import __version__
 from .memory import _p_d, simulate_memory_beta_swap
 from .combinatorics import (DELTA_GAMMA_MARGIN, MAX_FLOAT_D, catalan_tail_bound,
                             delta_d_column)
+
+# imported by the code that runs them; see the module docstring
+_DEFERRED = ("cooling", "reachable", "validation", "workx")
+
+
+def __getattr__(name):
+    """``cli.validation`` and the other deferred modules, imported on first access."""
+    if name in _DEFERRED:
+        return importlib.import_module(f".{name}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 SCHEMA_VERSION = 1
 DEFAULT_OUTPUT_DIR = "thermoproc-out"
@@ -132,6 +156,9 @@ _DELTA_GAMMA = Param("gamma", float, 0.75,
                      lambda v: 0.5 + DELTA_GAMMA_MARGIN < v < 1.0,
                      f"must lie in (1/2 + {DELTA_GAMMA_MARGIN:g}, 1)")
 _COOLING_D_LIST = _d_list([1, 2, 4, 8])
+# the modules ``validate --only`` selects, in the order of validation.ALL_CHECKS
+_VALIDATED_MODULES = ("core", "combinatorics", "majorization", "memory", "cooling",
+                      "workx", "reachable", "cli")
 
 PARAMS = {
     "fig2": (
@@ -158,9 +185,9 @@ PARAMS = {
         _at_least_one("d_max", 30),
     ),
     "validate": (
-        Param("only", str, None, lambda v: v in validation.MODULES,
-              f"must be one of {validation.MODULES}",
-              help="restrict to one module's checks: " + ", ".join(validation.MODULES)),
+        Param("only", str, None, lambda v: v in _VALIDATED_MODULES,
+              f"must be one of {_VALIDATED_MODULES}",
+              help="restrict to one module's checks: " + ", ".join(_VALIDATED_MODULES)),
     ),
 }
 
@@ -202,7 +229,22 @@ class ExperimentConfig:
         _reject_unknown(params_in, [p.name for p in PARAMS[experiment]],
                         "params.", experiment)
         params = {p.name: p.parse(params_in) for p in PARAMS[experiment]}
+        if experiment == "fig2":
+            from . import workx
+
+            # I_d takes x = 1 - gamma_delta, largest at the smallest W
+            w = min(params["w_min"], params["w_max"])
+            try:
+                x = 1.0 - workx.ExtractionSetup(params["beta_E"], w, 1.0).gamma_delta
+            except OverflowError:  # e^(beta_E - W) overflows: gamma_delta is 0
+                x = 1.0
+            if not x < 1.0:
+                raise ConfigError(
+                    "params.beta_E", "1 - gamma_delta = 1 - 1/(1 + e^(beta_E - W)) rounds "
+                    f"to 1 at W = {w:g}; I_d needs it below 1")
         if experiment == "cooling-incoherent":
+            from . import cooling
+
             if not params["script_E"] > params["E"]:
                 raise ConfigError("params.script_E", "must exceed E")
             if not params["beta_hot"] < params["beta"]:
@@ -295,6 +337,8 @@ def _fig2_rows(p):
     """Per work gap W: W, the TP/ETP/MTP errors and the memory error at each
     d, which comes from one array call over the whole W grid per d.  The
     setups are freed on return, before the CSV text is built."""
+    from . import workx
+
     ws = np.linspace(p["w_min"], p["w_max"], p["w_points"])
     setups = [workx.ExtractionSetup(p["beta_E"], float(bw), 1.0) for bw in ws]
     eps_d = zip(*(e.tolist() for e in workx.epsilon_d_grid(setups, p["d_list"])))
@@ -310,6 +354,8 @@ def _emit_fig2(cfg: ExperimentConfig, outdir: Path):
 
 
 def _emit_fig3(cfg: ExperimentConfig, outdir: Path):
+    from . import reachable
+
     p = cfg.params
     gamma, depth = p["gamma"], p["depth"]
     regions = [reachable.tp_region(gamma), reachable.etp_orbit_hull(gamma, depth),
@@ -325,6 +371,8 @@ def _emit_fig3(cfg: ExperimentConfig, outdir: Path):
 def _emit_cooling(cfg: ExperimentConfig, outdir: Path):
     """Both cooling paradigms: per round, each class's simulated ground
     population next to its closed form."""
+    from . import cooling
+
     p = cfg.params
     meta = cfg.echo()["params"]
     if cfg.experiment == "cooling-coherent":
@@ -368,6 +416,8 @@ def _emit_beta_swap_sweep(cfg: ExperimentConfig, outdir: Path):
 def _emit_validate(cfg: ExperimentConfig, outdir: Path):
     """Run the checks ``cfg`` selects and write their JSON report; returns
     the report's path and the checks' results."""
+    from . import validation
+
     results = validation.run_checks(only=cfg.params["only"])
     path = outdir / "validation_report.json"
     path.write_text(json.dumps(validation.summarize(results), indent=2, sort_keys=True) + "\n",

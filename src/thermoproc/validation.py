@@ -27,9 +27,6 @@ from . import cooling, majorization, memory, reachable, workx
 from .core import (Hamiltonian, beta_swap, elementary_tp, gibbs_state,
                    partial_thermalization)
 
-MODULES = ("core", "combinatorics", "majorization", "memory", "cooling",
-           "workx", "reachable", "cli")
-
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
@@ -432,6 +429,9 @@ ALL_CHECKS = (
     check_qutrit_tp_membership,
     check_run_determinism,
 )
+
+# the modules the checks validate, in the order they are first listed
+MODULES = tuple(dict.fromkeys(_MODULE_OF[check.__name__] for check in ALL_CHECKS))
 
 
 def run_checks(only=None):

@@ -6,11 +6,17 @@ that only tests (or nothing) use; it belongs in the test that needs it.  The
 scan is static: a name counts as used when some ``Name`` (read, not
 assigned) or ``Attribute`` node in the package spells it.
 
-The same static scan keeps every file write in ``cli.py``.
+The same static scan keeps every file write in ``cli.py``, and a fresh
+interpreter pins the modules that ``import thermoproc.cli`` loads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thermoproc"
 
@@ -175,3 +181,59 @@ def test_the_write_scan_sees_each_kind_of_write():
                      "open(f, mode='a')\nopen(f, m)\nopen(f)\nopen(f, 'rb')\n")
     assert list(_file_writes(tree)) == [1, 2, 3, 4, 5]
     assert list(_file_writes(_trees()["cli"]))  # cli itself writes
+
+
+def _fresh_interpreter(code):
+    """Standard output of ``code`` run by a new interpreter on the package source."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.split()
+
+
+def test_importing_the_cli_loads_only_what_every_command_runs():
+    """The science modules load with the command that runs them."""
+    loaded = _fresh_interpreter(
+        "import sys, thermoproc.cli\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'thermoproc'))")
+    assert loaded == ["thermoproc", "thermoproc._kernels", "thermoproc.cli",
+                      "thermoproc.combinatorics", "thermoproc.core", "thermoproc.memory"]
+
+
+def test_submodules_resolve_as_attributes_on_first_access():
+    out = _fresh_interpreter(
+        "import thermoproc\n"
+        "print(thermoproc.validation.__name__, thermoproc.majorization.__name__)\n"
+        "try:\n"
+        "    thermoproc.no_such_module\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n")
+    assert out == ["thermoproc.validation", "thermoproc.majorization", "AttributeError"]
+
+
+class _BrokenSubmodule:
+    """An import finder for which ``thermoproc.broken`` exists but needs a
+    module that is not installed."""
+
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name == "thermoproc.broken":
+            raise ModuleNotFoundError("No module named 'missing_dependency'",
+                                      name="missing_dependency")
+        return None
+
+
+def test_a_submodule_missing_a_dependency_is_not_reported_as_absent(monkeypatch):
+    import thermoproc
+
+    monkeypatch.setattr(sys, "meta_path", [_BrokenSubmodule, *sys.meta_path])
+    with pytest.raises(ModuleNotFoundError, match="missing_dependency"):
+        thermoproc.broken
+    with pytest.raises(AttributeError):
+        thermoproc.no_such_module
+
+
+def test_the_cli_resolves_the_modules_it_defers():
+    out = _fresh_interpreter(
+        "import thermoproc.cli\nvalidation = thermoproc.cli.validation\n"
+        "print(validation.__name__, bool(validation.ALL_CHECKS))")
+    assert out == ["thermoproc.validation", "True"]

@@ -531,6 +531,34 @@ class TestMainExitCodes:
         assert line.startswith("config error: params.d_list")
         assert not out.exists()
 
+    @pytest.mark.parametrize("params, code", [
+        ({"beta_E": 36.0}, 0),
+        # 1 - gamma_delta = 1 - 1/(1 + e^(beta_E - W)) rounds to 1 at W = w_min,
+        # which I_d refuses
+        ({"beta_E": 38.0}, 2),
+        # e^(beta_E - W) overflows
+        ({"beta_E": 800.0}, 2),
+        # a descending grid: the smallest W is w_max
+        ({"beta_E": 37.6, "w_min": 3.0, "w_max": 0.05}, 2),
+    ])
+    @pytest.mark.parametrize("command", ["fig", "run"])
+    def test_fig2_beta_E_is_checked_against_the_domain_of_i_d(
+            self, tmp_path, capsys, command, params, code):
+        out = tmp_path / "f"
+        if command == "fig":
+            flags = [s for k, v in params.items() for s in ("--" + k.replace("_", "-"), str(v))]
+            argv = ["fig", "fig2", *flags, "--out", str(out)]
+        else:
+            argv = ["run", write_config(tmp_path, {
+                "experiment": "fig2", "output_dir": str(out), "params": params})]
+        assert cli.main(argv) == code
+        if code == 0:
+            assert (out / "fig2.csv").exists()
+        else:
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith("config error: params.beta_E")
+            assert not out.exists()
+
     def test_fig3_keeps_the_whole_open_gamma_interval(self):
         cfg = cli.ExperimentConfig.from_dict(
             {"experiment": "fig3", "params": {"gamma": 0.5 + DELTA_GAMMA_MARGIN / 10}})
