@@ -103,23 +103,17 @@ one call, against one call per d: d = 1..40 on the
 {1, 2, 5, 20, 100, 400, 1000} on a 2000-point fig2-dense grid (beta E =
 0.7). Every row must give the same bytes.
 
-Validation geometry: the ``extraction-bisection-grid`` check's 50 work gaps
-(beta E = ln 2, beta W from 0.05 to 2.5) as one lockstep call over the grid
-(two halvings per batched feasibility test, the error-free gaps dropped
-after the first test, stopped at the fixed point), against the full
-lockstep that bisects every gap for all 32 tests (``bisection_lockstep``),
-against the lockstep loop with one halving per test, kept here, and against
-one scalar ``min_extraction_error_tp`` call per gap; the
-``swap-simulation-closed-form`` check's 300 (d, p0, gamma) points as one
-``simulate_memory_beta_swap`` call per point against one call over the grid;
+Validation geometry: the ``swap-simulation-closed-form`` check's 300 (d,
+p0, gamma) points as one ``simulate_memory_beta_swap`` call per point
+against one call over the grid;
 ``etp_orbit_points`` (gamma = 0.75) at depths 8 and 10, whose states carry
 their rounded keys, against the closure that rounds every image anew
 (``orbit_per_image``); ``convex_hull_xy`` on the orbits at depths 8, 10
 and 12, against the same monotone chain with each turn test on numpy rows
 (``hull_numpy``); and ``qutrit_mmtp2_vertices`` at ten gammas, which runs
 A_1 and B_1 and mirrors them, against all four vertices run
-(``qutrit_vertices_four_runs``). The bisection, the swap grid, the orbit
-and the vertices must give the same bytes and the hull the same indices.
+(``qutrit_vertices_four_runs``). The swap grid, the orbit and the
+vertices must give the same bytes and the hull the same indices.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -141,10 +135,7 @@ from thermoproc import combinatorics
 from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, delta_d,
                                       delta_d_column)
 from thermoproc.cooling import cool_incoherent
-from thermoproc.core import Hamiltonian, clip_noise, gibbs_state
-from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL, _dominates,
-                                     extraction_target, lorenz_curve,
-                                     min_extraction_error_tp)
+from thermoproc.core import clip_noise
 from thermoproc.memory import (RESPONSE_MIN_D, WAVEFRONT_MIN_WIDTH,
                                simulate_memory_beta_swap, swap_round)
 from thermoproc.reachable import (bary_xy, convex_hull_xy, etp_orbit_points,
@@ -153,10 +144,10 @@ from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
 # the references are the tests' own, kept once in tests/reference.py
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from reference import (I_d_fraction, alternating_fraction, bisection_lockstep,  # noqa: E402
-                       delta_d_column_fraction, hull_numpy, incoherent_by_numpy_scalars,
-                       lki_references, orbit_per_image, qutrit_vertices_four_runs,
-                       round_response, weighted_float, weighted_fraction)
+from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,  # noqa: E402
+                       hull_numpy, incoherent_by_numpy_scalars, lki_references,
+                       orbit_per_image, qutrit_vertices_four_runs, round_response,
+                       weighted_float, weighted_fraction)
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -176,7 +167,6 @@ I_D_POINTS = 2000
 EXACT_I_D_DIMS = (100, 200, 500, 1000)
 FRACTION_REFERENCE_MAX_D = 200
 DELTA_GAMMAS = (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))
-BISECTION_GAPS = 50
 HULL_GAMMA = 0.75
 ORBIT_DEPTHS = (8, 10)
 HULL_DEPTHS = (8, 10, 12)
@@ -552,45 +542,11 @@ def special_function_table():
                  times=("per point [ms]", "grid [ms]"))
 
 
-def bisection_one_halving(E, W, beta):
-    """``min_extraction_error_tp`` over an array of gaps with one halving per
-    batched feasibility test, 64 tests on n rows (the loop the two-halving
-    tests replaced)."""
-    ws = np.asarray(W, dtype=np.float64).tolist()
-    tau = np.array([gibbs_state(Hamiltonian((0.0, w, E, E + w)), beta).probs for w in ws])
-    gamma_s = 1.0 / (1.0 + math.exp(-beta * E))
-    start = lorenz_curve(np.array([0.0, 0.0, 1.0, 0.0]), tau)
-
-    def feasible(eps):
-        target = lorenz_curve(extraction_target(gamma_s, eps), tau)
-        return _dominates(start, target, CURVE_TOL)
-
-    lo = np.zeros(len(ws))
-    hi = np.array([1.0 / (1.0 + math.exp(-beta * w)) for w in ws])
-    error_free = feasible(lo)
-    for _ in range(BISECTION_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        ok = feasible(mid)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    hi[error_free] = 0.0
-    return hi
-
-
 def geometry_table():
-    e = math.log(2.0)
-    gaps = np.linspace(0.05, 2.5, BISECTION_GAPS)
-    grid = partial(min_extraction_error_tp, e, gaps, 1.0)
     # the swap-simulation-closed-form check's grid
     swaps = [(d, p0, g) for d in range(1, 13) for g in SWAP_GAMMAS
              for p0 in (0.0, 0.25, 0.5, g, 0.9)]
-    rows = [Row(f"bisection x{BISECTION_GAPS}, full lockstep",
-                partial(bisection_lockstep, e, gaps, 1.0), grid),
-            Row(f"bisection x{BISECTION_GAPS}, 1 halving",
-                partial(bisection_one_halving, e, gaps, 1.0), grid),
-            Row(f"bisection x{BISECTION_GAPS}, scalar",
-                lambda: [min_extraction_error_tp(e, w, 1.0) for w in gaps.tolist()], grid),
-            Row(f"swap grid x{len(swaps)}: per point vs one batch",
+    rows = [Row(f"swap grid x{len(swaps)}: per point vs one batch",
                 lambda: [simulate_memory_beta_swap(*point) for point in swaps],
                 partial(simulate_memory_beta_swap, *zip(*swaps)))]
     rows += [Row(f"orbit depth {depth}", partial(orbit_per_image, HULL_GAMMA, depth),

@@ -12,14 +12,7 @@ Curves are built, checked and compared rows first: ``beta_order``,
 stacked along leading axes (the last axis runs over levels), and a single
 state is the one-row case.  The row-wise interpolation repeats
 ``np.interp``'s operations in its order, so each row gives the bits of a
-one-state ``np.interp`` comparison.  The extraction bisection uses that to
-run a whole work-gap grid in lockstep: one batched feasibility test per
-two halvings rather than one per grid point and halving, since numpy's
-per-call cost, not the arithmetic, sets the time of a few-element curve.
-Each test holds the midpoint and both quarter points of every interval, so
-following its two decisions gives the bits of one halving at a time.  The
-error-free gaps, decided by one test at eps = 0, stay out of the lockstep,
-and it stops once no test can move an interval.
+one-state ``np.interp`` comparison.
 """
 
 from __future__ import annotations
@@ -30,11 +23,10 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import Hamiltonian, PopulationVector, gibbs_state
+from .core import PopulationVector
 
 CURVE_TOL = 1.0e-12
 VERTEX_DEDUP_DECIMALS = 12
-BISECTION_ITERATIONS = 64  # halvings, two per feasibility test; width 2^-64
 
 
 @dataclass(frozen=True)
@@ -170,76 +162,33 @@ def tp_reach_vertices(p, gibbs):
     return list(seen.values())
 
 
-def extraction_target(gamma_s: float, eps) -> np.ndarray:
-    """Product state [gamma_s, 1-gamma_s] x [eps, 1-eps] on basis (g0, g1, e0, e1),
-    one row per entry of ``eps``."""
-    eps = np.asarray(eps, dtype=np.float64)
-    return np.stack([
-        gamma_s * eps, gamma_s * (1.0 - eps),
-        (1.0 - gamma_s) * eps, (1.0 - gamma_s) * (1.0 - eps),
-    ], axis=-1)
-
-
 def min_extraction_error_tp(E: float, W, beta: float):
     """Smallest work-bit ground weight eps reachable from the excited system.
 
-    Bisection on eps over [0, gamma_W] of whether [0,1]_S x [1,0]_W reaches
-    Gibbs_S x [eps, 1-eps] by a thermal process.  ``W`` may be an array of
-    work gaps: every gap bisects in lockstep, one row each, and the result
-    has W's shape (a float for a scalar W).  One test at eps = 0 decides
-    the error-free gaps, which give 0.0 and bisect no further.  The others
-    run batched feasibility tests of two halvings each: a test takes the
-    midpoint of every interval and both quarter points, the midpoints of
-    the two halves that the first decision can leave, as 3n rows for n
-    gaps.  Each quarter point is the very midpoint that one halving at a
-    time would form next, so the two decisions reach the same (lo, hi) bits
-    as two separate tests.  The loop stops at its fixed point, once every
-    row's midpoint rounds to one of its ends, where a test would change no
-    hi: a midpoint equal to lo is a point found infeasible before (eps = 0
-    or an earlier midpoint), so the row keeps [lo, hi]; one equal to hi
-    keeps [lo, hi] when it is feasible and becomes [hi, hi] when it is not,
-    which keeps hi too.  The Gibbs states and the start curves are built
-    once; each test builds (and checks) the target curves of all rows.  The
-    upper end (the full Gibbs product) is always feasible, and feasibility
-    is monotone in eps on this interval (asserted by sampling in the test
-    suite, not proved here).  At most 64 halvings pin the answer well below
-    1e-12.
+    The least eps for which [0,1]_S x [1,0]_W reaches Gibbs_S x [eps, 1-eps]
+    by a thermal process, read off the start's Lorenz curve.  The target
+    has beta-ratios eps/gamma_W on (g0, e0) and (1-eps)/(1-gamma_W) on (g1,
+    e1); for eps <= gamma_W the second pair comes first, so the target's
+    curve has one elbow, at (1 - gamma_W, 1 - eps).  A concave curve lies on
+    or above a piecewise-linear one iff it does at the latter's elbows, so
+    the start reaches the target iff L(1 - gamma_W) >= 1 - eps, and
+    eps_min = max(0, 1 - L(1 - gamma_W)) for the start's curve L: the
+    eps-deterministic work read-off of Horodecki & Oppenheim, "Fundamental
+    limitations for quantum and nanoscale thermodynamics", Nat. Commun. 4,
+    2059 (2013).  The condition is linear in eps, so feasibility is monotone
+    in eps.  From the excited state L(x) = min(1, x / tau_e0), which is
+    ``workx.epsilon_tp``'s closed form.  ``W`` may be an array of work gaps,
+    one curve each; the result has W's shape (a float for a scalar W).
     """
     gaps = np.asarray(W, dtype=np.float64)
     if not (E > 0.0 and beta > 0.0 and (gaps > 0.0).all()):
         raise ValueError("E, W and beta must be positive")
-    ws = gaps.ravel().tolist()
-    tau = np.array([gibbs_state(Hamiltonian((0.0, w, E, E + w)), beta).probs
-                    for w in ws]).reshape(len(ws), 4)
-    gamma_s = 1.0 / (1.0 + math.exp(-beta * E))
-    excited = np.array([0.0, 0.0, 1.0, 0.0])
-
-    def feasible(eps, tau, start):
-        target = lorenz_curve(extraction_target(gamma_s, eps), tau)
-        return _dominates(start, target, CURVE_TOL)
-
-    result = np.zeros(len(ws))
-    bisect = np.flatnonzero(~feasible(result, tau, lorenz_curve(excited, tau)))
-    n = len(bisect)
-    if n:
-        tau3 = np.tile(tau[bisect], (3, 1))
-        start3 = lorenz_curve(excited, tau3)
-        lo = np.zeros(n)
-        hi = np.array([1.0 / (1.0 + math.exp(-beta * ws[i])) for i in bisect.tolist()])
-        for _ in range(BISECTION_ITERATIONS // 2):
-            mid = 0.5 * (lo + hi)
-            if ((mid == lo) | (mid == hi)).all():
-                break  # the fixed point: no test changes hi any more
-            lower, upper = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            ok_mid, ok_lower, ok_upper = feasible(
-                np.concatenate((mid, lower, upper)), tau3, start3).reshape(3, n)
-            # first halving: [lo, mid] when mid is feasible, else [mid, hi]
-            lo = np.where(ok_mid, lo, mid)
-            hi = np.where(ok_mid, mid, hi)
-            # second halving, at that half's midpoint
-            quarter = np.where(ok_mid, lower, upper)
-            ok = np.where(ok_mid, ok_lower, ok_upper)
-            hi = np.where(ok, quarter, hi)
-            lo = np.where(ok, lo, quarter)
-        result[bisect] = hi
-    return float(result[0]) if gaps.ndim == 0 else result.reshape(gaps.shape)
+    w = gaps.reshape(-1, 1)
+    # Gibbs rows over (g0, g1, e0, e1): core.gibbs_state's operations, all gaps at once
+    weights = np.exp(-beta * np.concatenate((np.zeros_like(w), w, np.full_like(w, E), E + w),
+                                            axis=-1))
+    tau = weights / weights.sum(axis=-1, keepdims=True)
+    start = lorenz_curve(np.array([0.0, 0.0, 1.0, 0.0]), tau)
+    gamma_w = 1.0 / (1.0 + np.exp(-beta * w))
+    eps = np.maximum(0.0, 1.0 - start.value_at(1.0 - gamma_w))
+    return float(eps[0, 0]) if gaps.ndim == 0 else eps.reshape(gaps.shape)

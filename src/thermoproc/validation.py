@@ -239,13 +239,13 @@ def check_extraction_point_values():
 
 
 @_check("extraction-bisection-grid", "majorization")
-def check_extraction_bisection():
-    """Reachability bisection reproduces the closed minimum error on a W grid."""
+def check_extraction_readoff():
+    """The Lorenz-curve read-off reproduces the closed minimum error on a W grid."""
     tol = 1.0e-9
     gaps = np.linspace(0.05, 2.5, 50)
-    bisected = majorization.min_extraction_error_tp(LN2, gaps, 1.0)
+    read_off = majorization.min_extraction_error_tp(LN2, gaps, 1.0)
     worst = _worst(*(abs(eps - workx.epsilon_tp(workx.ExtractionSetup(LN2, bw, 1.0)))
-                     for eps, bw in zip(bisected.tolist(), gaps.tolist())))
+                     for eps, bw in zip(read_off.tolist(), gaps.tolist())))
     return worst, tol, "50-point work-gap grid at beta_E = ln 2"
 
 
@@ -412,7 +412,7 @@ ALL_CHECKS = (
     check_exact_coefficients,
     check_function_routes,
     check_function_identities,
-    check_extraction_bisection,
+    check_extraction_readoff,
     check_memory_boost,
     check_memory_closed_form,
     check_memory_tail_bound,

@@ -54,7 +54,9 @@ class ExtractionSetup:
     Boltzmann factor ``q_E``, the pair weights ``gamma``, ``gamma_W`` and
     ``gamma_delta``, the partition function ``Z``, the threshold gap ``W_0``
     and the ``initial_state``.  The composite Gibbs state is built only
-    where it is used, in ``majorization.min_extraction_error_tp``.
+    where it is used: ``majorization.min_extraction_error_tp`` builds it for
+    a whole grid of work gaps at once, one row per gap, and reads the
+    minimum error off the excited start's Lorenz curve at 1 - ``gamma_W``.
     """
 
     E: float

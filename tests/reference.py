@@ -15,9 +15,7 @@ import numpy as np
 
 from thermoproc import cooling, memory
 from thermoproc._kernels import _memory_sweep_py
-from thermoproc.core import Hamiltonian, PopulationVector, gibbs_state
-from thermoproc.majorization import (BISECTION_ITERATIONS, CURVE_TOL, _dominates,
-                                     extraction_target, lorenz_curve)
+from thermoproc.core import PopulationVector
 from thermoproc.memory import RESPONSE_MIN_D, _protocol_totals
 from thermoproc.reachable import qutrit_gibbs
 
@@ -219,42 +217,6 @@ def incoherent_by_numpy_scalars(process, n, d, E, script_E, beta, beta_hot):
         v = np.array([ground * eta, ground * (1.0 - eta),
                       excited * eta, excited * (1.0 - eta)])
     return pops
-
-
-def bisection_lockstep(E, W, beta):
-    """``min_extraction_error_tp`` as the full lockstep it replaced: every
-    gap, the error-free ones too, runs all 32 two-halving feasibility tests
-    on 3n rows, and the error-free gaps are set to 0.0 at the end."""
-    gaps = np.asarray(W, dtype=np.float64)
-    ws = gaps.ravel().tolist()
-    n = len(ws)
-    tau = np.array([gibbs_state(Hamiltonian((0.0, w, E, E + w)), beta).probs
-                    for w in ws]).reshape(n, 4)
-    tau3 = np.concatenate((tau, tau, tau))
-    gamma_s = 1.0 / (1.0 + math.exp(-beta * E))
-    excited = np.array([0.0, 0.0, 1.0, 0.0])
-    start, start3 = lorenz_curve(excited, tau), lorenz_curve(excited, tau3)
-
-    def feasible(eps, tau, start):
-        target = lorenz_curve(extraction_target(gamma_s, eps), tau)
-        return _dominates(start, target, CURVE_TOL)
-
-    lo = np.zeros(n)
-    hi = np.array([1.0 / (1.0 + math.exp(-beta * w)) for w in ws])
-    error_free = feasible(lo, tau, start)
-    for _ in range(BISECTION_ITERATIONS // 2):
-        mid = 0.5 * (lo + hi)
-        lower, upper = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        ok_mid, ok_lower, ok_upper = feasible(
-            np.concatenate((mid, lower, upper)), tau3, start3).reshape(3, n)
-        lo = np.where(ok_mid, lo, mid)
-        hi = np.where(ok_mid, mid, hi)
-        quarter = np.where(ok_mid, lower, upper)
-        ok = np.where(ok_mid, ok_lower, ok_upper)
-        hi = np.where(ok, quarter, hi)
-        lo = np.where(ok, lo, quarter)
-    hi[error_free] = 0.0
-    return float(hi[0]) if gaps.ndim == 0 else hi.reshape(gaps.shape)
 
 
 def hull_numpy(points_xy):

@@ -68,16 +68,16 @@ def test_criterion_4_incoherent_cooling():
 
 def test_criterion_5_extraction_closed_forms():
     points = validation.check_extraction_point_values()
-    bisect = validation.check_extraction_bisection()
+    read_off = validation.check_extraction_readoff()
     ordering_ok = True
     for bw in np.linspace(0.05, 3.0, 100):
         st = workx.ExtractionSetup(LN2, float(bw), 1.0)
         ordering_ok &= (workx.epsilon_tp(st) <= workx.epsilon_etp(st) + 1e-15
                         <= workx.epsilon_mtp(st) + 2e-15)
-    passed = points.passed and bisect.passed and ordering_ok
+    passed = points.passed and read_off.passed and ordering_ok
     line = _report(5, passed,
                    f"point values dev {points.deviation:.2e} (tol 1e-12); "
-                   f"bisection dev {bisect.deviation:.2e} (tol 1e-9); "
+                   f"read-off dev {read_off.deviation:.2e} (tol 1e-9); "
                    f"ordering gridwide: {ordering_ok}")
     assert passed, line
 

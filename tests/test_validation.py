@@ -83,3 +83,12 @@ def test_every_check_is_listed_once_and_the_modules_follow_the_list():
     # validation.MODULES follows the list; the config field ``only`` offers
     # the same modules in the same order without importing validation
     assert validation.MODULES == cli._VALIDATED_MODULES
+
+
+def test_the_extraction_read_off_check_deviates_by_a_few_ulp():
+    # the read-off and epsilon_tp each round a handful of operations on
+    # numbers at most 1 (6.7e-16 apart on this grid); 8 ulp of 1 flags a
+    # regression long before it nears the check's tolerance of 1e-9
+    result = validation.check_extraction_readoff()
+    assert result.name == "extraction-bisection-grid" and result.tolerance == 1e-9
+    assert result.deviation <= 8 * np.finfo(np.float64).eps
