@@ -28,13 +28,13 @@ filled, swept and copied out) are also sampled on their own, alternating.
 Every row must leave the same bytes as the per-d sweeps, run on fresh
 wavefronts and on reused ones.
 
-Narrow pair sweep: the pair step of every cooling round below
-``RESPONSE_MIN_D``, the step of ``memory.swap_round`` (one row of
-``memory._protocol_totals``) at d in {1, 2, 4, 8}, built once, on Python
-floats alone, in microseconds per call, against a numpy-vector pair step
-(the vector filled by ``np.full`` and one slice write, swept by the loop,
-its blocks summed by one ``np.add.reduce``); samples of ``NARROW_CALLS``
-calls.  Both must give the same bytes.
+Narrow pair sweep: the pair step (g, e) -> (g', e') of every cooling round
+below ``RESPONSE_MIN_D``, the step ``memory.swap_round(d, gamma)`` returns
+(one row of ``memory._protocol_totals``), at d in {1, 2, 4, 8}, built
+once, on Python floats alone, in microseconds per call, against a
+numpy-vector pair step (the vector filled by ``np.full`` and one slice
+write, swept by the loop, its blocks summed by one ``np.add.reduce``);
+samples of ``NARROW_CALLS`` calls.  Both must give the same bytes.
 
 Wide single sweeps: one ``simulate_memory_beta_swap`` call at d in
 {128, 200, 400}, a one-row batch of the evaluator, against the
@@ -364,8 +364,7 @@ def pair_step_on_vector(d, gamma, p_ground, p_excited):
 def narrow_table():
     masses = np.random.default_rng(2).random((NARROW_CALLS, 2)).tolist()
     rows = [Row(str(d), lambda d=d: [pair_step_on_vector(d, 0.75, g, e) for g, e in masses],
-                lambda step=swap_round(d, 0.75, (0, 1)): [[total for (total,) in step(g, e)]
-                                                          for g, e in masses])
+                lambda step=swap_round(d, 0.75): [list(step(g, e)) for g, e in masses])
             for d in NARROW_DIMS]
     return Table(f"narrow pair sweep, {NARROW_CALLS} calls", "d", rows,
                  times=("numpy vector [us/call]", "swap_round [us/call]"),

@@ -82,7 +82,7 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> np.ndarray:
         raise ValueError("gamma must lie in (1/2, 1)")
     d = _check_process(process, d)
     if process == "MMTP":
-        step = swap_round(d, gamma, (0,))
+        step = swap_round(d, gamma)
     q = (1.0 - gamma) / gamma
     p = gamma
     pops = np.empty(n)
@@ -95,7 +95,7 @@ def cool_coherent(process: str, n: int, gamma: float, d=None) -> np.ndarray:
             p = gamma
         else:
             # the memory round can round the population just past 1
-            p = clip_noise(step(inverted, 1.0 - inverted)[0][0])
+            p = clip_noise(step(inverted, 1.0 - inverted)[0])
         pops[r] = p
     return _checked(pops)
 
@@ -191,7 +191,7 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
     q_big = setting.q_big
     gamma_big = setting.gamma_big
     if process == "MMTP":
-        step = swap_round(d, gamma_big, (0, 1))
+        step = swap_round(d, gamma_big)
     v = [setting.gamma * eta, setting.gamma * (1.0 - eta),
          (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)]
     pops = []
@@ -204,7 +204,7 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
             pool = g0 + e1
             v[0], v[3] = gamma_big * pool, (1.0 - gamma_big) * pool
         else:
-            (v[0],), (v[3],) = step(g0, e1)
+            v[0], v[3] = step(g0, e1)
         pops.append(v[0] + v[1])
         v = _refresh_auxiliary(v, eta)
     return _checked(pops)

@@ -77,12 +77,6 @@ class PopulationVector:
     def __getitem__(self, k):
         return self.probs[k]
 
-    def __len__(self):
-        return self.probs.size
-
-    def __iter__(self):
-        return iter(self.probs)
-
     def __repr__(self):
         return f"PopulationVector({self.probs.tolist()})"
 
@@ -116,11 +110,6 @@ class TransitionMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def __matmul__(self, other):
-        if isinstance(other, TransitionMatrix):
-            return TransitionMatrix(self.entries @ other.entries)
-        return NotImplemented
 
     def __repr__(self):
         return f"TransitionMatrix(dim={self.dim})"

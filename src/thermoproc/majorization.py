@@ -10,14 +10,12 @@ everywhere.
 Curves are built, checked and compared rows first: ``beta_order``,
 ``lorenz_curve``, ``LorenzCurve`` and ``thermo_majorizes`` take states
 stacked along leading axes (the last axis runs over levels), and a single
-state is the one-row case.  The row-wise interpolation repeats
-``np.interp``'s operations in its order, so each row gives the bits of a
-one-state ``np.interp`` comparison.
+state is the one-row case.  Every value read off a curve is ``np.interp``'s,
+one call per curve, so each row gives the bits of a one-state comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -57,32 +55,16 @@ class LorenzCurve:
             raise ValueError("curve is not concave")
 
     def value_at(self, x):
-        """``np.interp(x, xs, ys)`` row by row, for points ``x[..., i]``.
-
-        Repeats np.interp's operations in its order, so the values are the
-        same bits: ``ys[0]`` left of the curve, ``ys[-1]`` from its right
-        end on, ``ys[j]`` at a breakpoint ``xs[j]``, and ``slope_j (x -
-        xs[j]) + ys[j]`` inside segment j, with ``slope_j = (ys[j+1] -
-        ys[j]) / (xs[j+1] - xs[j])``.  ``x`` must hold no NaN.
-        """
-        x = np.asarray(x, dtype=np.float64)
+        """``np.interp(x, xs, ys)``, one call per curve: row i of stacked
+        curves reads its points ``x[i]``, or every row reads a 1-d ``x``."""
         xs, ys = self.xs, self.ys
+        if xs.ndim == 1:
+            return np.interp(x, xs, ys)
+        x = np.asarray(x, dtype=np.float64)
+        x = np.broadcast_to(x, xs.shape[:-1] + x.shape[-1:])
         n = xs.shape[-1]
-        j = (xs[..., None, :] <= x[..., :, None]).sum(axis=-1) - 1
-        rows = j.shape[:-1]
-        if xs.shape[:-1] != rows:
-            xs, ys = np.broadcast_to(xs, rows + (n,)), np.broadcast_to(ys, rows + (n,))
-        xs, ys = xs.reshape(-1), ys.reshape(-1)
-        # flat index of the left end of segment j, clamped to the end segments
-        left = np.minimum(np.maximum(j, 0), n - 2) + _row_starts(rows, n)
-        x0, y0, x1, y1 = xs[left], ys[left], xs[left + 1], ys[left + 1]
-        inner = np.where(x == x0, y0, (y1 - y0) / (x1 - x0) * (x - x0) + y0)
-        return np.where(j < 0, y0, np.where(j >= n - 1, y1, inner))
-
-
-def _row_starts(rows, n):
-    """Flat index of the first entry of each row of a ``rows + (n,)`` array."""
-    return n * np.arange(math.prod(rows)).reshape(rows + (1,))
+        rows = zip(x.reshape(-1, x.shape[-1]), xs.reshape(-1, n), ys.reshape(-1, n))
+        return np.array([np.interp(*row) for row in rows]).reshape(x.shape)
 
 
 def _as_array(p):
@@ -107,24 +89,21 @@ def lorenz_curve(p, gibbs) -> LorenzCurve:
     one curve per row of ``p`` and ``gibbs`` (broadcast against each other)."""
     parr, tarr = _as_array(p), _as_array(gibbs)
     order = beta_order(parr, tarr)
-    if parr.shape != tarr.shape:
-        parr, tarr = np.broadcast_arrays(parr, tarr)
-    rows, n = order.shape[:-1], order.shape[-1]
-    flat = order + _row_starts(rows, n)
-    origin = np.zeros(rows + (1,))
-    xs, ys = (np.concatenate((origin, np.cumsum(a.reshape(-1)[flat], axis=-1)), axis=-1)
-              for a in (tarr, parr))
+    origin = np.zeros(order.shape[:-1] + (1,))
+    xs, ys = (np.concatenate((origin, np.cumsum(np.take_along_axis(a, order, axis=-1),
+                                                axis=-1)), axis=-1)
+              for a in np.broadcast_arrays(tarr, parr))
     return LorenzCurve(xs, ys)
 
 
-def _dominates(cp: LorenzCurve, cq: LorenzCurve, tol: float) -> np.ndarray:
-    """Per row: cp on or above cq - tol at every breakpoint of either.
+def _dominates(cp: LorenzCurve, cq: LorenzCurve) -> np.ndarray:
+    """Per row: cp on or above cq - ``CURVE_TOL`` at every breakpoint of either.
 
     A curve's value at its own breakpoints is its ``ys``, bit for bit, so
     each curve is interpolated only at the other's breakpoints.
     """
-    return ((cp.ys >= cq.value_at(cp.xs) - tol).all(axis=-1)
-            & (cp.value_at(cq.xs) >= cq.ys - tol).all(axis=-1))
+    return ((cp.ys >= cq.value_at(cp.xs) - CURVE_TOL).all(axis=-1)
+            & (cp.value_at(cq.xs) >= cq.ys - CURVE_TOL).all(axis=-1))
 
 
 def thermo_majorizes(p, q, gibbs):
@@ -133,7 +112,7 @@ def thermo_majorizes(p, q, gibbs):
     Rows of ``p``, ``q`` and ``gibbs`` give one verdict each (a bool array);
     1-d inputs give one bool.
     """
-    ok = _dominates(lorenz_curve(p, gibbs), lorenz_curve(q, gibbs), CURVE_TOL)
+    ok = _dominates(lorenz_curve(p, gibbs), lorenz_curve(q, gibbs))
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -29,7 +29,8 @@ control.  ``swap_round`` is that pair step, (g, e) -> (g', e') with
 
     g' = g A_g + e B_g,    e' = g A_e + e B_e,
 
-and it alone decides how a round runs.  From ``RESPONSE_MIN_D`` on it asks
+two Python floats on both of its paths, and it alone decides how a round
+runs; a coherent round keeps g' alone.  From ``RESPONSE_MIN_D`` on it asks
 the evaluator once for M and steps through it.  Below it each round runs
 its own sweep, for one reason only: the default cooling runs (d <= 8) then
 keep their output bytes, which M would change in 184 of 280 values, each by
@@ -154,11 +155,10 @@ def _protocol_totals(ds, sweeps, start, read):
     return totals
 
 
-def swap_round(d: int, gamma: float, read):
-    """The MMTP pair step of one cooling round: a function (g, e) -> the
-    totals of the pair's blocks in ``read`` (0 ground, 1 excited) after one
-    swap simulation with a fresh d-level memory; ``step(g, e)[r][0]`` is the
-    total of block ``read[r]``, in the nesting ``_protocol_totals`` returns.
+def swap_round(d: int, gamma: float):
+    """The MMTP pair step of one cooling round: a function (g, e) -> (g', e'),
+    the ground and excited totals of the pair after one swap simulation with
+    a fresh d-level memory, two Python floats.
 
     Below ``RESPONSE_MIN_D`` each call runs one evaluator row; from there on
     the calls step through the swap's matrix, built once here.
@@ -168,20 +168,13 @@ def swap_round(d: int, gamma: float, read):
         ds = [d]
 
         def step(g, e):
-            return _protocol_totals(ds, swap, ((g, e),), read)
+            (g_out,), (e_out,) = _protocol_totals(ds, swap, ((g, e),), (0, 1))
+            return g_out, e_out
         return step
-    rows = _protocol_totals([d, d], swap, ((1.0, 0.0), (0.0, 1.0)), read)
-    # one step per read length: a comprehension would cost a call per round
-    if len(rows) == 1:
-        ((a, b),) = rows
-
-        def step(g, e):
-            return ((g * a + e * b,),)
-        return step
-    (a_g, b_g), (a_e, b_e) = rows
+    (a_g, b_g), (a_e, b_e) = _protocol_totals([d, d], swap, ((1.0, 0.0), (0.0, 1.0)), (0, 1))
 
     def step(g, e):
-        return (g * a_g + e * b_g,), (g * a_e + e * b_e,)
+        return g * a_g + e * b_g, g * a_e + e * b_e
     return step
 
 

@@ -39,7 +39,7 @@ on a 2- or 3-element point, where a numpy call would cost more than the
 arithmetic.  The orbit's states carry their rounded dedup keys with the
 frontier, so an image rounds only the coordinates its swap changes.  The
 turn test is spelled out as the same IEEE operations as ``_cross2``, so the
-hull keeps its vertices.
+hull keeps its vertices, and its tolerance scales with the points' span.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from .memory import _protocol_totals
 
 TRIANGLE_E2 = (0.5, math.sqrt(3.0) / 2.0)
 DEDUP_DECIMALS = 12
-HULL_TOLERANCE = 1.0e-15  # a chain turn this small or smaller is no left turn
+# a chain turn of at most this times the squared coordinate span is no left turn
+HULL_TOLERANCE = 1.0e-15
 
 
 def _cross2(u, v):
@@ -181,34 +182,30 @@ def convex_hull_xy(points_xy: np.ndarray) -> np.ndarray:
     """Indices of the convex hull of 2-d points, CCW (Andrew monotone chain).
 
     The chain runs over every point in lexicographic order, on Python
-    floats: each turn test is ``_cross2(a - o, p - o)`` spelled out, the same
-    IEEE operations in the same order, without a numpy call per point.  The
-    last two chain points o and a are held in locals; only a pop looks up
-    the point before them.  A turn of at most ``HULL_TOLERANCE`` is no left
-    turn, so collinear and repeated points drop out.  That tolerance is
-    absolute, so a hull whose coordinates are below about 1e-7 degenerates:
-    a regular 33-gon of radius 1e-8 comes back as 2 indices.
+    floats: each turn test is ``_cross2(a - o, p - o)`` spelled out for the
+    chain's last two points o and a, the same IEEE operations in the same
+    order, without a numpy call per point.  A turn of at most
+    ``HULL_TOLERANCE`` times the squared largest coordinate span is no left
+    turn, so collinear and repeated points drop out at any scale.
     """
     pts = np.asarray(points_xy, dtype=np.float64)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
+    span = float(np.ptp(pts, axis=0).max()) if len(pts) else 0.0
+    tolerance = HULL_TOLERANCE * span * span
     # the chain runs over positions in ``order``, mapped back at the end
     xy = pts[order].tolist()
 
     def build(indices):
         chain = []
-        ox = oy = ax = ay = 0.0  # read only once the chain holds two points
         for i in indices:
             px, py = xy[i]
             while len(chain) >= 2:
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= HULL_TOLERANCE:
+                (ox, oy), (ax, ay) = xy[chain[-2]], xy[chain[-1]]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= tolerance:
                     chain.pop()
-                    ax, ay = ox, oy
-                    if len(chain) >= 2:
-                        ox, oy = xy[chain[-2]]
                 else:
                     break
             chain.append(i)
-            ox, oy, ax, ay = ax, ay, px, py
         return chain
 
     positions = range(len(xy))

@@ -224,6 +224,8 @@ def hull_numpy(points_xy):
     indices of the hull ``convex_hull_xy`` must return."""
     pts = np.asarray(points_xy, dtype=np.float64)
     order = np.lexsort((pts[:, 1], pts[:, 0]))
+    span = float(np.ptp(pts, axis=0).max()) if len(pts) else 0.0
+    tolerance = 1.0e-15 * span * span
 
     def cross(u, v):
         return u[0] * v[1] - u[1] * v[0]
@@ -232,7 +234,7 @@ def hull_numpy(points_xy):
         chain = []
         for i in indices:
             while len(chain) >= 2 and cross(pts[chain[-1]] - pts[chain[-2]],
-                                            pts[i] - pts[chain[-2]]) <= 1.0e-15:
+                                            pts[i] - pts[chain[-2]]) <= tolerance:
                 chain.pop()
             chain.append(i)
         return chain

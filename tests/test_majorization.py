@@ -212,12 +212,16 @@ class TestThermoMajorizes:
         assert verdicts.tolist() == [oracle_majorizes(*row) for row in zip(p, q, tau)]
         curves = lorenz_curve(p, tau)
         grid = np.concatenate((curves.xs, lorenz_curve(q, tau).xs, 1.5 * tau), axis=1)
+        # one row of points that every curve reads
+        line = np.concatenate((grid[0], np.linspace(-0.5, 1.5, 9)))
         for r in range(rows):
             xs, ys = oracle_curve(p[r], tau[r])
             assert curves.xs[r].tobytes() == xs.tobytes()
             assert curves.ys[r].tobytes() == ys.tobytes()
             assert (curves.value_at(grid)[r].tobytes()
                     == np.interp(grid[r], xs, ys).tobytes())
+            assert (curves.value_at(line)[r].tobytes()
+                    == np.interp(line, xs, ys).tobytes())
 
 
 class TestQubitReachable:

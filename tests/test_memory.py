@@ -238,18 +238,26 @@ class TestRoundResponse:
 
 
 class TestSwapRound:
-    @pytest.mark.parametrize("read", [(0,), (0, 1)])
     @pytest.mark.parametrize("d", [1, 8, RESPONSE_MIN_D - 1, RESPONSE_MIN_D, 64])
-    def test_one_row_per_call_below_the_response_width_the_matrix_from_it(self, d, read):
-        step = swap_round(d, 0.75, read)
+    def test_one_row_per_call_below_the_response_width_the_matrix_from_it(self, d):
+        step = swap_round(d, 0.75)
         (a_g, a_e), (b_g, b_e) = round_response(d, 0.75)
-        matrix = {0: (a_g, b_g), 1: (a_e, b_e)}
         for g, e in np.random.default_rng(d).random((5, 2)).tolist():
             if d < RESPONSE_MIN_D:
-                expected = _protocol_totals([d], ((0, 1, 0.75),), ((g, e),), read)
+                (g_out,), (e_out,) = _protocol_totals([d], ((0, 1, 0.75),), ((g, e),), (0, 1))
             else:
-                expected = [[g * matrix[k][0] + e * matrix[k][1]] for k in read]
-            assert [total for (total,) in step(g, e)] == [total for (total,) in expected]
+                g_out, e_out = g * a_g + e * b_g, g * a_e + e * b_e
+            pair = step(g, e)
+            assert pair == (g_out, e_out)
+            assert all(type(total) is float for total in pair)
+
+    @pytest.mark.parametrize("d", [1, 8, RESPONSE_MIN_D - 1, RESPONSE_MIN_D, 64, 256])
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, 0.95])
+    def test_the_pair_keeps_its_mass(self, d, gamma):
+        step = swap_round(d, gamma)
+        for g, e in np.random.default_rng(d).random((20, 2)).tolist():
+            g_out, e_out = step(g, e)
+            assert abs(g_out + e_out - (g + e)) <= 8 * math.ulp(g + e)
 
 
 # dyadic pair weights: the float is the exact rational, and exact delta_d

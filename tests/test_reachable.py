@@ -150,8 +150,8 @@ class TestOrbit:
         xy = np.column_stack((np.cos(angles), np.sin(angles))) * scale
         hull = convex_hull_xy(xy).tolist()
         assert hull == hull_numpy(xy)
-        # at 1e-8 every turn is below the chain's tolerance: two points remain
-        assert len(hull) == (2 if scale < 1e-7 else k)
+        # the turn tolerance scales with the span, so every point stays at any scale
+        assert len(hull) == k
 
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
