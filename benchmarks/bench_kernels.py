@@ -101,7 +101,11 @@ and one-point ``L_eval`` calls for the other two.  And I_d over a list of d,
 one call, against one call per d: d = 1..40 on the
 ``extraction-error-ordering`` check's 60 points (beta E = ln 2), and d in
 {1, 2, 5, 20, 100, 400, 1000} on a 2000-point fig2-dense grid (beta E =
-0.7). Every row must give the same bytes.
+0.7). The fig2-dense row also times, alternating, the serial kernel
+``_I_d_float`` against the same call split in two processes
+(``_split.split``), which a call that large takes on a host with two usable
+CPUs.  The last row is the fork round trip alone: a split of a two-point
+d = 1 call, one point in the child.  Every row must give the same bytes.
 
 Validation geometry: the ``swap-simulation-closed-form`` check's 300 (d,
 p0, gamma) points as one ``simulate_memory_beta_swap`` call per point
@@ -131,7 +135,7 @@ from pathlib import Path
 import numpy as np
 
 from thermoproc._kernels import Wavefront, _memory_sweep_py, memory_sweep, wavefront_blocks
-from thermoproc import combinatorics
+from thermoproc import _split, combinatorics
 from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, delta_d,
                                       delta_d_column)
 from thermoproc.cooling import cool_incoherent
@@ -284,6 +288,7 @@ def run_table(table, repeats):
             times = [spread(t) for t in pairs]
             derived = [f"{ref_t[0] * 1e6 / table.per_call:.1f}"] if table.per_call else []
             derived.append(f"{ref_t[0] / new_t[0]:.2f}x")
+        times += ["-"] * (len(table.times) - len(times))  # rows without ``also``
         cells = [row.label, *row.cells, *times, *derived, *checks]
         print(" ".join(cell.rjust(w) for cell, w in zip(cells, widths)))
     return failed
@@ -531,14 +536,21 @@ def special_function_table():
                  partial(L_eval, n, m, x, route))
              for route in ("alternating", "quadrature")]
     # the extraction-error-ordering check's grid, and the fig2-dense one
-    for beta_E, size, ds in ((math.log(2.0), 60, range(1, 41)),
-                             (0.7, I_D_POINTS, (1, 2, 5, 20, 100, 400, 1000))):
-        x_d, y_d = fig2_xy(beta_E, size)
-        rows.append(Row(f"I_d x{size}, {len(ds)} d",
-                        lambda ds=ds, x_d=x_d, y_d=y_d: [I_d_eval(d, x_d, y_d) for d in ds],
-                        partial(I_d_eval, ds, x_d, y_d)))
+    x_o, y_o = fig2_xy(math.log(2.0), 60)
+    rows.append(Row("I_d x60, 40 d", lambda: [I_d_eval(d, x_o, y_o) for d in range(1, 41)],
+                    partial(I_d_eval, range(1, 41), x_o, y_o)))
+    ds = (1, 2, 5, 20, 100, 400, 1000)
+    x_d, y_d = fig2_xy(0.7, I_D_POINTS)
+    serial = partial(combinatorics._I_d_float, ds, x_d, y_d)
+    split = partial(_split.split, combinatorics._I_d_float, ds, x_d, y_d, 2)
+    rows.append(Row(f"I_d x{I_D_POINTS}, {len(ds)} d",
+                    lambda: [I_d_eval(d, x_d, y_d) for d in ds], partial(I_d_eval, ds, x_d, y_d),
+                    check=lambda ref, new: same(ref, new, serial(), split()),
+                    also=((serial, split),)))
+    rows.append(Row("fork round trip, 2 points in 2 parts", None,
+                    partial(_split.split, combinatorics._I_d_float, [1], x_d[:2], y_d[:2], 2)))
     return Table("special functions on grids", "work", rows,
-                 times=("per point [ms]", "grid [ms]"))
+                 times=("per point [ms]", "grid [ms]", "serial kernel [ms]", "split in 2 [ms]"))
 
 
 def geometry_table():

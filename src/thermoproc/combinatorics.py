@@ -22,7 +22,13 @@ coefficients and a few generating-function style sums:
     0, and since 1.0 r_1 = r_1 exactly, each running product keeps its
     bits.  What remains per term is elementwise work and four sequential
     scans (two cumulative products, two cumulative sums), which set the
-    cost.
+    cost.  On these blocks numpy's scans did not overlap on two threads, so
+    a call of at least 2 x ``_PART_MIN_CELLS`` cells (points times the sum
+    of its d) splits its points across processes instead (``_split``,
+    loaded by the first such call): one contiguous chunk per usable CPU,
+    the first run here and each other one in a forked child that returns
+    its values through a pipe.  Every value keeps its bits, since no value
+    depends on the other points.
 
 Every function accepts ``fractions.Fraction`` arguments and then evaluates
 exactly; float arguments use double precision.  The exact mode works on
@@ -60,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -83,6 +90,17 @@ MAX_FLOAT_D = 1000
 # would take 16 MB per buffer) while keeping numpy's per-call cost small next
 # to the work of a block
 _BLOCK_ELEMENTS = 1 << 15
+
+# cells (points times the sum of the d) that each process of a split float
+# I_d call must get.  A bare fork round trip (fork, pipe, exit, reap) takes
+# 3.3 ms, but a split call in two took 4-15 ms (mostly 7-9 ms) more than
+# half the serial time, at d = 20, 100, 400 and 1000 (2-CPU x86 host).
+# I_d spends 23-39 ns per cell, so a second process saves 12-19 ns per
+# cell, which pays for 8 ms from about 6.7e5 cells.  At 2^19 cells the
+# split was 16-19% faster at d = 100 and 1000 but 10% slower at d = 400;
+# at 2^20 cells it was 11-32% faster at every d.  So a call splits in two
+# from 2 x 2^19 cells, and each further part needs 2^19 cells more.
+_PART_MIN_CELLS = 1 << 19
 
 
 def _require_int(value, name, minimum):
@@ -457,8 +475,12 @@ def _term_ratios(out, x, num, den):
     """Fill the rows of ``out`` (n, d) with the term ratios
     x (d + k - 1) / k at columns k = 1..d-1, one row per x, and 1.0 at
     column 0.  ``num`` and ``den`` are the float rows d + k - 1 and k, with
-    den[0] = 1 so that column 0, overwritten, raises no division by zero."""
-    np.multiply(x[:, None], num, out=out)
+    den[0] = 1 so that column 0, overwritten, raises no division by zero.
+    The rows are copies of ``num`` scaled in place by x, since a row copy
+    and an in-place multiply by a column are faster than one outer product;
+    IEEE multiplication commutes, so num x has the bits of x num."""
+    out[:] = num
+    out *= x[:, None]
     np.divide(out, den, out=out)
     out[:, 0] = 1.0
     return out
@@ -562,6 +584,21 @@ def _I_d_float(ds, x, y):
     return out
 
 
+def _I_d_parallel(ds, x, y):
+    """``_I_d_float(ds, x, y)``, split by ``_split.split`` into one part
+    per usable CPU when each part gets at least ``_PART_MIN_CELLS`` cells
+    (points times the sum of ``ds``) and ``os.fork`` exists."""
+    parts = min(len(x), len(x) * sum(ds) // _PART_MIN_CELLS)
+    if parts >= 2 and hasattr(os, "fork"):
+        # loaded by the first call large enough, so that every other
+        # process imports and compiles only the serial kernel
+        from . import _split
+        parts = min(parts, _split.usable_cpus())
+        if parts >= 2:
+            return _split.split(_I_d_float, ds, x, y, parts)
+    return _I_d_float(ds, x, y)
+
+
 def _I_d_exact(d, x, y):
     """I_d of exact x and y on integers, with one Fraction at the end.
 
@@ -606,7 +643,17 @@ def I_d_eval(d, x, y):
     on that point alone.  A point whose start term (1-x)^d or (1-y)^d falls
     below the smallest normal double is evaluated from the logarithms of
     its terms instead, so float mode returns a finite value up to d = 1000.
-    Float mode rejects d > 1000; pass Fraction arguments for exact
+    A float call of at least 2 x ``_PART_MIN_CELLS`` cells (points times
+    the sum of its d; the comment on the constant derives it from the
+    measured cost of a split) is split across processes when ``os.fork``
+    exists and at least two CPUs are usable: the affinity mask, capped by
+    the cgroup-v2 ``cpu.max`` quotas that can be read.  Its points are cut
+    into one contiguous chunk per usable CPU (at most one per
+    ``_PART_MIN_CELLS`` cells); this process runs the first and a forked
+    child each other one, and the values are the same bits.  A child that
+    fails, or meets a RuntimeWarning, makes the call raise RuntimeError with
+    its message; no child outlives the call.  Every other call runs here
+    alone.  Float mode rejects d > 1000; pass Fraction arguments for exact
     evaluation beyond that.  Exact mode works on integers whose size grows
     with d times the bits of the denominators; for a point taken from floats
     it takes about 0.6 s at d = 1000 and 3.4 s at d = 2000 (2-CPU x86 host),
@@ -630,5 +677,5 @@ def I_d_eval(d, x, y):
             f"d = {max(ds)} exceeds float-mode limit {MAX_FLOAT_D}; "
             "pass Fraction arguments for exact evaluation")
     values = [float(v[0]) if xa.ndim == 0 else v.reshape(xa.shape)
-              for v in _I_d_float(ds, xa.ravel(), ya.ravel())]
+              for v in _I_d_parallel(ds, xa.ravel(), ya.ravel())]
     return values[0] if scalar else values

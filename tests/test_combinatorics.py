@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermoproc import _split
 from thermoproc import combinatorics as comb
 
 from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,
@@ -732,6 +735,156 @@ class TestErrorKernelOverDimensions:
         monkeypatch.setattr(comb, "_I_d_rows", recording)
         x, y = _fig2_grid()
         ds = [1000, 1, 40, 400]
-        comb.I_d_eval(ds, x, y)
+        # the serial kernel: a split call's parent blocks only its own chunk
+        comb._I_d_float(ds, x, y)
         for d in ds:
             assert max(seen[d]) == min(len(x), comb._BLOCK_ELEMENTS // d), d
+
+
+def _grid_with_log_rows(points=2000):
+    """The fig2 grid with every third x so close to 1 that (1-x)^d
+    underflows from d = 160, and x = 0 next to an underflowing y."""
+    x, y = _fig2_grid(points)
+    x[::3] = 1.0 - np.geomspace(1e-4, 1e-2, len(x[::3]))
+    x[1::15], y[1::15] = 0.0, 1.0 - 1e-3
+    return x, y
+
+
+def _fork_refused(*args):
+    raise AssertionError("os.fork was called")
+
+
+def _in_children(fn):
+    """A stand-in for ``_I_d_float`` that calls ``fn`` in a forked child and
+    the real kernel in the process that made it."""
+    real, parent = comb._I_d_float, os.getpid()
+
+    def kernel(ds, x, y):
+        return real(ds, x, y) if os.getpid() == parent else fn(ds, x, y)
+    return kernel
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestErrorKernelSplit:
+    """A large float I_d call splits its points across forked processes."""
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_split_equals_serial_kernel_and_one_point_calls(self, parts):
+        x, y = _grid_with_log_rows()
+        ds = [1, 400, 1000]
+        serial = comb._I_d_float(ds, x, y)
+        split = _split.split(comb._I_d_float, ds, x, y, parts)
+        for d, s, got in zip(ds, serial, split):
+            assert got.tobytes() == s.tobytes(), d
+        assert np.any((1.0 - x) ** 400 < sys.float_info.min)  # log rows run
+        for k in range(0, len(x), 7):
+            for d, got in zip(ds, split):
+                assert got[k] == comb.I_d_eval(d, x[k], y[k]), (d, k)
+        assert_no_child_left()
+
+    def test_large_call_takes_the_split_on_a_multi_cpu_host(self, monkeypatch):
+        if _split.usable_cpus() < 2:
+            pytest.skip("one usable CPU: every call is serial")
+        x, y = _grid_with_log_rows()
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        got = comb.I_d_eval([1, 400, 1000], x, y)
+        assert forks
+        for values, serial in zip(got, comb._I_d_float([1, 400, 1000], x, y)):
+            assert values.tobytes() == serial.tobytes()
+        assert_no_child_left()
+
+    def test_call_below_the_threshold_never_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _fork_refused)
+        d = 100
+        points = -(-2 * comb._PART_MIN_CELLS // d)  # the first size with 2 parts
+        x, y = _fig2_grid(points)
+        below = comb.I_d_eval(d, x[:-1], y[:-1])
+        assert below.tobytes() == comb._I_d_float([d], x[:-1], y[:-1])[0].tobytes()
+        if _split.usable_cpus() >= 2:
+            with pytest.raises(AssertionError, match="os.fork was called"):
+                comb.I_d_eval(d, x, y)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity mask")
+    def test_one_usable_cpu_never_forks(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _fork_refused)
+        x, y = _fig2_grid()
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            assert _split.usable_cpus() == 1
+            got = comb.I_d_eval(1000, x, y)
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert got.tobytes() == comb._I_d_float([1000], x, y)[0].tobytes()
+
+    def test_a_call_below_the_threshold_loads_no_split_module(self):
+        code = ("import sys; import numpy as np; from thermoproc import combinatorics as c; "
+                "x = np.linspace(0.0, 0.9, 60); c.I_d_eval(range(1, 41), x, x); "
+                "print('thermoproc._split' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("text, cpus", [("max 100000", None), ("150000 100000", 1),
+                                            ("50000 100000", 1), ("400000 100000\n", 4)])
+    def test_cgroup_quota_in_whole_cpus(self, text, cpus):
+        assert _split._quota_cpus(text) == cpus
+
+    def test_usable_cpus_within_the_affinity_mask(self):
+        assert 1 <= _split.usable_cpus() <= len(os.sched_getaffinity(0))
+
+    def test_failing_child_raises_its_message(self, monkeypatch):
+        def fail(ds, x, y):
+            raise ValueError("no such point")
+
+        monkeypatch.setattr(comb, "_I_d_float", _in_children(fail))
+        x, y = _fig2_grid()
+        with pytest.raises(RuntimeError, match="exited with 1: ValueError: no such point"):
+            _split.split(comb._I_d_float, [20], x, y, 3)
+        assert_no_child_left()
+
+    def test_child_runtime_warning_is_raised_not_dropped(self, monkeypatch):
+        def overflow(ds, x, y):
+            with np.errstate(over="warn"):
+                return [np.exp(np.full(len(x), 1000.0))]
+
+        monkeypatch.setattr(comb, "_I_d_float", _in_children(overflow))
+        x, y = _fig2_grid()
+        with pytest.raises(RuntimeError, match="RuntimeWarning: overflow encountered in exp"):
+            _split.split(comb._I_d_float, [20], x, y, 2)
+        assert_no_child_left()
+
+    def test_parent_exception_kills_and_reaps_every_child(self, monkeypatch):
+        real = comb._I_d_float
+        parent = os.getpid()
+
+        def kernel(ds, x, y):
+            if os.getpid() == parent:
+                raise KeyError("parent chunk")
+            time.sleep(60)
+            return real(ds, x, y)
+
+        monkeypatch.setattr(comb, "_I_d_float", kernel)
+        x, y = _fig2_grid()
+        start = time.perf_counter()
+        with pytest.raises(KeyError, match="parent chunk"):
+            _split.split(comb._I_d_float, [20], x, y, 3)
+        assert time.perf_counter() - start < 30  # killed, not waited for
+        assert_no_child_left()
+
+    def test_split_under_warnings_as_errors(self):
+        # Python 3.12+ warns about fork in a multi-threaded process; the
+        # split silences that warning alone
+        x, y = _fig2_grid()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = _split.split(comb._I_d_float, [20, 1000], x, y, 2)
+        for got, serial in zip(split, comb._I_d_float([20, 1000], x, y)):
+            assert got.tobytes() == serial.tobytes()
+        assert_no_child_left()
