@@ -103,9 +103,10 @@ one call, against one call per d: d = 1..40 on the
 {1, 2, 5, 20, 100, 400, 1000} on a 2000-point fig2-dense grid (beta E =
 0.7). The fig2-dense row also times, alternating, the serial kernel
 ``_I_d_float`` against the same call split in two processes
-(``_split.split``), which a call that large takes on a host with two usable
-CPUs.  The last row is the fork round trip alone: a split of a two-point
-d = 1 call, one point in the child.  Every row must give the same bytes.
+(``combinatorics._I_d_parts``, through ``_split.map_parts``), which a
+call that large takes on a host with two usable CPUs.  The last row is the
+fork round trip alone: a split of a two-point d = 1 call, one point in the
+child.  Every row must give the same bytes.
 
 Validation geometry: the ``swap-simulation-closed-form`` check's 300 (d,
 p0, gamma) points as one ``simulate_memory_beta_swap`` call per point
@@ -119,10 +120,15 @@ A_1 and B_1 and mirrors them, against all four vertices run
 (``qutrit_vertices_four_runs``). The swap grid, the orbit and the
 vertices must give the same bytes and the hull the same indices.
 
+Validate: every validation check as ``run_checks`` runs them, on this
+process alone against two processes (``_split.map_parts``); the two JSON
+reports must be the same bytes.
+
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
 
 import argparse
+import json
 import math
 import statistics
 import sys
@@ -135,7 +141,7 @@ from pathlib import Path
 import numpy as np
 
 from thermoproc._kernels import Wavefront, _memory_sweep_py, memory_sweep, wavefront_blocks
-from thermoproc import _split, combinatorics
+from thermoproc import _split, combinatorics, validation
 from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, delta_d,
                                       delta_d_column)
 from thermoproc.cooling import cool_incoherent
@@ -526,6 +532,19 @@ def validation_batch_table():
                  times=("per point [ms]", "batched [ms]"))
 
 
+def validation_report(processes):
+    """The JSON report of every validation check, run as ``run_checks``
+    runs them on ``processes`` processes."""
+    results = _split.map_parts(lambda check: check(), validation.ALL_CHECKS, processes)
+    return json.dumps(validation.summarize(results), indent=2, sort_keys=True)
+
+
+def validate_table():
+    rows = [Row(f"validate, {len(validation.ALL_CHECKS)} checks",
+                partial(validation_report, 1), partial(validation_report, 2))]
+    return Table("validate", "work", rows, times=("serial [ms]", "split in 2 [ms]"))
+
+
 def special_function_table():
     n, m, x, points = routes_grid()
     rows = [Row(f"{name} x{len(points)}", lambda ref=ref: [ref(*p) for p in points],
@@ -542,13 +561,13 @@ def special_function_table():
     ds = (1, 2, 5, 20, 100, 400, 1000)
     x_d, y_d = fig2_xy(0.7, I_D_POINTS)
     serial = partial(combinatorics._I_d_float, ds, x_d, y_d)
-    split = partial(_split.split, combinatorics._I_d_float, ds, x_d, y_d, 2)
+    split = partial(combinatorics._I_d_parts, ds, x_d, y_d, 2)
     rows.append(Row(f"I_d x{I_D_POINTS}, {len(ds)} d",
                     lambda: [I_d_eval(d, x_d, y_d) for d in ds], partial(I_d_eval, ds, x_d, y_d),
                     check=lambda ref, new: same(ref, new, serial(), split()),
                     also=((serial, split),)))
     rows.append(Row("fork round trip, 2 points in 2 parts", None,
-                    partial(_split.split, combinatorics._I_d_float, [1], x_d[:2], y_d[:2], 2)))
+                    partial(combinatorics._I_d_parts, [1], x_d[:2], y_d[:2], 2)))
     return Table("special functions on grids", "work", rows,
                  times=("per point [ms]", "grid [ms]", "serial kernel [ms]", "split in 2 [ms]"))
 
@@ -579,7 +598,7 @@ def geometry_table():
 # every table after the sweep kernel's, in the order they print
 TABLES = (batch_table, narrow_table, wide_table, incoherent_table, response_table,
           I_d_table, exact_table, validation_batch_table, special_function_table,
-          geometry_table)
+          geometry_table, validate_table)
 
 
 def main(argv=None):

@@ -1,21 +1,35 @@
-"""Run a float kernel over its points in forked processes.
+"""Map a function over a list of items in forked processes.
 
-``combinatorics`` loads this module for a float ``I_d`` call large enough
-to split (see ``combinatorics._PART_MIN_CELLS``), so that a process that
-never splits neither imports nor compiles it.  ``split`` cuts the points
-into contiguous chunks, runs the first one in this process and each other
-one in a child made by ``os.fork``, which writes its float64 values to a
-pipe and leaves through ``os._exit``.  The kernel's value at a point must
-not depend on the other points, so the joined values have the bits of one
-serial call.  ``usable_cpus`` counts the CPUs a split may use.
+``map_parts(fn, items, processes)`` returns ``[fn(item) for item in
+items]``.  With two processes or more, this process and ``processes - 1``
+children made by ``os.fork`` claim the items one at a time from a shared
+pipe, so that one long item does not hold up the rest; each child sends
+its results back pickled and leaves through ``os._exit``.  The call then
+behaves like the serial loop: the results are those of the items, in
+their order, each item's warnings are emitted again here in item order,
+and the exception of the lowest item that raised is raised here with its
+own type and message (a child's carries its traceback as a note).  No
+child outlives the call.  Float ``I_d`` maps contiguous chunks of its
+points (``combinatorics._I_d_parts``) and ``validate`` its checks
+(``validation.run_checks``).  ``usable_cpus`` counts the CPUs a split may
+use; in a child it is 1, so a child never forks again.
+
+``validation`` imports this module, and ``combinatorics`` loads it for
+the first ``I_d`` call large enough to split, so that the other commands
+neither import nor compile it.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import pickle
 import warnings
 
-import numpy as np
+# at most this many items, so that one byte names an item's index
+MAX_ITEMS = 256
+
+_in_child = False  # set in a forked child, where usable_cpus() is 1
 
 
 def _quota_cpus(text):
@@ -28,7 +42,10 @@ def _quota_cpus(text):
 def usable_cpus():
     """The CPUs this process may run on: its affinity mask, capped by each
     cgroup-v2 ``cpu.max`` quota that can be read, from its own cgroup up to
-    the root of the cgroup2 mount."""
+    the root of the cgroup2 mount.  1 without ``os.fork`` and in a child of
+    ``map_parts``."""
+    if _in_child or not hasattr(os, "fork"):
+        return 1
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     try:
@@ -50,40 +67,79 @@ def usable_cpus():
         group = os.path.dirname(group)
 
 
-def _run_part(kernel, fd, ds, x, y):
-    """The body of a forked child: write the float64 bytes of
-    ``kernel(ds, x, y)`` to the pipe ``fd`` and exit 0, or on any exception
-    write its message and exit 1.  A RuntimeWarning is raised as an error,
-    so that the parent reports it instead of it being lost with the child.
+def _run_claimed(fn, items, claims):
+    """Run ``fn`` on each item whose index this process reads from the pipe
+    ``claims``, one byte each, until the pipe is empty.  Returns one
+    (index, raised, result or exception, warnings) per item run; each
+    warning is the (message, category, filename, lineno) that the active
+    filters let through.  After an item raises, the pipe is emptied, so
+    that no process starts a later item."""
+    done = []
+    while index := os.read(claims, 1):
+        index = index[0]
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                value, raised = fn(items[index]), False
+            except Exception as exc:
+                value, raised = exc, True
+        done.append((index, raised, value,
+                     [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+        if raised:
+            while os.read(claims, MAX_ITEMS):
+                pass
+            break
+    return done
+
+
+def _pickled(entry):
+    """The pickle of one entry of ``_run_claimed``, run in a child.  An
+    exception carries its traceback in the child as a note (Python 3.11+),
+    since pickling drops the traceback; a result or exception that cannot
+    be pickled and unpickled is sent as a RuntimeError that says so."""
+    index, raised, value, _ = entry
+    if raised and hasattr(value, "add_note"):
+        import traceback
+        value.add_note("raised in a forked process of map_parts:\n"
+                       + "".join(traceback.format_tb(value.__traceback__)).rstrip())
+    try:
+        data = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+        if raised:
+            pickle.loads(data)  # an exception whose __init__ takes other arguments
+        return data
+    except Exception as exc:
+        failure = RuntimeError(f"item {index}'s outcome cannot be sent from a "
+                               f"forked process: {type(exc).__name__}: {exc}")
+        return pickle.dumps((index, True, failure, []), pickle.HIGHEST_PROTOCOL)
+
+
+def _child(fn, items, claims, out):
+    """The body of a forked child: run the items it claims and write their
+    pickled entries to the pipe ``out``, then exit 0 (1 if that failed).
     The child always leaves through ``os._exit``, so it never returns into
     the caller's stack or runs its exit handlers."""
+    global _in_child
     status = 1
     try:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                payload, done = kernel(ds, x, y), 0
-        except BaseException as exc:
-            payload, done = [f"{type(exc).__name__}: {exc}".encode()], 1
-        for chunk in payload:
-            view = memoryview(chunk).cast("B")
-            while view:
-                view = view[os.write(fd, view):]
-        status = done
+        _in_child = True
+        view = memoryview(b"".join(map(_pickled, _run_claimed(fn, items, claims))))
+        while view:
+            view = view[os.write(out, view):]
+        status = 0
     finally:
         os._exit(status)
 
 
-def _fork_part(kernel, ds, x, y):
-    """Fork a child that runs ``_run_part`` on its points; returns its pid
-    and the read end of its pipe."""
+def _fork(fn, items, claims):
+    """Fork a child that runs ``_child``; returns its pid and the read end
+    of its result pipe."""
     read_fd, write_fd = os.pipe()
     try:
         with warnings.catch_warnings():
             # Python 3.12+ warns that a fork of a multi-threaded process
-            # (numpy's BLAS pool) may deadlock the child on a lock a thread
-            # held.  The child calls no BLAS: it runs ufuncs, scans and pipe
-            # writes, and leaves through os._exit.
+            # (numpy's OpenBLAS pool) may deadlock the child on a lock a
+            # thread held.  OpenBLAS stops its threads around a fork and
+            # starts them again in the child (pthread_atfork), so a child
+            # may call BLAS; numpy's ufuncs and scans take no such lock.
             warnings.filterwarnings("ignore", "This process .* is multi-threaded",
                                     DeprecationWarning)
             pid = os.fork()
@@ -93,39 +149,66 @@ def _fork_part(kernel, ds, x, y):
         raise
     if pid == 0:
         os.close(read_fd)
-        _run_part(kernel, write_fd, ds, x, y)
+        _child(fn, items, claims, write_fd)
     os.close(write_fd)
     return pid, read_fd
 
 
-def split(kernel, ds, x, y, parts):
-    """``kernel(ds, x, y)``, one float64 array per d of ``ds`` over the 1-D
-    points x, y, with the points cut into ``parts`` contiguous chunks: the
-    first runs here, each other one in a forked child at the same time.
-    The parent reads every pipe to its end and reaps each child; a child
-    that fails makes it raise RuntimeError with the child's message, and on
-    any exception every child not yet reaped is killed and reaped."""
-    bounds = [len(x) * k // parts for k in range(parts + 1)]
-    pending = {}  # pid -> (read end of its pipe, its point count)
+def _entries(data):
+    """The entries of ``_run_claimed`` pickled one after another in ``data``."""
+    stream = io.BytesIO(data)
+    while stream.tell() < len(data):
+        yield pickle.load(stream)
+
+
+def map_parts(fn, items, processes):
+    """``[fn(item) for item in items]`` (a sequence of at most ``MAX_ITEMS``),
+    run by ``processes`` processes when it is 2 or more: this one and
+    forked children, which claim the items one at a time.  Each item's
+    warnings are emitted here in item order, and the exception of the lowest
+    item that raised is raised here once every child is reaped.  On any
+    other exception here (KeyboardInterrupt, a child that dies) every child
+    not yet reaped is killed and reaped."""
+    processes = min(processes, len(items))
+    if processes < 2:
+        return [fn(item) for item in items]
+    if len(items) > MAX_ITEMS:
+        raise ValueError(f"map_parts takes at most {MAX_ITEMS} items, got {len(items)}")
+    claims, write_fd = os.pipe()
+    os.write(write_fd, bytes(range(len(items))))  # fits in the pipe's buffer
+    os.close(write_fd)
+    children = {}  # pid -> read end of its result pipe
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pid, fd = _fork_part(kernel, ds, x[lo:hi], y[lo:hi])
-            pending[pid] = fd, hi - lo
-        chunks = [kernel(ds, x[:bounds[1]], y[:bounds[1]])]
-        for pid, (fd, count) in list(pending.items()):
-            with open(fd, "rb", closefd=False) as pipe:
+        for _ in range(processes - 1):
+            pid, fd = _fork(fn, items, claims)
+            children[pid] = fd
+        done = _run_claimed(fn, items, claims)
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
-            os.close(pending.pop(pid)[0])
+            os.close(children.pop(pid))
             if status:
-                code = os.waitstatus_to_exitcode(status)
-                raise RuntimeError(f"a child process of the split exited with {code}: "
-                                   + data.decode(errors="replace"))
-            chunks.append(np.frombuffer(data).reshape(len(ds), count))
+                raise RuntimeError(f"forked process {pid} of map_parts exited with "
+                                   f"{os.waitstatus_to_exitcode(status)}")
+            done.extend(_entries(data))
     finally:
-        for pid, (fd, _) in pending.items():
+        os.close(claims)
+        if children:
             from signal import SIGKILL  # loaded only by a call that failed
-            os.kill(pid, SIGKILL)
-            os.close(fd)
-            os.waitpid(pid, 0)
-    return [np.concatenate(values) for values in zip(*chunks)]
+            for pid, fd in children.items():
+                os.kill(pid, SIGKILL)
+                os.close(fd)
+                os.waitpid(pid, 0)
+    outcome = {index: rest for index, *rest in done}
+    results = []
+    shown = {}  # per file, so that a "default" filter shows a warning once per line
+    for index in range(len(items)):
+        raised, value, caught = outcome[index]
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=shown.setdefault(filename, {}))
+        if raised:
+            raise value
+        results.append(value)
+    return results

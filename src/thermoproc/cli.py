@@ -271,7 +271,8 @@ class ExperimentConfig:
 class RunManifest:
     """What a run produced: config echo, file digests, timing.  A
     ``validate`` run also carries its check results in ``checks``, which
-    ``to_dict`` leaves out: the report holds them, without their times."""
+    ``to_dict`` leaves out: the report holds them, without their times.
+    Its manifest records how many processes ran the checks."""
 
     experiment: str
     config: dict
@@ -285,6 +286,12 @@ class RunManifest:
         """Whether every check passed; None for a run that is not ``validate``."""
         return None if self.checks is None else all(r.passed for r in self.checks)
 
+    @property
+    def processes(self) -> int | None:
+        """How many processes ran the checks; None for a run that is not
+        ``validate``."""
+        return None if self.checks is None else len({r.pid for r in self.checks})
+
     def to_dict(self):
         out = {
             "experiment": self.experiment,
@@ -295,6 +302,7 @@ class RunManifest:
         }
         if self.checks is not None:
             out["validation_passed"] = self.validation_passed
+            out["processes"] = self.processes
         return out
 
 
@@ -488,7 +496,10 @@ def _report(manifest: RunManifest) -> int:
             status = "PASS" if r.passed else "FAIL"
             print(f"[{status}] {r.name:<{width}}  dev={r.deviation:.3e}  "
                   f"tol={r.tolerance:.3e}  t={r.seconds * 1e3:.1f}ms  ({r.module}) {r.detail}")
-        print(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+        print(f"{sum(r.passed for r in results)}/{len(results)} checks passed; "
+              f"wall {manifest.wall_clock_s * 1e3:.1f}ms on {manifest.processes} "
+              f"process{'es' if manifest.processes != 1 else ''} (the checks' times "
+              f"sum to {sum(r.seconds for r in results) * 1e3:.1f}ms)")
     outdir = Path(manifest.config["output_dir"])
     for entry in manifest.files:
         print(f"wrote {outdir / entry['name']} ({entry['bytes']} bytes)")

@@ -24,11 +24,10 @@ coefficients and a few generating-function style sums:
     scans (two cumulative products, two cumulative sums), which set the
     cost.  On these blocks numpy's scans did not overlap on two threads, so
     a call of at least 2 x ``_PART_MIN_CELLS`` cells (points times the sum
-    of its d) splits its points across processes instead (``_split``,
-    loaded by the first such call): one contiguous chunk per usable CPU,
-    the first run here and each other one in a forked child that returns
-    its values through a pipe.  Every value keeps its bits, since no value
-    depends on the other points.
+    of its d) splits its points across processes instead: one contiguous
+    chunk per usable CPU, run by ``_split.map_parts`` (loaded by the first
+    such call) here and in forked children.  Every value keeps its bits,
+    since no value depends on the other points.
 
 Every function accepts ``fractions.Fraction`` arguments and then evaluates
 exactly; float arguments use double precision.  The exact mode works on
@@ -66,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -584,18 +582,30 @@ def _I_d_float(ds, x, y):
     return out
 
 
+def _I_d_parts(ds, x, y, parts):
+    """``_I_d_float(ds, x, y)`` with the points cut into ``parts`` contiguous
+    chunks, which ``_split.map_parts`` runs on ``parts`` processes."""
+    from . import _split
+
+    bounds = [len(x) * k // parts for k in range(parts + 1)]
+    chunks = _split.map_parts(lambda part: _I_d_float(ds, x[part], y[part]),
+                              [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+                              parts)
+    return [np.concatenate(values) for values in zip(*chunks)]
+
+
 def _I_d_parallel(ds, x, y):
-    """``_I_d_float(ds, x, y)``, split by ``_split.split`` into one part
-    per usable CPU when each part gets at least ``_PART_MIN_CELLS`` cells
-    (points times the sum of ``ds``) and ``os.fork`` exists."""
+    """``_I_d_float(ds, x, y)``, split by ``_I_d_parts`` into one part per
+    usable CPU when each part gets at least ``_PART_MIN_CELLS`` cells
+    (points times the sum of ``ds``)."""
     parts = min(len(x), len(x) * sum(ds) // _PART_MIN_CELLS)
-    if parts >= 2 and hasattr(os, "fork"):
+    if parts >= 2:
         # loaded by the first call large enough, so that every other
         # process imports and compiles only the serial kernel
         from . import _split
         parts = min(parts, _split.usable_cpus())
         if parts >= 2:
-            return _split.split(_I_d_float, ds, x, y, parts)
+            return _I_d_parts(ds, x, y, parts)
     return _I_d_float(ds, x, y)
 
 
@@ -647,14 +657,14 @@ def I_d_eval(d, x, y):
     the sum of its d; the comment on the constant derives it from the
     measured cost of a split) is split across processes when ``os.fork``
     exists and at least two CPUs are usable: the affinity mask, capped by
-    the cgroup-v2 ``cpu.max`` quotas that can be read.  Its points are cut
-    into one contiguous chunk per usable CPU (at most one per
-    ``_PART_MIN_CELLS`` cells); this process runs the first and a forked
-    child each other one, and the values are the same bits.  A child that
-    fails, or meets a RuntimeWarning, makes the call raise RuntimeError with
-    its message; no child outlives the call.  Every other call runs here
-    alone.  Float mode rejects d > 1000; pass Fraction arguments for exact
-    evaluation beyond that.  Exact mode works on integers whose size grows
+    the cgroup-v2 ``cpu.max`` quotas that can be read (``_split.usable_cpus``;
+    1 in a forked child).  Its points are cut into one contiguous chunk per
+    usable CPU (at most one per ``_PART_MIN_CELLS`` cells), which
+    ``_split.map_parts`` runs here and in forked children.  The values are
+    the same bits, and the call warns and raises as the serial call does;
+    no child outlives it.  Every other call runs here alone.  Float mode
+    rejects d > 1000; pass Fraction arguments for exact evaluation beyond
+    that.  Exact mode works on integers whose size grows
     with d times the bits of the denominators; for a point taken from floats
     it takes about 0.6 s at d = 1000 and 3.4 s at d = 2000 (2-CPU x86 host),
     growing roughly as d^2.5.

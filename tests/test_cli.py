@@ -578,8 +578,11 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert "[PASS]" in out
         assert f"wrote {tmp_path / 'v' / 'validation_report.json'}" in out
+        assert re.search(r"^1/1 checks passed; wall \d+\.\dms on 1 process "
+                         r"\(the checks' times sum to \d+\.\dms\)$", out, re.M), out
         manifest = json.loads((tmp_path / "v" / "run_manifest.json").read_text())
         assert manifest["validation_passed"] is True
+        assert manifest["processes"] == 1
         assert manifest["config"]["params"] == {"only": "core"}
 
     def test_validate_prints_each_check_time_but_keeps_it_out_of_the_report(

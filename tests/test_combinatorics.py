@@ -755,12 +755,16 @@ def _fork_refused(*args):
 
 
 def _in_children(fn):
-    """A stand-in for ``_I_d_float`` that calls ``fn`` in a forked child and
-    the real kernel in the process that made it."""
+    """A stand-in for ``_I_d_float`` that calls ``fn`` in a forked child and,
+    after a pause that leaves the other parts to the children, the real
+    kernel in the process that made it."""
     real, parent = comb._I_d_float, os.getpid()
 
     def kernel(ds, x, y):
-        return real(ds, x, y) if os.getpid() == parent else fn(ds, x, y)
+        if os.getpid() != parent:
+            return fn(ds, x, y)
+        time.sleep(0.2)
+        return real(ds, x, y)
     return kernel
 
 
@@ -777,7 +781,7 @@ class TestErrorKernelSplit:
         x, y = _grid_with_log_rows()
         ds = [1, 400, 1000]
         serial = comb._I_d_float(ds, x, y)
-        split = _split.split(comb._I_d_float, ds, x, y, parts)
+        split = comb._I_d_parts(ds, x, y, parts)
         for d, s, got in zip(ds, serial, split):
             assert got.tobytes() == s.tobytes(), d
         assert np.any((1.0 - x) ** 400 < sys.float_info.min)  # log rows run
@@ -840,42 +844,69 @@ class TestErrorKernelSplit:
         assert 1 <= _split.usable_cpus() <= len(os.sched_getaffinity(0))
 
     def test_failing_child_raises_its_message(self, monkeypatch):
+        # as in a serial call: the kernel's own exception, type and message
         def fail(ds, x, y):
             raise ValueError("no such point")
 
         monkeypatch.setattr(comb, "_I_d_float", _in_children(fail))
         x, y = _fig2_grid()
-        with pytest.raises(RuntimeError, match="exited with 1: ValueError: no such point"):
-            _split.split(comb._I_d_float, [20], x, y, 3)
+        with pytest.raises(ValueError) as info:
+            comb._I_d_parts([20], x, y, 3)
+        assert str(info.value) == "no such point"
         assert_no_child_left()
 
     def test_child_runtime_warning_is_raised_not_dropped(self, monkeypatch):
+        # as in a serial call: the warning reaches this process, and under an
+        # "error" filter it is raised as the RuntimeWarning itself
         def overflow(ds, x, y):
             with np.errstate(over="warn"):
                 return [np.exp(np.full(len(x), 1000.0))]
 
         monkeypatch.setattr(comb, "_I_d_float", _in_children(overflow))
         x, y = _fig2_grid()
-        with pytest.raises(RuntimeError, match="RuntimeWarning: overflow encountered in exp"):
-            _split.split(comb._I_d_float, [20], x, y, 2)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            (values,) = comb._I_d_parts([20], x, y, 2)
+        assert np.isinf(values).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow encountered in exp"):
+                comb._I_d_parts([20], x, y, 2)
         assert_no_child_left()
 
     def test_parent_exception_kills_and_reaps_every_child(self, monkeypatch):
+        # an interrupt does not wait for the children's parts
         real = comb._I_d_float
         parent = os.getpid()
 
         def kernel(ds, x, y):
             if os.getpid() == parent:
-                raise KeyError("parent chunk")
+                raise KeyboardInterrupt
             time.sleep(60)
             return real(ds, x, y)
 
         monkeypatch.setattr(comb, "_I_d_float", kernel)
         x, y = _fig2_grid()
         start = time.perf_counter()
-        with pytest.raises(KeyError, match="parent chunk"):
-            _split.split(comb._I_d_float, [20], x, y, 3)
+        with pytest.raises(KeyboardInterrupt):
+            comb._I_d_parts([20], x, y, 3)
         assert time.perf_counter() - start < 30  # killed, not waited for
+        assert_no_child_left()
+
+    def test_parent_part_exception_is_raised_once_the_children_are_reaped(
+            self, monkeypatch):
+        real = comb._I_d_float
+        parent = os.getpid()
+
+        def kernel(ds, x, y):
+            if os.getpid() == parent:
+                raise KeyError("parent chunk")
+            time.sleep(0.2)
+            return real(ds, x, y)
+
+        monkeypatch.setattr(comb, "_I_d_float", kernel)
+        x, y = _fig2_grid()
+        with pytest.raises(KeyError, match="parent chunk"):
+            comb._I_d_parts([20], x, y, 3)
         assert_no_child_left()
 
     def test_split_under_warnings_as_errors(self):
@@ -884,7 +915,7 @@ class TestErrorKernelSplit:
         x, y = _fig2_grid()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            split = _split.split(comb._I_d_float, [20, 1000], x, y, 2)
+            split = comb._I_d_parts([20, 1000], x, y, 2)
         for got, serial in zip(split, comb._I_d_float([20, 1000], x, y)):
             assert got.tobytes() == serial.tobytes()
         assert_no_child_left()

@@ -1,11 +1,18 @@
 """Validation checks fail on a NaN from what they read, wherever it falls,
-and every declared check runs."""
+every declared check runs, and a run split across processes reports what
+a serial run does."""
 
+import json
 import math
+import os
+import re
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from thermoproc import _split
 from thermoproc import combinatorics as comb
 from thermoproc import cli, memory, reachable, validation, workx
 
@@ -92,3 +99,243 @@ def test_the_extraction_read_off_check_deviates_by_a_few_ulp():
     result = validation.check_extraction_readoff()
     assert result.name == "extraction-bisection-grid" and result.tolerance == 1e-9
     assert result.deviation <= 8 * np.finfo(np.float64).eps
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_split(monkeypatch, cpus):
+    """``run_checks()`` as a host with ``cpus`` usable CPUs runs it, and the
+    number of forks it made."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(_split, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    results = validation.run_checks()
+    monkeypatch.undo()
+    return results, len(forks)
+
+
+def test_a_split_run_reports_the_bytes_of_a_serial_run(monkeypatch):
+    serial, serial_forks = run_split(monkeypatch, 1)
+    split, split_forks = run_split(monkeypatch, 2)
+    assert (serial_forks, split_forks) == (0, 1)
+    assert {r.pid for r in serial} == {os.getpid()}
+    assert len({r.pid for r in split}) <= 2
+    drop = lambda r: {k: v for k, v in vars(r).items() if k not in ("seconds", "pid")}
+    assert [drop(r) for r in split] == [drop(r) for r in serial]
+    report = lambda results: json.dumps(validation.summarize(results), indent=2,
+                                        sort_keys=True)
+    assert report(split) == report(serial)
+    assert_no_child_left()
+
+
+def test_a_selection_of_one_module_runs_serially(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+    assert validation.run_checks(only="workx")
+
+
+def stand_in_checks(monkeypatch, body, count=8):
+    """``count`` checks of module "core" that run ``body(i)``; the process
+    that runs ``run_checks`` pauses in each check it takes, which leaves
+    the rest to the child.  Runs on two processes."""
+    parent = os.getpid()
+
+    def declare(i):
+        def check_stand_in():
+            if os.getpid() == parent:
+                time.sleep(0.1)
+            body(i)
+            return 0.0, 0.5, f"stand-in {i}"
+        return validation._check(f"stand-in-{i}", "core")(check_stand_in)
+
+    monkeypatch.setattr(validation, "ALL_CHECKS", tuple(map(declare, range(count))))
+    monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
+    return parent
+
+
+def test_child_warnings_reach_this_process_in_check_order(monkeypatch):
+    parent = stand_in_checks(
+        monkeypatch, lambda i: warnings.warn(f"check {i}", RuntimeWarning))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = validation.run_checks()
+    assert [str(w.message) for w in caught] == [f"check {i}" for i in range(8)]
+    assert all(w.category is RuntimeWarning for w in caught)
+    assert any(r.pid != parent for r in results)  # the child ran checks
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_warning_under_an_error_filter_fails_as_it_does_serially(monkeypatch, cpus):
+    def warn_from_the_second(i):
+        if i >= 1:
+            warnings.warn(f"check {i}", RuntimeWarning)
+
+    stand_in_checks(monkeypatch, warn_from_the_second)
+    monkeypatch.setattr(_split, "usable_cpus", lambda: cpus)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning) as info:
+            validation.run_checks()
+    assert str(info.value) == "check 1"  # a child's traceback is only a note
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_child_run_check_raises_its_exception(monkeypatch, cpus):
+    def fail_from_the_third(i):
+        if i >= 2:
+            raise ZeroDivisionError(f"check {i} divides by zero")
+
+    stand_in_checks(monkeypatch, fail_from_the_third)
+    monkeypatch.setattr(_split, "usable_cpus", lambda: cpus)
+    with pytest.raises(ZeroDivisionError) as info:
+        validation.run_checks()
+    assert str(info.value) == "check 2 divides by zero"
+    assert_no_child_left()
+
+
+def test_an_exception_in_this_process_leaves_no_child(monkeypatch):
+    parent = os.getpid()
+
+    def fail_here(i):
+        if os.getpid() == parent:
+            raise KeyError(f"check {i}")
+
+    stand_in_checks(monkeypatch, fail_here)
+    with pytest.raises(KeyError):
+        validation.run_checks()
+    assert_no_child_left()
+
+
+def test_a_child_never_forks():
+    # a large float I_d call (3 million cells), which splits in this process
+    # on a multi-CPU host, runs alone in a child
+    x = np.linspace(0.01, 0.95, 2000)
+    ds = [1, 2, 5, 20, 100, 400, 1000]
+    parent = os.getpid()
+    forks = []
+
+    def item(i):
+        if os.getpid() == parent:
+            time.sleep(0.2)
+            return None
+        os.fork, fork = (lambda: forks.append(1) or fork()), os.fork
+        try:
+            values = comb.I_d_eval(ds, x, x[::-1].copy())
+        finally:
+            os.fork = fork
+        return os.getpid(), _split.usable_cpus(), len(forks), values
+
+    ran = [r for r in _split.map_parts(item, [0, 1, 2], 2) if r is not None]
+    assert ran
+    serial = comb._I_d_float(ds, x, x[::-1].copy())
+    for pid, cpus, child_forks, values in ran:
+        assert pid != parent and cpus == 1 and child_forks == 0
+        assert all(v.tobytes() == s.tobytes() for v, s in zip(values, serial))
+    assert_no_child_left()
+
+
+def test_a_check_that_calls_blas_completes_in_a_child():
+    a = np.random.default_rng(1).random((300, 300))
+    parent = os.getpid()
+
+    def product(i):
+        if os.getpid() == parent:
+            time.sleep(0.2)
+        return os.getpid(), a @ a
+
+    results = _split.map_parts(product, [0, 1, 2], 2)
+    assert any(pid != parent for pid, _ in results)
+    for _, value in results:
+        assert np.array_equal(value, a @ a)
+    assert_no_child_left()
+
+
+def test_an_item_that_raises_stops_the_later_items(tmp_path):
+    # as in a serial loop, no item after the one that raised starts
+    started = tmp_path / "started"
+
+    def item(i):
+        with open(started, "a") as log:
+            log.write(f"{i}\n")
+        if i == 0:
+            time.sleep(0.3)
+        elif i == 1:
+            raise KeyError(i)
+
+    with pytest.raises(KeyError):
+        _split.map_parts(item, range(10), 2)
+    assert sorted(started.read_text().split()) == ["0", "1"]
+    assert_no_child_left()
+
+
+def in_a_child(outcome):
+    """An item function whose items this process runs return the item,
+    after a pause that leaves some of them to the child; the child's give
+    ``outcome(item)``."""
+    parent = os.getpid()
+
+    def item(i):
+        if os.getpid() == parent:
+            time.sleep(0.2)
+            return i
+        return outcome(i)
+    return item
+
+
+class TwoArgumentError(Exception):
+    def __init__(self, what, why):
+        super().__init__(f"{what}: {why}")  # pickles, but does not unpickle
+
+
+def raise_two_argument_error(i):
+    raise TwoArgumentError(i, "two arguments")
+
+
+@pytest.mark.parametrize("outcome", [lambda i: (lambda: i), raise_two_argument_error],
+                         ids=["closure-result", "exception-without-its-arguments"])
+def test_an_outcome_that_cannot_be_sent_raises_runtime_error(outcome):
+    with pytest.raises(RuntimeError, match="cannot be sent from a forked process"):
+        _split.map_parts(in_a_child(outcome), [0, 1, 2], 2)
+    assert_no_child_left()
+
+
+def raise_in_the_child(i):
+    raise LookupError(f"item {i}")
+
+
+@pytest.mark.skipif(not hasattr(BaseException, "add_note"), reason="Python 3.11+")
+def test_a_child_exception_carries_its_traceback_as_a_note():
+    with pytest.raises(LookupError) as info:
+        _split.map_parts(in_a_child(raise_in_the_child), [0, 1, 2], 2)
+    assert re.fullmatch(r"item \d", str(info.value))
+    (note,) = info.value.__notes__
+    assert note.startswith("raised in a forked process of map_parts:")
+    assert "raise_in_the_child" in note
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_default_filter_shows_a_repeated_warning_once_as_serially(processes):
+    def item(i):
+        if os.getpid() == parent:
+            time.sleep(0.1)
+        warnings.warn("the same line", RuntimeWarning)
+
+    parent = os.getpid()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        _split.map_parts(item, [0, 1, 2, 3], processes)
+    assert [str(w.message) for w in caught] == ["the same line"]
+    assert_no_child_left()
+
+
+def test_one_byte_names_each_item(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("os.fork was called"))
+    assert _split.map_parts(str, range(_split.MAX_ITEMS + 1), 1)[-1] == "256"
+    with pytest.raises(ValueError, match="at most 256 items"):
+        _split.map_parts(str, range(_split.MAX_ITEMS + 1), 2)
