@@ -120,9 +120,9 @@ A_1 and B_1 and mirrors them, against all four vertices run
 (``qutrit_vertices_four_runs``). The swap grid, the orbit and the
 vertices must give the same bytes and the hull the same indices.
 
-Validate: every validation check as ``run_checks`` runs them, on this
-process alone against two processes (``_split.map_parts``); the two JSON
-reports must be the same bytes.
+Validate: ``validation.run_checks()`` with ``_split.usable_cpus`` fixed
+to 1 (every check in this process) against 2 (the checks split in two by
+``_split.map_parts``); the two JSON reports must be the same bytes.
 
 Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--dims 10,100,400,1000,2000] [--repeats 5]
 """
@@ -532,10 +532,14 @@ def validation_batch_table():
                  times=("per point [ms]", "batched [ms]"))
 
 
-def validation_report(processes):
-    """The JSON report of every validation check, run as ``run_checks``
-    runs them on ``processes`` processes."""
-    results = _split.map_parts(lambda check: check(), validation.ALL_CHECKS, processes)
+def validation_report(cpus):
+    """The JSON report of ``validation.run_checks()`` on a host with
+    ``cpus`` usable CPUs."""
+    usable_cpus, _split.usable_cpus = _split.usable_cpus, lambda: cpus
+    try:
+        results = validation.run_checks()
+    finally:
+        _split.usable_cpus = usable_cpus
     return json.dumps(validation.summarize(results), indent=2, sort_keys=True)
 
 

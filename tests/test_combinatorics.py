@@ -755,16 +755,12 @@ def _fork_refused(*args):
 
 
 def _in_children(fn):
-    """A stand-in for ``_I_d_float`` that calls ``fn`` in a forked child and,
-    after a pause that leaves the other parts to the children, the real
-    kernel in the process that made it."""
+    """A stand-in for ``_I_d_float`` that calls ``fn`` in a forked child and
+    the real kernel in the process that made it, which runs the first part."""
     real, parent = comb._I_d_float, os.getpid()
 
     def kernel(ds, x, y):
-        if os.getpid() != parent:
-            return fn(ds, x, y)
-        time.sleep(0.2)
-        return real(ds, x, y)
+        return real(ds, x, y) if os.getpid() == parent else fn(ds, x, y)
     return kernel
 
 
@@ -873,40 +869,34 @@ class TestErrorKernelSplit:
                 comb._I_d_parts([20], x, y, 2)
         assert_no_child_left()
 
-    def test_parent_exception_kills_and_reaps_every_child(self, monkeypatch):
-        # an interrupt does not wait for the children's parts
+    @staticmethod
+    def _raise_here_while_children_sleep(monkeypatch, exc):
+        """Split a call in 3 parts whose first part, run here, raises
+        ``exc`` while the children's parts sleep 60 s; returns the seconds
+        until ``exc`` is raised."""
         real = comb._I_d_float
         parent = os.getpid()
 
         def kernel(ds, x, y):
             if os.getpid() == parent:
-                raise KeyboardInterrupt
+                raise exc
             time.sleep(60)
             return real(ds, x, y)
 
         monkeypatch.setattr(comb, "_I_d_float", kernel)
         x, y = _fig2_grid()
         start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(type(exc)):
             comb._I_d_parts([20], x, y, 3)
-        assert time.perf_counter() - start < 30  # killed, not waited for
+        return time.perf_counter() - start
+
+    def test_parent_exception_kills_and_reaps_every_child(self, monkeypatch):
+        assert self._raise_here_while_children_sleep(
+            monkeypatch, KeyError("parent chunk")) < 30  # killed, not waited for
         assert_no_child_left()
 
-    def test_parent_part_exception_is_raised_once_the_children_are_reaped(
-            self, monkeypatch):
-        real = comb._I_d_float
-        parent = os.getpid()
-
-        def kernel(ds, x, y):
-            if os.getpid() == parent:
-                raise KeyError("parent chunk")
-            time.sleep(0.2)
-            return real(ds, x, y)
-
-        monkeypatch.setattr(comb, "_I_d_float", kernel)
-        x, y = _fig2_grid()
-        with pytest.raises(KeyError, match="parent chunk"):
-            comb._I_d_parts([20], x, y, 3)
+    def test_parent_interrupt_kills_and_reaps_every_child(self, monkeypatch):
+        assert self._raise_here_while_children_sleep(monkeypatch, KeyboardInterrupt()) < 30
         assert_no_child_left()
 
     def test_split_under_warnings_as_errors(self):

@@ -138,22 +138,18 @@ def test_a_selection_of_one_module_runs_serially(monkeypatch):
 
 
 def stand_in_checks(monkeypatch, body, count=8):
-    """``count`` checks of module "core" that run ``body(i)``; the process
-    that runs ``run_checks`` pauses in each check it takes, which leaves
-    the rest to the child.  Runs on two processes."""
-    parent = os.getpid()
-
+    """``count`` checks of module "core" that run ``body(i)``, on two
+    processes: check 0 runs first in this process and check 1 in the
+    child."""
     def declare(i):
         def check_stand_in():
-            if os.getpid() == parent:
-                time.sleep(0.1)
             body(i)
             return 0.0, 0.5, f"stand-in {i}"
         return validation._check(f"stand-in-{i}", "core")(check_stand_in)
 
     monkeypatch.setattr(validation, "ALL_CHECKS", tuple(map(declare, range(count))))
     monkeypatch.setattr(_split, "usable_cpus", lambda: 2)
-    return parent
+    return os.getpid()
 
 
 def test_child_warnings_reach_this_process_in_check_order(monkeypatch):
@@ -164,7 +160,7 @@ def test_child_warnings_reach_this_process_in_check_order(monkeypatch):
         results = validation.run_checks()
     assert [str(w.message) for w in caught] == [f"check {i}" for i in range(8)]
     assert all(w.category is RuntimeWarning for w in caught)
-    assert any(r.pid != parent for r in results)  # the child ran checks
+    assert results[0].pid == parent and results[1].pid != parent
     assert_no_child_left()
 
 
@@ -181,6 +177,24 @@ def test_a_warning_under_an_error_filter_fails_as_it_does_serially(monkeypatch, 
         with pytest.raises(RuntimeWarning) as info:
             validation.run_checks()
     assert str(info.value) == "check 1"  # a child's traceback is only a note
+    assert_no_child_left()
+
+
+def test_a_lower_failure_in_a_child_wins_over_one_here(monkeypatch):
+    # this process raises at check 2 while the child still runs check 1,
+    # which raises later: a serial run would have raised check 1's
+    parent = os.getpid()
+
+    def fail(i):
+        if i == 1:
+            time.sleep(0.3)
+            raise ValueError("check 1")
+        if i >= 2 and os.getpid() == parent:
+            raise KeyError(f"check {i}")
+
+    stand_in_checks(monkeypatch, fail)
+    with pytest.raises(ValueError, match="check 1"):
+        validation.run_checks()
     assert_no_child_left()
 
 
@@ -206,7 +220,7 @@ def test_an_exception_in_this_process_leaves_no_child(monkeypatch):
             raise KeyError(f"check {i}")
 
     stand_in_checks(monkeypatch, fail_here)
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="check 0"):
         validation.run_checks()
     assert_no_child_left()
 
@@ -221,7 +235,6 @@ def test_a_child_never_forks():
 
     def item(i):
         if os.getpid() == parent:
-            time.sleep(0.2)
             return None
         os.fork, fork = (lambda: forks.append(1) or fork()), os.fork
         try:
@@ -230,8 +243,8 @@ def test_a_child_never_forks():
             os.fork = fork
         return os.getpid(), _split.usable_cpus(), len(forks), values
 
-    ran = [r for r in _split.map_parts(item, [0, 1, 2], 2) if r is not None]
-    assert ran
+    ran = [r for r in _split.map_parts(item, [0, 1], 2) if r is not None]
+    assert len(ran) == 1
     serial = comb._I_d_float(ds, x, x[::-1].copy())
     for pid, cpus, child_forks, values in ran:
         assert pid != parent and cpus == 1 and child_forks == 0
@@ -244,26 +257,27 @@ def test_a_check_that_calls_blas_completes_in_a_child():
     parent = os.getpid()
 
     def product(i):
-        if os.getpid() == parent:
-            time.sleep(0.2)
         return os.getpid(), a @ a
 
-    results = _split.map_parts(product, [0, 1, 2], 2)
-    assert any(pid != parent for pid, _ in results)
+    results = _split.map_parts(product, [0, 1], 2)
+    assert results[1][0] != parent
     for _, value in results:
         assert np.array_equal(value, a @ a)
     assert_no_child_left()
 
 
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
 def test_an_item_that_raises_stops_the_later_items(tmp_path):
-    # as in a serial loop, no item after the one that raised starts
+    # as in a serial loop, no item after the one that raised starts: item 1
+    # raises in the child, and item 0, here, ends once the child has exited
+    # (WNOWAIT leaves it to be reaped)
     started = tmp_path / "started"
 
     def item(i):
         with open(started, "a") as log:
             log.write(f"{i}\n")
         if i == 0:
-            time.sleep(0.3)
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
         elif i == 1:
             raise KeyError(i)
 
@@ -274,16 +288,12 @@ def test_an_item_that_raises_stops_the_later_items(tmp_path):
 
 
 def in_a_child(outcome):
-    """An item function whose items this process runs return the item,
-    after a pause that leaves some of them to the child; the child's give
-    ``outcome(item)``."""
+    """An item function whose items this process runs return the item; the
+    child's (item 1 of two, on two processes) give ``outcome(item)``."""
     parent = os.getpid()
 
     def item(i):
-        if os.getpid() == parent:
-            time.sleep(0.2)
-            return i
-        return outcome(i)
+        return i if os.getpid() == parent else outcome(i)
     return item
 
 
@@ -300,7 +310,7 @@ def raise_two_argument_error(i):
                          ids=["closure-result", "exception-without-its-arguments"])
 def test_an_outcome_that_cannot_be_sent_raises_runtime_error(outcome):
     with pytest.raises(RuntimeError, match="cannot be sent from a forked process"):
-        _split.map_parts(in_a_child(outcome), [0, 1, 2], 2)
+        _split.map_parts(in_a_child(outcome), [0, 1], 2)
     assert_no_child_left()
 
 
@@ -311,8 +321,8 @@ def raise_in_the_child(i):
 @pytest.mark.skipif(not hasattr(BaseException, "add_note"), reason="Python 3.11+")
 def test_a_child_exception_carries_its_traceback_as_a_note():
     with pytest.raises(LookupError) as info:
-        _split.map_parts(in_a_child(raise_in_the_child), [0, 1, 2], 2)
-    assert re.fullmatch(r"item \d", str(info.value))
+        _split.map_parts(in_a_child(raise_in_the_child), [0, 1], 2)
+    assert str(info.value) == "item 1"
     (note,) = info.value.__notes__
     assert note.startswith("raised in a forked process of map_parts:")
     assert "raise_in_the_child" in note
@@ -322,15 +332,27 @@ def test_a_child_exception_carries_its_traceback_as_a_note():
 @pytest.mark.parametrize("processes", [1, 2])
 def test_a_default_filter_shows_a_repeated_warning_once_as_serially(processes):
     def item(i):
-        if os.getpid() == parent:
-            time.sleep(0.1)
         warnings.warn("the same line", RuntimeWarning)
 
-    parent = os.getpid()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         _split.map_parts(item, [0, 1, 2, 3], processes)
     assert [str(w.message) for w in caught] == ["the same line"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_module_filter_over_an_error_filter_acts_as_serially(processes):
+    # the warnings are emitted again as from this module, which the filter
+    # names, so that they are shown, not raised
+    def item(i):
+        warnings.warn(f"item {i}", RuntimeWarning)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error")
+        warnings.filterwarnings("always", module=re.escape(__name__))
+        _split.map_parts(item, [0, 1, 2], processes)
+    assert [str(w.message) for w in caught] == ["item 0", "item 1", "item 2"]
     assert_no_child_left()
 
 
