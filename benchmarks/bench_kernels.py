@@ -20,13 +20,10 @@ input, and checks that the two leave the same bytes.  The reference is
 sampled once at d >= 2000, where one run takes 0.4 s or more.
 
 Batched wavefront: d = 1..d_max, d_max in {30, 200, 400}, cut into
-``wavefront_blocks`` with one ``Wavefront`` built and run per block, against
-one sweep per d by the kernel ``memory`` picks for a single row (the loop
-below ``memory.WAVEFRONT_MIN_WIDTH``, a one-row wavefront from there on).
-The build of every block's wavefront and the run of the built ones (inputs
-filled, swept and copied out) are also sampled on their own, alternating.
-Every row must leave the same bytes as the per-d sweeps, run on fresh
-wavefronts and on reused ones.
+``wavefront_blocks`` with one ``run_wavefront`` call per block, against one
+sweep per d by the kernel ``memory`` picks for a single row (the loop below
+``memory.WAVEFRONT_MIN_WIDTH``, a one-row wavefront from there on).  Every
+row must leave the same bytes as the per-d sweeps.
 
 Narrow pair sweep: the pair step (g, e) -> (g', e') of every cooling round
 below ``RESPONSE_MIN_D``, the step ``memory.swap_round(d, gamma)`` returns
@@ -140,7 +137,7 @@ from pathlib import Path
 
 import numpy as np
 
-from thermoproc._kernels import Wavefront, _memory_sweep_py, memory_sweep, wavefront_blocks
+from thermoproc._kernels import _memory_sweep_py, memory_sweep, run_wavefront, wavefront_blocks
 from thermoproc import _split, combinatorics, validation
 from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, delta_d,
                                       delta_d_column)
@@ -325,22 +322,17 @@ def sweep_table(dims):
                  cells=("steps",), times=("loop [ms]", "memory_sweep [ms]"), digits=3)
 
 
-def build_batch(ds):
-    """One ``Wavefront`` per block of ``wavefront_blocks(ds)``."""
-    return [Wavefront([ds[i] for i in rows], 0.75) for rows in wavefront_blocks(ds)]
-
-
-def sweep_batch(vecs, ds, wavefronts=None):
-    """The same sweeps cut into ``wavefront_blocks`` and run one
-    ``Wavefront`` per block, as the batched callers run them: built here, or
-    taken from ``wavefronts``, one per block; the swept vectors."""
+def sweep_batch(vecs, ds):
+    """The same sweeps cut into ``wavefront_blocks`` and run by one
+    ``run_wavefront`` call per block, as the batched callers run them; the
+    swept vectors."""
     out = [None] * len(ds)
-    for n, rows in enumerate(wavefront_blocks(ds)):
+    for rows in wavefront_blocks(ds):
         block = [ds[i] for i in rows]
         a, b = np.zeros((len(rows), max(block))), np.zeros((len(rows), max(block)))
         for r, (i, d) in enumerate(zip(rows, block)):
             a[r, :d], b[r, :d] = vecs[i][:d], vecs[i][d:]
-        (Wavefront(block, 0.75) if wavefronts is None else wavefronts[n]).run(a, b)
+        run_wavefront(block, 0.75, a, b)
         for r, (i, d) in enumerate(zip(rows, block)):
             out[i] = np.concatenate([a[r, :d], b[r, :d]])
     return out
@@ -352,15 +344,12 @@ def batch_table():
     for d_max in BATCH_D_MAX:
         ds = list(range(1, d_max + 1))
         vecs = [rng.random(2 * d) / (2 * d) for d in ds]
-        reused = partial(sweep_batch, vecs, ds, build_batch(ds))
         rows.append(Row(f"d = 1..{d_max}",
                         lambda vecs=vecs, ds=ds: list(map(partial(swept, sweep), vecs, ds)),
                         partial(sweep_batch, vecs, ds),
-                        check=lambda ref, new, reused=reused: same(ref, new, reused()),
-                        cells=(str(sum(d * d for d in ds)),),
-                        also=((partial(build_batch, ds), reused),)))
+                        cells=(str(sum(d * d for d in ds)),)))
     return Table("batched wavefront", "sweeps", rows, cells=("thermalizations",),
-                 times=("one by one [ms]", "wavefront [ms]", "build [ms]", "run [ms]"))
+                 times=("one by one [ms]", "wavefront [ms]"))
 
 
 def pair_step_on_vector(d, gamma, p_ground, p_excited):

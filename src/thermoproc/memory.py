@@ -46,18 +46,18 @@ a qutrit point) makes no numpy call, whose fixed cost would outweigh its
 few cells: it runs the one list loop of ``_kernels`` (``_sweep_lists``) on
 lists of Python floats and sums each block with ``_pairwise_sum``, in the
 order numpy's reduction sums a contiguous float64 array.  Anything else runs
-batched wavefronts, at any d, since a batch's anti-diagonals span all of its
-rows: d = 1..30 costs about two thirds of one sweep per d, and d = 1..200 a
-tenth to a fifth.  Both give a row the bits of its sweeps on a numpy
-vector summed block by block, so a row's totals do not depend on the batch
-it runs in.
+batched wavefronts, one ``run_wavefront`` call per sweep and block of rows,
+at any d, since a batch's anti-diagonals span all of its rows: d = 1..30
+costs about two thirds of one sweep per d, and d = 1..200 a tenth to a
+fifth.  Both give a row the bits of its sweeps on a numpy vector summed
+block by block, so a row's totals do not depend on the batch it runs in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import Wavefront, _sweep_lists, wavefront_blocks
+from ._kernels import _sweep_lists, run_wavefront, wavefront_blocks
 from .combinatorics import _require_int
 
 # the width from which a single row takes the wavefront.  Two measurements on
@@ -147,8 +147,8 @@ def _protocol_totals(ds, sweeps, start, read):
         slots = np.empty((start.shape[1], len(rows), block[-1]))
         np.divide(start[rows].T[:, :, None], sizes[rows], out=slots)
         for (outer, inner, _), weight in zip(sweeps, weights):
-            Wavefront(block, weight[rows] if weight.ndim else weight).run(
-                slots[outer], slots[inner])
+            run_wavefront(block, weight[rows] if weight.ndim else weight,
+                          slots[outer], slots[inner])
         for out, k in zip(totals, read):
             for i, d, row in zip(rows, block, slots[k]):
                 out[i] = float(row[:d].sum())
@@ -210,11 +210,8 @@ def simulate_memory_beta_swap(d, p0, gamma):
         raise ValueError("p0 must lie in [0, 1]")
     if not np.all((0.0 < gamma) & (gamma < 1.0)):
         raise ValueError("gamma must lie in (0, 1)")
-    # one call starts from a tuple, and one p0 for every d from a broadcast
-    # row: both cheaper than a list of rows
-    if scalar:
-        start = ((p0, 1.0 - p0),)
-    elif isinstance(p0, np.ndarray):
+    # one p0 for every d starts from a broadcast row, cheaper than a list of rows
+    if isinstance(p0, np.ndarray):
         start = np.column_stack((p0, 1.0 - p0))
     else:
         start = np.broadcast_to((p0, 1.0 - p0), (len(ds), 2))

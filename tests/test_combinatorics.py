@@ -19,6 +19,7 @@ from thermoproc import combinatorics as comb
 
 from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,
                        lki_references, weighted_float, weighted_fraction)
+from test_split import assert_no_child_left
 
 SQRT_PI = math.sqrt(math.pi)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -764,11 +765,6 @@ def _in_children(fn):
     return kernel
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestErrorKernelSplit:
     """A large float I_d call splits its points across forked processes."""
 
@@ -830,14 +826,6 @@ class TestErrorKernelSplit:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "False"
-
-    @pytest.mark.parametrize("text, cpus", [("max 100000", None), ("150000 100000", 1),
-                                            ("50000 100000", 1), ("400000 100000\n", 4)])
-    def test_cgroup_quota_in_whole_cpus(self, text, cpus):
-        assert _split._quota_cpus(text) == cpus
-
-    def test_usable_cpus_within_the_affinity_mask(self):
-        assert 1 <= _split.usable_cpus() <= len(os.sched_getaffinity(0))
 
     def test_failing_child_raises_its_message(self, monkeypatch):
         # as in a serial call: the kernel's own exception, type and message

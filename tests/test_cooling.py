@@ -188,7 +188,7 @@ def assert_rounds_match_the_loop(populations, by_loop, d):
         assert np.abs(populations - by_loop).max() <= 1e-13
 
 
-class TestReusedWavefront:
+class TestMMTPRounds:
     """The MMTP rounds against the per-round reference loop and a long-double
     reference: per-round sweeps below ``RESPONSE_MIN_D``, the round response
     from there on."""
@@ -271,18 +271,18 @@ class TestReusedWavefront:
 
     def test_one_two_row_wavefront_per_run_from_the_response_width(self, monkeypatch):
         # 48, not RESPONSE_MIN_D: which runs keep their bytes is a contract
-        built, build = [], _kernels.Wavefront
+        ran, kernel = [], _kernels.run_wavefront
 
         def record(*args):
-            built.append(args[0])
-            return build(*args)
+            ran.append(args[0])
+            return kernel(*args)
 
-        monkeypatch.setattr(memory, "Wavefront", record)
-        monkeypatch.setattr(_kernels, "Wavefront", record)
+        monkeypatch.setattr(memory, "run_wavefront", record)
+        monkeypatch.setattr(_kernels, "run_wavefront", record)
         for d in (47, 48):
             cooling.cool_coherent("MMTP", 3, 0.75, d)
             cooling.cool_incoherent("MMTP", 3, d=d, **REF)
-        assert built == [[48, 48]] * 2
+        assert ran == [[48, 48]] * 2
 
 
 CLASSES = [("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 3), ("MMTP", 8)]

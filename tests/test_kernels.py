@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoproc import _kernels
-from thermoproc._kernels import Wavefront, _memory_sweep_py, memory_sweep, wavefront_blocks
+from thermoproc._kernels import _memory_sweep_py, memory_sweep, run_wavefront, wavefront_blocks
 from thermoproc.memory import WAVEFRONT_MIN_WIDTH
 
 DIMS = sorted({1, 2, 3, 17, 111, 112, 113, 257,
@@ -156,7 +156,7 @@ def assert_same_bytes(got, expected):
 def one_wavefront(ds, weight, a, b):
     """Every row's sweep on one wavefront, in the given row order."""
     a, b = a.copy(), b.copy()
-    Wavefront(ds, weight).run(a, b)
+    run_wavefront(ds, weight, a, b)
     return a, b
 
 
@@ -166,7 +166,7 @@ def by_blocks(ds, weight, a, b):
     a, b = a.copy(), b.copy()
     for rows in wavefront_blocks(ds):
         block_a, block_b = a[rows], b[rows]
-        Wavefront([ds[i] for i in rows], row_weights(weight, rows)).run(block_a, block_b)
+        run_wavefront([ds[i] for i in rows], row_weights(weight, rows), block_a, block_b)
         a[rows], b[rows] = block_a, block_b
     return a, b
 
@@ -208,22 +208,12 @@ class TestBatch:
         a, b = batch_inputs(ds, rng)
         assert_same_bytes(by_blocks(ds, 0.7, a, b), sweep_rows_by_loop(ds, 0.7, a, b))
 
-    @pytest.mark.parametrize("ds", [[3], [WAVEFRONT_MIN_WIDTH], [4, 1, 7, 7, 2]])
-    def test_reused_wavefront_equals_fresh_sweeps(self, ds):
-        rng = np.random.default_rng(sum(ds))
-        wavefront = Wavefront(ds, 0.8)
-        for _ in range(4):
-            a, b = batch_inputs(ds, rng)
-            expected = sweep_rows_by_loop(ds, 0.8, a, b)
-            wavefront.run(a, b)
-            assert_same_bytes((a, b), expected)
-
     def test_runs_on_views_in_place(self):
         d = 6
         vec = np.random.default_rng(3).random(4 * d)
         expected = vec.copy()
         _memory_sweep_py(expected, d, 0.7, 0, 3 * d)
-        Wavefront([d], 0.7).run(vec[None, :d], vec[None, 3 * d:])
+        run_wavefront([d], 0.7, vec[None, :d], vec[None, 3 * d:])
         assert vec.tobytes() == expected.tobytes()
 
     @settings(max_examples=25, deadline=None)
@@ -252,8 +242,9 @@ class TestBatch:
 
     @pytest.mark.parametrize("ds", [[], [0], [3, 0]])
     def test_bad_sizes_raise(self, ds):
+        a = b = np.zeros((len(ds), max(ds, default=0)))
         with pytest.raises(ValueError):
-            Wavefront(ds, 0.75)
+            run_wavefront(ds, 0.75, a, b)
 
 
 class TestPerRowWeights:
@@ -281,21 +272,12 @@ class TestPerRowWeights:
         assert_same_bytes(one_wavefront(ds, np.full(len(ds), 0.8), a, b), scalar)
         assert_same_bytes(by_blocks(ds, [0.8] * len(ds), a, b), scalar)
 
-    def test_reused_wavefront_keeps_each_rows_weight(self):
-        ds, weights = [4, 1, 7, 7, 2], [0.6, 0.9, 0.55, 0.99, 0.7]
-        rng = np.random.default_rng(11)
-        wavefront = Wavefront(ds, weights)
-        for _ in range(3):
-            a, b = batch_inputs(ds, rng)
-            expected = sweep_rows_by_loop(ds, weights, a, b)
-            wavefront.run(a, b)
-            assert_same_bytes((a, b), expected)
-
     @pytest.mark.parametrize("weights", [[0.7], [0.7, 0.8, 0.9], [[0.7], [0.8]], []],
                              ids=["short", "long", "2-d", "empty"])
     def test_wrong_number_of_weights_raises(self, weights):
+        a, b = batch_inputs([3, 4], np.random.default_rng(2))
         with pytest.raises(ValueError):
-            Wavefront([3, 4], weights)
+            run_wavefront([3, 4], weights, a, b)
 
 
 class TestRejects:
@@ -313,6 +295,18 @@ class TestRejects:
         with pytest.raises(ValueError):
             fn(vec, d, 0.75, base_a, base_b)
         assert np.array_equal(vec, np.full(8, 0.125))
+
+    @pytest.mark.parametrize("ds, weights", [
+        ([3, 0], 0.75), ([3, 4], [0.7]), ([3, 4], [0.7, 0.8, 0.9]),
+        ([3, 4], [[0.7], [0.8]]), ([3, 4], []),
+    ], ids=["empty-sweep", "short", "long", "2-d", "empty"])
+    def test_a_rejected_wavefront_leaves_the_rows_as_they_were(self, ds, weights):
+        # run_wavefront writes into a and b, so it checks its inputs first
+        a, b = batch_inputs(ds, np.random.default_rng(5))
+        before = a.copy(), b.copy()
+        with pytest.raises(ValueError):
+            run_wavefront(ds, weights, a, b)
+        assert_same_bytes((a, b), before)
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +331,13 @@ class TestKernelBench:
         assert bench.run_table(table, 1) == []
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[-1] for line in lines[-3:]] == ["True"] * 3
+
+    def test_the_batch_table_at_one_sample_has_no_failing_row(self, bench, capsys):
+        table = bench.batch_table()
+        assert bench.run_table(table, 1) == []
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[-1] for line in lines[-len(table.rows):]] == (
+            ["True"] * len(table.rows))
 
     def test_a_row_with_other_bytes_is_named_and_main_exits_1(self, bench, monkeypatch,
                                                               capsys):

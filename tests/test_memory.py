@@ -163,17 +163,17 @@ class TestBatchedSweeps:
     @pytest.mark.parametrize("d", [WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 200])
     def test_a_wide_scalar_call_is_a_one_row_wavefront(self, monkeypatch, d):
         # the same bits either way, so the path is read from the wavefronts
-        # built: a wide sweep as a loop over Python floats would be slower
-        built, build = [], _kernels.Wavefront
+        # run: a wide sweep as a loop over Python floats would be slower
+        ran, kernel = [], _kernels.run_wavefront
 
         def record(*args):
-            built.append(args[0])
-            return build(*args)
+            ran.append(args[0])
+            return kernel(*args)
 
-        monkeypatch.setattr(memory, "Wavefront", record)
-        monkeypatch.setattr(_kernels, "Wavefront", record)
+        monkeypatch.setattr(memory, "run_wavefront", record)
+        monkeypatch.setattr(_kernels, "run_wavefront", record)
         p = simulate_memory_beta_swap(d, 0.25, 0.75)
-        assert built == ([[d]] if d >= WAVEFRONT_MIN_WIDTH else [])
+        assert ran == ([[d]] if d >= WAVEFRONT_MIN_WIDTH else [])
         assert type(p) is float
         assert p == simulate_memory_beta_swap([d], 0.25, 0.75)[0]
 
