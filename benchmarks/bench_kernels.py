@@ -153,8 +153,8 @@ from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,  # noqa: E402
                        hull_numpy, incoherent_by_numpy_scalars, lki_references,
-                       orbit_per_image, qutrit_vertices_four_runs, round_response,
-                       weighted_float, weighted_fraction)
+                       orbit_per_image, per_point_I_d, qutrit_vertices_four_runs,
+                       round_response, weighted_float, weighted_fraction)
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -171,6 +171,7 @@ INVARIANT_MAX_D = 256
 ROUNDS_TOL = 1e-13
 I_D_DIMS = (20, 100, 400, 1000)
 I_D_POINTS = 2000
+I_D_EXACT_SAMPLES = 8
 EXACT_I_D_DIMS = (100, 200, 500, 1000)
 FRACTION_REFERENCE_MAX_D = 200
 DELTA_GAMMAS = (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))
@@ -453,14 +454,63 @@ def routes_grid():
 def I_d_table():
     x, y = fig2_xy(0.7, I_D_POINTS)
     points = list(zip(x.tolist(), y.tolist()))
-    # a log-space row: (1-x)^d or (1-y)^d is not a normal double
+    # an anchored whole row: (1-x)^d or (1-y)^d is not a normal double
     rows = [Row(str(d), lambda d=d: [I_d_eval(d, a, b) for a, b in points],
                 partial(I_d_eval, d, x, y),
                 cells=(str(sum(min((1.0 - a) ** d, (1.0 - b) ** d) < sys.float_info.min
                                for a, b in points)),))
             for d in I_D_DIMS]
-    return Table(f"I_d over a {I_D_POINTS}-point W grid", "d", rows, cells=("log rows",),
+    return Table(f"I_d over a {I_D_POINTS}-point W grid", "d", rows, cells=("anchored",),
                  times=("per point [ms]", "array [ms]"), per_call=I_D_POINTS)
+
+
+def whole_rows(d, x, y):
+    """The serial kernel with every row whole, as before the windows."""
+    smallest, combinatorics._WINDOW_MIN_D = (combinatorics._WINDOW_MIN_D,
+                                             combinatorics.MAX_FLOAT_D + 1)
+    try:
+        return combinatorics._I_d_float([d], x, y)[0]
+    finally:
+        combinatorics._WINDOW_MIN_D = smallest
+
+
+def window_check(d, x, y):
+    """The check of the windowed kernel against whole rows: the same bits
+    as ``per_point_I_d`` at each point whose windows are whole rows of
+    normal start terms, and within d 2^-52 of exact I_d, relative, at
+    ``I_D_EXACT_SAMPLES`` evenly spaced points of the others; and the cells
+    of the row: those whole points, the other points, and the share of the
+    whole rows' cells that the windows keep."""
+    _, lx, _, ly, mirror, separated = (a[0] for a in combinatorics._windows([d], x, y))
+    normal = np.array([min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
+                       for a, b in zip(x.tolist(), y.tolist())])
+    whole = np.flatnonzero(mirror & (lx == d) & (ly == d) & normal)
+    cut = np.setdiff1d(np.arange(len(x)), whole)
+
+    def check(reference, new):
+        formula = [per_point_I_d(d, x[k], y[k]) for k in whole]
+        bitwise = bits(new[whole]) == bits(formula) == bits(reference[whole])
+        worst = 0.0
+        for k in cut[::max(1, -(-len(cut) // I_D_EXACT_SAMPLES))]:
+            exact = I_d_eval(d, Fraction(x[k]), Fraction(y[k]))
+            worst = max(worst, float(abs(Fraction(new[k]) - exact) / exact))
+        ok = bitwise and worst <= d * 2.0 ** -52
+        return ok, [str(bitwise), f"{worst:.1e}"]
+    kept = (2 * lx * mirror + (lx + ly) * separated).sum() / (2 * d * len(x))
+    return check, (str(len(whole)), str(len(cut)), f"{kept:.2f}")
+
+
+def window_table():
+    x, y = fig2_xy(0.7, I_D_POINTS)
+    rows = []
+    for d in I_D_DIMS:
+        check, cells = window_check(d, x, y)
+        rows.append(Row(str(d), partial(whole_rows, d, x, y),
+                        lambda d=d: combinatorics._I_d_float([d], x, y)[0], check=check,
+                        cells=cells))
+    return Table(f"I_d windows over a {I_D_POINTS}-point W grid, serial", "d", rows,
+                 cells=("whole", "cut", "kept"),
+                 times=("whole rows [ms]", "windows [ms]"), checks=("bitwise", "exact"))
 
 
 def exact_table():
@@ -590,7 +640,7 @@ def geometry_table():
 
 # every table after the sweep kernel's, in the order they print
 TABLES = (batch_table, narrow_table, wide_table, incoherent_table, response_table,
-          I_d_table, exact_table, validation_batch_table, special_function_table,
+          I_d_table, window_table, exact_table, validation_batch_table, special_function_table,
           geometry_table, validate_table)
 
 

@@ -14,14 +14,18 @@ coefficients and a few generating-function style sums:
     valid for gamma > 1/2 (never by truncating the slowly converging tail);
   - ``I_d(x, y)``: the double sum controlling the memory-assisted work
     extraction error, evaluated with multiplicative term recurrences so no
-    oversized binomial is ever formed in float mode.  A float call works
-    through its points in row blocks inside two buffers, of at most 2 x 2^15
-    and 2^15 doubles, allocated once and reused for every d of the call;
-    each block's x terms lie above its y terms, so that one numpy call
-    covers both.  The term ratios fill whole rows with 1.0 in column
-    0, and since 1.0 r_1 = r_1 exactly, each running product keeps its
-    bits.  What remains per term is elementwise work and four sequential
-    scans (two cumulative products, two cumulative sums), which set the
+    oversized binomial is ever formed in float mode.  Each row of terms is
+    a negative-binomial pmf, and from d = ``_WINDOW_MIN_D`` a float call
+    computes only each row's window, the cells whose terms can move the
+    value (``_windows`` derives the rule).  A float call works through its
+    points in blocks of rows of one window length inside two buffers, of at
+    most 2 x 2^15 doubles each, allocated once and reused for every d of
+    the call; each mirrored block's x terms lie above its y terms, so that
+    one numpy call covers both.  The term ratios fill column 0 with 1.0 in
+    a whole row, which its start term then scales, and since
+    1.0 r_1 = r_1 exactly, each running product keeps its bits.  What
+    remains per term is elementwise work and sequential scans (a cumulative
+    product per row, two cumulative sums per mirrored x row), which set the
     cost.  On these blocks numpy's scans did not overlap on two threads, so
     a call of at least 2 x ``_PART_MIN_CELLS`` cells (points times the sum
     of its d) splits its points across processes instead: one contiguous
@@ -78,9 +82,10 @@ SQRT_PI = math.sqrt(math.pi)
 DELTA_GAMMA_MARGIN = 1.0e-9
 
 # C(2d-2, d-1) overflows double around d = 515, so float-mode I_d multiplies
-# term ratios from (1-x)^d upwards and falls back to log-space terms where
-# (1-x)^d underflows.  The log-space rounding grows with d (d logarithms of
-# size up to ~700 are summed); float mode is capped where it was checked.
+# term ratios from a row's first term: (1-x)^d, or an anchor term formed from
+# mantissas and a power of two, whose mantissa powers m^d (m >= 1/2) are
+# normal doubles only up to d = 1022.  Float mode is capped where it was
+# checked against exact I_d.
 MAX_FLOAT_D = 1000
 
 # doubles per buffer of float-mode I_d, each call holding three of them
@@ -99,6 +104,13 @@ _BLOCK_ELEMENTS = 1 << 15
 # at 2^20 cells it was 11-32% faster at every d.  So a call splits in two
 # from 2 x 2^19 cells, and each further part needs 2^19 cells more.
 _PART_MIN_CELLS = 1 << 19
+
+# the smallest d whose I_d rows take windows (``_windows``); below it every
+# row is whole.  On fig2-dense's grid (2000 points, beta E = 0.7) a call of
+# one d took as long with windows as with whole rows at about d = 280
+# (2-CPU x86 host): below, fig2's windows drop few cells (none at d = 100
+# once rounded to their grain), and each length they take costs a block.
+_WINDOW_MIN_D = 256
 
 
 def _require_int(value, name, minimum):
@@ -469,55 +481,295 @@ def catalan_tail_bound(d: int, gamma) -> float:
     return (4.0 * g * (1.0 - g)) ** d / (SQRT_PI * d ** 1.5 * (2.0 * g - 1.0) ** 2)
 
 
-def _term_ratios(out, x, num, den):
-    """Fill the rows of ``out`` (n, d) with the term ratios
-    x (d + k - 1) / k at columns k = 1..d-1, one row per x, and 1.0 at
-    column 0.  ``num`` and ``den`` are the float rows d + k - 1 and k, with
-    den[0] = 1 so that column 0, overwritten, raises no division by zero.
-    The rows are copies of ``num`` scaled in place by x, since a row copy
-    and an in-place multiply by a column are faster than one outer product;
-    IEEE multiplication commutes, so num x has the bits of x num."""
-    out[:] = num
-    out *= x[:, None]
+def _log_factorial_floor(n):
+    """n log n - n + log(2 pi n) / 2 at each count n of a float array, 0 at
+    n = 0: by Robbins' bounds (Amer. Math. Monthly 62, 1955) log n! lies
+    within 1/12 above it."""
+    m = np.maximum(n, 1.0)
+    return np.where(n > 0, m * np.log(m) - m + 0.5 * np.log(2.0 * math.pi * m), 0.0)
+
+
+def _log_term_floor(d, k, log_x, log1m_x):
+    """A lower bound of log f_d(k) x^k (1-x)^d, given log x and log(1-x):
+    the log of C(d-1+k, k) from ``_log_factorial_floor``, less 1/6."""
+    log_binomial = (_log_factorial_floor(d - 1.0 + k) - _log_factorial_floor(k)
+                    - _log_factorial_floor(d - 1.0) - 1.0 / 6.0)
+    return log_binomial + np.where(k > 0, k * log_x, 0.0) + d * log1m_x
+
+
+def _log_tilted_peak(d, log1m_x, log1m_y, x, y, z):
+    """log M(z) H*(z), the bound of every cell's weight under the tilt
+    z = e^theta <= 1 (``_windows``): d log[(1-x)(1-y) / ((1-xz)(1-yz))],
+    plus log max_s (1 - s/d) z^{-s}, which is tau - 1 - log tau at
+    tau = -d log z >= 1 and 0 below."""
+    tau = -d * np.log(z)
+    peak = np.where(tau > 1.0, tau - 1.0 - np.log(np.maximum(tau, 1.0)), 0.0)
+    return d * (log1m_x + log1m_y - np.log1p(-x * z) - np.log1p(-y * z)) + peak
+
+
+def _tail_exponent(t, log_q, log1m_q):
+    """The Chernoff exponent, per variable, of a sum of geometric variables
+    of failure probability q at the mean t per variable, and its slope in t,
+    given log q and log(1-q): t log(p/q) + log((1-p)/(1-q)) with
+    p = t / (1 + t), the Kullback-Leibler divergence of the geometric law of
+    mean t from that of q."""
+    log1p_t = np.log1p(t)
+    slope = np.log(t) - log1p_t - log_q
+    return t * slope - log1p_t - log1m_q, slope
+
+
+def _newton(f, t):
+    """Three Newton steps on a convex f from t, kept above 0.  From any
+    start where f has the slope of the wanted root, each step lands where
+    f >= 0, beyond that root (the tangent lies below f), so the cut it gives
+    is never too tight."""
+    for _ in range(3):
+        value, slope = f(t)
+        t = np.maximum(t - value / slope, sys.float_info.min)
+    return t
+
+
+def _windows(ds, x, y):
+    """The window of each row of I_d at each d of ``ds`` and each point of
+    the 1-D arrays x, y: (ax, lx, ay, ly, mirror, separated), arrays of
+    shape (len(ds), len(x)) of the first cell and the length of the x row's
+    and the y row's window, and whether the point takes the mirrored or the
+    separated form; a point of neither has the value 0.
+
+    With K and J the negative-binomial counts whose pmfs are the x and y
+    rows (K counts the failures before the d-th success at failure
+    probability x), I_d = E[h(J + K)], h(s) = (1 - s/d)^+, and cell k of
+    the x row adds P(K = k) E[h(J + k)] to it.  For any z = e^theta <= 1,
+    P(J = j) P(K = k) = M(z) P_z(J = j) P_z(K = k) z^{-(j+k)}, where P_z
+    tilts x and y to xz and yz, and M(z) = [(1-x)(1-y) / ((1-xz)(1-yz))]^d.
+    So the cells with K >= b add at most
+
+        M(z) H*(z) P_z(K >= b, J <= d - 1 - b),  H*(z) = max_s h(s) z^{-s},
+
+    since h vanishes from s = d, and the cells with K < a at most
+    M(z) H*(z) P_z(K < a), and I_d <= M(z) H*(z).  The upper cut takes the
+    z at which the tilted mean of J + K is d when the untilted one, d mu
+    with mu = x/(1-x) + y/(1-y), exceeds d (the root of
+    3xyz^2 - 2(x+y)z + 1 = 0 below 1/max(x, y)), else 1; the lower cut
+    takes its square root, which bounds the small-K cells, whose J + K lies
+    far below d, more tightly (on fig2-dense rows at d = 1000 it cut 18%
+    more than z itself).  The probabilities take Chernoff's bound, whose
+    exponent is ``_tail_exponent``, and each cut the loosest cell at which
+    all four bounds (x and y rows, lower and upper cut) fall below 2^-62 of
+    a lower bound of I_d: the larger of Jensen's (1 - mu)^+ and one cell,
+    the point (j0, k0) one tilted standard deviation below the tilted mean
+    of J + K, split in proportion to their means, whose weight is bounded
+    below by ``_log_term_floor``.  So a window drops at most 2^-60 of the
+    value.  A point whose M(z) H*(z) lies below 2^-1075 has the value 0,
+    the correctly rounded one.
+
+    Each length rounds up to a multiple of the grain ceil(d/32), within
+    the row, so that the rows of one d take at most 32 lengths.  A point
+    whose windows end at bx and by with bx + by <= d + 1 holds only cells
+    with j + k < d, and its value is the separated form
+    (Px (d Py - Qy) - Qx Py) / d of the windows' sums P of the terms and Q
+    of k times the terms.  Any other point takes one window [a, a + L) of
+    the x row, the union of its own and its y window's mirror image
+    k = d - 1 - j, and the y window [d - a - L, d - a), so that the bracket
+    of cell k of the x window meets cell d - 1 - k of the y window, as in
+    the whole rows.  A point whose Gaussian windows, 9.3 tilted standard
+    deviations (the 2^-62 tail of a normal law) about each tilted mean, are
+    not separated and leave less than a grain uncut at either end of that
+    union keeps its whole rows without the bounds above; so does a point of
+    two whole windows.
+    """
+    n = len(x)
+    ds = np.asarray(ds, dtype=np.int64)
+    lx = np.repeat(ds[:, None], n, axis=1)
+    ax, ay, ly = np.zeros_like(lx), np.zeros_like(lx), lx.copy()
+    mirror, separated = np.ones(lx.shape, dtype=bool), np.zeros(lx.shape, dtype=bool)
+    wide = np.flatnonzero(ds >= _WINDOW_MIN_D)
+    if len(wide):
+        cut = _cut_windows(np.repeat(ds[wide].astype(np.float64), n),
+                           np.tile(x, len(wide)), np.tile(y, len(wide)))
+        for whole, part in zip((ax, lx, ay, ly, mirror, separated), cut):
+            whole[wide] = part.reshape(len(wide), n)
+    return ax, lx, ay, ly, mirror, separated
+
+
+def _cut_windows(d, x, y):
+    """``_windows`` at each (d, x, y) of three equal-length 1-D arrays, each
+    a flat array."""
+    grain = np.ceil(d / 32.0)
+    ax, ay = np.zeros_like(d), np.zeros_like(d)
+    lx, ly = d.copy(), d.copy()
+    mirror, separated = np.ones(len(d), dtype=bool), np.zeros(len(d), dtype=bool)
+    mu = x / (1.0 - x) + y / (1.0 - y)
+    z = np.divide(1.0, x + y + np.sqrt(x * x - x * y + y * y), out=np.ones_like(x),
+                  where=mu > 1.0)
+    tx, ty = x * z, y * z
+    mean_x, mean_y = tx / (1.0 - tx), ty / (1.0 - ty)
+    var_x, var_y = mean_x / (1.0 - tx), mean_y / (1.0 - ty)
+    spread = math.sqrt(124.0 * math.log(2.0))
+    reach_x, reach_y = spread * np.sqrt(var_x / d), spread * np.sqrt(var_y / d)
+    # the Gaussian union, in cells per d: [min(ax, d - by), max(bx, d - ay))
+    low = np.minimum(mean_x - reach_x, 1.0 - mean_y - reach_y)
+    high = np.maximum(mean_x + reach_x, 1.0 - mean_y + reach_y)
+    ends = mean_x + reach_x + mean_y + reach_y
+    live = np.flatnonzero((low * d > grain) | (high * d < d - grain) | (ends * d <= d + 1.0))
+    d, grain, x, y, z, mu = d[live], grain[live], x[live], y[live], z[live], mu[live]
+    tx, ty, mean_x, mean_y = tx[live], ty[live], mean_x[live], mean_y[live]
+    floor = sys.float_info.min
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_x, log_y = np.log(x), np.log(y)
+        log1m_x, log1m_y = np.log1p(-x), np.log1p(-y)
+        var = var_x[live] + var_y[live]
+        s0 = np.clip(np.floor(d * (np.minimum(mean_x + mean_y, 1.0) - np.sqrt(var / d))),
+                     0.0, d - 1.0)
+        k0 = np.floor(s0 * np.where(mean_x > 0.0, mean_x / (mean_x + mean_y), 0.0))
+        j0 = np.floor(s0 - k0)
+        log_value = np.maximum(
+            _log_term_floor(d, k0, log_x, log1m_x) + _log_term_floor(d, j0, log_y, log1m_y)
+            + np.log1p(-(j0 + k0) / d),
+            np.log(np.maximum(1.0 - mu, 0.0)))
+        cut = 62.0 * math.log(2.0) - log_value
+        peak = _log_tilted_peak(d, log1m_x, log1m_y, x, y, z)
+        zero = peak < -1075.0 * math.log(2.0)
+        # the x rows above the y rows; each row's partner is the other one
+        d2, last = np.tile(d, 2), np.tile((d - 1.0) / d, 2)
+        q = np.maximum(np.concatenate((tx, ty)), floor)
+        q_partner = np.maximum(np.concatenate((ty, tx)), floor)
+        log_q, log1m_q = np.log(q), np.log1p(-q)
+        log_p, log1m_p = np.log(q_partner), np.log1p(-q_partner)
+        mean, mean_partner = q / (1.0 - q), q_partner / (1.0 - q_partner)
+        bound = np.tile(cut + peak, 2)
+
+        def upper(t):
+            s = np.maximum(last - t, floor)
+            rate, slope = _tail_exponent(t, log_q, log1m_q)
+            rate_b, slope_b = _tail_exponent(s, log_p, log1m_p)
+            partner = s < mean_partner
+            return (d2 * (rate + np.where(partner, rate_b, 0.0)) - bound,
+                    d2 * (slope - np.where(partner, slope_b, 0.0)))
+
+        t = _newton(upper, mean + np.sqrt(2.0 * bound * mean / ((1.0 - q) * d2)))
+        ends = np.where(np.isfinite(t), np.minimum(np.ceil(d2 * t + 0.5), d2), d2)
+        root = np.sqrt(z)
+        half = np.maximum(np.concatenate((x * root, y * root)), floor)
+        log_h, log1m_h = np.log(half), np.log1p(-half)
+        mean_half = half / (1.0 - half)
+        bound = np.tile(cut + _log_tilted_peak(d, log1m_x, log1m_y, x, y, root), 2)
+
+        def lower(t):
+            rate, slope = _tail_exponent(t, log_h, log1m_h)
+            return d2 * rate - bound, d2 * slope
+
+        t = _newton(lower, mean_half - np.sqrt(2.0 * bound * mean_half / ((1.0 - half) * d2)))
+        starts = np.where(np.isfinite(t),
+                          np.clip(np.floor(d2 * t - 0.5) + 1.0, 0.0, ends - 1.0), 0.0)
+    grain2 = np.tile(grain, 2)
+    lengths = np.minimum(np.ceil((ends - starts) / grain2) * grain2, d2)
+    starts = np.minimum(starts, d2 - lengths)
+    k = len(live)
+    a_x, a_y, l_x, l_y = starts[:k], starts[k:], lengths[:k], lengths[k:]
+    split = (l_x < d) & (l_y < d) & (a_x + l_x + a_y + l_y <= d + 1)
+    lo = np.minimum(a_x, d - a_y - l_y)
+    length = np.minimum(np.ceil((np.maximum(a_x + l_x, d - a_y) - lo) / grain) * grain, d)
+    lo = np.minimum(lo, d - length)
+    ax[live] = np.where(split, a_x, lo)
+    lx[live] = np.where(split, l_x, length)
+    ay[live] = np.where(split, a_y, d - lo - length)
+    ly[live] = np.where(split, l_y, length)
+    mirror[live] = ~split & ~zero
+    separated[live] = split & ~zero
+    return ax, lx, ay, ly, mirror, separated
+
+
+@functools.cache
+def _binomial_table(d):
+    """C(d-1+k, k) for k = 0..d-1 as float mantissas in [1, 2), each the
+    correctly rounded quotient of the exact integer by its leading power of
+    two, and those powers' exponents."""
+    mantissas, exponents = np.empty(d), np.empty(d, dtype=np.int64)
+    c = 1
+    for k in range(d):
+        exponents[k] = c.bit_length() - 1
+        mantissas[k] = c / (1 << int(exponents[k]))
+        c = c * (d + k) // (k + 1)
+    return mantissas, exponents
+
+
+def _window_starts(d, q, starts, lengths, one_minus_q):
+    """(first, scale, shift) of each row of terms f_d(k) q^k (1-q)^d from
+    cell ``starts``: the row is first times the running product of the
+    term ratios, times scale, and holds the terms times 2^shift.
+
+    A row from cell 0 whose start term, Python's (1-q)^d, is a normal
+    double runs as the whole rows always did: first 1.0, scale that term,
+    shift 0.  Every other row starts from its anchor, the term at its first
+    cell a, C(d-1+a, a) q^a (1-q)^d, computed without a logarithm: with
+    u = 1 - q = m_u 2^e_u and q = m_q 2^e_q (m in [1/2, 1)), m_u^d and m_q^a
+    are normal doubles for d, a <= 1000 and ``_binomial_table`` gives the
+    binomial, so the anchor is a product of three mantissas (within a few
+    ulp: two powers, the binomial's rounding and two products) times a
+    power of two.  Its shift puts the window's largest term, at the mode
+    clamped into the window, near 1, so that no term, prefix sum or product
+    of an x and a y term overflows; its first is the shifted anchor, its
+    scale 1.0.  ``one_minus_q`` is the list of 1 - q.
+    """
+    # Python's float power, which numpy's need not round like
+    t0 = np.array([v ** d for v in one_minus_q])
+    direct = (t0 >= sys.float_info.min) & (starts == 0)
+    first, scale = np.ones(len(q)), np.where(direct, t0, 1.0)
+    shift = np.zeros(len(q), dtype=np.int64)
+    rows = np.flatnonzero(~direct)
+    if len(rows):
+        mantissas, exponents = _binomial_table(d)
+        qa, a = q[rows], starts[rows]
+        m_u, e_u = np.frexp(1.0 - qa)
+        m_u, e_ud = np.frexp(np.power(m_u, d))
+        m_q, e_q = np.frexp(qa)
+        m_q, e_qa = np.frexp(np.power(m_q, a.astype(np.float64)))
+        mantissa = m_u * m_q * mantissas[a]
+        exponent = e_u * d + e_ud + e_q * a + e_qa + exponents[a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mode = np.floor((d - 1.0) * qa / (1.0 - qa))
+            top = np.clip(mode, a, a + lengths[rows] - 1).astype(np.int64)
+            rise = np.where(top > a, (top - a) * np.log2(qa), 0.0)
+        largest = (exponent + np.log2(mantissa) + rise + exponents[top] - exponents[a]
+                   + np.log2(mantissas[top] / mantissas[a]))
+        shift[rows] = -np.floor(largest).astype(np.int64)
+        first[rows] = np.ldexp(mantissa, exponent + shift[rows])
+    return first, scale, shift
+
+
+def _window_terms(out, scratch, q, starts, first, scale, num, den):
+    """Rows of ``_window_starts`` terms in ``out`` (rows, L), from the term
+    ratios q (d + k - 1) / k at the cells k of each window; ``num`` and
+    ``den`` are the float rows d + k - 1 and k of a window from cell 0, with
+    den[0] = 1 so that column 0, overwritten, divides by no zero, and
+    ``scratch`` is an array of the rows' shape.  A block of windows from
+    cell 0 runs the operations of the whole rows: a copy of ``num``, times
+    q, over ``den``; IEEE multiplication commutes, so num q has the bits of
+    q num."""
+    if starts is not None and starts.any():
+        den = np.add(den, starts[:, None], out=scratch)
+        np.add(num, starts[:, None], out=out)
+    else:
+        out[:] = num
+    out *= q[:, None]
     np.divide(out, den, out=out)
-    out[:, 0] = 1.0
-    return out
-
-
-def _geometric_terms_float(out, x, t0, num, den):
-    """Rows of terms f_d(k) x^k (1-x)^d, k = 0..d-1, one row per x, from
-    the start terms ``t0`` = (1-x)^d times the cumulative product of the
-    term ratios along the contiguous last axis.  Column 0 starts at 1.0, and
-    1.0 r_1 = r_1 exactly, so every product has the bits it would have
-    without it."""
-    _term_ratios(out, x, num, den)
+    out[:, 0] = first
     np.cumprod(out, axis=1, out=out)
-    np.multiply(t0[:, None], out, out=out)
+    np.multiply(scale[:, None], out, out=out)
     return out
-
-
-def _log_terms_float(out, x, num, den):
-    """The rows of ``_geometric_terms_float`` from their logarithms,
-    d log1p(-x) + cumsum(log ratio), for start terms that underflow.  Column
-    0 holds log 1.0 = 0.  The ratios of x = 0 are 0, whose logarithm -inf
-    numpy flags as a division by zero; that flag is expected and silenced
-    here alone."""
-    _term_ratios(out, x, num, den)
-    with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-    np.cumsum(out, axis=1, out=out)
-    out += out.shape[1] * np.log1p(-x)[:, None]
-    return np.exp(out, out=out)
 
 
 def _I_d_rows(tx, ty, q, ks, ks1):
-    """I_d of each row pair of terms; overwrites ``tx``, ``ty`` and ``q``,
-    an array of their shape.
+    """d I_d of each row pair of mirrored windows, times the rows' scale;
+    overwrites ``tx``, ``ty`` and ``q``, an array of their shape.
 
     With prefix sums P_k of tx_k and Q_k of k tx_k along the last axis, the
-    value is sum_j ty_j ((d - j) P_{d-1-j} - Q_{d-1-j}) / d, a pairwise row
-    sum.  The bracket is formed in place at k = d-1-j, where d - j = k + 1;
-    ``ks`` and ``ks1`` are the float rows k and k + 1.
+    value is sum_j ty_j ((L - j) P_{L-1-j} - Q_{L-1-j}), a pairwise row sum
+    (the bracket depends only on the cells' distance, so the window's first
+    cell may stand for k = 0).  The bracket is formed in place at
+    k = L-1-j, where L - j = k + 1; ``ks`` and ``ks1`` are the float rows
+    k and k + 1.
     """
     np.multiply(ks, tx, out=q)
     np.cumsum(q, axis=1, out=q)
@@ -525,73 +777,148 @@ def _I_d_rows(tx, ty, q, ks, ks1):
     np.multiply(ks1, tx, out=tx)
     tx -= q
     ty *= tx[:, ::-1]
-    return np.sum(ty, axis=1) / tx.shape[1]
+    return np.sum(ty, axis=1)
+
+
+def _length_order(units, lengths, cells, partner=None):
+    """(rows, blocks): the indices ``units`` ordered by their window length,
+    cut into blocks of at most max(1, cells // L) units of one length L,
+    and (L, lo, hi) for each block's slice rows[lo:hi].  With ``partner``,
+    each block's indices are followed by the same ones plus ``partner``,
+    its y rows."""
+    units = units[np.argsort(lengths[units], kind="stable")]
+    ordered = lengths[units]
+    bounds = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(units)] if len(units) else []
+    pieces, blocks = [], []
+    at = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        length = int(ordered[lo])
+        for start in range(lo, hi, max(1, cells // length)):
+            block = units[start:min(start + max(1, cells // length), hi)]
+            pieces += [block] if partner is None else [block, block + partner]
+            size = len(block) if partner is None else 2 * len(block)
+            blocks.append((length, at, at + size))
+            at += size
+    return (np.concatenate(pieces) if pieces else units), blocks
+
+
+def _whole_rows(d, q, one_minus_q, cells, terms_buffer, scratch_buffer):
+    """I_d of whole rows at every point of a d below ``_WINDOW_MIN_D``, the x
+    rows q[:n] and the y rows q[n:] in blocks of consecutive points, as
+    ``_I_d_float`` runs them; ``one_minus_q`` is the list of 1 - q."""
+    n = len(q) // 2
+    # Python's float power, which numpy's need not round like
+    t0 = np.array([v ** d for v in one_minus_q])
+    if np.all(t0 >= sys.float_info.min):
+        first, scale, shift = None, t0, None
+    else:
+        first, scale, shift = _window_starts(d, q, np.zeros(len(q), dtype=np.int64),
+                                             np.full(len(q), d), one_minus_q)
+    size = max(1, cells // d)
+    den = np.maximum(np.arange(d, dtype=np.float64), 1.0)  # k, with 1 at k = 0
+    num, ks = den + (d - 1.0), np.arange(d, dtype=np.float64)
+    ks1 = ks + 1.0
+    sums = np.empty(n)
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        k = hi - lo
+        both = _window_terms(
+            terms_buffer[:2 * k * d].reshape(2 * k, d), None,
+            np.concatenate((q[lo:hi], q[n + lo:n + hi])), None,
+            1.0 if first is None else np.concatenate((first[lo:hi], first[n + lo:n + hi])),
+            np.concatenate((scale[lo:hi], scale[n + lo:n + hi])), num, den)
+        sums[lo:hi] = _I_d_rows(both[:k], both[k:], scratch_buffer[:k * d].reshape(k, d),
+                                ks, ks1)
+    if shift is not None:
+        sums = np.ldexp(sums, -(shift[:n] + shift[n:]))
+    return sums / d
 
 
 def _I_d_float(ds, x, y):
-    """I_d at each point of the 1-D arrays x, y, one array per d of ``ds``;
-    each d runs in blocks of rows.
+    """I_d at each point of the 1-D arrays x, y, one array per d of ``ds``.
 
-    The call allocates two flat buffers once, and each d views them as
-    (2 rows, d) and (rows, d), rows = min(len(x), ``_BLOCK_ELEMENTS`` // d):
-    the first holds the x terms of a block above its y terms, so that each
-    pass over the terms is one numpy call, and the second is the scratch of
-    ``_I_d_rows``.  Every block runs inside them with ``out=``; the float
-    rows k, k + 1 and d + k - 1 and the divisor row of ``_term_ratios`` are
-    built once per d.
-    A row whose start terms are normal doubles is evaluated directly: each
-    cumulative product of its ratios is a term over its start term, so it
-    stays below 1 / sys.float_info.min and cannot overflow.  The other rows
-    take the log-space terms, in the same buffers.  Terms may underflow to
-    subnormals or 0, past the smallest double; nothing overflows, divides by
-    zero or turns invalid.
+    Each d takes the windows of ``_windows`` and runs their rows in blocks
+    of one window length inside two buffers, allocated once for the call,
+    of at most 2 x ``_BLOCK_ELEMENTS`` doubles each.  A mirrored block
+    holds its x rows above its y rows, so that each pass over the terms is
+    one numpy call, and ``_I_d_rows`` forms its values; a separated block
+    holds rows of either kind, whose sums P and Q give the separated form.
+    The rows of a d are put in block order once, so that each block is a
+    slice.  No row's bits depend on the other rows, so each value is that
+    of a call on its point alone.  Terms may underflow to subnormals or 0,
+    past the smallest double; nothing overflows, divides by zero or turns
+    invalid.
     """
-    one_minus_x, one_minus_y = (1.0 - x).tolist(), (1.0 - y).tolist()
-    block_rows = [max(1, min(len(x), _BLOCK_ELEMENTS // d)) for d in ds]
-    cells = max((rows * d for rows, d in zip(block_rows, ds)), default=0)
-    terms_buffer, q_buffer = np.empty(2 * cells), np.empty(cells)
+    n = len(x)
+    q = np.concatenate((x, y))
+    one_minus_q = (1.0 - q).tolist()
+    cells = max(1, min(_BLOCK_ELEMENTS, n * max(ds, default=1)))
+    terms_buffer, scratch_buffer = np.empty(2 * cells), np.empty(2 * cells)
+
+    def terms(rows, lo, hi, length, d):
+        """The window terms of rows[lo:hi], in the terms buffer."""
+        size = (hi - lo) * length
+        den = np.maximum(np.arange(length, dtype=np.float64), 1.0)  # k, with 1 at k = 0
+        block = rows[lo:hi]
+        return _window_terms(terms_buffer[:size].reshape(-1, length),
+                             scratch_buffer[:size].reshape(-1, length), q[block],
+                             starts[block], first[block], scale[block], den + (d - 1.0), den)
+
     out = []
-    for d, rows in zip(ds, block_rows):
-        terms = terms_buffer[:2 * rows * d].reshape(2 * rows, d)
-        q = q_buffer[:rows * d].reshape(rows, d)
-        ks = np.arange(d, dtype=np.float64)
-        ks1 = ks + 1.0
-        num = ks + (d - 1.0)
-        den = np.maximum(ks, 1.0)  # k, with 1 at k = 0
-        # Python's float power, which numpy's need not round like
-        t0x = np.array([v ** d for v in one_minus_x])
-        t0y = np.array([v ** d for v in one_minus_y])
-        normal = (t0x >= sys.float_info.min) & (t0y >= sys.float_info.min)
-        values = np.empty(len(x))
-        for lo in range(0, len(x), rows):
-            block = slice(lo, lo + rows)
-            bx, by, ok, val = x[block], y[block], normal[block], values[block]
-            # a block of direct rows alone is sliced by views, not mask copies
-            direct = slice(None) if ok.all() else ok
-            n = int(ok.sum())
-            both = _geometric_terms_float(
-                terms[:2 * n], np.concatenate((bx[direct], by[direct])),
-                np.concatenate((t0x[block][direct], t0y[block][direct])), num, den)
-            val[direct] = _I_d_rows(both[:n], both[n:], q[:n], ks, ks1)
-            if n < len(bx):
-                n = len(bx) - n
-                both = _log_terms_float(terms[:2 * n],
-                                        np.concatenate((bx[~ok], by[~ok])), num, den)
-                val[~ok] = _I_d_rows(both[:n], both[n:], q[:n], ks, ks1)
+    for d, ax, lx, ay, ly, mirror, separated in zip(ds, *_windows(ds, x, y)):
+        if d < _WINDOW_MIN_D:
+            out.append(_whole_rows(d, q, one_minus_q, cells, terms_buffer, scratch_buffer))
+            continue
+        starts, lengths = np.concatenate((ax, ay)), np.concatenate((lx, ly))
+        first, scale, shift = _window_starts(d, q, starts, lengths, one_minus_q)
+        values = np.zeros(n)
+        rows, blocks = _length_order(np.flatnonzero(mirror), lx, cells, n)
+        sums = np.empty(len(rows))
+        for length, lo, hi in blocks:
+            k = (hi - lo) // 2
+            both = terms(rows, lo, hi, length, d)
+            ks = np.arange(length, dtype=np.float64)
+            sums[lo:lo + k] = _I_d_rows(both[:k], both[k:],
+                                        scratch_buffer[:k * length].reshape(k, length),
+                                        ks, ks + 1.0)
+        points = rows < n
+        rows, sums = rows[points], sums[points]
+        values[rows] = np.ldexp(sums, -(shift[rows] + shift[rows + n])) / d
+        if separated.any():
+            rows, blocks = _length_order(np.flatnonzero(np.tile(separated, 2)), lengths,
+                                         2 * cells)
+            sums, moments = np.empty(2 * n), np.empty(2 * n)
+            for length, lo, hi in blocks:
+                row_terms = terms(rows, lo, hi, length, d)
+                sums[rows[lo:hi]] = np.sum(row_terms, axis=1)
+                weighted = np.multiply(row_terms, np.arange(length, dtype=np.float64),
+                                       out=scratch_buffer[:(hi - lo) * length].reshape(-1, length))
+                moments[rows[lo:hi]] = np.sum(weighted, axis=1)
+            moments += starts * sums  # k counted from each window's first cell
+            points = np.flatnonzero(separated)
+            px, py = sums[points], sums[points + n]
+            value = px * (d * py - moments[points + n]) - moments[points] * py
+            values[points] = np.ldexp(value, -(shift[points] + shift[points + n])) / d
         out.append(values)
     return out
 
 
 def _I_d_parts(ds, x, y, parts):
-    """``_I_d_float(ds, x, y)`` with the points cut into ``parts`` contiguous
-    chunks, which ``_split.map_parts`` runs on ``parts`` processes."""
+    """``_I_d_float(ds, x, y)`` with the points dealt into ``parts`` strided
+    chunks, every ``parts``-th point from the k-th on, which
+    ``_split.map_parts`` runs on ``parts`` processes.  A point's windows set
+    its cost, which varies along a grid (fig2's low work gaps keep about
+    twice the cells of its high ones at d = 1000), and each strided chunk
+    draws from the whole grid."""
     from . import _split
 
-    bounds = [len(x) * k // parts for k in range(parts + 1)]
-    chunks = _split.map_parts(lambda part: _I_d_float(ds, x[part], y[part]),
-                              [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
-                              parts)
-    return [np.concatenate(values) for values in zip(*chunks)]
+    cuts = [slice(k, None, parts) for k in range(parts)]
+    chunks = _split.map_parts(lambda part: _I_d_float(ds, x[part], y[part]), cuts, parts)
+    out = [np.empty(len(x)) for _ in ds]
+    for part, values in zip(cuts, chunks):
+        for whole, chunk in zip(out, values):
+            whole[part] = chunk
+    return out
 
 
 def _I_d_parallel(ds, x, y):
@@ -642,17 +969,36 @@ def _I_d_exact(d, x, y):
 def I_d_eval(d, x, y):
     """Double sum (1/d) sum_{j+k<=d-1} (d-j-k) f_d(k) x^k f_d(j) y^j (1-x)^d (1-y)^d.
 
+    f_d(k) x^k (1-x)^d is the probability that K = k, where K counts the
+    failures before the d-th success at failure probability x: a
+    negative-binomial law, the sum of d independent geometric variables G
+    with P(G = k) = (1-x) x^k.  With J likewise for y,
+
+        I_d = E[(1 - S/d)^+],  S = J + K,
+
+    the mean of a function of the sum S of 2d independent geometric
+    variables.  So I_1 = P(J = K = 0) = (1-x)(1-y); by Jensen's inequality
+    I_d >= (1 - mu)^+ with mu = E[S]/d = x/(1-x) + y/(1-y); and, since
+    S_{d+1}/(d+1) is the mean of its d+1 leave-one-out means, each
+    distributed as S_d/d, the convex order gives I_{d+1} <= I_d (Shaked and
+    Shanthikumar, Stochastic Orders, Springer, 2007, ch. 3).  The float
+    windows (``_windows``) rest on this form.
+
     Symmetric under swapping x and y.  Evaluated with prefix sums over the
-    term recurrences, O(d) per point.  ``d`` is one memory dimension, or a
+    term recurrences, in float mode on each row's window: at most O(d) per
+    point, and from d = ``_WINDOW_MIN_D`` only the cells that can move the
+    value.  ``d`` is one memory dimension, or a
     sequence of them, which gives a list: the value of one call per d, in
     the sequence's order.  Fraction (or int) x and y give the
     exact rational value.  Otherwise x and y are floats or equal-shape
     float arrays: a scalar pair returns a float, arrays return an array of
     their shape.  Arrays are evaluated in row blocks in which each point
     gets the same floating-point operations, in the same order, as a call
-    on that point alone.  A point whose start term (1-x)^d or (1-y)^d falls
-    below the smallest normal double is evaluated from the logarithms of
-    its terms instead, so float mode returns a finite value up to d = 1000.
+    on that point alone.  A row whose start term (1-x)^d falls below the
+    smallest normal double, or whose window starts past its first cell,
+    starts from its anchor term, computed as a product of mantissas and a
+    power of two (``_window_starts``), so float mode returns a finite value
+    up to d = 1000.
     A float call of at least 2 x ``_PART_MIN_CELLS`` cells (points times
     the sum of its d; the comment on the constant derives it from the
     measured cost of a split) is split across processes when ``os.fork``

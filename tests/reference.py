@@ -9,6 +9,7 @@ their own directory, the bench through one ``sys.path`` entry.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,68 @@ def I_d_fraction(d, x, y):
     for j in range(d):
         total += ty[j] * ((d - j) * p[d - 1 - j] - q[d - 1 - j])
     return total / d
+
+
+def I_d_window_fraction(d, x, y, ax, lx, ay, ly):
+    """Exact I_d over the cells of two windows alone: the sum of
+    (d - j - k)^+ f_d(k) x^k (1-x)^d f_d(j) y^j (1-y)^d / d over the cells
+    ax <= k < ax + lx of the x row and ay <= j < ay + ly of the y row."""
+    def terms(x):
+        t = (1 - x) ** d
+        out = [t]
+        for k in range(d - 1):
+            t = t * x * (d + k) / (k + 1)
+            out.append(t)
+        return out
+
+    tx, ty = terms(x), terms(y)
+    total = 0 * tx[0]
+    for k in range(ax, ax + lx):
+        total += tx[k] * sum((d - j - k) * ty[j] for j in range(ay, min(ay + ly, d - k)))
+    return total / d
+
+
+def per_point_I_d(d, x, y):
+    """The per-point float I_d of whole rows that the block form replaced,
+    kept literally as the reference it must equal bit for bit.  A point
+    whose start term (1-x)^d or (1-y)^d is not a normal double takes the
+    terms of ``per_point_log_terms`` for both."""
+    def terms(x):
+        t0 = (1.0 - x) ** d
+        if d == 1:
+            return np.array([t0])
+        ks = np.arange(1, d, dtype=np.float64)
+        ratios = x * (d + ks - 1.0) / ks
+        out = np.empty(d)
+        out[0] = t0
+        out[1:] = t0 * np.cumprod(ratios)
+        return out
+
+    x, y = float(x), float(y)
+    if min((1.0 - x) ** d, (1.0 - y) ** d) >= sys.float_info.min:
+        tx, ty = terms(x), terms(y)
+    else:
+        tx, ty = per_point_log_terms(d, x), per_point_log_terms(d, y)
+    p = np.cumsum(tx)
+    q = np.cumsum(np.arange(d) * tx)
+    js = np.arange(d)
+    total = float(np.sum(ty * ((d - js) * p[::-1] - q[::-1])))
+    return total / d
+
+
+def per_point_log_terms(d, x):
+    """The terms f_d(k) x^k (1-x)^d, k = 0..d-1, of one point from their
+    logarithms, kept literally as the reference of the log-space rows that
+    whole rows with an underflowing start term once took:
+    exp(d log1p(-x) + sum_{i<=k} log(x (d + i - 1) / i)), with log 0 = -inf
+    for the ratios of x = 0."""
+    logs = np.zeros(d)
+    if d > 1:
+        ks = np.arange(1, d, dtype=np.float64)
+        ratios = x * (d + ks - 1.0) / ks
+        with np.errstate(divide="ignore"):
+            logs[1:] = np.log(ratios)
+    return np.exp(np.cumsum(logs) + d * np.log1p(-x))
 
 
 def delta_d_column_fraction(d_max, gamma):

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from thermoproc import _split
 from thermoproc import combinatorics as comb
 
-from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,
-                       lki_references, weighted_float, weighted_fraction)
+from reference import (I_d_fraction, I_d_window_fraction, alternating_fraction,
+                       delta_d_column_fraction, lki_references, per_point_I_d, weighted_float,
+                       weighted_fraction)
 from test_split import assert_no_child_left
 
 SQRT_PI = math.sqrt(math.pi)
@@ -534,48 +535,6 @@ class TestErrorKernel:
             comb.I_d_eval(3, 1.0, 0.2)
 
 
-def _per_point_I_d(d, x, y):
-    """The per-point float I_d the block form replaced, kept literally as
-    the reference it must equal bit for bit.  A point whose start term
-    (1-x)^d or (1-y)^d is not a normal double takes the terms of
-    ``_per_point_log_terms`` for both."""
-    def terms(x):
-        t0 = (1.0 - x) ** d
-        if d == 1:
-            return np.array([t0])
-        ks = np.arange(1, d, dtype=np.float64)
-        ratios = x * (d + ks - 1.0) / ks
-        out = np.empty(d)
-        out[0] = t0
-        out[1:] = t0 * np.cumprod(ratios)
-        return out
-
-    x, y = float(x), float(y)
-    if min((1.0 - x) ** d, (1.0 - y) ** d) >= sys.float_info.min:
-        tx, ty = terms(x), terms(y)
-    else:
-        tx, ty = _per_point_log_terms(d, x), _per_point_log_terms(d, y)
-    p = np.cumsum(tx)
-    q = np.cumsum(np.arange(d) * tx)
-    js = np.arange(d)
-    total = float(np.sum(ty * ((d - js) * p[::-1] - q[::-1])))
-    return total / d
-
-
-def _per_point_log_terms(d, x):
-    """The terms f_d(k) x^k (1-x)^d, k = 0..d-1, of one point from their
-    logarithms, kept literally as the reference of the log-space rows:
-    exp(d log1p(-x) + sum_{i<=k} log(x (d + i - 1) / i)), with log 0 = -inf
-    for the ratios of x = 0."""
-    logs = np.zeros(d)
-    if d > 1:
-        ks = np.arange(1, d, dtype=np.float64)
-        ratios = x * (d + ks - 1.0) / ks
-        with np.errstate(divide="ignore"):
-            logs[1:] = np.log(ratios)
-    return np.exp(np.cumsum(logs) + d * np.log1p(-x))
-
-
 # (x, y) at d = 160 whose start term (1-x)^d or (1-y)^d underflows
 UNDERFLOWING_STARTS = [(0.99, 0.05), (0.99, 0.00625), (0.0, 0.99)]
 
@@ -588,30 +547,47 @@ def _fig2_grid(points=2000, beta_E=0.7):
     return x, y
 
 
+def _whole_row_points(d, x, y):
+    """The points whose I_d runs the operations of the whole rows: two whole
+    windows and both start terms, Python's (1-x)^d and (1-y)^d, normal
+    doubles."""
+    _, lx, _, ly, mirror, _ = (a[0] for a in comb._windows([d], x, y))
+    normal = [min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
+              for a, b in zip(x.tolist(), y.tolist())]
+    return mirror & (lx == d) & (ly == d) & np.array(normal)
+
+
 class TestErrorKernelArrays:
     @pytest.mark.parametrize("d", [1, 2, 5, 20, 100, 400, 1000])
     def test_bitwise_equal_to_the_per_point_formula(self, d):
-        # every row, the log-space ones included (444 of 2000 at d = 1000)
+        # every point of a d below _WINDOW_MIN_D has whole-row windows
         x, y = _fig2_grid()
-        self.assert_bitwise_on_every_grid_length(d, x, y)
+        whole = _whole_row_points(d, x, y)
+        assert whole.all() or d >= comb._WINDOW_MIN_D
+        self.assert_bitwise_on_every_grid_length(d, x, y, whole)
 
     @pytest.mark.parametrize("d", [160, 1000])
     def test_log_space_rows_bitwise_equal_to_the_per_point_formula(self, d):
         # every third x so close to 1 that (1-x)^d underflows, and x = 0
-        # next to an underflowing y, so that blocks mix direct and log rows
-        x, y = _fig2_grid()
-        x[::3] = 1.0 - np.geomspace(1e-4, 1e-2, len(x[::3]))
-        x[1::15], y[1::15] = 0.0, 1.0 - 1e-3
-        log_rows = np.minimum((1.0 - x) ** d, (1.0 - y) ** d) < sys.float_info.min
-        block = comb._BLOCK_ELEMENTS // d
-        mixed = [rows.any() and not rows.all()
-                 for rows in np.split(log_rows, range(block, len(x), block))]
-        assert sum(mixed) >= 10, mixed
-        self.assert_bitwise_on_every_grid_length(d, x, y)
+        # next to an underflowing y.  Their rows, which once took log-space
+        # terms, start from their anchors; at d = 160 they share blocks with
+        # whole rows of normal start terms
+        x, y = _grid_with_log_rows()
+        underflowing = np.minimum((1.0 - x) ** d, (1.0 - y) ** d) < sys.float_info.min
+        assert underflowing.sum() >= 600
+        if d < comb._WINDOW_MIN_D:
+            block = comb._BLOCK_ELEMENTS // d
+            mixed = [rows.any() and not rows.all()
+                     for rows in np.split(underflowing, range(block, len(x), block))]
+            assert sum(mixed) >= 5, mixed
+        self.assert_bitwise_on_every_grid_length(d, x, y, _whole_row_points(d, x, y))
 
     @staticmethod
-    def assert_bitwise_on_every_grid_length(d, x, y):
-        reference = np.array([_per_point_I_d(d, a, b) for a, b in zip(x, y)])
+    def assert_bitwise_on_every_grid_length(d, x, y, whole):
+        """On every grid length, each value has the bits of the per-point
+        formula where ``whole`` and of the call on its point elsewhere."""
+        reference = np.array([per_point_I_d(d, a, b) if w else comb.I_d_eval(d, a, b)
+                              for a, b, w in zip(x.tolist(), y.tolist(), whole)])
         block = max(1, comb._BLOCK_ELEMENTS // d)
         for n in (1, block - 1, block, block + 1, 2000):
             # a grid longer than 2000 repeats the 2000 points
@@ -619,6 +595,17 @@ class TestErrorKernelArrays:
             got = comb.I_d_eval(d, xs, ys)
             assert got.shape == (n,)
             assert got.tobytes() == np.resize(reference, n).tobytes(), (d, n)
+
+    @pytest.mark.parametrize("d, step, bound", [(100, 100, 1.09e-14), (400, 200, 4.44e-14),
+                                                (1000, 250, 3.44e-13)])
+    def test_within_the_exact_error_of_the_whole_rows(self, d, step, bound):
+        # ``bound`` is the largest relative error of the whole rows (the
+        # kernel before windows) against exact I_d on these points
+        x, y = _fig2_grid()
+        got = comb.I_d_eval(d, x, y)
+        for k in range(0, len(x), step):
+            exact = comb.I_d_eval(d, Fraction(x[k]), Fraction(y[k]))
+            assert abs(Fraction(got[k]) - exact) <= bound * exact, k
 
     def test_scalar_arguments_return_a_float(self):
         for x, y in ((0.2, 0.3), (np.float64(0.2), np.float64(0.3)), (0.0, 0.0)):
@@ -645,7 +632,7 @@ class TestErrorKernelArrays:
             at_400 = comb.I_d_eval(400, x, y)
             assert np.all(np.isfinite(at_1000))
             assert np.all(at_1000 >= 0.0)
-            assert np.any((1.0 - x) ** 1000 < sys.float_info.min)  # the log path runs
+            assert np.any((1.0 - x) ** 1000 < sys.float_info.min)  # anchored rows run
             assert np.all(at_1000 <= at_400 * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("x, y", UNDERFLOWING_STARTS)
@@ -685,11 +672,11 @@ class TestErrorKernelOverDimensions:
             assert np.asarray(values).tobytes() == np.asarray(expected).tobytes(), d
 
     def test_unsorted_and_repeated_d_on_the_fig2_grid(self):
-        # d = 1000 takes the log-space rows at 444 of the 2000 points
+        # d = 400 and 1000 take windows, whose rows start from their anchors
         x, y = _fig2_grid()
         self.assert_equal_to_per_d_calls([20, 1, 1000, 5, 20, 2, 400, 1], x, y)
 
-    def test_mixed_log_space_blocks(self):
+    def test_mixed_anchored_blocks(self):
         x, y = _fig2_grid(600)
         x[::3] = 1.0 - np.geomspace(1e-4, 1e-2, len(x[::3]))
         x[1::15], y[1::15] = 0.0, 1.0 - 1e-3
@@ -724,22 +711,115 @@ class TestErrorKernelOverDimensions:
             comb.I_d_eval([1, 2], x, y)
 
     def test_each_d_keeps_its_block_rows(self, monkeypatch):
-        # rows_d = min(points, _BLOCK_ELEMENTS // d) for every d of the list
+        # a block holds at most 2 x _BLOCK_ELEMENTS cells of one window
+        # length L: min(points, _BLOCK_ELEMENTS // L) mirrored x rows above as
+        # many y rows, or twice that many separated rows.  A d below
+        # _WINDOW_MIN_D has L = d at every point.
         seen = {}
-        rows_of = comb._I_d_rows
+        terms_of = comb._window_terms
 
-        def recording(tx, ty, q, ks, ks1):
-            rows = seen.setdefault(tx.shape[1], set())
-            rows.add(tx.shape[0])
-            return rows_of(tx, ty, q, ks, ks1)
+        def recording(out, *args):
+            seen.setdefault(out.shape[1], set()).add(out.shape[0])
+            return terms_of(out, *args)
 
-        monkeypatch.setattr(comb, "_I_d_rows", recording)
+        monkeypatch.setattr(comb, "_window_terms", recording)
         x, y = _fig2_grid()
         ds = [1000, 1, 40, 400]
         # the serial kernel: a split call's parent blocks only its own chunk
         comb._I_d_float(ds, x, y)
-        for d in ds:
-            assert max(seen[d]) == min(len(x), comb._BLOCK_ELEMENTS // d), d
+        for length, rows in seen.items():
+            assert max(rows) * length <= 2 * comb._BLOCK_ELEMENTS, length
+        for d in (1, 40):
+            assert max(seen[d]) == 2 * min(len(x), comb._BLOCK_ELEMENTS // d), d
+        assert len(seen) > 4  # the windows of d = 400 and 1000 take more lengths
+
+
+# the work gap of fig2's grid (beta E = 0.7) where mu = x/(1-x) + y/(1-y) is 1
+# and I_d tends to 0 as d grows: below it the value is a lower tail
+W_0 = math.log(1.0 + math.exp(0.7))
+
+
+@st.composite
+def small_rationals(draw, max_denominator=12):
+    """A Fraction in [0, 1) with a denominator of at most ``max_denominator``."""
+    q = draw(st.integers(1, max_denominator))
+    return Fraction(draw(st.integers(0, q - 1)), q)
+
+
+class TestErrorKernelWindows:
+    """Float I_d on its windows (``comb._windows``) against exact I_d."""
+
+    @pytest.mark.parametrize("d", [100, 400, 1000])
+    @pytest.mark.parametrize("w", [0.05, 0.5, W_0 - 0.05, W_0, W_0 + 0.05, 2.0, 3.0])
+    def test_across_the_threshold(self, d, w):
+        # at W_0 the windows are widest; at W = 0.5 and d = 1000 the value
+        # is about 4e-58
+        x, y = 1.0 / (1.0 + math.exp(w - 0.7)), 1.0 / (1.0 + math.exp(w))
+        exact = comb.I_d_eval(d, Fraction(x), Fraction(y))
+        assert abs(Fraction(comb.I_d_eval(d, x, y)) - exact) <= d * 2.0 ** -52 * exact
+        if d == 1000 and w == 0.5:
+            assert 1e-58 < exact < 1e-57
+
+    @pytest.mark.parametrize("d", [160, 1000])
+    @pytest.mark.parametrize("x, y", UNDERFLOWING_STARTS + [(0.0, 0.3), (0.5, 0.0), (0.0, 0.0)])
+    def test_underflowing_starts_and_the_axes(self, d, x, y):
+        exact = comb.I_d_eval(d, Fraction(x), Fraction(y))
+        for a, b in ((x, y), (y, x)):
+            got = comb.I_d_eval(d, a, b)
+            assert got >= 0.0
+            if exact > 1e-300:
+                assert abs(Fraction(got) - exact) <= d * 2.0 ** -52 * exact
+            else:
+                assert got < 1e-290
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 1023), st.integers(0, 1023), st.booleans())
+    def test_property_dyadic_points(self, d, a, b, every_d):
+        # every_d: windows at every d, so that they also cut rows of d <= 200
+        x, y = Fraction(a, 1024), Fraction(b, 1024)
+        exact = comb.I_d_eval(d, x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            if every_d:
+                mp.setattr(comb, "_WINDOW_MIN_D", 1)
+            got = comb.I_d_eval(d, float(x), float(y))
+        assert got >= 0.0
+        if exact > 1e-300:
+            assert abs(Fraction(got) - exact) <= 1e-13 * exact
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 80), st.integers(0, 63), st.integers(0, 63))
+    def test_property_windows_drop_at_most_2_to_the_minus_60(self, d, a, b):
+        # the cells outside the windows, summed exactly
+        x, y = Fraction(a, 64), Fraction(b, 64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(comb, "_WINDOW_MIN_D", 1)
+            ax, lx, ay, ly, mirror, separated = (int(v[0, 0]) for v in comb._windows(
+                [d], np.array([float(x)]), np.array([float(y)])))
+        exact = comb.I_d_eval(d, x, y)
+        kept = I_d_window_fraction(d, x, y, ax, lx, ay, ly) if mirror or separated else 0
+        assert 0 <= exact - kept <= exact / 2 ** 60
+
+
+class TestNegativeBinomialMean:
+    """I_d = E[(1 - S/d)^+], S a sum of 2d independent geometric variables
+    (``I_d_eval``), and three of its consequences, exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_rationals(), small_rationals())
+    def test_one_level_is_the_product(self, x, y):
+        assert comb.I_d_eval(1, x, y) == (1 - x) * (1 - y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_rationals(), small_rationals(), st.integers(1, 60))
+    def test_at_or_above_jensens_bound(self, x, y, d):
+        mu = x / (1 - x) + y / (1 - y)
+        assert comb.I_d_eval(d, x, y) >= max(0, 1 - mu)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_rationals(), small_rationals(), st.integers(1, 59))
+    def test_non_increasing_in_d(self, x, y, d):
+        now, then = comb.I_d_eval([d, d + 1], x, y)
+        assert then <= now
 
 
 def _grid_with_log_rows(points=2000):
