@@ -10,7 +10,7 @@ results are those of the items, in their order, each item's warnings are
 emitted again here in item order, as from the module that warned, and the
 exception of the lowest item that raised is raised here with its own type
 and message (a child's carries its traceback as a note).  No child
-outlives the call.  Float ``I_d`` maps contiguous chunks of its
+outlives the call.  Float ``I_d`` maps strided chunks of its
 points (``combinatorics._I_d_parts``) and ``validate`` its checks
 (``validation.run_checks``).  ``usable_cpus`` counts the CPUs a split may
 use; in a child it is 1, so a child never forks again.

@@ -28,7 +28,7 @@ coefficients and a few generating-function style sums:
     product per row, two cumulative sums per mirrored x row), which set the
     cost.  On these blocks numpy's scans did not overlap on two threads, so
     a call of at least 2 x ``_PART_MIN_CELLS`` cells (points times the sum
-    of its d) splits its points across processes instead: one contiguous
+    of its d) splits its points across processes instead: one strided
     chunk per usable CPU, run by ``_split.map_parts`` (loaded by the first
     such call) here and in forked children.  Every value keeps its bits,
     since no value depends on the other points.
@@ -88,29 +88,31 @@ DELTA_GAMMA_MARGIN = 1.0e-9
 # checked against exact I_d.
 MAX_FLOAT_D = 1000
 
-# doubles per buffer of float-mode I_d, each call holding three of them
-# (3 x 256 KB): bounds the memory (a 2000-point grid at d = 1000 in one block
-# would take 16 MB per buffer) while keeping numpy's per-call cost small next
-# to the work of a block
+# doubles per half buffer of float-mode I_d, each call holding two buffers of
+# two halves (4 x 256 KB): bounds the memory (a 2000-point grid at d = 1000 in
+# one block would take 16 MB per half) while keeping numpy's per-call cost
+# small next to the work of a block
 _BLOCK_ELEMENTS = 1 << 15
 
 # cells (points times the sum of the d) that each process of a split float
 # I_d call must get.  A bare fork round trip (fork, pipe, exit, reap) takes
-# 3.3 ms, but a split call in two took 4-15 ms (mostly 7-9 ms) more than
-# half the serial time, at d = 20, 100, 400 and 1000 (2-CPU x86 host).
-# I_d spends 23-39 ns per cell, so a second process saves 12-19 ns per
-# cell, which pays for 8 ms from about 6.7e5 cells.  At 2^19 cells the
-# split was 16-19% faster at d = 100 and 1000 but 10% slower at d = 400;
-# at 2^20 cells it was 11-32% faster at every d.  So a call splits in two
-# from 2 x 2^19 cells, and each further part needs 2^19 cells more.
+# 3.3 ms, and a split call in two took 4-15 ms (mostly 7-9 ms) more than half
+# the serial time.  I_d spends 25-56 ns per cell of whole rows (d = 20 to
+# 400), but its windows cut that to 13-16 ns per cell at d = 1000, where a
+# second process has less to save.  At 2 x 2^19 cells the split was 23-33%
+# faster at d = 20 and 100 and 13-15% at d = 400, but 3-5% slower at
+# d = 1000; at 2 x 2^20 cells it was 8-39% faster at every d (2-CPU x86 host,
+# medians of 11, two runs).  So a call splits in two from 2 x 2^19 cells, and
+# each further part needs 2^19 cells more.
 _PART_MIN_CELLS = 1 << 19
 
 # the smallest d whose I_d rows take windows (``_windows``); below it every
 # row is whole.  On fig2-dense's grid (2000 points, beta E = 0.7) a call of
-# one d took as long with windows as with whole rows at about d = 280
-# (2-CPU x86 host): below, fig2's windows drop few cells (none at d = 100
-# once rounded to their grain), and each length they take costs a block.
-_WINDOW_MIN_D = 256
+# one d took 7% longer with windows than with whole rows at d = 256, as long
+# at d = 300, and 6-17% less from d = 350 to 500 (2-CPU x86 host, medians of
+# 15): below, fig2's windows drop few cells (none at d = 100 once rounded to
+# their grain), fewer than computing them and a block per length costs.
+_WINDOW_MIN_D = 300
 
 
 def _require_int(value, name, minimum):
@@ -552,8 +554,9 @@ def _windows(ds, x, y):
     with mu = x/(1-x) + y/(1-y), exceeds d (the root of
     3xyz^2 - 2(x+y)z + 1 = 0 below 1/max(x, y)), else 1; the lower cut
     takes its square root, which bounds the small-K cells, whose J + K lies
-    far below d, more tightly (on fig2-dense rows at d = 1000 it cut 18%
-    more than z itself).  The probabilities take Chernoff's bound, whose
+    far below d, more tightly (in a prototype, the mirrored windows of
+    fig2-dense's points below W_0 at d = 1000 came out 16% shorter than with
+    z itself).  The probabilities take Chernoff's bound, whose
     exponent is ``_tail_exponent``, and each cut the loosest cell at which
     all four bounds (x and y rows, lower and upper cut) fall below 2^-62 of
     a lower bound of I_d: the larger of Jensen's (1 - mu)^+ and one cell,
@@ -610,8 +613,8 @@ def _cut_windows(d, x, y):
     # the Gaussian union, in cells per d: [min(ax, d - by), max(bx, d - ay))
     low = np.minimum(mean_x - reach_x, 1.0 - mean_y - reach_y)
     high = np.maximum(mean_x + reach_x, 1.0 - mean_y + reach_y)
-    ends = mean_x + reach_x + mean_y + reach_y
-    live = np.flatnonzero((low * d > grain) | (high * d < d - grain) | (ends * d <= d + 1.0))
+    span = mean_x + reach_x + mean_y + reach_y
+    live = np.flatnonzero((low * d > grain) | (high * d < d - grain) | (span * d <= d + 1.0))
     d, grain, x, y, z, mu = d[live], grain[live], x[live], y[live], z[live], mu[live]
     tx, ty, mean_x, mean_y = tx[live], ty[live], mean_x[live], mean_y[live]
     floor = sys.float_info.min
@@ -740,13 +743,14 @@ def _window_starts(d, q, starts, lengths, one_minus_q):
 
 def _window_terms(out, scratch, q, starts, first, scale, num, den):
     """Rows of ``_window_starts`` terms in ``out`` (rows, L), from the term
-    ratios q (d + k - 1) / k at the cells k of each window; ``num`` and
-    ``den`` are the float rows d + k - 1 and k of a window from cell 0, with
-    den[0] = 1 so that column 0, overwritten, divides by no zero, and
-    ``scratch`` is an array of the rows' shape.  A block of windows from
-    cell 0 runs the operations of the whole rows: a copy of ``num``, times
-    q, over ``den``; IEEE multiplication commutes, so num q has the bits of
-    q num."""
+    ratios q (d + k - 1) / k at the cells k of each window, which start at
+    the cells ``starts`` (None: all at cell 0); ``num`` and ``den`` are the
+    float rows d + k - 1 and k of a window from cell 0, with den[0] = 1 so
+    that column 0, overwritten, divides by no zero, and ``scratch`` is an
+    array of the rows' shape.  A block of windows from cell 0 runs the
+    operations of the whole rows: a copy of ``num``, times q, over ``den``;
+    IEEE multiplication commutes, so num q has the bits of q num.  A
+    ``first`` of 1.0 stands for every row's."""
     if starts is not None and starts.any():
         den = np.add(den, starts[:, None], out=scratch)
         np.add(num, starts[:, None], out=out)
@@ -843,11 +847,11 @@ def _I_d_float(ds, x, y):
     holds its x rows above its y rows, so that each pass over the terms is
     one numpy call, and ``_I_d_rows`` forms its values; a separated block
     holds rows of either kind, whose sums P and Q give the separated form.
-    The rows of a d are put in block order once, so that each block is a
-    slice.  No row's bits depend on the other rows, so each value is that
-    of a call on its point alone.  Terms may underflow to subnormals or 0,
-    past the smallest double; nothing overflows, divides by zero or turns
-    invalid.
+    A d below ``_WINDOW_MIN_D`` runs ``_whole_rows``; any other d orders its
+    rows by window length once, and each block takes a slice of that order.
+    No row's bits depend on the other rows, so each value is that of a call
+    on its point alone.  Terms may underflow to subnormals or 0, past the
+    smallest double; nothing overflows, divides by zero or turns invalid.
     """
     n = len(x)
     q = np.concatenate((x, y))
@@ -856,7 +860,8 @@ def _I_d_float(ds, x, y):
     terms_buffer, scratch_buffer = np.empty(2 * cells), np.empty(2 * cells)
 
     def terms(rows, lo, hi, length, d):
-        """The window terms of rows[lo:hi], in the terms buffer."""
+        """The window terms of rows[lo:hi] at this d, from its ``starts``,
+        ``first`` and ``scale``, in the terms buffer."""
         size = (hi - lo) * length
         den = np.maximum(np.arange(length, dtype=np.float64), 1.0)  # k, with 1 at k = 0
         block = rows[lo:hi]
@@ -887,7 +892,7 @@ def _I_d_float(ds, x, y):
         if separated.any():
             rows, blocks = _length_order(np.flatnonzero(np.tile(separated, 2)), lengths,
                                          2 * cells)
-            sums, moments = np.empty(2 * n), np.empty(2 * n)
+            sums, moments = np.zeros(2 * n), np.zeros(2 * n)
             for length, lo, hi in blocks:
                 row_terms = terms(rows, lo, hi, length, d)
                 sums[rows[lo:hi]] = np.sum(row_terms, axis=1)
@@ -1004,7 +1009,7 @@ def I_d_eval(d, x, y):
     measured cost of a split) is split across processes when ``os.fork``
     exists and at least two CPUs are usable: the affinity mask, capped by
     the cgroup-v2 ``cpu.max`` quotas that can be read (``_split.usable_cpus``;
-    1 in a forked child).  Its points are cut into one contiguous chunk per
+    1 in a forked child).  Its points are dealt into one strided chunk per
     usable CPU (at most one per ``_PART_MIN_CELLS`` cells), which
     ``_split.map_parts`` runs here and in forked children.  The values are
     the same bits, and the call warns and raises as the serial call does;

@@ -750,7 +750,7 @@ class TestErrorKernelWindows:
     """Float I_d on its windows (``comb._windows``) against exact I_d."""
 
     @pytest.mark.parametrize("d", [100, 400, 1000])
-    @pytest.mark.parametrize("w", [0.05, 0.5, W_0 - 0.05, W_0, W_0 + 0.05, 2.0, 3.0])
+    @pytest.mark.parametrize("w", [0.5, W_0 - 0.05, W_0, 2.0])
     def test_across_the_threshold(self, d, w):
         # at W_0 the windows are widest; at W = 0.5 and d = 1000 the value
         # is about 4e-58
