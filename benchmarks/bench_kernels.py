@@ -60,8 +60,18 @@ I_d: at d in {20, 100, 400, 1000} on fig2's 2000-point W grid (beta E = 0.7,
 beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
 against one array call over the grid, and prints the loop's median per call
 as the cost of one scalar call.  The two must give the same bytes on every
-point, the log-space ones included (those whose start term (1-x)^d or
-(1-y)^d is not a normal double).
+point, the anchored rows included: those of a window that starts past its
+first cell, and whole rows whose start term (1-x)^d or (1-y)^d is not a
+normal double, which the table counts.
+
+I_d windows: on the same grid and d, the serial kernel ``_I_d_float`` on
+its windows against the full-row reference, the same kernel with every row
+whole (``_WINDOW_MIN_D`` raised past ``MAX_FLOAT_D``).  At each point whose
+windows are whole rows of normal start terms both must give the bits of
+``per_point_I_d`` (``tests/reference.py``); at ``I_D_EXACT_SAMPLES`` evenly
+spaced points of the others the windowed value must lie within d 2^-52 of
+exact I_d, relative.  The cells are the whole points, the other points, and
+the share of the whole rows' cells that the windows keep.
 
 Exact layer: the integer-numerator forms against the Fraction loops they
 replaced, which reduce by a gcd at every operation:

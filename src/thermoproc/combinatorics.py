@@ -97,22 +97,25 @@ _BLOCK_ELEMENTS = 1 << 15
 # cells (points times the sum of the d) that each process of a split float
 # I_d call must get.  A bare fork round trip (fork, pipe, exit, reap) takes
 # 3.3 ms, and a split call in two took 4-15 ms (mostly 7-9 ms) more than half
-# the serial time.  I_d spends 25-56 ns per cell of whole rows (d = 20 to
-# 400), but its windows cut that to 13-16 ns per cell at d = 1000, where a
-# second process has less to save.  At 2 x 2^19 cells the split was 23-33%
-# faster at d = 20 and 100 and 13-15% at d = 400, but 3-5% slower at
-# d = 1000; at 2 x 2^20 cells it was 8-39% faster at every d (2-CPU x86 host,
-# medians of 11, two runs).  So a call splits in two from 2 x 2^19 cells, and
-# each further part needs 2^19 cells more.
+# the serial time.  I_d spends 22-42 ns per cell of whole rows (d = 20 to
+# 400), but its windows cut that to 12-16 ns per cell at d = 1000, where a
+# second process has less to save.  At 2 x 2^19 cells the split was 22-30%
+# faster at d = 20, 100 and 400, but 2-18% slower at d = 1000; at 2 x 2^20
+# cells it was 13-41% faster at every d (2-CPU x86 host, medians of 11, two
+# runs).  Cells count whole rows, so no one threshold fits both; a call
+# splits in two from 2 x 2^19 cells, and each further part needs 2^19 more.
 _PART_MIN_CELLS = 1 << 19
 
 # the smallest d whose I_d rows take windows (``_windows``); below it every
-# row is whole.  On fig2-dense's grid (2000 points, beta E = 0.7) a call of
-# one d took 7% longer with windows than with whole rows at d = 256, as long
-# at d = 300, and 6-17% less from d = 350 to 500 (2-CPU x86 host, medians of
-# 15): below, fig2's windows drop few cells (none at d = 100 once rounded to
-# their grain), fewer than computing them and a block per length costs.
-_WINDOW_MIN_D = 300
+# row is whole.  A call pays about 0.5 ms for the bounds and a block per
+# window length, so windows pay only on many points at large d (2-CPU x86
+# host, medians of 15-40 calls): on fig2-dense's 2000-point grid
+# (beta E = 0.7) a call of one d took 7% longer with windows than with whole
+# rows at d = 256 and 6-17% less from d = 350 to 500, but on 16 of its
+# points it took 1.15 against 0.26 ms at d = 500, and 100 points broke even
+# there.  The largest d of the default run is 400, in ``validate``'s
+# 16-point ``memory-extraction-large-d`` check, so windows start above it.
+_WINDOW_MIN_D = 500
 
 
 def _require_int(value, name, minimum):
