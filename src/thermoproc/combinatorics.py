@@ -17,7 +17,7 @@ coefficients and a few generating-function style sums:
     oversized binomial is ever formed in float mode.  Each row of terms is
     a negative-binomial pmf, and from d = ``_WINDOW_MIN_D`` a float call
     computes only each row's window, the cells whose terms can move the
-    value (``_windows`` derives the rule).  A float call works through its
+    value (``_cuts`` derives the rule).  A float call works through its
     points in blocks of rows of one window length inside two buffers, of at
     most 2 x 2^15 doubles each, allocated once and reused for every d of
     the call; each mirrored block's x terms lie above its y terms, so that
@@ -486,104 +486,16 @@ def catalan_tail_bound(d: int, gamma) -> float:
     return (4.0 * g * (1.0 - g)) ** d / (SQRT_PI * d ** 1.5 * (2.0 * g - 1.0) ** 2)
 
 
-def _log_factorial_floor(n):
-    """n log n - n + log(2 pi n) / 2 at each count n of a float array, 0 at
-    n = 0: by Robbins' bounds (Amer. Math. Monthly 62, 1955) log n! lies
-    within 1/12 above it."""
-    m = np.maximum(n, 1.0)
-    return np.where(n > 0, m * np.log(m) - m + 0.5 * np.log(2.0 * math.pi * m), 0.0)
-
-
-def _log_term_floor(d, k, log_x, log1m_x):
-    """A lower bound of log f_d(k) x^k (1-x)^d, given log x and log(1-x):
-    the log of C(d-1+k, k) from ``_log_factorial_floor``, less 1/6."""
-    log_binomial = (_log_factorial_floor(d - 1.0 + k) - _log_factorial_floor(k)
-                    - _log_factorial_floor(d - 1.0) - 1.0 / 6.0)
-    return log_binomial + np.where(k > 0, k * log_x, 0.0) + d * log1m_x
-
-
-def _log_tilted_peak(d, log1m_x, log1m_y, x, y, z):
-    """log M(z) H*(z), the bound of every cell's weight under the tilt
-    z = e^theta <= 1 (``_windows``): d log[(1-x)(1-y) / ((1-xz)(1-yz))],
-    plus log max_s (1 - s/d) z^{-s}, which is tau - 1 - log tau at
-    tau = -d log z >= 1 and 0 below."""
-    tau = -d * np.log(z)
-    peak = np.where(tau > 1.0, tau - 1.0 - np.log(np.maximum(tau, 1.0)), 0.0)
-    return d * (log1m_x + log1m_y - np.log1p(-x * z) - np.log1p(-y * z)) + peak
-
-
-def _tail_exponent(t, log_q, log1m_q):
-    """The Chernoff exponent, per variable, of a sum of geometric variables
-    of failure probability q at the mean t per variable, and its slope in t,
-    given log q and log(1-q): t log(p/q) + log((1-p)/(1-q)) with
-    p = t / (1 + t), the Kullback-Leibler divergence of the geometric law of
-    mean t from that of q."""
-    log1p_t = np.log1p(t)
-    slope = np.log(t) - log1p_t - log_q
-    return t * slope - log1p_t - log1m_q, slope
-
-
-def _newton(f, t):
-    """Three Newton steps on a convex f from t, kept above 0.  From any
-    start where f has the slope of the wanted root, each step lands where
-    f >= 0, beyond that root (the tangent lies below f), so the cut it gives
-    is never too tight."""
-    for _ in range(3):
-        value, slope = f(t)
-        t = np.maximum(t - value / slope, sys.float_info.min)
-    return t
-
-
 def _windows(ds, x, y):
     """The window of each row of I_d at each d of ``ds`` and each point of
     the 1-D arrays x, y: (ax, lx, ay, ly, mirror, separated), arrays of
     shape (len(ds), len(x)) of the first cell and the length of the x row's
     and the y row's window, and whether the point takes the mirrored or the
-    separated form; a point of neither has the value 0.
-
-    With K and J the negative-binomial counts whose pmfs are the x and y
-    rows (K counts the failures before the d-th success at failure
-    probability x), I_d = E[h(J + K)], h(s) = (1 - s/d)^+, and cell k of
-    the x row adds P(K = k) E[h(J + k)] to it.  For any z = e^theta <= 1,
-    P(J = j) P(K = k) = M(z) P_z(J = j) P_z(K = k) z^{-(j+k)}, where P_z
-    tilts x and y to xz and yz, and M(z) = [(1-x)(1-y) / ((1-xz)(1-yz))]^d.
-    So the cells with K >= b add at most
-
-        M(z) H*(z) P_z(K >= b, J <= d - 1 - b),  H*(z) = max_s h(s) z^{-s},
-
-    since h vanishes from s = d, and the cells with K < a at most
-    M(z) H*(z) P_z(K < a), and I_d <= M(z) H*(z).  The upper cut takes the
-    z at which the tilted mean of J + K is d when the untilted one, d mu
-    with mu = x/(1-x) + y/(1-y), exceeds d (the root of
-    3xyz^2 - 2(x+y)z + 1 = 0 below 1/max(x, y)), else 1; the lower cut
-    takes its square root, which bounds the small-K cells, whose J + K lies
-    far below d, more tightly (in a prototype, the mirrored windows of
-    fig2-dense's points below W_0 at d = 1000 came out 16% shorter than with
-    z itself).  The probabilities take Chernoff's bound, whose
-    exponent is ``_tail_exponent``, and each cut the loosest cell at which
-    all four bounds (x and y rows, lower and upper cut) fall below 2^-62 of
-    a lower bound of I_d: the larger of Jensen's (1 - mu)^+ and one cell,
-    the point (j0, k0) one tilted standard deviation below the tilted mean
-    of J + K, split in proportion to their means, whose weight is bounded
-    below by ``_log_term_floor``.  So a window drops at most 2^-60 of the
-    value.  A point whose M(z) H*(z) lies below 2^-1075 has the value 0,
-    the correctly rounded one.
-
-    Each length rounds up to a multiple of the grain ceil(d/32), within
-    the row, so that the rows of one d take at most 32 lengths.  A point
-    whose windows end at bx and by with bx + by <= d + 1 holds only cells
-    with j + k < d, and its value is the separated form
-    (Px (d Py - Qy) - Qx Py) / d of the windows' sums P of the terms and Q
-    of k times the terms.  Any other point takes one window [a, a + L) of
-    the x row, the union of its own and its y window's mirror image
-    k = d - 1 - j, and the y window [d - a - L, d - a), so that the bracket
-    of cell k of the x window meets cell d - 1 - k of the y window, as in
-    the whole rows.  A point whose Gaussian windows, 9.3 tilted standard
-    deviations (the 2^-62 tail of a normal law) about each tilted mean, are
-    not separated and leave less than a grain uncut at either end of that
-    union keeps its whole rows without the bounds above; so does a point of
-    two whole windows.
-    """
+    separated form; a point of neither has the value 0.  Below
+    ``_WINDOW_MIN_D`` every row is whole and mirrored; from it on
+    ``_cuts.cut_windows`` (which derives the rule) places the windows,
+    loaded by the first such call, so that every other process neither
+    imports nor compiles it."""
     n = len(x)
     ds = np.asarray(ds, dtype=np.int64)
     lx = np.repeat(ds[:, None], n, axis=1)
@@ -591,98 +503,12 @@ def _windows(ds, x, y):
     mirror, separated = np.ones(lx.shape, dtype=bool), np.zeros(lx.shape, dtype=bool)
     wide = np.flatnonzero(ds >= _WINDOW_MIN_D)
     if len(wide):
-        cut = _cut_windows(np.repeat(ds[wide].astype(np.float64), n),
-                           np.tile(x, len(wide)), np.tile(y, len(wide)))
+        from . import _cuts
+
+        cut = _cuts.cut_windows(np.repeat(ds[wide].astype(np.float64), n),
+                                np.tile(x, len(wide)), np.tile(y, len(wide)))
         for whole, part in zip((ax, lx, ay, ly, mirror, separated), cut):
             whole[wide] = part.reshape(len(wide), n)
-    return ax, lx, ay, ly, mirror, separated
-
-
-def _cut_windows(d, x, y):
-    """``_windows`` at each (d, x, y) of three equal-length 1-D arrays, each
-    a flat array."""
-    grain = np.ceil(d / 32.0)
-    ax, ay = np.zeros_like(d), np.zeros_like(d)
-    lx, ly = d.copy(), d.copy()
-    mirror, separated = np.ones(len(d), dtype=bool), np.zeros(len(d), dtype=bool)
-    mu = x / (1.0 - x) + y / (1.0 - y)
-    z = np.divide(1.0, x + y + np.sqrt(x * x - x * y + y * y), out=np.ones_like(x),
-                  where=mu > 1.0)
-    tx, ty = x * z, y * z
-    mean_x, mean_y = tx / (1.0 - tx), ty / (1.0 - ty)
-    var_x, var_y = mean_x / (1.0 - tx), mean_y / (1.0 - ty)
-    spread = math.sqrt(124.0 * math.log(2.0))
-    reach_x, reach_y = spread * np.sqrt(var_x / d), spread * np.sqrt(var_y / d)
-    # the Gaussian union, in cells per d: [min(ax, d - by), max(bx, d - ay))
-    low = np.minimum(mean_x - reach_x, 1.0 - mean_y - reach_y)
-    high = np.maximum(mean_x + reach_x, 1.0 - mean_y + reach_y)
-    span = mean_x + reach_x + mean_y + reach_y
-    live = np.flatnonzero((low * d > grain) | (high * d < d - grain) | (span * d <= d + 1.0))
-    d, grain, x, y, z, mu = d[live], grain[live], x[live], y[live], z[live], mu[live]
-    tx, ty, mean_x, mean_y = tx[live], ty[live], mean_x[live], mean_y[live]
-    floor = sys.float_info.min
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_x, log_y = np.log(x), np.log(y)
-        log1m_x, log1m_y = np.log1p(-x), np.log1p(-y)
-        var = var_x[live] + var_y[live]
-        s0 = np.clip(np.floor(d * (np.minimum(mean_x + mean_y, 1.0) - np.sqrt(var / d))),
-                     0.0, d - 1.0)
-        k0 = np.floor(s0 * np.where(mean_x > 0.0, mean_x / (mean_x + mean_y), 0.0))
-        j0 = np.floor(s0 - k0)
-        log_value = np.maximum(
-            _log_term_floor(d, k0, log_x, log1m_x) + _log_term_floor(d, j0, log_y, log1m_y)
-            + np.log1p(-(j0 + k0) / d),
-            np.log(np.maximum(1.0 - mu, 0.0)))
-        cut = 62.0 * math.log(2.0) - log_value
-        peak = _log_tilted_peak(d, log1m_x, log1m_y, x, y, z)
-        zero = peak < -1075.0 * math.log(2.0)
-        # the x rows above the y rows; each row's partner is the other one
-        d2, last = np.tile(d, 2), np.tile((d - 1.0) / d, 2)
-        q = np.maximum(np.concatenate((tx, ty)), floor)
-        q_partner = np.maximum(np.concatenate((ty, tx)), floor)
-        log_q, log1m_q = np.log(q), np.log1p(-q)
-        log_p, log1m_p = np.log(q_partner), np.log1p(-q_partner)
-        mean, mean_partner = q / (1.0 - q), q_partner / (1.0 - q_partner)
-        bound = np.tile(cut + peak, 2)
-
-        def upper(t):
-            s = np.maximum(last - t, floor)
-            rate, slope = _tail_exponent(t, log_q, log1m_q)
-            rate_b, slope_b = _tail_exponent(s, log_p, log1m_p)
-            partner = s < mean_partner
-            return (d2 * (rate + np.where(partner, rate_b, 0.0)) - bound,
-                    d2 * (slope - np.where(partner, slope_b, 0.0)))
-
-        t = _newton(upper, mean + np.sqrt(2.0 * bound * mean / ((1.0 - q) * d2)))
-        ends = np.where(np.isfinite(t), np.minimum(np.ceil(d2 * t + 0.5), d2), d2)
-        root = np.sqrt(z)
-        half = np.maximum(np.concatenate((x * root, y * root)), floor)
-        log_h, log1m_h = np.log(half), np.log1p(-half)
-        mean_half = half / (1.0 - half)
-        bound = np.tile(cut + _log_tilted_peak(d, log1m_x, log1m_y, x, y, root), 2)
-
-        def lower(t):
-            rate, slope = _tail_exponent(t, log_h, log1m_h)
-            return d2 * rate - bound, d2 * slope
-
-        t = _newton(lower, mean_half - np.sqrt(2.0 * bound * mean_half / ((1.0 - half) * d2)))
-        starts = np.where(np.isfinite(t),
-                          np.clip(np.floor(d2 * t - 0.5) + 1.0, 0.0, ends - 1.0), 0.0)
-    grain2 = np.tile(grain, 2)
-    lengths = np.minimum(np.ceil((ends - starts) / grain2) * grain2, d2)
-    starts = np.minimum(starts, d2 - lengths)
-    k = len(live)
-    a_x, a_y, l_x, l_y = starts[:k], starts[k:], lengths[:k], lengths[k:]
-    split = (l_x < d) & (l_y < d) & (a_x + l_x + a_y + l_y <= d + 1)
-    lo = np.minimum(a_x, d - a_y - l_y)
-    length = np.minimum(np.ceil((np.maximum(a_x + l_x, d - a_y) - lo) / grain) * grain, d)
-    lo = np.minimum(lo, d - length)
-    ax[live] = np.where(split, a_x, lo)
-    lx[live] = np.where(split, l_x, length)
-    ay[live] = np.where(split, a_y, d - lo - length)
-    ly[live] = np.where(split, l_y, length)
-    mirror[live] = ~split & ~zero
-    separated[live] = split & ~zero
     return ax, lx, ay, ly, mirror, separated
 
 

@@ -579,7 +579,7 @@ class TestErrorKernelArrays:
             block = comb._BLOCK_ELEMENTS // d
             mixed = [rows.any() and not rows.all()
                      for rows in np.split(underflowing, range(block, len(x), block))]
-            assert sum(mixed) >= 5, mixed
+            assert sum(mixed) >= 10, mixed
         self.assert_bitwise_on_every_grid_length(d, x, y, _whole_row_points(d, x, y))
 
     @staticmethod
