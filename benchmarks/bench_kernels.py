@@ -164,7 +164,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,  # noqa: E402
                        hull_numpy, incoherent_by_numpy_scalars, lki_references,
                        orbit_per_image, per_point_I_d, qutrit_vertices_four_runs,
-                       round_response, weighted_float, weighted_fraction)
+                       round_response, weighted_float, weighted_fraction, whole_row_points)
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -492,9 +492,7 @@ def window_check(d, x, y):
     of the row: those whole points, the other points, and the share of the
     whole rows' cells that the windows keep."""
     _, lx, _, ly, mirror, separated = (a[0] for a in combinatorics._windows([d], x, y))
-    normal = np.array([min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
-                       for a, b in zip(x.tolist(), y.tolist())])
-    whole = np.flatnonzero(mirror & (lx == d) & (ly == d) & normal)
+    whole = np.flatnonzero(whole_row_points(d, x, y))
     cut = np.setdiff1d(np.arange(len(x)), whole)
 
     def check(reference, new):

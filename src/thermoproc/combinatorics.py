@@ -621,17 +621,16 @@ def _length_order(units, lengths, cells, partner=None):
     its y rows."""
     units = units[np.argsort(lengths[units], kind="stable")]
     ordered = lengths[units]
-    bounds = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(units)] if len(units) else []
+    groups = np.split(units, np.flatnonzero(np.diff(ordered)) + 1) if len(units) else []
     pieces, blocks = [], []
-    at = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        length = int(ordered[lo])
-        for start in range(lo, hi, max(1, cells // length)):
-            block = units[start:min(start + max(1, cells // length), hi)]
+    for group in groups:
+        length = int(lengths[group[0]])
+        step = max(1, cells // length)
+        for start in range(0, len(group), step):
+            block = group[start:start + step]
             pieces += [block] if partner is None else [block, block + partner]
-            size = len(block) if partner is None else 2 * len(block)
-            blocks.append((length, at, at + size))
-            at += size
+            at = blocks[-1][2] if blocks else 0
+            blocks.append((length, at, at + len(block) * (1 if partner is None else 2)))
     return (np.concatenate(pieces) if pieces else units), blocks
 
 

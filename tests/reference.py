@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from thermoproc import cooling, memory
+from thermoproc import combinatorics, cooling, memory
 from thermoproc._kernels import _memory_sweep_py
 from thermoproc.core import PopulationVector
 from thermoproc.memory import RESPONSE_MIN_D, _protocol_totals
@@ -136,6 +136,17 @@ def per_point_I_d(d, x, y):
     js = np.arange(d)
     total = float(np.sum(ty * ((d - js) * p[::-1] - q[::-1])))
     return total / d
+
+
+def whole_row_points(d, x, y):
+    """The points of the 1-D arrays x, y whose float I_d runs the operations
+    of the whole rows, and so must equal ``per_point_I_d`` bit for bit: two
+    whole windows (``combinatorics._windows``) and both start terms, Python's
+    (1-x)^d and (1-y)^d, normal doubles."""
+    _, lx, _, ly, mirror, _ = (a[0] for a in combinatorics._windows([d], x, y))
+    normal = [min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
+              for a, b in zip(x.tolist(), y.tolist())]
+    return mirror & (lx == d) & (ly == d) & np.array(normal)
 
 
 def per_point_log_terms(d, x):

@@ -19,7 +19,7 @@ from thermoproc import combinatorics as comb
 
 from reference import (I_d_fraction, I_d_window_fraction, alternating_fraction,
                        delta_d_column_fraction, lki_references, per_point_I_d, weighted_float,
-                       weighted_fraction)
+                       weighted_fraction, whole_row_points)
 from test_split import assert_no_child_left
 
 SQRT_PI = math.sqrt(math.pi)
@@ -547,22 +547,12 @@ def _fig2_grid(points=2000, beta_E=0.7):
     return x, y
 
 
-def _whole_row_points(d, x, y):
-    """The points whose I_d runs the operations of the whole rows: two whole
-    windows and both start terms, Python's (1-x)^d and (1-y)^d, normal
-    doubles."""
-    _, lx, _, ly, mirror, _ = (a[0] for a in comb._windows([d], x, y))
-    normal = [min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
-              for a, b in zip(x.tolist(), y.tolist())]
-    return mirror & (lx == d) & (ly == d) & np.array(normal)
-
-
 class TestErrorKernelArrays:
     @pytest.mark.parametrize("d", [1, 2, 5, 20, 100, 400, 1000])
     def test_bitwise_equal_to_the_per_point_formula(self, d):
         # every point of a d below _WINDOW_MIN_D has whole-row windows
         x, y = _fig2_grid()
-        whole = _whole_row_points(d, x, y)
+        whole = whole_row_points(d, x, y)
         assert whole.all() or d >= comb._WINDOW_MIN_D
         self.assert_bitwise_on_every_grid_length(d, x, y, whole)
 
@@ -580,7 +570,7 @@ class TestErrorKernelArrays:
             mixed = [rows.any() and not rows.all()
                      for rows in np.split(underflowing, range(block, len(x), block))]
             assert sum(mixed) >= 10, mixed
-        self.assert_bitwise_on_every_grid_length(d, x, y, _whole_row_points(d, x, y))
+        self.assert_bitwise_on_every_grid_length(d, x, y, whole_row_points(d, x, y))
 
     @staticmethod
     def assert_bitwise_on_every_grid_length(d, x, y, whole):
@@ -771,6 +761,15 @@ class TestErrorKernelWindows:
                 assert abs(Fraction(got) - exact) <= d * 2.0 ** -52 * exact
             else:
                 assert got < 1e-290
+
+    def test_only_a_call_that_cuts_loads_the_cuts_module(self):
+        code = ("import sys; import numpy as np; from thermoproc import combinatorics as c; "
+                "x = np.linspace(0.0, 0.9, 60); c.I_d_eval([1, 40, 400], x, x); "
+                "print('thermoproc._cuts' in sys.modules); "
+                "c.I_d_eval(c._WINDOW_MIN_D, x, x); print('thermoproc._cuts' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.split() == ["False", "True"]
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 200), st.integers(0, 1023), st.integers(0, 1023), st.booleans())
