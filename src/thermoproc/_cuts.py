@@ -72,7 +72,7 @@ def _log_term_floor(d, k, log_x, log1m_x):
 
 def _log_tilted_peak(d, log1m_x, log1m_y, x, y, z):
     """log M(z) H*(z), the bound of every cell's weight under the tilt
-    z = e^theta <= 1 (``_windows``): d log[(1-x)(1-y) / ((1-xz)(1-yz))],
+    z = e^theta <= 1 (the module docstring): d log[(1-x)(1-y) / ((1-xz)(1-yz))],
     plus log max_s (1 - s/d) z^{-s}, which is tau - 1 - log tau at
     tau = -d log z >= 1 and 0 below."""
     tau = -d * np.log(z)
