@@ -62,7 +62,7 @@ against one array call over the grid, and prints the loop's median per call
 as the cost of one scalar call.  The two must give the same bytes on every
 point, the anchored rows included: those of a window that starts past its
 first cell, and whole rows whose start term (1-x)^d or (1-y)^d is not a
-normal double, which the table counts.
+normal double, whose points the table counts.
 
 I_d windows: on the same grid and d, the serial kernel ``_I_d_float`` on
 its windows against the full-row reference, the same kernel with every row
@@ -464,13 +464,13 @@ def routes_grid():
 def I_d_table():
     x, y = fig2_xy(0.7, I_D_POINTS)
     points = list(zip(x.tolist(), y.tolist()))
-    # an anchored whole row: (1-x)^d or (1-y)^d is not a normal double
+    # a point whose start term (1-x)^d or (1-y)^d is not a normal double
     rows = [Row(str(d), lambda d=d: [I_d_eval(d, a, b) for a, b in points],
                 partial(I_d_eval, d, x, y),
                 cells=(str(sum(min((1.0 - a) ** d, (1.0 - b) ** d) < sys.float_info.min
                                for a, b in points)),))
             for d in I_D_DIMS]
-    return Table(f"I_d over a {I_D_POINTS}-point W grid", "d", rows, cells=("anchored",),
+    return Table(f"I_d over a {I_D_POINTS}-point W grid", "d", rows, cells=("underflow",),
                  times=("per point [ms]", "array [ms]"), per_call=I_D_POINTS)
 
 
@@ -488,9 +488,9 @@ def window_check(d, x, y):
     """The check of the windowed kernel against whole rows: the same bits
     as ``per_point_I_d`` at each point whose windows are whole rows of
     normal start terms, and within d 2^-52 of exact I_d, relative, at
-    ``I_D_EXACT_SAMPLES`` evenly spaced points of the others; and the cells
-    of the row: those whole points, the other points, and the share of the
-    whole rows' cells that the windows keep."""
+    ``I_D_EXACT_SAMPLES`` evenly spaced points of the others; and the
+    table row's cells: the count of those whole points and of the others,
+    and the share of the whole rows' cells that the windows keep."""
     _, lx, _, ly, mirror, separated = (a[0] for a in combinatorics._windows([d], x, y))
     whole = np.flatnonzero(whole_row_points(d, x, y))
     cut = np.setdiff1d(np.arange(len(x)), whole)
