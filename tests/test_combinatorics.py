@@ -559,9 +559,8 @@ class TestErrorKernelArrays:
     @pytest.mark.parametrize("d", [160, 1000])
     def test_log_space_rows_bitwise_equal_to_the_per_point_formula(self, d):
         # every third x so close to 1 that (1-x)^d underflows, and x = 0
-        # next to an underflowing y.  Their rows, which once took log-space
-        # terms, start from their anchors; at d = 160 they share blocks with
-        # whole rows of normal start terms
+        # next to an underflowing y.  Their rows start from their anchors; at
+        # d = 160 they share blocks with whole rows of normal start terms
         x, y = _grid_with_log_rows()
         underflowing = np.minimum((1.0 - x) ** d, (1.0 - y) ** d) < sys.float_info.min
         assert underflowing.sum() >= 600
@@ -627,9 +626,10 @@ class TestErrorKernelArrays:
 
     @pytest.mark.parametrize("x, y", UNDERFLOWING_STARTS)
     def test_underflowing_start_term_matches_fraction_twin(self, x, y):
-        # (1 - 0.99)^160 = 1e-320 keeps ~10 bits: the direct recurrence was
-        # off by 1e-5 relative.  At y = 0.00625 the term ratio y * 160 rounds
-        # to exactly 1, whose logarithm is 0; at x = 0 every ratio is 0.
+        # (1 - 0.99)^160 = 1e-320 keeps ~10 bits, so a row started from it
+        # would be off by 1e-5 relative; it starts from its anchor.  At
+        # y = 0.00625 the term ratio y * 160 rounds to exactly 1; at x = 0
+        # every ratio is 0.
         d = 160
         assert min((1.0 - x) ** d, (1.0 - y) ** d) < sys.float_info.min
         exact = float(comb.I_d_eval(d, Fraction(x), Fraction(y)))
