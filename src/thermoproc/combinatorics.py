@@ -545,12 +545,11 @@ def _window_starts(d, q, starts, lengths, one_minus_q):
     scale 1.0.  ``one_minus_q`` is the list of 1 - q.
     """
     # Python's float power, which numpy's need not round like
-    t0 = np.array([v ** d for v in one_minus_q])
-    direct = (t0 >= sys.float_info.min) & (starts == 0)
-    first, scale = np.ones(len(q)), np.where(direct, t0, 1.0)
-    shift = np.zeros(len(q), dtype=np.int64)
-    rows = np.flatnonzero(~direct)
+    scale = np.array([v ** d for v in one_minus_q])
+    first, shift = np.ones(len(q)), np.zeros(len(q), dtype=np.int64)
+    rows = np.flatnonzero((scale < sys.float_info.min) | (starts > 0))
     if len(rows):
+        scale[rows] = 1.0
         mantissas, exponents = _binomial_table(d)
         qa, a = q[rows], starts[rows]
         m_u, e_u = np.frexp(1.0 - qa)
@@ -613,57 +612,21 @@ def _I_d_rows(tx, ty, q, ks, ks1):
     return np.sum(ty, axis=1)
 
 
-def _length_order(units, lengths, cells, partner=None):
-    """(rows, blocks): the indices ``units`` ordered by their window length,
-    cut into blocks of at most max(1, cells // L) units of one length L,
-    and (L, lo, hi) for each block's slice rows[lo:hi].  With ``partner``,
-    each block's indices are followed by the same ones plus ``partner``,
-    its y rows."""
+def _length_order(units, lengths, cells):
+    """[(L, block)]: the indices ``units`` in blocks of at most
+    max(1, cells // L) indices of one window length L, in order of length
+    and, within one length, in the order of ``units``."""
+    if not len(units):
+        return []
     units = units[np.argsort(lengths[units], kind="stable")]
     ordered = lengths[units]
-    groups = np.split(units, np.flatnonzero(np.diff(ordered)) + 1) if len(units) else []
-    pieces, blocks = [], []
-    for group in groups:
-        length = int(lengths[group[0]])
+    edges = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(units)]
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        length = int(ordered[lo])
         step = max(1, cells // length)
-        for start in range(0, len(group), step):
-            block = group[start:start + step]
-            pieces += [block] if partner is None else [block, block + partner]
-            at = blocks[-1][2] if blocks else 0
-            blocks.append((length, at, at + len(block) * (1 if partner is None else 2)))
-    return (np.concatenate(pieces) if pieces else units), blocks
-
-
-def _whole_rows(d, q, one_minus_q, cells, terms_buffer, scratch_buffer):
-    """I_d of whole rows at every point of a d below ``_WINDOW_MIN_D``, the x
-    rows q[:n] and the y rows q[n:] in blocks of consecutive points, as
-    ``_I_d_float`` runs them; ``one_minus_q`` is the list of 1 - q."""
-    n = len(q) // 2
-    # Python's float power, which numpy's need not round like
-    t0 = np.array([v ** d for v in one_minus_q])
-    if np.all(t0 >= sys.float_info.min):
-        first, scale, shift = None, t0, None
-    else:
-        first, scale, shift = _window_starts(d, q, np.zeros(len(q), dtype=np.int64),
-                                             np.full(len(q), d), one_minus_q)
-    size = max(1, cells // d)
-    den = np.maximum(np.arange(d, dtype=np.float64), 1.0)  # k, with 1 at k = 0
-    num, ks = den + (d - 1.0), np.arange(d, dtype=np.float64)
-    ks1 = ks + 1.0
-    sums = np.empty(n)
-    for lo in range(0, n, size):
-        hi = min(lo + size, n)
-        k = hi - lo
-        both = _window_terms(
-            terms_buffer[:2 * k * d].reshape(2 * k, d), None,
-            np.concatenate((q[lo:hi], q[n + lo:n + hi])), None,
-            1.0 if first is None else np.concatenate((first[lo:hi], first[n + lo:n + hi])),
-            np.concatenate((scale[lo:hi], scale[n + lo:n + hi])), num, den)
-        sums[lo:hi] = _I_d_rows(both[:k], both[k:], scratch_buffer[:k * d].reshape(k, d),
-                                ks, ks1)
-    if shift is not None:
-        sums = np.ldexp(sums, -(shift[:n] + shift[n:]))
-    return sums / d
+        blocks += [(length, units[at:min(at + step, hi)]) for at in range(lo, hi, step)]
+    return blocks
 
 
 def _I_d_float(ds, x, y):
@@ -675,11 +638,12 @@ def _I_d_float(ds, x, y):
     holds its x rows above its y rows, so that each pass over the terms is
     one numpy call, and ``_I_d_rows`` forms its values; a separated block
     holds rows of either kind, whose sums P and Q give the separated form.
-    A d below ``_WINDOW_MIN_D`` runs ``_whole_rows``; any other d orders its
-    rows by window length once, and each block takes a slice of that order.
-    No row's bits depend on the other rows, so each value is that of a call
-    on its point alone.  Terms may underflow to subnormals or 0, past the
-    smallest double; nothing overflows, divides by zero or turns invalid.
+    Each d orders its rows by window length once (``_length_order``);
+    below ``_WINDOW_MIN_D``, where every row is whole, that order is the
+    points' own and each block holds consecutive points.  No row's bits
+    depend on the other rows, so each value is that of a call on its point
+    alone.  Terms may underflow to subnormals or 0, past the smallest
+    double; nothing overflows, divides by zero or turns invalid.
     """
     n = len(x)
     q = np.concatenate((x, y))
@@ -687,52 +651,41 @@ def _I_d_float(ds, x, y):
     cells = max(1, min(_BLOCK_ELEMENTS, n * max(ds, default=1)))
     terms_buffer, scratch_buffer = np.empty(2 * cells), np.empty(2 * cells)
 
-    def terms(rows, lo, hi, length, d):
-        """The window terms of rows[lo:hi] at this d, from its ``starts``,
-        ``first`` and ``scale``, in the terms buffer."""
-        size = (hi - lo) * length
+    def terms(rows, length, d):
+        """The window terms of the rows ``rows`` at this d, from its
+        ``starts``, ``first`` and ``scale``, in the terms buffer."""
+        size = len(rows) * length
         den = np.maximum(np.arange(length, dtype=np.float64), 1.0)  # k, with 1 at k = 0
-        block = rows[lo:hi]
         return _window_terms(terms_buffer[:size].reshape(-1, length),
-                             scratch_buffer[:size].reshape(-1, length), q[block],
-                             starts[block], first[block], scale[block], den + (d - 1.0), den)
+                             scratch_buffer[:size].reshape(-1, length), q[rows],
+                             starts[rows], first[rows], scale[rows], den + (d - 1.0), den)
 
     out = []
     for d, ax, lx, ay, ly, mirror, separated in zip(ds, *_windows(ds, x, y)):
-        if d < _WINDOW_MIN_D:
-            out.append(_whole_rows(d, q, one_minus_q, cells, terms_buffer, scratch_buffer))
-            continue
         starts, lengths = np.concatenate((ax, ay)), np.concatenate((lx, ly))
         first, scale, shift = _window_starts(d, q, starts, lengths, one_minus_q)
-        values = np.zeros(n)
-        rows, blocks = _length_order(np.flatnonzero(mirror), lx, cells, n)
-        sums = np.empty(len(rows))
-        for length, lo, hi in blocks:
-            k = (hi - lo) // 2
-            both = terms(rows, lo, hi, length, d)
+        values = np.zeros(n)  # d I_d times 2^shift of both rows
+        for length, points in _length_order(np.flatnonzero(mirror), lx, cells):
+            k = len(points)
+            both = terms(np.concatenate((points, points + n)), length, d)
             ks = np.arange(length, dtype=np.float64)
-            sums[lo:lo + k] = _I_d_rows(both[:k], both[k:],
-                                        scratch_buffer[:k * length].reshape(k, length),
-                                        ks, ks + 1.0)
-        points = rows < n
-        rows, sums = rows[points], sums[points]
-        values[rows] = np.ldexp(sums, -(shift[rows] + shift[rows + n])) / d
+            values[points] = _I_d_rows(both[:k], both[k:],
+                                       scratch_buffer[:k * length].reshape(k, length),
+                                       ks, ks + 1.0)
         if separated.any():
-            rows, blocks = _length_order(np.flatnonzero(np.tile(separated, 2)), lengths,
-                                         2 * cells)
             sums, moments = np.zeros(2 * n), np.zeros(2 * n)
-            for length, lo, hi in blocks:
-                row_terms = terms(rows, lo, hi, length, d)
-                sums[rows[lo:hi]] = np.sum(row_terms, axis=1)
+            for length, rows in _length_order(np.flatnonzero(np.tile(separated, 2)), lengths,
+                                              2 * cells):
+                row_terms = terms(rows, length, d)
+                sums[rows] = np.sum(row_terms, axis=1)
                 weighted = np.multiply(row_terms, np.arange(length, dtype=np.float64),
-                                       out=scratch_buffer[:(hi - lo) * length].reshape(-1, length))
-                moments[rows[lo:hi]] = np.sum(weighted, axis=1)
+                                       out=scratch_buffer[:len(rows) * length].reshape(-1, length))
+                moments[rows] = np.sum(weighted, axis=1)
             moments += starts * sums  # k counted from each window's first cell
             points = np.flatnonzero(separated)
             px, py = sums[points], sums[points + n]
-            value = px * (d * py - moments[points + n]) - moments[points] * py
-            values[points] = np.ldexp(value, -(shift[points] + shift[points + n])) / d
-        out.append(values)
+            values[points] = px * (d * py - moments[points + n]) - moments[points] * py
+        out.append(np.ldexp(values, -(shift[:n] + shift[n:])) / d)
     return out
 
 

@@ -721,7 +721,7 @@ class TestErrorKernelOverDimensions:
             assert max(rows) * length <= 2 * comb._BLOCK_ELEMENTS, length
         for d in (1, 40):
             assert max(seen[d]) == 2 * min(len(x), comb._BLOCK_ELEMENTS // d), d
-        assert len(seen) > 4  # the windows of d = 400 and 1000 take more lengths
+        assert len(seen) > 4  # the windows of d = 1000 take more lengths
 
 
 # the work gap of fig2's grid (beta E = 0.7) where mu = x/(1-x) + y/(1-y) is 1
