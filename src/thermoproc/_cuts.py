@@ -36,11 +36,16 @@ the row, so that the rows of one d take at most 32 lengths.  A point
 whose windows end at bx and by with bx + by <= d + 1 holds only cells
 with j + k < d, and its value is the separated form
 (Px (d Py - Qy) - Qx Py) / d of the windows' sums P of the terms and Q
-of k times the terms.  Any other point takes one window [a, a + L) of
-the x row, the union of its own and its y window's mirror image
-k = d - 1 - j, and the y window [d - a - L, d - a), so that the bracket
-of cell k of the x window meets cell d - 1 - k of the y window, as in
-the whole rows.  A point whose Gaussian windows, 9.3 tilted standard
+of k times the terms.  On fig2-dense's 2000-point grid (beta E = 0.7) at
+d = 1000, 46% of the points take that form; through the mirrored union
+below, the windows would keep 72% of the whole rows' cells rather than
+43%, and a serial call took 44 ms rather than 26 ms (the 7-d call of
+fig2-dense 74 ms rather than 55 ms; medians of 9 calls in each of five
+alternating processes, 2-CPU x86 host).  Any other point takes one
+window [a, a + L) of the x row, the union of its own and its y window's
+mirror image k = d - 1 - j, and the y window [d - a - L, d - a), so
+that the bracket of cell k of the x window meets cell d - 1 - k of the
+y window, as in the whole rows.  A point whose Gaussian windows, 9.3 tilted standard
 deviations (the 2^-62 tail of a normal law) about each tilted mean, are
 not separated and leave less than a grain uncut at either end of that
 union keeps its whole rows without the bounds above; so does a point of

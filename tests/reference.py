@@ -94,7 +94,9 @@ def I_d_fraction(d, x, y):
 def I_d_window_fraction(d, x, y, ax, lx, ay, ly):
     """Exact I_d over the cells of two windows alone: the sum of
     (d - j - k)^+ f_d(k) x^k (1-x)^d f_d(j) y^j (1-y)^d / d over the cells
-    ax <= k < ax + lx of the x row and ay <= j < ay + ly of the y row."""
+    ax <= k < ax + lx of the x row and ay <= j < ay + ly of the y row.
+    Cell k meets the y cells ay <= j < min(ay + ly, d - k), over which the
+    sums of the terms and of j times them are differences of prefix sums."""
     def terms(x):
         t = (1 - x) ** d
         out = [t]
@@ -104,9 +106,15 @@ def I_d_window_fraction(d, x, y, ax, lx, ay, ly):
         return out
 
     tx, ty = terms(x), terms(y)
+    sums, moments = [0 * ty[0]], [0 * ty[0]]  # over the cells j < i, at i
+    for j, t in enumerate(ty):
+        sums.append(sums[-1] + t)
+        moments.append(moments[-1] + j * t)
     total = 0 * tx[0]
     for k in range(ax, ax + lx):
-        total += tx[k] * sum((d - j - k) * ty[j] for j in range(ay, min(ay + ly, d - k)))
+        hi = min(ay + ly, d - k)
+        if hi > ay:
+            total += tx[k] * ((d - k) * (sums[hi] - sums[ay]) - (moments[hi] - moments[ay]))
     return total / d
 
 

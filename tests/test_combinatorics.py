@@ -771,10 +771,31 @@ class TestErrorKernelWindows:
                              text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.split() == ["False", "True"]
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 200), st.integers(0, 1023), st.integers(0, 1023), st.booleans())
+    @pytest.mark.parametrize("d, a, b", [(600, 212, 157), (700, 177, 191), (700, 192, 176),
+                                         (750, 183, 180)])
+    def test_windows_spanning_more_than_2_to_the_1022(self, d, a, b):
+        # the first term of such a window lies more than 2^1022 below its
+        # largest, and the running product carries its error into every term
+        x, y = Fraction(a, 256), Fraction(b, 256)
+        ax, lx, ay, ly, *_ = (int(v[0, 0]) for v in comb._windows(
+            [d], np.array([float(x)]), np.array([float(y)])))
+
+        def span(q, start, length):
+            terms = [math.comb(d - 1 + k, k) * q ** k for k in range(start, start + length)]
+            return max(terms) / terms[0]
+
+        assert max(span(x, ax, lx), span(y, ay, ly)) > 2 ** 1022
+        exact = comb.I_d_eval(d, x, y)
+        assert exact > 1e-300
+        assert abs(Fraction(comb.I_d_eval(d, float(x), float(y))) - exact) <= 1e-13 * exact
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(st.integers(1, 200), st.integers(comb._WINDOW_MIN_D, comb.MAX_FLOAT_D)),
+           *[st.one_of(st.integers(0, 1023), st.integers(560, 880))] * 2, st.booleans())
     def test_property_dyadic_points(self, d, a, b, every_d):
-        # every_d: windows at every d, so that they also cut rows of d <= 200
+        # every_d: windows at every d, so that they also cut rows of d <= 200.
+        # From d = 515 on, x and y from 560/1024 to 880/1024 give windows
+        # whose largest term exceeds the first by more than 2^1022.
         x, y = Fraction(a, 1024), Fraction(b, 1024)
         exact = comb.I_d_eval(d, x, y)
         with pytest.MonkeyPatch.context() as mp:
@@ -786,17 +807,22 @@ class TestErrorKernelWindows:
             assert abs(Fraction(got) - exact) <= 1e-13 * exact
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 80), st.integers(0, 63), st.integers(0, 63))
+    @given(st.one_of(st.integers(2, 80), st.integers(comb._WINDOW_MIN_D, comb.MAX_FLOAT_D)),
+           st.integers(0, 63), st.integers(0, 63))
     def test_property_windows_drop_at_most_2_to_the_minus_60(self, d, a, b):
-        # the cells outside the windows, summed exactly
+        # the cells outside the windows, summed exactly; a point of neither
+        # form has a value below 2^-1075, whose nearest double is 0
         x, y = Fraction(a, 64), Fraction(b, 64)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(comb, "_WINDOW_MIN_D", 1)
             ax, lx, ay, ly, mirror, separated = (int(v[0, 0]) for v in comb._windows(
                 [d], np.array([float(x)]), np.array([float(y)])))
         exact = comb.I_d_eval(d, x, y)
-        kept = I_d_window_fraction(d, x, y, ax, lx, ay, ly) if mirror or separated else 0
-        assert 0 <= exact - kept <= exact / 2 ** 60
+        if mirror or separated:
+            kept = I_d_window_fraction(d, x, y, ax, lx, ay, ly)
+            assert 0 <= exact - kept <= exact / 2 ** 60
+        else:
+            assert exact < Fraction(1, 2 ** 1075)
 
 
 class TestNegativeBinomialMean:
