@@ -21,22 +21,22 @@ sampled once at d >= 2000, where one run takes 0.4 s or more.
 
 Batched wavefront: d = 1..d_max, d_max in {30, 200, 400}, cut into
 ``wavefront_blocks`` with one ``run_wavefront`` call per block, against one
-sweep per d by the kernel ``memory`` picks for a single row (the loop below
-``memory.WAVEFRONT_MIN_WIDTH``, a one-row wavefront from there on).  Every
-row must leave the same bytes as the per-d sweeps.
+``memory_sweep`` per d, a one-row wavefront, as the evaluator runs a single
+row.  Every row must leave the same bytes as the per-d sweeps.
 
 Narrow pair sweep: the pair step (g, e) -> (g', e') of every cooling round
 below ``RESPONSE_MIN_D``, the step ``memory.swap_round(d, gamma)`` returns
-(one row of ``memory._protocol_totals``), at d in {1, 2, 4, 8}, built
-once, on Python floats alone, in microseconds per call, against a
-numpy-vector pair step (the vector filled by ``np.full`` and one slice
-write, swept by the loop, its blocks summed by one ``np.add.reduce``);
-samples of ``NARROW_CALLS`` calls.  Both must give the same bytes.
+(the list loop, to the bits of one row of ``memory._protocol_totals``), at
+d in {1, 2, 4, 8}, built once, on Python floats alone, in microseconds per
+call, against a numpy-vector pair step (the vector filled by ``np.full``
+and one slice write, swept by the loop, its blocks summed by one
+``np.add.reduce``); samples of ``NARROW_CALLS`` calls.  Both must give the
+same bytes.
 
-Wide single sweeps: one ``simulate_memory_beta_swap`` call at d in
-{128, 200, 400}, a one-row batch of the evaluator, against the
-numpy-vector pair step (a one-row wavefront inside ``memory_sweep``); both
-must give the same bytes.
+Single sweeps: one ``simulate_memory_beta_swap`` call at d in {2, 8, 128,
+200, 400}, a one-row batch of the evaluator, against the numpy-vector pair
+step swept by ``memory_sweep`` (a one-row wavefront); both must give the
+same bytes.  At d = 2 and 8 the row is as small as a qutrit point's.
 
 Incoherent rounds: one 50-round incoherent MMTP run (E = 1, script_E = 2,
 beta = 1, beta_hot = 0.2) at d in {1, 8, 64} by ``cool_incoherent``, against
@@ -153,8 +153,7 @@ from thermoproc.combinatorics import (I_d_eval, I_nm_eval, K_eval, L_eval, delta
                                       delta_d_column)
 from thermoproc.cooling import cool_incoherent
 from thermoproc.core import clip_noise
-from thermoproc.memory import (RESPONSE_MIN_D, WAVEFRONT_MIN_WIDTH,
-                               simulate_memory_beta_swap, swap_round)
+from thermoproc.memory import RESPONSE_MIN_D, simulate_memory_beta_swap, swap_round
 from thermoproc.reachable import (bary_xy, convex_hull_xy, etp_orbit_points,
                                   qutrit_mmtp2_vertices)
 from thermoproc.workx import ExtractionSetup, memory_extraction_grid
@@ -170,7 +169,7 @@ SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
 NARROW_DIMS = (1, 2, 4, 8)
 NARROW_CALLS = 400
-WIDE_SCALAR_DIMS = (128, 200, 400)
+WIDE_SCALAR_DIMS = (2, 8, 128, 200, 400)
 INCOHERENT = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
 INCOHERENT_DIMS = (1, 8, 64)
 RESPONSE_DIMS = (32, 48, 64, 256, 1000)
@@ -308,13 +307,6 @@ def run_table(table, repeats):
     return failed
 
 
-def sweep(vec, d, weight, base_a, base_b):
-    """One sweep by the kernel ``memory`` picks for a single row: the loop
-    below ``WAVEFRONT_MIN_WIDTH``, a one-row wavefront from there on."""
-    kernel = _memory_sweep_py if d < WAVEFRONT_MIN_WIDTH else memory_sweep
-    kernel(vec, d, weight, base_a, base_b)
-
-
 def swept(kernel, vec, d):
     """A copy of ``vec`` swept by ``kernel`` at gamma = 0.75."""
     work = vec.copy()
@@ -356,25 +348,26 @@ def batch_table():
         ds = list(range(1, d_max + 1))
         vecs = [rng.random(2 * d) / (2 * d) for d in ds]
         rows.append(Row(f"d = 1..{d_max}",
-                        lambda vecs=vecs, ds=ds: list(map(partial(swept, sweep), vecs, ds)),
+                        lambda vecs=vecs, ds=ds: list(map(partial(swept, memory_sweep), vecs, ds)),
                         partial(sweep_batch, vecs, ds),
                         cells=(str(sum(d * d for d in ds)),)))
     return Table("batched wavefront", "sweeps", rows, cells=("thermalizations",),
                  times=("one by one [ms]", "wavefront [ms]"))
 
 
-def pair_step_on_vector(d, gamma, p_ground, p_excited):
+def pair_step_on_vector(kernel, d, gamma, p_ground, p_excited):
     """A pair step on a numpy vector: the populations spread over the slots,
-    swept by ``sweep`` and summed by one reduction."""
+    swept by ``kernel`` and summed by one reduction."""
     vec = np.full(2 * d, p_excited / d)
     vec[:d] = p_ground / d
-    sweep(vec, d, gamma, 0, d)
+    kernel(vec, d, gamma, 0, d)
     return np.add.reduce(vec.reshape(2, d), axis=1).tolist()
 
 
 def narrow_table():
     masses = np.random.default_rng(2).random((NARROW_CALLS, 2)).tolist()
-    rows = [Row(str(d), lambda d=d: [pair_step_on_vector(d, 0.75, g, e) for g, e in masses],
+    rows = [Row(str(d), lambda d=d: [pair_step_on_vector(_memory_sweep_py, d, 0.75, g, e)
+                                     for g, e in masses],
                 lambda step=swap_round(d, 0.75): [list(step(g, e)) for g, e in masses])
             for d in NARROW_DIMS]
     return Table(f"narrow pair sweep, {NARROW_CALLS} calls", "d", rows,
@@ -384,7 +377,7 @@ def narrow_table():
 
 def wide_table():
     p0, gamma = 0.25, 0.75
-    rows = [Row(str(d), lambda d=d: pair_step_on_vector(d, gamma, p0, 1.0 - p0)[0],
+    rows = [Row(str(d), lambda d=d: pair_step_on_vector(memory_sweep, d, gamma, p0, 1.0 - p0)[0],
                 partial(simulate_memory_beta_swap, d, p0, gamma))
             for d in WIDE_SCALAR_DIMS]
     return Table("one simulate_memory_beta_swap call", "d", rows,

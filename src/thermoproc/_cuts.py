@@ -45,11 +45,8 @@ alternating processes, 2-CPU x86 host).  Any other point takes one
 window [a, a + L) of the x row, the union of its own and its y window's
 mirror image k = d - 1 - j, and the y window [d - a - L, d - a), so
 that the bracket of cell k of the x window meets cell d - 1 - k of the
-y window, as in the whole rows.  A point whose Gaussian windows, 9.3 tilted standard
-deviations (the 2^-62 tail of a normal law) about each tilted mean, are
-not separated and leave less than a grain uncut at either end of that
-union keeps its whole rows without the bounds above; so does a point of
-two whole windows."""
+y window, as in the whole rows.  A point of two whole windows keeps its
+whole rows."""
 
 from __future__ import annotations
 
@@ -111,29 +108,16 @@ def cut_windows(d, x, y):
     """``combinatorics._windows`` at each (d, x, y) of three equal-length
     1-D arrays: (ax, lx, ay, ly, mirror, separated), each a flat array."""
     grain = np.ceil(d / 32.0)
-    ax, ay = np.zeros_like(d), np.zeros_like(d)
-    lx, ly = d.copy(), d.copy()
-    mirror, separated = np.ones(len(d), dtype=bool), np.zeros(len(d), dtype=bool)
     mu = x / (1.0 - x) + y / (1.0 - y)
     z = np.divide(1.0, x + y + np.sqrt(x * x - x * y + y * y), out=np.ones_like(x),
                   where=mu > 1.0)
     tx, ty = x * z, y * z
     mean_x, mean_y = tx / (1.0 - tx), ty / (1.0 - ty)
-    var_x, var_y = mean_x / (1.0 - tx), mean_y / (1.0 - ty)
-    spread = math.sqrt(124.0 * math.log(2.0))
-    reach_x, reach_y = spread * np.sqrt(var_x / d), spread * np.sqrt(var_y / d)
-    # the Gaussian union, in cells per d: [min(ax, d - by), max(bx, d - ay))
-    low = np.minimum(mean_x - reach_x, 1.0 - mean_y - reach_y)
-    high = np.maximum(mean_x + reach_x, 1.0 - mean_y + reach_y)
-    span = mean_x + reach_x + mean_y + reach_y
-    live = np.flatnonzero((low * d > grain) | (high * d < d - grain) | (span * d <= d + 1.0))
-    d, grain, x, y, z, mu = d[live], grain[live], x[live], y[live], z[live], mu[live]
-    tx, ty, mean_x, mean_y = tx[live], ty[live], mean_x[live], mean_y[live]
     floor = sys.float_info.min
     with np.errstate(divide="ignore", invalid="ignore"):
         log_x, log_y = np.log(x), np.log(y)
         log1m_x, log1m_y = np.log1p(-x), np.log1p(-y)
-        var = var_x[live] + var_y[live]
+        var = mean_x / (1.0 - tx) + mean_y / (1.0 - ty)
         s0 = np.clip(np.floor(d * (np.minimum(mean_x + mean_y, 1.0) - np.sqrt(var / d))),
                      0.0, d - 1.0)
         k0 = np.floor(s0 * np.where(mean_x > 0.0, mean_x / (mean_x + mean_y), 0.0))
@@ -180,16 +164,12 @@ def cut_windows(d, x, y):
     grain2 = np.tile(grain, 2)
     lengths = np.minimum(np.ceil((ends - starts) / grain2) * grain2, d2)
     starts = np.minimum(starts, d2 - lengths)
-    k = len(live)
+    k = len(d)
     a_x, a_y, l_x, l_y = starts[:k], starts[k:], lengths[:k], lengths[k:]
     split = (l_x < d) & (l_y < d) & (a_x + l_x + a_y + l_y <= d + 1)
     lo = np.minimum(a_x, d - a_y - l_y)
     length = np.minimum(np.ceil((np.maximum(a_x + l_x, d - a_y) - lo) / grain) * grain, d)
     lo = np.minimum(lo, d - length)
-    ax[live] = np.where(split, a_x, lo)
-    lx[live] = np.where(split, l_x, length)
-    ay[live] = np.where(split, a_y, d - lo - length)
-    ly[live] = np.where(split, l_y, length)
-    mirror[live] = ~split & ~zero
-    separated[live] = split & ~zero
-    return ax, lx, ay, ly, mirror, separated
+    return (np.where(split, a_x, lo), np.where(split, l_x, length),
+            np.where(split, a_y, d - lo - length), np.where(split, l_y, length),
+            ~split & ~zero, split & ~zero)

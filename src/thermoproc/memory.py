@@ -38,19 +38,17 @@ at most 1.1e-15.  From d = 48 on, 50 rounds on M stay within 1e-14 of a
 long-double reference (at most 4.2e-15 in the tests' cases, where per-round
 sweeps reach 1.6e-14).
 
-The evaluator alone picks the sweep kernel, from the input size.  A numpy
-call costs about a microsecond whatever its length, so the wavefront pays
-off only when anti-diagonals are long.  A single row narrower than
-``WAVEFRONT_MIN_WIDTH`` (a cooling round below ``RESPONSE_MIN_D``, one swap,
-a qutrit point) makes no numpy call, whose fixed cost would outweigh its
-few cells: it runs the one list loop of ``_kernels`` (``_sweep_lists``) on
-lists of Python floats and sums each block with ``_pairwise_sum``, in the
-order numpy's reduction sums a contiguous float64 array.  Anything else runs
-batched wavefronts, one ``run_wavefront`` call per sweep and block of rows,
-at any d, since a batch's anti-diagonals span all of its rows: d = 1..30
-costs about two thirds of one sweep per d, and d = 1..200 a tenth to a
-fifth.  Both give a row the bits of its sweeps on a numpy vector summed
-block by block, so a row's totals do not depend on the batch it runs in.
+The evaluator runs batched wavefronts, one ``run_wavefront`` call per sweep
+and block of rows, for any rows at any d: a batch's anti-diagonals span all
+of its rows, so d = 1..30 costs about two thirds of one sweep per d, and
+d = 1..200 a tenth to a fifth.  A row's totals are the bits of its sweeps on
+a numpy vector summed block by block, so they do not depend on the batch it
+runs in.  The per-round sweep of ``swap_round`` is the one other caller of a
+kernel: a cooling run makes up to 50 of them on a few cells each, where a
+numpy call's fixed cost of about a microsecond would outweigh the work.  So
+it runs the list loop of ``_kernels`` (``_sweep_lists``) on Python floats
+and sums each block with ``_pairwise_sum``, in the order numpy's reduction
+sums a contiguous float64 array: the bits of a one-row evaluator call.
 """
 
 from __future__ import annotations
@@ -60,17 +58,6 @@ import numpy as np
 from ._kernels import _sweep_lists, run_wavefront, wavefront_blocks
 from .combinatorics import _require_int
 
-# the width from which a single row takes the wavefront.  Two measurements on
-# shared 2-CPU x86 hosts disagree: one put the break-even of the list loop
-# and a one-row wavefront between d = 124 and d = 140 (three interleaved
-# runs), a later one near d = 80, where ``simulate_memory_beta_swap`` took
-# 0.51-0.54 ms as the loop against 0.52-0.53 ms as the wavefront, and
-# 0.85-0.87 against 0.42-0.43 ms at d = 127.  The benchmark cannot settle
-# it: the only single-row calls of its three workloads have d in
-# {1, 2, 4, 6, 8} (976 per default-suite pass, 400 per sweep-scaled one).
-# Both paths give the same bits, so the constant changes no output.
-WAVEFRONT_MIN_WIDTH = 128
-
 # the memory dimension from which ``swap_round`` steps through the swap's
 # matrix; see the module docstring for why smaller d keep the per-round sweep
 RESPONSE_MIN_D = 48
@@ -79,8 +66,9 @@ RESPONSE_MIN_D = 48
 def _pairwise_sum(values):
     """The sum of a list of at most 128 Python floats in numpy's pairwise
     order, to the bits of ``np.add.reduce`` on the same values as a float64
-    array.  Its one caller sums a block of the narrow path, which runs only
-    below ``WAVEFRONT_MIN_WIDTH`` (128) slots, so at most 127 values.
+    array.  Its one caller sums a block of ``swap_round``'s per-round sweep,
+    which runs only below ``RESPONSE_MIN_D`` slots, so at most
+    ``RESPONSE_MIN_D`` - 1 values.
 
     Below 8 values numpy adds them in order from 0.0.  Up to 128 it keeps
     eight running sums, r_j of the values at j, j + 8, ... below the largest
@@ -117,26 +105,9 @@ def _protocol_totals(ds, sweeps, start, read):
     parse of a list of rows.  ``sweeps`` lists the block sweeps
     ``(outer, inner, weight)`` in order, outer != inner, the weight one
     float or one per row.  With b rows of one d, ``start`` the identity and
-    ``read`` every block, ``totals`` is the protocol's matrix M.  The kernel
-    is chosen here, from the size (see the module docstring).
+    ``read`` every block, ``totals`` is the protocol's matrix M.  Every
+    call runs batched wavefronts (see the module docstring).
     """
-    if len(ds) == 1 and ds[0] < WAVEFRONT_MIN_WIDTH:
-        # loops, not comprehensions, which cost a function call each
-        d = ds[0]
-        masses = start[0]
-        if isinstance(masses, np.ndarray):  # a row of a broadcast start
-            masses = masses.tolist()
-        slots = []
-        for mass in masses:
-            slots.append([mass / d] * d)
-        for outer, inner, weight in sweeps:
-            if type(weight) is not float:  # one weight per row, or not a float
-                weight = float(np.ravel(weight)[0])
-            _sweep_lists(slots[outer], slots[inner], weight)
-        totals = []
-        for k in read:
-            totals.append([_pairwise_sum(slots[k])])
-        return totals
     start = np.asarray(start, dtype=np.float64)
     sizes = np.array(ds, dtype=np.float64)[:, None]
     weights = [np.asarray(weight, dtype=np.float64) for _, _, weight in sweeps]
@@ -160,17 +131,19 @@ def swap_round(d: int, gamma: float):
     the ground and excited totals of the pair after one swap simulation with
     a fresh d-level memory, two Python floats.
 
-    Below ``RESPONSE_MIN_D`` each call runs one evaluator row; from there on
+    Below ``RESPONSE_MIN_D`` each call sweeps the pair's slots by the list
+    loop, to the bits of a one-row ``_protocol_totals`` call; from there on
     the calls step through the swap's matrix, built once here.
     """
-    swap = ((0, 1, gamma),)
     if d < RESPONSE_MIN_D:
-        ds = [d]
+        weight = float(gamma)
 
         def step(g, e):
-            (g_out,), (e_out,) = _protocol_totals(ds, swap, ((g, e),), (0, 1))
-            return g_out, e_out
+            a, b = [g / d] * d, [e / d] * d
+            _sweep_lists(a, b, weight)
+            return _pairwise_sum(a), _pairwise_sum(b)
         return step
+    swap = ((0, 1, gamma),)
     (a_g, b_g), (a_e, b_e) = _protocol_totals([d, d], swap, ((1.0, 0.0), (0.0, 1.0)), (0, 1))
 
     def step(g, e):

