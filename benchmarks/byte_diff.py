@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Report, value by value, how two thermoproc output directories differ.
 
-For every CSV in either directory this prints, per column, the number of
-changed values, the largest absolute and relative change between the old
+Both directories are walked with their subdirectories, and each file is
+compared with the one at the same path relative to its directory, named by
+that path.  For every CSV on either side this prints, per column, the number
+of changed values, the largest absolute and relative change between the old
 and the new value, and the first changed row (1-based, counting data rows).
-It names the CSVs that only one directory has, a changed row count, columns
-that only one side has, and changed ``#`` comment lines.  For
+It names the CSVs that only one side has, a changed row count, columns that
+only one side has, and changed ``#`` comment lines.  For each
 ``validation_report.json`` it prints each check's old and new ``deviation``
 and ``passed``.  ``run_manifest.json`` is left out: its wall time differs
 between any two runs.
@@ -66,11 +68,11 @@ def column_changes(old, new):
     return changed, max_abs, max_rel, first
 
 
-def diff_csv(old_path, new_path):
-    """Print the per-column changes of one CSV; whether its bytes differ."""
+def diff_csv(name, old_path, new_path):
+    """Print the per-column changes of the CSV ``name``; whether its bytes differ."""
     old_comments, old_columns, old_rows = read_csv(old_path)
     new_comments, new_columns, new_rows = read_csv(new_path)
-    print(f"{old_path.name}: {len(old_rows)} -> {len(new_rows)} rows")
+    print(f"{name}: {len(old_rows)} -> {len(new_rows)} rows")
     for line in sorted(set(old_comments) ^ set(new_comments)):
         print(f"  comment {'-' if line in old_comments else '+'} {line}")
     for name in old_columns:
@@ -91,12 +93,12 @@ def diff_csv(old_path, new_path):
     return old_path.read_bytes() != new_path.read_bytes()
 
 
-def diff_report(old_path, new_path):
-    """Print each check's old and new deviation and verdict; whether the
-    report's bytes differ."""
+def diff_report(name, old_path, new_path):
+    """Print each check's old and new deviation and verdict in the report
+    ``name``; whether the report's bytes differ."""
     old = {c["name"]: c for c in json.loads(old_path.read_text())["checks"]}
     new = {c["name"]: c for c in json.loads(new_path.read_text())["checks"]}
-    print(f"{REPORT}:")
+    print(f"{name}:")
     print(f"  {'check':<36} {'old deviation':>23} {'new deviation':>23} "
           f"{'old passed':>10} {'new passed':>10}")
     for name in [*old, *(n for n in new if n not in old)]:
@@ -113,9 +115,8 @@ def main(argv=None):
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
     old_dir, new_dir = map(Path, argv)
-    names = sorted({p.name for d in (old_dir, new_dir) for p in d.glob("*.csv")})
-    if (old_dir / REPORT).exists() or (new_dir / REPORT).exists():
-        names.append(REPORT)
+    names = sorted({p.relative_to(d).as_posix() for d in (old_dir, new_dir)
+                    for pattern in ("*.csv", REPORT) for p in d.rglob(pattern)})
     differs = False
     for name in names:
         old, new = old_dir / name, new_dir / name
@@ -123,7 +124,7 @@ def main(argv=None):
             print(f"{name}: only in {'OLD' if old.exists() else 'NEW'}")
             differs = True
             continue
-        differs |= (diff_report if name == REPORT else diff_csv)(old, new)
+        differs |= (diff_report if old.name == REPORT else diff_csv)(name, old, new)
     print("differs" if differs else "byte-identical")
     return 1 if differs else 0
 

@@ -47,7 +47,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Callable
 
@@ -55,7 +54,7 @@ import numpy as np
 
 from . import __version__
 from .memory import _p_d, simulate_memory_beta_swap
-from .combinatorics import (DELTA_GAMMA_MARGIN, MAX_FLOAT_D, catalan_tail_bound,
+from .combinatorics import (DELTA_GAMMA_MARGIN, MAX_FLOAT_D, I_d_eval, catalan_tail_bound,
                             delta_d_column)
 
 # imported by the code that runs them; see the module docstring
@@ -232,12 +231,10 @@ class ExperimentConfig:
         if experiment == "fig2":
             from . import workx
 
-            # I_d takes x = 1 - gamma_delta, largest at the smallest W
+            # I_d takes x = 1 - gamma_delta, largest at the smallest W; x is
+            # NaN where e^(beta_E - W) overflows, which the test rejects too
             w = min(params["w_min"], params["w_max"])
-            try:
-                x = 1.0 - workx.ExtractionSetup(params["beta_E"], w, 1.0).gamma_delta
-            except OverflowError:  # e^(beta_E - W) overflows: gamma_delta is 0
-                x = 1.0
+            x = workx.extraction_closed_forms(params["beta_E"], (w,), 1.0)[3][0]
             if not x < 1.0:
                 raise ConfigError(
                     "params.beta_E", "1 - gamma_delta = 1 - 1/(1 + e^(beta_E - W)) rounds "
@@ -306,58 +303,73 @@ class RunManifest:
         return out
 
 
-def _spec(kind: type) -> str:
-    """The %-conversion that prints a value of type ``kind``: floats with 17
-    significant digits, anything else as ``str`` prints it."""
-    return "%.17g" if issubclass(kind, (float, np.floating)) else "%s"
-
-
 def _fmt(value) -> str:
-    return _spec(type(value)) % (value,)
+    """A header value: a float with 17 significant digits, anything else as
+    ``str`` prints it."""
+    return ("%.17g" if isinstance(value, (float, np.floating)) else "%s") % (value,)
 
 
-def _write_csv(path: Path, header_meta: dict, columns, rows, title=None):
-    """Write rows of numbers and labels under a commented header titled
-    ``title`` (the file's stem if None); a NaN or infinite number raises
-    OutputError naming its row and column, and nothing is written."""
+# the %-conversion of each kind of column: labels, integers, floats
+_COLUMN_KINDS = ((str, "%s"), ((int, np.integer), "%d"), ((float, np.floating), "%.17g"))
+
+
+def _column_spec(name, values) -> str:
+    """The one %-conversion that prints every value of a column."""
+    types = set(map(type, values))
+    for kind, spec in _COLUMN_KINDS:
+        if all(issubclass(t, kind) for t in types):
+            return spec
+    raise ValueError(f"column {name} mixes value types "
+                     f"{sorted(t.__name__ for t in types)}; it takes labels, "
+                     "integers or floats alone")
+
+
+def _write_csv(path: Path, header_meta: dict, names, *columns, title=None):
+    """Write one column of values per name in ``names`` under a commented
+    header titled ``title`` (the file's stem if None), and return the path.
+
+    Each column prints in one format, chosen from its values' types: labels
+    as they are, integers as decimals, floats (Python or numpy) with 17
+    significant digits.  Nothing is written when a column mixes these kinds
+    or the columns differ in length (ValueError), or when a float is NaN or
+    infinite (OutputError, naming the first such cell in row order).
+    """
+    if len(columns) != len(names) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{path}: {len(names)} column names for columns of "
+                         f"lengths {[len(c) for c in columns]}")
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    specs = [_column_spec(name, c) for name, c in zip(names, columns)]
+    # (row, column) of each float column's first non-finite value
+    bad = [(next(i for i, v in enumerate(c) if not math.isfinite(v)), j)
+           for j, (c, spec) in enumerate(zip(columns, specs))
+           if spec == "%.17g" and not all(map(math.isfinite, c))]
+    if bad:
+        row, j = min(bad)
+        raise OutputError(f"{path}: non-finite value in data row {row + 1}, "
+                          f"column {names[j]}")
     lines = [f"# thermoproc {title or path.stem} v{SCHEMA_VERSION}"]
-    for key in sorted(header_meta):
-        lines.append(f"# {key}={_fmt(header_meta[key])}")
-    lines.append(",".join(columns))
-    formats = {}  # per sequence of value types: row template, which cells are numbers
-    for i, row in enumerate(rows, 1):
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = (",".join(map(_spec, kinds)),
-                                    [not issubclass(k, str) for k in kinds])
-        template, numbers = fmt
-        if not all(map(math.isfinite, compress(row, numbers))):
-            column = next(c for c, v in compress(zip(columns, row), numbers)
-                          if not math.isfinite(v))
-            raise OutputError(f"{path}: non-finite value in data row {i}, column {column}")
-        lines.append(template % tuple(row))
+    lines += [f"# {key}={_fmt(header_meta[key])}" for key in sorted(header_meta)]
+    lines.append(",".join(names))
+    lines += map(",".join(specs).__mod__, zip(*columns))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-def _fig2_rows(p):
-    """Per work gap W: W, the TP/ETP/MTP errors and the memory error at each
-    d, which comes from one array call over the whole W grid per d.  The
-    setups are freed on return, before the CSV text is built."""
+def _fig2_columns(p):
+    """The W grid, the TP/ETP/MTP errors and the memory error at each d, one
+    array each: the closed forms in one pass over the grid, then one I_d
+    call on their x and y."""
     from . import workx
 
     ws = np.linspace(p["w_min"], p["w_max"], p["w_points"])
-    setups = [workx.ExtractionSetup(p["beta_E"], float(bw), 1.0) for bw in ws]
-    eps_d = zip(*(e.tolist() for e in workx.epsilon_d_grid(setups, p["d_list"])))
-    return [[bw, workx.epsilon_tp(st), workx.epsilon_etp(st), workx.epsilon_mtp(st), *eds]
-            for bw, st, eds in zip(ws, setups, eps_d)]
+    tp, etp, mtp, x, y = workx.extraction_closed_forms(p["beta_E"], ws, 1.0)
+    return [ws, tp, etp, mtp, *I_d_eval(p["d_list"], x, y)]
 
 
 def _emit_fig2(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
-    columns = ["W", "eps_tp", "eps_etp", "eps_mtp"] + [f"eps_d{d}" for d in p["d_list"]]
-    path = _write_csv(outdir / "fig2.csv", cfg.echo()["params"], columns, _fig2_rows(p))
+    names = ["W", "eps_tp", "eps_etp", "eps_mtp"] + [f"eps_d{d}" for d in p["d_list"]]
+    path = _write_csv(outdir / "fig2.csv", cfg.echo()["params"], names, *_fig2_columns(p))
     return [path]
 
 
@@ -368,11 +380,17 @@ def _emit_fig3(cfg: ExperimentConfig, outdir: Path):
     gamma, depth = p["gamma"], p["depth"]
     regions = [reachable.tp_region(gamma), reachable.etp_orbit_hull(gamma, depth),
                reachable.mtp_mixing_path(gamma), *reachable.mmtp2_point_regions(gamma)]
-    rows = [[r.tag, r.kind, i, *probs, *xy] for r in regions
-            for i, (probs, xy) in enumerate(zip(r.vertices.tolist(), r.xy().tolist()))]
-    columns = ["region", "kind", "index", "p_g", "p_e1", "p_e2", "x", "y"]
-    path = _write_csv(outdir / "fig3_regions.csv", cfg.echo()["params"], columns, rows,
-                      "qutrit regions")
+    tags, kinds, index = [], [], []
+    for r in regions:
+        n = len(r.vertices)
+        tags += [r.tag] * n
+        kinds += [r.kind] * n
+        index += range(n)
+    probs = np.concatenate([r.vertices for r in regions])
+    xy = np.concatenate([r.xy() for r in regions])
+    names = ["region", "kind", "index", "p_g", "p_e1", "p_e2", "x", "y"]
+    path = _write_csv(outdir / "fig3_regions.csv", cfg.echo()["params"], names,
+                      tags, kinds, index, *probs.T, *xy.T, title="qutrit regions")
     return [path]
 
 
@@ -390,34 +408,29 @@ def _emit_cooling(cfg: ExperimentConfig, outdir: Path):
         simulate, closed_form = cooling.cool_incoherent, cooling.incoherent_closed_form
         kw = {k: p[k] for k in ("E", "script_E", "beta", "beta_hot")}
         meta["p_star"] = cooling.IncoherentSetting(**kw).p_star
-    columns = ["round"]
-    rows = [[n] for n in range(1, p["rounds"] + 1)]
+    names, columns = ["round"], [range(1, p["rounds"] + 1)]
     classes = [("tp", "TP", None), ("mtp", "MTP", None)]
     classes += [(f"mmtp_d{d}", "MMTP", d) for d in p["d_list"]]
     for label, process, d in classes:
-        columns += [f"p_{label}", f"p_{label}_closed"]
-        sim = simulate(process, p["rounds"], d=d, **kw)
-        closed = closed_form(process, p["rounds"], d=d, **kw)
-        for row, *values in zip(rows, sim, closed):
-            row += values
+        names += [f"p_{label}", f"p_{label}_closed"]
+        columns += [simulate(process, p["rounds"], d=d, **kw),
+                    closed_form(process, p["rounds"], d=d, **kw)]
     path = _write_csv(outdir / f"{cfg.experiment.replace('-', '_')}.csv", meta,
-                      columns, rows)
+                      names, *columns)
     return [path]
 
 
 def _emit_beta_swap_sweep(cfg: ExperimentConfig, outdir: Path):
     p = cfg.params
     gamma, p0 = p["gamma"], p["p0"]
-    rows = []
     ds = range(1, p["d_max"] + 1)
-    for d, sim, delta in zip(ds, simulate_memory_beta_swap(ds, p0, gamma).tolist(),
-                             delta_d_column(p["d_max"], gamma)):
-        closed = _p_d(p0, gamma, delta)
-        rows.append([d, sim, closed, abs(sim - closed), delta,
-                     catalan_tail_bound(d, gamma)])
-    columns = ["d", "p_sim", "p_closed", "abs_dev", "delta_d", "tail_bound"]
-    path = _write_csv(outdir / "beta_swap_sweep.csv", cfg.echo()["params"],
-                      columns, rows)
+    sim = simulate_memory_beta_swap(ds, p0, gamma)
+    delta = np.array(delta_d_column(p["d_max"], gamma))
+    closed = _p_d(p0, gamma, delta)
+    names = ["d", "p_sim", "p_closed", "abs_dev", "delta_d", "tail_bound"]
+    path = _write_csv(outdir / "beta_swap_sweep.csv", cfg.echo()["params"], names,
+                      ds, sim, closed, np.abs(sim - closed), delta,
+                      [catalan_tail_bound(d, gamma) for d in ds])
     return [path]
 
 

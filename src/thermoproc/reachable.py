@@ -107,7 +107,7 @@ def qutrit_gibbs(gamma: float) -> np.ndarray:
     return np.array([1.0, q, q]) / (1.0 + 2.0 * q)
 
 
-def qutrit_mmtp2_vertices(gamma: float):
+def qutrit_mmtp2_vertices(gamma):
     """The four memory-assisted vertices (A_1, A_2, B_1, B_2) from [1, 0, 0].
 
     A_s runs the qubit-memory swap simulation between g and e_s and refreshes
@@ -117,15 +117,25 @@ def qutrit_mmtp2_vertices(gamma: float):
     and e2 are degenerate and start empty, so the evaluator does the same
     float operations on the swapped blocks, and A_2, B_2 are the e1 <-> e2
     mirrors of A_1, B_1 to the bit.
+
+    ``gamma`` is one pair weight or a sequence of them; a sequence gives one
+    such list per weight, from one evaluator call per protocol with one
+    weight per row, each vertex bit for bit that of its own call.
     """
-    if not (0.5 < gamma < 1.0):
+    scalar = not hasattr(gamma, "__iter__")
+    gammas = np.array([gamma] if scalar else gamma, dtype=np.float64)
+    # written so that a NaN, which fails every comparison, is rejected
+    if not np.all((0.5 < gammas) & (gammas < 1.0)):
         raise ValueError("gamma must lie in (1/2, 1)")
     # blocks g, e1, e2 (0, 1, 2) of two memory slots each, all the mass on g
+    start = np.broadcast_to((1.0, 0.0, 0.0), (len(gammas), 3))
     (a_g, a_1, a_2), (b_g, b_1, b_2) = (
-        [total for (total,) in _protocol_totals([2], sweeps, ((1.0, 0.0, 0.0),), (0, 1, 2))]
-        for sweeps in (((0, 1, gamma),), ((0, 1, gamma), (0, 2, gamma))))
-    return [PopulationVector(p) for p in ((a_g, a_1, a_2), (a_g, a_2, a_1),
-                                          (b_g, b_1, b_2), (b_g, b_2, b_1))]
+        _protocol_totals([2] * len(gammas), sweeps, start, (0, 1, 2))
+        for sweeps in (((0, 1, gammas),), ((0, 1, gammas), (0, 2, gammas))))
+    vertices = [[PopulationVector(p) for p in ((ag, a1, a2), (ag, a2, a1),
+                                               (bg, b1, b2), (bg, b2, b1))]
+                for ag, a1, a2, bg, b1, b2 in zip(a_g, a_1, a_2, b_g, b_1, b_2)]
+    return vertices[0] if scalar else vertices
 
 
 def etp_orbit_points(gamma: float, depth: int = 8) -> np.ndarray:

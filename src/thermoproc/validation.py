@@ -254,8 +254,7 @@ def check_extraction_readoff():
     tol = 1.0e-9
     gaps = np.linspace(0.05, 2.5, 50)
     read_off = majorization.min_extraction_error_tp(LN2, gaps, 1.0)
-    worst = _worst(*(abs(eps - workx.epsilon_tp(workx.ExtractionSetup(LN2, bw, 1.0)))
-                     for eps, bw in zip(read_off.tolist(), gaps.tolist())))
+    worst = _worst(np.abs(read_off - workx.extraction_closed_forms(LN2, gaps, 1.0)[0]))
     return worst, tol, "50-point work-gap grid at beta_E = ln 2"
 
 
@@ -263,11 +262,8 @@ def check_extraction_readoff():
 def check_extraction_ordering():
     """eps_TP <= eps_ETP <= eps_MTP and the memory errors bracket in between."""
     tol = 1.0e-12
-    setups = [workx.ExtractionSetup(LN2, float(bw), 1.0) for bw in np.linspace(0.05, 3.0, 60)]
-    tp = np.array([workx.epsilon_tp(st) for st in setups])
-    etp = np.array([workx.epsilon_etp(st) for st in setups])
-    mtp = np.array([workx.epsilon_mtp(st) for st in setups])
-    eps = np.array([mtp, *workx.epsilon_d_grid(setups, range(1, 41))])
+    tp, etp, mtp, x, y = workx.extraction_closed_forms(LN2, np.linspace(0.05, 3.0, 60), 1.0)
+    eps = np.array([mtp, *comb.I_d_eval(range(1, 41), x, y)])
     worst = _worst(tp - etp, etp - mtp, tp - eps[1:], np.diff(eps, axis=0))
     return float(worst), tol, "class ordering and monotone memory errors, d <= 40"
 
@@ -289,11 +285,9 @@ def check_memory_extraction_large_d():
     """d = 400 closed form sits within 0.02 of the unrestricted optimum."""
     tol = 0.02
     w0 = workx.ExtractionSetup(LN2, 1.0, 1.0).W_0
-    setups = [workx.ExtractionSetup(LN2, float(bw), 1.0)
-              for bw in np.concatenate([np.linspace(0.2, 0.9 * w0, 8),
-                                        np.linspace(1.1 * w0, 2.5, 8)])]
-    (eps_400,) = workx.epsilon_d_grid(setups, [400])
-    tp = np.array([workx.epsilon_tp(st) for st in setups])
+    gaps = np.concatenate([np.linspace(0.2, 0.9 * w0, 8), np.linspace(1.1 * w0, 2.5, 8)])
+    tp, _etp, _mtp, x, y = workx.extraction_closed_forms(LN2, gaps, 1.0)
+    (eps_400,) = comb.I_d_eval([400], x, y)
     worst = _worst(np.abs(eps_400 - tp))
     return worst, tol, "work gaps at least 10% away from the zero-error threshold"
 
@@ -354,9 +348,9 @@ def check_qutrit_separation():
     needed = 1.0e-6
     deviation = -math.inf  # needed minus the least margin: <= 0 iff all clear the bar
     details = []
-    for g in (0.65, 0.75, 0.85):
+    gammas = (0.65, 0.75, 0.85)
+    for g, (_a1, _a2, b1, b2) in zip(gammas, reachable.qutrit_mmtp2_vertices(gammas)):
         region = reachable.mtp_region(g)
-        _a1, _a2, b1, b2 = reachable.qutrit_mmtp2_vertices(g)
         for label, v in (("B1", b1), ("B2", b2)):
             margin = reachable.hull_margin(region, v.probs)
             deviation = _worst(deviation, needed - margin)
@@ -369,9 +363,9 @@ def check_qutrit_separation_large_gamma():
     """The same separation where it does hold: large pair weights."""
     needed = 1.0e-6
     margins = []
-    for g in (0.88, 0.92, 0.96):
+    gammas = (0.88, 0.92, 0.96)
+    for g, (_a1, _a2, b1, b2) in zip(gammas, reachable.qutrit_mmtp2_vertices(gammas)):
         hull = reachable.etp_orbit_hull(g, 8)
-        _a1, _a2, b1, b2 = reachable.qutrit_mmtp2_vertices(g)
         for v in (b1, b2):
             margins.append(reachable.hull_margin(hull, v.probs))
     worst_margin = -_worst(*(-margin for margin in margins))  # a NaN gives -inf
@@ -383,8 +377,9 @@ def check_qutrit_separation_large_gamma():
 def check_qutrit_tp_membership():
     """All four memory-assisted vertices are thermally reachable states."""
     ok = True
-    for g in (0.65, 0.75, 0.85):
-        vertices = np.array([v.probs for v in reachable.qutrit_mmtp2_vertices(g)])
+    gammas = (0.65, 0.75, 0.85)
+    for g, four in zip(gammas, reachable.qutrit_mmtp2_vertices(gammas)):
+        vertices = np.array([v.probs for v in four])
         ok &= bool(reachable.inside_tp_cone(g, vertices).all())
     return (0.0 if ok else math.inf, 0.5,
             "thermo-majorization membership of A and B vertices")

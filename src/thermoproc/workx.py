@@ -99,25 +99,70 @@ class ExtractionSetup:
         return PopulationVector([0.0, 0.0, 1.0, 0.0])
 
 
+def _exp_or_nan(t: float) -> float:
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.nan
+
+
+def _exp(t: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry of a float array, NaN where it overflows
+    (where ``math.exp`` raises OverflowError).  numpy's own exp may round
+    differently from the platform's, which would move the scalar forms' bits."""
+    values = t.tolist()
+    try:
+        return np.array(list(map(math.exp, values)), dtype=np.float64)
+    except OverflowError:
+        return np.array(list(map(_exp_or_nan, values)), dtype=np.float64)
+
+
+def extraction_closed_forms(E: float, W, beta: float):
+    """The closed-form errors at one system gap E and one beta over a grid
+    of work gaps ``W``: (eps_TP, eps_ETP, eps_MTP, x, y), five float arrays,
+    with x = 1 - gamma_delta and y = 1 - gamma_W the arguments of I_d.
+
+    Each entry has the bits of the one-point form (``epsilon_tp``,
+    ``epsilon_etp``, ``epsilon_mtp`` and the setup's pair weights): two
+    exponentials per W, e^{-beta(W-E)} and e^{-beta W}, serve every value,
+    since beta(E-W) and -beta(W-E) round to the same double.  Where
+    e^{-beta(W-E)} overflows, eps_MTP and x are NaN, the values whose
+    one-point forms raise OverflowError there, and eps_TP = eps_ETP = 0.
+    """
+    w = np.asarray(W, dtype=np.float64)
+    w_0 = ExtractionSetup(E, E, beta).W_0  # also checks E and beta
+    if not (w > 0.0).all():
+        raise ValueError("E, W and beta must be positive")
+    u = _exp(-beta * (w - E))
+    v = _exp(-beta * w)
+    gamma_delta, gamma_w = 1.0 / (1.0 + u), 1.0 / (1.0 + v)
+    tp = np.where(w <= w_0, 0.0, 1.0 - u - v)
+    etp = np.where(w <= E, 0.0, (1.0 - u) * (1.0 - v))
+    return tp, etp, gamma_delta * gamma_w, 1.0 - gamma_delta, 1.0 - gamma_w
+
+
+def _one_point(setup: ExtractionSetup, k: int) -> float:
+    return float(extraction_closed_forms(setup.E, (setup.W,), setup.beta)[k][0])
+
+
 def epsilon_tp(setup: ExtractionSetup) -> float:
-    """Minimum error over all thermal processes."""
-    if setup.W <= setup.W_0:
-        return 0.0
-    return 1.0 - math.exp(setup.beta * (setup.E - setup.W)) \
-        - math.exp(-setup.beta * setup.W)
+    """Minimum error over all thermal processes: 0 up to W_0, then
+    1 - e^{beta(E-W)} - e^{-beta W}."""
+    return _one_point(setup, 0)
 
 
 def epsilon_mtp(setup: ExtractionSetup) -> float:
     """Minimum error over Markovian thermal processes: gamma_delta * gamma_W."""
-    return setup.gamma_delta * setup.gamma_W
+    eps = _one_point(setup, 2)
+    if math.isnan(eps):
+        raise OverflowError("math range error")  # e^{-beta(W-E)}, as math.exp
+    return eps
 
 
 def epsilon_etp(setup: ExtractionSetup) -> float:
-    """Minimum error over two-level swap sequences."""
-    if setup.W <= setup.E:
-        return 0.0
-    return (1.0 - math.exp(-setup.beta * (setup.W - setup.E))) \
-        * (1.0 - math.exp(-setup.beta * setup.W))
+    """Minimum error over two-level swap sequences: 0 up to E, then
+    (1 - e^{-beta(W-E)})(1 - e^{-beta W})."""
+    return _one_point(setup, 1)
 
 
 def optimal_tp_matrix(setup: ExtractionSetup) -> TransitionMatrix:

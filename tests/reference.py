@@ -375,3 +375,45 @@ def qutrit_vertices_four_runs(gamma):
     return [PopulationVector([total for (total,) in _protocol_totals(
                 [2], sweeps, ((1.0, 0.0, 0.0),), (0, 1, 2))])
             for sweeps in protocols]
+
+
+def scalar_epsilon_tp(setup):
+    """Minimum error over all thermal processes, as ``workx.epsilon_tp``
+    computed it on one setup before the W-grid closed forms."""
+    if setup.W <= setup.W_0:
+        return 0.0
+    return 1.0 - math.exp(setup.beta * (setup.E - setup.W)) \
+        - math.exp(-setup.beta * setup.W)
+
+
+def scalar_epsilon_mtp(setup):
+    """Minimum error over Markovian thermal processes: gamma_delta * gamma_W."""
+    return scalar_gamma_delta(setup) * scalar_gamma_w(setup)
+
+
+def scalar_epsilon_etp(setup):
+    """Minimum error over two-level swap sequences."""
+    if setup.W <= setup.E:
+        return 0.0
+    return (1.0 - math.exp(-setup.beta * (setup.W - setup.E))) \
+        * (1.0 - math.exp(-setup.beta * setup.W))
+
+
+def scalar_gamma_w(setup):
+    """Work-bit ground weight, also the e0 retention against e1."""
+    return 1.0 / (1.0 + math.exp(-setup.beta * setup.W))
+
+
+def scalar_gamma_delta(setup):
+    """Retention weight of e0 against g1: 1 / (1 + e^{-beta (W-E)})."""
+    return 1.0 / (1.0 + math.exp(-setup.beta * (setup.W - setup.E)))
+
+
+def scalar_x(setup):
+    """I_d's first argument, 1 - gamma_delta."""
+    return 1.0 - scalar_gamma_delta(setup)
+
+
+def scalar_y(setup):
+    """I_d's second argument, 1 - gamma_W."""
+    return 1.0 - scalar_gamma_w(setup)

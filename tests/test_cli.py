@@ -144,20 +144,20 @@ class TestRunFig2:
     def test_non_finite_value_is_not_written(self, tmp_path):
         path = tmp_path / "t.csv"
         with pytest.raises(cli.OutputError, match=r"t\.csv.*row 2, column b"):
-            cli._write_csv(path, {}, ["a", "b"], [[1, 0.5], [2, float("nan")]])
+            cli._write_csv(path, {}, ["a", "b"], [1, 2], [0.5, float("nan")])
         with pytest.raises(cli.OutputError, match="row 1, column a"):
-            cli._write_csv(path, {}, ["a", "b"], [[np.float64(-np.inf), 0.5]])
+            cli._write_csv(path, {}, ["a", "b"], np.array([-np.inf]), [0.5])
         assert not path.exists()
 
     def test_rows_print_ints_as_str_and_floats_with_17_digits(self, tmp_path):
-        # a column may change type between rows; each row prints by its own types
-        rows = [[1, 0.1, np.float64(1 / 3)], [np.int64(2), 3, -0.0],
-                [True, 1e-300, 2.5], [4, np.float64(7), 0]]
-        cli._write_csv(tmp_path / "t.csv", {"k": 0.2}, ["a", "b", "c"], rows)
+        # each column prints in one format, chosen from its values' types
+        cli._write_csv(tmp_path / "t.csv", {"k": 0.2}, ["a", "b", "c"],
+                       [1, np.int64(2), 4], [0.1, 1e-300, np.float64(7)],
+                       np.array([1 / 3, -0.0, 2.5]))
         assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
             "# k=0.20000000000000001", "a,b,c",
             "1,0.10000000000000001,0.33333333333333331",
-            "2,3,-0", "True,1e-300,2.5", "4,7,0"]
+            "2,1e-300,-0", "4,7,2.5"]
 
     def test_manifest_digests_match_files(self, tmp_path):
         cfg = cli.ExperimentConfig.from_dict({
@@ -381,12 +381,75 @@ def fig3_regions(gamma, depth):
             reachable.mtp_mixing_path(gamma), *reachable.mmtp2_point_regions(gamma)]
 
 
+class TestColumnWriter:
+    """``cli._write_csv`` takes one sequence per column and prints each
+    column in one format."""
+
+    def test_each_kind_of_column_prints_as_the_row_writer_did(self, tmp_path):
+        # the bytes the row writer gave these values: labels and ints as
+        # str prints them, floats (Python or numpy) as %.17g
+        path = cli._write_csv(
+            tmp_path / "t.csv", {"gamma": 0.75, "d_list": [1, 2]},
+            ["label", "n", "f", "g", "h"],
+            ["TP", "MTP-path", "x"], [np.int64(7), 0, -12],
+            [-0.0, 1e-300, np.float64(0.1)], np.array([1 / 3, 2.0, -1e300]),
+            [np.float32(0.1), np.float32(2.5), 5e-324], title="demo")
+        assert path.read_text().splitlines() == [
+            "# thermoproc demo v1", "# d_list=[1, 2]", "# gamma=0.75", "label,n,f,g,h",
+            "TP,7,-0,0.33333333333333331,0.10000000149011612",
+            "MTP-path,0,1e-300,2,2.5",
+            "x,-12,0.10000000000000001,-1.0000000000000001e+300,4.9406564584124654e-324"]
+
+    def test_first_non_finite_cell_in_row_order_is_named(self, tmp_path):
+        path = tmp_path / "t.csv"
+        a = [0.0, 1.0, math.inf, 3.0]
+        b = np.array([0.0, math.nan, 2.0, math.nan])
+        with pytest.raises(cli.OutputError, match=r"data row 2, column b$"):
+            cli._write_csv(path, {}, ["n", "a", "b"], range(4), a, b)
+        # on one row the leftmost column is named
+        with pytest.raises(cli.OutputError, match=r"data row 3, column a$"):
+            cli._write_csv(path, {}, ["a", "b"], a, [0.0, 1.0, -math.inf, 3.0])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("names, columns", [
+        (["a", "b"], ([1.0, 2.0], [1.0])),  # unequal lengths
+        (["a", "b"], ([1.0, 2.0],)),  # a name without a column
+        (["a"], (["TP", 1.0],)),  # labels and numbers
+        (["a"], ([1, 2.5],)),  # ints and floats
+        (["a"], ([1.0, np.int64(2)],)),
+    ], ids=["lengths", "names", "label-number", "int-float", "float-numpy-int"])
+    def test_ragged_or_mixed_columns_raise_and_nothing_is_written(self, tmp_path, names,
+                                                                  columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            cli._write_csv(path, {}, names, *columns)
+        assert not path.exists()
+
+    def test_the_fourth_argument_holds_one_entry_per_data_row(self, tmp_path, monkeypatch):
+        # a caller that counts rows reads the length of the first column
+        seen = []
+        write = cli._write_csv
+
+        def spy(*args, **kwargs):
+            seen.append(len(args[3]))
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        run_fig(tmp_path / "o", "fig2", "--w-points", "9", "--d-list", "1,3")
+        run_fig(tmp_path / "o", "fig3", "--depth", "3")
+        assert seen[0] == 9
+        # three comment lines and the column names
+        assert seen[1] == len((tmp_path / "o" / "fig3_regions.csv").read_text()
+                              .splitlines()) - 4
+
+
 class TestExport:
     """fig3_regions.csv, written by the CSV writer every experiment uses."""
 
     def test_empty_export_is_header_only(self, tmp_path):
         path = cli._write_csv(tmp_path / "empty.csv", {"gamma": 0.75},
-                              ["region", "kind", "index"], [], "qutrit regions")
+                              ["region", "kind", "index"], [], [], [],
+                              title="qutrit regions")
         assert path.read_text().splitlines() == [
             "# thermoproc qutrit regions v1", "# gamma=0.75", "region,kind,index"]
 

@@ -56,9 +56,20 @@ class TestMemoryVertices:
             assert abs(a2[2] - expected) <= 1e-14
             assert abs(a1[2]) <= 1e-15  # untouched level stays empty
 
+    def test_a_sequence_of_gammas_keeps_each_gammas_bits(self):
+        gammas = np.linspace(0.5001, 0.9999, 301).tolist()
+        batch = qutrit_mmtp2_vertices(gammas)
+        assert len(batch) == len(gammas)
+        for gamma, four in zip(gammas, batch):
+            assert [v.probs.tobytes() for v in four] == \
+                [v.probs.tobytes() for v in qutrit_vertices_four_runs(gamma)], gamma
+
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             qutrit_mmtp2_vertices(0.5)
+        for gammas in ([0.75, 0.5], [0.75, math.nan], (1.0,)):
+            with pytest.raises(ValueError):
+                qutrit_mmtp2_vertices(gammas)
 
 
 class TestOrbit:

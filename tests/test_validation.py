@@ -52,8 +52,9 @@ def route_with_nan(route):
     (lambda mp: mp.setattr(comb, "I_nm_eval", nan_at_one_point(
         comb.I_nm_eval, lambda *args: True)),
      "combinatorics", ["special-function-identities", "exact-coefficient-recurrence"]),
-    (lambda mp: mp.setattr(workx, "epsilon_d_grid", nan_at_one_point(
-        workx.epsilon_d_grid, lambda *args: True)),
+    # I_d as the checks read it: from combinatorics, and in workx.epsilon_d_grid
+    (lambda mp: [mp.setattr(m, "I_d_eval", nan_at_one_point(
+        comb.I_d_eval, lambda *args: True)) for m in (comb, workx)],
      "workx", ["extraction-error-ordering", "memory-extraction-closed-form",
       "memory-extraction-large-d"]),
     (lambda mp: mp.setattr(workx, "memory_extraction_grid", nan_at_one_point(
@@ -212,3 +213,19 @@ def test_an_exception_in_this_process_leaves_no_child(monkeypatch):
     stand_in_checks(monkeypatch, fail_here)
     with pytest.raises(KeyError, match="check 0"):
         validation.run_checks()
+
+
+def test_the_qutrit_checks_call_the_vertices_once_each(monkeypatch):
+    # each check runs its gamma grid as one batch of the evaluator
+    calls = []
+    vertices = reachable.qutrit_mmtp2_vertices
+
+    def counted(gamma):
+        calls.append(gamma)
+        return vertices(gamma)
+
+    monkeypatch.setattr(reachable, "qutrit_mmtp2_vertices", counted)
+    monkeypatch.setattr(_split, "usable_cpus", lambda: 1)
+    results = validation.run_checks(only="reachable")
+    assert all(r.passed for r in results)
+    assert calls == [(0.65, 0.75, 0.85), (0.88, 0.92, 0.96), (0.65, 0.75, 0.85)]

@@ -10,9 +10,12 @@ from thermoproc._kernels import memory_sweep
 from thermoproc.combinatorics import f_coeff
 from thermoproc.core import PopulationVector, is_gibbs_stochastic
 from thermoproc.workx import (ExtractionSetup, epsilon_d_grid, epsilon_etp,
-                              epsilon_mtp, epsilon_tp, memory_extraction_grid,
-                              optimal_tp_matrix, run_sequence_protocol,
-                              run_tp_protocol)
+                              epsilon_mtp, epsilon_tp, extraction_closed_forms,
+                              memory_extraction_grid, optimal_tp_matrix,
+                              run_sequence_protocol, run_tp_protocol)
+
+from reference import (scalar_epsilon_etp, scalar_epsilon_mtp, scalar_epsilon_tp,
+                       scalar_x, scalar_y)
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -139,6 +142,71 @@ class TestClosedForms:
             st = ExtractionSetup(LN2, float(bw), 1.0)
             assert epsilon_tp(st) <= epsilon_etp(st) + 1e-15
             assert epsilon_etp(st) <= epsilon_mtp(st) + 1e-15
+
+
+# the scalar forms the grid replaced, in its output order
+SCALAR_FORMS = (scalar_epsilon_tp, scalar_epsilon_etp, scalar_epsilon_mtp, scalar_x, scalar_y)
+POSITIVE = strategies.floats(1e-3, 50.0)
+
+
+def scalar_or_overflow(form, setup):
+    """The scalar form's value as hex, or "OverflowError" where it raised."""
+    try:
+        return form(setup).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+def assert_grid_is_the_scalar_forms(E, ws, beta):
+    grid = extraction_closed_forms(E, ws, beta)
+    for i, w in enumerate(ws):
+        setup = ExtractionSetup(E, w, beta)
+        for form, values in zip(SCALAR_FORMS, grid):
+            expected = scalar_or_overflow(form, setup)
+            got = "OverflowError" if math.isnan(values[i]) else float(values[i]).hex()
+            assert got == expected, (form.__name__, E, w, beta)
+
+
+class TestClosedFormGrid:
+    """``extraction_closed_forms`` against the scalar forms it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(POSITIVE, strategies.lists(strategies.floats(1e-3, 60.0), min_size=1,
+                                      max_size=30),
+           POSITIVE.filter(lambda beta: beta != 1.0))
+    def test_grid_equals_the_scalar_forms_bit_for_bit(self, E, ws, beta):
+        assert_grid_is_the_scalar_forms(E, ws, beta)
+
+    @pytest.mark.parametrize("E, beta", [(LN2, 1.0), (0.7, 0.3), (2.5, 4.0), (1e-3, 40.0)])
+    def test_branch_points_and_their_neighbours(self, E, beta):
+        # W = E and W = W_0 decide the ETP and TP branches
+        w_0 = ExtractionSetup(E, 1.0, beta).W_0
+        ws = [f(w, direction) for w in (E, w_0)
+              for f, direction in ((math.nextafter, -math.inf), (lambda w, _: w, None),
+                                   (math.nextafter, math.inf))]
+        assert_grid_is_the_scalar_forms(E, ws, beta)
+
+    def test_overflow_of_e_beta_e_minus_w(self):
+        # e^{beta(E-W)} overflows: eps_TP and eps_ETP are 0 as before, while
+        # eps_MTP raises OverflowError as it did, and is NaN on the grid
+        setup = ExtractionSetup(800.0, 1.0, 1.0)
+        assert epsilon_tp(setup) == scalar_epsilon_tp(setup) == 0.0
+        assert epsilon_etp(setup) == scalar_epsilon_etp(setup) == 0.0
+        for form in (epsilon_mtp, scalar_epsilon_mtp):
+            with pytest.raises(OverflowError):
+                form(setup)
+        assert_grid_is_the_scalar_forms(800.0, [1.0, 50.0, 90.0, 799.0, 801.0], 1.0)
+
+    def test_one_point_forms_read_the_grid(self):
+        grid = extraction_closed_forms(LN2, [REF.W], 1.0)
+        assert [epsilon_tp(REF), epsilon_etp(REF), epsilon_mtp(REF)] == \
+            [float(values[0]) for values in grid[:3]]
+
+    def test_rejects_nonpositive(self):
+        for E, ws, beta in ((0.0, [1.0], 1.0), (1.0, [1.0, 0.0], 1.0),
+                            (1.0, [1.0], -1.0), (1.0, [math.nan], 1.0)):
+            with pytest.raises(ValueError):
+                extraction_closed_forms(E, ws, beta)
 
 
 class TestOptimalMatrices:
