@@ -17,9 +17,14 @@ command builds one config and runs it through ``run_experiment``, which
 writes the experiment's files and ``run_manifest.json``.  Runs are fully
 deterministic: identical configs produce byte-identical data files (the
 manifest echoes per-file SHA-256 digests; only its wall-clock field varies
-between runs).  Every CSV, fig3's included, goes through one writer: floats
-carry 17 significant digits so they round-trip exactly; a NaN or infinite
-value raises OutputError instead of being written.
+between runs).  Every CSV, fig3's included, goes through one writer, which
+takes one sequence per column and prints each column in one format, chosen
+from its values' types: labels as they are, integers as decimals, floats
+(Python or numpy) with 17 significant digits, so they round-trip exactly.
+Nothing is written when a column mixes these kinds or the columns differ in
+length (ValueError), or when a value is NaN or infinite (OutputError, naming
+the first such cell in row order).  fig2's columns come from one pass of the
+extraction closed forms over the W grid and one I_d call per d.
 
 Exit codes: 0 success, 2 config error, 3 validation failure or a NaN or
 infinite value refused by the CSV writer, 4 I/O error.

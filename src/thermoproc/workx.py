@@ -20,6 +20,18 @@ Closed-form minima implemented here:
     which equals the Markovian optimum at d = 1 and converges to the
     unrestricted optimum as d grows.
 
+The closed forms take a grid: ``extraction_closed_forms(E, W, beta)``
+gives eps_TP, eps_ETP, eps_MTP and I_d's arguments x = 1 - gamma_delta and
+y = 1 - gamma_W over an array of work gaps at one E and beta, and
+``epsilon_tp``, ``epsilon_etp`` and ``epsilon_mtp`` are its one-point cases,
+so each formula is written once.  Each W costs two exponentials,
+e^{-beta(W-E)} and e^{-beta W}; the scalar forms made up to nine, of only
+these values and e^{-beta E}, which the threshold W_0 takes once.  Sharing
+them keeps every bit: E - W is -(W - E) exactly, so beta(E - W) and
+-beta(W - E) round to the same double, and numpy's +, -, * and / round
+as Python's do.  The exponentials themselves stay ``math.exp`` calls, since
+numpy's exp may round differently from the platform's.
+
 The two-step memory protocol: step one runs the memory-simulated swap
 between the e0 and g1 slot blocks (outer loop over e0 slots); step two
 drains each e0 slot against all e1 slots, as one sweep that visits the e0
@@ -129,7 +141,7 @@ def extraction_closed_forms(E: float, W, beta: float):
     e^{-beta(W-E)} overflows, eps_MTP and x are NaN, the values whose
     one-point forms raise OverflowError there, and eps_TP = eps_ETP = 0.
     """
-    w = np.asarray(W, dtype=np.float64)
+    w = np.array(W, dtype=np.float64, ndmin=1)
     w_0 = ExtractionSetup(E, E, beta).W_0  # also checks E and beta
     if not (w > 0.0).all():
         raise ValueError("E, W and beta must be positive")
