@@ -122,9 +122,9 @@ against one call over the grid;
 their rounded keys, against the closure that rounds every image anew
 (``orbit_per_image``); ``convex_hull_xy`` on the orbits at depths 8, 10
 and 12, against the same monotone chain with each turn test on numpy rows
-(``hull_numpy``); and ``qutrit_mmtp2_vertices`` at ten gammas, which runs
-A_1 and B_1 and mirrors them, against all four vertices run
-(``qutrit_vertices_four_runs``). The swap grid, the orbit and the
+(``hull_numpy``); and ``qutrit_mmtp2_vertices`` on ten gammas in one call,
+which runs A_1 and B_1 as one batch with a row per gamma and mirrors them,
+against all four vertices run for each gamma (``qutrit_vertices_four_runs``). The swap grid, the orbit and the
 vertices must give the same bytes and the hull the same indices.
 
 Validate: ``validation.run_checks()`` with ``_split.usable_cpus`` fixed
@@ -630,12 +630,11 @@ def geometry_table():
         rows.append(Row(f"hull depth {depth} ({len(xy)} pts)", partial(hull_numpy, xy),
                         partial(convex_hull_xy, xy)))
 
-    def vertices(run):
-        return [[v.probs for v in run(g)] for g in QUTRIT_GAMMAS]
-
-    rows.append(Row(f"qutrit vertices x{len(QUTRIT_GAMMAS)} γ: four runs vs two runs + mirror",
-                    partial(vertices, qutrit_vertices_four_runs),
-                    partial(vertices, qutrit_mmtp2_vertices)))
+    rows.append(Row(f"qutrit vertices x{len(QUTRIT_GAMMAS)} γ: four runs each vs one batch",
+                    lambda: [[v.probs for v in qutrit_vertices_four_runs(g)]
+                             for g in QUTRIT_GAMMAS],
+                    lambda: [[v.probs for v in four]
+                             for four in qutrit_mmtp2_vertices(QUTRIT_GAMMAS)]))
     return Table("validation geometry", "work", rows, times=("reference [ms]", "new [ms]"))
 
 

@@ -202,6 +202,20 @@ class TestClosedFormGrid:
         assert [epsilon_tp(REF), epsilon_etp(REF), epsilon_mtp(REF)] == \
             [float(values[0]) for values in grid[:3]]
 
+    @settings(max_examples=100, deadline=None)
+    @given(POSITIVE, strategies.lists(strategies.floats(1e-3, 60.0), min_size=1,
+                                      max_size=30), POSITIVE)
+    def test_x_and_y_are_one_minus_the_setups_pair_weights(self, E, ws, beta):
+        # the simulations read the setup's properties, the closed forms the grid
+        _tp, _etp, _mtp, x, y = extraction_closed_forms(E, ws, beta)
+        for w, xi, yi in zip(ws, x.tolist(), y.tolist()):
+            setup = ExtractionSetup(E, w, beta)
+            assert yi == 1.0 - setup.gamma_W
+            try:
+                assert xi == 1.0 - setup.gamma_delta
+            except OverflowError:
+                assert math.isnan(xi)
+
     def test_rejects_nonpositive(self):
         for E, ws, beta in ((0.0, [1.0], 1.0), (1.0, [1.0, 0.0], 1.0),
                             (1.0, [1.0], -1.0), (1.0, [math.nan], 1.0)):
