@@ -124,7 +124,8 @@ their rounded keys, against the closure that rounds every image anew
 and 12, against the same monotone chain with each turn test on numpy rows
 (``hull_numpy``); and ``qutrit_mmtp2_vertices`` on ten gammas in one call,
 which runs A_1 and B_1 as one batch with a row per gamma and mirrors them,
-against all four vertices run for each gamma (``qutrit_vertices_four_runs``). The swap grid, the orbit and the
+against all four vertices run for each gamma
+(``qutrit_vertices_four_runs``). The swap grid, the orbit and the
 vertices must give the same bytes and the hull the same indices.
 
 Validate: ``validation.run_checks()`` with ``_split.usable_cpus`` fixed
