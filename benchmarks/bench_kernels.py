@@ -93,11 +93,11 @@ warm, and with the cache cleared before every run (cold), as a fresh
 ``validate`` process runs it.
 
 Validation batches: the ``memory-extraction-closed-form`` check's grid
-(50 setups: beta E in {ln 2, 1}, 25 work gaps from 0.1 to 2.6; d = 1..10) as
+(50 points: beta E in {ln 2, 1}, 25 work gaps from 0.1 to 2.6; d = 1..10) as
 500 per-point runs of the two loop sweeps, the protocol as it ran before
 the grid existed, and as 500 one-point ``memory_extraction_grid`` calls (one
-row of the evaluator each, on Python floats), each against one
-``memory_extraction_grid`` call over the grid (the evaluator's batched
+row of the evaluator each, on Python floats), each against the check's two
+``memory_extraction_grid`` calls, one per beta E (the evaluator's batched
 wavefronts).  Every row must give the same bytes.
 
 Special functions on grids: the definition route of L, K, I, the alternating
@@ -157,14 +157,15 @@ from thermoproc.core import clip_noise
 from thermoproc.memory import RESPONSE_MIN_D, simulate_memory_beta_swap, swap_round
 from thermoproc.reachable import (bary_xy, convex_hull_xy, etp_orbit_points,
                                   qutrit_mmtp2_vertices)
-from thermoproc.workx import ExtractionSetup, memory_extraction_grid
+from thermoproc.workx import extraction_closed_forms, memory_extraction_grid
 
 # the references are the tests' own, kept once in tests/reference.py
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,  # noqa: E402
                        hull_numpy, incoherent_by_numpy_scalars, lki_references,
                        orbit_per_image, per_point_I_d, qutrit_vertices_four_runs,
-                       round_response, weighted_float, weighted_fraction, whole_row_points)
+                       round_response, scalar_gamma_delta, scalar_gamma_w, weighted_float,
+                       weighted_fraction, whole_row_points)
 
 SLOW_REFERENCE_D = 2000
 BATCH_D_MAX = (30, 200, 400)
@@ -440,9 +441,7 @@ def response_table():
 def fig2_xy(beta_E, size):
     """The x = 1 - gamma_delta and y = 1 - gamma_W arrays of a fig2 W grid
     of ``size`` points from 0.05 to 3."""
-    setups = [ExtractionSetup(beta_E, float(w), 1.0) for w in np.linspace(0.05, 3.0, size)]
-    return (np.array([1.0 - st.gamma_delta for st in setups]),
-            np.array([1.0 - st.gamma_W for st in setups]))
+    return extraction_closed_forms(beta_E, np.linspace(0.05, 3.0, size), 1.0)[3:]
 
 
 def routes_grid():
@@ -539,8 +538,7 @@ def exact_table():
     gamma = Fraction(0.7)
     rows.append(Row("delta_d(400, 0.7)", lambda: delta_d_column_fraction(400, gamma)[-1],
                     partial(delta_d, 400, gamma)))
-    st = ExtractionSetup(0.7, 1.3, 1.0)
-    x_d, y_d = Fraction(1.0 - st.gamma_delta), Fraction(1.0 - st.gamma_W)
+    x_d, y_d = (Fraction(float(v[0])) for v in extraction_closed_forms(0.7, (1.3,), 1.0)[3:])
     rows += [Row(f"I_d d={d}", partial(I_d_fraction, d, x_d, y_d)
                  if d <= FRACTION_REFERENCE_MAX_D else None, partial(I_d_eval, d, x_d, y_d))
              for d in EXACT_I_D_DIMS]
@@ -548,26 +546,32 @@ def exact_table():
                  times=("Fraction [ms]", "integer [ms]"), checks=("equal",))
 
 
-def extraction_by_sweeps(setup, d):
+def extraction_by_sweeps(gamma_delta, gamma_w, d):
     """One point of the two-step extraction protocol as two loop sweeps on
     a 4d-slot vector."""
     vec = np.zeros(4 * d)
     vec[2 * d:3 * d] = 1.0 / d
-    _memory_sweep_py(vec, d, setup.gamma_delta, 2 * d, d)
-    _memory_sweep_py(vec, d, setup.gamma_W, 2 * d, 3 * d)
+    _memory_sweep_py(vec, d, gamma_delta, 2 * d, d)
+    _memory_sweep_py(vec, d, gamma_w, 2 * d, 3 * d)
     return float(vec[2 * d:3 * d].sum())
 
 
 def validation_batch_table():
-    setups = [ExtractionSetup(be, float(bw), 1.0)
-              for be in (math.log(2.0), 1.0) for bw in np.linspace(0.1, 2.6, 25)]
-    ds = range(1, 11)
-    points = len(setups) * len(ds)
-    grid = partial(memory_extraction_grid, setups, ds)
+    beta_es, gaps, ds = (math.log(2.0), 1.0), np.linspace(0.1, 2.6, 25).tolist(), range(1, 11)
+    points = len(beta_es) * len(gaps) * len(ds)
+    weights = [(scalar_gamma_delta(be, w, 1.0), scalar_gamma_w(be, w, 1.0))
+               for be in beta_es for w in gaps]
+
+    def grid():
+        # the check's calls, one per beta_E, rejoined in (d, beta_E, W) order
+        per_beta_e = [memory_extraction_grid(be, gaps, 1.0, ds) for be in beta_es]
+        return [np.concatenate(rows) for rows in zip(*per_beta_e)]
+
     rows = [Row(f"extraction sweeps x{points}",
-                lambda: [[extraction_by_sweeps(st, d) for st in setups] for d in ds], grid),
+                lambda: [[extraction_by_sweeps(*pair, d) for pair in weights] for d in ds], grid),
             Row(f"extraction one-point x{points}",
-                lambda: [[memory_extraction_grid([st], [d])[0][0] for st in setups] for d in ds],
+                lambda: [[memory_extraction_grid(be, w, 1.0, [d])[0][0]
+                          for be in beta_es for w in gaps] for d in ds],
                 grid)]
     return Table("validation batches", "work", rows,
                  times=("per point [ms]", "batched [ms]"))

@@ -137,7 +137,7 @@ def _int_list(text: str) -> list:
 
 
 def _positive(name, default):
-    return Param(name, float, default, lambda v: v > 0, "must be > 0")
+    return Param(name, float, default, lambda v: 0 < v < math.inf, "must be finite and > 0")
 
 
 def _at_least_one(name, default):

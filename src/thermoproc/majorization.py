@@ -155,9 +155,10 @@ def min_extraction_error_tp(E: float, W, beta: float):
     eps-deterministic work read-off of Horodecki & Oppenheim, "Fundamental
     limitations for quantum and nanoscale thermodynamics", Nat. Commun. 4,
     2059 (2013).  The condition is linear in eps, so feasibility is monotone
-    in eps.  From the excited state L(x) = min(1, x / tau_e0), which is
-    ``workx.epsilon_tp``'s closed form.  ``W`` may be an array of work gaps,
-    one curve each; the result has W's shape (a float for a scalar W).
+    in eps.  From the excited state L(x) = min(1, x / tau_e0), which gives
+    the closed form eps_TP of ``workx.extraction_closed_forms``.  ``W`` may
+    be an array of work gaps, one curve each; the result has W's shape (a
+    float for a scalar W).
     """
     gaps = np.asarray(W, dtype=np.float64)
     if not (E > 0.0 and beta > 0.0 and (gaps > 0.0).all()):

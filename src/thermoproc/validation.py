@@ -233,17 +233,16 @@ def check_incoherent_rates():
 def check_extraction_point_values():
     """Reference errors at beta_E = ln2, beta_W = ln4, each matched by protocol."""
     tol = 1.0e-12
-    st = workx.ExtractionSetup(LN2, math.log(4.0), 1.0)
-    worst = abs(workx.epsilon_tp(st) - 0.25)
-    worst = _worst(worst, abs(workx.epsilon_mtp(st) - 8.0 / 15.0))
-    worst = _worst(worst, abs(workx.epsilon_etp(st) - 0.375))
-    worst = _worst(worst, abs(workx.run_tp_protocol(st)[0] - workx.epsilon_tp(st)))
-    for kind, target in (("MTP", workx.epsilon_mtp(st)), ("ETP", workx.epsilon_etp(st))):
+    E, W = LN2, math.log(4.0)
+    tp, etp, mtp = (float(v[0]) for v in workx.extraction_closed_forms(E, (W,), 1.0)[:3])
+    worst = _worst(abs(tp - 0.25), abs(mtp - 8.0 / 15.0), abs(etp - 0.375),
+                   abs(workx.run_tp_protocol(E, W, 1.0)[0] - tp))
+    for kind, target in (("MTP", mtp), ("ETP", etp)):
         for variant in ("primary", "tilde"):
-            eps, _ = workx.run_sequence_protocol(kind, st, variant)
+            eps, _ = workx.run_sequence_protocol(kind, E, W, 1.0, variant)
             worst = _worst(worst, abs(eps - target))
-    eps1 = float(workx.memory_extraction_grid([st], [1])[0][0])
-    worst = _worst(worst, abs(eps1 - workx.epsilon_mtp(st)))
+    (eps1,), = workx.memory_extraction_grid(E, W, 1.0, [1])
+    worst = _worst(worst, abs(eps1 - mtp))
     return (worst, tol,
             "eps_TP = 1/4, eps_ETP = 3/8, eps_MTP = 8/15 and protocol oracles")
 
@@ -272,11 +271,13 @@ def check_extraction_ordering():
 def check_memory_extraction():
     """4d-level protocol simulation equals the closed-form error, d <= 10."""
     tol = 1.0e-10
-    setups = [workx.ExtractionSetup(be, float(bw), 1.0)
-              for be in (LN2, 1.0) for bw in np.linspace(0.1, 2.6, 25)]
-    ds = range(1, 11)
-    worst = _worst(*(np.abs(sim - closed) for sim, closed in zip(
-        workx.memory_extraction_grid(setups, ds), workx.epsilon_d_grid(setups, ds))))
+    gaps, ds, beta_es = np.linspace(0.1, 2.6, 25), range(1, 11), (LN2, 1.0)
+    # one simulation call per beta_E, both beta_E in one I_d call
+    x, y = (np.concatenate(v) for v in zip(*(
+        workx.extraction_closed_forms(be, gaps, 1.0)[3:] for be in beta_es)))
+    sims = zip(*(workx.memory_extraction_grid(be, gaps, 1.0, ds) for be in beta_es))
+    worst = _worst(*(np.abs(np.concatenate(sim) - closed)
+                     for sim, closed in zip(sims, comb.I_d_eval(ds, x, y))))
     return worst, tol, "25-point work-gap grid, beta_E in {ln 2, 1}, d <= 10"
 
 
@@ -284,7 +285,7 @@ def check_memory_extraction():
 def check_memory_extraction_large_d():
     """d = 400 closed form sits within 0.02 of the unrestricted optimum."""
     tol = 0.02
-    w0 = workx.ExtractionSetup(LN2, 1.0, 1.0).W_0
+    w0 = workx.threshold_gap(LN2, 1.0)
     gaps = np.concatenate([np.linspace(0.2, 0.9 * w0, 8), np.linspace(1.1 * w0, 2.5, 8)])
     tp, _etp, _mtp, x, y = workx.extraction_closed_forms(LN2, gaps, 1.0)
     (eps_400,) = comb.I_d_eval([400], x, y)

@@ -377,43 +377,41 @@ def qutrit_vertices_four_runs(gamma):
             for sweeps in protocols]
 
 
-def scalar_epsilon_tp(setup):
-    """Minimum error over all thermal processes, as ``workx.epsilon_tp``
-    computed it on one setup before the W-grid closed forms."""
-    if setup.W <= setup.W_0:
+def scalar_epsilon_tp(E, W, beta):
+    """Minimum error over all thermal processes, as the scalar form computed
+    it on one point before ``workx.extraction_closed_forms`` took a W grid."""
+    if W <= E + math.log(1.0 + math.exp(-beta * E)) / beta:
         return 0.0
-    return 1.0 - math.exp(setup.beta * (setup.E - setup.W)) \
-        - math.exp(-setup.beta * setup.W)
+    return 1.0 - math.exp(beta * (E - W)) - math.exp(-beta * W)
 
 
-def scalar_epsilon_mtp(setup):
+def scalar_epsilon_mtp(E, W, beta):
     """Minimum error over Markovian thermal processes: gamma_delta * gamma_W."""
-    return scalar_gamma_delta(setup) * scalar_gamma_w(setup)
+    return scalar_gamma_delta(E, W, beta) * scalar_gamma_w(E, W, beta)
 
 
-def scalar_epsilon_etp(setup):
+def scalar_epsilon_etp(E, W, beta):
     """Minimum error over two-level swap sequences."""
-    if setup.W <= setup.E:
+    if W <= E:
         return 0.0
-    return (1.0 - math.exp(-setup.beta * (setup.W - setup.E))) \
-        * (1.0 - math.exp(-setup.beta * setup.W))
+    return (1.0 - math.exp(-beta * (W - E))) * (1.0 - math.exp(-beta * W))
 
 
-def scalar_gamma_w(setup):
+def scalar_gamma_w(E, W, beta):
     """Work-bit ground weight, also the e0 retention against e1."""
-    return 1.0 / (1.0 + math.exp(-setup.beta * setup.W))
+    return 1.0 / (1.0 + math.exp(-beta * W))
 
 
-def scalar_gamma_delta(setup):
+def scalar_gamma_delta(E, W, beta):
     """Retention weight of e0 against g1: 1 / (1 + e^{-beta (W-E)})."""
-    return 1.0 / (1.0 + math.exp(-setup.beta * (setup.W - setup.E)))
+    return 1.0 / (1.0 + math.exp(-beta * (W - E)))
 
 
-def scalar_x(setup):
+def scalar_x(E, W, beta):
     """I_d's first argument, 1 - gamma_delta."""
-    return 1.0 - scalar_gamma_delta(setup)
+    return 1.0 - scalar_gamma_delta(E, W, beta)
 
 
-def scalar_y(setup):
+def scalar_y(E, W, beta):
     """I_d's second argument, 1 - gamma_W."""
-    return 1.0 - scalar_gamma_w(setup)
+    return 1.0 - scalar_gamma_w(E, W, beta)

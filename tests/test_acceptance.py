@@ -69,11 +69,8 @@ def test_criterion_4_incoherent_cooling():
 def test_criterion_5_extraction_closed_forms():
     points = validation.check_extraction_point_values()
     read_off = validation.check_extraction_readoff()
-    ordering_ok = True
-    for bw in np.linspace(0.05, 3.0, 100):
-        st = workx.ExtractionSetup(LN2, float(bw), 1.0)
-        ordering_ok &= (workx.epsilon_tp(st) <= workx.epsilon_etp(st) + 1e-15
-                        <= workx.epsilon_mtp(st) + 2e-15)
+    tp, etp, mtp, _x, _y = workx.extraction_closed_forms(LN2, np.linspace(0.05, 3.0, 100), 1.0)
+    ordering_ok = bool(((tp <= etp + 1e-15) & (etp + 1e-15 <= mtp + 2e-15)).all())
     passed = points.passed and read_off.passed and ordering_ok
     line = _report(5, passed,
                    f"point values dev {points.deviation:.2e} (tol 1e-12); "

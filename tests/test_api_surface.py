@@ -7,7 +7,8 @@ scan is static: a name counts as used when some ``Name`` (read, not
 assigned) or ``Attribute`` node in the package spells it.
 
 The same static scan keeps every file write in ``cli.py``, and a fresh
-interpreter pins the modules that ``import thermoproc.cli`` loads.
+interpreter pins the modules that ``import thermoproc.cli`` loads and runs
+the README's library quick start.
 """
 
 import ast
@@ -237,3 +238,13 @@ def test_the_cli_resolves_the_modules_it_defers():
         "import thermoproc.cli\nvalidation = thermoproc.cli.validation\n"
         "print(validation.__name__, bool(validation.ALL_CHECKS))")
     assert out == ["thermoproc.validation", "True"]
+
+
+def test_the_readme_quick_start_runs():
+    """The first ``python`` block under the README's "Library quick start"
+    runs without an exception, so an API change cannot leave it stale."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "from thermoproc" in code
+    _fresh_interpreter(code)  # raises CalledProcessError on an exception

@@ -15,10 +15,9 @@ import numpy as np
 import pytest
 
 from thermoproc import cli, reachable, validation
-from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, MAX_FLOAT_D, delta_d
+from thermoproc.combinatorics import DELTA_GAMMA_MARGIN, MAX_FLOAT_D, I_d_eval, delta_d
 from thermoproc.memory import _p_d
-from thermoproc.workx import (ExtractionSetup, epsilon_d_grid, epsilon_etp,
-                              epsilon_mtp, epsilon_tp)
+from thermoproc.workx import extraction_closed_forms, threshold_gap
 
 from reference import (I_d_fraction, delta_d_column_fraction, exact_coherent, exact_incoherent,
                        exact_protocol)
@@ -119,14 +118,9 @@ class TestRunFig2:
         columns, rows = read_rows(tmp_path / "out" / "fig2.csv")
         assert columns == ["W", "eps_tp", "eps_etp", "eps_mtp", "eps_d1", "eps_d4"]
         assert rows.shape == (7, 6)
-        setups = [ExtractionSetup(math.log(2.0), row[0], 1.0) for row in rows]
-        eps_d = np.transpose(epsilon_d_grid(setups, [1, 4]))
-        for row, st, (eps_1, eps_4) in zip(rows, setups, eps_d):
-            assert abs(row[1] - epsilon_tp(st)) <= 1e-15
-            assert abs(row[2] - epsilon_etp(st)) <= 1e-15
-            assert abs(row[3] - epsilon_mtp(st)) <= 1e-15
-            assert abs(row[4] - eps_1) <= 1e-15
-            assert abs(row[5] - eps_4) <= 1e-15
+        tp, etp, mtp, x, y = extraction_closed_forms(math.log(2.0), rows[:, 0], 1.0)
+        expected = np.transpose([tp, etp, mtp, *I_d_eval([1, 4], x, y)])
+        assert np.abs(rows[:, 1:] - expected).max() <= 1e-15
 
     def test_d1000_writes_no_nan(self, tmp_path):
         # a fifth of these rows were NaN before the log-space fallback
@@ -239,8 +233,8 @@ class TestExactScores:
         run_fig(tmp_path, "fig2")
         columns, rows = read_rows(tmp_path / "fig2.csv")
         assert [f"eps_d{d}" for d in p["d_list"]] == list(self.FIG2_BOUNDS)
-        setups = [ExtractionSetup(p["beta_E"], w, 1.0) for w in rows[:, 0].tolist()]
-        xy = [(Fraction(1.0 - st.gamma_delta), Fraction(1.0 - st.gamma_W)) for st in setups]
+        _tp, _etp, _mtp, x, y = extraction_closed_forms(p["beta_E"], rows[:, 0], 1.0)
+        xy = [(Fraction(a), Fraction(b)) for a, b in zip(x.tolist(), y.tolist())]
         for d in p["d_list"]:
             column = f"eps_d{d}"
             worst = worst_relative_error(rows[:, columns.index(column)].tolist(),
@@ -254,13 +248,12 @@ class TestExactScores:
         run_fig(tmp_path, "fig2")
         columns, rows = read_rows(tmp_path / "fig2.csv")
         exact = {"eps_tp": [], "eps_etp": [], "eps_mtp": []}
+        E, w_0 = p["beta_E"], threshold_gap(p["beta_E"], 1.0)
         for w in rows[:, 0].tolist():
-            st = ExtractionSetup(p["beta_E"], w, 1.0)
-            e_delta = Fraction(math.exp(-st.beta * (st.W - st.E)))
-            e_w = Fraction(math.exp(-st.beta * st.W))
-            exact["eps_tp"].append(1 - Fraction(math.exp(st.beta * (st.E - st.W))) - e_w
-                                   if st.W > st.W_0 else 0)
-            exact["eps_etp"].append((1 - e_delta) * (1 - e_w) if st.W > st.E else 0)
+            e_delta = Fraction(math.exp(-(w - E)))
+            e_w = Fraction(math.exp(-w))
+            exact["eps_tp"].append(1 - Fraction(math.exp(E - w)) - e_w if w > w_0 else 0)
+            exact["eps_etp"].append((1 - e_delta) * (1 - e_w) if w > E else 0)
             exact["eps_mtp"].append(1 / (1 + e_delta) / (1 + e_w))
         zeros = {}
         for column, bound in self.CLASS_BOUNDS.items():
@@ -549,6 +542,20 @@ class TestMainExitCodes:
             "params": {"beta": beta, "beta_hot": 0.0, "rounds": 2, "d_list": [1]}})
         assert cli.main(["run", config]) == 2
         assert "params.script_E" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment, field", [
+        ("fig2", "beta_E"), ("fig2", "w_min"), ("fig2", "w_max"),
+        ("cooling-incoherent", "beta"), ("cooling-incoherent", "E"),
+        ("cooling-incoherent", "script_E")])
+    def test_an_infinite_positive_field_is_a_config_error(self, tmp_path, capsys,
+                                                          experiment, field):
+        # json reads Infinity; an infinite fig2 gap is a config error, not a traceback
+        config = write_config(tmp_path, {
+            "experiment": experiment, "output_dir": str(tmp_path / "o"),
+            "params": {field: math.inf}})
+        assert cli.main(["run", config]) == 2
+        assert f"config error: params.{field}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_gamma_big_just_inside_the_delta_d_domain_runs(self, tmp_path):

@@ -171,12 +171,11 @@ class TestGibbsStochastic:
 
     def test_optimal_extraction_matrix_is_gibbs_stochastic(self):
         # middle-regime joint matrix against the 4-level composite Gibbs state
-        from thermoproc.workx import ExtractionSetup, optimal_tp_matrix
-        setup = ExtractionSetup(LN2, 1.0, 1.0)  # E < W < threshold gap
-        assert setup.E < setup.W <= setup.W_0
+        from thermoproc.workx import optimal_tp_matrix, threshold_gap
+        assert LN2 < 1.0 <= threshold_gap(LN2, 1.0)  # E < W < threshold gap
         # the Gibbs state of the composite (g0, g1, e0, e1), energies (0, W, E, E + W)
-        w = np.exp(-setup.beta * np.array([0.0, setup.W, setup.E, setup.E + setup.W]))
-        assert is_gibbs_stochastic(optimal_tp_matrix(setup),
+        w = np.exp(-np.array([0.0, 1.0, LN2, LN2 + 1.0]))
+        assert is_gibbs_stochastic(optimal_tp_matrix(LN2, 1.0, 1.0),
                                    PopulationVector(w / w.sum()), tol=1e-12)
 
 

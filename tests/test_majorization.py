@@ -13,7 +13,7 @@ from thermoproc.core import Hamiltonian, gibbs_state
 from thermoproc.majorization import (CURVE_TOL, VERTEX_DEDUP_DECIMALS, beta_order,
                                      lorenz_curve, min_extraction_error_tp,
                                      thermo_majorizes, tp_reach_vertices)
-from thermoproc.workx import ExtractionSetup, epsilon_tp
+from thermoproc.workx import extraction_closed_forms, threshold_gap
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -291,7 +291,7 @@ class TestVertices:
             tp_reach_vertices(tau, tau)
 
 
-# the read-off and epsilon_tp each round a handful of operations on numbers
+# the read-off and the closed form eps_TP each round a handful of operations on numbers
 # at most 1, so they may differ by a few ulp of 1 (3.5 ulp on the grids
 # below); 8 ulp bounds that, six orders below validate's 1e-9
 FEW_ULP = 8 * np.finfo(np.float64).eps
@@ -311,14 +311,13 @@ class TestExtractionBisection:
 
     @pytest.mark.parametrize("beta_E", [LN2, LN3, 1.0])
     def test_matches_closed_form_on_grid(self, beta_E):
-        w0 = ExtractionSetup(beta_E, 1.0, 1.0).W_0
+        w0 = threshold_gap(beta_E, 1.0)
         near = w0 + np.array([-1e-9, -1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12, 1e-9])
         gaps = np.concatenate([np.linspace(0.05, 3.0, 500), [1e-6], near])
         got = min_extraction_error_tp(beta_E, gaps, 1.0)
         gamma_w = 1.0 / (1.0 + np.exp(-gaps))
         assert ((got >= 0.0) & (got <= gamma_w)).all()
-        for bw, eps in zip(gaps.tolist(), got.tolist()):
-            assert abs(eps - epsilon_tp(ExtractionSetup(beta_E, bw, 1.0))) <= FEW_ULP, bw
+        assert np.abs(got - extraction_closed_forms(beta_E, gaps, 1.0)[0]).max() <= FEW_ULP
 
     def test_agrees_with_a_bisection_over_the_oracle(self):
         # the bisection stops where CURVE_TOL lets an infeasible target pass,
@@ -341,7 +340,7 @@ class TestExtractionBisection:
             assert abs(eps - bisection_over_oracle(E, bw, beta)) <= 2 * CURVE_TOL, (E, bw, beta)
 
     def test_agrees_with_a_bisection_over_the_oracle_next_to_the_threshold_gap(self):
-        w0 = ExtractionSetup(LN2, 1.0, 1.0).W_0
+        w0 = threshold_gap(LN2, 1.0)
         gaps = w0 + np.array([-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])
         got = min_extraction_error_tp(LN2, gaps, 1.0)
         for bw, eps in zip(gaps.tolist(), got.tolist()):
@@ -350,15 +349,14 @@ class TestExtractionBisection:
     @pytest.mark.parametrize("error_free", [True, False], ids=["all-error-free", "none-error-free"])
     def test_all_or_no_gap_is_error_free(self, error_free):
         # W <= W_0 extracts without error; every larger gap leaves a positive error
-        w0 = ExtractionSetup(LN2, 1.0, 1.0).W_0
+        w0 = threshold_gap(LN2, 1.0)
         gaps = np.linspace(1e-6, w0 - 1e-6, 40) if error_free else np.linspace(w0 + 1e-6, 4.0, 40)
         got = min_extraction_error_tp(LN2, gaps, 1.0)
         if error_free:
             assert (got == 0.0).all()
         else:
             assert (got > 0.0).all()
-            for bw, eps in zip(gaps.tolist(), got.tolist()):
-                assert abs(eps - epsilon_tp(ExtractionSetup(LN2, bw, 1.0))) <= FEW_ULP, bw
+            assert np.abs(got - extraction_closed_forms(LN2, gaps, 1.0)[0]).max() <= FEW_ULP
 
     def test_nondecreasing_in_the_work_gap(self):
         # a larger gap moves the elbow 1 - gamma_W left, to a lower point of the start's curve
@@ -368,7 +366,7 @@ class TestExtractionBisection:
     @pytest.mark.parametrize("beta_E", [LN2, LN3, 1.0])
     def test_is_the_least_feasible_error(self, beta_E):
         # the read-off passes the oracle's feasibility test, 1e-6 less fails it
-        w0 = ExtractionSetup(beta_E, 1.0, 1.0).W_0
+        w0 = threshold_gap(beta_E, 1.0)
         for bw in (w0 + 0.05, w0 + 0.5, w0 + 2.0):
             eps = min_extraction_error_tp(beta_E, bw, 1.0)
             assert extraction_feasible(beta_E, bw, 1.0, eps), bw

@@ -15,9 +15,9 @@ from thermoproc.core import PopulationVector, compose, full_thermalization, is_g
 from thermoproc.memory import (RESPONSE_MIN_D, _p_d, _pairwise_sum, _protocol_totals,
                                simulate_memory_beta_swap, swap_round)
 from thermoproc.reachable import qutrit_mmtp2_vertices
-from thermoproc.workx import ExtractionSetup, memory_extraction_grid
+from thermoproc.workx import memory_extraction_grid
 
-from reference import exact_protocol, round_response
+from reference import exact_protocol, round_response, scalar_gamma_delta, scalar_gamma_w
 
 
 def closed_form_p_d(d, p0, gamma):
@@ -255,7 +255,7 @@ class TestSwapRound:
         monkeypatch.setattr(_kernels, "_sweep_lists", refuse)
         assert len(qutrit_mmtp2_vertices(0.75)) == 4
         assert type(simulate_memory_beta_swap(2, 0.25, 0.75)) is float
-        errors = memory_extraction_grid([ExtractionSetup(math.log(2.0), 0.5, 1.0)], [1])
+        errors = memory_extraction_grid(math.log(2.0), 0.5, 1.0, [1])
         assert np.asarray(errors).size == 1
         with pytest.raises(AssertionError, match="list loop"):
             swap_round(2, 0.75)(0.25, 0.75)
@@ -300,12 +300,12 @@ def swap_protocol(gamma):
     return np.array([gamma, 1.0 - gamma]), ((0, 1, gamma),)
 
 
-def extraction_protocol(setup):
+def extraction_protocol(E, W, beta):
     """The two-step extraction of ``workx``: blocks (g0, g1, e0, e1) with
     energies (0, W, E, E + W); e0 against g1, then the drain into e1."""
-    energies = np.array([0.0, setup.W, setup.E, setup.E + setup.W])
-    gibbs = np.exp(-setup.beta * energies)
-    return gibbs / gibbs.sum(), ((2, 1, setup.gamma_delta), (2, 3, setup.gamma_W))
+    gibbs = np.exp(-beta * np.array([0.0, W, E, E + W]))
+    return gibbs / gibbs.sum(), ((2, 1, scalar_gamma_delta(E, W, beta)),
+                                 (2, 3, scalar_gamma_w(E, W, beta)))
 
 
 def qutrit_protocol(gamma, chained, s=1):
@@ -318,7 +318,7 @@ def qutrit_protocol(gamma, chained, s=1):
 
 MATRIX_PROTOCOLS = {
     **{f"swap-{g}": swap_protocol(float(g)) for g in DYADIC_GAMMAS},
-    **{f"extraction-W{w}": extraction_protocol(ExtractionSetup(math.log(2.0), w, 1.0))
+    **{f"extraction-W{w}": extraction_protocol(math.log(2.0), w, 1.0)
        for w in (0.3, 1.5)},
     **{f"qutrit-{'B' if chained else 'A'}-{g}": qutrit_protocol(float(g), chained)
        for g in DYADIC_GAMMAS for chained in (False, True)},

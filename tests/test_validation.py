@@ -52,13 +52,13 @@ def route_with_nan(route):
     (lambda mp: mp.setattr(comb, "I_nm_eval", nan_at_one_point(
         comb.I_nm_eval, lambda *args: True)),
      "combinatorics", ["special-function-identities", "exact-coefficient-recurrence"]),
-    # I_d as the checks read it: from combinatorics, and in workx.epsilon_d_grid
-    (lambda mp: [mp.setattr(m, "I_d_eval", nan_at_one_point(
-        comb.I_d_eval, lambda *args: True)) for m in (comb, workx)],
+    # I_d as the checks read it, from combinatorics
+    (lambda mp: mp.setattr(comb, "I_d_eval", nan_at_one_point(
+        comb.I_d_eval, lambda *args: True)),
      "workx", ["extraction-error-ordering", "memory-extraction-closed-form",
       "memory-extraction-large-d"]),
     (lambda mp: mp.setattr(workx, "memory_extraction_grid", nan_at_one_point(
-        workx.memory_extraction_grid, lambda setups, ds: len(setups) > 1)),
+        workx.memory_extraction_grid, lambda E, W, beta, ds: np.size(W) > 1)),
      "workx", ["memory-extraction-closed-form"]),
     (lambda mp: mp.setattr(reachable, "hull_margin", nan_at_one_point(
         reachable.hull_margin, lambda region, probs: True)),
@@ -94,7 +94,7 @@ def test_every_check_is_listed_once_and_the_modules_follow_the_list():
 
 
 def test_the_extraction_read_off_check_deviates_by_a_few_ulp():
-    # the read-off and epsilon_tp each round a handful of operations on
+    # the read-off and the closed form eps_TP each round a handful of operations on
     # numbers at most 1 (6.7e-16 apart on this grid); 8 ulp of 1 flags a
     # regression long before it nears the check's tolerance of 1e-9
     result = validation.check_extraction_readoff()
