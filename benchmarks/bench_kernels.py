@@ -38,10 +38,12 @@ Single sweeps: one ``simulate_memory_beta_swap`` call at d in {2, 8, 128,
 step swept by ``memory_sweep`` (a one-row wavefront); both must give the
 same bytes.  At d = 2 and 8 the row is as small as a qutrit point's.
 
-Incoherent rounds: one 50-round incoherent MMTP run (E = 1, script_E = 2,
-beta = 1, beta_hot = 0.2) at d in {1, 8, 64} by ``cool_incoherent``, against
-the same rounds on a 4-element numpy state (``incoherent_by_numpy_scalars``):
-below ``RESPONSE_MIN_D`` each pair step a ``_memory_sweep_py`` sweep summed
+Incoherent rounds: one 50-round incoherent run (E = 1, script_E = 2, beta =
+1, beta_hot = 0.2) of TP, MTP and MMTP at d in {1, 8, 64} by
+``cool_incoherent``, on the system's (ground, excited) pair, against the same
+rounds on a 4-element numpy state (``incoherent_by_numpy_scalars``, with the
+weights of the scalar oracles ``scalar_gamma`` to ``scalar_p_star``): below
+``RESPONSE_MIN_D`` each MMTP pair step a ``_memory_sweep_py`` sweep summed
 block by block, at d = 64 the round response; both must give the same bytes.
 
 Round response: one 50-round coherent MMTP run (gamma = 0.75) at d in {32,
@@ -173,7 +175,7 @@ NARROW_DIMS = (1, 2, 4, 8)
 NARROW_CALLS = 400
 WIDE_SCALAR_DIMS = (2, 8, 128, 200, 400)
 INCOHERENT = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
-INCOHERENT_DIMS = (1, 8, 64)
+INCOHERENT_RUNS = (("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 8), ("MMTP", 64))
 RESPONSE_DIMS = (32, 48, 64, 256, 1000)
 ROUNDS = 50
 RESPONSE_GAMMA = 0.75
@@ -387,10 +389,11 @@ def wide_table():
 
 
 def incoherent_table():
-    rows = [Row(str(d), partial(incoherent_by_numpy_scalars, "MMTP", ROUNDS, d, **INCOHERENT),
-                partial(cool_incoherent, "MMTP", ROUNDS, d=d, **INCOHERENT))
-            for d in INCOHERENT_DIMS]
-    return Table(f"one {ROUNDS}-round incoherent MMTP run", "d", rows,
+    rows = [Row(process if d is None else f"{process} {d}",
+                partial(incoherent_by_numpy_scalars, process, ROUNDS, d, **INCOHERENT),
+                partial(cool_incoherent, process, ROUNDS, d=d, **INCOHERENT))
+            for process, d in INCOHERENT_RUNS]
+    return Table(f"one {ROUNDS}-round incoherent run", "class, d", rows,
                  times=("numpy scalars [ms]", "Python floats [ms]"), digits=3)
 
 

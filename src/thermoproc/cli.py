@@ -251,9 +251,9 @@ class ExperimentConfig:
                 raise ConfigError("params.script_E", "must exceed E")
             if not params["beta_hot"] < params["beta"]:
                 raise ConfigError("params.beta_hot", "must be below beta")
-            # the MMTP rate evaluates delta_d at gamma_big
-            gamma_big = cooling.IncoherentSetting(
-                params["E"], params["script_E"], params["beta"], params["beta_hot"]).gamma_big
+            # the MMTP rate evaluates delta_d at gamma_big, the third weight
+            gamma_big = cooling.incoherent_weights(
+                params["E"], params["script_E"], params["beta"], params["beta_hot"])[2]
             if not 0.5 + DELTA_GAMMA_MARGIN < gamma_big < 1.0:
                 raise ConfigError(
                     "params.script_E", "gamma_big = 1/(1 + e^(-beta script_E)) must lie "
@@ -412,7 +412,7 @@ def _emit_cooling(cfg: ExperimentConfig, outdir: Path):
     else:
         simulate, closed_form = cooling.cool_incoherent, cooling.incoherent_closed_form
         kw = {k: p[k] for k in ("E", "script_E", "beta", "beta_hot")}
-        meta["p_star"] = cooling.IncoherentSetting(**kw).p_star
+        meta["p_star"] = cooling.incoherent_weights(**kw)[4]  # the shared asymptote
     names, columns = ["round"], [range(1, p["rounds"] + 1)]
     classes = [("tp", "TP", None), ("mtp", "MTP", None)]
     classes += [(f"mmtp_d{d}", "MMTP", d) for d in p["d_list"]]

@@ -19,6 +19,18 @@ only the geometric convergence rate differs.
 Composite basis for the incoherent paradigm: (g0, g1, e0, e1), system letter
 first, auxiliary level second, energies (0, script_E - E, E, script_E).
 
+The incoherent paradigm has one parameterisation, (E, script_E, beta,
+beta_hot), which every incoherent function takes.  ``incoherent_weights``
+checks it and computes gamma, q = e^{-beta script_E}, Gamma = 1/(1+q), eta
+and p_star; it is the one place they are written.
+
+A simulated round needs only the system's (ground, excited) pair: the
+refresh sets (g0, g1, e0, e1) to (ground eta, ground (1-eta), excited eta,
+excited (1-eta)), and after the step on (g0, e1) the pair is (g0 + g1,
+e0 + e1).  Those are the products and sums a refresh of the 4-level state
+computes, in the same order, so two floats give the 4-level composite's
+bits.
+
 The memory-assisted incoherent rate implemented by ``incoherent_rate`` is
 derived from the linear round map of the swap simulation and satisfies both
 consistency limits (d = 1 reduces to the MTP rate, d -> infinity to the TP
@@ -35,7 +47,6 @@ rate^k (asymptote - start) after round k, built by ``_approach``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,47 +143,29 @@ def coherent_closed_form(process: str, n: int, gamma, d=None) -> list:
     return _approach(_p_max(gamma, q, delta), q - delta, gamma, n)
 
 
-@dataclass(frozen=True)
-class IncoherentSetting:
-    """Derived quantities of the incoherent paradigm, recomputed on demand."""
+def incoherent_weights(E: float, script_E: float, beta: float, beta_hot: float):
+    """(gamma, q, Gamma, eta, p_star) of the incoherent paradigm, after
+    checking script_E > E > 0 and 0 <= beta_hot < beta: the system's Gibbs
+    weight gamma = 1/(1+e^{-beta E}), the pair's Boltzmann factor q =
+    e^{-beta script_E} and Gibbs weight Gamma = 1/(1+q), the hot auxiliary's
+    weight eta = 1/(1+e^{-beta_hot (script_E - E)}) and the shared asymptote
+    p_star = 1/(1 + q e^{beta_hot (script_E - E)}).
 
-    E: float
-    script_E: float
-    beta: float
-    beta_hot: float
-
-    def __post_init__(self):
-        if not (self.script_E > self.E > 0.0):
-            raise ValueError("need script_E > E > 0")
-        if not (0.0 <= self.beta_hot < self.beta):
-            raise ValueError("need 0 <= beta_hot < beta")
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / (1.0 + math.exp(-self.beta * self.E))
-
-    @property
-    def q_big(self) -> float:
-        return math.exp(-self.beta * self.script_E)
-
-    @property
-    def gamma_big(self) -> float:
-        return 1.0 / (1.0 + self.q_big)
-
-    @property
-    def eta(self) -> float:
-        return 1.0 / (1.0 + math.exp(-self.beta_hot * (self.script_E - self.E)))
-
-    @property
-    def p_star(self) -> float:
-        return 1.0 / (1.0 + self.q_big * math.exp(self.beta_hot * (self.script_E - self.E)))
-
-
-def _refresh_auxiliary(v: list, eta: float) -> list:
-    s_ground = v[0] + v[1]
-    s_excited = v[2] + v[3]
-    return [s_ground * eta, s_ground * (1.0 - eta),
-            s_excited * eta, s_excited * (1.0 - eta)]
+    Where e^{beta_hot (script_E - E)} overflows, q times it is written as
+    one exponential, e^{beta_hot (script_E - E) - beta script_E} < 1.
+    """
+    if not (script_E > E > 0.0):
+        raise ValueError("need script_E > E > 0")
+    if not (0.0 <= beta_hot < beta):
+        raise ValueError("need 0 <= beta_hot < beta")
+    gamma = 1.0 / (1.0 + math.exp(-beta * E))
+    q = math.exp(-beta * script_E)
+    eta = 1.0 / (1.0 + math.exp(-beta_hot * (script_E - E)))
+    try:
+        p_star = 1.0 / (1.0 + q * math.exp(beta_hot * (script_E - E)))
+    except OverflowError:
+        p_star = 1.0 / (1.0 + math.exp(beta_hot * (script_E - E) - beta * script_E))
+    return gamma, q, 1.0 / (1.0 + q), eta, p_star
 
 
 def cool_incoherent(process: str, n: int, E: float, script_E: float,
@@ -180,34 +173,44 @@ def cool_incoherent(process: str, n: int, E: float, script_E: float,
     """Simulate n incoherent-control rounds on the 4-level composite; the
     system ground population after each round.
 
-    The state is a list of Python floats: each round does the IEEE operations
-    numpy scalars would do, to the same bits, without numpy's per-operation
-    cost.
+    The state is two Python floats, the system's (ground, excited) pair; the
+    module docstring says why its rounds have the 4-level composite's bits.
     """
     n = _require_int(n, "rounds", 1)
     d = _check_process(process, d)
-    setting = IncoherentSetting(E, script_E, beta, beta_hot)
-    eta = setting.eta
-    q_big = setting.q_big
-    gamma_big = setting.gamma_big
+    gamma, q, gamma_big, eta, _ = incoherent_weights(E, script_E, beta, beta_hot)
     if process == "MMTP":
         step = swap_round(d, gamma_big)
-    v = [setting.gamma * eta, setting.gamma * (1.0 - eta),
-         (1.0 - setting.gamma) * eta, (1.0 - setting.gamma) * (1.0 - eta)]
+    ground, excited = gamma, 1.0 - gamma
     pops = []
     for _ in range(n):
-        # each step acts on the (g0, e1) pair of this round's fresh state
-        g0, e1 = v[0], v[3]
+        # the hot-bath refresh, then the class step on the (g0, e1) pair
+        g0, g1, e0, e1 = ground * eta, ground * (1.0 - eta), excited * eta, excited * (1.0 - eta)
         if process == "TP":
-            v[0], v[3] = (1.0 - q_big) * g0 + e1, q_big * g0
+            g0, e1 = (1.0 - q) * g0 + e1, q * g0
         elif process == "MTP":
             pool = g0 + e1
-            v[0], v[3] = gamma_big * pool, (1.0 - gamma_big) * pool
+            g0, e1 = gamma_big * pool, (1.0 - gamma_big) * pool
         else:
-            v[0], v[3] = step(g0, e1)
-        pops.append(v[0] + v[1])
-        v = _refresh_auxiliary(v, eta)
+            g0, e1 = step(g0, e1)
+        ground, excited = g0 + g1, e0 + e1
+        pops.append(ground)
     return _checked(pops)
+
+
+def _rate(process, d, beta_script_E, q, g, eta):
+    """The class's rate from the weights of ``incoherent_weights``; g is
+    Gamma."""
+    v_tp = eta * (1.0 - q)
+    if process == "TP":
+        return v_tp
+    if process == "MTP":
+        try:
+            return v_tp + (1.0 - eta + eta * q) / (1.0 + math.exp(beta_script_E))
+        except OverflowError:
+            # the second term is below 6e-309
+            return v_tp
+    return v_tp + (eta * (1.0 - g) + g * (1.0 - eta)) * float(delta_d(d, g))
 
 
 def incoherent_rate(process: str, E: float, script_E: float, beta: float,
@@ -215,29 +218,24 @@ def incoherent_rate(process: str, E: float, script_E: float, beta: float,
     """Geometric convergence rate of the given class.
 
     TP:   eta (1 - q)                      with q = e^{-beta script_E}
-    MTP:  TP rate + (1 - eta + eta q) / (1 + e^{beta script_E})
+    MTP:  TP rate + (1 - eta + eta q) / (1 + e^{beta script_E}); the second
+          term is taken as 0 where e^{beta script_E} overflows
     MMTP: TP rate + [eta (1 - G) + G (1 - eta)] delta_d(G),
           G = 1/(1+q); reduces to the MTP rate at d = 1 and to the TP rate
           as d -> infinity.
     """
     d = _check_process(process, d)
-    s = IncoherentSetting(E, script_E, beta, beta_hot)
-    v_tp = s.eta * (1.0 - s.q_big)
-    if process == "TP":
-        return v_tp
-    if process == "MTP":
-        return v_tp + (1.0 - s.eta + s.eta * s.q_big) / (1.0 + math.exp(beta * script_E))
-    g = s.gamma_big
-    return v_tp + (s.eta * (1.0 - g) + g * (1.0 - s.eta)) * float(delta_d(d, g))
+    _, q, gamma_big, eta, _ = incoherent_weights(E, script_E, beta, beta_hot)
+    return _rate(process, d, beta * script_E, q, gamma_big, eta)
 
 
 def incoherent_closed_form(process: str, n: int, E: float, script_E: float,
                            beta: float, beta_hot: float, d=None) -> list:
     """Closed-form ground populations after incoherent rounds 1..n:
     p_star - rate^k (p_star - gamma), with the rate computed once."""
-    s = IncoherentSetting(E, script_E, beta, beta_hot)
-    rate = incoherent_rate(process, E, script_E, beta, beta_hot, d)
-    return _approach(s.p_star, rate, s.gamma, n)
+    gamma, q, gamma_big, eta, p_star = incoherent_weights(E, script_E, beta, beta_hot)
+    rate = _rate(process, _check_process(process, d), beta * script_E, q, gamma_big, eta)
+    return _approach(p_star, rate, gamma, n)
 
 
 def measured_rates(pops: np.ndarray, p0: float, p_star: float) -> np.ndarray:

@@ -158,17 +158,18 @@ def min_extraction_error_tp(E: float, W, beta: float):
     in eps.  From the excited state L(x) = min(1, x / tau_e0), which gives
     the closed form eps_TP of ``workx.extraction_closed_forms``.  ``W`` may
     be an array of work gaps, one curve each; the result has W's shape (a
-    float for a scalar W).
+    float for a scalar W).  The input check and gamma_W are ``workx``'s.
     """
+    # imported here, so that fig3, which loads this module, does not load workx
+    from .workx import _weights
+
     gaps = np.asarray(W, dtype=np.float64)
-    if not (E > 0.0 and beta > 0.0 and (gaps > 0.0).all()):
-        raise ValueError("E, W and beta must be positive")
-    w = gaps.reshape(-1, 1)
+    w, _, _, _, gamma_w = _weights(E, gaps.ravel(), beta)
+    w, gamma_w = w.reshape(-1, 1), gamma_w.reshape(-1, 1)
     # Gibbs rows over (g0, g1, e0, e1): core.gibbs_state's operations, all gaps at once
     weights = np.exp(-beta * np.concatenate((np.zeros_like(w), w, np.full_like(w, E), E + w),
                                             axis=-1))
     tau = weights / weights.sum(axis=-1, keepdims=True)
     start = lorenz_curve(np.array([0.0, 0.0, 1.0, 0.0]), tau)
-    gamma_w = 1.0 / (1.0 + np.exp(-beta * w))
     eps = np.maximum(0.0, 1.0 - start.value_at(1.0 - gamma_w))
     return float(eps[0, 0]) if gaps.ndim == 0 else eps.reshape(gaps.shape)

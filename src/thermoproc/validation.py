@@ -204,7 +204,7 @@ def check_coherent_asymptote():
 def check_incoherent_convergence():
     """All classes converge to the shared asymptote at the reference point."""
     tol = 1.0e-6
-    p_star = cooling.IncoherentSetting(**INC_REF).p_star
+    *_, p_star = cooling.incoherent_weights(**INC_REF)
     worst = 0.0
     detail = f"p_star = {p_star:.9f}"
     for process, d in (("TP", None), ("MTP", None), ("MMTP", 4)):
@@ -217,12 +217,12 @@ def check_incoherent_convergence():
 def check_incoherent_rates():
     """Measured contraction matches the closed rates; d = 1 equals the MTP rate."""
     tol = 1.0e-10
-    setting = cooling.IncoherentSetting(**INC_REF)
+    gamma, *_, p_star = cooling.incoherent_weights(**INC_REF)
     worst = 0.0
     for process, d in (("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 6)):
         pops = cooling.cool_incoherent(process, 12, d=d, **INC_REF)
         rate = cooling.incoherent_rate(process, d=d, **INC_REF)
-        ratios = cooling.measured_rates(pops, setting.gamma, setting.p_star)
+        ratios = cooling.measured_rates(pops, gamma, p_star)
         worst = _worst(worst, float(np.abs(ratios - rate).max()))
     worst = _worst(worst, abs(cooling.incoherent_rate("MMTP", d=1, **INC_REF)
                               - cooling.incoherent_rate("MTP", **INC_REF)))

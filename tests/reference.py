@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from thermoproc import combinatorics, cooling, memory
+from thermoproc import combinatorics, memory
 from thermoproc._kernels import _memory_sweep_py
 from thermoproc.core import PopulationVector
 from thermoproc.memory import RESPONSE_MIN_D, _protocol_totals
@@ -240,8 +240,9 @@ def exact_incoherent(process, n, E, script_E, beta, beta_hot, d=None):
     q_big and gamma_big at their binary values.  The state after a round's
     refresh follows from its ground population, since the total mass stays
     exactly 1."""
-    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
-    eta, gamma, q_big, gamma_big = map(Fraction, (s.eta, s.gamma, s.q_big, s.gamma_big))
+    kw = dict(E=E, script_E=script_E, beta=beta, beta_hot=beta_hot)
+    eta, gamma, q_big, gamma_big = (Fraction(f(**kw)) for f in (
+        scalar_eta, scalar_gamma, scalar_q_big, scalar_gamma_big))
     step = exact_swap_round(d, gamma_big) if process == "MMTP" else None
     ground, pops = gamma, []
     for _ in range(n):
@@ -273,8 +274,9 @@ def incoherent_by_numpy_scalars(process, n, d, E, script_E, beta, beta_hot):
     """``cool_incoherent`` as it ran on a 4-element numpy state: every
     product and sum on numpy scalars, the pair sweep's totals from two block
     sums, the populations stored into an array round by round."""
-    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
-    eta, q_big, gamma_big, g = s.eta, s.q_big, s.gamma_big, s.gamma
+    kw = dict(E=E, script_E=script_E, beta=beta, beta_hot=beta_hot)
+    eta, q_big, gamma_big, g = (f(**kw) for f in (
+        scalar_eta, scalar_q_big, scalar_gamma_big, scalar_gamma))
     if process == "MMTP" and d >= RESPONSE_MIN_D:
         (a_g, a_e), (b_g, b_e) = round_response(d, gamma_big)
     v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
@@ -415,3 +417,38 @@ def scalar_x(E, W, beta):
 def scalar_y(E, W, beta):
     """I_d's second argument, 1 - gamma_W."""
     return 1.0 - scalar_gamma_w(E, W, beta)
+
+
+def scalar_gamma(E, script_E, beta, beta_hot):
+    """The incoherent paradigm's system Gibbs weight 1 / (1 + e^{-beta E}),
+    as it was computed on every access before ``cooling.incoherent_weights``
+    wrote the five weights once; so are the four below."""
+    return 1.0 / (1.0 + math.exp(-beta * E))
+
+
+def scalar_q_big(E, script_E, beta, beta_hot):
+    """The (g0, e1) pair's Boltzmann factor e^{-beta script_E}."""
+    return math.exp(-beta * script_E)
+
+
+def scalar_gamma_big(E, script_E, beta, beta_hot):
+    """The (g0, e1) pair's Gibbs weight 1 / (1 + q)."""
+    return 1.0 / (1.0 + scalar_q_big(E, script_E, beta, beta_hot))
+
+
+def scalar_eta(E, script_E, beta, beta_hot):
+    """The hot auxiliary's ground weight 1 / (1 + e^{-beta_hot (script_E - E)})."""
+    return 1.0 / (1.0 + math.exp(-beta_hot * (script_E - E)))
+
+
+def scalar_p_star(E, script_E, beta, beta_hot):
+    """The shared incoherent asymptote 1 / (1 + q e^{beta_hot (script_E - E)});
+    raises OverflowError once beta_hot (script_E - E) passes 709.78."""
+    return 1.0 / (1.0 + scalar_q_big(E, script_E, beta, beta_hot)
+                  * math.exp(beta_hot * (script_E - E)))
+
+
+def scalar_incoherent_weights(E, script_E, beta, beta_hot):
+    """(gamma, q, Gamma, eta, p_star) from the five oracles above."""
+    return tuple(f(E, script_E, beta, beta_hot) for f in (
+        scalar_gamma, scalar_q_big, scalar_gamma_big, scalar_eta, scalar_p_star))

@@ -13,7 +13,8 @@ from thermoproc.core import clip_noise
 from thermoproc.majorization import beta_order, tp_reach_vertices
 from thermoproc.memory import RESPONSE_MIN_D
 
-from reference import exact_coherent, incoherent_by_numpy_scalars, round_response
+from reference import (exact_coherent, incoherent_by_numpy_scalars, round_response,
+                       scalar_incoherent_weights, scalar_p_star)
 
 REF = dict(E=1.0, script_E=2.0, beta=1.0, beta_hot=0.2)
 
@@ -33,9 +34,8 @@ def round_ordering_holds(pops, kw):
     round one) resolve to the expected order through the ascending-index
     tie break.
     """
-    s = cooling.IncoherentSetting(**kw)
-    g, eta = s.gamma, s.eta
-    ga = 1.0 / (1.0 + math.exp(-s.beta * (s.script_E - s.E)))
+    g, _, _, eta, _ = scalar_incoherent_weights(**kw)
+    ga = 1.0 / (1.0 + math.exp(-kw["beta"] * (kw["script_E"] - kw["E"])))
     tau = np.kron([g, 1.0 - g], [ga, 1.0 - ga])
     return all(tuple(beta_order(np.kron([p, 1.0 - p], [eta, 1.0 - eta]), tau))
                == EXPECTED_ROUND_ORDER for p in (g, *pops[:-1]))
@@ -59,15 +59,14 @@ def incoherent_mmtp_by_loop(n, d, E, script_E, beta, beta_hot):
     """MMTP incoherent rounds, each pair step a fresh sweep by the reference
     loop over the (g0, e1) pair alone, g1 and e0 left as they are, then the
     hot-bath refresh."""
-    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
-    eta, g = s.eta, s.gamma
+    g, _, gamma_big, eta, _ = scalar_incoherent_weights(E, script_E, beta, beta_hot)
     v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
     pops = []
     for _ in range(n):
         pair = np.empty(2 * d)
         pair[:d] = v[0] / d
         pair[d:] = v[3] / d
-        _memory_sweep_py(pair, d, s.gamma_big, 0, d)
+        _memory_sweep_py(pair, d, gamma_big, 0, d)
         v[0], v[3] = float(pair[:d].sum()), float(pair[d:].sum())
         pops.append(v[0] + v[1])
         ground, excited = v[0] + v[1], v[2] + v[3]
@@ -81,13 +80,12 @@ def incoherent_mmtp_by_composite_loop(n, d, E, script_E, beta, beta_hot):
     levels spread over the memory slots, the sweep between the g0 and e1
     blocks, the memory traced back out.  The spectators g1 and e0 pick up
     the rounding of the spread and the trace."""
-    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
-    eta, g = s.eta, s.gamma
+    g, _, gamma_big, eta, _ = scalar_incoherent_weights(E, script_E, beta, beta_hot)
     v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
     pops = []
     for _ in range(n):
         w = np.repeat(v, d) / d
-        _memory_sweep_py(w, d, s.gamma_big, 0, 3 * d)
+        _memory_sweep_py(w, d, gamma_big, 0, 3 * d)
         v = w.reshape(4, d).sum(axis=1)
         pops.append(v[0] + v[1])
         ground, excited = v[0] + v[1], v[2] + v[3]
@@ -110,9 +108,9 @@ def coherent_closed_form_at(process, n, gamma, d=None):
 
 def incoherent_closed_form_at(process, n, d=None, **kw):
     """The incoherent closed form at round n alone."""
-    s = cooling.IncoherentSetting(**kw)
+    gamma, *_, p_star = scalar_incoherent_weights(**kw)
     rate = cooling.incoherent_rate(process, d=d, **kw)
-    return s.p_star - rate ** n * (s.p_star - s.gamma)
+    return p_star - rate ** n * (p_star - gamma)
 
 
 LD = np.longdouble
@@ -151,9 +149,9 @@ def coherent_mmtp_by_longdouble(n, gamma, d):
 def incoherent_mmtp_by_longdouble(n, d, E, script_E, beta, beta_hot):
     """MMTP incoherent rounds on the long-double response, every product
     and sum in long double."""
-    s = cooling.IncoherentSetting(E, script_E, beta, beta_hot)
-    (a_g, a_e), (b_g, b_e) = longdouble_response(d, s.gamma_big)
-    g, eta = LD(s.gamma), LD(s.eta)
+    gamma, _, gamma_big, eta, _ = scalar_incoherent_weights(E, script_E, beta, beta_hot)
+    (a_g, a_e), (b_g, b_e) = longdouble_response(d, gamma_big)
+    g, eta = LD(gamma), LD(eta)
     v = [g * eta, g * (1 - eta), (1 - g) * eta, (1 - g) * (1 - eta)]
     pops = []
     for _ in range(n):
@@ -239,16 +237,17 @@ class TestMMTPRounds:
 
     @pytest.mark.parametrize("d", RESPONSE_DS)
     def test_incoherent_rounds_are_affine_steps_on_the_response(self, d):
-        s = cooling.IncoherentSetting(**REF)
-        (a_g, a_e), (b_g, b_e) = round_response(d, s.gamma_big)
-        g, eta = s.gamma, s.eta
+        g, _, gamma_big, eta, _ = scalar_incoherent_weights(**REF)
+        (a_g, a_e), (b_g, b_e) = round_response(d, gamma_big)
         v = np.array([g * eta, g * (1.0 - eta), (1.0 - g) * eta, (1.0 - g) * (1.0 - eta)])
         expected = []
         for _ in range(20):
             g0, e1 = v[0], v[3]
             v = np.array([g0 * a_g + e1 * b_g, v[1], v[2], g0 * a_e + e1 * b_e])
             expected.append(v[0] + v[1])
-            v = cooling._refresh_auxiliary(v, eta)
+            ground, excited = v[0] + v[1], v[2] + v[3]
+            v = np.array([ground * eta, ground * (1.0 - eta),
+                          excited * eta, excited * (1.0 - eta)])
         pops = cooling.cool_incoherent("MMTP", 20, d=d, **REF)
         assert pops.tolist() == expected
 
@@ -411,16 +410,16 @@ class TestCoherent:
 
 class TestIncoherent:
     def test_asymptote_reference_value(self):
-        p_star = cooling.IncoherentSetting(**REF).p_star
+        *_, p_star = cooling.incoherent_weights(**REF)
         assert abs(p_star - 1.0 / (1.0 + math.exp(-1.8))) <= 1e-15
 
     def test_hot_limit_asymptote(self):
         # beta_hot -> 0 pushes the asymptote to the largest-gap Gibbs weight
-        p_star = cooling.IncoherentSetting(1.0, 2.0, 1.0, 0.0).p_star
+        *_, p_star = cooling.incoherent_weights(1.0, 2.0, 1.0, 0.0)
         assert abs(p_star - 1.0 / (1.0 + math.exp(-2.0))) <= 1e-15
 
     def test_swap_class_recurrence(self):
-        p_star = cooling.IncoherentSetting(**REF).p_star
+        *_, p_star = cooling.incoherent_weights(**REF)
         v_tp = cooling.incoherent_rate("TP", **REF)
         pops = cooling.cool_incoherent("TP", 6, **REF)
         gamma = 1.0 / (1.0 + math.exp(-1.0))
@@ -437,17 +436,17 @@ class TestIncoherent:
         assert worst <= 1e-10
 
     def test_all_classes_share_asymptote(self):
-        p_star = cooling.IncoherentSetting(**REF).p_star
+        *_, p_star = cooling.incoherent_weights(**REF)
         for process, d in (("TP", None), ("MTP", None), ("MMTP", 3)):
             pops = cooling.cool_incoherent(process, 50, d=d, **REF)
             assert abs(pops[-1] - p_star) <= 1e-6
 
     def test_measured_rates_match(self):
-        s = cooling.IncoherentSetting(**REF)
+        gamma, *_, p_star = cooling.incoherent_weights(**REF)
         for process, d in (("TP", None), ("MTP", None), ("MMTP", 1), ("MMTP", 6)):
             pops = cooling.cool_incoherent(process, 10, d=d, **REF)
             rate = cooling.incoherent_rate(process, d=d, **REF)
-            assert np.abs(cooling.measured_rates(pops, s.gamma, s.p_star) - rate).max() <= 1e-10
+            assert np.abs(cooling.measured_rates(pops, gamma, p_star) - rate).max() <= 1e-10
 
     def test_single_slot_memory_rate_is_thermalization_rate(self):
         assert abs(cooling.incoherent_rate("MMTP", d=1, **REF)
@@ -499,13 +498,13 @@ class TestTPOptimality:
     @pytest.mark.parametrize("beta_hot", [0.2, 0.3])
     def test_incoherent_round_is_the_best_vertex_of_the_refreshed_state(self, beta_hot):
         kw = dict(REF, beta_hot=beta_hot)
-        s = cooling.IncoherentSetting(**kw)
+        gamma, _, _, eta, _ = scalar_incoherent_weights(**kw)
+        E, script_E = kw["E"], kw["script_E"]
         # the composite's Gibbs state on (g0, g1, e0, e1)
-        gibbs = np.exp(-s.beta * np.array([0.0, s.script_E - s.E, s.E, s.script_E]))
+        gibbs = np.exp(-kw["beta"] * np.array([0.0, script_E - E, E, script_E]))
         gibbs /= gibbs.sum()
-        eta = s.eta
         pops = cooling.cool_incoherent("TP", 6, **kw)
-        for p, after in zip([s.gamma, *pops[:-1]], pops):
+        for p, after in zip([gamma, *pops[:-1]], pops):
             refreshed = [p * eta, p * (1.0 - eta), (1.0 - p) * eta, (1.0 - p) * (1.0 - eta)]
             best = max(v[0] + v[1] for v in tp_reach_vertices(refreshed, gibbs))
             assert abs(after - best) <= 1e-15
@@ -555,3 +554,69 @@ class TestGridAgreement:
             closed = cooling.incoherent_closed_form(process, 50, d=d, **kw)
             worst = np.abs(pops - closed).max()
             assert worst <= 1e-10
+
+
+def random_incoherent_settings(count, seed):
+    """Draws of (E, script_E, beta, beta_hot) across the accepted domain:
+    script_E > E > 0 and 0 <= beta_hot < beta, beta_hot = 0 included."""
+    rng = np.random.default_rng(seed)
+    settings = []
+    for i in range(count):
+        E = rng.uniform(0.05, 3.0)
+        script_E = E + rng.uniform(1e-3, 4.0)
+        beta = rng.uniform(0.05, 3.0)
+        beta_hot = 0.0 if i % 10 == 0 else beta * rng.uniform(0.0, 0.999)
+        settings.append(dict(E=E, script_E=script_E, beta=beta, beta_hot=beta_hot))
+    return settings
+
+
+# past 709.78, beta_hot (script_E - E) overflows e^{beta_hot (script_E - E)} at
+# the first and beta script_E overflows e^{beta script_E} at the second
+OVERFLOW_SETTINGS = [dict(E=1.0, script_E=800.0, beta=1.0, beta_hot=0.99),
+                     dict(E=1.0, script_E=800.0, beta=1.0, beta_hot=0.1)]
+
+
+class TestIncoherentWeights:
+    def test_equal_the_scalar_oracles_bit_for_bit(self):
+        for kw in random_incoherent_settings(300, 40) + INCOHERENT_SETTINGS:
+            got = cooling.incoherent_weights(**kw)
+            assert [v.hex() for v in got] == [v.hex() for v in scalar_incoherent_weights(**kw)]
+
+    @pytest.mark.parametrize("E, script_E, beta, beta_hot", [
+        (1.0, 1.0, 1.0, 0.2), (2.0, 1.0, 1.0, 0.2), (0.0, 2.0, 1.0, 0.2),
+        (-1.0, 2.0, 1.0, 0.2), (1.0, 2.0, 1.0, 1.0), (1.0, 2.0, 1.0, 1.5),
+        (1.0, 2.0, 1.0, -0.1), (math.nan, 2.0, 1.0, 0.2), (1.0, math.nan, 1.0, 0.2),
+        (1.0, 2.0, math.nan, 0.2), (1.0, 2.0, 1.0, math.nan),
+    ])
+    def test_rejects_a_setting_outside_the_domain(self, E, script_E, beta, beta_hot):
+        with pytest.raises(ValueError, match="need"):
+            cooling.incoherent_weights(E, script_E, beta, beta_hot)
+
+    @pytest.mark.parametrize("kw", OVERFLOW_SETTINGS, ids=["hot-overflow", "cold-overflow"])
+    def test_closed_form_is_finite_where_an_exponential_overflows(self, kw):
+        for process in ("TP", "MTP"):
+            pops = cooling.cool_incoherent(process, 3, **kw)
+            closed = cooling.incoherent_closed_form(process, 3, **kw)
+            assert np.isfinite(closed).all()
+            assert np.abs(pops - closed).max() <= 1e-12
+            assert math.isfinite(cooling.incoherent_rate(process, **kw))
+
+    def test_asymptote_past_the_overflow_is_the_one_exponential_form(self):
+        # the true value at beta_hot (script_E - E) = 791.01 is 0.99988
+        *_, p_star = cooling.incoherent_weights(**OVERFLOW_SETTINGS[0])
+        assert abs(p_star - 1.0 / (1.0 + math.exp(791.01 - 800.0))) <= 1e-15
+        with pytest.raises(OverflowError):
+            scalar_p_star(**OVERFLOW_SETTINGS[0])
+
+    def test_asymptote_forms_agree_just_below_the_overflow(self):
+        # beta_hot (script_E - E) about 709, where e^{709} is finite and q a
+        # subnormal e^{-712}
+        kw = dict(E=1.0, script_E=712.0, beta=1.0, beta_hot=709.0 / 711.0)
+        hot = kw["beta_hot"] * (kw["script_E"] - kw["E"])
+        *_, p_star = cooling.incoherent_weights(**kw)
+        assert p_star == scalar_p_star(**kw)
+        assert abs(p_star - 1.0 / (1.0 + math.exp(hot - 712.0))) <= 1e-15
+
+    def test_mtp_rate_past_the_overflow_is_the_tp_rate(self):
+        kw = OVERFLOW_SETTINGS[1]
+        assert cooling.incoherent_rate("MTP", **kw) == cooling.incoherent_rate("TP", **kw)
