@@ -62,33 +62,34 @@ I_d: at d in {20, 100, 400, 1000} on fig2's 2000-point W grid (beta E = 0.7,
 beta W from 0.05 to 3), this times a loop of one ``I_d_eval`` call per point
 against one array call over the grid, and prints the loop's median per call
 as the cost of one scalar call.  The two must give the same bytes on every
-point, the anchored rows included: those of a window that starts past its
-first cell, and whole rows whose start term (1-x)^d or (1-y)^d is not a
-normal double, whose points the table counts.
+point, and at each point that takes whole rows (below d = 500, both start
+terms (1-x)^d and (1-y)^d normal doubles) the bits of ``per_point_I_d``
+(``tests/reference.py``).  The cells count the points of whole rows and
+those of the recurrence.
 
-I_d windows: on the same grid and d, the serial kernel ``_I_d_float`` on
-its windows against the full-row reference, the same kernel with every row
-whole (``_WINDOW_MIN_D`` raised past ``MAX_FLOAT_D``).  At each point whose
-windows are whole rows of normal start terms both must give the bits of
-``per_point_I_d`` (``tests/reference.py``); at ``I_D_EXACT_SAMPLES`` evenly
-spaced points of the others the windowed value must lie within d 2^-52 of
-exact I_d, relative.  The cells are the whole points, the other points, and
-the share of the whole rows' cells that the windows keep.
+I_d recurrence: on the same grid at d in {500, 1000}, where every point
+takes the recurrence, the serial kernel ``_I_d_float`` against exact I_d at
+``I_D_EXACT_SAMPLES`` evenly spaced points, sampled once; each sampled value
+must lie within d 2^-52 of the exact one, relative, and the check cell is
+the worst error.  The speedup is that of the serial call over the exact
+points.  Two more columns time a call on one point and a call on 16 evenly
+spaced points: the recurrence takes d numpy steps whatever its point count,
+so small calls cost almost as much as the whole grid.
 
 Exact layer: the integer-numerator forms against the Fraction loops they
 replaced, which reduce by a gcd at every operation:
 ``alternating_fraction``, ``weighted_fraction``, ``delta_d_column_fraction``
-and ``I_d_fraction``. The rows are the alternating route of L over the grid
+and, for exact I_d, the integer double sum that its recurrence replaced,
+``I_d_double_sum``. The rows are the alternating route of L over the grid
 of the ``special-function-routes`` check (n <= 40, float x); the definition
 route of L, K and I over the grid of the ``exact-coefficient-recurrence``
 check (n in {3, 10, 25}, m in {0, n // 2, n - 1}, x in {1/10, 2/5, 9/10});
 ``delta_d_column(30, gamma)`` at gamma in {3/5, 3/4, 9/10}, the
 ``coherent-asymptote-monotone`` check's columns; ``delta_d(400,
 Fraction(0.7))``; and exact I_d at d in {100, 200, 500, 1000} on one fig2
-point taken from floats (beta E = 0.7, beta W = 1.3), whose Fraction loop
-runs only at d <= 200, where one run takes at most about 1 s.  The
-alternating route, one grid call, must give the same bytes and every other
-row equal Fractions.
+point taken from floats (beta E = 0.7, beta W = 1.3).  The alternating
+route, one grid call, must give the same bytes and every other row equal
+Fractions.
 
 The alternating row is timed twice: with the cached per-(n, m) integers
 warm, and with the cache cleared before every run (cold), as a fresh
@@ -163,7 +164,7 @@ from thermoproc.workx import extraction_closed_forms, memory_extraction_grid
 
 # the references are the tests' own, kept once in tests/reference.py
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from reference import (I_d_fraction, alternating_fraction, delta_d_column_fraction,  # noqa: E402
+from reference import (I_d_double_sum, alternating_fraction, delta_d_column_fraction,  # noqa: E402
                        hull_numpy, incoherent_by_numpy_scalars, lki_references,
                        orbit_per_image, per_point_I_d, qutrit_vertices_four_runs,
                        round_response, scalar_gamma_delta, scalar_gamma_w, weighted_float,
@@ -185,8 +186,9 @@ ROUNDS_TOL = 1e-13
 I_D_DIMS = (20, 100, 400, 1000)
 I_D_POINTS = 2000
 I_D_EXACT_SAMPLES = 8
+RECURRENCE_DIMS = (500, 1000)
+RECURRENCE_SMALL_CALL = 16
 EXACT_I_D_DIMS = (100, 200, 500, 1000)
-FRACTION_REFERENCE_MAX_D = 200
 DELTA_GAMMAS = (Fraction(3, 5), Fraction(3, 4), Fraction(9, 10))
 HULL_GAMMA = 0.75
 ORBIT_DEPTHS = (8, 10)
@@ -460,61 +462,41 @@ def routes_grid():
 def I_d_table():
     x, y = fig2_xy(0.7, I_D_POINTS)
     points = list(zip(x.tolist(), y.tolist()))
-    # a point whose start term (1-x)^d or (1-y)^d is not a normal double
-    rows = [Row(str(d), lambda d=d: [I_d_eval(d, a, b) for a, b in points],
-                partial(I_d_eval, d, x, y),
-                cells=(str(sum(min((1.0 - a) ** d, (1.0 - b) ** d) < sys.float_info.min
-                               for a, b in points)),))
-            for d in I_D_DIMS]
-    return Table(f"I_d over a {I_D_POINTS}-point W grid", "d", rows, cells=("underflow",),
-                 times=("per point [ms]", "array [ms]"), per_call=I_D_POINTS)
-
-
-def whole_rows(d, x, y):
-    """The serial kernel with every row whole, as before the windows."""
-    smallest, combinatorics._WINDOW_MIN_D = (combinatorics._WINDOW_MIN_D,
-                                             combinatorics.MAX_FLOAT_D + 1)
-    try:
-        return combinatorics._I_d_float([d], x, y)[0]
-    finally:
-        combinatorics._WINDOW_MIN_D = smallest
-
-
-def window_check(d, x, y):
-    """The check of the windowed kernel against whole rows: the same bits
-    as ``per_point_I_d`` at each point whose windows are whole rows of
-    normal start terms, and within d 2^-52 of exact I_d, relative, at
-    ``I_D_EXACT_SAMPLES`` evenly spaced points of the others; and the
-    table row's cells: the count of those whole points and of the others,
-    and the share of the whole rows' cells that the windows keep."""
-    _, lx, _, ly, mirror, separated = (a[0] for a in combinatorics._windows([d], x, y))
-    whole = np.flatnonzero(whole_row_points(d, x, y))
-    cut = np.setdiff1d(np.arange(len(x)), whole)
-
-    def check(reference, new):
-        formula = [per_point_I_d(d, x[k], y[k]) for k in whole]
-        bitwise = bits(new[whole]) == bits(formula) == bits(reference[whole])
-        worst = 0.0
-        for k in cut[::max(1, -(-len(cut) // I_D_EXACT_SAMPLES))]:
-            exact = I_d_eval(d, Fraction(x[k]), Fraction(y[k]))
-            worst = max(worst, float(abs(Fraction(new[k]) - exact) / exact))
-        ok = bitwise and worst <= d * 2.0 ** -52
-        return ok, [str(bitwise), f"{worst:.1e}"]
-    kept = (2 * lx * mirror + (lx + ly) * separated).sum() / (2 * d * len(x))
-    return check, (str(len(whole)), str(len(cut)), f"{kept:.2f}")
-
-
-def window_table():
-    x, y = fig2_xy(0.7, I_D_POINTS)
     rows = []
     for d in I_D_DIMS:
-        check, cells = window_check(d, x, y)
-        rows.append(Row(str(d), partial(whole_rows, d, x, y),
+        whole = np.flatnonzero(whole_row_points(d, x, y))
+
+        def check(loop, array, d=d, whole=whole):
+            formula = [per_point_I_d(d, x[k], y[k]) for k in whole]
+            ok = bits(loop) == bits(array) and bits(array[whole]) == bits(formula)
+            return ok, [str(ok)]
+        rows.append(Row(str(d), lambda d=d: [I_d_eval(d, a, b) for a, b in points],
+                        partial(I_d_eval, d, x, y), check=check,
+                        cells=(str(len(whole)), str(len(x) - len(whole)))))
+    return Table(f"I_d over a {I_D_POINTS}-point W grid", "d", rows,
+                 cells=("whole", "recurrence"), times=("per point [ms]", "array [ms]"),
+                 per_call=I_D_POINTS)
+
+
+def recurrence_table():
+    x, y = fig2_xy(0.7, I_D_POINTS)
+    sampled = range(0, I_D_POINTS, I_D_POINTS // I_D_EXACT_SAMPLES)
+    small = slice(0, I_D_POINTS, I_D_POINTS // RECURRENCE_SMALL_CALL)
+    rows = []
+    for d in RECURRENCE_DIMS:
+        def check(exact, new, d=d):
+            worst = max(float(abs(Fraction(new[k]) - value) / value)
+                        for k, value in zip(sampled, exact))
+            return worst <= d * 2.0 ** -52, [f"{worst:.1e}"]
+        rows.append(Row(str(d), lambda d=d: [I_d_eval(d, Fraction(x[k]), Fraction(y[k]))
+                                             for k in sampled],
                         lambda d=d: combinatorics._I_d_float([d], x, y)[0], check=check,
-                        cells=cells))
-    return Table(f"I_d windows over a {I_D_POINTS}-point W grid, serial", "d", rows,
-                 cells=("whole", "cut", "kept"),
-                 times=("whole rows [ms]", "windows [ms]"), checks=("bitwise", "exact"))
+                        reference_once=True,
+                        also=((partial(I_d_eval, d, x[0], y[0]),
+                               partial(I_d_eval, d, x[small], y[small])),)))
+    return Table(f"I_d recurrence over a {I_D_POINTS}-point W grid", "d", rows,
+                 times=(f"exact x{I_D_EXACT_SAMPLES} [ms]", "serial [ms]", "1 point [ms]",
+                        f"{RECURRENCE_SMALL_CALL} points [ms]"), checks=("exact",))
 
 
 def exact_table():
@@ -542,11 +524,10 @@ def exact_table():
     rows.append(Row("delta_d(400, 0.7)", lambda: delta_d_column_fraction(400, gamma)[-1],
                     partial(delta_d, 400, gamma)))
     x_d, y_d = (Fraction(float(v[0])) for v in extraction_closed_forms(0.7, (1.3,), 1.0)[3:])
-    rows += [Row(f"I_d d={d}", partial(I_d_fraction, d, x_d, y_d)
-                 if d <= FRACTION_REFERENCE_MAX_D else None, partial(I_d_eval, d, x_d, y_d))
-             for d in EXACT_I_D_DIMS]
+    rows += [Row(f"I_d d={d}", partial(I_d_double_sum, d, x_d, y_d),
+                 partial(I_d_eval, d, x_d, y_d)) for d in EXACT_I_D_DIMS]
     return Table("exact layer", "function", rows,
-                 times=("Fraction [ms]", "integer [ms]"), checks=("equal",))
+                 times=("reference [ms]", "integer [ms]"), checks=("equal",))
 
 
 def extraction_by_sweeps(gamma_delta, gamma_w, d):
@@ -648,7 +629,7 @@ def geometry_table():
 
 # every table after the sweep kernel's, in the order they print
 TABLES = (batch_table, narrow_table, wide_table, incoherent_table, response_table,
-          I_d_table, window_table, exact_table, validation_batch_table, special_function_table,
+          I_d_table, recurrence_table, exact_table, validation_batch_table, special_function_table,
           geometry_table, validate_table)
 
 

@@ -13,25 +13,27 @@ coefficients and a few generating-function style sums:
     delta_d = (1-gamma)/gamma - sum_{n<d} cat(n) [gamma(1-gamma)]^n,
     valid for gamma > 1/2 (never by truncating the slowly converging tail);
   - ``I_d(x, y)``: the double sum controlling the memory-assisted work
-    extraction error, evaluated with multiplicative term recurrences so no
-    oversized binomial is ever formed in float mode.  Each row of terms is
-    a negative-binomial pmf, and from d = ``_WINDOW_MIN_D`` a float call
-    computes only each row's window, the cells whose terms can move the
-    value (``_cuts`` derives the rule).  A float call works through its
-    points in blocks of rows of one window length inside two buffers, of at
-    most 2 x 2^15 doubles each, allocated once and reused for every d of
-    the call; each mirrored block's x terms lie above its y terms, so that
-    one numpy call covers both.  The term ratios fill column 0 with 1.0 in
-    a whole row, which its start term then scales, and since
-    1.0 r_1 = r_1 exactly, each running product keeps its bits.  What
-    remains per term is elementwise work and sequential scans (a cumulative
-    product per row, two cumulative sums per mirrored x row), which set the
-    cost.  On these blocks numpy's scans did not overlap on two threads, so
-    a call of at least 2 x ``_PART_MIN_CELLS`` cells (points times the sum
-    of its d) splits its points across processes instead: one strided
-    chunk per usable CPU, run by ``_split.map_parts`` (loaded by the first
-    such call) here and in forked children.  Every value keeps its bits,
-    since no value depends on the other points.
+    extraction error, a mean over the law p_s of a sum S of two
+    negative-binomial variables, which obeys a three-term recurrence in s
+    (``_I_d_recurrence``): d steps per point, float or exact, with no
+    oversized binomial.  Below d = ``_RECURRENCE_MIN_D`` a float point
+    whose start terms (1-x)^d and (1-y)^d are normal doubles takes its two
+    whole rows of terms instead, d cells each, whose bits the default
+    outputs pin.  A float call works through those points in blocks of
+    consecutive points inside two buffers allocated once and reused for
+    every d of the call; each block's x rows lie above its y rows, so that
+    one numpy call covers both, and what remains per term is elementwise
+    work and sequential scans (a cumulative product per row, two cumulative
+    sums per x row).  The recurrence runs all its points in one vectorised
+    loop of d steps of 8 numpy calls, so its cost per call is d steps
+    whatever the point count: 2000 points at d = 1000 take about 10 ms, one
+    point about 4 ms (2-CPU x86 host).  On whole-row blocks numpy's scans
+    did not overlap on two threads, so a call of at least
+    2 x ``_PART_MIN_CELLS`` cells (points times the sum of its d) splits
+    its points across processes instead: one strided chunk per usable CPU,
+    run by ``_split.map_parts`` (loaded by the first such call) here and in
+    forked children.  Every value keeps its bits, since no value depends on
+    the other points.
 
 Every function accepts ``fractions.Fraction`` arguments and then evaluates
 exactly; float arguments use double precision.  The exact mode works on
@@ -71,7 +73,6 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -81,41 +82,36 @@ SQRT_PI = math.sqrt(math.pi)
 # the bounding constant diverges at gamma = 1/2.
 DELTA_GAMMA_MARGIN = 1.0e-9
 
-# C(2d-2, d-1) overflows double around d = 515, so float-mode I_d multiplies
-# term ratios from a row's first term: (1-x)^d, or an anchor term formed from
-# mantissas and a power of two, whose mantissa powers m^d (m >= 1/2) are
-# normal doubles only up to d = 1022.  Float mode is capped where it was
-# checked against exact I_d.
+# the start term ((1-x)(1-y))^d of ``_I_d_recurrence`` is formed from the
+# mantissa powers m^d (m >= 1/2), normal doubles only up to d = 1022.  Float
+# mode is capped where it was checked against exact I_d.
 MAX_FLOAT_D = 1000
 
-# doubles per half buffer of float-mode I_d, each call holding two buffers of
-# two halves (4 x 256 KB): bounds the memory (a 2000-point grid at d = 1000 in
-# one block would take 16 MB per half) while keeping numpy's per-call cost
-# small next to the work of a block
+# doubles per row kind (x or y) of a block of whole I_d rows, which hold d
+# doubles each below ``_RECURRENCE_MIN_D``: bounds the memory of a call's
+# buffers (3 x 256 KB) while keeping numpy's per-call cost small next to the
+# work of a block
 _BLOCK_ELEMENTS = 1 << 15
 
 # cells (points times the sum of the d) that each process of a split float
 # I_d call must get.  A bare fork round trip (fork, pipe, exit, reap) takes
 # 3.3 ms, and a split call in two took 4-15 ms (mostly 7-9 ms) more than half
-# the serial time.  I_d spends 22-42 ns per cell of whole rows (d = 20 to
-# 400), but its windows cut that to 12-16 ns per cell at d = 1000, where a
-# second process has less to save.  At 2 x 2^19 cells the split was 22-30%
-# faster at d = 20, 100 and 400, but 2-18% slower at d = 1000; at 2 x 2^20
-# cells it was 13-41% faster at every d (2-CPU x86 host, medians of 11, two
-# runs).  Cells count whole rows, so no one threshold fits both; a call
-# splits in two from 2 x 2^19 cells, and each further part needs 2^19 more.
+# the serial time.  Whole rows take 22-42 ns per cell (d = 20 to 400), and
+# at those d the split was 22-30% faster at 2 x 2^19 cells and 13-41% faster
+# at 2 x 2^20 (2-CPU x86 host, medians of 11, two runs).  The recurrence
+# takes 5-7 ns per cell (2000 points at d = 500 and 1000) but counts its
+# cells the same.  A call splits in two from 2 x 2^19 cells, and each
+# further part needs 2^19 more.
 _PART_MIN_CELLS = 1 << 19
 
-# the smallest d whose I_d rows take windows (``_windows``); below it every
-# row is whole.  A call pays about 0.5 ms for the bounds and a block per
-# window length, so windows pay only on many points at large d (2-CPU x86
-# host, medians of 15-40 calls): on fig2-dense's 2000-point grid
-# (beta E = 0.7) a call of one d took 7% longer with windows than with whole
-# rows at d = 256 and 6-17% less from d = 350 to 500, but on 16 of its
-# points it took 1.15 against 0.26 ms at d = 500, and 100 points broke even
-# there.  The largest d of the default run is 400, in ``validate``'s
-# 16-point ``memory-extraction-large-d`` check, so windows start above it.
-_WINDOW_MIN_D = 500
+# the smallest d at which every I_d point takes ``_I_d_recurrence``; below it
+# a point takes its whole rows when both start terms are normal doubles.
+# On 2000 fig2 points the recurrence is 2.7-3.9x faster (d = 20 to 400,
+# 2-CPU x86 host), but the whole rows fix the bits of the default outputs
+# (fig2.csv at d <= 20 and validation_report.json at d <= 400), which the
+# benchmark's seed digests pin; once those are recorded anew, the whole
+# rows can go.
+_RECURRENCE_MIN_D = 500
 
 
 def _require_int(value, name, minimum):
@@ -486,136 +482,36 @@ def catalan_tail_bound(d: int, gamma) -> float:
     return (4.0 * g * (1.0 - g)) ** d / (SQRT_PI * d ** 1.5 * (2.0 * g - 1.0) ** 2)
 
 
-def _windows(ds, x, y):
-    """The window of each row of I_d at each d of ``ds`` and each point of
-    the 1-D arrays x, y: (ax, lx, ay, ly, mirror, separated), arrays of
-    shape (len(ds), len(x)) of the first cell and the length of the x row's
-    and the y row's window, and whether the point takes the mirrored or the
-    separated form; a point of neither has the value 0.  Below
-    ``_WINDOW_MIN_D`` every row is whole and mirrored; from it on
-    ``_cuts.cut_windows`` (which derives the rule) places the windows,
-    loaded by the first such call, so that every other process neither
-    imports nor compiles it."""
-    n = len(x)
-    ds = np.asarray(ds, dtype=np.int64)
-    lx = np.repeat(ds[:, None], n, axis=1)
-    ax, ay, ly = np.zeros_like(lx), np.zeros_like(lx), lx.copy()
-    mirror, separated = np.ones(lx.shape, dtype=bool), np.zeros(lx.shape, dtype=bool)
-    wide = np.flatnonzero(ds >= _WINDOW_MIN_D)
-    if len(wide):
-        from . import _cuts
-
-        cut = _cuts.cut_windows(np.repeat(ds[wide].astype(np.float64), n),
-                                np.tile(x, len(wide)), np.tile(y, len(wide)))
-        for whole, part in zip((ax, lx, ay, ly, mirror, separated), cut):
-            whole[wide] = part.reshape(len(wide), n)
-    return ax, lx, ay, ly, mirror, separated
-
-
-@functools.lru_cache(maxsize=16)
-def _binomial_table(d):
-    """C(d-1+k, k) for k = 0..d-1 as float mantissas in [1, 2), each the
-    correctly rounded quotient of the exact integer by its leading power of
-    two, and those powers' exponents.  A table takes 1.2 ms to build at
-    d = 1000 (2-CPU x86 host), more than a one-point call; the 16 latest
-    are kept, so that repeated calls at a few d reuse theirs while a sweep
-    over many d holds at most 16 tables (256 KB at d = 1000)."""
-    mantissas, exponents = np.empty(d), np.empty(d, dtype=np.int64)
-    c = 1
-    for k in range(d):
-        exponents[k] = c.bit_length() - 1
-        mantissas[k] = c / (1 << int(exponents[k]))
-        c = c * (d + k) // (k + 1)
-    return mantissas, exponents
-
-
-def _window_starts(d, q, starts, lengths, one_minus_q):
-    """(first, scale, shift) of each row of terms f_d(k) q^k (1-q)^d from
-    cell ``starts``: the row is first times the running product of the
-    term ratios, times scale, and holds the terms times 2^shift.
-
-    A row from cell 0 whose start term, Python's (1-q)^d, is a normal
-    double runs as the whole rows always did: first 1.0, scale that term,
-    shift 0.  Every other row starts from its anchor, the term at its first
-    cell a, C(d-1+a, a) q^a (1-q)^d, computed without a logarithm: with
-    u = 1 - q = m_u 2^e_u and q = m_q 2^e_q (m in [1/2, 1)), m_u^d and m_q^a
-    are normal doubles for d, a <= 1000 and ``_binomial_table`` gives the
-    binomial, so the anchor is a product of three mantissas (within a few
-    ulp: two powers, the binomial's rounding and two products) times a
-    power of two.  Its shift puts the window's largest term, at the mode
-    clamped into the window, near 1, so that no term, prefix sum or product
-    of an x and a y term overflows; its first is the shifted anchor, its
-    scale 1.0.  The running product carries the first term's relative
-    error into every term, so the shift also keeps that term at or above
-    the smallest normal double, where it holds a whole mantissa.  That
-    lifts the largest term above 1 when it exceeds the first by more than
-    2^1022, which only d >= 515 allows (the ratio of two terms of a row is
-    at most C(2d-2, d-1), below 2^1022 up to d = 514).  On 2.7 million
-    random points with d from 500 to 1000 (x and y uniform, and
-    log-uniformly close to 0 and to 1), the windows of nonzero values
-    spanned at most 2^1166, so terms stay below 2^150 and sums of d^3
-    products of an x and a y term below 2^330.  ``one_minus_q`` is the list
-    of 1 - q.
-    """
-    # Python's float power, which numpy's need not round like
-    scale = np.array([v ** d for v in one_minus_q])
-    first, shift = np.ones(len(q)), np.zeros(len(q), dtype=np.int64)
-    rows = np.flatnonzero((scale < sys.float_info.min) | (starts > 0))
-    if len(rows):
-        scale[rows] = 1.0
-        mantissas, exponents = _binomial_table(d)
-        qa, a = q[rows], starts[rows]
-        m_u, e_u = np.frexp(1.0 - qa)
-        m_u, e_ud = np.frexp(np.power(m_u, d))
-        m_q, e_q = np.frexp(qa)
-        m_q, e_qa = np.frexp(np.power(m_q, a.astype(np.float64)))
-        mantissa = m_u * m_q * mantissas[a]
-        exponent = e_u * d + e_ud + e_q * a + e_qa + exponents[a]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mode = np.floor((d - 1.0) * qa / (1.0 - qa))
-            top = np.clip(mode, a, a + lengths[rows] - 1).astype(np.int64)
-            rise = np.where(top > a, (top - a) * np.log2(qa), 0.0)
-        anchor = exponent + np.log2(mantissa)
-        largest = (anchor + rise + exponents[top] - exponents[a]
-                   + np.log2(mantissas[top] / mantissas[a]))
-        shift[rows] = np.maximum(-np.floor(largest), np.ceil(-1022.0 - anchor))
-        first[rows] = np.ldexp(mantissa, exponent + shift[rows])
-    return first, scale, shift
-
-
-def _window_terms(out, scratch, q, starts, first, scale, num, den):
-    """Rows of ``_window_starts`` terms in ``out`` (rows, L), from the term
-    ratios q (d + k - 1) / k at the cells k of each window, which start at
-    the cells ``starts`` (None: all at cell 0); ``num`` and ``den`` are the
-    float rows d + k - 1 and k of a window from cell 0, with den[0] = 1 so
-    that column 0, overwritten, divides by no zero, and ``scratch`` is an
-    array of the rows' shape.  A block of windows from cell 0 runs the
-    operations of the whole rows: a copy of ``num``, times q, over ``den``;
-    IEEE multiplication commutes, so num q has the bits of q num.  A
-    ``first`` of 1.0 stands for every row's."""
-    if starts is not None and starts.any():
-        den = np.add(den, starts[:, None], out=scratch)
-        np.add(num, starts[:, None], out=out)
-    else:
-        out[:] = num
-    out *= q[:, None]
-    np.divide(out, den, out=out)
-    out[:, 0] = first
-    np.cumprod(out, axis=1, out=out)
-    np.multiply(scale[:, None], out, out=out)
-    return out
+def _whole_rows(d, x, y, start_x, start_y, buffers):
+    """d I_d at each point of the 1-D arrays x, y on its whole rows: the
+    terms f_d(k) q^k (1-q)^d of the x row and of the y row, k = 0..d-1, as
+    the running product of the term ratios q (d + k - 1) / k, with column 0
+    set to 1.0, times the start terms ``start_x`` and ``start_y``.  The x
+    rows lie above the y rows, so that each pass over the terms is one numpy
+    call, in the first of the two flat ``buffers``; the second holds the
+    moments of ``_I_d_rows``."""
+    k = len(x)
+    terms = buffers[0][:2 * k * d].reshape(2 * k, d)
+    den = np.maximum(np.arange(d, dtype=np.float64), 1.0)  # k, with 1 at k = 0
+    terms[:] = den + (d - 1.0)
+    # IEEE multiplication commutes, so (d + k - 1) q has the bits of q (d + k - 1)
+    terms *= np.concatenate((x, y))[:, None]
+    np.divide(terms, den, out=terms)
+    terms[:, 0] = 1.0
+    np.cumprod(terms, axis=1, out=terms)
+    np.multiply(np.concatenate((start_x, start_y))[:, None], terms, out=terms)
+    ks = np.arange(d, dtype=np.float64)
+    return _I_d_rows(terms[:k], terms[k:], buffers[1][:k * d].reshape(k, d), ks, ks + 1.0)
 
 
 def _I_d_rows(tx, ty, q, ks, ks1):
-    """d I_d of each row pair of mirrored windows, times the rows' scale;
-    overwrites ``tx``, ``ty`` and ``q``, an array of their shape.
+    """d I_d of each pair of whole rows; overwrites ``tx``, ``ty`` and
+    ``q``, an array of their shape.
 
     With prefix sums P_k of tx_k and Q_k of k tx_k along the last axis, the
-    value is sum_j ty_j ((L - j) P_{L-1-j} - Q_{L-1-j}), a pairwise row sum
-    (the bracket depends only on the cells' distance, so the window's first
-    cell may stand for k = 0).  The bracket is formed in place at
-    k = L-1-j, where L - j = k + 1; ``ks`` and ``ks1`` are the float rows
-    k and k + 1.
+    value is sum_j ty_j ((d - j) P_{d-1-j} - Q_{d-1-j}), a pairwise row sum.
+    The bracket is formed in place at k = d-1-j, where d - j = k + 1;
+    ``ks`` and ``ks1`` are the float rows k and k + 1.
     """
     np.multiply(ks, tx, out=q)
     np.cumsum(q, axis=1, out=q)
@@ -626,90 +522,104 @@ def _I_d_rows(tx, ty, q, ks, ks1):
     return np.sum(ty, axis=1)
 
 
-def _length_order(units, lengths, cells):
-    """[(L, block)]: the indices ``units`` in blocks of at most
-    max(1, cells // L) indices of one window length L, in order of length
-    and, within one length, in the order of ``units``."""
-    if not len(units):
-        return []
-    units = units[np.argsort(lengths[units], kind="stable")]
-    ordered = lengths[units]
-    edges = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(units)]
-    blocks = []
-    for lo, hi in zip(edges, edges[1:]):
-        length = int(ordered[lo])
-        step = max(1, cells // length)
-        blocks += [(length, units[at:min(at + step, hi)]) for at in range(lo, hi, step)]
-    return blocks
+def _I_d_recurrence(d, x, y):
+    """I_d at each point of the 1-D arrays x, y from the law p_s = P(S = s)
+    of ``I_d_eval``'s sum S, d I_d = sum_{s<d} (d - s) p_s, by its
+    three-term recurrence
+
+        (s+1) p_{s+1} = (x+y) (s+d) p_s - xy (s-1+2d) p_{s-1},
+
+    from p_0 = ((1-x)(1-y))^d and p_{-1} = 0: the generating function
+    G(z) = p_0 / ((1-xz)(1-yz))^d obeys G' (1-xz)(1-yz) = d G (x+y - 2xyz).
+    p_0 is a mantissa times a power of two: with 1 - q = m 2^e
+    (m in [1/2, 1)), Python's float power m^d is a normal double up to
+    d = 1022.  Every 32 steps the running values are rescaled by the power
+    of two that brings the sum into [1/2, 1), so that nothing overflows.
+    Before the mode of S, where the terms rise, a term is at least the sum
+    over d^2; after it they fall, and those that underflow lie more than
+    2^-1022 below the sum.  The subtracted term is at most half the first
+    (at x = y it is s / (2 (s + d)) of it), each step rounds a few times,
+    and p_0 carries the rounding of 1 - x and 1 - y to its d-th power:
+    against exact I_d on fig2's line (beta E = 0.7) at d = 1000 the worst
+    relative error was 0.93 d 2^-52, at W_0.  Every operation is
+    elementwise, so each value has the bits of a call on its point alone.
+    """
+    if len(x) == 1:
+        # numpy's in-place ufuncs took 2-3x longer on one element than on two
+        return _I_d_recurrence(d, np.repeat(x, 2), np.repeat(y, 2))[:1]
+    mantissa, exponent = np.ones(len(x)), np.zeros(len(x), dtype=np.int64)
+    for q in (x, y):
+        m, e = np.frexp(1.0 - q)
+        m, e_d = np.frexp([v ** d for v in m.tolist()])
+        mantissa *= m
+        exponent += d * e + e_d
+    lin, quad = x + y, x * y
+    prev, cur, total, term = np.zeros(len(x)), mantissa, np.zeros(len(x)), np.empty(len(x))
+    # ufuncs with out= and float operands: numpy's cheapest calls, which set
+    # the cost of a call on few points
+    for s in range(d):
+        np.multiply(cur, float(d - s), out=term)
+        np.add(total, term, out=total)
+        if s % 32 == 31:
+            shift = np.frexp(total)[1]
+            for v in (total, cur, prev):
+                np.ldexp(v, -shift, out=v)
+            exponent += shift
+        np.multiply(prev, quad, out=prev)
+        np.multiply(prev, float(s - 1 + 2 * d), out=prev)
+        np.multiply(cur, lin, out=term)
+        np.multiply(term, float(s + d), out=term)
+        np.subtract(term, prev, out=prev)
+        np.divide(prev, float(s + 1), out=prev)
+        prev, cur = cur, prev
+    return np.ldexp(total, exponent) / d
 
 
 def _I_d_float(ds, x, y):
     """I_d at each point of the 1-D arrays x, y, one array per d of ``ds``.
 
-    Each d takes the windows of ``_windows`` and runs their rows in blocks
-    of one window length inside two buffers, allocated once for the call,
-    of at most 2 x ``_BLOCK_ELEMENTS`` doubles each.  A mirrored block
-    holds its x rows above its y rows, so that each pass over the terms is
-    one numpy call, and ``_I_d_rows`` forms its values; a separated block
-    holds rows of either kind, whose sums P and Q give the separated form.
-    Each d orders its rows by window length once (``_length_order``);
-    below ``_WINDOW_MIN_D``, where every row is whole, that order is the
-    points' own and each block holds consecutive points.  No row's bits
-    depend on the other rows, so each value is that of a call on its point
-    alone.  Terms may underflow to subnormals or 0, past the smallest
-    double; nothing overflows, divides by zero or turns invalid.
+    Below ``_RECURRENCE_MIN_D`` a point whose start terms, Python's
+    (1-x)^d and (1-y)^d, are both normal doubles takes its whole rows
+    (``_whole_rows``), in blocks of consecutive points of at most
+    ``_BLOCK_ELEMENTS`` cells per row kind inside two buffers allocated
+    once for the call; every other point takes ``_I_d_recurrence``.  No
+    row's bits depend on the other rows, so each value is that of a call on
+    its point alone.  Terms may underflow to subnormals or 0, past the
+    smallest double; nothing overflows, divides by zero or turns invalid.
     """
     n = len(x)
-    q = np.concatenate((x, y))
-    one_minus_q = (1.0 - q).tolist()
+    one_minus_x, one_minus_y = (1.0 - x).tolist(), (1.0 - y).tolist()
     cells = max(1, min(_BLOCK_ELEMENTS, n * max(ds, default=1)))
-    terms_buffer, scratch_buffer = np.empty(2 * cells), np.empty(2 * cells)
-
-    def terms(rows, length, d):
-        """The window terms of the rows ``rows`` at this d, from its
-        ``starts``, ``first`` and ``scale``, in the terms buffer."""
-        size = len(rows) * length
-        den = np.maximum(np.arange(length, dtype=np.float64), 1.0)  # k, with 1 at k = 0
-        return _window_terms(terms_buffer[:size].reshape(-1, length),
-                             scratch_buffer[:size].reshape(-1, length), q[rows],
-                             starts[rows], first[rows], scale[rows], den + (d - 1.0), den)
-
+    buffers = np.empty(2 * cells), np.empty(cells)
     out = []
-    for d, ax, lx, ay, ly, mirror, separated in zip(ds, *_windows(ds, x, y)):
-        starts, lengths = np.concatenate((ax, ay)), np.concatenate((lx, ly))
-        first, scale, shift = _window_starts(d, q, starts, lengths, one_minus_q)
-        values = np.zeros(n)  # d I_d times 2^shift of both rows
-        for length, points in _length_order(np.flatnonzero(mirror), lx, cells):
-            k = len(points)
-            both = terms(np.concatenate((points, points + n)), length, d)
-            ks = np.arange(length, dtype=np.float64)
-            values[points] = _I_d_rows(both[:k], both[k:],
-                                       scratch_buffer[:k * length].reshape(k, length),
-                                       ks, ks + 1.0)
-        if separated.any():
-            sums, moments = np.zeros(2 * n), np.zeros(2 * n)
-            for length, rows in _length_order(np.flatnonzero(np.tile(separated, 2)), lengths,
-                                              2 * cells):
-                row_terms = terms(rows, length, d)
-                sums[rows] = np.sum(row_terms, axis=1)
-                weighted = np.multiply(row_terms, np.arange(length, dtype=np.float64),
-                                       out=scratch_buffer[:len(rows) * length].reshape(-1, length))
-                moments[rows] = np.sum(weighted, axis=1)
-            moments += starts * sums  # k counted from each window's first cell
-            points = np.flatnonzero(separated)
-            px, py = sums[points], sums[points + n]
-            values[points] = px * (d * py - moments[points + n]) - moments[points] * py
-        out.append(np.ldexp(values, -(shift[:n] + shift[n:])) / d)
+    for d in ds:
+        values = np.empty(n)
+        whole = np.zeros(n, dtype=bool)
+        if d < _RECURRENCE_MIN_D:
+            # Python's float power, which numpy's need not round like
+            start_x = np.array([v ** d for v in one_minus_x])
+            start_y = np.array([v ** d for v in one_minus_y])
+            whole = (start_x >= sys.float_info.min) & (start_y >= sys.float_info.min)
+            points = np.flatnonzero(whole)
+            step = max(1, cells // d)
+            for at in range(0, len(points), step):
+                block = points[at:at + step]
+                values[block] = _whole_rows(d, x[block], y[block], start_x[block],
+                                            start_y[block], buffers) / d
+        rest = np.flatnonzero(~whole)
+        if len(rest):
+            values[rest] = _I_d_recurrence(d, x[rest], y[rest])
+        out.append(values)
     return out
 
 
 def _I_d_parts(ds, x, y, parts):
     """``_I_d_float(ds, x, y)`` with the points dealt into ``parts`` strided
     chunks, every ``parts``-th point from the k-th on, which
-    ``_split.map_parts`` runs on ``parts`` processes.  A point's windows set
-    its cost, which varies along a grid (fig2's low work gaps keep about
-    twice the cells of its high ones at d = 1000), and each strided chunk
-    draws from the whole grid."""
+    ``_split.map_parts`` runs on ``parts`` processes.  A point's row kind
+    (whole rows or the recurrence, by its start terms) sets its cost, which
+    may vary along a grid, and each strided chunk draws from the whole
+    grid."""
     from . import _split
 
     cuts = [slice(k, None, parts) for k in range(parts)]
@@ -739,31 +649,22 @@ def _I_d_parallel(ds, x, y):
 def _I_d_exact(d, x, y):
     """I_d of exact x and y on integers, with one Fraction at the end.
 
-    With x = a/q and y = b/r, the terms f_d(k) x^k (1-x)^d are
-    (q-a)^d u_k / q^{2d-1} with the integers u_k = f_d(k) a^k q^{d-1-k},
-    and likewise for y, so
+    With x = a/q and y = b/r, the integers N_s = (p_s / p_0) (qr)^s of the
+    law of ``_I_d_recurrence`` obey
 
-        I_d = (q-a)^d (r-b)^d T / (d q^{2d-1} r^{2d-1}),
-        T = sum_j f_d(j) b^j r^{d-1-j} B_{d-1-j},
+        (s+1) N_{s+1} = (ar + bq) (s+d) N_s - ab qr (s-1+2d) N_{s-1},
 
-    where B_k = sum_{i<=k} (k+1-i) u_i is the bracket (k+1) P_k - Q_k of the
-    float form: the running sum of the prefix sums of u.  T is summed by
-    Horner in r, so each step multiplies by r, not by a power of it.
+    each division exact, and
+    I_d = ((q-a)(r-b))^d T / (d (qr)^{2d-1}), T = sum_{s<d} (d-s) N_s (qr)^{d-1-s},
+    which Horner's rule sums in qr.
     """
-    xq, yq = Fraction(x), Fraction(y)
-    a, q = xq.numerator, xq.denominator
-    b, r = yq.numerator, yq.denominator
-    u = [q ** (d - 1)]
-    for k in range(d - 1):
-        # exact: u_k (d+k) a = (k+1) f_d(k+1) a^{k+1} q^{d-1-k}
-        u.append(u[-1] * (d + k) * a // ((k + 1) * q))
-    total = 0
-    g = 1  # f_d(j) b^j
-    for j, bracket in enumerate(reversed(list(accumulate(accumulate(u))))):
-        total = total * r + g * bracket
-        g = g * (d + j) * b // (j + 1)
-    return Fraction((q - a) ** d * (r - b) ** d * total,
-                    d * q ** (2 * d - 1) * r ** (2 * d - 1))
+    (a, q), (b, r) = Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio()
+    lin, quad = a * r + b * q, a * b * q * r
+    prev, cur, total = 0, 1, 0
+    for s in range(d):
+        total = total * q * r + (d - s) * cur
+        prev, cur = cur, (lin * (s + d) * cur - quad * (s - 1 + 2 * d) * prev) // (s + 1)
+    return Fraction(((q - a) * (r - b)) ** d * total, d * (q * r) ** (2 * d - 1))
 
 
 def I_d_eval(d, x, y):
@@ -781,24 +682,27 @@ def I_d_eval(d, x, y):
     I_d >= (1 - mu)^+ with mu = E[S]/d = x/(1-x) + y/(1-y); and, since
     S_{d+1}/(d+1) is the mean of its d+1 leave-one-out means, each
     distributed as S_d/d, the convex order gives I_{d+1} <= I_d (Shaked and
-    Shanthikumar, Stochastic Orders, Springer, 2007, ch. 3).  The float
-    windows (``_windows``) rest on this form.
+    Shanthikumar, Stochastic Orders, Springer, 2007, ch. 3).
 
-    Symmetric under swapping x and y.  Evaluated with prefix sums over the
-    term recurrences, in float mode on each row's window: at most O(d) per
-    point, and from d = ``_WINDOW_MIN_D`` only the cells that can move the
-    value.  ``d`` is one memory dimension, or a
+    Symmetric under swapping x and y.  The law p_s = P(S = s) obeys a
+    three-term recurrence (``_I_d_recurrence``; p_s is a D-finite sequence:
+    R. P. Stanley, Europ. J. Combin. 1, 1980), and d I_d is the sum of
+    (d - s) p_s over s < d: d steps per point, in float mode and, on
+    integers, in exact mode.  ``d`` is one memory dimension, or a
     sequence of them, which gives a list: the value of one call per d, in
     the sequence's order.  Fraction (or int) x and y give the
     exact rational value.  Otherwise x and y are floats or equal-shape
     float arrays: a scalar pair returns a float, arrays return an array of
-    their shape.  Arrays are evaluated in row blocks in which each point
-    gets the same floating-point operations, in the same order, as a call
-    on that point alone.  A row whose start term (1-x)^d falls below the
-    smallest normal double, or whose window starts past its first cell,
-    starts from its anchor term, computed as a product of mantissas and a
-    power of two (``_window_starts``), so float mode returns a finite value
-    up to d = 1000.
+    their shape.  Each point gets the same floating-point operations, in
+    the same order, as a call on that point alone.  Below
+    d = ``_RECURRENCE_MIN_D`` a point whose start terms, Python's (1-x)^d
+    and (1-y)^d, are normal doubles takes its two whole rows of d terms,
+    the pmfs of J and K, with prefix sums over the term recurrences; those
+    rows fix the bits of the default outputs.  Every other point, all of
+    them from d = 500, takes the recurrence, whose start term is a product
+    of mantissas and a power of two, so float mode returns a finite value
+    up to d = 1000.  The recurrence costs d numpy steps per call, whatever
+    its point count: a call on one point at d = 1000 takes about 4 ms.
     A float call of at least 2 x ``_PART_MIN_CELLS`` cells (points times
     the sum of its d; the comment on the constant derives it from the
     measured cost of a split) is split across processes when ``os.fork``
@@ -812,8 +716,8 @@ def I_d_eval(d, x, y):
     rejects d > 1000; pass Fraction arguments for exact evaluation beyond
     that.  Exact mode works on integers whose size grows
     with d times the bits of the denominators; for a point taken from floats
-    it takes about 0.6 s at d = 1000 and 3.4 s at d = 2000 (2-CPU x86 host),
-    growing roughly as d^2.5.
+    it takes about 0.13 s at d = 1000 and 0.5 s at d = 2000 (2-CPU x86
+    host), growing roughly as d^2.
     """
     scalar = not hasattr(d, "__iter__")
     ds = [_require_int(k, "d", 1) for k in ([d] if scalar else d)]

@@ -11,10 +11,11 @@ their own directory, the bench through one ``sys.path`` entry.
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from thermoproc import combinatorics, memory
+from thermoproc import memory
 from thermoproc._kernels import _memory_sweep_py
 from thermoproc.core import PopulationVector
 from thermoproc.memory import RESPONSE_MIN_D, _protocol_totals
@@ -91,38 +92,41 @@ def I_d_fraction(d, x, y):
     return total / d
 
 
-def I_d_window_fraction(d, x, y, ax, lx, ay, ly):
-    """Exact I_d over the cells of two windows alone: the sum of
-    (d - j - k)^+ f_d(k) x^k (1-x)^d f_d(j) y^j (1-y)^d / d over the cells
-    ax <= k < ax + lx of the x row and ay <= j < ay + ly of the y row.
-    Cell k meets the y cells ay <= j < min(ay + ly, d - k), over which the
-    sums of the terms and of j times them are differences of prefix sums."""
-    def terms(x):
-        t = (1 - x) ** d
-        out = [t]
-        for k in range(d - 1):
-            t = t * x * (d + k) / (k + 1)
-            out.append(t)
-        return out
+def I_d_double_sum(d, x, y):
+    """Exact I_d as the integer double sum that the recurrence of
+    ``combinatorics._I_d_exact`` replaced, with one Fraction at the end.
 
-    tx, ty = terms(x), terms(y)
-    sums, moments = [0 * ty[0]], [0 * ty[0]]  # over the cells j < i, at i
-    for j, t in enumerate(ty):
-        sums.append(sums[-1] + t)
-        moments.append(moments[-1] + j * t)
-    total = 0 * tx[0]
-    for k in range(ax, ax + lx):
-        hi = min(ay + ly, d - k)
-        if hi > ay:
-            total += tx[k] * ((d - k) * (sums[hi] - sums[ay]) - (moments[hi] - moments[ay]))
-    return total / d
+    With x = a/q and y = b/r, the terms f_d(k) x^k (1-x)^d are
+    (q-a)^d u_k / q^{2d-1} with the integers u_k = f_d(k) a^k q^{d-1-k},
+    and likewise for y, so
+
+        I_d = (q-a)^d (r-b)^d T / (d q^{2d-1} r^{2d-1}),
+        T = sum_j f_d(j) b^j r^{d-1-j} B_{d-1-j},
+
+    where B_k = sum_{i<=k} (k+1-i) u_i is the bracket (k+1) P_k - Q_k of the
+    float form: the running sum of the prefix sums of u.  T is summed by
+    Horner in r, so each step multiplies by r, not by a power of it.
+    """
+    xq, yq = Fraction(x), Fraction(y)
+    a, q = xq.numerator, xq.denominator
+    b, r = yq.numerator, yq.denominator
+    u = [q ** (d - 1)]
+    for k in range(d - 1):
+        # exact: u_k (d+k) a = (k+1) f_d(k+1) a^{k+1} q^{d-1-k}
+        u.append(u[-1] * (d + k) * a // ((k + 1) * q))
+    total = 0
+    g = 1  # f_d(j) b^j
+    for j, bracket in enumerate(reversed(list(accumulate(accumulate(u))))):
+        total = total * r + g * bracket
+        g = g * (d + j) * b // (j + 1)
+    return Fraction((q - a) ** d * (r - b) ** d * total,
+                    d * q ** (2 * d - 1) * r ** (2 * d - 1))
 
 
 def per_point_I_d(d, x, y):
     """The per-point float I_d of whole rows that the block form replaced,
-    kept literally as the reference it must equal bit for bit.  A point
-    whose start term (1-x)^d or (1-y)^d is not a normal double takes the
-    terms of ``per_point_log_terms`` for both."""
+    kept literally as the reference it must equal bit for bit at the points
+    of ``whole_row_points``."""
     def terms(x):
         t0 = (1.0 - x) ** d
         if d == 1:
@@ -134,11 +138,7 @@ def per_point_I_d(d, x, y):
         out[1:] = t0 * np.cumprod(ratios)
         return out
 
-    x, y = float(x), float(y)
-    if min((1.0 - x) ** d, (1.0 - y) ** d) >= sys.float_info.min:
-        tx, ty = terms(x), terms(y)
-    else:
-        tx, ty = per_point_log_terms(d, x), per_point_log_terms(d, y)
+    tx, ty = terms(float(x)), terms(float(y))
     p = np.cumsum(tx)
     q = np.cumsum(np.arange(d) * tx)
     js = np.arange(d)
@@ -148,28 +148,11 @@ def per_point_I_d(d, x, y):
 
 def whole_row_points(d, x, y):
     """The points of the 1-D arrays x, y whose float I_d runs the operations
-    of the whole rows, and so must equal ``per_point_I_d`` bit for bit: two
-    whole windows (``combinatorics._windows``) and both start terms, Python's
-    (1-x)^d and (1-y)^d, normal doubles."""
-    _, lx, _, ly, mirror, _ = (a[0] for a in combinatorics._windows([d], x, y))
-    normal = [min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
-              for a, b in zip(x.tolist(), y.tolist())]
-    return mirror & (lx == d) & (ly == d) & np.array(normal)
-
-
-def per_point_log_terms(d, x):
-    """The terms f_d(k) x^k (1-x)^d, k = 0..d-1, of one point from their
-    logarithms, kept literally as the reference of the log-space rows that
-    whole rows with an underflowing start term once took:
-    exp(d log1p(-x) + sum_{i<=k} log(x (d + i - 1) / i)), with log 0 = -inf
-    for the ratios of x = 0."""
-    logs = np.zeros(d)
-    if d > 1:
-        ks = np.arange(1, d, dtype=np.float64)
-        ratios = x * (d + ks - 1.0) / ks
-        with np.errstate(divide="ignore"):
-            logs[1:] = np.log(ratios)
-    return np.exp(np.cumsum(logs) + d * np.log1p(-x))
+    of the whole rows, and so must equal ``per_point_I_d`` bit for bit: every
+    point below d = 500 whose start terms, Python's (1-x)^d and (1-y)^d, are
+    both normal doubles."""
+    return np.array([d < 500 and min((1.0 - a) ** d, (1.0 - b) ** d) >= sys.float_info.min
+                     for a, b in zip(x.tolist(), y.tolist())], dtype=bool)
 
 
 def delta_d_column_fraction(d_max, gamma):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from thermoproc import _split
 from thermoproc import combinatorics as comb
 
-from reference import (I_d_fraction, I_d_window_fraction, alternating_fraction,
+from reference import (I_d_double_sum, I_d_fraction, alternating_fraction,
                        delta_d_column_fraction, lki_references, per_point_I_d, weighted_float,
                        weighted_fraction, whole_row_points)
 
@@ -304,6 +304,18 @@ class TestIntegerRoutes:
         assert got == I_d_fraction(d, x, y)
         assert got == comb.I_d_eval(d, y, x)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60),
+           st.fractions(0, 1, max_denominator=1000).filter(lambda v: v < 1),
+           st.fractions(0, 1, max_denominator=1000).filter(lambda v: v < 1))
+    def test_exact_I_d_equals_the_double_sum(self, d, x, y):
+        assert comb.I_d_eval(d, x, y) == I_d_double_sum(d, x, y)
+
+    @pytest.mark.parametrize("d", [400, 1000])
+    def test_exact_I_d_equals_the_double_sum_at_large_d(self, d):
+        x, y = Fraction(0.31), Fraction(0.47)
+        assert comb.I_d_eval(d, x, y) == I_d_double_sum(d, x, y)
+
     def test_exact_I_d_edge_cases(self):
         for d in (1, 2, 60):
             assert comb.I_d_eval(d, Fraction(0), Fraction(0)) == 1
@@ -549,21 +561,23 @@ def _fig2_grid(points=2000, beta_E=0.7):
 class TestErrorKernelArrays:
     @pytest.mark.parametrize("d", [1, 2, 5, 20, 100, 400, 1000])
     def test_bitwise_equal_to_the_per_point_formula(self, d):
-        # every point of a d below _WINDOW_MIN_D has whole-row windows
+        # every point below _RECURRENCE_MIN_D has whole rows of normal start
+        # terms; from it on every point takes the recurrence
         x, y = _fig2_grid()
         whole = whole_row_points(d, x, y)
-        assert whole.all() or d >= comb._WINDOW_MIN_D
+        assert whole.all() if d < comb._RECURRENCE_MIN_D else not whole.any()
         self.assert_bitwise_on_every_grid_length(d, x, y, whole)
 
     @pytest.mark.parametrize("d", [160, 1000])
     def test_log_space_rows_bitwise_equal_to_the_per_point_formula(self, d):
         # every third x so close to 1 that (1-x)^d underflows, and x = 0
-        # next to an underflowing y.  Their rows start from their anchors; at
-        # d = 160 they share blocks with whole rows of normal start terms
+        # next to an underflowing y.  Their points take the recurrence; at
+        # d = 160 they lie between whole rows of normal start terms, in at
+        # least 10 block-sized stretches of the grid
         x, y = _grid_with_log_rows()
         underflowing = np.minimum((1.0 - x) ** d, (1.0 - y) ** d) < sys.float_info.min
         assert underflowing.sum() >= 600
-        if d < comb._WINDOW_MIN_D:
+        if d < comb._RECURRENCE_MIN_D:
             block = comb._BLOCK_ELEMENTS // d
             mixed = [rows.any() and not rows.all()
                      for rows in np.split(underflowing, range(block, len(x), block))]
@@ -587,8 +601,8 @@ class TestErrorKernelArrays:
     @pytest.mark.parametrize("d, step, bound", [(100, 100, 1.09e-14), (400, 200, 4.44e-14),
                                                 (1000, 250, 3.44e-13)])
     def test_within_the_exact_error_of_the_whole_rows(self, d, step, bound):
-        # ``bound`` is the largest relative error of the whole rows (the
-        # kernel before windows) against exact I_d on these points
+        # ``bound`` is the largest relative error of the whole rows against
+        # exact I_d on these points; d = 1000 takes the recurrence
         x, y = _fig2_grid()
         got = comb.I_d_eval(d, x, y)
         for k in range(0, len(x), step):
@@ -620,13 +634,13 @@ class TestErrorKernelArrays:
             at_400 = comb.I_d_eval(400, x, y)
             assert np.all(np.isfinite(at_1000))
             assert np.all(at_1000 >= 0.0)
-            assert np.any((1.0 - x) ** 1000 < sys.float_info.min)  # anchored rows run
+            assert np.any((1.0 - x) ** 1000 < sys.float_info.min)  # underflowing starts
             assert np.all(at_1000 <= at_400 * (1.0 + 1e-12))
 
     @pytest.mark.parametrize("x, y", UNDERFLOWING_STARTS)
     def test_underflowing_start_term_matches_fraction_twin(self, x, y):
         # (1 - 0.99)^160 = 1e-320 keeps ~10 bits, so a row started from it
-        # would be off by 1e-5 relative; it starts from its anchor.  At
+        # would be off by 1e-5 relative; the point takes the recurrence.  At
         # y = 0.00625 the term ratio y * 160 rounds to exactly 1; at x = 0
         # every ratio is 0.
         d = 160
@@ -661,11 +675,13 @@ class TestErrorKernelOverDimensions:
             assert np.asarray(values).tobytes() == np.asarray(expected).tobytes(), d
 
     def test_unsorted_and_repeated_d_on_the_fig2_grid(self):
-        # d = 400 and 1000 take windows, whose rows start from their anchors
+        # d = 1000 takes the recurrence
         x, y = _fig2_grid()
         self.assert_equal_to_per_d_calls([20, 1, 1000, 5, 20, 2, 400, 1], x, y)
 
     def test_mixed_anchored_blocks(self):
+        # at d = 160 the points of underflowing start terms take the
+        # recurrence, between whole rows
         x, y = _fig2_grid(600)
         x[::3] = 1.0 - np.geomspace(1e-4, 1e-2, len(x[::3]))
         x[1::15], y[1::15] = 0.0, 1.0 - 1e-3
@@ -700,27 +716,24 @@ class TestErrorKernelOverDimensions:
             comb.I_d_eval([1, 2], x, y)
 
     def test_each_d_keeps_its_block_rows(self, monkeypatch):
-        # a block holds at most 2 x _BLOCK_ELEMENTS cells of one window
-        # length L: min(points, _BLOCK_ELEMENTS // L) mirrored x rows above as
-        # many y rows, or twice that many separated rows.  A d below
-        # _WINDOW_MIN_D has L = d at every point.
+        # a block of whole rows holds min(points, _BLOCK_ELEMENTS // d) x
+        # rows above as many y rows, at most 2 x _BLOCK_ELEMENTS cells; no
+        # point of d = 1000 takes whole rows
         seen = {}
-        terms_of = comb._window_terms
+        rows_of = comb._I_d_rows
 
-        def recording(out, *args):
-            seen.setdefault(out.shape[1], set()).add(out.shape[0])
-            return terms_of(out, *args)
+        def recording(tx, *args):
+            seen.setdefault(tx.shape[1], set()).add(tx.shape[0])
+            return rows_of(tx, *args)
 
-        monkeypatch.setattr(comb, "_window_terms", recording)
+        monkeypatch.setattr(comb, "_I_d_rows", recording)
         x, y = _fig2_grid()
         ds = [1000, 1, 40, 400]
         # the serial kernel: a split call's parent blocks only its own chunk
         comb._I_d_float(ds, x, y)
-        for length, rows in seen.items():
-            assert max(rows) * length <= 2 * comb._BLOCK_ELEMENTS, length
-        for d in (1, 40):
-            assert max(seen[d]) == 2 * min(len(x), comb._BLOCK_ELEMENTS // d), d
-        assert len(seen) > 4  # the windows of d = 1000 take more lengths
+        assert sorted(seen) == [1, 40, 400]
+        for d in seen:
+            assert max(seen[d]) == min(len(x), comb._BLOCK_ELEMENTS // d), d
 
 
 # the work gap of fig2's grid (beta E = 0.7) where mu = x/(1-x) + y/(1-y) is 1
@@ -735,14 +748,14 @@ def small_rationals(draw, max_denominator=12):
     return Fraction(draw(st.integers(0, q - 1)), q)
 
 
-class TestErrorKernelWindows:
-    """Float I_d on its windows (``comb._windows``) against exact I_d."""
+class TestErrorKernelAccuracy:
+    """Float I_d, on whole rows and on the recurrence, against exact I_d."""
 
     @pytest.mark.parametrize("d", [100, 400, 1000])
     @pytest.mark.parametrize("w", [0.5, W_0 - 0.05, W_0, 2.0])
     def test_across_the_threshold(self, d, w):
-        # at W_0 the windows are widest; at W = 0.5 and d = 1000 the value
-        # is about 4e-58
+        # at W_0 the recurrence's error is largest; at W = 0.5 and d = 1000
+        # the value is about 4e-58
         x, y = 1.0 / (1.0 + math.exp(w - 0.7)), 1.0 / (1.0 + math.exp(w))
         exact = comb.I_d_eval(d, Fraction(x), Fraction(y))
         assert abs(Fraction(comb.I_d_eval(d, x, y)) - exact) <= d * 2.0 ** -52 * exact
@@ -761,67 +774,33 @@ class TestErrorKernelWindows:
             else:
                 assert got < 1e-290
 
-    def test_only_a_call_that_cuts_loads_the_cuts_module(self):
-        code = ("import sys; import numpy as np; from thermoproc import combinatorics as c; "
-                "x = np.linspace(0.0, 0.9, 60); c.I_d_eval([1, 40, 400], x, x); "
-                "print('thermoproc._cuts' in sys.modules); "
-                "c.I_d_eval(c._WINDOW_MIN_D, x, x); print('thermoproc._cuts' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
-        assert out.stdout.split() == ["False", "True"]
-
     @pytest.mark.parametrize("d, a, b", [(600, 212, 157), (700, 177, 191), (700, 192, 176),
                                          (750, 183, 180)])
-    def test_windows_spanning_more_than_2_to_the_1022(self, d, a, b):
-        # the first term of such a window lies more than 2^1022 below its
-        # largest, and the running product carries its error into every term
+    def test_rows_spanning_more_than_2_to_the_1022(self, d, a, b):
+        # from the first term that can move the value to the largest, the
+        # rows of these points span more than 2^1022
         x, y = Fraction(a, 256), Fraction(b, 256)
-        ax, lx, ay, ly, *_ = (int(v[0, 0]) for v in comb._windows(
-            [d], np.array([float(x)]), np.array([float(y)])))
-
-        def span(q, start, length):
-            terms = [math.comb(d - 1 + k, k) * q ** k for k in range(start, start + length)]
-            return max(terms) / terms[0]
-
-        assert max(span(x, ax, lx), span(y, ay, ly)) > 2 ** 1022
         exact = comb.I_d_eval(d, x, y)
         assert exact > 1e-300
         assert abs(Fraction(comb.I_d_eval(d, float(x), float(y))) - exact) <= 1e-13 * exact
 
     @settings(max_examples=120, deadline=None)
-    @given(st.one_of(st.integers(1, 200), st.integers(comb._WINDOW_MIN_D, comb.MAX_FLOAT_D)),
+    @given(st.one_of(st.integers(1, 200), st.integers(comb._RECURRENCE_MIN_D, comb.MAX_FLOAT_D)),
            *[st.one_of(st.integers(0, 1023), st.integers(560, 880))] * 2, st.booleans())
     def test_property_dyadic_points(self, d, a, b, every_d):
-        # every_d: windows at every d, so that they also cut rows of d <= 200.
-        # From d = 515 on, x and y from 560/1024 to 880/1024 give windows
-        # whose largest term exceeds the first by more than 2^1022.
+        # every_d: the recurrence at every d, so that it also runs the
+        # points of d <= 200.  From d = 515 on, x and y from 560/1024 to
+        # 880/1024 give rows whose largest term exceeds the first by more
+        # than 2^1022.
         x, y = Fraction(a, 1024), Fraction(b, 1024)
         exact = comb.I_d_eval(d, x, y)
         with pytest.MonkeyPatch.context() as mp:
             if every_d:
-                mp.setattr(comb, "_WINDOW_MIN_D", 1)
+                mp.setattr(comb, "_RECURRENCE_MIN_D", 1)
             got = comb.I_d_eval(d, float(x), float(y))
         assert got >= 0.0
         if exact > 1e-300:
             assert abs(Fraction(got) - exact) <= 1e-13 * exact
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.one_of(st.integers(2, 80), st.integers(comb._WINDOW_MIN_D, comb.MAX_FLOAT_D)),
-           st.integers(0, 63), st.integers(0, 63))
-    def test_property_windows_drop_at_most_2_to_the_minus_60(self, d, a, b):
-        # the cells outside the windows, summed exactly; a point of neither
-        # form has a value below 2^-1075, whose nearest double is 0
-        x, y = Fraction(a, 64), Fraction(b, 64)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(comb, "_WINDOW_MIN_D", 1)
-            ax, lx, ay, ly, mirror, separated = (int(v[0, 0]) for v in comb._windows(
-                [d], np.array([float(x)]), np.array([float(y)])))
-        exact = comb.I_d_eval(d, x, y)
-        if mirror or separated:
-            kept = I_d_window_fraction(d, x, y, ax, lx, ay, ly)
-            assert 0 <= exact - kept <= exact / 2 ** 60
-        else:
-            assert exact < Fraction(1, 2 ** 1075)
 
 
 class TestNegativeBinomialMean:
